@@ -18,15 +18,19 @@ from .spinops import (
 )
 from .lindblad import (
     BathSpec,
+    BlockGenerator,
+    Channel,
     DissipatorStyle,
     JumpOperator,
     Liouvillian,
+    assemble_block_generator,
     assemble_liouvillian,
     bose_einstein,
     global_dissipator,
     global_jump_operators,
     local_dissipator,
     standard_baths,
+    thermal_channels,
 )
 from .steady import (
     CrossValidationError,
@@ -34,12 +38,14 @@ from .steady import (
     SteadyState,
     SteadyStateError,
     cross_validate,
+    steady_state_block,
     steady_state_nullspace,
     steady_state_rate_equations,
 )
 from .thermo import (
     HeatCurrents,
     RectificationReport,
+    channel_heat_currents,
     current_from_cycle,
     heat_currents,
     rectification,
@@ -56,7 +62,9 @@ from .experiments import (
 
 __all__ = [
     "BathSpec",
+    "BlockGenerator",
     "ChainModel",
+    "Channel",
     "CrossValidationError",
     "DissipatorStyle",
     "HeatCurrents",
@@ -70,9 +78,11 @@ __all__ = [
     "SteadyState",
     "SteadyStateError",
     "SweepConfig",
+    "assemble_block_generator",
     "assemble_liouvillian",
     "bose_einstein",
     "build_hamiltonian",
+    "channel_heat_currents",
     "cross_validate",
     "current_from_cycle",
     "embed",
@@ -90,8 +100,10 @@ __all__ = [
     "spectral_decompose",
     "standard_baths",
     "steady_net_current",
+    "steady_state_block",
     "steady_state_nullspace",
     "steady_state_rate_equations",
+    "thermal_channels",
 ]
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ cannot be written, 2 on a bad configuration or bad arguments.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,8 +23,17 @@ from .experiments import (
 )
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--kappa", type=float, default=1.0, help="bath coupling prefactor")
+    sub.add_argument(
+        "--kappa", type=_positive_float, default=1.0, help="bath coupling prefactor"
+    )
     sub.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     sub.add_argument(
         "--jobs",

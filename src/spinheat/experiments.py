@@ -93,8 +93,8 @@ class SweepConfig:
             raise ConfigError("grid must be ascending: start < stop")
         if self.scale == "log" and self.start <= 0:
             raise ConfigError("log grids need start > 0")
-        if self.kappa <= 0:
-            raise ConfigError("kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ConfigError("kappa must be finite and positive")
 
         needed = {
             "temperature": ("t_right",),
@@ -107,8 +107,8 @@ class SweepConfig:
                 raise ConfigError(f"{self.sweep} sweep requires {key}")
             if key not in needed and value is not None:
                 raise ConfigError(f"{key} does not apply to a {self.sweep} sweep")
-            if value is not None and value < 0:
-                raise ConfigError(f"{key} must be nonnegative")
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and nonnegative")
         if self.sweep == "coupling":
             if self.coupling_delta is not None:
                 raise ConfigError("delta is scanned by a coupling sweep; do not fix it")
@@ -120,7 +120,10 @@ class SweepConfig:
         if self.sweep == "temperature" and self.start < 0:
             raise ConfigError("temperature grid must be nonnegative")
         # Constructing a chain spec validates n_spins/h/model consistency.
-        self.chain_spec(self.coupling_delta if self.coupling_delta is not None else 0.0)
+        try:
+            self.chain_spec(self.coupling_delta if self.coupling_delta is not None else 0.0)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     def chain_spec(self, delta: float | None = None) -> SpinChainSpec:
         value = self.coupling_delta if delta is None else delta
@@ -184,28 +187,23 @@ def _config_from_pairs(pairs: dict[str, str]) -> SweepConfig:
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
-    try:
-        return SweepConfig(
-            model=model,
-            n_spins=spins,
-            field_h=as_float("h"),
-            coupling_delta=as_float("delta") if "delta" in values else None,
-            style=values["style"],
-            kappa=as_float("kappa"),
-            sweep=values["sweep"],
-            start=as_float("start"),
-            stop=as_float("stop"),
-            points=points,
-            scale=values["scale"],
-            t_left=as_float("t_left") if "t_left" in values else None,
-            t_right=as_float("t_right") if "t_right" in values else None,
-            t_mean=as_float("t_mean") if "t_mean" in values else None,
-            output_path=values.get("out"),
-        )
-    except ValueError as err:  # chain-spec violations surface as config errors
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(str(err)) from None
+    return SweepConfig(
+        model=model,
+        n_spins=spins,
+        field_h=as_float("h"),
+        coupling_delta=as_float("delta") if "delta" in values else None,
+        style=values["style"],
+        kappa=as_float("kappa"),
+        sweep=values["sweep"],
+        start=as_float("start"),
+        stop=as_float("stop"),
+        points=points,
+        scale=values["scale"],
+        t_left=as_float("t_left") if "t_left" in values else None,
+        t_right=as_float("t_right") if "t_right" in values else None,
+        t_mean=as_float("t_mean") if "t_mean" in values else None,
+        output_path=values.get("out"),
+    )
 
 
 def parse_config_text(text: str) -> SweepConfig:
@@ -764,26 +762,48 @@ def acceptance_criteria() -> list[CriterionResult]:
     return results
 
 
-def format_criterion(result: CriterionResult) -> str:
-    status = "PASS" if result.passed else "FAIL"
+_TABLE_HEADER = ("#", "criterion", "expected", "observed", "tolerance", "time", "status")
+_RIGHT_ALIGNED = (0, 5)  # the index and time columns
+
+
+def _criterion_cells(result: CriterionResult) -> tuple[str, ...]:
     return (
-        f"{result.index:2d}  {result.name:<32} {result.expected:<34} "
-        f"{result.observed:<44} {result.tolerance:<28} {result.seconds:6.2f}s  {status}"
+        str(result.index),
+        result.name,
+        result.expected,
+        result.observed,
+        result.tolerance,
+        f"{result.seconds:.2f}s",
+        "PASS" if result.passed else "FAIL",
     )
+
+
+def format_table(results: Sequence[CriterionResult]) -> list[str]:
+    """Header, rule and one line per result, each column as wide as its widest cell."""
+    rows = [_TABLE_HEADER] + [_criterion_cells(result) for result in results]
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    lines = [
+        "  ".join(
+            cell.rjust(width) if k in _RIGHT_ALIGNED else cell.ljust(width)
+            for k, (cell, width) in enumerate(zip(row, widths))
+        ).rstrip()
+        for row in rows
+    ]
+    lines.insert(1, "-" * max(len(line) for line in lines))
+    return lines
+
+
+def format_criterion(result: CriterionResult) -> str:
+    """One result as a table line, its columns sized from the header and itself."""
+    return format_table([result])[-1]
 
 
 def run_acceptance(stream=None) -> int:
     """Print the acceptance table; exit status 1 if anything failed."""
     stream = stream or sys.stdout
     results = acceptance_criteria()
-    header = (
-        f"{'#':>2}  {'criterion':<32} {'expected':<34} {'observed':<44} "
-        f"{'tolerance':<28} {'time':>7}  status"
-    )
-    print(header, file=stream)
-    print("-" * len(header), file=stream)
-    for result in results:
-        print(format_criterion(result), file=stream)
+    for line in format_table(results):
+        print(line, file=stream)
     failed = [r for r in results if not r.passed]
     print(
         f"{len(results) - len(failed)}/{len(results)} criteria passed",

@@ -9,6 +9,7 @@ The two-spin product basis is therefore ordered (uu, ud, du, dd).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,10 @@ class SpinChainSpec:
             raise ValueError("n_spins must be at least 2")
         if self.model is ChainModel.ISING_ZZ and self.n_spins != 2:
             raise ValueError("the Ising zz model is defined for exactly 2 spins")
-        if self.field_h <= 0:
-            raise ValueError("field_h must be positive")
-        if self.coupling_delta < 0:
-            raise ValueError("coupling_delta must be nonnegative")
+        if not (math.isfinite(self.field_h) and self.field_h > 0):
+            raise ValueError("field_h must be finite and positive")
+        if not (math.isfinite(self.coupling_delta) and self.coupling_delta >= 0):
+            raise ValueError("coupling_delta must be finite and nonnegative")
 
     @property
     def dim(self) -> int:
@@ -107,10 +108,9 @@ def embed_matrix(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
     """Kronecker-embed a single-spin matrix at `site` of an n-spin chain."""
     if not 0 <= site < n_spins:
         raise ValueError(f"site {site} out of range for {n_spins} spins")
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(n_spins):
-        out = np.kron(out, op if k == site else np.eye(2, dtype=complex))
-    return out
+    left = np.eye(2**site, dtype=complex)
+    right = np.eye(2 ** (n_spins - site - 1), dtype=complex)
+    return np.kron(np.kron(left, op), right)
 
 
 def embed(op: HermitianOperator, site: int, n_spins: int) -> HermitianOperator:

@@ -1,9 +1,34 @@
-"""Steady states: Liouvillian null space and the four-level rate equations.
+"""Steady states: generator kernels and the four-level rate equations.
 
-The two solvers are deliberately independent.  The null-space route works
-on the full superoperator of any chain; the rate-equation route solves the
-closed population cycle of the two-spin Ising chain analytically pinned to
-four levels.  Each serves as the oracle for the other.
+Three solvers are provided.
+
+- `steady_state_block` is the route the transport functions use.  It takes
+  the SVD kernel of the b x b block generator of
+  `lindblad.assemble_block_generator`, the span of |i><j| with equal
+  conserved charge.  That span is invariant under the generator and holds
+  both the steady state and the identity (the module docstring of
+  `lindblad` gives the argument for each dissipator style), so the block's
+  kernel holds every steady state the full generator projects to.  The
+  invariance is checked at run time: the residual ||L[rho]|| is evaluated
+  on the full d x d state in operator form, with the full Hamiltonian and
+  channel operators, and a residual above `KERNEL_RTOL` times the block's
+  largest singular value raises SteadyStateError.
+- `steady_state_nullspace` takes the SVD kernel of the full d^2 x d^2
+  Liouvillian.  It is the oracle for the block route.
+- `steady_state_rate_equations` solves the closed population cycle of the
+  two-spin Ising chain, analytically pinned to four levels.  It and the
+  null-space route serve as oracles for each other.
+
+Both kernel routes apply one rule: singular values below `KERNEL_RTOL`
+times the largest count as kernel, a one-dimensional kernel gives the state
+directly, and a degenerate kernel is resolved by projecting the maximally
+mixed state onto it; the result is trace-normalized, Hermitized and checked
+for positivity.  `kernel_dim` counts the kernel of the matrix that was
+solved.  For the block route that is the block's kernel only: the dense
+route can count extra undamped coherences between different charges (the
+Ising pair at delta = 0 in the local style, with its right bath dead, has
+a kernel of 4 against the block's 2), but those are orthogonal to the
+maximally mixed state, so the projected state is the same.
 """
 
 from __future__ import annotations
@@ -13,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import (
+    BlockGenerator,
+    Channel,
     DissipatorStyle,
     Liouvillian,
     assemble_liouvillian,
@@ -50,6 +77,7 @@ class SteadyState:
     `populations` holds the diagonal in the energy eigenbasis, ascending.
     `degenerate` flags a kernel of dimension > 1, in which case `rho` is
     the normalized projection of the maximally mixed state onto the kernel.
+    `residual` is ||L[rho]|| under the full generator.
     """
 
     rho: np.ndarray
@@ -82,16 +110,13 @@ class CrossCheckReport:
     coherence_max: float
 
 
-def steady_state_nullspace(L: Liouvillian) -> SteadyState:
-    """Stationary state from the SVD kernel of the Liouvillian matrix.
+def _kernel_vector(matrix: np.ndarray, mixed: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Kernel vector of `matrix`, its kernel dimension and largest singular value.
 
-    The right-singular vector of the smallest singular value is reshaped,
-    Hermitized and trace-normalized.  A kernel of dimension > 1 (possible
-    for decoupled chains) is resolved by projecting the maximally mixed
-    state onto the kernel; an empty kernel raises SteadyStateError.
+    `mixed` is the maximally mixed state in the coordinates of `matrix`;
+    a degenerate kernel is resolved by projecting it onto the kernel.
     """
-    d = L.dim
-    _, s, vh = np.linalg.svd(L.matrix)
+    _, s, vh = np.linalg.svd(matrix)
     if s[0] == 0.0:
         raise SteadyStateError("Liouvillian is identically zero")
     kernel_mask = s < KERNEL_RTOL * s[0]
@@ -100,15 +125,14 @@ def steady_state_nullspace(L: Liouvillian) -> SteadyState:
         raise SteadyStateError(
             f"no kernel found: smallest relative singular value {s[-1] / s[0]:.3e}"
         )
-
     if kernel_dim == 1:
-        vec = vh[-1].conj()
-    else:
-        basis = vh[kernel_mask].conj().T  # columns span the kernel
-        mixed = vectorize(np.eye(d, dtype=complex) / d)
-        vec = basis @ (basis.conj().T @ mixed)
+        return vh[-1].conj(), kernel_dim, float(s[0])
+    basis = vh[kernel_mask].conj().T  # columns span the kernel
+    return basis @ (basis.conj().T @ mixed), kernel_dim, float(s[0])
 
-    rho = unvectorize(vec, d)
+
+def _density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Trace-normalized, Hermitized kernel matrix, checked for positivity."""
     # the kernel vector carries an arbitrary global phase: dividing by the
     # complex trace removes it before Hermitization can cancel anything
     trace = complex(np.trace(rho))
@@ -121,12 +145,71 @@ def steady_state_nullspace(L: Liouvillian) -> SteadyState:
     min_eig = float(np.linalg.eigvalsh(rho).min())
     if min_eig < _MIN_EIGENVALUE:
         raise SteadyStateError(f"steady state not positive: min eigenvalue {min_eig:.3e}")
+    return rho
 
+
+def steady_state_nullspace(L: Liouvillian) -> SteadyState:
+    """Stationary state from the SVD kernel of the full Liouvillian matrix.
+
+    The right-singular vector of the smallest singular value is reshaped,
+    Hermitized and trace-normalized.  A kernel of dimension > 1 (possible
+    for decoupled chains) is resolved by projecting the maximally mixed
+    state onto the kernel; an empty kernel raises SteadyStateError.
+    """
+    d = L.dim
+    vec, kernel_dim, _ = _kernel_vector(L.matrix, vectorize(np.eye(d, dtype=complex) / d))
+    rho = _density_matrix(unvectorize(vec, d))
     residual = float(np.linalg.norm(L.matrix @ vectorize(rho)))
     decomp = spectral_decompose(HermitianOperator(L.hamiltonian))
     populations = np.real(
         np.diag(decomp.eigenvectors.conj().T @ rho @ decomp.eigenvectors)
     )
+    return SteadyState(
+        rho=rho,
+        residual=residual,
+        kernel_dim=kernel_dim,
+        populations=populations,
+        degenerate=kernel_dim > 1,
+    )
+
+
+def _apply_generator(
+    H: np.ndarray, channels: tuple[Channel, ...], rho: np.ndarray
+) -> np.ndarray:
+    """L[rho] = -i[H, rho] + sum_c g_c (A rho A^dag - {A^dag A, rho}/2), on d x d matrices."""
+    out = -1j * (H @ rho - rho @ H)
+    for channel in channels:
+        a = channel.operator
+        m = a.conj().T @ a
+        out += channel.rate * (a @ rho @ a.conj().T - 0.5 * (m @ rho + rho @ m))
+    return out
+
+
+def steady_state_block(G: BlockGenerator) -> SteadyState:
+    """Stationary state from the SVD kernel of the block generator.
+
+    The kernel rule and the state checks are those of
+    `steady_state_nullspace`.  `residual` is ||L[rho]|| of the full
+    d x d state under the full generator; it must stay below
+    `KERNEL_RTOL` times the block's largest singular value, or the block
+    was not invariant and SteadyStateError is raised.
+    """
+    d = G.dim
+    mixed = np.where(G.rows == G.cols, 1.0 / d, 0.0).astype(complex)
+    vec, kernel_dim, s_max = _kernel_vector(G.matrix, mixed)
+    rho_block = np.zeros((d, d), dtype=complex)
+    rho_block[G.rows, G.cols] = vec
+    rho_block = _density_matrix(rho_block)
+    rho = G.basis @ rho_block @ G.basis.conj().T
+
+    residual = float(np.linalg.norm(_apply_generator(G.hamiltonian, G.channels, rho)))
+    if residual > KERNEL_RTOL * s_max:
+        raise SteadyStateError(
+            f"steady state leaves the symmetry block: residual {residual:.3e} "
+            f"exceeds {KERNEL_RTOL:.0e} x largest singular value {s_max:.3e}"
+        )
+    vectors = G.decomp.eigenvectors
+    populations = np.real(np.diag(vectors.conj().T @ rho @ vectors))
     return SteadyState(
         rho=rho,
         residual=residual,

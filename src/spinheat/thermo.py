@@ -1,7 +1,10 @@
 """Heat currents and rectification diagnostics.
 
 The current entering the system from a bath is the energy expectation of
-that bath's dissipator output, Tr{D_bath[rho] H}.  The sign convention is
+that bath's dissipator output, Tr{D_bath[rho] H}.  `heat_currents` reads it
+off the dense superoperator of each bath; `channel_heat_currents` writes
+it in operator form, sum_c g_c Tr rho (A^dag H A - {A^dag A, H}/2), over
+the bath's channels.  The sign convention is
 anchored on the left reservoir: `j_net` is the left input rate, so a
 positive value means heat flows from the left bath through the system into
 the right bath.
@@ -14,15 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import (
+    BathSpec,
+    Channel,
     DissipatorStyle,
     Liouvillian,
-    assemble_liouvillian,
+    assemble_block_generator,
     standard_baths,
     unvectorize,
     vectorize,
 )
 from .spinops import HermitianOperator, SpinChainSpec, build_hamiltonian
-from .steady import steady_state_nullspace
+from .steady import steady_state_block
 
 
 @dataclass(frozen=True)
@@ -57,22 +62,50 @@ def _bath_current(part: np.ndarray, rho: np.ndarray, H: np.ndarray) -> float:
     return float(np.real(np.trace(drho @ H)))
 
 
-def heat_currents(L: Liouvillian, rho: np.ndarray, H: HermitianOperator) -> HeatCurrents:
-    """Input energy rates from the two reservoirs of a transport setup."""
-    if H.dim != L.dim or rho.shape != (L.dim, L.dim):
-        raise ValueError("dimension mismatch between Liouvillian, state and Hamiltonian")
-    if len(L.bath_parts) != 2:
-        raise ValueError("heat_currents expects exactly two baths")
-    order = np.argsort([bath.site for bath in L.baths], kind="stable")
-    left, right = (int(k) for k in order)
-    j_left = _bath_current(L.bath_parts[left], rho, H.matrix)
-    j_right = _bath_current(L.bath_parts[right], rho, H.matrix)
+def _left_right(baths: tuple[BathSpec, ...]) -> tuple[int, int]:
+    if len(baths) != 2:
+        raise ValueError("heat currents need exactly two baths")
+    left, right = np.argsort([bath.site for bath in baths], kind="stable")
+    return int(left), int(right)
+
+
+def _balance(j_left: float, j_right: float) -> HeatCurrents:
     return HeatCurrents(
         j_in_left=j_left,
         j_in_right=j_right,
         j_net=j_left,
         balance_residual=abs(j_left + j_right),
     )
+
+
+def heat_currents(L: Liouvillian, rho: np.ndarray, H: HermitianOperator) -> HeatCurrents:
+    """Input energy rates from the two reservoirs of a transport setup."""
+    if H.dim != L.dim or rho.shape != (L.dim, L.dim):
+        raise ValueError("dimension mismatch between Liouvillian, state and Hamiltonian")
+    left, right = _left_right(L.baths)
+    return _balance(
+        _bath_current(L.bath_parts[left], rho, H.matrix),
+        _bath_current(L.bath_parts[right], rho, H.matrix),
+    )
+
+
+def channel_heat_currents(
+    baths: tuple[BathSpec, ...],
+    channels: tuple[Channel, ...],
+    rho: np.ndarray,
+    H: np.ndarray,
+) -> HeatCurrents:
+    """Input energy rates in operator form, summed over each bath's channels."""
+    left, right = _left_right(baths)
+    flows = [0.0, 0.0]
+    for channel in channels:
+        a = channel.operator
+        a_dag = a.conj().T
+        m = a_dag @ a
+        energy_rate = a_dag @ H @ a - 0.5 * (m @ H + H @ m)
+        k = baths.index(channel.bath)
+        flows[k] += channel.rate * float(np.real(np.sum(rho * energy_rate.T)))
+    return _balance(flows[left], flows[right])
 
 
 def current_from_cycle(delta: float, cycle_gamma: float) -> float:
@@ -91,12 +124,18 @@ def steady_net_current(
     t_right: float,
     style: DissipatorStyle,
 ) -> float:
-    """Steady-state net current for the canonical two-bath arrangement."""
+    """Steady-state net current for the canonical two-bath arrangement.
+
+    Solved on the charge block of `assemble_block_generator`; the dense
+    `assemble_liouvillian` route is its oracle in the tests.
+    """
     H = build_hamiltonian(spec)
     baths = standard_baths(spec, kappa, t_left, t_right, style)
-    liouvillian = assemble_liouvillian(H, baths)
-    state = steady_state_nullspace(liouvillian)
-    return heat_currents(liouvillian, state.rho, H).j_net
+    generator = assemble_block_generator(H, baths)
+    state = steady_state_block(generator)
+    return channel_heat_currents(
+        generator.baths, generator.channels, state.rho, generator.hamiltonian
+    ).j_net
 
 
 def rectification(

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from spinheat.experiments import (
     run_sweep,
     run_xy_comparison,
 )
-from spinheat import experiments
+from spinheat import cli, experiments
 from spinheat.lindblad import DissipatorStyle
 from spinheat.spinops import ChainModel, SpinChainSpec
 from spinheat.thermo import steady_net_current
@@ -76,6 +78,11 @@ class TestConfigParsing:
             "style = sideways",
             "sweep = sidewise",
             "kappa = -1",
+            "kappa = nan",
+            "t_right = nan",
+            "t_right = inf",
+            "h = nan",
+            "delta = inf",
         ],
     )
     def test_invalid_values(self, override):
@@ -90,6 +97,20 @@ class TestConfigParsing:
                 lines[key] = line
         with pytest.raises(ConfigError):
             parse_config_text("\n".join(lines.values()))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sweep = coupling\nt_left = inf\nt_right = 0.5\n",
+            "sweep = coupling\nt_left = 2\nt_right = nan\n",
+            "delta = 0.5\nsweep = gradient\nt_mean = nan\n",
+        ],
+    )
+    def test_non_finite_temperatures_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config_text(
+                "model = ising\nstart = 0.1\nstop = 0.9\npoints = 3\n" + text
+            )
 
     def test_gradient_sweep_needs_mean_temperature(self):
         with pytest.raises(ConfigError):
@@ -244,6 +265,21 @@ class TestXYComparison:
             run_xy_comparison(7, 1.0, tmp_path)
 
 
+class TestCommandLine:
+    def test_non_finite_config_exits_with_configuration_error(self, tmp_path, capsys):
+        config = tmp_path / "nan.cfg"
+        config.write_text(BASE_CONFIG.replace("t_right = 0.5", "t_right = nan"))
+        status = cli.main(["sweep", "--config", str(config), "--out", str(tmp_path)])
+        assert status == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_non_finite_kappa_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["fig2", "--kappa", "inf", "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+
+
 class TestParallelExecution:
     def test_jobs_do_not_change_output(self, tmp_path):
         text = (
@@ -267,27 +303,41 @@ class TestAcceptanceRunner:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    def test_table_columns_line_up(self, monkeypatch):
+        rows = [
+            CriterionResult(1, "short", "e", "o", "t", True, 0.01),
+            CriterionResult(2, "b" * 40, "e" * 60, "o" * 70, "t" * 50, False, 123.45),
+            CriterionResult(10, "c", "x", "y", "z", True, 1.0),
+        ]
+        monkeypatch.setattr(experiments, "acceptance_criteria", lambda: rows)
+        stream = io.StringIO()
+        experiments.run_acceptance(stream)
+        header, _, *lines = stream.getvalue().splitlines()
+        column = header.index("status")
+        body = lines[: len(rows)]
+        assert [line[column:] for line in body] == ["PASS", "FAIL", "PASS"]
+        assert experiments.format_criterion(rows[1]).endswith("FAIL")
+
     def test_injected_dissipator_sign_error_breaks_clausius(self, monkeypatch):
-        # swap the emission and absorption weights: detailed balance inverts
-        # and heat runs from cold to hot, which the sanity check must catch
-        original = lindblad.global_dissipator
+        # swap the emission and absorption weights of the global baths:
+        # detailed balance inverts and heat runs from cold to hot, which the
+        # sanity check must catch
+        original = lindblad.thermal_channels
 
-        def corrupted(jumps, bath, dim=None):
-            if not jumps:
-                return original(jumps, bath, dim)
-            part = np.zeros((jumps[0].matrix.shape[0] ** 2,) * 2, dtype=complex)
-            for jump in jumps:
-                spectrum = bath.kappa * jump.frequency
-                occupation = lindblad.bose_einstein(jump.frequency, bath.temperature)
-                part += spectrum * occupation * lindblad.dissipation_superoperator(
-                    jump.matrix
+        def corrupted(bath, transitions):
+            if bath.style is not DissipatorStyle.GLOBAL:
+                return original(bath, transitions)
+            channels = []
+            for frequency, lowering in transitions:
+                spectrum = bath.kappa * frequency
+                occupation = lindblad.bose_einstein(frequency, bath.temperature)
+                channels.append(lindblad.Channel(bath, spectrum * occupation, lowering))
+                channels.append(
+                    lindblad.Channel(bath, spectrum * (1.0 + occupation), lowering.conj().T)
                 )
-                part += spectrum * (1.0 + occupation) * lindblad.dissipation_superoperator(
-                    jump.matrix.conj().T
-                )
-            return part
+            return channels
 
-        monkeypatch.setattr(lindblad, "global_dissipator", corrupted)
+        monkeypatch.setattr(lindblad, "thermal_channels", corrupted)
         checks = dict(ACCEPTANCE_CHECKS)
         _, _, _, passed = checks["generator sanity"]()
         assert not passed
@@ -296,20 +346,21 @@ class TestAcceptanceRunner:
         # ten times the absorption weight lets the cold left bath feed the
         # reverse cycle beyond what its thermal occupation allows, so the
         # reverse current must exceed the cold-link bound of criterion 5
-        original = lindblad.global_dissipator
+        original = lindblad.thermal_channels
 
-        def corrupted(jumps, bath, dim=None):
-            part = original(jumps, bath, dim)
-            for jump in jumps:
-                absorption = bath.kappa * jump.frequency * lindblad.bose_einstein(
-                    jump.frequency, bath.temperature
+        def corrupted(bath, transitions):
+            transitions = list(transitions)
+            channels = original(bath, transitions)
+            if bath.style is not DissipatorStyle.GLOBAL:
+                return channels
+            for frequency, lowering in transitions:
+                absorption = bath.kappa * frequency * lindblad.bose_einstein(
+                    frequency, bath.temperature
                 )
-                part += 9.0 * absorption * lindblad.dissipation_superoperator(
-                    jump.matrix.conj().T
-                )
-            return part
+                channels.append(lindblad.Channel(bath, 9.0 * absorption, lowering.conj().T))
+            return channels
 
-        monkeypatch.setattr(lindblad, "global_dissipator", corrupted)
+        monkeypatch.setattr(lindblad, "thermal_channels", corrupted)
         checks = dict(ACCEPTANCE_CHECKS)
         _, _, _, passed = checks["reverse leakage ratio"]()
         assert not passed

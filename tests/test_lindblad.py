@@ -80,6 +80,15 @@ class TestBathSpec:
         with pytest.raises(ValueError):
             BathSpec(0, 1.0, 1.0, DissipatorStyle.LOCAL, -0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BathSpec(0, bad, 1.0, DissipatorStyle.GLOBAL)
+        with pytest.raises(ValueError, match="finite"):
+            BathSpec(0, 1.0, bad, DissipatorStyle.GLOBAL)
+        with pytest.raises(ValueError, match="finite"):
+            BathSpec(0, 1.0, 1.0, DissipatorStyle.LOCAL, bad)
+
 
 class TestGlobalJumpOperators:
     def test_left_coupling_two_operators(self):

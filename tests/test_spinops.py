@@ -82,6 +82,10 @@ class TestChainSpec:
             (2, 0.0, 0.5, ChainModel.ISING_ZZ),
             (2, -1.0, 0.5, ChainModel.XY_TRANSVERSE),
             (2, 1.0, -0.1, ChainModel.XY_TRANSVERSE),
+            (2, float("nan"), 0.5, ChainModel.ISING_ZZ),
+            (3, float("inf"), 0.5, ChainModel.XY_TRANSVERSE),
+            (2, 1.0, float("nan"), ChainModel.XY_TRANSVERSE),
+            (2, 1.0, float("inf"), ChainModel.ISING_ZZ),
         ],
     )
     def test_invalid_specs(self, args):
