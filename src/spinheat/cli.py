@@ -30,17 +30,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument(
-        "--kappa", type=_positive_float, default=1.0, help="bath coupling prefactor"
-    )
-    sub.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for sweep points (default: number of processors)",
-    )
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,23 +42,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinheat",
         description="Steady-state heat transport through thermally driven spin chains.",
     )
+    # each command registers only the options it reads
+    kappa = argparse.ArgumentParser(add_help=False)
+    kappa.add_argument(
+        "--kappa", type=_positive_float, default=1.0, help="bath coupling prefactor"
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+    output.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=None,
+        help="worker processes for sweep points (default: number of processors)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fig2 = sub.add_parser("fig2", help="current vs left temperature, three couplings")
-    _add_common(fig2)
-
-    fig3 = sub.add_parser("fig3", help="current vs coupling and the diode curve")
-    _add_common(fig3)
-
-    xy = sub.add_parser("xy-compare", help="global vs local currents on the XY chain")
-    _add_common(xy)
+    sub.add_parser(
+        "fig2", parents=[kappa, output], help="current vs left temperature, three couplings"
+    )
+    sub.add_parser("fig3", parents=[kappa, output], help="current vs coupling and the diode curve")
+    xy = sub.add_parser(
+        "xy-compare", parents=[kappa, output], help="global vs local currents on the XY chain"
+    )
     xy.add_argument("--spins", type=int, default=4, help="chain length (2 to 6)")
-
-    acceptance = sub.add_parser("acceptance", help="run the acceptance criteria table")
-    _add_common(acceptance)
-
-    sweep = sub.add_parser("sweep", help="run a sweep described by a config file")
-    _add_common(sweep)
+    sub.add_parser("acceptance", help="run the acceptance criteria table")
+    sweep = sub.add_parser(
+        "sweep", parents=[output], help="run a sweep described by a config file"
+    )
     sweep.add_argument("--config", type=Path, required=True, help="flat key=value file")
     sweep.add_argument(
         "--style",

@@ -1,10 +1,15 @@
 """Parameter sweeps, CSV datasets, and the acceptance suite.
 
-Every dataset is written as a flat CSV with a units comment, parameter
-comment lines, a header row, and values at 15 significant digits.  Sweep
-points are independent, so grids can be evaluated across worker processes;
-rows are always assembled in grid order, which keeps the output files
-byte-for-byte reproducible.
+Every dataset, the figures and the configured sweeps alike, is a grid of
+x values and a list of curves.  The x variable is the left temperature
+T_L, the coupling delta, or the temperature difference delta_T at a fixed
+mean; a curve is one J column, fixed by a chain, a dissipator style, and
+the temperatures x leaves free.  One cell function evaluates a curve at
+one x.  Each dataset is written as a flat CSV with a units comment,
+parameter comment lines, a header row, and values at 15 significant
+digits.  Grid points are independent, so rows can be evaluated across
+worker processes; they are always assembled in grid order, which keeps the
+output files byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -39,7 +44,8 @@ from .thermo import current_from_cycle, heat_currents, steady_net_current
 
 UNITS_COMMENT = "# hbar=1, kB=1, energies in units of h"
 
-_SWEEP_KINDS = ("temperature", "coupling", "gradient")
+# the x variable of each sweep kind, also the first CSV column's header
+_X_NAMES = {"temperature": "T_L", "coupling": "delta", "gradient": "delta_T"}
 _STYLES = ("global", "local", "both")
 _SCALES = ("linear", "log")
 
@@ -79,8 +85,8 @@ class SweepConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.sweep not in _SWEEP_KINDS:
-            raise ConfigError(f"sweep must be one of {_SWEEP_KINDS}, got {self.sweep!r}")
+        if self.sweep not in _X_NAMES:
+            raise ConfigError(f"sweep must be one of {tuple(_X_NAMES)}, got {self.sweep!r}")
         if self.style not in _STYLES:
             raise ConfigError(f"style must be one of {_STYLES}, got {self.style!r}")
         if self.scale not in _SCALES:
@@ -121,13 +127,14 @@ class SweepConfig:
             raise ConfigError("temperature grid must be nonnegative")
         # Constructing a chain spec validates n_spins/h/model consistency.
         try:
-            self.chain_spec(self.coupling_delta if self.coupling_delta is not None else 0.0)
+            self.chain_spec()
         except ValueError as err:
             raise ConfigError(str(err)) from None
 
-    def chain_spec(self, delta: float | None = None) -> SpinChainSpec:
-        value = self.coupling_delta if delta is None else delta
-        return SpinChainSpec(self.n_spins, self.field_h, value, self.model)
+    def chain_spec(self) -> SpinChainSpec:
+        """The chain; a coupling sweep has no delta of its own and gets 0 here."""
+        delta = 0.0 if self.coupling_delta is None else self.coupling_delta
+        return SpinChainSpec(self.n_spins, self.field_h, delta, self.model)
 
     def grid(self) -> np.ndarray:
         if self.scale == "log":
@@ -282,35 +289,70 @@ def _write_csv(
 
 
 def _parallel_map(fn: Callable, items: Sequence, jobs: int | None) -> list:
+    """fn over items in order, on at most `jobs` workers (None: one per processor).
+
+    No more workers start than there are items or processors.
+    """
     items = list(items)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(items) < 2:
+    cpus = os.cpu_count() or 1
+    workers = min(cpus if jobs is None else jobs, len(items), cpus)
+    if workers <= 1:
         return [fn(item) for item in items]
-    chunksize = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunksize = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
-# figure datasets
+# datasets: one grid of x values, one column per curve
 
 
-def _sweep_row(cfg: SweepConfig, x: float) -> tuple[float | None, ...]:
-    if cfg.sweep == "temperature":
-        spec, t_left, t_right = cfg.chain_spec(), x, cfg.t_right
-    elif cfg.sweep == "coupling":
-        spec, t_left, t_right = cfg.chain_spec(x), cfg.t_left, cfg.t_right
-    else:
-        spec = cfg.chain_spec()
-        t_left = cfg.t_mean + 0.5 * x
-        t_right = cfg.t_mean - 0.5 * x
+@dataclass(frozen=True)
+class _Curve:
+    """One J column of a dataset.
+
+    A chain, a dissipator style, and the temperatures the x variable leaves
+    fixed: t_right for T_L, t_left and t_right for delta, t_mean for delta_T.
+    """
+
+    name: str
+    spec: SpinChainSpec
+    style: DissipatorStyle
+    t_left: float | None = None
+    t_right: float | None = None
+    t_mean: float | None = None
+
+
+def _cell(x_name: str, kappa: float, curve: _Curve, x: float) -> float | None:
+    """Net current of one curve at one x; None where a bath would drop below zero temperature."""
+    spec, t_left, t_right = curve.spec, curve.t_left, curve.t_right
+    if x_name == "T_L":
+        t_left = x
+    elif x_name == "delta":
+        spec = replace(spec, coupling_delta=x)
+    else:  # delta_T, at fixed mean temperature
+        t_left, t_right = curve.t_mean + 0.5 * x, curve.t_mean - 0.5 * x
         if t_left < 0 or t_right < 0:
-            return tuple(None for _ in cfg.styles())
-    return tuple(
-        steady_net_current(spec, cfg.kappa, t_left, t_right, style)
-        for style in cfg.styles()
-    )
+            return None
+    return steady_net_current(spec, kappa, t_left, t_right, curve.style)
+
+
+def _row(x_name: str, kappa: float, curves: Sequence[_Curve], x: float) -> tuple:
+    return (x, *(_cell(x_name, kappa, curve, x) for curve in curves))
+
+
+def _write_dataset(
+    path: Path,
+    x_name: str,
+    grid: np.ndarray,
+    kappa: float,
+    curves: Sequence[_Curve],
+    params: Sequence[tuple[str, str]],
+    jobs: int | None,
+) -> Path:
+    """Evaluate every curve at every grid point and write the CSV, rows in grid order."""
+    rows = _parallel_map(functools.partial(_row, x_name, kappa, tuple(curves)), grid, jobs)
+    return _write_csv(path, [x_name] + [curve.name for curve in curves], rows, params)
 
 
 def run_sweep(cfg: SweepConfig, out: Path | None = None, jobs: int | None = 1) -> Path:
@@ -319,36 +361,16 @@ def run_sweep(cfg: SweepConfig, out: Path | None = None, jobs: int | None = 1) -
         if cfg.output_path is None:
             raise ConfigError("no output path: set 'out' in the config or pass one")
         out = Path(cfg.output_path)
-    grid = cfg.grid()
-    rows_tail = _parallel_map(functools.partial(_sweep_row, cfg), grid, jobs)
-    x_name = {"temperature": "T_L", "coupling": "delta", "gradient": "delta_T"}[cfg.sweep]
-    columns = [x_name] + [f"J_{style.value}" for style in cfg.styles()]
-    rows = [(x, *tail) for x, tail in zip(grid, rows_tail)]
-    return _write_csv(out, columns, rows, _config_param_lines(cfg))
+    spec = cfg.chain_spec()
+    curves = [
+        _Curve(f"J_{style.value}", spec, style, cfg.t_left, cfg.t_right, cfg.t_mean)
+        for style in cfg.styles()
+    ]
+    params = _config_param_lines(cfg)
+    return _write_dataset(out, _X_NAMES[cfg.sweep], cfg.grid(), cfg.kappa, curves, params, jobs)
 
 
 _FIG2_DELTAS = (0.01, 0.1, 0.5)
-
-
-def _fig2_row(kappa: float, t_left: float) -> tuple[float, ...]:
-    currents = [
-        steady_net_current(
-            SpinChainSpec(2, 1.0, delta, ChainModel.ISING_ZZ),
-            kappa,
-            t_left,
-            0.0,
-            DissipatorStyle.GLOBAL,
-        )
-        for delta in _FIG2_DELTAS
-    ]
-    phenomenological = steady_net_current(
-        SpinChainSpec(2, 1.0, _FIG2_DELTAS[0], ChainModel.ISING_ZZ),
-        kappa,
-        t_left,
-        0.0,
-        DissipatorStyle.LOCAL,
-    )
-    return (*currents, phenomenological)
 
 
 def run_fig2(kappa: float, out_dir: Path, jobs: int | None = 1) -> Path:
@@ -359,18 +381,22 @@ def run_fig2(kappa: float, out_dir: Path, jobs: int | None = 1) -> Path:
     at the weakest coupling, which stays at zero.
     """
     grid = np.concatenate([[0.0], np.logspace(-2, 2, 200)])
-    tails = _parallel_map(functools.partial(_fig2_row, kappa), grid, jobs)
-    columns = ["T_L"] + [f"J_delta_{d:g}" for d in _FIG2_DELTAS] + [
-        f"J_ph_delta_{_FIG2_DELTAS[0]:g}"
+    specs = {d: SpinChainSpec(2, 1.0, d, ChainModel.ISING_ZZ) for d in _FIG2_DELTAS}
+    curves = [
+        _Curve(f"J_delta_{d:g}", spec, DissipatorStyle.GLOBAL, t_right=0.0)
+        for d, spec in specs.items()
     ]
-    rows = [(t, *tail) for t, tail in zip(grid, tails)]
+    weakest = _FIG2_DELTAS[0]
+    curves.append(
+        _Curve(f"J_ph_delta_{weakest:g}", specs[weakest], DissipatorStyle.LOCAL, t_right=0.0)
+    )
     params = [
         ("dataset", "fig2"),
         ("kappa", repr(kappa)),
         ("t_right", "0.0"),
         ("deltas", ",".join(f"{d:g}" for d in _FIG2_DELTAS)),
     ]
-    return _write_csv(Path(out_dir) / "fig2.csv", columns, rows, params)
+    return _write_dataset(Path(out_dir) / "fig2.csv", "T_L", grid, kappa, curves, params, jobs)
 
 
 _FIG3_COLD = (0.0, 0.1, 0.3)
@@ -378,33 +404,9 @@ _FIG3_HOT = 10.0
 _FIG3_TBARS = (0.5, 5.0)
 
 
-def _fig3_coupling_row(kappa: float, hot_side: str, delta: float) -> tuple[float, ...]:
-    spec = SpinChainSpec(2, 1.0, delta, ChainModel.ISING_ZZ)
-    out = []
-    for cold in _FIG3_COLD:
-        t_left, t_right = (_FIG3_HOT, cold) if hot_side == "left" else (cold, _FIG3_HOT)
-        out.append(steady_net_current(spec, kappa, t_left, t_right, DissipatorStyle.GLOBAL))
-    return tuple(out)
-
-
-def _fig3_gradient_row(kappa: float, delta_t: float) -> tuple[float | None, ...]:
-    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
-    out: list[float | None] = []
-    for tbar in _FIG3_TBARS:
-        t_left = tbar + 0.5 * delta_t
-        t_right = tbar - 0.5 * delta_t
-        if t_left < 0 or t_right < 0:
-            out.append(None)
-        else:
-            out.append(
-                steady_net_current(spec, kappa, t_left, t_right, DissipatorStyle.GLOBAL)
-            )
-    return tuple(out)
-
-
-def gradient_grid(half_width: float = 2.0, points: int = 101) -> np.ndarray:
-    """Symmetric temperature-difference grid, including zero."""
-    return np.linspace(-half_width, half_width, points)
+def gradient_grid() -> np.ndarray:
+    """Symmetric temperature-difference grid over [-2h, 2h], including zero."""
+    return np.linspace(-2.0, 2.0, 101)
 
 
 def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, Path, Path]:
@@ -417,15 +419,21 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, P
     temperature are left empty.
     """
     out_dir = Path(out_dir)
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)  # the panels scan delta
     deltas = np.linspace(0.0, 1.0, 102)[1:-1]  # interior of (0, 1)
 
     paths = []
-    for panel, hot_side, fixed in (("a", "left", "t_right"), ("b", "right", "t_left")):
-        tails = _parallel_map(
-            functools.partial(_fig3_coupling_row, kappa, hot_side), deltas, jobs
-        )
-        columns = ["delta"] + [f"J_{fixed}_{c:g}" for c in _FIG3_COLD]
-        rows = [(d, *tail) for d, tail in zip(deltas, tails)]
+    for panel, hot_side, cold in (("a", "left", "t_right"), ("b", "right", "t_left")):
+        # the bath named by `cold` takes each cold temperature, the other one is hot
+        curves = [
+            _Curve(
+                f"J_{cold}_{c:g}",
+                spec,
+                DissipatorStyle.GLOBAL,
+                **{"t_left": _FIG3_HOT, "t_right": _FIG3_HOT, cold: c},
+            )
+            for c in _FIG3_COLD
+        ]
         params = [
             ("dataset", f"fig3{panel}"),
             ("kappa", repr(kappa)),
@@ -433,35 +441,24 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, P
             ("t_hot", repr(_FIG3_HOT)),
             ("t_cold_values", ",".join(f"{c:g}" for c in _FIG3_COLD)),
         ]
-        paths.append(_write_csv(out_dir / f"fig3{panel}.csv", columns, rows, params))
+        path = out_dir / f"fig3{panel}.csv"
+        paths.append(_write_dataset(path, "delta", deltas, kappa, curves, params, jobs))
 
-    grid = gradient_grid()
-    tails = _parallel_map(functools.partial(_fig3_gradient_row, kappa), grid, jobs)
-    columns = ["delta_T"] + [f"J_tbar_{t:g}" for t in _FIG3_TBARS]
-    rows = [(dt, *tail) for dt, tail in zip(grid, tails)]
+    curves = [
+        _Curve(f"J_tbar_{t:g}", spec, DissipatorStyle.GLOBAL, t_mean=t) for t in _FIG3_TBARS
+    ]
     params = [
         ("dataset", "fig3_inset"),
         ("kappa", repr(kappa)),
         ("delta", "0.5"),
         ("tbar_values", ",".join(f"{t:g}" for t in _FIG3_TBARS)),
     ]
-    paths.append(_write_csv(out_dir / "fig3_inset.csv", columns, rows, params))
+    path = out_dir / "fig3_inset.csv"
+    paths.append(_write_dataset(path, "delta_T", gradient_grid(), kappa, curves, params, jobs))
     return tuple(paths)
 
 
-def _xy_row(spec: SpinChainSpec, kappa: float, t_left: float) -> tuple[float, float]:
-    j_global = steady_net_current(spec, kappa, t_left, 0.0, DissipatorStyle.GLOBAL)
-    j_local = steady_net_current(spec, kappa, t_left, 0.0, DissipatorStyle.LOCAL)
-    return (j_global, j_local)
-
-
-def run_xy_comparison(
-    n_spins: int,
-    kappa: float,
-    out_dir: Path,
-    jobs: int | None = 1,
-    points: int = 60,
-) -> Path:
+def run_xy_comparison(n_spins: int, kappa: float, out_dir: Path, jobs: int | None = 1) -> Path:
     """Global versus local currents for the XY chain at delta = h, T_R = 0.
 
     The local treatment produces a current that peaks and then dies away
@@ -470,9 +467,10 @@ def run_xy_comparison(
     if not 2 <= n_spins <= 6:
         raise ConfigError("xy comparison supports 2 to 6 spins")
     spec = SpinChainSpec(n_spins, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
-    grid = np.logspace(-2, 2, points)
-    tails = _parallel_map(functools.partial(_xy_row, spec, kappa), grid, jobs)
-    rows = [(t, *tail) for t, tail in zip(grid, tails)]
+    curves = [
+        _Curve(f"J_{style.value}", spec, style, t_right=0.0)
+        for style in (DissipatorStyle.GLOBAL, DissipatorStyle.LOCAL)
+    ]
     params = [
         ("dataset", "xy_compare"),
         ("spins", str(n_spins)),
@@ -480,9 +478,8 @@ def run_xy_comparison(
         ("delta", "1.0"),
         ("t_right", "0.0"),
     ]
-    return _write_csv(
-        Path(out_dir) / "xy_compare.csv", ["T_L", "J_global", "J_local"], rows, params
-    )
+    path = Path(out_dir) / "xy_compare.csv"
+    return _write_dataset(path, "T_L", np.logspace(-2, 2, 60), kappa, curves, params, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +497,11 @@ class CriterionResult:
     seconds: float
 
 
-def _ising(delta: float, h: float = 1.0) -> SpinChainSpec:
-    return SpinChainSpec(2, h, delta, ChainModel.ISING_ZZ)
-
-
 def _check_saturation_current() -> tuple[str, str, str, bool]:
     worst = 0.0
     for delta in (0.01, 0.1, 0.5):
-        j = steady_net_current(_ising(delta), 1.0, 1e4, 0.0, DissipatorStyle.GLOBAL)
+        spec = SpinChainSpec(2, 1.0, delta, ChainModel.ISING_ZZ)
+        j = steady_net_current(spec, 1.0, 1e4, 0.0, DissipatorStyle.GLOBAL)
         target = 0.5 * delta**2
         worst = max(worst, abs(j - target) / target)
     return ("J -> kappa*delta^2/2", f"max rel err {worst:.2e}", "rel 1e-3", worst <= 1e-3)
@@ -526,8 +520,9 @@ def _check_optimal_rectification() -> tuple[str, str, str, bool]:
     worst_reverse = 0.0
     least_forward = np.inf
     for delta in (0.1, 0.3, 0.5, 0.9):
-        reverse = steady_net_current(_ising(delta), 1.0, 0.0, 10.0, DissipatorStyle.GLOBAL)
-        forward = steady_net_current(_ising(delta), 1.0, 10.0, 0.0, DissipatorStyle.GLOBAL)
+        spec = SpinChainSpec(2, 1.0, delta, ChainModel.ISING_ZZ)
+        reverse = steady_net_current(spec, 1.0, 0.0, 10.0, DissipatorStyle.GLOBAL)
+        forward = steady_net_current(spec, 1.0, 10.0, 0.0, DissipatorStyle.GLOBAL)
         worst_reverse = max(worst_reverse, abs(reverse))
         least_forward = min(least_forward, forward)
     passed = worst_reverse < 1e-12 and least_forward > 1e-3
@@ -542,12 +537,11 @@ def _check_optimal_rectification() -> tuple[str, str, str, bool]:
 def _check_phenomenological_null_current() -> tuple[str, str, str, bool]:
     worst = 0.0
     temperatures = (0.0, 0.5, 1.0, 2.0, 5.0)
-    for t_left in temperatures:
-        for t_right in temperatures:
-            for delta in (0.1, 0.5, 0.9):
-                j = steady_net_current(
-                    _ising(delta), 1.0, t_left, t_right, DissipatorStyle.LOCAL
-                )
+    for delta in (0.1, 0.5, 0.9):
+        spec = SpinChainSpec(2, 1.0, delta, ChainModel.ISING_ZZ)
+        for t_left in temperatures:
+            for t_right in temperatures:
+                j = steady_net_current(spec, 1.0, t_left, t_right, DissipatorStyle.LOCAL)
                 worst = max(worst, abs(j))
     return ("J_ph = 0 on 5x5x3 grid", f"max |J| {worst:.1e}", "abs 1e-10", worst < 1e-10)
 
@@ -577,8 +571,9 @@ def _check_reverse_leakage_ratio() -> tuple[str, str, str, bool]:
     factor cannot move both sides of the comparison.
     """
     h, delta, kappa, t_cold, t_hot = 1.0, 0.3, 1.0, 0.1, 10.0
-    reverse = steady_net_current(_ising(delta, h), kappa, t_cold, t_hot, DissipatorStyle.GLOBAL)
-    forward = steady_net_current(_ising(delta, h), kappa, t_hot, t_cold, DissipatorStyle.GLOBAL)
+    spec = SpinChainSpec(2, h, delta, ChainModel.ISING_ZZ)
+    reverse = steady_net_current(spec, kappa, t_cold, t_hot, DissipatorStyle.GLOBAL)
+    forward = steady_net_current(spec, kappa, t_hot, t_cold, DissipatorStyle.GLOBAL)
     bound = 2.0 * delta * kappa * (h - delta) / math.expm1((h - delta) / t_cold)
     return (
         "|J(0.1h,10h)| <= cold-link bound B",
@@ -589,14 +584,10 @@ def _check_reverse_leakage_ratio() -> tuple[str, str, str, bool]:
 
 
 def _check_high_mean_temperature_symmetry() -> tuple[str, str, str, bool]:
-    spec = _ising(0.5)
-    grid = gradient_grid()
-    currents = np.array(
-        [
-            steady_net_current(spec, 1.0, 5.0 + 0.5 * dt, 5.0 - 0.5 * dt, DissipatorStyle.GLOBAL)
-            for dt in grid
-        ]
-    )
+    # the curve of the fig3 inset at mean temperature 5h
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
+    curve = _Curve("J_tbar_5", spec, DissipatorStyle.GLOBAL, t_mean=5.0)
+    currents = np.array([_cell("delta_T", 1.0, curve, dt) for dt in gradient_grid()])
     asymmetry = np.max(np.abs(currents + currents[::-1]))
     bound = 0.02 * np.max(np.abs(currents))
     return (
@@ -610,12 +601,13 @@ def _check_high_mean_temperature_symmetry() -> tuple[str, str, str, bool]:
 def _check_solver_route_equivalence() -> tuple[str, str, str, bool]:
     worst_population = 0.0
     worst_current = 0.0
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     temperatures = np.linspace(0.0, 5.0, 10)
     for t_left in temperatures:
         for t_right in temperatures:
             report = cross_validate(1.0, 0.5, 1.0, t_left, t_right)
             worst_population = max(worst_population, report.population_deviation)
-            j = steady_net_current(_ising(0.5), 1.0, t_left, t_right, DissipatorStyle.GLOBAL)
+            j = steady_net_current(spec, 1.0, t_left, t_right, DissipatorStyle.GLOBAL)
             _, rates = steady_state_rate_equations(1.0, 0.5, 1.0, t_left, t_right)
             worst_current = max(worst_current, abs(j - current_from_cycle(0.5, rates.cycle_gamma)))
     passed = worst_population <= 1e-8 and worst_current <= 1e-9
@@ -630,7 +622,7 @@ def _check_solver_route_equivalence() -> tuple[str, str, str, bool]:
 def _check_equilibrium_gibbs_state() -> tuple[str, str, str, bool]:
     worst_state = 0.0
     worst_current = 0.0
-    spec = _ising(0.5)
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     H = build_hamiltonian(spec)
     decomp = spectral_decompose(H, spec)
     for t in (0.2, 1.0, 5.0):
@@ -710,12 +702,13 @@ def _check_generator_sanity() -> tuple[str, str, str, bool]:
 
     # Clausius: heat never flows from the colder into the hotter bath.
     worst_sign = 0.0
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     temperatures = (0.0, 0.5, 1.0, 2.0, 5.0)
     for t_left in temperatures:
         for t_right in temperatures:
             if t_left <= t_right:
                 continue
-            j = steady_net_current(_ising(0.5), 1.0, t_left, t_right, DissipatorStyle.GLOBAL)
+            j = steady_net_current(spec, 1.0, t_left, t_right, DissipatorStyle.GLOBAL)
             worst_sign = min(worst_sign, j)
 
     passed = (

@@ -221,39 +221,46 @@ def hamiltonian_superoperator(H: np.ndarray) -> np.ndarray:
     return -1.0j * (np.kron(eye, H) - np.kron(H.T, eye))
 
 
-def _degeneracy_tolerance(energies: np.ndarray, degeneracy_tol: float) -> float:
+def _degeneracy_tolerance(energies: np.ndarray) -> float:
     """Absolute spacing below which two energies or two gaps count as equal."""
     scale = float(np.max(np.abs(energies))) if len(energies) else 0.0
-    return degeneracy_tol * max(scale, 1e-300)
+    return DEGENERACY_TOL * max(scale, 1e-300)
+
+
+def _group_starts(values: np.ndarray, tol: float) -> list[int]:
+    """Indices at which the groups of equal ascending values start.
+
+    A new group starts once a value exceeds the first one of the current
+    group by more than `tol`.  Energies (`energy_charges`) and Bohr
+    frequencies (`global_jump_operators`) are grouped by this one rule.
+    """
+    starts = [0]
+    for k in range(1, len(values)):
+        if values[k] - values[starts[-1]] > tol:
+            starts.append(k)
+    return starts
 
 
 def energy_charges(energies: np.ndarray) -> np.ndarray:
     """Label ascending energies with a group index, degenerate ones alike.
 
-    Uses the grouping rule of `global_jump_operators`: a new group starts
-    once an energy exceeds the first one of the current group by more than
-    `DEGENERACY_TOL * max(|energy|)`.
+    Energies within `DEGENERACY_TOL * max(|energy|)` of the first one of
+    their group share its label, the rule `global_jump_operators` applies
+    to the gaps.
     """
-    tol = _degeneracy_tolerance(energies, DEGENERACY_TOL)
     charges = np.zeros(len(energies), dtype=int)
-    group = start = 0
-    for k in range(1, len(energies)):
-        if energies[k] - energies[start] > tol:
-            group, start = group + 1, k
-        charges[k] = group
-    return charges
+    charges[_group_starts(energies, _degeneracy_tolerance(energies))[1:]] = 1
+    return np.cumsum(charges)
 
 
 def global_jump_operators(
-    decomp: SpectralDecomposition,
-    coupling_op: HermitianOperator,
-    degeneracy_tol: float = DEGENERACY_TOL,
+    decomp: SpectralDecomposition, coupling_op: HermitianOperator
 ) -> list[JumpOperator]:
     """Eigenbasis jump operators of a coupling operator, one per gap.
 
     Every ordered eigenstate pair with a positive energy gap contributes
     its matrix element of `coupling_op`; pairs whose gaps agree within
-    `degeneracy_tol * max(|energy|)` are summed into a single operator, so
+    `DEGENERACY_TOL * max(|energy|)` are summed into a single operator, so
     degenerate transitions share one jump matrix.  Operators whose entries
     are all negligible (below 1e-12) are dropped.  Matrices are returned in
     the original basis, sorted by ascending frequency.
@@ -282,35 +289,28 @@ def global_jump_operators(
     if coupling_op.dim != d:
         raise ValueError("coupling operator dimension does not match decomposition")
 
-    tol = _degeneracy_tolerance(energies, degeneracy_tol)
+    tol = _degeneracy_tolerance(energies)
 
     coupling_eig = vectors.conj().T @ coupling_op.matrix @ vectors
     gaps = energies[None, :] - energies[:, None]  # gaps[i, j] = E_j - E_i
 
-    positive = sorted({(i, j) for i in range(d) for j in range(d) if gaps[i, j] > tol},
-                      key=lambda ij: (gaps[ij], ij))
+    # pairs with a positive gap, ordered by (gap, i, j): nonzero yields them
+    # by (i, j) and the stable sort keeps that order among equal gaps
+    rows, cols = np.nonzero(gaps > tol)
+    order = np.argsort(gaps[rows, cols], kind="stable")
+    rows, cols = rows[order], cols[order]
+    pair_gaps = gaps[rows, cols]
+    starts = _group_starts(pair_gaps, tol)
+
     jumps: list[JumpOperator] = []
-    group: list[tuple[int, int]] = []
-
-    def flush(pairs: list[tuple[int, int]]):
-        if not pairs:
-            return
-        mask = np.zeros((d, d), dtype=bool)
-        for i, j in pairs:
-            mask[i, j] = True
-        a_eig = np.where(mask, coupling_eig, 0.0)
+    for lo, hi in zip(starts, starts[1:] + [len(pair_gaps)]):
+        a_eig = np.zeros((d, d), dtype=complex)
+        a_eig[rows[lo:hi], cols[lo:hi]] = coupling_eig[rows[lo:hi], cols[lo:hi]]
         if np.max(np.abs(a_eig)) <= _NEGLIGIBLE_ENTRY:
-            return
+            continue
         matrix = vectors @ a_eig @ vectors.conj().T
-        freq = float(np.mean([gaps[p] for p in pairs]))
+        freq = float(np.mean(pair_gaps[lo:hi]))
         jumps.append(JumpOperator(frequency=freq, matrix=matrix))
-
-    for pair in positive:
-        if group and gaps[pair] - gaps[group[0]] > tol:
-            flush(group)
-            group = []
-        group.append(pair)
-    flush(group)
     return jumps
 
 
@@ -418,11 +418,7 @@ def _chain_length(H: HermitianOperator, baths: list[BathSpec]) -> int:
     return n_spins
 
 
-def assemble_liouvillian(
-    H: HermitianOperator,
-    baths: list[BathSpec],
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> Liouvillian:
+def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvillian:
     """Coherent part plus one dissipator per bath, kept separately.
 
     The per-bath pieces are retained in `bath_parts` (same order as
@@ -440,7 +436,7 @@ def assemble_liouvillian(
             if decomp is None:
                 decomp = spectral_decompose(H)
             coupling = HermitianOperator(embed_matrix(PAULI_X, bath.site, n_spins))
-            jumps = global_jump_operators(decomp, coupling, degeneracy_tol)
+            jumps = global_jump_operators(decomp, coupling)
             parts.append(global_dissipator(jumps, bath, dim=d))
         else:
             parts.append(local_dissipator(bath.site, n_spins, bath))

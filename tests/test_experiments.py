@@ -247,10 +247,10 @@ class TestFig3:
 
 class TestXYComparison:
     def test_small_chain_dataset(self, tmp_path):
-        path = run_xy_comparison(2, 1.0, tmp_path, jobs=1, points=7)
+        path = run_xy_comparison(2, 1.0, tmp_path, jobs=1)
         columns, rows = read_table(path)
         assert columns == ["T_L", "J_global", "J_local"]
-        assert rows.shape == (7, 3)
+        assert rows.shape == (60, 3)
         assert np.all(rows[:, 1] >= -1e-12)
 
     def test_decoupled_chain_carries_no_current(self):
@@ -279,6 +279,49 @@ class TestCommandLine:
             cli.main(["fig2", "--kappa", "inf", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig2", "--jobs", "0"],
+            ["xy-compare", "--jobs", "-3"],
+            ["acceptance", "--kappa", "2"],
+            ["acceptance", "--jobs", "1"],
+            ["sweep", "--config", "sweep.cfg", "--kappa", "2"],
+        ],
+        ids=[
+            "fig2-jobs-0",
+            "xy-jobs-negative",
+            "acceptance-kappa",
+            "acceptance-jobs",
+            "sweep-kappa",
+        ],
+    )
+    def test_unread_or_invalid_options_are_usage_errors(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, files",
+        [
+            (["fig2"], ["fig2.csv"]),
+            (["fig3"], ["fig3a.csv", "fig3b.csv", "fig3_inset.csv"]),
+            (["xy-compare", "--spins", "2"], ["xy_compare.csv"]),
+            (["sweep", "--config", "sweep.cfg"], ["sweep.csv"]),
+        ],
+        ids=["fig2", "fig3", "xy-compare", "sweep"],
+    )
+    def test_commands_write_their_datasets(self, command, files, tmp_path, monkeypatch, capsys):
+        (tmp_path / "sweep.cfg").write_text(BASE_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(command + ["--out", str(out), "--jobs", "1"]) == 0
+        paths = [out / name for name in files]
+        assert capsys.readouterr().out.splitlines() == [f"wrote {path}" for path in paths]
+        assert all(path.is_file() for path in paths)
+
 
 class TestParallelExecution:
     def test_jobs_do_not_change_output(self, tmp_path):
@@ -290,6 +333,34 @@ class TestParallelExecution:
         serial = run_sweep(cfg, out=tmp_path / "serial.csv", jobs=1)
         parallel = run_sweep(cfg, out=tmp_path / "parallel.csv", jobs=2)
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_pool_is_no_larger_than_the_items_or_the_processors(self, monkeypatch):
+        # a stand-in executor records the pool size and maps in this process,
+        # so no oversized pool is ever started
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        items = [-1, -2, -3, -4, -5]
+        assert experiments._parallel_map(abs, items, 100000) == [1, 2, 3, 4, 5]
+        assert experiments._parallel_map(abs, items[:2], 100000) == [1, 2]
+        assert experiments._parallel_map(abs, items, None) == [1, 2, 3, 4, 5]
+        assert experiments._parallel_map(abs, items, 1) == [1, 2, 3, 4, 5]
+        assert experiments._parallel_map(abs, items, 0) == [1, 2, 3, 4, 5]
+        assert sizes == [3, 2, 3]
 
 
 class TestAcceptanceRunner:

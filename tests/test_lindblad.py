@@ -144,6 +144,48 @@ class TestGlobalJumpOperators:
         total += np.where(gaps <= tol, coupling_eig, 0.0)
         assert np.max(np.abs(total - coupling_eig)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ISING,
+            SpinChainSpec(2, 1.0, 0.0, ChainModel.ISING_ZZ),
+            SpinChainSpec(2, 1.0, 0.3, ChainModel.XY_TRANSVERSE),
+            SpinChainSpec(3, 1.0, 1.0, ChainModel.XY_TRANSVERSE),
+            SpinChainSpec(4, 1.3, 0.4, ChainModel.XY_TRANSVERSE),
+        ],
+    )
+    def test_matches_the_pairwise_loop(self, spec):
+        # reference: every level pair with a positive gap, sorted by
+        # (gap, i, j); a group takes each gap within tol of its first one.
+        # The arithmetic is the same, so the results must agree exactly.
+        decomp = spectral_decompose(build_hamiltonian(spec), spec)
+        e, v, d = decomp.energies, decomp.eigenvectors, decomp.dim
+        tol = 1e-9 * np.max(np.abs(e))
+        for site in (0, spec.n_spins - 1):
+            coupling = embed(pauli("x"), site, spec.n_spins)
+            coupling_eig = v.conj().T @ coupling.matrix @ v
+            pairs = sorted(
+                (e[j] - e[i], i, j) for i in range(d) for j in range(d) if e[j] - e[i] > tol
+            )
+            groups = []
+            for pair in pairs:
+                if groups and pair[0] - groups[-1][0][0] <= tol:
+                    groups[-1].append(pair)
+                else:
+                    groups.append([pair])
+            expected = []
+            for group in groups:
+                a_eig = np.zeros((d, d), dtype=complex)
+                for _, i, j in group:
+                    a_eig[i, j] = coupling_eig[i, j]
+                if np.max(np.abs(a_eig)) > 1e-12:
+                    frequency = float(np.mean([gap for gap, _, _ in group]))
+                    expected.append((frequency, v @ a_eig @ v.conj().T))
+            jumps = global_jump_operators(decomp, coupling)
+            assert [j.frequency for j in jumps] == [f for f, _ in expected]
+            for jump, (_, matrix) in zip(jumps, expected):
+                assert np.array_equal(jump.matrix, matrix)
+
     def test_matrices_connect_only_matching_gaps(self):
         spec = SpinChainSpec(3, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
         decomp = spectral_decompose(build_hamiltonian(spec))
