@@ -19,13 +19,16 @@ from .spinops import (
 from .lindblad import (
     BathSpec,
     BlockGenerator,
+    ChainOperators,
     Channel,
     DissipatorStyle,
     JumpOperator,
     Liouvillian,
     assemble_block_generator,
     assemble_liouvillian,
+    block_generator,
     bose_einstein,
+    chain_operators,
     global_dissipator,
     global_jump_operators,
     local_dissipator,
@@ -64,6 +67,7 @@ __all__ = [
     "BathSpec",
     "BlockGenerator",
     "ChainModel",
+    "ChainOperators",
     "Channel",
     "CrossValidationError",
     "DissipatorStyle",
@@ -80,8 +84,10 @@ __all__ = [
     "SweepConfig",
     "assemble_block_generator",
     "assemble_liouvillian",
+    "block_generator",
     "bose_einstein",
     "build_hamiltonian",
+    "chain_operators",
     "channel_heat_currents",
     "cross_validate",
     "current_from_cycle",

@@ -1,7 +1,8 @@
 """Command-line interface for the sweep and acceptance runners.
 
 Exit codes: 0 on success, 1 when an acceptance criterion fails or output
-cannot be written, 2 on a bad configuration or bad arguments.
+cannot be written, 2 on bad arguments or a configuration file that cannot
+be read or is invalid.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .experiments import (
+    MAX_SPINS,
     ConfigError,
+    SweepConfig,
     parse_config_text,
     run_acceptance,
     run_fig2,
@@ -35,6 +38,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _read_config(path: Path) -> SweepConfig:
+    """The sweep configuration in `path`; an unreadable file is a configuration error."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {err.start})") from None
+    return parse_config_text(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     xy = sub.add_parser(
         "xy-compare", parents=[kappa, output], help="global vs local currents on the XY chain"
     )
-    xy.add_argument("--spins", type=int, default=4, help="chain length (2 to 6)")
+    xy.add_argument("--spins", type=int, default=4, help=f"chain length (2 to {MAX_SPINS})")
     sub.add_parser("acceptance", help="run the acceptance criteria table")
     sweep = sub.add_parser(
         "sweep", parents=[output], help="run a sweep described by a config file"
@@ -93,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "acceptance":
             return run_acceptance()
         elif args.command == "sweep":
-            config = parse_config_text(args.config.read_text(encoding="utf-8"))
+            config = _read_config(args.config)
             if args.style is not None:
                 config = replace(config, style=args.style)
             out = Path(config.output_path) if config.output_path else args.out / "sweep.csv"

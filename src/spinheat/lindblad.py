@@ -30,6 +30,23 @@ The generator is built in two ways from those channels:
   with M = A^dag A.  The block has b = sum_q n_q^2 rows, where n_q basis
   states carry charge q: 80 (global) or 252 (local) for the 5-spin XY
   chain, against d^2 = 1024.
+
+  It is built in two steps.  The chain step, `chain_operators`, holds
+  everything that does not depend on the baths' temperatures or kappa: H,
+  its spectral decomposition, the charge basis, the block's index arrays,
+  and each bath's transitions (Bohr frequency, lowering operator) with
+  d x d forms of every channel operator (A in the charge basis, A^dag A
+  there, and the energy rate A^dag H A - {A^dag A, H}/2).  None of these
+  depend on temperature because the eigenbasis, the Bohr frequencies and
+  the operators are properties of the chain and of where each bath
+  couples; a bath's temperature and kappa enter only through the rates.
+  The point step, `block_generator`, takes the baths, calls
+  `thermal_channels` for the rates and gathers the b x b block from the
+  prepared forms.  A channel operator the chain step did not prepare
+  (`thermal_channels` replaced by a variant with other operators) gets its
+  forms built on the spot, so the block always matches the channels.
+  The chain step's arrays are read-only, so one chain step can serve any
+  number of points.
 - `assemble_liouvillian` builds the full d^2 x d^2 superoperator with
   Kronecker products.  It is the oracle the tests and the acceptance
   checks compare the block route against; nothing on the transport path
@@ -143,16 +160,59 @@ class Liouvillian:
     hamiltonian: np.ndarray
 
 
+class PreparedOperator(NamedTuple):
+    """One channel operator A in the d x d forms the block route uses.
+
+    `operator` is A in the original basis, `charge` is A in the charge
+    basis, `decay` is charge^dag charge, and `energy_rate` is
+    A^dag H A - {A^dag A, H}/2 in the original basis, whose expectation
+    value is the energy the channel feeds in at unit rate.
+    """
+
+    operator: np.ndarray
+    charge: np.ndarray
+    decay: np.ndarray
+    energy_rate: np.ndarray
+
+
 @dataclass(frozen=True)
-class BlockGenerator:
-    """The generator on the operators that commute with a conserved charge.
+class ChainOperators:
+    """The temperature-independent half of the block generator (the chain step).
 
     `basis` holds the charge basis as columns: the energy eigenvectors for
     the global style, the computational basis for the local style.  Entry k
     of the block is the matrix element (rows[k], cols[k]) of an operator in
-    that basis, and `matrix` is the b x b generator acting on those entries.
-    `hamiltonian` and the operators in `channels` are kept in the original
-    basis; `decomp` is the spectral decomposition of the Hamiltonian.
+    that basis; `row_pairs` and `col_pairs` are `np.ix_(rows, rows)` and
+    `np.ix_(cols, cols)`.  `effective` is H in the charge basis.  For each
+    bath, `couplings` holds (site, style, local_frequency), `transitions`
+    the (frequency, lowering operator) pairs `thermal_channels` takes, and
+    `prepared` the operators of the channels it returns, in its order:
+    each lowering operator, then its adjoint.  Every array is read-only.
+    """
+
+    dim: int
+    hamiltonian: np.ndarray
+    decomp: SpectralDecomposition
+    basis: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    row_pairs: tuple[np.ndarray, np.ndarray]
+    col_pairs: tuple[np.ndarray, np.ndarray]
+    effective: np.ndarray
+    couplings: tuple[tuple[int, DissipatorStyle, float | None], ...]
+    transitions: tuple[tuple[tuple[float, np.ndarray], ...], ...]
+    prepared: tuple[tuple[PreparedOperator, ...], ...]
+
+
+@dataclass(frozen=True)
+class BlockGenerator:
+    """The generator on the operators that commute with a conserved charge.
+
+    `basis`, `rows` and `cols` are those of the `ChainOperators` it was
+    built from, and `matrix` is the b x b generator acting on the block's
+    entries.  `hamiltonian` and the operators in `channels` are kept in the
+    original basis; `energy_rates[c]` is the energy-rate matrix of
+    `channels[c]`; `decomp` is the spectral decomposition of the Hamiltonian.
     """
 
     dim: int
@@ -162,6 +222,7 @@ class BlockGenerator:
     matrix: np.ndarray
     hamiltonian: np.ndarray
     channels: tuple[Channel, ...]
+    energy_rates: tuple[np.ndarray, ...]
     baths: tuple[BathSpec, ...]
     decomp: SpectralDecomposition
 
@@ -453,12 +514,30 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
     )
 
 
-def assemble_block_generator(H: HermitianOperator, baths: list[BathSpec]) -> BlockGenerator:
-    """The generator on the charge block that holds the steady state.
+def _prepare(operator: np.ndarray, basis: np.ndarray, H: np.ndarray) -> PreparedOperator:
+    """The d x d forms of one channel operator."""
+    charge = basis.conj().T @ operator @ basis
+    operator_dag = operator.conj().T
+    m = operator_dag @ operator
+    energy_rate = operator_dag @ H @ operator - 0.5 * (m @ H + H @ m)
+    return PreparedOperator(operator, charge, charge.conj().T @ charge, energy_rate)
 
-    All baths must share one style, which fixes the charge (see the module
-    docstring).  The channels are those of `thermal_channels`, exactly as
-    in `assemble_liouvillian`; no Kronecker product is formed.
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+def _coupling(bath: BathSpec) -> tuple[int, DissipatorStyle, float | None]:
+    return bath.site, bath.style, bath.local_frequency
+
+
+def chain_operators(H: HermitianOperator, baths: list[BathSpec]) -> ChainOperators:
+    """The chain step: the pieces of the block generator that no rate enters.
+
+    Only each bath's site, style and local frequency are read, never its
+    temperature or kappa.  All baths must share one style, which fixes the
+    charge (see the module docstring).
     """
     n_spins = _chain_length(H, baths)
     d = H.dim
@@ -467,43 +546,104 @@ def assemble_block_generator(H: HermitianOperator, baths: list[BathSpec]) -> Blo
         raise ValueError("the block generator needs one dissipator style for all baths")
 
     decomp = spectral_decompose(H)
-    channels: list[Channel] = []
     if styles == {DissipatorStyle.GLOBAL}:
         basis = decomp.eigenvectors
         charges = energy_charges(decomp.energies)
+        transitions = []
         for bath in baths:
             coupling = HermitianOperator(embed_matrix(PAULI_X, bath.site, n_spins))
             jumps = global_jump_operators(decomp, coupling)
-            channels += thermal_channels(bath, [(j.frequency, j.matrix) for j in jumps])
+            transitions.append(tuple((jump.frequency, jump.matrix) for jump in jumps))
     else:
         basis = np.eye(d, dtype=complex)
         # basis index bit 0 is an up spin (see spinops), so this counts up spins
         charges = np.array([n_spins - bin(i).count("1") for i in range(d)])
-        for bath in baths:
-            lowering = embed_matrix(LOWERING, bath.site, n_spins)
-            channels += thermal_channels(bath, [(bath.local_frequency, lowering)])
+        transitions = [
+            ((bath.local_frequency, embed_matrix(LOWERING, bath.site, n_spins)),)
+            for bath in baths
+        ]
 
+    hamiltonian = H.matrix.copy()
     rows, cols = np.nonzero(charges[:, None] == charges[None, :])
-    same_row = rows[:, None] == rows[None, :]
-    same_col = cols[:, None] == cols[None, :]
-    # the coherent part and the anticommutator terms together are
-    # -i(K rho - rho K^dag) with K = H - (i/2) sum_c g_c M_c
-    effective = basis.conj().T @ H.matrix @ basis
-    block = np.zeros((len(rows), len(rows)), dtype=complex)
-    for channel in channels:
-        a = basis.conj().T @ channel.operator @ basis
-        effective -= 0.5j * channel.rate * (a.conj().T @ a)
-        block += channel.rate * a[np.ix_(rows, rows)] * a.conj()[np.ix_(cols, cols)]
-    block += -1j * effective[np.ix_(rows, rows)] * same_col
-    block += 1j * same_row * effective.conj()[np.ix_(cols, cols)]
-    return BlockGenerator(
+    prepared = tuple(
+        tuple(
+            _prepare(operator, basis, hamiltonian)
+            for _, lowering in bath_transitions
+            for operator in (lowering, lowering.conj().T)
+        )
+        for bath_transitions in transitions
+    )
+    effective = basis.conj().T @ hamiltonian @ basis
+    # the lowering operators of `transitions` are among the prepared operators
+    _read_only(hamiltonian, decomp.energies, decomp.eigenvectors, basis, rows, cols, effective)
+    _read_only(*(array for bath_prepared in prepared for forms in bath_prepared for array in forms))
+    return ChainOperators(
         dim=d,
+        hamiltonian=hamiltonian,
+        decomp=decomp,
         basis=basis,
         rows=rows,
         cols=cols,
-        matrix=block,
-        hamiltonian=H.matrix.copy(),
-        channels=tuple(channels),
-        baths=tuple(baths),
-        decomp=decomp,
+        row_pairs=np.ix_(rows, rows),
+        col_pairs=np.ix_(cols, cols),
+        effective=effective,
+        couplings=tuple(_coupling(bath) for bath in baths),
+        transitions=tuple(transitions),
+        prepared=prepared,
     )
+
+
+def block_generator(chain: ChainOperators, baths: list[BathSpec]) -> BlockGenerator:
+    """The point step: the rates of `thermal_channels` on a chain step's operators.
+
+    `baths` must couple where the chain step's baths did (same sites,
+    style and local frequencies); their temperatures and kappa are free.
+    """
+    if tuple(_coupling(bath) for bath in baths) != chain.couplings:
+        raise ValueError("the baths do not couple where the chain step's baths do")
+    same_row = chain.rows[:, None] == chain.rows[None, :]
+    same_col = chain.cols[:, None] == chain.cols[None, :]
+    # the coherent part and the anticommutator terms together are
+    # -i(K rho - rho K^dag) with K = H - (i/2) sum_c g_c M_c
+    effective = chain.effective.copy()
+    block = np.zeros((len(chain.rows), len(chain.rows)), dtype=complex)
+    channels: list[Channel] = []
+    energy_rates: list[np.ndarray] = []
+    for bath, transitions, prepared in zip(baths, chain.transitions, chain.prepared):
+        for k, channel in enumerate(thermal_channels(bath, transitions)):
+            forms = prepared[k] if k < len(prepared) else None
+            if forms is None or not (
+                channel.operator is forms.operator
+                or np.array_equal(channel.operator, forms.operator)
+            ):
+                forms = _prepare(channel.operator, chain.basis, chain.hamiltonian)
+            effective -= 0.5j * channel.rate * forms.decay
+            block += (
+                channel.rate * forms.charge[chain.row_pairs] * forms.charge[chain.col_pairs].conj()
+            )
+            channels.append(channel)
+            energy_rates.append(forms.energy_rate)
+    block += -1j * effective[chain.row_pairs] * same_col
+    block += 1j * same_row * effective.conj()[chain.col_pairs]
+    return BlockGenerator(
+        dim=chain.dim,
+        basis=chain.basis,
+        rows=chain.rows,
+        cols=chain.cols,
+        matrix=block,
+        hamiltonian=chain.hamiltonian,
+        channels=tuple(channels),
+        energy_rates=tuple(energy_rates),
+        baths=tuple(baths),
+        decomp=chain.decomp,
+    )
+
+
+def assemble_block_generator(H: HermitianOperator, baths: list[BathSpec]) -> BlockGenerator:
+    """The generator on the charge block that holds the steady state.
+
+    The chain step followed by the point step.  The channels are those of
+    `thermal_channels`, exactly as in `assemble_liouvillian`; no Kronecker
+    product is formed.
+    """
+    return block_generator(chain_operators(H, baths), baths)

@@ -3,31 +3,52 @@
 The current entering the system from a bath is the energy expectation of
 that bath's dissipator output, Tr{D_bath[rho] H}.  `heat_currents` reads it
 off the dense superoperator of each bath; `channel_heat_currents` writes
-it in operator form, sum_c g_c Tr rho (A^dag H A - {A^dag A, H}/2), over
-the bath's channels.  The sign convention is
+it in operator form, sum_c g_c Tr(rho E_c) with the energy-rate matrix
+E_c = A^dag H A - {A^dag A, H}/2 of each channel.  The sign convention is
 anchored on the left reservoir: `j_net` is the left input rate, so a
 positive value means heat flows from the left bath through the system into
 the right bath.
+
+`steady_net_current` evaluates one point in two steps (see the `lindblad`
+module docstring).  The chain step, `lindblad.chain_operators`, depends
+only on the chain and the dissipator style: the Hamiltonian, its
+eigenbasis and Bohr frequencies, the jump operators and their d x d forms
+are the same at every temperature and kappa, so it is kept in a
+least-recently-used cache keyed by (SpinChainSpec, DissipatorStyle) and
+bounded at `_CHAIN_CACHE_SIZE` chains.  Only d x d matrices and index
+arrays are cached, all read-only, never a b x b block or anything a rate
+enters.  The point step, `lindblad.block_generator`, then applies the
+baths' temperatures and kappa through `lindblad.thermal_channels` and the
+block is solved as before, so a cached chain gives bit-identical currents.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lindblad import (
     BathSpec,
-    Channel,
+    BlockGenerator,
+    ChainOperators,
     DissipatorStyle,
     Liouvillian,
-    assemble_block_generator,
+    block_generator,
+    chain_operators,
     standard_baths,
     unvectorize,
     vectorize,
 )
 from .spinops import HermitianOperator, SpinChainSpec, build_hamiltonian
 from .steady import steady_state_block
+
+# Chains whose chain step stays cached.  fig2 interleaves four
+# (chain, style) pairs in every row; twice that leaves room for the two
+# styles of a "both" sweep next to them.  A 6-spin global chain step holds
+# about 6 MB, so the cache stays near 50 MB at the longest chain a run takes.
+_CHAIN_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -89,21 +110,12 @@ def heat_currents(L: Liouvillian, rho: np.ndarray, H: HermitianOperator) -> Heat
     )
 
 
-def channel_heat_currents(
-    baths: tuple[BathSpec, ...],
-    channels: tuple[Channel, ...],
-    rho: np.ndarray,
-    H: np.ndarray,
-) -> HeatCurrents:
+def channel_heat_currents(generator: BlockGenerator, rho: np.ndarray) -> HeatCurrents:
     """Input energy rates in operator form, summed over each bath's channels."""
-    left, right = _left_right(baths)
+    left, right = _left_right(generator.baths)
     flows = [0.0, 0.0]
-    for channel in channels:
-        a = channel.operator
-        a_dag = a.conj().T
-        m = a_dag @ a
-        energy_rate = a_dag @ H @ a - 0.5 * (m @ H + H @ m)
-        k = baths.index(channel.bath)
+    for channel, energy_rate in zip(generator.channels, generator.energy_rates):
+        k = generator.baths.index(channel.bath)
         flows[k] += channel.rate * float(np.real(np.sum(rho * energy_rate.T)))
     return _balance(flows[left], flows[right])
 
@@ -117,6 +129,15 @@ def current_from_cycle(delta: float, cycle_gamma: float) -> float:
     return -2.0 * delta * cycle_gamma
 
 
+@functools.lru_cache(maxsize=_CHAIN_CACHE_SIZE)
+def _chain(spec: SpinChainSpec, style: DissipatorStyle) -> ChainOperators:
+    """The chain step of the canonical two-bath arrangement."""
+    # the chain step reads the baths' sites, style and local frequencies,
+    # never their kappa or temperatures, so any admissible values do here
+    baths = standard_baths(spec, 1.0, 0.0, 0.0, style)
+    return chain_operators(build_hamiltonian(spec), baths)
+
+
 def steady_net_current(
     spec: SpinChainSpec,
     kappa: float,
@@ -126,16 +147,14 @@ def steady_net_current(
 ) -> float:
     """Steady-state net current for the canonical two-bath arrangement.
 
-    Solved on the charge block of `assemble_block_generator`; the dense
+    Solved on the charge block: the cached chain step of (spec, style),
+    then the point step at these temperatures and kappa.  The dense
     `assemble_liouvillian` route is its oracle in the tests.
     """
-    H = build_hamiltonian(spec)
     baths = standard_baths(spec, kappa, t_left, t_right, style)
-    generator = assemble_block_generator(H, baths)
+    generator = block_generator(_chain(spec, style), baths)
     state = steady_state_block(generator)
-    return channel_heat_currents(
-        generator.baths, generator.channels, state.rho, generator.hamiltonian
-    ).j_net
+    return channel_heat_currents(generator, state.rho).j_net
 
 
 def rectification(

@@ -67,7 +67,7 @@ def _both_routes(spec, kappa, t_left, t_right, style):
     block = assemble_block_generator(H, baths)
     block_state = steady_state_block(block)
     j_dense = heat_currents(dense, dense_state.rho, H)
-    j_block = channel_heat_currents(block.baths, block.channels, block_state.rho, block.hamiltonian)
+    j_block = channel_heat_currents(block, block_state.rho)
     return dense_state, j_dense, block_state, j_block
 
 

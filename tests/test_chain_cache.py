@@ -1,0 +1,177 @@
+"""The cached chain step of `steady_net_current`: agreement, bit-identity, hygiene."""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spinheat.lindblad as lindblad
+from spinheat import thermo
+from spinheat.lindblad import (
+    DissipatorStyle,
+    assemble_liouvillian,
+    block_generator,
+    standard_baths,
+)
+from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
+from spinheat.steady import steady_state_nullspace
+from spinheat.thermo import heat_currents, steady_net_current
+
+TOL = 1e-10
+
+# derandomized so that every run draws the same examples
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def chains(draw):
+    model, n_spins = draw(
+        st.sampled_from(
+            [(ChainModel.ISING_ZZ, 2)] + [(ChainModel.XY_TRANSVERSE, n) for n in (2, 3, 4)]
+        )
+    )
+    h = draw(st.floats(0.5, 2.0))
+    delta = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+    return SpinChainSpec(n_spins, h, delta, model), draw(st.sampled_from(DissipatorStyle))
+
+
+kappas = st.floats(0.1, 2.0)
+temperatures = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
+
+
+def _dense_current(spec, kappa, t_left, t_right, style):
+    H = build_hamiltonian(spec)
+    L = assemble_liouvillian(H, standard_baths(spec, kappa, t_left, t_right, style))
+    return heat_currents(L, steady_state_nullspace(L).rho, H).j_net
+
+
+def _cold(spec, kappa, t_left, t_right, style):
+    thermo._chain.cache_clear()
+    return steady_net_current(spec, kappa, t_left, t_right, style)
+
+
+@PROPERTY
+@given(chains(), kappas, temperatures, temperatures)
+def test_cached_route_matches_dense_oracle(chain, kappa, t_left, t_right):
+    spec, style = chain
+    j = steady_net_current(spec, kappa, t_left, t_right, style)
+    assert abs(j - _dense_current(spec, kappa, t_left, t_right, style)) <= TOL
+
+
+@PROPERTY
+@given(st.data())
+def test_warm_cache_is_bit_identical_to_cold(data):
+    # a few chains, several points on each, evaluated in a drawn order
+    pool = data.draw(st.lists(chains(), min_size=1, max_size=3))
+    point = st.tuples(st.sampled_from(pool), kappas, temperatures, temperatures)
+    points = data.draw(st.lists(point, min_size=2, max_size=8))
+    cold = [_cold(spec, kappa, tl, tr, style).hex() for (spec, style), kappa, tl, tr in points]
+    order = data.draw(st.permutations(range(len(points))))
+    thermo._chain.cache_clear()
+    for _ in range(2):  # the first pass fills the cache, the second runs warm only
+        for i in order:
+            (spec, style), kappa, t_left, t_right = points[i]
+            assert steady_net_current(spec, kappa, t_left, t_right, style).hex() == cold[i]
+
+
+def _cached_arrays(chain):
+    yield from (chain.hamiltonian, chain.decomp.energies, chain.decomp.eigenvectors)
+    yield from (chain.basis, chain.rows, chain.cols, chain.effective)
+    yield from chain.row_pairs + chain.col_pairs
+    for transitions in chain.transitions:
+        yield from (lowering for _, lowering in transitions)
+    for prepared in chain.prepared:
+        for forms in prepared:
+            yield from forms
+
+
+@pytest.mark.parametrize("style", DissipatorStyle)
+def test_cached_arrays_are_read_only(style):
+    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    steady_net_current(spec, 1.0, 2.0, 0.0, style)
+    chain = thermo._chain(spec, style)
+    arrays = list(_cached_arrays(chain))
+    assert len(arrays) > 10
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+
+
+def test_other_coupling_and_other_style_miss_the_cache():
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
+    thermo._chain.cache_clear()
+    steady_net_current(spec, 1.0, 2.0, 0.0, DissipatorStyle.GLOBAL)
+    steady_net_current(spec, 1.0, 3.0, 0.5, DissipatorStyle.GLOBAL)
+    assert (thermo._chain.cache_info().hits, thermo._chain.cache_info().misses) == (1, 1)
+    steady_net_current(replace(spec, coupling_delta=0.6), 1.0, 2.0, 0.0, DissipatorStyle.GLOBAL)
+    steady_net_current(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
+    assert (thermo._chain.cache_info().hits, thermo._chain.cache_info().misses) == (1, 3)
+
+
+@pytest.mark.parametrize("style", DissipatorStyle)
+def test_kappa_and_temperatures_are_never_cached(style):
+    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    points = [(0.5, 2.0, 0.0), (2.0, 2.0, 0.0), (2.0, 0.3, 1.5), (0.5, 0.0, 0.0)]
+    cold = [_cold(spec, kappa, t_left, t_right, style) for kappa, t_left, t_right in points]
+    thermo._chain.cache_clear()
+    warm = [steady_net_current(spec, *point, style) for point in points]
+    assert thermo._chain.cache_info().misses == 1
+    assert warm == cold
+    assert len(set(warm)) == len(warm)
+
+
+def test_bound_holds_the_chains_fig2_interleaves():
+    # fig2's four curves: three couplings in the global style, the weakest locally
+    curves = [
+        (SpinChainSpec(2, 1.0, delta, ChainModel.ISING_ZZ), DissipatorStyle.GLOBAL)
+        for delta in (0.01, 0.1, 0.5)
+    ]
+    curves.append((curves[0][0], DissipatorStyle.LOCAL))
+    thermo._chain.cache_clear()
+    for t_left in (0.5, 1.0, 2.0):
+        for spec, style in curves:
+            steady_net_current(spec, 1.0, t_left, 0.0, style)
+    assert thermo._chain.cache_info().misses == len(curves)
+
+
+def test_dense_oracle_bypasses_the_cache():
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
+    thermo._chain.cache_clear()
+    _dense_current(spec, 1.0, 2.0, 0.0, DissipatorStyle.GLOBAL)
+    assert thermo._chain.cache_info().currsize == 0
+
+
+def test_warm_chain_takes_replaced_rate_law(monkeypatch):
+    # the point step looks `thermal_channels` up at call time, and builds the
+    # forms of channel operators the chain step did not prepare
+    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    style = DissipatorStyle.GLOBAL
+    steady_net_current(spec, 1.0, 2.0, 0.3, style)  # warm the chain
+    original = lindblad.thermal_channels
+
+    def extra_absorption(bath, transitions):
+        transitions = list(transitions)
+        channels = original(bath, transitions)
+        for frequency, lowering in transitions:
+            channels.append(lindblad.Channel(bath, 0.2 * frequency, lowering.conj().T))
+        return channels
+
+    monkeypatch.setattr(lindblad, "thermal_channels", extra_absorption)
+    j_warm = steady_net_current(spec, 1.0, 2.0, 0.3, style)
+    j_dense = _dense_current(spec, 1.0, 2.0, 0.3, style)
+    monkeypatch.undo()
+    assert abs(j_warm - j_dense) <= TOL
+    assert abs(j_warm - steady_net_current(spec, 1.0, 2.0, 0.3, style)) > 1e-3
+
+
+def test_baths_must_couple_where_the_chain_step_did():
+    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    chain = thermo._chain(spec, DissipatorStyle.LOCAL)
+    baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
+    block_generator(chain, baths)
+    moved = [baths[0], replace(baths[1], site=1)]
+    with pytest.raises(ValueError, match="couple"):
+        block_generator(chain, moved)
+    with pytest.raises(ValueError, match="couple"):
+        block_generator(chain, [replace(baths[0], local_frequency=0.5), baths[1]])

@@ -6,6 +6,7 @@ import pytest
 import spinheat.lindblad as lindblad
 from spinheat.experiments import (
     ACCEPTANCE_CHECKS,
+    MAX_SPINS,
     ConfigError,
     CriterionResult,
     SweepConfig,
@@ -111,6 +112,18 @@ class TestConfigParsing:
             parse_config_text(
                 "model = ising\nstart = 0.1\nstop = 0.9\npoints = 3\n" + text
             )
+
+    @pytest.mark.parametrize("style", ["global", "local", "both"])
+    def test_chain_length_limit(self, style):
+        text = (
+            f"model = xy\ndelta = 1.0\nstyle = {style}\nsweep = temperature\n"
+            "start = 0.1\nstop = 5.0\npoints = 5\nt_right = 0.0\n"
+        )
+        assert parse_config_text(text + f"spins = {MAX_SPINS}\n").n_spins == MAX_SPINS
+        with pytest.raises(ConfigError, match=f"at most {MAX_SPINS}"):
+            parse_config_text(text + f"spins = {MAX_SPINS + 1}\n")
+        with pytest.raises(ConfigError, match=f"at most {MAX_SPINS}"):
+            parse_config_text(text + "spins = 10\n")
 
     def test_gradient_sweep_needs_mean_temperature(self):
         with pytest.raises(ConfigError):
@@ -263,6 +276,8 @@ class TestXYComparison:
             run_xy_comparison(1, 1.0, tmp_path)
         with pytest.raises(ConfigError):
             run_xy_comparison(7, 1.0, tmp_path)
+        with pytest.raises(ConfigError, match=f"2 to {MAX_SPINS}"):
+            run_xy_comparison(MAX_SPINS + 1, 1.0, tmp_path)
 
 
 class TestCommandLine:
@@ -273,6 +288,47 @@ class TestCommandLine:
         assert status == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, content, reason",
+        [
+            ("utf16.cfg", b"\xff\xfemodel = ising\n", "not UTF-8"),
+            ("latin1.cfg", BASE_CONFIG.encode() + b"# caf\xe9\n", "not UTF-8"),
+            ("missing.cfg", None, "No such file"),
+        ],
+        ids=["non-utf8-bom", "non-utf8-comment", "missing"],
+    )
+    def test_unreadable_config_exits_with_configuration_error(
+        self, name, content, reason, tmp_path, capsys
+    ):
+        config = tmp_path / name
+        if content is not None:
+            config.write_bytes(content)
+        out = tmp_path / "out"
+        status = cli.main(["sweep", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith(f"configuration error: {config}: ")
+        assert reason in err
+        assert not out.exists()
+
+    def test_overlong_chain_config_exits_before_running(self, tmp_path, capsys, monkeypatch):
+        # parsing alone must refuse it: a 10-spin local point would need a
+        # 184756 x 184756 block, so no point may be evaluated
+        def refuse(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(experiments, "steady_net_current", refuse)
+        config = tmp_path / "long.cfg"
+        config.write_text(
+            "model = xy\nspins = 10\ndelta = 1.0\nstyle = local\nsweep = temperature\n"
+            "start = 0.1\nstop = 5.0\npoints = 5\nt_right = 0.0\n"
+        )
+        out = tmp_path / "out"
+        status = cli.main(["sweep", "--config", str(config), "--out", str(out), "--jobs", "1"])
+        assert status == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_kappa_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
