@@ -20,11 +20,9 @@ from .lindblad import (
     BathSpec,
     BlockGenerator,
     ChainOperators,
-    Channel,
     DissipatorStyle,
     JumpOperator,
     Liouvillian,
-    assemble_block_generator,
     assemble_liouvillian,
     block_generator,
     bose_einstein,
@@ -33,7 +31,7 @@ from .lindblad import (
     global_jump_operators,
     local_dissipator,
     standard_baths,
-    thermal_channels,
+    thermal_rates,
 )
 from .steady import (
     CrossValidationError,
@@ -68,7 +66,6 @@ __all__ = [
     "BlockGenerator",
     "ChainModel",
     "ChainOperators",
-    "Channel",
     "CrossValidationError",
     "DissipatorStyle",
     "HeatCurrents",
@@ -82,7 +79,6 @@ __all__ = [
     "SteadyState",
     "SteadyStateError",
     "SweepConfig",
-    "assemble_block_generator",
     "assemble_liouvillian",
     "block_generator",
     "bose_einstein",
@@ -109,7 +105,7 @@ __all__ = [
     "steady_state_block",
     "steady_state_nullspace",
     "steady_state_rate_equations",
-    "thermal_channels",
+    "thermal_rates",
 ]
 
 __version__ = "0.1.0"

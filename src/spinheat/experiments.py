@@ -347,6 +347,13 @@ def _row(x_name: str, kappa: float, curves: Sequence[_Curve], x: float) -> tuple
     return (x, *(_cell(x_name, kappa, curve, x) for curve in curves))
 
 
+def _rows(
+    x_name: str, grid: np.ndarray, kappa: float, curves: Sequence[_Curve], jobs: int | None
+) -> list[tuple]:
+    """Every curve at every grid point, rows in grid order."""
+    return _parallel_map(functools.partial(_row, x_name, kappa, tuple(curves)), grid, jobs)
+
+
 def _write_dataset(
     path: Path,
     x_name: str,
@@ -356,8 +363,8 @@ def _write_dataset(
     params: Sequence[tuple[str, str]],
     jobs: int | None,
 ) -> Path:
-    """Evaluate every curve at every grid point and write the CSV, rows in grid order."""
-    rows = _parallel_map(functools.partial(_row, x_name, kappa, tuple(curves)), grid, jobs)
+    """Evaluate every curve at every grid point and write the CSV."""
+    rows = _rows(x_name, grid, kappa, curves, jobs)
     return _write_csv(path, [x_name] + [curve.name for curve in curves], rows, params)
 
 
@@ -427,19 +434,26 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, P
     out_dir = Path(out_dir)
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)  # the panels scan delta
     deltas = np.linspace(0.0, 1.0, 102)[1:-1]  # interior of (0, 1)
+    panels = (("a", "left", "t_right"), ("b", "right", "t_left"))
+    # the bath named by `cold` takes each cold temperature, the other one is hot
+    curves = [
+        _Curve(
+            f"J_{cold}_{c:g}",
+            spec,
+            DissipatorStyle.GLOBAL,
+            **{"t_left": _FIG3_HOT, "t_right": _FIG3_HOT, cold: c},
+        )
+        for _, _, cold in panels
+        for c in _FIG3_COLD
+    ]
+    # both panels in one pass over the couplings, so each coupling's chain
+    # step is built once rather than once per panel
+    rows = _rows("delta", deltas, kappa, curves, jobs)
 
     paths = []
-    for panel, hot_side, cold in (("a", "left", "t_right"), ("b", "right", "t_left")):
-        # the bath named by `cold` takes each cold temperature, the other one is hot
-        curves = [
-            _Curve(
-                f"J_{cold}_{c:g}",
-                spec,
-                DissipatorStyle.GLOBAL,
-                **{"t_left": _FIG3_HOT, "t_right": _FIG3_HOT, cold: c},
-            )
-            for c in _FIG3_COLD
-        ]
+    width = len(_FIG3_COLD)
+    for k, (panel, hot_side, _) in enumerate(panels):
+        columns = slice(k * width, (k + 1) * width)
         params = [
             ("dataset", f"fig3{panel}"),
             ("kappa", repr(kappa)),
@@ -447,8 +461,9 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, P
             ("t_hot", repr(_FIG3_HOT)),
             ("t_cold_values", ",".join(f"{c:g}" for c in _FIG3_COLD)),
         ]
-        path = out_dir / f"fig3{panel}.csv"
-        paths.append(_write_dataset(path, "delta", deltas, kappa, curves, params, jobs))
+        header = ["delta"] + [curve.name for curve in curves[columns]]
+        panel_rows = [(row[0], *row[1:][columns]) for row in rows]
+        paths.append(_write_csv(out_dir / f"fig3{panel}.csv", header, panel_rows, params))
 
     curves = [
         _Curve(f"J_tbar_{t:g}", spec, DissipatorStyle.GLOBAL, t_mean=t) for t in _FIG3_TBARS

@@ -4,17 +4,18 @@ Two dissipator styles are provided.  The "global" style builds jump
 operators between eigenstates of the full chain Hamiltonian, so each bath
 sees the true transition frequencies of the interacting system.  The
 "local" style damps a single spin with its bare raising/lowering operators
-at a fixed frequency, ignoring the inter-spin coupling.  Both styles take
-their rates from one rate law, `thermal_channels`, which turns each bath
-transition into an emission and an absorption channel (bath, rate,
-operator).
+at a fixed frequency, ignoring the inter-spin coupling.  The styles differ
+only in which transitions, (frequency, lowering operator) pairs, each bath
+sees.  Both take their rates from one ohmic rate law, `thermal_rates`,
+which gives the emission rate of a bath at a frequency (carried by the
+lowering operator) and its absorption rate (carried by the adjoint).
 
-The generator is built in two ways from those channels:
+The generator is built in two ways from those transitions:
 
-- `assemble_block_generator` is the route the transport functions use.  It
-  never forms a d^2 x d^2 matrix.  Each style has a conserved charge q
-  per basis state: in the global style the secular generator commutes
-  with [H, .], so the charge is the energy (eigenstates grouped with the
+- The block route is the one the transport functions use.  It never forms
+  a d^2 x d^2 matrix.  Each style has a conserved charge q per basis
+  state: in the global style the secular generator commutes with [H, .],
+  so the charge is the energy (eigenstates grouped with the
   `DEGENERACY_TOL` rule of `global_jump_operators`); in the local style H
   conserves total S_z and the edge sigma-minus/sigma-plus operators change
   it by one on both sides of rho, a weak U(1) symmetry, so the charge is
@@ -34,23 +35,22 @@ The generator is built in two ways from those channels:
   It is built in two steps.  The chain step, `chain_operators`, holds
   everything that does not depend on the baths' temperatures or kappa: H,
   its spectral decomposition, the charge basis, the block's index arrays,
-  and each bath's transitions (Bohr frequency, lowering operator) with
-  d x d forms of every channel operator (A in the charge basis, A^dag A
-  there, and the energy rate A^dag H A - {A^dag A, H}/2).  None of these
-  depend on temperature because the eigenbasis, the Bohr frequencies and
-  the operators are properties of the chain and of where each bath
-  couples; a bath's temperature and kappa enter only through the rates.
-  The point step, `block_generator`, takes the baths, calls
-  `thermal_channels` for the rates and gathers the b x b block from the
-  prepared forms.  A channel operator the chain step did not prepare
-  (`thermal_channels` replaced by a variant with other operators) gets its
-  forms built on the spot, so the block always matches the channels.
+  and each bath's transitions, each with the d x d forms of its lowering
+  and raising operator (A in the charge basis, A^dag A there, and the
+  energy rate A^dag H A - {A^dag A, H}/2).  None of these depend on
+  temperature because the eigenbasis, the Bohr frequencies and the
+  operators are properties of the chain and of where each bath couples; a
+  bath's temperature and kappa enter only through the rates.  The point
+  step, `block_generator`, calls `thermal_rates` once per transition and
+  scales the prepared forms.  `BlockGenerator.channels` walks the channels
+  in one order (bath, transition, emission then absorption), which the
+  block assembly, the steady-state residual and the heat currents share.
   The chain step's arrays are read-only, so one chain step can serve any
   number of points.
 - `assemble_liouvillian` builds the full d^2 x d^2 superoperator with
-  Kronecker products.  It is the oracle the tests and the acceptance
-  checks compare the block route against; nothing on the transport path
-  calls it.
+  Kronecker products from the same transitions and the same rate law.  It
+  is the oracle the tests and the acceptance checks compare the block
+  route against; nothing on the transport path calls it.
 
 Superoperators use column-stacking vectorization: vec(rho) stacks the
 columns of rho (numpy order='F'), so vec(A rho B) = (B^T kron A) vec(rho)
@@ -62,7 +62,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -134,14 +134,6 @@ class JumpOperator:
             raise ValueError("jump operators carry strictly positive frequencies")
 
 
-class Channel(NamedTuple):
-    """One GKSL channel, rate * D[operator], through which `bath` acts."""
-
-    bath: BathSpec
-    rate: float
-    operator: np.ndarray
-
-
 @dataclass(frozen=True)
 class Liouvillian:
     """Full generator plus the per-bath pieces needed for heat currents.
@@ -184,10 +176,11 @@ class ChainOperators:
     of the block is the matrix element (rows[k], cols[k]) of an operator in
     that basis; `row_pairs` and `col_pairs` are `np.ix_(rows, rows)` and
     `np.ix_(cols, cols)`.  `effective` is H in the charge basis.  For each
-    bath, `couplings` holds (site, style, local_frequency), `transitions`
-    the (frequency, lowering operator) pairs `thermal_channels` takes, and
-    `prepared` the operators of the channels it returns, in its order:
-    each lowering operator, then its adjoint.  Every array is read-only.
+    bath, `couplings` holds (site, style, local_frequency) and
+    `transitions` holds one (frequency, lowering, raising) triple per
+    transition, the operators as `PreparedOperator`s: the lowering one
+    carries the emission rate, its adjoint the absorption rate.  Every
+    array is read-only.
     """
 
     dim: int
@@ -200,31 +193,26 @@ class ChainOperators:
     col_pairs: tuple[np.ndarray, np.ndarray]
     effective: np.ndarray
     couplings: tuple[tuple[int, DissipatorStyle, float | None], ...]
-    transitions: tuple[tuple[tuple[float, np.ndarray], ...], ...]
-    prepared: tuple[tuple[PreparedOperator, ...], ...]
+    transitions: tuple[tuple[tuple[float, PreparedOperator, PreparedOperator], ...], ...]
 
 
 @dataclass(frozen=True)
 class BlockGenerator:
     """The generator on the operators that commute with a conserved charge.
 
-    `basis`, `rows` and `cols` are those of the `ChainOperators` it was
-    built from, and `matrix` is the b x b generator acting on the block's
-    entries.  `hamiltonian` and the operators in `channels` are kept in the
-    original basis; `energy_rates[c]` is the energy-rate matrix of
-    `channels[c]`; `decomp` is the spectral decomposition of the Hamiltonian.
+    `matrix` is the b x b generator acting on the entries (chain.rows[k],
+    chain.cols[k]) of the block.  `rates[k][t]` is the (emission,
+    absorption) pair of `baths[k]` on `chain.transitions[k][t]`.
     """
 
-    dim: int
-    basis: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    chain: ChainOperators
     matrix: np.ndarray
-    hamiltonian: np.ndarray
-    channels: tuple[Channel, ...]
-    energy_rates: tuple[np.ndarray, ...]
     baths: tuple[BathSpec, ...]
-    decomp: SpectralDecomposition
+    rates: tuple[tuple[tuple[float, float], ...], ...]
+
+    def channels(self) -> Iterator[tuple[int, float, PreparedOperator]]:
+        """(bath index, rate, operator) of every channel, in assembly order."""
+        return _channels(self.chain, self.rates)
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -375,35 +363,32 @@ def global_jump_operators(
     return jumps
 
 
-def thermal_channels(
-    bath: BathSpec, transitions: Iterable[tuple[float, np.ndarray]]
-) -> list[Channel]:
-    """The ohmic rate law: emission and absorption channels of one bath.
+def thermal_rates(bath: BathSpec, frequency: float) -> tuple[float, float]:
+    """The ohmic rate law: (emission, absorption) rates of one bath at one frequency.
 
-    Each transition is a (frequency, lowering operator) pair.  At frequency
-    w > 0 the bath emits through the operator at rate kappa*w*(1+n_w) and
-    absorbs through its adjoint at rate kappa*w*n_w.  Frequency zero is the
-    continuous w -> 0 limit of the local style, where both rates equal
-    kappa*temperature (and vanish at zero temperature).
+    At frequency w > 0 the bath emits at rate kappa*w*(1+n_w) and absorbs
+    at rate kappa*w*n_w.  Frequency zero is the continuous w -> 0 limit of
+    the local style, where both rates equal kappa*temperature (and vanish
+    at zero temperature).
     """
-    channels = []
-    for frequency, lowering in transitions:
-        if frequency > 0:
-            spectrum = bath.kappa * frequency
-            occupation = bose_einstein(frequency, bath.temperature)
-            down = spectrum * (1.0 + occupation)
-            up = spectrum * occupation
-        else:
-            down = up = bath.kappa * bath.temperature
-        channels.append(Channel(bath, down, lowering))
-        channels.append(Channel(bath, up, lowering.conj().T))
-    return channels
+    if frequency > 0:
+        spectrum = bath.kappa * frequency
+        occupation = bose_einstein(frequency, bath.temperature)
+        return spectrum * (1.0 + occupation), spectrum * occupation
+    rate = bath.kappa * bath.temperature
+    return rate, rate
 
 
-def _channel_superoperator(channels: list[Channel], dim: int) -> np.ndarray:
+def _thermal_superoperator(
+    bath: BathSpec, transitions: list[tuple[float, np.ndarray]], dim: int
+) -> np.ndarray:
+    """The dense dissipator of one bath: emission through each lowering
+    operator, absorption through its adjoint, at the rates of `thermal_rates`."""
     part = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for channel in channels:
-        part += channel.rate * dissipation_superoperator(channel.operator)
+    for frequency, lowering in transitions:
+        emission, absorption = thermal_rates(bath, frequency)
+        part += emission * dissipation_superoperator(lowering)
+        part += absorption * dissipation_superoperator(lowering.conj().T)
     return part
 
 
@@ -412,32 +397,30 @@ def global_dissipator(
 ) -> np.ndarray:
     """Thermal dissipator built from eigenbasis jump operators.
 
-    Each jump at frequency w contributes the emission and absorption
-    channels of `thermal_channels`.  An empty jump list yields the zero
-    superoperator (the coupling drives no transition at all), in which
-    case `dim` must be given.
+    Each jump at frequency w emits and absorbs at the rates of
+    `thermal_rates`.  An empty jump list yields the zero superoperator (the
+    coupling drives no transition at all), in which case `dim` must be
+    given.
     """
     if bath.style is not DissipatorStyle.GLOBAL:
         raise ValueError("global_dissipator requires a bath with global style")
-    if not jumps:
-        if dim is None:
-            raise ValueError("dim is required when there are no jump operators")
-        return np.zeros((dim * dim, dim * dim), dtype=complex)
-    channels = thermal_channels(bath, [(jump.frequency, jump.matrix) for jump in jumps])
-    return _channel_superoperator(channels, jumps[0].matrix.shape[0])
+    if jumps:
+        dim = jumps[0].matrix.shape[0]
+    elif dim is None:
+        raise ValueError("dim is required when there are no jump operators")
+    return _thermal_superoperator(bath, [(jump.frequency, jump.matrix) for jump in jumps], dim)
 
 
 def local_dissipator(site: int, n_spins: int, bath: BathSpec) -> np.ndarray:
     """Single-spin thermal dissipator with bare lowering/raising operators.
 
-    The rates are those of `thermal_channels` at the bath's local
-    frequency nu, including its nu = 0 limit.
+    The rates are those of `thermal_rates` at the bath's local frequency
+    nu, including its nu = 0 limit.
     """
     if bath.style is not DissipatorStyle.LOCAL:
         raise ValueError("local_dissipator requires a bath with local style")
     lowering = embed_matrix(LOWERING, site, n_spins)
-    channels = thermal_channels(bath, [(bath.local_frequency, lowering)])
-    return _channel_superoperator(channels, 2**n_spins)
+    return _thermal_superoperator(bath, [(bath.local_frequency, lowering)], 2**n_spins)
 
 
 def standard_baths(
@@ -485,7 +468,7 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
     The per-bath pieces are retained in `bath_parts` (same order as
     `baths`) because the heat current through each reservoir is computed
     from its own dissipator alone.  This dense route is the oracle for
-    `assemble_block_generator`.
+    `block_generator`.
     """
     n_spins = _chain_length(H, baths)
     d = H.dim
@@ -567,16 +550,25 @@ def chain_operators(H: HermitianOperator, baths: list[BathSpec]) -> ChainOperato
     rows, cols = np.nonzero(charges[:, None] == charges[None, :])
     prepared = tuple(
         tuple(
-            _prepare(operator, basis, hamiltonian)
-            for _, lowering in bath_transitions
-            for operator in (lowering, lowering.conj().T)
+            (
+                frequency,
+                _prepare(lowering, basis, hamiltonian),
+                _prepare(lowering.conj().T, basis, hamiltonian),
+            )
+            for frequency, lowering in bath_transitions
         )
         for bath_transitions in transitions
     )
     effective = basis.conj().T @ hamiltonian @ basis
-    # the lowering operators of `transitions` are among the prepared operators
     _read_only(hamiltonian, decomp.energies, decomp.eigenvectors, basis, rows, cols, effective)
-    _read_only(*(array for bath_prepared in prepared for forms in bath_prepared for array in forms))
+    _read_only(
+        *(
+            array
+            for bath_transitions in prepared
+            for _, lowering, raising in bath_transitions
+            for array in lowering + raising
+        )
+    )
     return ChainOperators(
         dim=d,
         hamiltonian=hamiltonian,
@@ -588,62 +580,40 @@ def chain_operators(H: HermitianOperator, baths: list[BathSpec]) -> ChainOperato
         col_pairs=np.ix_(cols, cols),
         effective=effective,
         couplings=tuple(_coupling(bath) for bath in baths),
-        transitions=tuple(transitions),
-        prepared=prepared,
+        transitions=prepared,
     )
 
 
+def _channels(
+    chain: ChainOperators, rates: tuple[tuple[tuple[float, float], ...], ...]
+) -> Iterator[tuple[int, float, PreparedOperator]]:
+    for k, (transitions, bath_rates) in enumerate(zip(chain.transitions, rates)):
+        for (_, lowering, raising), (emission, absorption) in zip(transitions, bath_rates):
+            yield k, emission, lowering
+            yield k, absorption, raising
+
+
 def block_generator(chain: ChainOperators, baths: list[BathSpec]) -> BlockGenerator:
-    """The point step: the rates of `thermal_channels` on a chain step's operators.
+    """The point step: the rates of `thermal_rates` on a chain step's operators.
 
     `baths` must couple where the chain step's baths did (same sites,
     style and local frequencies); their temperatures and kappa are free.
     """
     if tuple(_coupling(bath) for bath in baths) != chain.couplings:
         raise ValueError("the baths do not couple where the chain step's baths do")
+    rates = tuple(
+        tuple(thermal_rates(bath, frequency) for frequency, _, _ in transitions)
+        for bath, transitions in zip(baths, chain.transitions)
+    )
     same_row = chain.rows[:, None] == chain.rows[None, :]
     same_col = chain.cols[:, None] == chain.cols[None, :]
     # the coherent part and the anticommutator terms together are
     # -i(K rho - rho K^dag) with K = H - (i/2) sum_c g_c M_c
     effective = chain.effective.copy()
     block = np.zeros((len(chain.rows), len(chain.rows)), dtype=complex)
-    channels: list[Channel] = []
-    energy_rates: list[np.ndarray] = []
-    for bath, transitions, prepared in zip(baths, chain.transitions, chain.prepared):
-        for k, channel in enumerate(thermal_channels(bath, transitions)):
-            forms = prepared[k] if k < len(prepared) else None
-            if forms is None or not (
-                channel.operator is forms.operator
-                or np.array_equal(channel.operator, forms.operator)
-            ):
-                forms = _prepare(channel.operator, chain.basis, chain.hamiltonian)
-            effective -= 0.5j * channel.rate * forms.decay
-            block += (
-                channel.rate * forms.charge[chain.row_pairs] * forms.charge[chain.col_pairs].conj()
-            )
-            channels.append(channel)
-            energy_rates.append(forms.energy_rate)
+    for _, rate, forms in _channels(chain, rates):
+        effective -= 0.5j * rate * forms.decay
+        block += rate * forms.charge[chain.row_pairs] * forms.charge[chain.col_pairs].conj()
     block += -1j * effective[chain.row_pairs] * same_col
     block += 1j * same_row * effective.conj()[chain.col_pairs]
-    return BlockGenerator(
-        dim=chain.dim,
-        basis=chain.basis,
-        rows=chain.rows,
-        cols=chain.cols,
-        matrix=block,
-        hamiltonian=chain.hamiltonian,
-        channels=tuple(channels),
-        energy_rates=tuple(energy_rates),
-        baths=tuple(baths),
-        decomp=chain.decomp,
-    )
-
-
-def assemble_block_generator(H: HermitianOperator, baths: list[BathSpec]) -> BlockGenerator:
-    """The generator on the charge block that holds the steady state.
-
-    The chain step followed by the point step.  The channels are those of
-    `thermal_channels`, exactly as in `assemble_liouvillian`; no Kronecker
-    product is formed.
-    """
-    return block_generator(chain_operators(H, baths), baths)
+    return BlockGenerator(chain=chain, matrix=block, baths=tuple(baths), rates=rates)

@@ -3,15 +3,16 @@
 Three solvers are provided.
 
 - `steady_state_block` is the route the transport functions use.  It takes
-  the SVD kernel of the b x b block generator of
-  `lindblad.assemble_block_generator`, the span of |i><j| with equal
-  conserved charge.  That span is invariant under the generator and holds
-  both the steady state and the identity (the module docstring of
-  `lindblad` gives the argument for each dissipator style), so the block's
-  kernel holds every steady state the full generator projects to.  The
-  invariance is checked at run time: the residual ||L[rho]|| is evaluated
-  on the full d x d state in operator form, with the full Hamiltonian and
-  channel operators, and a residual above `KERNEL_RTOL` times the block's
+  the SVD kernel of the b x b block generator of `lindblad.block_generator`,
+  the span of |i><j| with equal conserved charge.  That span is invariant
+  under the generator and holds both the steady state and the identity
+  (the module docstring of `lindblad` gives the argument for each
+  dissipator style), so the block's kernel holds every steady state the
+  full generator projects to.  The invariance is checked at run time: the
+  residual ||L[rho]|| is evaluated on the full d x d state in operator
+  form, with the chain's Hamiltonian and every channel that
+  `BlockGenerator.channels` yields (the rate and operator the block was
+  assembled from), and a residual above `KERNEL_RTOL` times the block's
   largest singular value raises SteadyStateError.
 - `steady_state_nullspace` takes the SVD kernel of the full d^2 x d^2
   Liouvillian.  It is the oracle for the block route.
@@ -39,7 +40,6 @@ import numpy as np
 
 from .lindblad import (
     BlockGenerator,
-    Channel,
     DissipatorStyle,
     Liouvillian,
     assemble_liouvillian,
@@ -173,15 +173,14 @@ def steady_state_nullspace(L: Liouvillian) -> SteadyState:
     )
 
 
-def _apply_generator(
-    H: np.ndarray, channels: tuple[Channel, ...], rho: np.ndarray
-) -> np.ndarray:
+def _apply_generator(G: BlockGenerator, rho: np.ndarray) -> np.ndarray:
     """L[rho] = -i[H, rho] + sum_c g_c (A rho A^dag - {A^dag A, rho}/2), on d x d matrices."""
+    H = G.chain.hamiltonian
     out = -1j * (H @ rho - rho @ H)
-    for channel in channels:
-        a = channel.operator
+    for _, rate, forms in G.channels():
+        a = forms.operator
         m = a.conj().T @ a
-        out += channel.rate * (a @ rho @ a.conj().T - 0.5 * (m @ rho + rho @ m))
+        out += rate * (a @ rho @ a.conj().T - 0.5 * (m @ rho + rho @ m))
     return out
 
 
@@ -194,21 +193,22 @@ def steady_state_block(G: BlockGenerator) -> SteadyState:
     `KERNEL_RTOL` times the block's largest singular value, or the block
     was not invariant and SteadyStateError is raised.
     """
-    d = G.dim
-    mixed = np.where(G.rows == G.cols, 1.0 / d, 0.0).astype(complex)
+    chain = G.chain
+    d = chain.dim
+    mixed = np.where(chain.rows == chain.cols, 1.0 / d, 0.0).astype(complex)
     vec, kernel_dim, s_max = _kernel_vector(G.matrix, mixed)
     rho_block = np.zeros((d, d), dtype=complex)
-    rho_block[G.rows, G.cols] = vec
+    rho_block[chain.rows, chain.cols] = vec
     rho_block = _density_matrix(rho_block)
-    rho = G.basis @ rho_block @ G.basis.conj().T
+    rho = chain.basis @ rho_block @ chain.basis.conj().T
 
-    residual = float(np.linalg.norm(_apply_generator(G.hamiltonian, G.channels, rho)))
+    residual = float(np.linalg.norm(_apply_generator(G, rho)))
     if residual > KERNEL_RTOL * s_max:
         raise SteadyStateError(
             f"steady state leaves the symmetry block: residual {residual:.3e} "
             f"exceeds {KERNEL_RTOL:.0e} x largest singular value {s_max:.3e}"
         )
-    vectors = G.decomp.eigenvectors
+    vectors = chain.decomp.eigenvectors
     populations = np.real(np.diag(vectors.conj().T @ rho @ vectors))
     return SteadyState(
         rho=rho,

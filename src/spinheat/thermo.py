@@ -4,10 +4,11 @@ The current entering the system from a bath is the energy expectation of
 that bath's dissipator output, Tr{D_bath[rho] H}.  `heat_currents` reads it
 off the dense superoperator of each bath; `channel_heat_currents` writes
 it in operator form, sum_c g_c Tr(rho E_c) with the energy-rate matrix
-E_c = A^dag H A - {A^dag A, H}/2 of each channel.  The sign convention is
-anchored on the left reservoir: `j_net` is the left input rate, so a
-positive value means heat flows from the left bath through the system into
-the right bath.
+E_c = A^dag H A - {A^dag A, H}/2 of each channel, and credits each channel
+to the bath at its position in the generator's bath list.  The sign
+convention is anchored on the left reservoir (the bath on the lower
+site): `j_net` is the left input rate, so a positive value means heat
+flows from the left bath through the system into the right bath.
 
 `steady_net_current` evaluates one point in two steps (see the `lindblad`
 module docstring).  The chain step, `lindblad.chain_operators`, depends
@@ -17,9 +18,10 @@ are the same at every temperature and kappa, so it is kept in a
 least-recently-used cache keyed by (SpinChainSpec, DissipatorStyle) and
 bounded at `_CHAIN_CACHE_SIZE` chains.  Only d x d matrices and index
 arrays are cached, all read-only, never a b x b block or anything a rate
-enters.  The point step, `lindblad.block_generator`, then applies the
-baths' temperatures and kappa through `lindblad.thermal_channels` and the
-block is solved as before, so a cached chain gives bit-identical currents.
+enters.  The point step, `lindblad.block_generator`, then takes the
+baths' temperatures and kappa into the rates of `lindblad.thermal_rates`
+and scales the cached operators, so a cached chain gives bit-identical
+currents.
 """
 
 from __future__ import annotations
@@ -114,9 +116,8 @@ def channel_heat_currents(generator: BlockGenerator, rho: np.ndarray) -> HeatCur
     """Input energy rates in operator form, summed over each bath's channels."""
     left, right = _left_right(generator.baths)
     flows = [0.0, 0.0]
-    for channel, energy_rate in zip(generator.channels, generator.energy_rates):
-        k = generator.baths.index(channel.bath)
-        flows[k] += channel.rate * float(np.real(np.sum(rho * energy_rate.T)))
+    for k, rate, forms in generator.channels():
+        flows[k] += rate * float(np.real(np.sum(rho * forms.energy_rate.T)))
     return _balance(flows[left], flows[right])
 
 

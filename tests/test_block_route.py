@@ -5,8 +5,9 @@ import pytest
 
 from spinheat.lindblad import (
     DissipatorStyle,
-    assemble_block_generator,
     assemble_liouvillian,
+    block_generator,
+    chain_operators,
     energy_charges,
     standard_baths,
 )
@@ -64,7 +65,7 @@ def _both_routes(spec, kappa, t_left, t_right, style):
     baths = standard_baths(spec, kappa, t_left, t_right, style)
     dense = assemble_liouvillian(H, baths)
     dense_state = steady_state_nullspace(dense)
-    block = assemble_block_generator(H, baths)
+    block = block_generator(chain_operators(H, baths), baths)
     block_state = steady_state_block(block)
     j_dense = heat_currents(dense, dense_state.rho, H)
     j_block = channel_heat_currents(block, block_state.rho)
@@ -97,6 +98,22 @@ def test_dense_route_counts_coherences_outside_the_block():
     assert np.max(np.abs(block_state.rho - dense_state.rho)) <= TOL
 
 
+@pytest.mark.parametrize("style", DissipatorStyle)
+def test_currents_follow_the_bath_order(style):
+    # the right bath listed first: each channel's flow goes to the bath at
+    # its position, and j_in_left still reports the bath on site 0
+    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    H = build_hamiltonian(spec)
+    baths = standard_baths(spec, 1.0, 2.0, 0.3, style)[::-1]
+    dense = assemble_liouvillian(H, baths)
+    j_dense = heat_currents(dense, steady_state_nullspace(dense).rho, H)
+    block = block_generator(chain_operators(H, baths), baths)
+    j_block = channel_heat_currents(block, steady_state_block(block).rho)
+    assert j_dense.j_in_left > 1e-3
+    assert abs(j_block.j_in_left - j_dense.j_in_left) <= TOL
+    assert abs(j_block.j_in_right - j_dense.j_in_right) <= TOL
+
+
 @pytest.mark.parametrize("n_spins", range(2, 7))
 def test_local_xy_current_is_length_independent(n_spins):
     spec = SpinChainSpec(n_spins, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
@@ -108,7 +125,7 @@ def test_block_sizes():
     spec = SpinChainSpec(5, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
     H = build_hamiltonian(spec)
     sizes = {
-        style: len(assemble_block_generator(H, standard_baths(spec, 1.0, 1.0, 0.0, style)).rows)
+        style: len(chain_operators(H, standard_baths(spec, 1.0, 1.0, 0.0, style)).rows)
         for style in DissipatorStyle
     }
     assert sizes == {DissipatorStyle.GLOBAL: 80, DissipatorStyle.LOCAL: 252}
@@ -126,7 +143,7 @@ def test_leaving_the_block_raises():
     H = HermitianOperator(build_hamiltonian(spec).matrix + 0.3 * embed_matrix(PAULI_X, 1, 3))
     baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
     with pytest.raises(SteadyStateError, match="leaves the symmetry block"):
-        steady_state_block(assemble_block_generator(H, baths))
+        steady_state_block(block_generator(chain_operators(H, baths), baths))
 
 
 def test_mixed_styles_rejected():
@@ -134,4 +151,4 @@ def test_mixed_styles_rejected():
     baths = standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.GLOBAL)[:1]
     baths += standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.LOCAL)[1:]
     with pytest.raises(ValueError):
-        assemble_block_generator(build_hamiltonian(spec), baths)
+        chain_operators(build_hamiltonian(spec), baths)

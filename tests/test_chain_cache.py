@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import spinheat.lindblad as lindblad
 from spinheat import thermo
+from spinheat.experiments import run_fig3
 from spinheat.lindblad import (
     DissipatorStyle,
     assemble_liouvillian,
@@ -80,10 +81,8 @@ def _cached_arrays(chain):
     yield from (chain.basis, chain.rows, chain.cols, chain.effective)
     yield from chain.row_pairs + chain.col_pairs
     for transitions in chain.transitions:
-        yield from (lowering for _, lowering in transitions)
-    for prepared in chain.prepared:
-        for forms in prepared:
-            yield from forms
+        for _, lowering, raising in transitions:
+            yield from lowering + raising
 
 
 @pytest.mark.parametrize("style", DissipatorStyle)
@@ -135,6 +134,14 @@ def test_bound_holds_the_chains_fig2_interleaves():
     assert thermo._chain.cache_info().misses == len(curves)
 
 
+def test_fig3_builds_each_coupling_once(tmp_path):
+    # both panels share the 100 couplings of one pass, and the inset adds
+    # its own chain: 101 chain steps, not 201, under the same bound
+    thermo._chain.cache_clear()
+    run_fig3(1.0, tmp_path, jobs=1)
+    assert thermo._chain.cache_info().misses == 101
+
+
 def test_dense_oracle_bypasses_the_cache():
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     thermo._chain.cache_clear()
@@ -143,21 +150,17 @@ def test_dense_oracle_bypasses_the_cache():
 
 
 def test_warm_chain_takes_replaced_rate_law(monkeypatch):
-    # the point step looks `thermal_channels` up at call time, and builds the
-    # forms of channel operators the chain step did not prepare
+    # the point step looks `thermal_rates` up at call time
     spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
     style = DissipatorStyle.GLOBAL
     steady_net_current(spec, 1.0, 2.0, 0.3, style)  # warm the chain
-    original = lindblad.thermal_channels
+    original = lindblad.thermal_rates
 
-    def extra_absorption(bath, transitions):
-        transitions = list(transitions)
-        channels = original(bath, transitions)
-        for frequency, lowering in transitions:
-            channels.append(lindblad.Channel(bath, 0.2 * frequency, lowering.conj().T))
-        return channels
+    def extra_absorption(bath, frequency):
+        emission, absorption = original(bath, frequency)
+        return emission, absorption + 0.2 * frequency
 
-    monkeypatch.setattr(lindblad, "thermal_channels", extra_absorption)
+    monkeypatch.setattr(lindblad, "thermal_rates", extra_absorption)
     j_warm = steady_net_current(spec, 1.0, 2.0, 0.3, style)
     j_dense = _dense_current(spec, 1.0, 2.0, 0.3, style)
     monkeypatch.undo()

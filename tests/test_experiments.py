@@ -449,22 +449,15 @@ class TestAcceptanceRunner:
         # swap the emission and absorption weights of the global baths:
         # detailed balance inverts and heat runs from cold to hot, which the
         # sanity check must catch
-        original = lindblad.thermal_channels
+        original = lindblad.thermal_rates
 
-        def corrupted(bath, transitions):
+        def corrupted(bath, frequency):
+            emission, absorption = original(bath, frequency)
             if bath.style is not DissipatorStyle.GLOBAL:
-                return original(bath, transitions)
-            channels = []
-            for frequency, lowering in transitions:
-                spectrum = bath.kappa * frequency
-                occupation = lindblad.bose_einstein(frequency, bath.temperature)
-                channels.append(lindblad.Channel(bath, spectrum * occupation, lowering))
-                channels.append(
-                    lindblad.Channel(bath, spectrum * (1.0 + occupation), lowering.conj().T)
-                )
-            return channels
+                return emission, absorption
+            return absorption, emission
 
-        monkeypatch.setattr(lindblad, "thermal_channels", corrupted)
+        monkeypatch.setattr(lindblad, "thermal_rates", corrupted)
         checks = dict(ACCEPTANCE_CHECKS)
         _, _, _, passed = checks["generator sanity"]()
         assert not passed
@@ -473,21 +466,15 @@ class TestAcceptanceRunner:
         # ten times the absorption weight lets the cold left bath feed the
         # reverse cycle beyond what its thermal occupation allows, so the
         # reverse current must exceed the cold-link bound of criterion 5
-        original = lindblad.thermal_channels
+        original = lindblad.thermal_rates
 
-        def corrupted(bath, transitions):
-            transitions = list(transitions)
-            channels = original(bath, transitions)
+        def corrupted(bath, frequency):
+            emission, absorption = original(bath, frequency)
             if bath.style is not DissipatorStyle.GLOBAL:
-                return channels
-            for frequency, lowering in transitions:
-                absorption = bath.kappa * frequency * lindblad.bose_einstein(
-                    frequency, bath.temperature
-                )
-                channels.append(lindblad.Channel(bath, 9.0 * absorption, lowering.conj().T))
-            return channels
+                return emission, absorption
+            return emission, 10.0 * absorption
 
-        monkeypatch.setattr(lindblad, "thermal_channels", corrupted)
+        monkeypatch.setattr(lindblad, "thermal_rates", corrupted)
         checks = dict(ACCEPTANCE_CHECKS)
         _, _, _, passed = checks["reverse leakage ratio"]()
         assert not passed
