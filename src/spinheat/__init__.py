@@ -33,6 +33,12 @@ from .lindblad import (
     standard_baths,
     thermal_rates,
 )
+from .gaussian import (
+    GaussianChain,
+    GaussianState,
+    gaussian_chain,
+    steady_state_gaussian,
+)
 from .steady import (
     CrossValidationError,
     NetRates,
@@ -48,6 +54,7 @@ from .thermo import (
     RectificationReport,
     channel_heat_currents,
     current_from_cycle,
+    gaussian_heat_currents,
     heat_currents,
     rectification,
     steady_net_current,
@@ -68,6 +75,8 @@ __all__ = [
     "ChainOperators",
     "CrossValidationError",
     "DissipatorStyle",
+    "GaussianChain",
+    "GaussianState",
     "HeatCurrents",
     "HermitianOperator",
     "JumpOperator",
@@ -88,6 +97,8 @@ __all__ = [
     "cross_validate",
     "current_from_cycle",
     "embed",
+    "gaussian_chain",
+    "gaussian_heat_currents",
     "global_dissipator",
     "global_jump_operators",
     "heat_currents",
@@ -103,6 +114,7 @@ __all__ = [
     "standard_baths",
     "steady_net_current",
     "steady_state_block",
+    "steady_state_gaussian",
     "steady_state_nullspace",
     "steady_state_rate_equations",
     "thermal_rates",

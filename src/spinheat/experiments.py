@@ -49,8 +49,10 @@ _X_NAMES = {"temperature": "T_L", "coupling": "delta", "gradient": "delta_T"}
 _STYLES = ("global", "local", "both")
 _SCALES = ("linear", "log")
 
-# The longest chain a run accepts.  A local-style point solves a block of
-# C(2n, n) rows: 924 at n = 6, but 184756 at n = 10, a 546 GB complex matrix.
+# The longest chain a run accepts.  The XY chain's transport route costs
+# O(n^3) (see `gaussian`), so the cap no longer guards memory; it keeps runs
+# within the lengths its block-route oracle is checked at, whose local block
+# has C(2n, n) rows: 924 at n = 6, but 184756 at n = 10.
 MAX_SPINS = 6
 
 

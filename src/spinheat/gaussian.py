@@ -1,0 +1,225 @@
+"""The steady state of the XY chain from its Majorana covariance.
+
+After a Jordan-Wigner transform, c_i = (prod_{j<i} sigma^z_j) sigma^-_i,
+the XY chain in a transverse field is quadratic,
+
+    H = sum_ij h_ij c_i^dag c_j + const,
+
+with h on the diagonal of the n x n hopping matrix and delta on its first
+off-diagonals.  In the Majorana operators w_{2i} = c_i + c_i^dag and
+w_{2i+1} = i(c_i^dag - c_i) it reads H = (i/4) sum_ab A_ab w_a w_b + const,
+with the real antisymmetric 2n x 2n form A[2i, 2j+1] = h_ij,
+A[2i+1, 2j] = -h_ij.
+
+Both dissipator styles have jump operators linear in the w_a, so the two
+point function G_ab = <w_a w_b> = I + i Gamma (Gamma real antisymmetric)
+obeys a closed equation and fixes the heat currents (third quantization:
+Prosen, NJP 10, 043026 (2008); Prosen and Zunkovic, NJP 12, 025016
+(2010)).  A jump operator L = sum_a l_a w_a is stored as its lowering
+vector l.
+
+- Local style: sigma^-_0 is c_0.  On the last site sigma^-_{n-1} carries
+  the parity string of the other sites, which commutes with every even
+  operator of those sites, so it drops out of the equation for every
+  quadratic observable; the vector is that of c_{n-1}.
+- Global style: sigma^x_0 = c_0 + c_0^dag and sigma^x_{n-1} =
+  P (c_{n-1} - c_{n-1}^dag), with P the total parity, which commutes with
+  H and with every even operator and so drops out too.  With the modes
+  eta_k = sum_i phi_k(i) c_i of h at energies eps_k, a bath at site s
+  lowers the energy by |eps| through sum_{eps_k = |eps|} phi_k(s) eta_k
+  plus (+1 on site 0, -1 on site n-1) times sum_{eps_k = -|eps|}
+  phi_k(s) eta_k^dag.  The gaps sigma^x connects are exactly the |eps_k|,
+  so they are grouped by the rule `lindblad.global_jump_operators` applies
+  to the many-body gaps: `lindblad._group_starts` at `DEGENERACY_TOL`
+  times the largest |E|, which is sum_k |eps_k| / 2.  Zero modes carry no
+  jump operator.  The two groupings can differ only where two |eps_k|
+  differ by less than that tolerance without being equal (delta near
+  1e-9 h): there the eigenbasis grouping is also anchored on many-body
+  gaps that sigma^x does not connect.
+
+The chain step, `gaussian_chain`, holds A and each bath's (frequency,
+lowering vector) pairs; none of it depends on temperature or kappa.  The
+point step, `steady_state_gaussian`, takes the rates of
+`lindblad.thermal_rates` into the bath matrices
+
+    M_k = sum_t (emission l_t^* l_t^T + absorption l_t l_t^dag),
+
+and solves X Gamma + Gamma X^T = -4 Im M with X = A - 2 Re M, M = sum_k
+M_k, by an eigendecomposition of X.  A pair of eigenvalues of X that sum
+to zero (within `KERNEL_RTOL` of the largest) belongs to modes no bath
+damps; the component of Gamma there is set to zero, which is the
+maximally mixed state on those modes, the state the block route projects
+a degenerate kernel from.  Cost: O(n^3), against the O(4^n) charge block.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import lindblad
+from .lindblad import DEGENERACY_TOL, BathSpec, DissipatorStyle, _coupling, _group_starts
+from .spinops import ChainModel, SpinChainSpec
+from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyStateError
+
+
+@dataclass(frozen=True)
+class GaussianChain:
+    """The temperature-independent half of the Gaussian route (the chain step).
+
+    `majorana` is the 2n x 2n form A of H.  For each bath, `couplings`
+    holds (site, style, local_frequency), `frequencies` one frequency per
+    transition and `lowering` the transitions' lowering vectors as rows.
+    Every array is read-only.
+    """
+
+    majorana: np.ndarray
+    couplings: tuple[tuple[int, DissipatorStyle, float | None], ...]
+    frequencies: tuple[np.ndarray, ...]
+    lowering: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """The steady Majorana covariance Gamma (<w_a w_b> = I + i Gamma).
+
+    `bath_matrices[k]` is M_k of `baths[k]`; `residual` is
+    ||X Gamma + Gamma X^T + 4 Im M||.
+    """
+
+    chain: GaussianChain
+    baths: tuple[BathSpec, ...]
+    bath_matrices: tuple[np.ndarray, ...]
+    covariance: np.ndarray
+    residual: float
+
+
+def _mode_vectors(phi: np.ndarray) -> np.ndarray:
+    """Row k holds the Majorana coefficients of c_k (phi = identity) or of
+    eta_k = sum_i phi[i, k] c_i."""
+    n = phi.shape[0]
+    vectors = np.zeros((n, 2 * n), dtype=complex)
+    vectors[:, 0::2] = 0.5 * phi.T
+    vectors[:, 1::2] = 0.5j * phi.T
+    return vectors
+
+
+def _global_transitions(
+    eps: np.ndarray, phi: np.ndarray, site: int, sign: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(frequencies, lowering vectors) of sigma^x on an edge site, grouped by |eps|."""
+    modes = _mode_vectors(phi) * phi[site][:, None]
+    # a mode below zero is lowered by its creation operator
+    lowering = np.where((eps > 0)[:, None], modes, sign * modes.conj())
+    energy = np.abs(eps)
+    tol = DEGENERACY_TOL * max(0.5 * float(energy.sum()), 1e-300)
+    order = np.argsort(energy, kind="stable")
+    order = order[energy[order] > tol]
+    starts = _group_starts(energy[order], tol) if len(order) else []
+    groups = [order[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(order)])]
+    frequencies = np.array([float(np.mean(energy[group])) for group in groups])
+    vectors = np.zeros((len(groups), lowering.shape[1]), dtype=complex)
+    for row, group in enumerate(groups):
+        vectors[row] = lowering[group].sum(axis=0)
+    return frequencies, vectors
+
+
+def gaussian_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> GaussianChain:
+    """The chain step: A and each bath's (frequency, lowering vector) pairs.
+
+    Only each bath's site, style and local frequency are read.  Baths must
+    couple to an end of the chain, where the Jordan-Wigner string drops
+    out, and share one style.
+    """
+    if spec.model is not ChainModel.XY_TRANSVERSE:
+        raise ValueError("the Gaussian route needs the quadratic XY chain")
+    if not baths:
+        raise ValueError("at least one bath is required")
+    if len({bath.style for bath in baths}) != 1:
+        raise ValueError("the Gaussian route needs one dissipator style for all baths")
+    n = spec.n_spins
+    off = np.full(n - 1, spec.coupling_delta)
+    hop = spec.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
+    majorana = np.zeros((2 * n, 2 * n))
+    majorana[0::2, 1::2] = hop
+    majorana[1::2, 0::2] = -hop
+
+    if baths[0].style is DissipatorStyle.GLOBAL:
+        eps, phi = np.linalg.eigh(hop)
+    frequencies, lowering = [], []
+    for bath in baths:
+        if bath.site not in (0, n - 1):
+            raise ValueError(f"bath site {bath.site} is not an end of the {n}-spin chain")
+        if bath.style is DissipatorStyle.GLOBAL:
+            sign = 1.0 if bath.site == 0 else -1.0
+            freqs, vectors = _global_transitions(eps, phi, bath.site, sign)
+        else:
+            freqs = np.array([bath.local_frequency])
+            vectors = _mode_vectors(np.eye(n))[bath.site : bath.site + 1]
+        frequencies.append(freqs)
+        lowering.append(vectors)
+    for array in (majorana, *frequencies, *lowering):
+        array.setflags(write=False)
+    return GaussianChain(
+        majorana=majorana,
+        couplings=tuple(_coupling(bath) for bath in baths),
+        frequencies=tuple(frequencies),
+        lowering=tuple(lowering),
+    )
+
+
+def _bath_matrix(bath: BathSpec, frequencies: np.ndarray, lowering: np.ndarray) -> np.ndarray:
+    rates = np.array([lindblad.thermal_rates(bath, float(w)) for w in frequencies])
+    rates = rates.reshape(len(frequencies), 2)
+    emission = (lowering.conj().T * rates[:, 0]) @ lowering
+    absorption = (lowering.T * rates[:, 1]) @ lowering.conj()
+    return emission + absorption
+
+
+def steady_state_gaussian(chain: GaussianChain, baths: list[BathSpec]) -> GaussianState:
+    """The point step: the steady covariance at the baths' rates.
+
+    `baths` must couple where the chain step's baths did.  Raises
+    SteadyStateError when the Lyapunov residual exceeds `KERNEL_RTOL`
+    times ||X|| or the spectrum of i Gamma leaves [-1, 1] (mode
+    occupations outside [0, 1]).
+    """
+    if tuple(_coupling(bath) for bath in baths) != chain.couplings:
+        raise ValueError("the baths do not couple where the chain step's baths do")
+    matrices = tuple(
+        _bath_matrix(bath, freqs, vectors)
+        for bath, freqs, vectors in zip(baths, chain.frequencies, chain.lowering)
+    )
+    m = sum(matrices)
+    x = chain.majorana - 2.0 * m.real
+    source = -4.0 * m.imag
+
+    d, v = np.linalg.eig(x)
+    v_inv = np.linalg.inv(v)
+    pair = d[:, None] + d[None, :]
+    undamped = np.abs(pair) <= KERNEL_RTOL * np.max(np.abs(d))
+    rotated = v_inv @ source @ v_inv.T
+    solution = np.where(undamped, 0.0, rotated / np.where(undamped, 1.0, pair))
+    gamma = (v @ solution @ v.T).real
+    gamma = 0.5 * (gamma - gamma.T)  # antisymmetric up to rounding
+
+    residual = float(np.linalg.norm(x @ gamma + gamma @ x.T - source))
+    scale = float(np.linalg.norm(x))
+    if residual > KERNEL_RTOL * scale:
+        raise SteadyStateError(
+            f"Lyapunov residual {residual:.3e} exceeds {KERNEL_RTOL:.0e} x ||X|| = {scale:.3e}"
+        )
+    # the mode occupations (1 -+ largest)/2 meet the bound rho's eigenvalues meet
+    largest = float(np.max(np.abs(np.linalg.eigvalsh(1j * gamma))))
+    if largest > 1.0 - 2.0 * _MIN_EIGENVALUE:
+        raise SteadyStateError(
+            f"covariance not physical: |spectrum of i Gamma| reaches {largest:.12f}"
+        )
+    return GaussianState(
+        chain=chain,
+        baths=tuple(baths),
+        bath_matrices=matrices,
+        covariance=gamma,
+        residual=residual,
+    )

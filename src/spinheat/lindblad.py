@@ -12,8 +12,12 @@ lowering operator) and its absorption rate (carried by the adjoint).
 
 The generator is built in two ways from those transitions:
 
-- The block route is the one the transport functions use.  It never forms
-  a d^2 x d^2 matrix.  Each style has a conserved charge q per basis
+- The block route is the transport route of the two-spin Ising zz chain,
+  whose sz sz coupling is quartic in Jordan-Wigner fermions.  The XY chain
+  is quadratic in them and takes the Gaussian route of the `gaussian`
+  module instead, which solves a 2n x 2n covariance in O(n^3); the block
+  route is its oracle in the tests.  The block route never forms a
+  d^2 x d^2 matrix.  Each style has a conserved charge q per basis
   state: in the global style the secular generator commutes with [H, .],
   so the charge is the energy (eigenstates grouped with the
   `DEGENERACY_TOL` rule of `global_jump_operators`); in the local style H
@@ -49,8 +53,8 @@ The generator is built in two ways from those transitions:
   number of points.
 - `assemble_liouvillian` builds the full d^2 x d^2 superoperator with
   Kronecker products from the same transitions and the same rate law.  It
-  is the oracle the tests and the acceptance checks compare the block
-  route against; nothing on the transport path calls it.
+  is the oracle the tests and the acceptance checks compare the block and
+  Gaussian routes against; nothing on the transport path calls it.
 
 Superoperators use column-stacking vectorization: vec(rho) stacks the
 columns of rho (numpy order='F'), so vec(A rho B) = (B^T kron A) vec(rho)
@@ -155,13 +159,12 @@ class Liouvillian:
 class PreparedOperator(NamedTuple):
     """One channel operator A in the d x d forms the block route uses.
 
-    `operator` is A in the original basis, `charge` is A in the charge
-    basis, `decay` is charge^dag charge, and `energy_rate` is
-    A^dag H A - {A^dag A, H}/2 in the original basis, whose expectation
-    value is the energy the channel feeds in at unit rate.
+    `charge` is A in the charge basis, `decay` is charge^dag charge, and
+    `energy_rate` is A^dag H A - {A^dag A, H}/2 in the original basis,
+    whose expectation value is the energy the channel feeds in at unit
+    rate.
     """
 
-    operator: np.ndarray
     charge: np.ndarray
     decay: np.ndarray
     energy_rate: np.ndarray
@@ -503,7 +506,7 @@ def _prepare(operator: np.ndarray, basis: np.ndarray, H: np.ndarray) -> Prepared
     operator_dag = operator.conj().T
     m = operator_dag @ operator
     energy_rate = operator_dag @ H @ operator - 0.5 * (m @ H + H @ m)
-    return PreparedOperator(operator, charge, charge.conj().T @ charge, energy_rate)
+    return PreparedOperator(charge, charge.conj().T @ charge, energy_rate)
 
 
 def _read_only(*arrays: np.ndarray) -> None:

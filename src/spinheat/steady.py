@@ -2,15 +2,18 @@
 
 Three solvers are provided.
 
-- `steady_state_block` is the route the transport functions use.  It takes
-  the SVD kernel of the b x b block generator of `lindblad.block_generator`,
-  the span of |i><j| with equal conserved charge.  That span is invariant
-  under the generator and holds both the steady state and the identity
-  (the module docstring of `lindblad` gives the argument for each
-  dissipator style), so the block's kernel holds every steady state the
-  full generator projects to.  The invariance is checked at run time: the
+- `steady_state_block` is the transport route of the Ising zz pair, which
+  is not quadratic in Jordan-Wigner fermions (the XY chain is, and takes
+  `gaussian.steady_state_gaussian`, with this route as its oracle).  It
+  takes the SVD kernel of the b x b block generator of
+  `lindblad.block_generator`, the span of |i><j| with equal conserved
+  charge.  That span is invariant under the generator and holds both the
+  steady state and the identity (the module docstring of `lindblad` gives
+  the argument for each dissipator style), so the block's kernel holds
+  every steady state the full generator projects to.  The invariance is checked at run time: the
   residual ||L[rho]|| is evaluated on the full d x d state in operator
-  form, with the chain's Hamiltonian and every channel that
+  form, in the charge basis (the Frobenius norm does not depend on the
+  basis), with the chain's Hamiltonian and every channel that
   `BlockGenerator.channels` yields (the rate and operator the block was
   assembled from), and a residual above `KERNEL_RTOL` times the block's
   largest singular value raises SteadyStateError.
@@ -174,14 +177,19 @@ def steady_state_nullspace(L: Liouvillian) -> SteadyState:
 
 
 def _apply_generator(G: BlockGenerator, rho: np.ndarray) -> np.ndarray:
-    """L[rho] = -i[H, rho] + sum_c g_c (A rho A^dag - {A^dag A, rho}/2), on d x d matrices."""
-    H = G.chain.hamiltonian
-    out = -1j * (H @ rho - rho @ H)
+    """L[rho] for a Hermitian rho in the charge basis, on d x d matrices.
+
+    With a the charge-basis form of each channel operator and
+    K = H - (i/2) sum_c g_c a^dag a, L[rho] = -i(K rho - rho K^dag)
+    + sum_c g_c a rho a^dag, and rho K^dag = (K rho)^dag.
+    """
+    k = G.chain.effective.copy()
+    jumps = np.zeros_like(rho)
     for _, rate, forms in G.channels():
-        a = forms.operator
-        m = a.conj().T @ a
-        out += rate * (a @ rho @ a.conj().T - 0.5 * (m @ rho + rho @ m))
-    return out
+        k -= 0.5j * rate * forms.decay
+        jumps += rate * (forms.charge @ rho @ forms.charge.conj().T)
+    k_rho = k @ rho
+    return -1j * (k_rho - k_rho.conj().T) + jumps
 
 
 def steady_state_block(G: BlockGenerator) -> SteadyState:
@@ -200,14 +208,13 @@ def steady_state_block(G: BlockGenerator) -> SteadyState:
     rho_block = np.zeros((d, d), dtype=complex)
     rho_block[chain.rows, chain.cols] = vec
     rho_block = _density_matrix(rho_block)
-    rho = chain.basis @ rho_block @ chain.basis.conj().T
-
-    residual = float(np.linalg.norm(_apply_generator(G, rho)))
+    residual = float(np.linalg.norm(_apply_generator(G, rho_block)))
     if residual > KERNEL_RTOL * s_max:
         raise SteadyStateError(
             f"steady state leaves the symmetry block: residual {residual:.3e} "
             f"exceeds {KERNEL_RTOL:.0e} x largest singular value {s_max:.3e}"
         )
+    rho = chain.basis @ rho_block @ chain.basis.conj().T
     vectors = chain.decomp.eigenvectors
     populations = np.real(np.diag(vectors.conj().T @ rho @ vectors))
     return SteadyState(

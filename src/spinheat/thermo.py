@@ -5,23 +5,33 @@ that bath's dissipator output, Tr{D_bath[rho] H}.  `heat_currents` reads it
 off the dense superoperator of each bath; `channel_heat_currents` writes
 it in operator form, sum_c g_c Tr(rho E_c) with the energy-rate matrix
 E_c = A^dag H A - {A^dag A, H}/2 of each channel, and credits each channel
-to the bath at its position in the generator's bath list.  The sign
-convention is anchored on the left reservoir (the bath on the lower
-site): `j_net` is the left input rate, so a positive value means heat
-flows from the left bath through the system into the right bath.
+to the bath at its position in the generator's bath list;
+`gaussian_heat_currents` writes it in the Majorana covariance of the XY
+chain (see the `gaussian` module docstring).  The sign convention is
+anchored on the left reservoir (the bath on the lower site): `j_net` is
+the left input rate, so a positive value means heat flows from the left
+bath through the system into the right bath.
 
-`steady_net_current` evaluates one point in two steps (see the `lindblad`
-module docstring).  The chain step, `lindblad.chain_operators`, depends
-only on the chain and the dissipator style: the Hamiltonian, its
-eigenbasis and Bohr frequencies, the jump operators and their d x d forms
-are the same at every temperature and kappa, so it is kept in a
+`steady_net_current` evaluates one point in two steps, a chain step that
+depends only on the chain and the dissipator style and a point step that
+takes the baths' temperatures and kappa into the rates of
+`lindblad.thermal_rates`.  Which route it takes depends on the model:
+
+- The XY chain is quadratic in Jordan-Wigner fermions and both styles'
+  jump operators are linear in them, so its steady state is fixed by the
+  2n x 2n Majorana covariance: `gaussian.gaussian_chain` is the chain
+  step, `gaussian.steady_state_gaussian` the point step, at O(n^3).
+- The Ising zz pair is not quadratic (sz sz is quartic in the fermions),
+  so it takes the charge block: `lindblad.chain_operators` is the chain
+  step, `lindblad.block_generator` and `steady.steady_state_block` the
+  point step.
+
+The block route and the dense `assemble_liouvillian` route are the
+Gaussian route's oracles in the tests.  The chain step is kept in a
 least-recently-used cache keyed by (SpinChainSpec, DissipatorStyle) and
-bounded at `_CHAIN_CACHE_SIZE` chains.  Only d x d matrices and index
-arrays are cached, all read-only, never a b x b block or anything a rate
-enters.  The point step, `lindblad.block_generator`, then takes the
-baths' temperatures and kappa into the rates of `lindblad.thermal_rates`
-and scales the cached operators, so a cached chain gives bit-identical
-currents.
+bounded at `_CHAIN_CACHE_SIZE` chains.  Only read-only arrays that no rate
+enters are cached, never a block generator or a covariance, so a cached
+chain gives bit-identical currents.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian import GaussianChain, GaussianState, gaussian_chain, steady_state_gaussian
 from .lindblad import (
     BathSpec,
     BlockGenerator,
@@ -43,13 +54,14 @@ from .lindblad import (
     unvectorize,
     vectorize,
 )
-from .spinops import HermitianOperator, SpinChainSpec, build_hamiltonian
+from .spinops import ChainModel, HermitianOperator, SpinChainSpec, build_hamiltonian
 from .steady import steady_state_block
 
 # Chains whose chain step stays cached.  fig2 interleaves four
 # (chain, style) pairs in every row; twice that leaves room for the two
-# styles of a "both" sweep next to them.  A 6-spin global chain step holds
-# about 6 MB, so the cache stays near 50 MB at the longest chain a run takes.
+# styles of a "both" sweep next to them.  The block route's entries are
+# Ising pairs (d = 4) and the Gaussian route's hold 2n x 2n arrays, so
+# each entry takes a few kB at most.
 _CHAIN_CACHE_SIZE = 8
 
 
@@ -121,6 +133,23 @@ def channel_heat_currents(generator: BlockGenerator, rho: np.ndarray) -> HeatCur
     return _balance(flows[left], flows[right])
 
 
+def gaussian_heat_currents(state: GaussianState) -> HeatCurrents:
+    """Input energy rates of the Gaussian route's baths.
+
+    With <H> = -(1/4) sum_ab A_ab Gamma_ab and the bath part of the
+    covariance's equation of motion, -2(Re M_k Gamma + Gamma Re M_k)
+    + 4 Im M_k, bath k feeds in sum_ab A_ab ((Re M_k Gamma + Gamma Re M_k)/2
+    - Im M_k)_ab.
+    """
+    left, right = _left_right(state.baths)
+    a, gamma = state.chain.majorana, state.covariance
+    flows = [
+        float(np.sum(a * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag)))
+        for m in state.bath_matrices
+    ]
+    return _balance(flows[left], flows[right])
+
+
 def current_from_cycle(delta: float, cycle_gamma: float) -> float:
     """Net current carried by the population cycle: -2 * delta * gamma.
 
@@ -131,11 +160,14 @@ def current_from_cycle(delta: float, cycle_gamma: float) -> float:
 
 
 @functools.lru_cache(maxsize=_CHAIN_CACHE_SIZE)
-def _chain(spec: SpinChainSpec, style: DissipatorStyle) -> ChainOperators:
-    """The chain step of the canonical two-bath arrangement."""
+def _chain(spec: SpinChainSpec, style: DissipatorStyle) -> GaussianChain | ChainOperators:
+    """The chain step of the canonical two-bath arrangement: Gaussian for
+    the XY chain, the charge block for the Ising pair."""
     # the chain step reads the baths' sites, style and local frequencies,
     # never their kappa or temperatures, so any admissible values do here
     baths = standard_baths(spec, 1.0, 0.0, 0.0, style)
+    if spec.model is ChainModel.XY_TRANSVERSE:
+        return gaussian_chain(spec, baths)
     return chain_operators(build_hamiltonian(spec), baths)
 
 
@@ -148,12 +180,15 @@ def steady_net_current(
 ) -> float:
     """Steady-state net current for the canonical two-bath arrangement.
 
-    Solved on the charge block: the cached chain step of (spec, style),
-    then the point step at these temperatures and kappa.  The dense
-    `assemble_liouvillian` route is its oracle in the tests.
+    The cached chain step of (spec, style), then the point step at these
+    temperatures and kappa: on the Majorana covariance for the XY chain,
+    on the charge block for the Ising pair (see the module docstring).
     """
     baths = standard_baths(spec, kappa, t_left, t_right, style)
-    generator = block_generator(_chain(spec, style), baths)
+    chain = _chain(spec, style)
+    if isinstance(chain, GaussianChain):
+        return gaussian_heat_currents(steady_state_gaussian(chain, baths)).j_net
+    generator = block_generator(chain, baths)
     state = steady_state_block(generator)
     return channel_heat_currents(generator, state.rho).j_net
 

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 import spinheat.lindblad as lindblad
 from spinheat import thermo
 from spinheat.experiments import run_fig3
+from spinheat.gaussian import steady_state_gaussian
 from spinheat.lindblad import (
     DissipatorStyle,
     assemble_liouvillian,
     block_generator,
+    chain_operators,
     standard_baths,
 )
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
@@ -85,16 +87,30 @@ def _cached_arrays(chain):
             yield from lowering + raising
 
 
-@pytest.mark.parametrize("style", DissipatorStyle)
-def test_cached_arrays_are_read_only(style):
-    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
-    steady_net_current(spec, 1.0, 2.0, 0.0, style)
-    chain = thermo._chain(spec, style)
-    arrays = list(_cached_arrays(chain))
-    assert len(arrays) > 10
+def _assert_read_only(arrays):
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
+
+
+@pytest.mark.parametrize("style", DissipatorStyle)
+def test_cached_arrays_are_read_only(style):
+    # the block route's chain step; the cache serves it to the Ising pair
+    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    chain = chain_operators(build_hamiltonian(spec), standard_baths(spec, 1.0, 2.0, 0.0, style))
+    arrays = list(_cached_arrays(chain))
+    assert len(arrays) > 10
+    _assert_read_only(arrays)
+
+
+@pytest.mark.parametrize("style", DissipatorStyle)
+def test_cached_gaussian_arrays_are_read_only(style):
+    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    steady_net_current(spec, 1.0, 2.0, 0.0, style)
+    chain = thermo._chain(spec, style)
+    arrays = [chain.majorana, *chain.frequencies, *chain.lowering]
+    assert len(arrays) == 5
+    _assert_read_only(arrays)
 
 
 def test_other_coupling_and_other_style_miss_the_cache():
@@ -170,11 +186,23 @@ def test_warm_chain_takes_replaced_rate_law(monkeypatch):
 
 def test_baths_must_couple_where_the_chain_step_did():
     spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
-    chain = thermo._chain(spec, DissipatorStyle.LOCAL)
     baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
+    chain = chain_operators(build_hamiltonian(spec), baths)
     block_generator(chain, baths)
     moved = [baths[0], replace(baths[1], site=1)]
     with pytest.raises(ValueError, match="couple"):
         block_generator(chain, moved)
     with pytest.raises(ValueError, match="couple"):
         block_generator(chain, [replace(baths[0], local_frequency=0.5), baths[1]])
+
+
+def test_baths_must_couple_where_the_gaussian_chain_step_did():
+    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    chain = thermo._chain(spec, DissipatorStyle.LOCAL)
+    baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
+    steady_state_gaussian(chain, baths)
+    moved = [baths[0], replace(baths[1], site=1)]
+    with pytest.raises(ValueError, match="couple"):
+        steady_state_gaussian(chain, moved)
+    with pytest.raises(ValueError, match="couple"):
+        steady_state_gaussian(chain, [replace(baths[0], local_frequency=0.5), baths[1]])

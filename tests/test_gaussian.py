@@ -1,0 +1,162 @@
+"""The Gaussian (Majorana covariance) route of the XY chain against the charge block."""
+
+import math
+
+import numpy as np
+import pytest
+
+import spinheat.lindblad as lindblad
+from spinheat import thermo
+from spinheat.gaussian import GaussianChain, gaussian_chain, steady_state_gaussian
+from spinheat.lindblad import (
+    ChainOperators,
+    DissipatorStyle,
+    block_generator,
+    chain_operators,
+    global_jump_operators,
+    standard_baths,
+)
+from spinheat.spinops import (
+    PAULI_X,
+    ChainModel,
+    HermitianOperator,
+    SpinChainSpec,
+    build_hamiltonian,
+    embed_matrix,
+    spectral_decompose,
+)
+from spinheat.steady import SteadyStateError, steady_state_block
+from spinheat.thermo import channel_heat_currents, gaussian_heat_currents
+
+GLOBAL, LOCAL = DissipatorStyle.GLOBAL, DissipatorStyle.LOCAL
+ROOT2 = math.sqrt(2.0)
+
+# (n_spins, delta / h, style, t_left, t_right), with h = 1.3 and kappa = 0.7
+CASES = (
+    # delta = 0: the middle sites are undamped, so X is singular
+    [(n, 0.0, style, tl, tr) for n in (3, 4) for style in (GLOBAL, LOCAL)
+     for tl, tr in ((2.0, 0.0), (0.5, 1.5))]
+    # delta = h: an eps = 0 mode with no jump operator (n = 5)
+    + [(n, 1.0, style, tl, tr) for n in (2, 5) for style in (GLOBAL, LOCAL)
+       for tl, tr in ((2.0, 0.0), (0.3, 3.0))]
+    # |eps| collisions of opposite sign: one jump operator mixes eta_k and
+    # eta_k'^dag, and the right bath's eta^dag part carries a minus sign
+    + [(n, ratio, style, tl, tr) for n, ratio in ((3, ROOT2), (4, 2.0), (5, 2.0))
+       for style in (GLOBAL, LOCAL) for tl, tr in ((2.0, 0.0), (1.0, 0.4), (0.0, 2.5))]
+    # generic couplings, a split far below every rate, and equal temperatures
+    + [(n, ratio, style, 1.5, 0.2) for n in (2, 3, 4, 5) for ratio in (1e-6, 0.3, 0.7)
+       for style in (GLOBAL, LOCAL)]
+    + [(n, 0.7, style, 1.0, 1.0) for n in (2, 5) for style in (GLOBAL, LOCAL)]
+    # a collision missed by 2.5e-9 h (see the grouping test below)
+    + [(3, ROOT2 + 2.5e-9 / ROOT2, GLOBAL, 2.0, 0.0)]
+    # six spins: each local block solve takes about a second
+    + [(6, ratio, GLOBAL, tl, tr) for ratio in (0.0, 1.0, 2.0)
+       for tl, tr in ((2.0, 0.0), (0.4, 3.0))]
+    + [(6, 1.0, LOCAL, 2.0, 0.0), (6, 2.0, LOCAL, 1.0, 0.4), (6, 0.0, LOCAL, 0.5, 1.5)]
+)
+H_FIELD, KAPPA = 1.3, 0.7
+
+
+def _case_id(case):
+    n, ratio, style, t_left, t_right = case
+    return f"xy{n}-{style.value}-d{ratio:.10g}h-TL{t_left}-TR{t_right}"
+
+
+def _spec(n, ratio):
+    return SpinChainSpec(n, H_FIELD, ratio * H_FIELD, ChainModel.XY_TRANSVERSE)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_gaussian_route_matches_block_route(case):
+    n, ratio, style, t_left, t_right = case
+    spec = _spec(n, ratio)
+    baths = standard_baths(spec, KAPPA, t_left, t_right, style)
+    state = steady_state_gaussian(gaussian_chain(spec, baths), baths)
+    gaussian = gaussian_heat_currents(state)
+    block = block_generator(chain_operators(build_hamiltonian(spec), baths), baths)
+    exact = channel_heat_currents(block, steady_state_block(block).rho)
+    pairs = ((gaussian.j_in_left, exact.j_in_left), (gaussian.j_in_right, exact.j_in_right))
+    for got, want in pairs:
+        assert abs(got - want) <= max(1e-10 * abs(want), 1e-12 * KAPPA)
+    assert np.max(np.abs(np.linalg.eigvalsh(1j * state.covariance))) <= 1.0 + 1e-10
+    assert state.residual <= 1e-10
+
+
+def _block_frequencies(spec, site):
+    decomp = spectral_decompose(build_hamiltonian(spec))
+    coupling = HermitianOperator(embed_matrix(PAULI_X, site, spec.n_spins))
+    return [jump.frequency for jump in global_jump_operators(decomp, coupling)]
+
+
+@pytest.mark.parametrize(
+    "n, ratio",
+    [(2, 1e-6), (2, 1.0), (3, 0.0), (3, ROOT2), (4, 2.0), (5, 1.0), (5, 2.0)],
+)
+def test_modes_are_grouped_like_the_eigenbasis_jumps(n, ratio):
+    spec = _spec(n, ratio)
+    chain = gaussian_chain(spec, standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
+    for site, frequencies in zip((0, n - 1), chain.frequencies):
+        np.testing.assert_allclose(frequencies, _block_frequencies(spec, site), rtol=1e-12)
+
+
+def test_grouping_scales_by_the_largest_many_body_energy():
+    # three spins at delta = sqrt(2) h + eta: eps = h + sqrt(2) delta, h and
+    # h - sqrt(2) delta, so |eps_3| misses eps_2 by sqrt(2) eta = 2.5e-9 h.
+    # The tolerance 1e-9 * sum|eps|/2 (about 2e-9 h, the largest |E| of the
+    # chain) keeps them apart, as the eigenbasis jumps do; one scaled by
+    # max|eps| (about 3e-9 h) would merge them
+    spec = _spec(3, ROOT2 + 2.5e-9 / ROOT2)
+    chain = gaussian_chain(spec, standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
+    assert [len(frequencies) for frequencies in chain.frequencies] == [3, 3]
+    for site, frequencies in zip((0, 2), chain.frequencies):
+        np.testing.assert_allclose(frequencies, _block_frequencies(spec, site), rtol=1e-12)
+
+
+def test_zero_modes_carry_no_jump_operator():
+    # delta = h on five spins: eps = h (1 + 2 cos(k pi / 6)) vanishes at k = 4
+    spec = _spec(5, 1.0)
+    chain = gaussian_chain(spec, standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
+    assert [len(frequencies) for frequencies in chain.frequencies] == [4, 4]
+    assert min(chain.frequencies[0]) > 0.5
+
+
+def test_baths_off_the_chain_ends_are_refused():
+    spec = _spec(4, 0.5)
+    baths = standard_baths(spec, 1.0, 1.0, 0.0, LOCAL)
+    baths[1] = lindblad.BathSpec(2, 0.0, 1.0, LOCAL, H_FIELD)
+    with pytest.raises(ValueError, match="not an end"):
+        gaussian_chain(spec, baths)
+
+
+def test_ising_pair_is_refused():
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
+    with pytest.raises(ValueError, match="quadratic"):
+        gaussian_chain(spec, standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
+
+
+def test_the_transport_route_is_chosen_by_the_model():
+    xy = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
+    ising = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
+    for style in DissipatorStyle:
+        assert isinstance(thermo._chain(xy, style), GaussianChain)
+        assert isinstance(thermo._chain(ising, style), ChainOperators)
+
+
+def _with_rates(monkeypatch, rates):
+    monkeypatch.setattr(lindblad, "thermal_rates", lambda bath, frequency: rates)
+    spec = _spec(2, 0.0)
+    baths = standard_baths(spec, 1.0, 1.0, 0.0, LOCAL)
+    return steady_state_gaussian(gaussian_chain(spec, baths), baths)
+
+
+def test_unphysical_covariance_raises(monkeypatch):
+    # a negative absorption rate drives the occupation to a/(e + a) = -1
+    with pytest.raises(SteadyStateError, match="not physical"):
+        _with_rates(monkeypatch, (1.0, -0.5))
+
+
+def test_lyapunov_residual_guard_raises(monkeypatch):
+    # opposite rates cancel the damping but leave a source on the undamped
+    # modes, so no covariance solves the equation
+    with pytest.raises(SteadyStateError, match="residual"):
+        _with_rates(monkeypatch, (1.0, -1.0))

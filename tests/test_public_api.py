@@ -1,5 +1,9 @@
 """The names the package exports, and the ones the benchmark imports."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import spinheat
@@ -33,3 +37,17 @@ def test_benchmark_names_stay_exported(name):
 def test_experiments_module_is_reachable():
     assert spinheat.experiments.run_fig3 is spinheat.run_fig3
 
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.linalg costs about 0.25 s on top of numpy, which the
+    # benchmark's set-up time would show
+    src = Path(spinheat.__file__).resolve().parents[1]
+    code = (
+        "import sys, spinheat; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
