@@ -24,12 +24,12 @@ from .lindblad import (
     JumpOperator,
     Liouvillian,
     assemble_liouvillian,
+    bath_dissipator,
+    bath_transitions,
     block_generator,
     bose_einstein,
     chain_operators,
-    global_dissipator,
     global_jump_operators,
-    local_dissipator,
     standard_baths,
     thermal_rates,
 )
@@ -89,6 +89,8 @@ __all__ = [
     "SteadyStateError",
     "SweepConfig",
     "assemble_liouvillian",
+    "bath_dissipator",
+    "bath_transitions",
     "block_generator",
     "bose_einstein",
     "build_hamiltonian",
@@ -99,10 +101,8 @@ __all__ = [
     "embed",
     "gaussian_chain",
     "gaussian_heat_currents",
-    "global_dissipator",
     "global_jump_operators",
     "heat_currents",
-    "local_dissipator",
     "pauli",
     "rectification",
     "run_acceptance",

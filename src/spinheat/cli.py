@@ -1,8 +1,9 @@
 """Command-line interface for the sweep and acceptance runners.
 
-Exit codes: 0 on success, 1 when an acceptance criterion fails or output
-cannot be written, 2 on bad arguments or a configuration file that cannot
-be read or is invalid.
+Exit codes: 0 on success, 1 when an acceptance criterion fails, output
+cannot be written or the solver fails on a point (the message names the
+point), 2 on bad arguments or a configuration file that cannot be read or
+is invalid.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .experiments import (
     run_sweep,
     run_xy_comparison,
 )
+from .steady import SteadyStateError
 
 
 def _positive_float(text: str) -> float:
@@ -118,6 +120,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
+        return 1
+    except SteadyStateError as err:
+        print(f"solver error: {err}", file=sys.stderr)
         return 1
     return 0
 

@@ -36,11 +36,12 @@ from .lindblad import (
 )
 from .spinops import ChainModel, SpinChainSpec, build_hamiltonian, spectral_decompose
 from .steady import (
+    SteadyStateError,
     cross_validate,
     steady_state_nullspace,
     steady_state_rate_equations,
 )
-from .thermo import current_from_cycle, heat_currents, steady_net_current
+from .thermo import current_from_cycle, heat_currents, rectification, steady_net_current
 
 UNITS_COMMENT = "# hbar=1, kB=1, energies in units of h"
 
@@ -332,7 +333,10 @@ class _Curve:
 
 
 def _cell(x_name: str, kappa: float, curve: _Curve, x: float) -> float | None:
-    """Net current of one curve at one x; None where a bath would drop below zero temperature."""
+    """Net current of one curve at one x; None where a bath would drop below zero temperature.
+
+    A SteadyStateError is raised again with the curve's name and x.
+    """
     spec, t_left, t_right = curve.spec, curve.t_left, curve.t_right
     if x_name == "T_L":
         t_left = x
@@ -342,7 +346,10 @@ def _cell(x_name: str, kappa: float, curve: _Curve, x: float) -> float | None:
         t_left, t_right = curve.t_mean + 0.5 * x, curve.t_mean - 0.5 * x
         if t_left < 0 or t_right < 0:
             return None
-    return steady_net_current(spec, kappa, t_left, t_right, curve.style)
+    try:
+        return steady_net_current(spec, kappa, t_left, t_right, curve.style)
+    except SteadyStateError as err:
+        raise SteadyStateError(f"{curve.name} at {x_name} = {x:.15g}: {err}") from err
 
 
 def _row(x_name: str, kappa: float, curves: Sequence[_Curve], x: float) -> tuple:
@@ -544,10 +551,9 @@ def _check_optimal_rectification() -> tuple[str, str, str, bool]:
     least_forward = np.inf
     for delta in (0.1, 0.3, 0.5, 0.9):
         spec = SpinChainSpec(2, 1.0, delta, ChainModel.ISING_ZZ)
-        reverse = steady_net_current(spec, 1.0, 0.0, 10.0, DissipatorStyle.GLOBAL)
-        forward = steady_net_current(spec, 1.0, 10.0, 0.0, DissipatorStyle.GLOBAL)
-        worst_reverse = max(worst_reverse, abs(reverse))
-        least_forward = min(least_forward, forward)
+        report = rectification(spec, 1.0, 10.0, 0.0, DissipatorStyle.GLOBAL)
+        worst_reverse = max(worst_reverse, abs(report.j_reverse))
+        least_forward = min(least_forward, report.j_forward)
     passed = worst_reverse < 1e-12 and least_forward > 1e-3
     return (
         "cold-left |J| = 0, swapped J > 0",
@@ -595,14 +601,14 @@ def _check_reverse_leakage_ratio() -> tuple[str, str, str, bool]:
     """
     h, delta, kappa, t_cold, t_hot = 1.0, 0.3, 1.0, 0.1, 10.0
     spec = SpinChainSpec(2, h, delta, ChainModel.ISING_ZZ)
-    reverse = steady_net_current(spec, kappa, t_cold, t_hot, DissipatorStyle.GLOBAL)
-    forward = steady_net_current(spec, kappa, t_hot, t_cold, DissipatorStyle.GLOBAL)
+    report = rectification(spec, kappa, t_hot, t_cold, DissipatorStyle.GLOBAL)
+    reverse = abs(report.j_reverse)
     bound = 2.0 * delta * kappa * (h - delta) / math.expm1((h - delta) / t_cold)
     return (
         "|J(0.1h,10h)| <= cold-link bound B",
-        f"|J_rev|/B {abs(reverse) / bound:.2f}, |J_rev|/J_fwd {abs(reverse) / forward:.2e}",
+        f"|J_rev|/B {reverse / bound:.2f}, |J_rev|/J_fwd {reverse / report.j_forward:.2e}",
         f"|J_rev| <= B = {bound:.2e}",
-        abs(reverse) <= bound,
+        reverse <= bound,
     )
 
 
@@ -647,7 +653,7 @@ def _check_equilibrium_gibbs_state() -> tuple[str, str, str, bool]:
     worst_current = 0.0
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     H = build_hamiltonian(spec)
-    decomp = spectral_decompose(H, spec)
+    decomp = spectral_decompose(H)
     for t in (0.2, 1.0, 5.0):
         baths = standard_baths(spec, 1.0, t, t, DissipatorStyle.GLOBAL)
         liouvillian = assemble_liouvillian(H, baths)
@@ -656,7 +662,7 @@ def _check_equilibrium_gibbs_state() -> tuple[str, str, str, bool]:
         gibbs_eig = np.diag(weights / weights.sum()).astype(complex)
         gibbs = decomp.eigenvectors @ gibbs_eig @ decomp.eigenvectors.conj().T
         worst_state = max(worst_state, float(np.max(np.abs(state.rho - gibbs))))
-        worst_current = max(worst_current, abs(heat_currents(liouvillian, state.rho, H).j_net))
+        worst_current = max(worst_current, abs(heat_currents(liouvillian, state.rho).j_net))
     passed = worst_state <= 1e-8 and worst_current < 1e-12
     return (
         "equal temperatures give Gibbs",

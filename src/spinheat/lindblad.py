@@ -6,9 +6,11 @@ sees the true transition frequencies of the interacting system.  The
 "local" style damps a single spin with its bare raising/lowering operators
 at a fixed frequency, ignoring the inter-spin coupling.  The styles differ
 only in which transitions, (frequency, lowering operator) pairs, each bath
-sees.  Both take their rates from one ohmic rate law, `thermal_rates`,
-which gives the emission rate of a bath at a frequency (carried by the
-lowering operator) and its absorption rate (carried by the adjoint).
+sees, and `bath_transitions` is the one place that decides them for both
+matrix routes below.  Both take their rates from one ohmic rate law,
+`thermal_rates`, which gives the emission rate of a bath at a frequency
+(carried by the lowering operator) and its absorption rate (carried by the
+adjoint).
 
 The generator is built in two ways from those transitions:
 
@@ -39,12 +41,12 @@ The generator is built in two ways from those transitions:
   It is built in two steps.  The chain step, `chain_operators`, holds
   everything that does not depend on the baths' temperatures or kappa: H,
   its spectral decomposition, the charge basis, the block's index arrays,
-  and each bath's transitions, each with the d x d forms of its lowering
-  and raising operator (A in the charge basis, A^dag A there, and the
-  energy rate A^dag H A - {A^dag A, H}/2).  None of these depend on
-  temperature because the eigenbasis, the Bohr frequencies and the
-  operators are properties of the chain and of where each bath couples; a
-  bath's temperature and kappa enter only through the rates.  The point
+  and each bath's transitions from `bath_transitions`, each with the d x d
+  forms of its lowering and raising operator (A in the charge basis,
+  A^dag A there, and the energy rate A^dag H A - {A^dag A, H}/2).  None of
+  these depend on temperature because the eigenbasis, the Bohr frequencies
+  and the operators are properties of the chain and of where each bath
+  couples; a bath's temperature and kappa enter only through the rates.  The point
   step, `block_generator`, calls `thermal_rates` once per transition and
   scales the prepared forms.  `BlockGenerator.channels` walks the channels
   in one order (bath, transition, emission then absorption), which the
@@ -52,9 +54,10 @@ The generator is built in two ways from those transitions:
   The chain step's arrays are read-only, so one chain step can serve any
   number of points.
 - `assemble_liouvillian` builds the full d^2 x d^2 superoperator with
-  Kronecker products from the same transitions and the same rate law.  It
-  is the oracle the tests and the acceptance checks compare the block and
-  Gaussian routes against; nothing on the transport path calls it.
+  Kronecker products, one `bath_dissipator` per bath, from the same
+  transitions and the same rate law.  It is the oracle the tests and the
+  acceptance checks compare the block and Gaussian routes against; nothing
+  on the transport path calls it.
 
 Superoperators use column-stacking vectorization: vec(rho) stacks the
 columns of rho (numpy order='F'), so vec(A rho B) = (B^T kron A) vec(rho)
@@ -382,48 +385,34 @@ def thermal_rates(bath: BathSpec, frequency: float) -> tuple[float, float]:
     return rate, rate
 
 
-def _thermal_superoperator(
-    bath: BathSpec, transitions: list[tuple[float, np.ndarray]], dim: int
-) -> np.ndarray:
+def bath_transitions(
+    decomp: SpectralDecomposition, bath: BathSpec
+) -> list[tuple[float, np.ndarray]]:
+    """The (frequency, lowering operator) pairs one bath drives.
+
+    Global style: the eigenbasis jump operators of sigma^x on the bath's
+    site (`global_jump_operators`).  Local style: sigma^- on that site at
+    the bath's local frequency.  The chain length is read off `decomp`.
+    """
+    n_spins = decomp.dim.bit_length() - 1
+    if bath.style is DissipatorStyle.GLOBAL:
+        coupling = HermitianOperator(embed_matrix(PAULI_X, bath.site, n_spins))
+        return [(jump.frequency, jump.matrix) for jump in global_jump_operators(decomp, coupling)]
+    return [(bath.local_frequency, embed_matrix(LOWERING, bath.site, n_spins))]
+
+
+def bath_dissipator(decomp: SpectralDecomposition, bath: BathSpec) -> np.ndarray:
     """The dense dissipator of one bath: emission through each lowering
-    operator, absorption through its adjoint, at the rates of `thermal_rates`."""
+    operator of `bath_transitions`, absorption through its adjoint, at the
+    rates of `thermal_rates`.  A bath that drives no transition gives the
+    zero superoperator."""
+    dim = decomp.dim
     part = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for frequency, lowering in transitions:
+    for frequency, lowering in bath_transitions(decomp, bath):
         emission, absorption = thermal_rates(bath, frequency)
         part += emission * dissipation_superoperator(lowering)
         part += absorption * dissipation_superoperator(lowering.conj().T)
     return part
-
-
-def global_dissipator(
-    jumps: list[JumpOperator], bath: BathSpec, dim: int | None = None
-) -> np.ndarray:
-    """Thermal dissipator built from eigenbasis jump operators.
-
-    Each jump at frequency w emits and absorbs at the rates of
-    `thermal_rates`.  An empty jump list yields the zero superoperator (the
-    coupling drives no transition at all), in which case `dim` must be
-    given.
-    """
-    if bath.style is not DissipatorStyle.GLOBAL:
-        raise ValueError("global_dissipator requires a bath with global style")
-    if jumps:
-        dim = jumps[0].matrix.shape[0]
-    elif dim is None:
-        raise ValueError("dim is required when there are no jump operators")
-    return _thermal_superoperator(bath, [(jump.frequency, jump.matrix) for jump in jumps], dim)
-
-
-def local_dissipator(site: int, n_spins: int, bath: BathSpec) -> np.ndarray:
-    """Single-spin thermal dissipator with bare lowering/raising operators.
-
-    The rates are those of `thermal_rates` at the bath's local frequency
-    nu, including its nu = 0 limit.
-    """
-    if bath.style is not DissipatorStyle.LOCAL:
-        raise ValueError("local_dissipator requires a bath with local style")
-    lowering = embed_matrix(LOWERING, site, n_spins)
-    return _thermal_superoperator(bath, [(bath.local_frequency, lowering)], 2**n_spins)
 
 
 def standard_baths(
@@ -473,25 +462,14 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
     from its own dissipator alone.  This dense route is the oracle for
     `block_generator`.
     """
-    n_spins = _chain_length(H, baths)
-    d = H.dim
-
-    decomp = None
-    parts = []
-    for bath in baths:
-        if bath.style is DissipatorStyle.GLOBAL:
-            if decomp is None:
-                decomp = spectral_decompose(H)
-            coupling = HermitianOperator(embed_matrix(PAULI_X, bath.site, n_spins))
-            jumps = global_jump_operators(decomp, coupling)
-            parts.append(global_dissipator(jumps, bath, dim=d))
-        else:
-            parts.append(local_dissipator(bath.site, n_spins, bath))
+    _chain_length(H, baths)
+    decomp = spectral_decompose(H)
+    parts = [bath_dissipator(decomp, bath) for bath in baths]
 
     h_part = hamiltonian_superoperator(H.matrix)
     matrix = h_part + sum(parts)
     return Liouvillian(
-        dim=d,
+        dim=H.dim,
         matrix=matrix,
         h_part=h_part,
         bath_parts=tuple(parts),
@@ -535,19 +513,10 @@ def chain_operators(H: HermitianOperator, baths: list[BathSpec]) -> ChainOperato
     if styles == {DissipatorStyle.GLOBAL}:
         basis = decomp.eigenvectors
         charges = energy_charges(decomp.energies)
-        transitions = []
-        for bath in baths:
-            coupling = HermitianOperator(embed_matrix(PAULI_X, bath.site, n_spins))
-            jumps = global_jump_operators(decomp, coupling)
-            transitions.append(tuple((jump.frequency, jump.matrix) for jump in jumps))
     else:
         basis = np.eye(d, dtype=complex)
         # basis index bit 0 is an up spin (see spinops), so this counts up spins
         charges = np.array([n_spins - bin(i).count("1") for i in range(d)])
-        transitions = [
-            ((bath.local_frequency, embed_matrix(LOWERING, bath.site, n_spins)),)
-            for bath in baths
-        ]
 
     hamiltonian = H.matrix.copy()
     rows, cols = np.nonzero(charges[:, None] == charges[None, :])
@@ -558,17 +527,17 @@ def chain_operators(H: HermitianOperator, baths: list[BathSpec]) -> ChainOperato
                 _prepare(lowering, basis, hamiltonian),
                 _prepare(lowering.conj().T, basis, hamiltonian),
             )
-            for frequency, lowering in bath_transitions
+            for frequency, lowering in bath_transitions(decomp, bath)
         )
-        for bath_transitions in transitions
+        for bath in baths
     )
     effective = basis.conj().T @ hamiltonian @ basis
     _read_only(hamiltonian, decomp.energies, decomp.eigenvectors, basis, rows, cols, effective)
     _read_only(
         *(
             array
-            for bath_transitions in prepared
-            for _, lowering, raising in bath_transitions
+            for transitions in prepared
+            for _, lowering, raising in transitions
             for array in lowering + raising
         )
     )

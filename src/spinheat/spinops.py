@@ -80,15 +80,11 @@ class SpinChainSpec:
 class SpectralDecomposition:
     """Eigen-decomposition with energies ascending.
 
-    ``eigenvectors[:, k]`` belongs to ``energies[k]``.  ``labels``, when
-    present, names each eigenstate by its product ket (e.g. "du" for
-    left-down/right-up); it is attached only for the two-spin Ising chain
-    with 0 < delta < h, where the ordering is parameter independent.
+    ``eigenvectors[:, k]`` belongs to ``energies[k]``.
     """
 
     energies: np.ndarray
     eigenvectors: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -147,41 +143,19 @@ def build_hamiltonian(spec: SpinChainSpec) -> HermitianOperator:
     return HermitianOperator(m)
 
 
-def _basis_ket(index: int, n_spins: int) -> str:
-    bits = format(index, f"0{n_spins}b")
-    return "".join("u" if b == "0" else "d" for b in bits)
-
-
-def spectral_decompose(
-    H: HermitianOperator, chain_spec: SpinChainSpec | None = None
-) -> SpectralDecomposition:
+def spectral_decompose(H: HermitianOperator) -> SpectralDecomposition:
     """Diagonalize H with energies ascending.
 
     Diagonal matrices are sorted with a stable tie-break on the basis index
-    so that degenerate spectra come out deterministically.  For the Ising
-    chain with 0 < delta < h the product-ket labels of the eigenstates are
-    attached; outside that regime labels are omitted.
+    so that degenerate spectra come out deterministically.
     """
     m = H.matrix
-    d = H.dim
     offdiag = m - np.diag(np.diag(m))
     if m.size == 0 or np.max(np.abs(offdiag)) <= _DIAGONAL_ATOL:
         diag = np.real(np.diag(m))
         order = np.argsort(diag, kind="stable")
-        energies = diag[order]
-        vectors = np.eye(d, dtype=complex)[:, order]
-        basis_of_eigen = order
-    else:
-        energies, vectors = np.linalg.eigh(m)
-        basis_of_eigen = None
-
-    labels = None
-    if (
-        chain_spec is not None
-        and chain_spec.model is ChainModel.ISING_ZZ
-        and 0 < chain_spec.coupling_delta < chain_spec.field_h
-        and basis_of_eigen is not None
-    ):
-        labels = tuple(_basis_ket(int(b), chain_spec.n_spins) for b in basis_of_eigen)
-
-    return SpectralDecomposition(energies=energies, eigenvectors=vectors, labels=labels)
+        return SpectralDecomposition(
+            energies=diag[order], eigenvectors=np.eye(H.dim, dtype=complex)[:, order]
+        )
+    energies, vectors = np.linalg.eigh(m)
+    return SpectralDecomposition(energies=energies, eigenvectors=vectors)

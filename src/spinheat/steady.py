@@ -64,6 +64,11 @@ KERNEL_RTOL = 1e-9
 
 _MIN_EIGENVALUE = -1e-10
 
+# `cross_validate` bounds: largest eigenbasis population deviation between
+# the two routes, and largest eigenbasis coherence of the null-space state.
+POPULATION_TOL = 1e-8
+COHERENCE_TOL = 1e-10
+
 
 class SteadyStateError(RuntimeError):
     """The Liouvillian kernel could not be extracted as a valid state."""
@@ -284,19 +289,13 @@ def steady_state_rate_equations(
 
 
 def cross_validate(
-    h: float,
-    delta: float,
-    kappa: float,
-    t_left: float,
-    t_right: float,
-    population_tol: float = 1e-8,
-    coherence_tol: float = 1e-10,
+    h: float, delta: float, kappa: float, t_left: float, t_right: float
 ) -> CrossCheckReport:
     """Check the null-space and rate-equation routes against each other.
 
     Raises CrossValidationError if the eigenbasis populations differ by
-    more than `population_tol` or if the null-space solution carries
-    eigenbasis coherences above `coherence_tol`.
+    more than `POPULATION_TOL` or if the null-space solution carries
+    eigenbasis coherences above `COHERENCE_TOL`.
     """
     spec = SpinChainSpec(2, h, delta, ChainModel.ISING_ZZ)
     H = build_hamiltonian(spec)
@@ -304,18 +303,18 @@ def cross_validate(
     state = steady_state_nullspace(assemble_liouvillian(H, baths))
     populations, _ = steady_state_rate_equations(h, delta, kappa, t_left, t_right)
 
-    decomp = spectral_decompose(H, spec)
+    decomp = spectral_decompose(H)
     rho_eig = decomp.eigenvectors.conj().T @ state.rho @ decomp.eigenvectors
     coherence_max = float(np.max(np.abs(rho_eig - np.diag(np.diag(rho_eig)))))
     population_deviation = float(np.max(np.abs(state.populations - populations)))
 
-    if population_deviation > population_tol:
+    if population_deviation > POPULATION_TOL:
         raise CrossValidationError(
-            f"population deviation {population_deviation:.3e} exceeds {population_tol:.1e}"
+            f"population deviation {population_deviation:.3e} exceeds {POPULATION_TOL:.1e}"
         )
-    if coherence_max > coherence_tol:
+    if coherence_max > COHERENCE_TOL:
         raise CrossValidationError(
-            f"steady-state coherence {coherence_max:.3e} exceeds {coherence_tol:.1e}"
+            f"steady-state coherence {coherence_max:.3e} exceeds {COHERENCE_TOL:.1e}"
         )
     return CrossCheckReport(
         population_deviation=population_deviation, coherence_max=coherence_max

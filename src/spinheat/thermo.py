@@ -1,9 +1,10 @@
 """Heat currents and rectification diagnostics.
 
 The current entering the system from a bath is the energy expectation of
-that bath's dissipator output, Tr{D_bath[rho] H}.  `heat_currents` reads it
-off the dense superoperator of each bath; `channel_heat_currents` writes
-it in operator form, sum_c g_c Tr(rho E_c) with the energy-rate matrix
+that bath's dissipator output, Tr{D_bath[rho] H}.  `heat_currents(L, rho)`
+reads it off the dense superoperator of each bath, with the Hamiltonian
+that `L` holds; `channel_heat_currents` writes it in operator form,
+sum_c g_c Tr(rho E_c) with the energy-rate matrix
 E_c = A^dag H A - {A^dag A, H}/2 of each channel, and credits each channel
 to the bath at its position in the generator's bath list;
 `gaussian_heat_currents` writes it in the Majorana covariance of the XY
@@ -54,7 +55,7 @@ from .lindblad import (
     unvectorize,
     vectorize,
 )
-from .spinops import ChainModel, HermitianOperator, SpinChainSpec, build_hamiltonian
+from .spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from .steady import steady_state_block
 
 # Chains whose chain step stays cached.  fig2 interleaves four
@@ -113,14 +114,15 @@ def _balance(j_left: float, j_right: float) -> HeatCurrents:
     )
 
 
-def heat_currents(L: Liouvillian, rho: np.ndarray, H: HermitianOperator) -> HeatCurrents:
-    """Input energy rates from the two reservoirs of a transport setup."""
-    if H.dim != L.dim or rho.shape != (L.dim, L.dim):
-        raise ValueError("dimension mismatch between Liouvillian, state and Hamiltonian")
+def heat_currents(L: Liouvillian, rho: np.ndarray) -> HeatCurrents:
+    """Input energy rates from the two reservoirs of a transport setup,
+    measured with the Hamiltonian `L` was built from."""
+    if rho.shape != (L.dim, L.dim):
+        raise ValueError("dimension mismatch between Liouvillian and state")
     left, right = _left_right(L.baths)
     return _balance(
-        _bath_current(L.bath_parts[left], rho, H.matrix),
-        _bath_current(L.bath_parts[right], rho, H.matrix),
+        _bath_current(L.bath_parts[left], rho, L.hamiltonian),
+        _bath_current(L.bath_parts[right], rho, L.hamiltonian),
     )
 
 

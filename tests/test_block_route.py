@@ -67,7 +67,7 @@ def _both_routes(spec, kappa, t_left, t_right, style):
     dense_state = steady_state_nullspace(dense)
     block = block_generator(chain_operators(H, baths), baths)
     block_state = steady_state_block(block)
-    j_dense = heat_currents(dense, dense_state.rho, H)
+    j_dense = heat_currents(dense, dense_state.rho)
     j_block = channel_heat_currents(block, block_state.rho)
     return dense_state, j_dense, block_state, j_block
 
@@ -106,7 +106,7 @@ def test_currents_follow_the_bath_order(style):
     H = build_hamiltonian(spec)
     baths = standard_baths(spec, 1.0, 2.0, 0.3, style)[::-1]
     dense = assemble_liouvillian(H, baths)
-    j_dense = heat_currents(dense, steady_state_nullspace(dense).rho, H)
+    j_dense = heat_currents(dense, steady_state_nullspace(dense).rho)
     block = block_generator(chain_operators(H, baths), baths)
     j_block = channel_heat_currents(block, steady_state_block(block).rho)
     assert j_dense.j_in_left > 1e-3

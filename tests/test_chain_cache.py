@@ -46,7 +46,7 @@ temperatures = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
 def _dense_current(spec, kappa, t_left, t_right, style):
     H = build_hamiltonian(spec)
     L = assemble_liouvillian(H, standard_baths(spec, kappa, t_left, t_right, style))
-    return heat_currents(L, steady_state_nullspace(L).rho, H).j_net
+    return heat_currents(L, steady_state_nullspace(L).rho).j_net
 
 
 def _cold(spec, kappa, t_left, t_right, style):

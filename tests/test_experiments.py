@@ -330,6 +330,23 @@ class TestCommandLine:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_solver_failure_names_the_point(self, tmp_path, capsys, monkeypatch):
+        # a negative absorption rate drives the occupation to -1, which the
+        # Gaussian route's covariance guard refuses at every point
+        monkeypatch.setattr(lindblad, "thermal_rates", lambda bath, frequency: (1.0, -0.5))
+        config = tmp_path / "xy.cfg"
+        config.write_text(
+            "model = xy\ndelta = 0.0\nstyle = local\nsweep = temperature\n"
+            "start = 0.25\nstop = 2.0\npoints = 2\nt_right = 0.0\n"
+        )
+        out = tmp_path / "out"
+        status = cli.main(["sweep", "--config", str(config), "--out", str(out), "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("solver error: J_local at T_L = 0.25: covariance not physical")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_non_finite_kappa_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["fig2", "--kappa", "inf", "--out", str(tmp_path)])

@@ -1,12 +1,13 @@
 """The Gaussian (Majorana covariance) route of the XY chain against the charge block."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import spinheat.lindblad as lindblad
-from spinheat import thermo
+from spinheat import gaussian, thermo
 from spinheat.gaussian import GaussianChain, gaussian_chain, steady_state_gaussian
 from spinheat.lindblad import (
     ChainOperators,
@@ -27,6 +28,8 @@ from spinheat.spinops import (
 )
 from spinheat.steady import SteadyStateError, steady_state_block
 from spinheat.thermo import channel_heat_currents, gaussian_heat_currents
+
+from test_chain_cache import _dense_current
 
 GLOBAL, LOCAL = DissipatorStyle.GLOBAL, DissipatorStyle.LOCAL
 ROOT2 = math.sqrt(2.0)
@@ -66,20 +69,61 @@ def _spec(n, ratio):
     return SpinChainSpec(n, H_FIELD, ratio * H_FIELD, ChainModel.XY_TRANSVERSE)
 
 
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_gaussian_route_matches_block_route(case):
+@functools.lru_cache(maxsize=None)
+def _block_currents(case):
+    n, ratio, style, t_left, t_right = case
+    spec = _spec(n, ratio)
+    baths = standard_baths(spec, KAPPA, t_left, t_right, style)
+    block = block_generator(chain_operators(build_hamiltonian(spec), baths), baths)
+    return channel_heat_currents(block, steady_state_block(block).rho)
+
+
+def _assert_matches_block_route(case):
     n, ratio, style, t_left, t_right = case
     spec = _spec(n, ratio)
     baths = standard_baths(spec, KAPPA, t_left, t_right, style)
     state = steady_state_gaussian(gaussian_chain(spec, baths), baths)
-    gaussian = gaussian_heat_currents(state)
-    block = block_generator(chain_operators(build_hamiltonian(spec), baths), baths)
-    exact = channel_heat_currents(block, steady_state_block(block).rho)
-    pairs = ((gaussian.j_in_left, exact.j_in_left), (gaussian.j_in_right, exact.j_in_right))
+    currents = gaussian_heat_currents(state)
+    exact = _block_currents(case)
+    pairs = ((currents.j_in_left, exact.j_in_left), (currents.j_in_right, exact.j_in_right))
     for got, want in pairs:
         assert abs(got - want) <= max(1e-10 * abs(want), 1e-12 * KAPPA)
     assert np.max(np.abs(np.linalg.eigvalsh(1j * state.covariance))) <= 1.0 + 1e-10
     assert state.residual <= 1e-10
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_gaussian_route_matches_block_route(case):
+    _assert_matches_block_route(case)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_kronecker_solve_matches_block_route(case, monkeypatch):
+    # an eigenvector solution of NaNs misses every bound, so the Kronecker
+    # solve carries each case alone, undamped modes included
+    calls = []
+    kronecker = gaussian._lyapunov_kronecker
+
+    def counted(x, source):
+        calls.append(1)
+        return kronecker(x, source)
+
+    monkeypatch.setattr(gaussian, "_lyapunov_eig", lambda x, source: np.full_like(x, np.nan))
+    monkeypatch.setattr(gaussian, "_lyapunov_kronecker", counted)
+    _assert_matches_block_route(case)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.0 - 1e-9, 1.0 + 1e-9])
+def test_exceptional_point_matches_dense_oracle(factor):
+    # two local baths at h = 1, delta = 0.5, kappa = 1, T_R = 0: X is
+    # defective where n_BE(h, T_L) = 1, and its eigenvectors nearly so
+    # around it
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
+    t_left = factor / math.log(2.0)
+    dense = _dense_current(spec, 1.0, t_left, 0.0, LOCAL)
+    assert dense == pytest.approx(0.0625, abs=1e-9)
+    assert abs(thermo.steady_net_current(spec, 1.0, t_left, 0.0, LOCAL) - dense) <= 1e-10
 
 
 def _block_frequencies(spec, site):

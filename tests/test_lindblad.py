@@ -5,10 +5,10 @@ from spinheat.lindblad import (
     BathSpec,
     DissipatorStyle,
     assemble_liouvillian,
+    bath_dissipator,
+    bath_transitions,
     bose_einstein,
-    global_dissipator,
     global_jump_operators,
-    local_dissipator,
     standard_baths,
     thermal_rates,
     trace_row,
@@ -29,7 +29,7 @@ ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
 
 
 def ising_decomp():
-    return spectral_decompose(build_hamiltonian(ISING), ISING)
+    return spectral_decompose(build_hamiltonian(ISING))
 
 
 def global_bath(site, temperature, kappa=1.0):
@@ -156,7 +156,7 @@ class TestGlobalJumpOperators:
         # transforming back to the eigenbasis, the jump operators plus their
         # adjoints plus the near-degenerate block reproduce the coupling
         H = build_hamiltonian(spec)
-        decomp = spectral_decompose(H, spec)
+        decomp = spectral_decompose(H)
         coupling = embed(pauli("x"), 0, spec.n_spins)
         jumps = global_jump_operators(decomp, coupling)
         v = decomp.eigenvectors
@@ -184,7 +184,7 @@ class TestGlobalJumpOperators:
         # reference: every level pair with a positive gap, sorted by
         # (gap, i, j); a group takes each gap within tol of its first one.
         # The arithmetic is the same, so the results must agree exactly.
-        decomp = spectral_decompose(build_hamiltonian(spec), spec)
+        decomp = spectral_decompose(build_hamiltonian(spec))
         e, v, d = decomp.energies, decomp.eigenvectors, decomp.dim
         tol = 1e-9 * np.max(np.abs(e))
         for site in (0, spec.n_spins - 1):
@@ -227,16 +227,14 @@ class TestGlobalJumpOperators:
 
 class TestGlobalDissipator:
     def test_zero_temperature_kills_ground_state(self):
-        jumps = global_jump_operators(ising_decomp(), embed(pauli("x"), 0, 2))
-        part = global_dissipator(jumps, global_bath(0, 0.0))
+        part = bath_dissipator(ising_decomp(), global_bath(0, 0.0))
         ground = np.zeros((4, 4), dtype=complex)
         ground[2, 2] = 1.0  # |du><du|, the lowest level
         assert np.max(np.abs(part @ vectorize(ground))) < 1e-14
 
     def test_decay_rate_from_top_level(self):
         # ohmic weight at the large gap: J(h + delta) = kappa * 1.5
-        jumps = global_jump_operators(ising_decomp(), embed(pauli("x"), 0, 2))
-        part = global_dissipator(jumps, global_bath(0, 0.0))
+        part = bath_dissipator(ising_decomp(), global_bath(0, 0.0))
         top = np.zeros((4, 4), dtype=complex)
         top[0, 0] = 1.0  # |uu><uu|
         drho = unvectorize(part @ vectorize(top), 4)
@@ -244,26 +242,33 @@ class TestGlobalDissipator:
         assert drho[0, 0].real == pytest.approx(-1.5)
 
     def test_kappa_scales_linearly(self):
-        jumps = global_jump_operators(ising_decomp(), embed(pauli("x"), 0, 2))
-        one = global_dissipator(jumps, global_bath(0, 1.0, kappa=1.0))
-        three = global_dissipator(jumps, global_bath(0, 1.0, kappa=3.0))
+        one = bath_dissipator(ising_decomp(), global_bath(0, 1.0, kappa=1.0))
+        three = bath_dissipator(ising_decomp(), global_bath(0, 1.0, kappa=3.0))
         assert np.allclose(three, 3.0 * one)
 
-    def test_style_mismatch_rejected(self):
-        jumps = global_jump_operators(ising_decomp(), embed(pauli("x"), 0, 2))
-        with pytest.raises(ValueError):
-            global_dissipator(jumps, local_bath(0, 1.0, 1.0))
+    def test_bath_driving_no_transition_gives_zero(self):
+        # at delta = 0 the right spin of the Ising pair carries no field, so
+        # sigma^x there connects only degenerate levels
+        spec = SpinChainSpec(2, 1.0, 0.0, ChainModel.ISING_ZZ)
+        decomp = spectral_decompose(build_hamiltonian(spec))
+        bath = global_bath(1, 1.0)
+        assert bath_transitions(decomp, bath) == []
+        part = bath_dissipator(decomp, bath)
+        assert part.shape == (16, 16)
+        assert np.count_nonzero(part) == 0
 
-    def test_empty_jump_list_needs_dimension(self):
-        bath = global_bath(0, 1.0)
-        with pytest.raises(ValueError):
-            global_dissipator([], bath)
-        assert np.count_nonzero(global_dissipator([], bath, dim=4)) == 0
+    def test_transitions_are_the_eigenbasis_jumps(self):
+        decomp = ising_decomp()
+        jumps = global_jump_operators(decomp, embed(pauli("x"), 1, 2))
+        transitions = bath_transitions(decomp, global_bath(1, 1.0))
+        assert [frequency for frequency, _ in transitions] == [j.frequency for j in jumps]
+        for (_, lowering), jump in zip(transitions, jumps):
+            assert np.array_equal(lowering, jump.matrix)
 
 
 class TestLocalDissipator:
     def test_pure_decay_at_zero_temperature(self):
-        part = local_dissipator(0, 2, local_bath(0, 0.0, 1.0))
+        part = bath_dissipator(ising_decomp(), local_bath(0, 0.0, 1.0))
         excited = np.zeros((4, 4), dtype=complex)
         excited[0, 0] = 1.0  # left spin up
         drho = unvectorize(part @ vectorize(excited), 4)
@@ -271,7 +276,7 @@ class TestLocalDissipator:
         assert drho[2, 2].real == pytest.approx(1.0)
 
     def test_zero_frequency_gives_symmetric_rates(self):
-        part = local_dissipator(1, 2, local_bath(1, 2.0, 0.0))
+        part = bath_dissipator(ising_decomp(), local_bath(1, 2.0, 0.0))
         up = np.zeros((4, 4), dtype=complex)
         up[0, 0] = 1.0
         down = np.zeros((4, 4), dtype=complex)
@@ -282,13 +287,18 @@ class TestLocalDissipator:
         assert flip_up == pytest.approx(2.0)
 
     def test_zero_frequency_matches_small_frequency_limit(self):
-        exact = local_dissipator(1, 2, local_bath(1, 2.0, 0.0))
-        nearby = local_dissipator(1, 2, local_bath(1, 2.0, 1e-8))
+        exact = bath_dissipator(ising_decomp(), local_bath(1, 2.0, 0.0))
+        nearby = bath_dissipator(ising_decomp(), local_bath(1, 2.0, 1e-8))
         assert np.max(np.abs(exact - nearby)) < 1e-7
 
     def test_zero_frequency_zero_temperature_vanishes(self):
-        part = local_dissipator(1, 2, local_bath(1, 0.0, 0.0))
+        part = bath_dissipator(ising_decomp(), local_bath(1, 0.0, 0.0))
         assert np.count_nonzero(part) == 0
+
+    def test_transition_is_sigma_minus_on_the_site(self):
+        [(frequency, lowering)] = bath_transitions(ising_decomp(), local_bath(1, 2.0, 0.7))
+        assert frequency == 0.7
+        assert np.array_equal(lowering, np.kron(np.eye(2), [[0, 0], [1, 0]]))
 
 
 class TestAssembleLiouvillian:

@@ -120,16 +120,14 @@ class TestHamiltonian:
 
 
 class TestSpectralDecomposition:
-    def test_ising_energies_and_labels(self):
-        spec = ising(1.0, 0.5)
-        d = spectral_decompose(build_hamiltonian(spec), spec)
+    def test_ising_energies(self):
+        d = spectral_decompose(build_hamiltonian(ising(1.0, 0.5)))
         assert np.allclose(d.energies, [-0.75, -0.25, 0.25, 0.75])
-        assert d.labels == ("du", "dd", "ud", "uu")
 
     def test_ising_transition_frequencies_exact(self):
         h, delta = 1.0, 0.5
         spec = ising(h, delta)
-        e = spectral_decompose(build_hamiltonian(spec), spec).energies
+        e = spectral_decompose(build_hamiltonian(spec)).energies
         assert abs((e[3] - e[0]) - (h + delta)) < 1e-14
         assert abs((e[2] - e[1]) - (h - delta)) < 1e-14
         assert abs((e[3] - e[2]) - delta) < 1e-14
@@ -139,18 +137,11 @@ class TestSpectralDecomposition:
 
     def test_decoupled_degenerate_pairs(self):
         spec = ising(1.0, 0.0)
-        d = spectral_decompose(build_hamiltonian(spec), spec)
+        d = spectral_decompose(build_hamiltonian(spec))
         assert np.allclose(d.energies, [-0.5, -0.5, 0.5, 0.5])
-        assert d.labels is None  # ordering statement needs 0 < delta < h
         # stable tie-break: basis states 2, 3 come first among the -0.5 pair
         assert np.allclose(d.eigenvectors[:, 0], np.eye(4)[:, 2])
         assert np.allclose(d.eigenvectors[:, 1], np.eye(4)[:, 3])
-
-    def test_labels_omitted_when_coupling_exceeds_field(self):
-        spec = ising(1.0, 0.99)
-        assert spectral_decompose(build_hamiltonian(spec), spec).labels is not None
-        spec = SpinChainSpec(2, 1.0, 1.5, ChainModel.ISING_ZZ)
-        assert spectral_decompose(build_hamiltonian(spec), spec).labels is None
 
     @pytest.mark.parametrize(
         "spec",
@@ -164,7 +155,7 @@ class TestSpectralDecomposition:
     )
     def test_reconstruction_and_unitarity(self, spec):
         H = build_hamiltonian(spec)
-        d = spectral_decompose(H, spec)
+        d = spectral_decompose(H)
         v = d.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(H.dim))) < 1e-10
         rebuilt = v @ np.diag(d.energies) @ v.conj().T

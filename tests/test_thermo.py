@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinheat.lindblad import (
     DissipatorStyle,
@@ -17,15 +19,30 @@ from spinheat.thermo import (
     steady_net_current,
 )
 
+from test_chain_cache import PROPERTY, kappas, temperatures
+
 ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
 XY2 = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
+
+
+@st.composite
+def transport_specs(draw):
+    """The Ising pair (charge-block route) or an XY chain of 2 to 6 spins (Gaussian route)."""
+    model, n_spins = draw(
+        st.sampled_from(
+            [(ChainModel.ISING_ZZ, 2)] + [(ChainModel.XY_TRANSVERSE, n) for n in range(2, 7)]
+        )
+    )
+    h = draw(st.floats(0.5, 2.0))
+    delta = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+    return SpinChainSpec(n_spins, h, delta, model)
 
 
 def steady_currents(spec, t_left, t_right, style, kappa=1.0):
     H = build_hamiltonian(spec)
     L = assemble_liouvillian(H, standard_baths(spec, kappa, t_left, t_right, style))
     state = steady_state_nullspace(L)
-    return heat_currents(L, state.rho, H)
+    return heat_currents(L, state.rho)
 
 
 class TestHeatCurrents:
@@ -66,7 +83,7 @@ class TestHeatCurrents:
         x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = x @ x.conj().T
         rho /= np.trace(rho)
-        currents = heat_currents(L, rho, H)
+        currents = heat_currents(L, rho)
         drho = unvectorize(L.matrix @ vectorize(rho), 4)
         energy_rate = np.real(np.trace(drho @ H.matrix))
         assert currents.j_in_left + currents.j_in_right == pytest.approx(
@@ -79,7 +96,7 @@ class TestHeatCurrents:
             H, standard_baths(ISING, 1.0, 1.0, 0.5, DissipatorStyle.GLOBAL)
         )
         with pytest.raises(ValueError):
-            heat_currents(L, np.eye(3, dtype=complex) / 3, H)
+            heat_currents(L, np.eye(3, dtype=complex) / 3)
 
     def test_clausius_sign(self):
         temperatures = (0.0, 0.5, 1.0, 2.0, 5.0)
@@ -89,6 +106,13 @@ class TestHeatCurrents:
                     continue
                 j = steady_net_current(ISING, 1.0, t_left, t_right, DissipatorStyle.GLOBAL)
                 assert j >= -1e-12
+
+    @PROPERTY
+    @given(transport_specs(), st.sampled_from(DissipatorStyle), kappas, temperatures, temperatures)
+    def test_clausius_sign_over_random_specs(self, spec, style, kappa, t_left, t_right):
+        # heat never flows from the colder into the hotter bath
+        j = steady_net_current(spec, kappa, t_left, t_right, style)
+        assert j * (t_left - t_right) >= -1e-12 * kappa * spec.field_h**2
 
     def test_saturation_bound(self):
         bound = 0.5 * 0.5**2  # kappa * delta^2 / 2
