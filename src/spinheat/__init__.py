@@ -18,21 +18,18 @@ from .spinops import (
 )
 from .lindblad import (
     BathSpec,
-    BlockGenerator,
-    ChainOperators,
     DissipatorStyle,
     JumpOperator,
     Liouvillian,
     assemble_liouvillian,
     bath_dissipator,
     bath_transitions,
-    block_generator,
     bose_einstein,
-    chain_operators,
     global_jump_operators,
     standard_baths,
     thermal_rates,
 )
+from .block import ChainOperators, chain_operators, steady_state_block
 from .gaussian import (
     GaussianChain,
     GaussianState,
@@ -45,16 +42,13 @@ from .steady import (
     SteadyState,
     SteadyStateError,
     cross_validate,
-    steady_state_block,
     steady_state_nullspace,
     steady_state_rate_equations,
 )
 from .thermo import (
     HeatCurrents,
     RectificationReport,
-    channel_heat_currents,
     current_from_cycle,
-    gaussian_heat_currents,
     heat_currents,
     rectification,
     steady_net_current,
@@ -70,7 +64,6 @@ from .experiments import (
 
 __all__ = [
     "BathSpec",
-    "BlockGenerator",
     "ChainModel",
     "ChainOperators",
     "CrossValidationError",
@@ -91,16 +84,13 @@ __all__ = [
     "assemble_liouvillian",
     "bath_dissipator",
     "bath_transitions",
-    "block_generator",
     "bose_einstein",
     "build_hamiltonian",
     "chain_operators",
-    "channel_heat_currents",
     "cross_validate",
     "current_from_cycle",
     "embed",
     "gaussian_chain",
-    "gaussian_heat_currents",
     "global_jump_operators",
     "heat_currents",
     "pauli",

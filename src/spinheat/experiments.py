@@ -106,6 +106,10 @@ class SweepConfig:
             raise ConfigError("grid must be ascending: start < stop")
         if self.scale == "log" and self.start <= 0:
             raise ConfigError("log grids need start > 0")
+        try:
+            self.grid()
+        except (MemoryError, ValueError) as err:
+            raise ConfigError(f"points = {self.points} is too many for one grid: {err}") from None
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ConfigError("kappa must be finite and positive")
 

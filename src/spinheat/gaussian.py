@@ -51,6 +51,11 @@ damps; the component of Gamma there is set to zero, which is the
 maximally mixed state on those modes, the state the block route projects
 a degenerate kernel from.  Cost: O(n^3), against the O(4^n) charge block.
 
+The point step also returns each bath's current.  With
+<H> = -(1/4) sum_ab A_ab Gamma_ab and the bath part of the covariance's
+equation of motion, -2(Re M_k Gamma + Gamma Re M_k) + 4 Im M_k, bath k
+feeds in sum_ab A_ab ((Re M_k Gamma + Gamma Re M_k)/2 - Im M_k)_ab.
+
 Where X is defective (an exceptional point: the 2-spin local chain at
 h = 1, delta = 0.5, kappa = 1, T_R = 0 has one at n_BE(h, T_L) = 1), its
 eigenvectors are nearly parallel and their solution misses the equation.
@@ -102,15 +107,13 @@ class GaussianChain:
 class GaussianState:
     """The steady Majorana covariance Gamma (<w_a w_b> = I + i Gamma).
 
-    `bath_matrices[k]` is M_k of `baths[k]`; `residual` is
-    ||X Gamma + Gamma X^T + 4 Im M||.
+    `residual` is ||X Gamma + Gamma X^T + 4 Im M||; `bath_currents[k]` is
+    the energy the k-th bath passed to `steady_state_gaussian` feeds in.
     """
 
-    chain: GaussianChain
-    baths: tuple[BathSpec, ...]
-    bath_matrices: tuple[np.ndarray, ...]
     covariance: np.ndarray
     residual: float
+    bath_currents: tuple[float, ...]
 
 
 def _mode_vectors(phi: np.ndarray) -> np.ndarray:
@@ -222,7 +225,7 @@ def _lyapunov_residual(x: np.ndarray, gamma: np.ndarray, source: np.ndarray) -> 
 
 
 def steady_state_gaussian(chain: GaussianChain, baths: list[BathSpec]) -> GaussianState:
-    """The point step: the steady covariance at the baths' rates.
+    """The point step: the steady covariance at the baths' rates, and each bath's current.
 
     `baths` must couple where the chain step's baths did.  The
     eigenvector solution is taken unless its residual exceeds `_EIG_RTOL`
@@ -257,10 +260,8 @@ def steady_state_gaussian(chain: GaussianChain, baths: list[BathSpec]) -> Gaussi
         raise SteadyStateError(
             f"covariance not physical: |spectrum of i Gamma| reaches {largest:.12f}"
         )
-    return GaussianState(
-        chain=chain,
-        baths=tuple(baths),
-        bath_matrices=matrices,
-        covariance=gamma,
-        residual=residual,
+    a = chain.majorana
+    flows = tuple(
+        float(np.sum(a * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag))) for m in matrices
     )
+    return GaussianState(covariance=gamma, residual=residual, bath_currents=flows)

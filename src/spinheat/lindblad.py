@@ -1,4 +1,4 @@
-"""Dissipators and generators for thermally driven spin chains.
+"""Baths, rates, transitions and the dense generator of thermally driven spin chains.
 
 Two dissipator styles are provided.  The "global" style builds jump
 operators between eigenstates of the full chain Hamiltonian, so each bath
@@ -6,58 +6,17 @@ sees the true transition frequencies of the interacting system.  The
 "local" style damps a single spin with its bare raising/lowering operators
 at a fixed frequency, ignoring the inter-spin coupling.  The styles differ
 only in which transitions, (frequency, lowering operator) pairs, each bath
-sees, and `bath_transitions` is the one place that decides them for both
-matrix routes below.  Both take their rates from one ohmic rate law,
-`thermal_rates`, which gives the emission rate of a bath at a frequency
-(carried by the lowering operator) and its absorption rate (carried by the
-adjoint).
+sees, and `bath_transitions` is the one place that decides them for the
+dense generator below and for the charge block of the `block` module.
+Every route takes its rates from one ohmic rate law, `thermal_rates`,
+which gives the emission rate of a bath at a frequency (carried by the
+lowering operator) and its absorption rate (carried by the adjoint).
 
-The generator is built in two ways from those transitions:
-
-- The block route is the transport route of the two-spin Ising zz chain,
-  whose sz sz coupling is quartic in Jordan-Wigner fermions.  The XY chain
-  is quadratic in them and takes the Gaussian route of the `gaussian`
-  module instead, which solves a 2n x 2n covariance in O(n^3); the block
-  route is its oracle in the tests.  The block route never forms a
-  d^2 x d^2 matrix.  Each style has a conserved charge q per basis
-  state: in the global style the secular generator commutes with [H, .],
-  so the charge is the energy (eigenstates grouped with the
-  `DEGENERACY_TOL` rule of `global_jump_operators`); in the local style H
-  conserves total S_z and the edge sigma-minus/sigma-plus operators change
-  it by one on both sides of rho, a weak U(1) symmetry, so the charge is
-  the number of up spins.  Either way the generator maps the span of
-  |i><j| with q_i = q_j into itself, and that span holds the identity, so
-  the steady state and the maximally mixed state that a degenerate kernel
-  is projected from both lie in it.  The block generator is assembled
-  entry by entry from d x d matrices in the charge basis:
-
-      L[(i,j),(k,l)] = -i (H_ik d_jl - d_ik H_lj)
-                       + sum_c g_c (A_ik A*_jl - M_ik d_jl / 2 - d_ik M_lj / 2)
-
-  with M = A^dag A.  The block has b = sum_q n_q^2 rows, where n_q basis
-  states carry charge q: 80 (global) or 252 (local) for the 5-spin XY
-  chain, against d^2 = 1024.
-
-  It is built in two steps.  The chain step, `chain_operators`, holds
-  everything that does not depend on the baths' temperatures or kappa: H,
-  its spectral decomposition, the charge basis, the block's index arrays,
-  and each bath's transitions from `bath_transitions`, each with the d x d
-  forms of its lowering and raising operator (A in the charge basis,
-  A^dag A there, and the energy rate A^dag H A - {A^dag A, H}/2).  None of
-  these depend on temperature because the eigenbasis, the Bohr frequencies
-  and the operators are properties of the chain and of where each bath
-  couples; a bath's temperature and kappa enter only through the rates.  The point
-  step, `block_generator`, calls `thermal_rates` once per transition and
-  scales the prepared forms.  `BlockGenerator.channels` walks the channels
-  in one order (bath, transition, emission then absorption), which the
-  block assembly, the steady-state residual and the heat currents share.
-  The chain step's arrays are read-only, so one chain step can serve any
-  number of points.
-- `assemble_liouvillian` builds the full d^2 x d^2 superoperator with
-  Kronecker products, one `bath_dissipator` per bath, from the same
-  transitions and the same rate law.  It is the oracle the tests and the
-  acceptance checks compare the block and Gaussian routes against; nothing
-  on the transport path calls it.
+`assemble_liouvillian` builds the full d^2 x d^2 superoperator with
+Kronecker products, one `bath_dissipator` per bath.  It is the oracle the
+tests and the acceptance checks compare the two transport routes against,
+the charge block (`block`) and the Majorana covariance (`gaussian`);
+nothing on the transport path calls it.
 
 Superoperators use column-stacking vectorization: vec(rho) stacks the
 columns of rho (numpy order='F'), so vec(A rho B) = (B^T kron A) vec(rho)
@@ -69,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -148,7 +106,7 @@ class Liouvillian:
     `matrix` is the d^2 x d^2 generator; `h_part` the coherent part and
     `bath_parts[k]` the dissipator of `baths[k]`, all in the same
     column-stacking convention.  `hamiltonian` keeps the d x d system
-    Hamiltonian so downstream code can compute energies and populations.
+    Hamiltonian the bath currents are measured with.
     """
 
     dim: int
@@ -158,67 +116,12 @@ class Liouvillian:
     baths: tuple[BathSpec, ...]
     hamiltonian: np.ndarray
 
-
-class PreparedOperator(NamedTuple):
-    """One channel operator A in the d x d forms the block route uses.
-
-    `charge` is A in the charge basis, `decay` is charge^dag charge, and
-    `energy_rate` is A^dag H A - {A^dag A, H}/2 in the original basis,
-    whose expectation value is the energy the channel feeds in at unit
-    rate.
-    """
-
-    charge: np.ndarray
-    decay: np.ndarray
-    energy_rate: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChainOperators:
-    """The temperature-independent half of the block generator (the chain step).
-
-    `basis` holds the charge basis as columns: the energy eigenvectors for
-    the global style, the computational basis for the local style.  Entry k
-    of the block is the matrix element (rows[k], cols[k]) of an operator in
-    that basis; `row_pairs` and `col_pairs` are `np.ix_(rows, rows)` and
-    `np.ix_(cols, cols)`.  `effective` is H in the charge basis.  For each
-    bath, `couplings` holds (site, style, local_frequency) and
-    `transitions` holds one (frequency, lowering, raising) triple per
-    transition, the operators as `PreparedOperator`s: the lowering one
-    carries the emission rate, its adjoint the absorption rate.  Every
-    array is read-only.
-    """
-
-    dim: int
-    hamiltonian: np.ndarray
-    decomp: SpectralDecomposition
-    basis: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    row_pairs: tuple[np.ndarray, np.ndarray]
-    col_pairs: tuple[np.ndarray, np.ndarray]
-    effective: np.ndarray
-    couplings: tuple[tuple[int, DissipatorStyle, float | None], ...]
-    transitions: tuple[tuple[tuple[float, PreparedOperator, PreparedOperator], ...], ...]
-
-
-@dataclass(frozen=True)
-class BlockGenerator:
-    """The generator on the operators that commute with a conserved charge.
-
-    `matrix` is the b x b generator acting on the entries (chain.rows[k],
-    chain.cols[k]) of the block.  `rates[k][t]` is the (emission,
-    absorption) pair of `baths[k]` on `chain.transitions[k][t]`.
-    """
-
-    chain: ChainOperators
-    matrix: np.ndarray
-    baths: tuple[BathSpec, ...]
-    rates: tuple[tuple[tuple[float, float], ...], ...]
-
-    def channels(self) -> Iterator[tuple[int, float, PreparedOperator]]:
-        """(bath index, rate, operator) of every channel, in assembly order."""
-        return _channels(self.chain, self.rates)
+    def bath_currents(self, rho: np.ndarray) -> tuple[float, ...]:
+        """Tr{D_k[rho] H}, the energy each bath feeds in, in the order of `baths`."""
+        if rho.shape != (self.dim, self.dim):
+            raise ValueError("dimension mismatch between Liouvillian and state")
+        drhos = (unvectorize(part @ vectorize(rho), self.dim) for part in self.bath_parts)
+        return tuple(float(np.real(np.trace(drho @ self.hamiltonian))) for drho in drhos)
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -286,7 +189,7 @@ def _group_starts(values: np.ndarray, tol: float) -> list[int]:
     """Indices at which the groups of equal ascending values start.
 
     A new group starts once a value exceeds the first one of the current
-    group by more than `tol`.  Energies (`energy_charges`) and Bohr
+    group by more than `tol`.  Energies (`block.energy_charges`) and Bohr
     frequencies (`global_jump_operators`) are grouped by this one rule.
     """
     starts = [0]
@@ -294,18 +197,6 @@ def _group_starts(values: np.ndarray, tol: float) -> list[int]:
         if values[k] - values[starts[-1]] > tol:
             starts.append(k)
     return starts
-
-
-def energy_charges(energies: np.ndarray) -> np.ndarray:
-    """Label ascending energies with a group index, degenerate ones alike.
-
-    Energies within `DEGENERACY_TOL * max(|energy|)` of the first one of
-    their group share its label, the rule `global_jump_operators` applies
-    to the gaps.
-    """
-    charges = np.zeros(len(energies), dtype=int)
-    charges[_group_starts(energies, _degeneracy_tolerance(energies))[1:]] = 1
-    return np.cumsum(charges)
 
 
 def global_jump_operators(
@@ -460,7 +351,7 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
     The per-bath pieces are retained in `bath_parts` (same order as
     `baths`) because the heat current through each reservoir is computed
     from its own dissipator alone.  This dense route is the oracle for
-    `block_generator`.
+    the `block` and `gaussian` transport routes.
     """
     _chain_length(H, baths)
     decomp = spectral_decompose(H)
@@ -478,114 +369,5 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
     )
 
 
-def _prepare(operator: np.ndarray, basis: np.ndarray, H: np.ndarray) -> PreparedOperator:
-    """The d x d forms of one channel operator."""
-    charge = basis.conj().T @ operator @ basis
-    operator_dag = operator.conj().T
-    m = operator_dag @ operator
-    energy_rate = operator_dag @ H @ operator - 0.5 * (m @ H + H @ m)
-    return PreparedOperator(charge, charge.conj().T @ charge, energy_rate)
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.setflags(write=False)
-
-
 def _coupling(bath: BathSpec) -> tuple[int, DissipatorStyle, float | None]:
     return bath.site, bath.style, bath.local_frequency
-
-
-def chain_operators(H: HermitianOperator, baths: list[BathSpec]) -> ChainOperators:
-    """The chain step: the pieces of the block generator that no rate enters.
-
-    Only each bath's site, style and local frequency are read, never its
-    temperature or kappa.  All baths must share one style, which fixes the
-    charge (see the module docstring).
-    """
-    n_spins = _chain_length(H, baths)
-    d = H.dim
-    styles = {bath.style for bath in baths}
-    if len(styles) != 1:
-        raise ValueError("the block generator needs one dissipator style for all baths")
-
-    decomp = spectral_decompose(H)
-    if styles == {DissipatorStyle.GLOBAL}:
-        basis = decomp.eigenvectors
-        charges = energy_charges(decomp.energies)
-    else:
-        basis = np.eye(d, dtype=complex)
-        # basis index bit 0 is an up spin (see spinops), so this counts up spins
-        charges = np.array([n_spins - bin(i).count("1") for i in range(d)])
-
-    hamiltonian = H.matrix.copy()
-    rows, cols = np.nonzero(charges[:, None] == charges[None, :])
-    prepared = tuple(
-        tuple(
-            (
-                frequency,
-                _prepare(lowering, basis, hamiltonian),
-                _prepare(lowering.conj().T, basis, hamiltonian),
-            )
-            for frequency, lowering in bath_transitions(decomp, bath)
-        )
-        for bath in baths
-    )
-    effective = basis.conj().T @ hamiltonian @ basis
-    _read_only(hamiltonian, decomp.energies, decomp.eigenvectors, basis, rows, cols, effective)
-    _read_only(
-        *(
-            array
-            for transitions in prepared
-            for _, lowering, raising in transitions
-            for array in lowering + raising
-        )
-    )
-    return ChainOperators(
-        dim=d,
-        hamiltonian=hamiltonian,
-        decomp=decomp,
-        basis=basis,
-        rows=rows,
-        cols=cols,
-        row_pairs=np.ix_(rows, rows),
-        col_pairs=np.ix_(cols, cols),
-        effective=effective,
-        couplings=tuple(_coupling(bath) for bath in baths),
-        transitions=prepared,
-    )
-
-
-def _channels(
-    chain: ChainOperators, rates: tuple[tuple[tuple[float, float], ...], ...]
-) -> Iterator[tuple[int, float, PreparedOperator]]:
-    for k, (transitions, bath_rates) in enumerate(zip(chain.transitions, rates)):
-        for (_, lowering, raising), (emission, absorption) in zip(transitions, bath_rates):
-            yield k, emission, lowering
-            yield k, absorption, raising
-
-
-def block_generator(chain: ChainOperators, baths: list[BathSpec]) -> BlockGenerator:
-    """The point step: the rates of `thermal_rates` on a chain step's operators.
-
-    `baths` must couple where the chain step's baths did (same sites,
-    style and local frequencies); their temperatures and kappa are free.
-    """
-    if tuple(_coupling(bath) for bath in baths) != chain.couplings:
-        raise ValueError("the baths do not couple where the chain step's baths do")
-    rates = tuple(
-        tuple(thermal_rates(bath, frequency) for frequency, _, _ in transitions)
-        for bath, transitions in zip(baths, chain.transitions)
-    )
-    same_row = chain.rows[:, None] == chain.rows[None, :]
-    same_col = chain.cols[:, None] == chain.cols[None, :]
-    # the coherent part and the anticommutator terms together are
-    # -i(K rho - rho K^dag) with K = H - (i/2) sum_c g_c M_c
-    effective = chain.effective.copy()
-    block = np.zeros((len(chain.rows), len(chain.rows)), dtype=complex)
-    for _, rate, forms in _channels(chain, rates):
-        effective -= 0.5j * rate * forms.decay
-        block += rate * forms.charge[chain.row_pairs] * forms.charge[chain.col_pairs].conj()
-    block += -1j * effective[chain.row_pairs] * same_col
-    block += 1j * same_row * effective.conj()[chain.col_pairs]
-    return BlockGenerator(chain=chain, matrix=block, baths=tuple(baths), rates=rates)

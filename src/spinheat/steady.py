@@ -1,38 +1,22 @@
-"""Steady states: generator kernels and the four-level rate equations.
+"""Steady states: the kernel rule, the dense route and the four-level rate equations.
 
-Three solvers are provided.
+One kernel rule serves every generator route (`_kernel_vector` and
+`_density_matrix`): singular values below `KERNEL_RTOL` times the largest
+count as kernel, a one-dimensional kernel gives the state directly, and a
+degenerate kernel is resolved by projecting the maximally mixed state onto
+it; the result is trace-normalized, Hermitized and checked for
+positivity.  The charge block of the `block` module applies it to its
+b x b block, and the Gaussian route of the `gaussian` module zeroes
+undamped mode pairs by the same `KERNEL_RTOL`, which gives the same
+projected state.
 
-- `steady_state_block` is the transport route of the Ising zz pair, which
-  is not quadratic in Jordan-Wigner fermions (the XY chain is, and takes
-  `gaussian.steady_state_gaussian`, with this route as its oracle).  It
-  takes the SVD kernel of the b x b block generator of
-  `lindblad.block_generator`, the span of |i><j| with equal conserved
-  charge.  That span is invariant under the generator and holds both the
-  steady state and the identity (the module docstring of `lindblad` gives
-  the argument for each dissipator style), so the block's kernel holds
-  every steady state the full generator projects to.  The invariance is checked at run time: the
-  residual ||L[rho]|| is evaluated on the full d x d state in operator
-  form, in the charge basis (the Frobenius norm does not depend on the
-  basis), with the chain's Hamiltonian and every channel that
-  `BlockGenerator.channels` yields (the rate and operator the block was
-  assembled from), and a residual above `KERNEL_RTOL` times the block's
-  largest singular value raises SteadyStateError.
 - `steady_state_nullspace` takes the SVD kernel of the full d^2 x d^2
-  Liouvillian.  It is the oracle for the block route.
+  Liouvillian and reports each bath's current,
+  `Liouvillian.bath_currents`.  It is the oracle for both transport
+  routes.  `kernel_dim` counts the kernel of the full generator.
 - `steady_state_rate_equations` solves the closed population cycle of the
   two-spin Ising chain, analytically pinned to four levels.  It and the
-  null-space route serve as oracles for each other.
-
-Both kernel routes apply one rule: singular values below `KERNEL_RTOL`
-times the largest count as kernel, a one-dimensional kernel gives the state
-directly, and a degenerate kernel is resolved by projecting the maximally
-mixed state onto it; the result is trace-normalized, Hermitized and checked
-for positivity.  `kernel_dim` counts the kernel of the matrix that was
-solved.  For the block route that is the block's kernel only: the dense
-route can count extra undamped coherences between different charges (the
-Ising pair at delta = 0 in the local style, with its right bath dead, has
-a kernel of 4 against the block's 2), but those are orthogonal to the
-maximally mixed state, so the projected state is the same.
+  null-space route serve as oracles for each other (`cross_validate`).
 """
 
 from __future__ import annotations
@@ -42,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import (
-    BlockGenerator,
     DissipatorStyle,
     Liouvillian,
     assemble_liouvillian,
@@ -53,7 +36,6 @@ from .lindblad import (
 )
 from .spinops import (
     ChainModel,
-    HermitianOperator,
     SpinChainSpec,
     build_hamiltonian,
     spectral_decompose,
@@ -82,17 +64,17 @@ class CrossValidationError(RuntimeError):
 class SteadyState:
     """Stationary density matrix with solver diagnostics.
 
-    `populations` holds the diagonal in the energy eigenbasis, ascending.
-    `degenerate` flags a kernel of dimension > 1, in which case `rho` is
-    the normalized projection of the maximally mixed state onto the kernel.
-    `residual` is ||L[rho]|| under the full generator.
+    `residual` is ||L[rho]|| under the full generator.  `kernel_dim` is
+    the dimension of the kernel that was solved; above 1, `rho` is the
+    normalized projection of the maximally mixed state onto it.
+    `bath_currents[k]` is Tr{D_k[rho] H}, the energy the k-th bath passed
+    to the solver feeds in per unit time.
     """
 
     rho: np.ndarray
     residual: float
     kernel_dim: int
-    populations: np.ndarray
-    degenerate: bool = False
+    bath_currents: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -162,72 +144,18 @@ def steady_state_nullspace(L: Liouvillian) -> SteadyState:
     The right-singular vector of the smallest singular value is reshaped,
     Hermitized and trace-normalized.  A kernel of dimension > 1 (possible
     for decoupled chains) is resolved by projecting the maximally mixed
-    state onto the kernel; an empty kernel raises SteadyStateError.
+    state onto the kernel; an empty kernel raises SteadyStateError.  Each
+    bath's current is read off its own dissipator in `L`.
     """
     d = L.dim
     vec, kernel_dim, _ = _kernel_vector(L.matrix, vectorize(np.eye(d, dtype=complex) / d))
     rho = _density_matrix(unvectorize(vec, d))
     residual = float(np.linalg.norm(L.matrix @ vectorize(rho)))
-    decomp = spectral_decompose(HermitianOperator(L.hamiltonian))
-    populations = np.real(
-        np.diag(decomp.eigenvectors.conj().T @ rho @ decomp.eigenvectors)
-    )
     return SteadyState(
         rho=rho,
         residual=residual,
         kernel_dim=kernel_dim,
-        populations=populations,
-        degenerate=kernel_dim > 1,
-    )
-
-
-def _apply_generator(G: BlockGenerator, rho: np.ndarray) -> np.ndarray:
-    """L[rho] for a Hermitian rho in the charge basis, on d x d matrices.
-
-    With a the charge-basis form of each channel operator and
-    K = H - (i/2) sum_c g_c a^dag a, L[rho] = -i(K rho - rho K^dag)
-    + sum_c g_c a rho a^dag, and rho K^dag = (K rho)^dag.
-    """
-    k = G.chain.effective.copy()
-    jumps = np.zeros_like(rho)
-    for _, rate, forms in G.channels():
-        k -= 0.5j * rate * forms.decay
-        jumps += rate * (forms.charge @ rho @ forms.charge.conj().T)
-    k_rho = k @ rho
-    return -1j * (k_rho - k_rho.conj().T) + jumps
-
-
-def steady_state_block(G: BlockGenerator) -> SteadyState:
-    """Stationary state from the SVD kernel of the block generator.
-
-    The kernel rule and the state checks are those of
-    `steady_state_nullspace`.  `residual` is ||L[rho]|| of the full
-    d x d state under the full generator; it must stay below
-    `KERNEL_RTOL` times the block's largest singular value, or the block
-    was not invariant and SteadyStateError is raised.
-    """
-    chain = G.chain
-    d = chain.dim
-    mixed = np.where(chain.rows == chain.cols, 1.0 / d, 0.0).astype(complex)
-    vec, kernel_dim, s_max = _kernel_vector(G.matrix, mixed)
-    rho_block = np.zeros((d, d), dtype=complex)
-    rho_block[chain.rows, chain.cols] = vec
-    rho_block = _density_matrix(rho_block)
-    residual = float(np.linalg.norm(_apply_generator(G, rho_block)))
-    if residual > KERNEL_RTOL * s_max:
-        raise SteadyStateError(
-            f"steady state leaves the symmetry block: residual {residual:.3e} "
-            f"exceeds {KERNEL_RTOL:.0e} x largest singular value {s_max:.3e}"
-        )
-    rho = chain.basis @ rho_block @ chain.basis.conj().T
-    vectors = chain.decomp.eigenvectors
-    populations = np.real(np.diag(vectors.conj().T @ rho @ vectors))
-    return SteadyState(
-        rho=rho,
-        residual=residual,
-        kernel_dim=kernel_dim,
-        populations=populations,
-        degenerate=kernel_dim > 1,
+        bath_currents=L.bath_currents(rho),
     )
 
 
@@ -306,7 +234,7 @@ def cross_validate(
     decomp = spectral_decompose(H)
     rho_eig = decomp.eigenvectors.conj().T @ state.rho @ decomp.eigenvectors
     coherence_max = float(np.max(np.abs(rho_eig - np.diag(np.diag(rho_eig)))))
-    population_deviation = float(np.max(np.abs(state.populations - populations)))
+    population_deviation = float(np.max(np.abs(np.real(np.diag(rho_eig)) - populations)))
 
     if population_deviation > POPULATION_TOL:
         raise CrossValidationError(

@@ -1,14 +1,12 @@
 """Heat currents and rectification diagnostics.
 
 The current entering the system from a bath is the energy expectation of
-that bath's dissipator output, Tr{D_bath[rho] H}.  `heat_currents(L, rho)`
-reads it off the dense superoperator of each bath, with the Hamiltonian
-that `L` holds; `channel_heat_currents` writes it in operator form,
-sum_c g_c Tr(rho E_c) with the energy-rate matrix
-E_c = A^dag H A - {A^dag A, H}/2 of each channel, and credits each channel
-to the bath at its position in the generator's bath list;
-`gaussian_heat_currents` writes it in the Majorana covariance of the XY
-chain (see the `gaussian` module docstring).  The sign convention is
+that bath's dissipator output, Tr{D_bath[rho] H}.  Every solver reports it
+for each bath it was given, in the order given, as `bath_currents`: the
+dense `steady.steady_state_nullspace` through `Liouvillian.bath_currents`,
+and the point steps of the two transport routes in their own layout.
+`heat_currents(L, rho)` reads it off the dense superoperator of each bath
+for any rho, in or out of the steady state.  The sign convention is
 anchored on the left reservoir (the bath on the lower site): `j_net` is
 the left input rate, so a positive value means heat flows from the left
 bath through the system into the right bath.
@@ -23,9 +21,8 @@ takes the baths' temperatures and kappa into the rates of
   2n x 2n Majorana covariance: `gaussian.gaussian_chain` is the chain
   step, `gaussian.steady_state_gaussian` the point step, at O(n^3).
 - The Ising zz pair is not quadratic (sz sz is quartic in the fermions),
-  so it takes the charge block: `lindblad.chain_operators` is the chain
-  step, `lindblad.block_generator` and `steady.steady_state_block` the
-  point step.
+  so it takes the charge block: `block.chain_operators` is the chain
+  step, `block.steady_state_block` the point step.
 
 The block route and the dense `assemble_liouvillian` route are the
 Gaussian route's oracles in the tests.  The chain step is kept in a
@@ -39,24 +36,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .gaussian import GaussianChain, GaussianState, gaussian_chain, steady_state_gaussian
-from .lindblad import (
-    BathSpec,
-    BlockGenerator,
-    ChainOperators,
-    DissipatorStyle,
-    Liouvillian,
-    block_generator,
-    chain_operators,
-    standard_baths,
-    unvectorize,
-    vectorize,
-)
+from .block import ChainOperators, chain_operators, steady_state_block
+from .gaussian import GaussianChain, gaussian_chain, steady_state_gaussian
+from .lindblad import BathSpec, DissipatorStyle, Liouvillian, standard_baths
 from .spinops import ChainModel, SpinChainSpec, build_hamiltonian
-from .steady import steady_state_block
 
 # Chains whose chain step stays cached.  fig2 interleaves four
 # (chain, style) pairs in every row; twice that leaves room for the two
@@ -92,20 +79,13 @@ class RectificationReport:
     contrast: float
 
 
-def _bath_current(part: np.ndarray, rho: np.ndarray, H: np.ndarray) -> float:
-    dim = H.shape[0]
-    drho = unvectorize(part @ vectorize(rho), dim)
-    return float(np.real(np.trace(drho @ H)))
-
-
-def _left_right(baths: tuple[BathSpec, ...]) -> tuple[int, int]:
+def _left_right(baths: Sequence[BathSpec], currents: tuple[float, ...]) -> HeatCurrents:
+    """The currents of the baths on the lower and the higher site, from
+    currents listed in the order of `baths`."""
     if len(baths) != 2:
         raise ValueError("heat currents need exactly two baths")
     left, right = np.argsort([bath.site for bath in baths], kind="stable")
-    return int(left), int(right)
-
-
-def _balance(j_left: float, j_right: float) -> HeatCurrents:
+    j_left, j_right = currents[left], currents[right]
     return HeatCurrents(
         j_in_left=j_left,
         j_in_right=j_right,
@@ -115,41 +95,9 @@ def _balance(j_left: float, j_right: float) -> HeatCurrents:
 
 
 def heat_currents(L: Liouvillian, rho: np.ndarray) -> HeatCurrents:
-    """Input energy rates from the two reservoirs of a transport setup,
-    measured with the Hamiltonian `L` was built from."""
-    if rho.shape != (L.dim, L.dim):
-        raise ValueError("dimension mismatch between Liouvillian and state")
-    left, right = _left_right(L.baths)
-    return _balance(
-        _bath_current(L.bath_parts[left], rho, L.hamiltonian),
-        _bath_current(L.bath_parts[right], rho, L.hamiltonian),
-    )
-
-
-def channel_heat_currents(generator: BlockGenerator, rho: np.ndarray) -> HeatCurrents:
-    """Input energy rates in operator form, summed over each bath's channels."""
-    left, right = _left_right(generator.baths)
-    flows = [0.0, 0.0]
-    for k, rate, forms in generator.channels():
-        flows[k] += rate * float(np.real(np.sum(rho * forms.energy_rate.T)))
-    return _balance(flows[left], flows[right])
-
-
-def gaussian_heat_currents(state: GaussianState) -> HeatCurrents:
-    """Input energy rates of the Gaussian route's baths.
-
-    With <H> = -(1/4) sum_ab A_ab Gamma_ab and the bath part of the
-    covariance's equation of motion, -2(Re M_k Gamma + Gamma Re M_k)
-    + 4 Im M_k, bath k feeds in sum_ab A_ab ((Re M_k Gamma + Gamma Re M_k)/2
-    - Im M_k)_ab.
-    """
-    left, right = _left_right(state.baths)
-    a, gamma = state.chain.majorana, state.covariance
-    flows = [
-        float(np.sum(a * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag)))
-        for m in state.bath_matrices
-    ]
-    return _balance(flows[left], flows[right])
+    """Input energy rates from the two reservoirs of a transport setup in
+    any state rho, measured with the Hamiltonian `L` was built from."""
+    return _left_right(L.baths, L.bath_currents(rho))
 
 
 def current_from_cycle(delta: float, cycle_gamma: float) -> float:
@@ -189,10 +137,10 @@ def steady_net_current(
     baths = standard_baths(spec, kappa, t_left, t_right, style)
     chain = _chain(spec, style)
     if isinstance(chain, GaussianChain):
-        return gaussian_heat_currents(steady_state_gaussian(chain, baths)).j_net
-    generator = block_generator(chain, baths)
-    state = steady_state_block(generator)
-    return channel_heat_currents(generator, state.rho).j_net
+        state = steady_state_gaussian(chain, baths)
+    else:
+        state = steady_state_block(chain, baths)
+    return _left_right(baths, state.bath_currents).j_net
 
 
 def rectification(

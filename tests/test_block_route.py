@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from spinheat.lindblad import (
-    DissipatorStyle,
-    assemble_liouvillian,
-    block_generator,
-    chain_operators,
-    energy_charges,
-    standard_baths,
-)
+from spinheat.block import chain_operators, energy_charges, steady_state_block
+from spinheat.lindblad import DissipatorStyle, assemble_liouvillian, standard_baths
 from spinheat.spinops import (
     PAULI_X,
     ChainModel,
@@ -19,8 +13,8 @@ from spinheat.spinops import (
     build_hamiltonian,
     embed_matrix,
 )
-from spinheat.steady import SteadyStateError, steady_state_block, steady_state_nullspace
-from spinheat.thermo import channel_heat_currents, heat_currents, steady_net_current
+from spinheat.steady import SteadyStateError, steady_state_nullspace
+from spinheat.thermo import heat_currents, steady_net_current
 
 TOL = 1e-10
 
@@ -63,37 +57,38 @@ def _case_id(case):
 def _both_routes(spec, kappa, t_left, t_right, style):
     H = build_hamiltonian(spec)
     baths = standard_baths(spec, kappa, t_left, t_right, style)
-    dense = assemble_liouvillian(H, baths)
-    dense_state = steady_state_nullspace(dense)
-    block = block_generator(chain_operators(H, baths), baths)
-    block_state = steady_state_block(block)
-    j_dense = heat_currents(dense, dense_state.rho)
-    j_block = channel_heat_currents(block, block_state.rho)
-    return dense_state, j_dense, block_state, j_block
+    dense_state = steady_state_nullspace(assemble_liouvillian(H, baths))
+    block_state = steady_state_block(chain_operators(H, baths), baths)
+    return dense_state, block_state
+
+
+def _assert_same_currents(block_state, dense_state):
+    assert len(block_state.bath_currents) == len(dense_state.bath_currents) == 2
+    for j_block, j_dense in zip(block_state.bath_currents, dense_state.bath_currents):
+        assert abs(j_block - j_dense) <= TOL
 
 
 @pytest.mark.parametrize("case", _grid() + DEGENERATE, ids=_case_id)
 def test_block_route_matches_dense_oracle(case):
-    dense_state, j_dense, block_state, j_block = _both_routes(*case)
-    assert abs(j_block.j_in_left - j_dense.j_in_left) <= TOL
-    assert abs(j_block.j_in_right - j_dense.j_in_right) <= TOL
+    dense_state, block_state = _both_routes(*case)
+    _assert_same_currents(block_state, dense_state)
     assert np.max(np.abs(block_state.rho - dense_state.rho)) <= TOL
-    assert np.max(np.abs(block_state.populations - dense_state.populations)) <= TOL
+    assert abs(sum(block_state.bath_currents)) <= TOL
     assert block_state.kernel_dim <= dense_state.kernel_dim
     assert block_state.residual <= TOL
 
 
 @pytest.mark.parametrize("case", DEGENERATE, ids=_case_id)
 def test_degenerate_kernels_are_resolved_alike(case):
-    dense_state, _, block_state, _ = _both_routes(*case)
-    assert block_state.degenerate and dense_state.degenerate
+    dense_state, block_state = _both_routes(*case)
+    assert block_state.kernel_dim > 1 and dense_state.kernel_dim > 1
 
 
 def test_dense_route_counts_coherences_outside_the_block():
     # in the local style at delta = 0 the frozen right spin keeps its
     # coherences, which change the number of up spins by one
     spec = SpinChainSpec(2, 1.0, 0.0, ChainModel.ISING_ZZ)
-    dense_state, _, block_state, _ = _both_routes(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
+    dense_state, block_state = _both_routes(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
     assert (dense_state.kernel_dim, block_state.kernel_dim) == (4, 2)
     assert np.max(np.abs(block_state.rho - dense_state.rho)) <= TOL
 
@@ -106,12 +101,10 @@ def test_currents_follow_the_bath_order(style):
     H = build_hamiltonian(spec)
     baths = standard_baths(spec, 1.0, 2.0, 0.3, style)[::-1]
     dense = assemble_liouvillian(H, baths)
-    j_dense = heat_currents(dense, steady_state_nullspace(dense).rho)
-    block = block_generator(chain_operators(H, baths), baths)
-    j_block = channel_heat_currents(block, steady_state_block(block).rho)
-    assert j_dense.j_in_left > 1e-3
-    assert abs(j_block.j_in_left - j_dense.j_in_left) <= TOL
-    assert abs(j_block.j_in_right - j_dense.j_in_right) <= TOL
+    dense_state = steady_state_nullspace(dense)
+    j_dense = heat_currents(dense, dense_state.rho)
+    assert j_dense.j_in_left == dense_state.bath_currents[1] > 1e-3
+    _assert_same_currents(steady_state_block(chain_operators(H, baths), baths), dense_state)
 
 
 @pytest.mark.parametrize("n_spins", range(2, 7))
@@ -143,7 +136,7 @@ def test_leaving_the_block_raises():
     H = HermitianOperator(build_hamiltonian(spec).matrix + 0.3 * embed_matrix(PAULI_X, 1, 3))
     baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
     with pytest.raises(SteadyStateError, match="leaves the symmetry block"):
-        steady_state_block(block_generator(chain_operators(H, baths), baths))
+        steady_state_block(chain_operators(H, baths), baths)
 
 
 def test_mixed_styles_rejected():

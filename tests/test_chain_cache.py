@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 import spinheat.lindblad as lindblad
 from spinheat import thermo
 from spinheat.experiments import run_fig3
+from spinheat.block import chain_operators, steady_state_block
 from spinheat.gaussian import steady_state_gaussian
-from spinheat.lindblad import (
-    DissipatorStyle,
-    assemble_liouvillian,
-    block_generator,
-    chain_operators,
-    standard_baths,
-)
+from spinheat.lindblad import DissipatorStyle, assemble_liouvillian, standard_baths
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.steady import steady_state_nullspace
 from spinheat.thermo import heat_currents, steady_net_current
@@ -79,7 +74,6 @@ def test_warm_cache_is_bit_identical_to_cold(data):
 
 
 def _cached_arrays(chain):
-    yield from (chain.hamiltonian, chain.decomp.energies, chain.decomp.eigenvectors)
     yield from (chain.basis, chain.rows, chain.cols, chain.effective)
     yield from chain.row_pairs + chain.col_pairs
     for transitions in chain.transitions:
@@ -188,12 +182,12 @@ def test_baths_must_couple_where_the_chain_step_did():
     spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
     baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
     chain = chain_operators(build_hamiltonian(spec), baths)
-    block_generator(chain, baths)
+    steady_state_block(chain, baths)
     moved = [baths[0], replace(baths[1], site=1)]
     with pytest.raises(ValueError, match="couple"):
-        block_generator(chain, moved)
+        steady_state_block(chain, moved)
     with pytest.raises(ValueError, match="couple"):
-        block_generator(chain, [replace(baths[0], local_frequency=0.5), baths[1]])
+        steady_state_block(chain, [replace(baths[0], local_frequency=0.5), baths[1]])
 
 
 def test_baths_must_couple_where_the_gaussian_chain_step_did():

@@ -330,6 +330,31 @@ class TestCommandLine:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    def _assert_grid_refused(self, points, tmp_path, capsys):
+        config = tmp_path / "big.cfg"
+        config.write_text(BASE_CONFIG.replace("points = 5", f"points = {points}"))
+        out = tmp_path / "out"
+        status = cli.main(["sweep", "--config", str(config), "--out", str(out), "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "configuration error" in err and "points" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_grid_numpy_cannot_size_exits_with_configuration_error(self, tmp_path, capsys):
+        # numpy refuses 10**19 elements before it allocates anything
+        self._assert_grid_refused(10**19, tmp_path, capsys)
+
+    def test_grid_out_of_memory_exits_with_configuration_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a grid too large for memory, without allocating one
+        def out_of_memory(self):
+            raise MemoryError("Unable to allocate the grid")
+
+        monkeypatch.setattr(SweepConfig, "grid", out_of_memory)
+        self._assert_grid_refused(5, tmp_path, capsys)
+
     def test_solver_failure_names_the_point(self, tmp_path, capsys, monkeypatch):
         # a negative absorption rate drives the occupation to -1, which the
         # Gaussian route's covariance guard refuses at every point

@@ -5,15 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import spinheat.lindblad as lindblad
 from spinheat import gaussian, thermo
+from spinheat.block import ChainOperators, chain_operators, steady_state_block
 from spinheat.gaussian import GaussianChain, gaussian_chain, steady_state_gaussian
 from spinheat.lindblad import (
-    ChainOperators,
+    DEGENERACY_TOL,
     DissipatorStyle,
-    block_generator,
-    chain_operators,
     global_jump_operators,
     standard_baths,
 )
@@ -26,10 +27,9 @@ from spinheat.spinops import (
     embed_matrix,
     spectral_decompose,
 )
-from spinheat.steady import SteadyStateError, steady_state_block
-from spinheat.thermo import channel_heat_currents, gaussian_heat_currents
+from spinheat.steady import SteadyStateError
 
-from test_chain_cache import _dense_current
+from test_chain_cache import PROPERTY, _dense_current, kappas, temperatures
 
 GLOBAL, LOCAL = DissipatorStyle.GLOBAL, DissipatorStyle.LOCAL
 ROOT2 = math.sqrt(2.0)
@@ -74,8 +74,7 @@ def _block_currents(case):
     n, ratio, style, t_left, t_right = case
     spec = _spec(n, ratio)
     baths = standard_baths(spec, KAPPA, t_left, t_right, style)
-    block = block_generator(chain_operators(build_hamiltonian(spec), baths), baths)
-    return channel_heat_currents(block, steady_state_block(block).rho)
+    return steady_state_block(chain_operators(build_hamiltonian(spec), baths), baths).bath_currents
 
 
 def _assert_matches_block_route(case):
@@ -83,10 +82,9 @@ def _assert_matches_block_route(case):
     spec = _spec(n, ratio)
     baths = standard_baths(spec, KAPPA, t_left, t_right, style)
     state = steady_state_gaussian(gaussian_chain(spec, baths), baths)
-    currents = gaussian_heat_currents(state)
     exact = _block_currents(case)
-    pairs = ((currents.j_in_left, exact.j_in_left), (currents.j_in_right, exact.j_in_right))
-    for got, want in pairs:
+    assert len(state.bath_currents) == len(exact) == 2
+    for got, want in zip(state.bath_currents, exact):
         assert abs(got - want) <= max(1e-10 * abs(want), 1e-12 * KAPPA)
     assert np.max(np.abs(np.linalg.eigvalsh(1j * state.covariance))) <= 1.0 + 1e-10
     assert state.residual <= 1e-10
@@ -204,3 +202,52 @@ def test_lyapunov_residual_guard_raises(monkeypatch):
     # modes, so no covariance solves the equation
     with pytest.raises(SteadyStateError, match="residual"):
         _with_rates(monkeypatch, (1.0, -1.0))
+
+
+def _occupations(covariance):
+    """<c_i^dag c_j> from G = I + i Gamma, with c_i = (w_2i + i w_2i+1) / 2."""
+    g = np.eye(len(covariance)) + 1j * covariance
+    even, odd = g[0::2], g[1::2]
+    return 0.25 * (even[:, 0::2] + 1j * even[:, 1::2] - 1j * odd[:, 0::2] + odd[:, 1::2])
+
+
+def _fermi(energies, temperature):
+    if temperature == 0:
+        return np.where(energies < 0, 1.0, 0.0)
+    return 0.5 * (1.0 - np.tanh(energies / (2.0 * temperature)))
+
+
+@PROPERTY
+@given(
+    st.integers(2, 12),
+    st.floats(0.5, 2.0),
+    st.floats(0.01, 2.0),
+    st.sampled_from(DissipatorStyle),
+    kappas,
+    temperatures,
+)
+def test_equal_temperatures_give_the_thermal_state(n, h, ratio, style, kappa, temperature):
+    spec = SpinChainSpec(n, h, ratio * h, ChainModel.XY_TRANSVERSE)
+    baths = standard_baths(spec, kappa, temperature, temperature, style)
+    state = steady_state_gaussian(gaussian_chain(spec, baths), baths)
+    for current in state.bath_currents:
+        assert abs(current) <= 1e-12 * kappa * h**2
+    if style is LOCAL:
+        # each site in equilibrium with the baths at the bare splitting h
+        expected = _fermi(np.array([h]), temperature)[0] * np.eye(n)
+    else:
+        # the modes eta_k of the hopping matrix in equilibrium at their own
+        # energies; a zero mode, which no bath damps, half filled
+        hop = h * np.eye(n) + ratio * h * (np.eye(n, k=1) + np.eye(n, k=-1))
+        eps, phi = np.linalg.eigh(hop)
+        tol = DEGENERACY_TOL * 0.5 * float(np.abs(eps).sum())
+        # where eps_k and -eps_k' share one |eps| (n = 3 at delta = sqrt(2) h,
+        # n = 5 at delta = 2 h), one jump operator mixes eta_k and eta_k'^dag:
+        # the full-secular model then has a second steady state, and the
+        # covariance need not be the thermal one
+        shared = np.abs(eps[:, None] + eps[None, :]) <= tol
+        if np.any(shared & (np.abs(eps[:, None]) > tol)):
+            return
+        filling = np.where(np.abs(eps) <= tol, 0.5, _fermi(eps, temperature))
+        expected = (phi * filling) @ phi.T
+    assert np.max(np.abs(_occupations(state.covariance) - expected)) <= 1e-10

@@ -60,13 +60,12 @@ class TestNullspaceSolver:
             assert np.max(np.abs(state.rho - state.rho.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(state.rho).min() > -1e-10
             assert state.residual < 1e-9
-            assert state.populations.sum() == pytest.approx(1.0, abs=1e-10)
+            assert abs(sum(state.bath_currents)) < 1e-9
 
     def test_degenerate_kernel_reported_for_decoupled_chain(self):
         # at delta = 0 the right bath drives nothing and the chain splits
         spec = SpinChainSpec(2, 1.0, 0.0, ChainModel.ISING_ZZ)
         state = solve_global(spec, 1.0, 1.0)
-        assert state.degenerate
         assert state.kernel_dim > 1
         assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(state.rho).min() > -1e-10
@@ -76,7 +75,7 @@ class TestNullspaceSolver:
         state = steady_state_nullspace(
             assemble_liouvillian(build_hamiltonian(ISING), baths)
         )
-        assert state.degenerate  # right spin is frozen at nu = 0, T = 0
+        assert state.kernel_dim > 1  # right spin is frozen at nu = 0, T = 0
 
     def test_empty_kernel_raises(self):
         fake = Liouvillian(

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinheat import thermo
+from spinheat.block import steady_state_block
+from spinheat.gaussian import GaussianChain, steady_state_gaussian
 from spinheat.lindblad import (
     DissipatorStyle,
     assemble_liouvillian,
@@ -25,14 +28,14 @@ ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
 XY2 = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
 
 
+ISING_PAIR = [(ChainModel.ISING_ZZ, 2)]
+XY_CHAINS = [(ChainModel.XY_TRANSVERSE, n) for n in range(2, 7)]
+
+
 @st.composite
-def transport_specs(draw):
+def transport_specs(draw, chains=ISING_PAIR + XY_CHAINS):
     """The Ising pair (charge-block route) or an XY chain of 2 to 6 spins (Gaussian route)."""
-    model, n_spins = draw(
-        st.sampled_from(
-            [(ChainModel.ISING_ZZ, 2)] + [(ChainModel.XY_TRANSVERSE, n) for n in range(2, 7)]
-        )
-    )
+    model, n_spins = draw(st.sampled_from(chains))
     h = draw(st.floats(0.5, 2.0))
     delta = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
     return SpinChainSpec(n_spins, h, delta, model)
@@ -113,6 +116,25 @@ class TestHeatCurrents:
         # heat never flows from the colder into the hotter bath
         j = steady_net_current(spec, kappa, t_left, t_right, style)
         assert j * (t_left - t_right) >= -1e-12 * kappa * spec.field_h**2
+
+    @pytest.mark.parametrize("chains", [ISING_PAIR, XY_CHAINS], ids=["block", "gaussian"])
+    @PROPERTY
+    @given(
+        data=st.data(),
+        style=st.sampled_from(DissipatorStyle),
+        kappa=kappas,
+        t_left=temperatures,
+        t_right=temperatures,
+    )
+    def test_transport_routes_balance_energy(self, chains, data, style, kappa, t_left, t_right):
+        # in the steady state the baths' inputs cancel on both transport routes
+        spec = data.draw(transport_specs(chains))
+        baths = standard_baths(spec, kappa, t_left, t_right, style)
+        chain = thermo._chain(spec, style)
+        step = steady_state_gaussian if isinstance(chain, GaussianChain) else steady_state_block
+        currents = step(chain, baths).bath_currents
+        assert len(currents) == 2
+        assert abs(sum(currents)) <= 1e-10 * kappa * spec.field_h**2
 
     def test_saturation_bound(self):
         bound = 0.5 * 0.5**2  # kappa * delta^2 / 2
