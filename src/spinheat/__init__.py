@@ -29,13 +29,13 @@ from .lindblad import (
     standard_baths,
     thermal_rates,
 )
-from .block import ChainOperators, chain_operators, steady_state_block
 from .gaussian import (
     GaussianChain,
     GaussianState,
     gaussian_chain,
     steady_state_gaussian,
 )
+from .rates import PauliChain, pauli_chain, steady_state_pauli
 from .steady import (
     CrossValidationError,
     NetRates,
@@ -65,7 +65,6 @@ from .experiments import (
 __all__ = [
     "BathSpec",
     "ChainModel",
-    "ChainOperators",
     "CrossValidationError",
     "DissipatorStyle",
     "GaussianChain",
@@ -75,6 +74,7 @@ __all__ = [
     "JumpOperator",
     "Liouvillian",
     "NetRates",
+    "PauliChain",
     "RectificationReport",
     "SpectralDecomposition",
     "SpinChainSpec",
@@ -86,7 +86,6 @@ __all__ = [
     "bath_transitions",
     "bose_einstein",
     "build_hamiltonian",
-    "chain_operators",
     "cross_validate",
     "current_from_cycle",
     "embed",
@@ -94,6 +93,7 @@ __all__ = [
     "global_jump_operators",
     "heat_currents",
     "pauli",
+    "pauli_chain",
     "rectification",
     "run_acceptance",
     "run_fig2",
@@ -103,9 +103,9 @@ __all__ = [
     "spectral_decompose",
     "standard_baths",
     "steady_net_current",
-    "steady_state_block",
     "steady_state_gaussian",
     "steady_state_nullspace",
+    "steady_state_pauli",
     "steady_state_rate_equations",
     "thermal_rates",
 ]

@@ -52,8 +52,9 @@ _SCALES = ("linear", "log")
 
 # The longest chain a run accepts.  The XY chain's transport route costs
 # O(n^3) (see `gaussian`), so the cap no longer guards memory; it keeps runs
-# within the lengths its block-route oracle is checked at, whose local block
-# has C(2n, n) rows: 924 at n = 6, but 184756 at n = 10.
+# within the lengths the tests check that route at: the dense oracle up to
+# five spins, and closed forms (the global single-mode sum, the decoupled
+# chain and the length-independent local current) up to six.
 MAX_SPINS = 6
 
 

@@ -48,8 +48,9 @@ and solves X Gamma + Gamma X^T = -4 Im M with X = A - 2 Re M, M = sum_k
 M_k, by an eigendecomposition of X.  A pair of eigenvalues of X that sum
 to zero (within `KERNEL_RTOL` of the largest) belongs to modes no bath
 damps; the component of Gamma there is set to zero, which is the
-maximally mixed state on those modes, the state the block route projects
-a degenerate kernel from.  Cost: O(n^3), against the O(4^n) charge block.
+maximally mixed state on those modes, the state the dense route projects
+a degenerate kernel from.  Cost: O(n^3), against O(d^6) = O(64^n) for
+the SVD of the dense d^2 x d^2 generator.
 
 The point step also returns each bath's current.  With
 <H> = -(1/4) sum_ab A_ab Gamma_ab and the bath part of the covariance's

@@ -7,7 +7,7 @@ sees the true transition frequencies of the interacting system.  The
 at a fixed frequency, ignoring the inter-spin coupling.  The styles differ
 only in which transitions, (frequency, lowering operator) pairs, each bath
 sees, and `bath_transitions` is the one place that decides them for the
-dense generator below and for the charge block of the `block` module.
+dense generator below and for the rate matrix of the `rates` module.
 Every route takes its rates from one ohmic rate law, `thermal_rates`,
 which gives the emission rate of a bath at a frequency (carried by the
 lowering operator) and its absorption rate (carried by the adjoint).
@@ -15,8 +15,8 @@ lowering operator) and its absorption rate (carried by the adjoint).
 `assemble_liouvillian` builds the full d^2 x d^2 superoperator with
 Kronecker products, one `bath_dissipator` per bath.  It is the oracle the
 tests and the acceptance checks compare the two transport routes against,
-the charge block (`block`) and the Majorana covariance (`gaussian`);
-nothing on the transport path calls it.
+the four-level rate matrix (`rates`) and the Majorana covariance
+(`gaussian`); nothing on the transport path calls it.
 
 Superoperators use column-stacking vectorization: vec(rho) stacks the
 columns of rho (numpy order='F'), so vec(A rho B) = (B^T kron A) vec(rho)
@@ -189,8 +189,9 @@ def _group_starts(values: np.ndarray, tol: float) -> list[int]:
     """Indices at which the groups of equal ascending values start.
 
     A new group starts once a value exceeds the first one of the current
-    group by more than `tol`.  Energies (`block.energy_charges`) and Bohr
-    frequencies (`global_jump_operators`) are grouped by this one rule.
+    group by more than `tol`.  The many-body Bohr frequencies
+    (`global_jump_operators`) and the mode energies |eps_k| of the
+    Gaussian route are grouped by this one rule.
     """
     starts = [0]
     for k in range(1, len(values)):
@@ -351,7 +352,7 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
     The per-bath pieces are retained in `bath_parts` (same order as
     `baths`) because the heat current through each reservoir is computed
     from its own dissipator alone.  This dense route is the oracle for
-    the `block` and `gaussian` transport routes.
+    the `rates` and `gaussian` transport routes.
     """
     _chain_length(H, baths)
     decomp = spectral_decompose(H)

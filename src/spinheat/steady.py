@@ -5,18 +5,19 @@ One kernel rule serves every generator route (`_kernel_vector` and
 count as kernel, a one-dimensional kernel gives the state directly, and a
 degenerate kernel is resolved by projecting the maximally mixed state onto
 it; the result is trace-normalized, Hermitized and checked for
-positivity.  The charge block of the `block` module applies it to its
-b x b block, and the Gaussian route of the `gaussian` module zeroes
-undamped mode pairs by the same `KERNEL_RTOL`, which gives the same
-projected state.
+positivity.  The rate route of the `rates` module applies it to the
+Ising pair's 4 x 4 rate matrix, and the Gaussian route of the `gaussian`
+module zeroes undamped mode pairs by the same `KERNEL_RTOL`, which gives
+the same projected state.
 
 - `steady_state_nullspace` takes the SVD kernel of the full d^2 x d^2
   Liouvillian and reports each bath's current,
   `Liouvillian.bath_currents`.  It is the oracle for both transport
   routes.  `kernel_dim` counts the kernel of the full generator.
 - `steady_state_rate_equations` solves the closed population cycle of the
-  two-spin Ising chain, analytically pinned to four levels.  It and the
-  null-space route serve as oracles for each other (`cross_validate`).
+  two-spin Ising chain, written out by hand for its four levels.  It and
+  the null-space route serve as oracles for each other (`cross_validate`),
+  and it shares no code with the rate route of the `rates` module.
 """
 
 from __future__ import annotations

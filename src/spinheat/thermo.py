@@ -21,15 +21,17 @@ takes the baths' temperatures and kappa into the rates of
   2n x 2n Majorana covariance: `gaussian.gaussian_chain` is the chain
   step, `gaussian.steady_state_gaussian` the point step, at O(n^3).
 - The Ising zz pair is not quadratic (sz sz is quartic in the fermions),
-  so it takes the charge block: `block.chain_operators` is the chain
-  step, `block.steady_state_block` the point step.
+  but its H is diagonal and its jumps map basis states to basis states, so
+  its populations obey a closed four-level Pauli master equation:
+  `rates.pauli_chain` is the chain step, `rates.steady_state_pauli` the
+  point step.
 
-The block route and the dense `assemble_liouvillian` route are the
-Gaussian route's oracles in the tests.  The chain step is kept in a
-least-recently-used cache keyed by (SpinChainSpec, DissipatorStyle) and
-bounded at `_CHAIN_CACHE_SIZE` chains.  Only read-only arrays that no rate
-enters are cached, never a block generator or a covariance, so a cached
-chain gives bit-identical currents.
+The dense `assemble_liouvillian` route is the oracle of both in the
+tests.  The chain step is kept in a least-recently-used cache keyed by
+(SpinChainSpec, DissipatorStyle) and bounded at `_CHAIN_CACHE_SIZE`
+chains.  Only read-only arrays that no rate enters are cached, never a
+rate matrix or a covariance, so a cached chain gives bit-identical
+currents.
 """
 
 from __future__ import annotations
@@ -40,16 +42,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .block import ChainOperators, chain_operators, steady_state_block
 from .gaussian import GaussianChain, gaussian_chain, steady_state_gaussian
 from .lindblad import BathSpec, DissipatorStyle, Liouvillian, standard_baths
-from .spinops import ChainModel, SpinChainSpec, build_hamiltonian
+from .rates import PauliChain, pauli_chain, steady_state_pauli
+from .spinops import ChainModel, SpinChainSpec
 
 # Chains whose chain step stays cached.  fig2 interleaves four
 # (chain, style) pairs in every row; twice that leaves room for the two
-# styles of a "both" sweep next to them.  The block route's entries are
-# Ising pairs (d = 4) and the Gaussian route's hold 2n x 2n arrays, so
-# each entry takes a few kB at most.
+# styles of a "both" sweep next to them.  The rate route's entries hold
+# 4 x 4 arrays and the Gaussian route's 2n x 2n ones, so each entry takes
+# a few kB at most.
 _CHAIN_CACHE_SIZE = 8
 
 
@@ -110,15 +112,15 @@ def current_from_cycle(delta: float, cycle_gamma: float) -> float:
 
 
 @functools.lru_cache(maxsize=_CHAIN_CACHE_SIZE)
-def _chain(spec: SpinChainSpec, style: DissipatorStyle) -> GaussianChain | ChainOperators:
+def _chain(spec: SpinChainSpec, style: DissipatorStyle) -> GaussianChain | PauliChain:
     """The chain step of the canonical two-bath arrangement: Gaussian for
-    the XY chain, the charge block for the Ising pair."""
+    the XY chain, the four-level rate matrix for the Ising pair."""
     # the chain step reads the baths' sites, style and local frequencies,
     # never their kappa or temperatures, so any admissible values do here
     baths = standard_baths(spec, 1.0, 0.0, 0.0, style)
     if spec.model is ChainModel.XY_TRANSVERSE:
         return gaussian_chain(spec, baths)
-    return chain_operators(build_hamiltonian(spec), baths)
+    return pauli_chain(spec, baths)
 
 
 def steady_net_current(
@@ -132,14 +134,15 @@ def steady_net_current(
 
     The cached chain step of (spec, style), then the point step at these
     temperatures and kappa: on the Majorana covariance for the XY chain,
-    on the charge block for the Ising pair (see the module docstring).
+    on the four-level rate matrix for the Ising pair (see the module
+    docstring).
     """
     baths = standard_baths(spec, kappa, t_left, t_right, style)
     chain = _chain(spec, style)
     if isinstance(chain, GaussianChain):
         state = steady_state_gaussian(chain, baths)
     else:
-        state = steady_state_block(chain, baths)
+        state = steady_state_pauli(chain, baths)
     return _left_right(baths, state.bath_currents).j_net
 
 

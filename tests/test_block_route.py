@@ -1,19 +1,20 @@
-"""The charge-block steady-state route against the dense d^2 x d^2 oracle."""
+"""The transport routes against the dense d^2 x d^2 oracle.
+
+The Ising pair's rate route (`rates`) solves the population block of its
+generator, the diagonal states it maps into themselves; the XY chain's
+Gaussian route (`gaussian`) solves its Majorana covariance.
+"""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from spinheat.block import chain_operators, energy_charges, steady_state_block
+from spinheat.gaussian import gaussian_chain, steady_state_gaussian
 from spinheat.lindblad import DissipatorStyle, assemble_liouvillian, standard_baths
-from spinheat.spinops import (
-    PAULI_X,
-    ChainModel,
-    HermitianOperator,
-    SpinChainSpec,
-    build_hamiltonian,
-    embed_matrix,
-)
-from spinheat.steady import SteadyStateError, steady_state_nullspace
+from spinheat.rates import pauli_chain, steady_state_pauli
+from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
+from spinheat.steady import steady_state_nullspace
 from spinheat.thermo import heat_currents, steady_net_current
 
 TOL = 1e-10
@@ -28,7 +29,7 @@ def _grid():
         for model, n in chains:
             for k in range(4):
                 h = float(rng.uniform(0.5, 2.0))
-                # delta = 0, a generic coupling, and delta = h on the XY chain
+                # delta = 0, a generic coupling, and delta = h
                 delta = (0.0, float(rng.uniform(0.05, 0.95)) * h, h, float(rng.uniform(0, h)))[k]
                 kappa = float(rng.uniform(0.5, 2.0))
                 t_left = (0.0, float(rng.uniform(0.1, 5.0)))[k % 2]
@@ -54,57 +55,107 @@ def _case_id(case):
     )
 
 
+def _dense_state(spec, baths):
+    return steady_state_nullspace(assemble_liouvillian(build_hamiltonian(spec), baths))
+
+
+def _route_state(spec, baths):
+    """The state of the transport route `steady_net_current` takes for `spec`."""
+    if spec.model is ChainModel.XY_TRANSVERSE:
+        return steady_state_gaussian(gaussian_chain(spec, baths), baths)
+    return steady_state_pauli(pauli_chain(spec, baths), baths)
+
+
 def _both_routes(spec, kappa, t_left, t_right, style):
-    H = build_hamiltonian(spec)
     baths = standard_baths(spec, kappa, t_left, t_right, style)
-    dense_state = steady_state_nullspace(assemble_liouvillian(H, baths))
-    block_state = steady_state_block(chain_operators(H, baths), baths)
-    return dense_state, block_state
+    return _dense_state(spec, baths), _route_state(spec, baths)
 
 
-def _assert_same_currents(block_state, dense_state):
-    assert len(block_state.bath_currents) == len(dense_state.bath_currents) == 2
-    for j_block, j_dense in zip(block_state.bath_currents, dense_state.bath_currents):
-        assert abs(j_block - j_dense) <= TOL
+def _assert_same_currents(state, dense_state):
+    assert len(state.bath_currents) == len(dense_state.bath_currents) == 2
+    for j_route, j_dense in zip(state.bath_currents, dense_state.bath_currents):
+        assert abs(j_route - j_dense) <= TOL
+
+
+def _assert_same_state(state, dense_state):
+    _assert_same_currents(state, dense_state)
+    assert np.max(np.abs(state.rho - dense_state.rho)) <= TOL
+    # ||G p|| is ||L[rho]|| because L maps diagonal states to diagonal ones
+    assert abs(state.residual - dense_state.residual) <= TOL
 
 
 @pytest.mark.parametrize("case", _grid() + DEGENERATE, ids=_case_id)
 def test_block_route_matches_dense_oracle(case):
-    dense_state, block_state = _both_routes(*case)
-    _assert_same_currents(block_state, dense_state)
-    assert np.max(np.abs(block_state.rho - dense_state.rho)) <= TOL
-    assert abs(sum(block_state.bath_currents)) <= TOL
-    assert block_state.kernel_dim <= dense_state.kernel_dim
-    assert block_state.residual <= TOL
+    # the name is kept from the charge-block route this grid once checked;
+    # the routes under test are the rate and Gaussian ones
+    dense_state, state = _both_routes(*case)
+    if case[0].model is ChainModel.ISING_ZZ:
+        _assert_same_state(state, dense_state)
+        assert state.kernel_dim <= dense_state.kernel_dim
+        assert state.residual <= TOL
+    else:
+        _assert_same_currents(state, dense_state)
+    assert abs(sum(state.bath_currents)) <= TOL
+
+
+@pytest.mark.parametrize(
+    "style, kappa, ratio",
+    itertools.product(DissipatorStyle, (0.5, 2.0), (0.0, 0.01, 0.3, 1.0, 1.5, 3.0)),
+)
+def test_rate_route_matches_dense_oracle_on_a_grid(style, kappa, ratio):
+    # delta = 0, delta = h and delta > h included, and baths at T = 0
+    spec = SpinChainSpec(2, 1.0, ratio, ChainModel.ISING_ZZ)
+    for t_left, t_right in itertools.product((0.0, 0.1, 1.0, 10.0), (0.0, 0.5, 10.0)):
+        dense_state, state = _both_routes(spec, kappa, t_left, t_right, style)
+        _assert_same_state(state, dense_state)
+
+
+def test_rate_route_takes_mixed_styles():
+    # each bath's rate matrix is built on its own, so the baths need not
+    # share a style
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
+    baths = [
+        standard_baths(spec, 1.0, 2.0, 0.3, DissipatorStyle.GLOBAL)[0],
+        standard_baths(spec, 1.0, 2.0, 0.3, DissipatorStyle.LOCAL)[1],
+    ]
+    dense_state = _dense_state(spec, baths)
+    _assert_same_state(steady_state_pauli(pauli_chain(spec, baths), baths), dense_state)
+    assert abs(dense_state.bath_currents[0]) > 1e-3
 
 
 @pytest.mark.parametrize("case", DEGENERATE, ids=_case_id)
 def test_degenerate_kernels_are_resolved_alike(case):
-    dense_state, block_state = _both_routes(*case)
-    assert block_state.kernel_dim > 1 and dense_state.kernel_dim > 1
+    dense_state, state = _both_routes(*case)
+    assert state.kernel_dim > 1 and dense_state.kernel_dim > 1
+    assert np.max(np.abs(state.rho - dense_state.rho)) <= TOL
 
 
 def test_dense_route_counts_coherences_outside_the_block():
     # in the local style at delta = 0 the frozen right spin keeps its
-    # coherences, which change the number of up spins by one
+    # coherences, which the population block leaves out
     spec = SpinChainSpec(2, 1.0, 0.0, ChainModel.ISING_ZZ)
-    dense_state, block_state = _both_routes(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
-    assert (dense_state.kernel_dim, block_state.kernel_dim) == (4, 2)
-    assert np.max(np.abs(block_state.rho - dense_state.rho)) <= TOL
+    dense_state, state = _both_routes(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
+    assert (dense_state.kernel_dim, state.kernel_dim) == (4, 2)
+    assert np.max(np.abs(state.rho - dense_state.rho)) <= TOL
 
 
 @pytest.mark.parametrize("style", DissipatorStyle)
 def test_currents_follow_the_bath_order(style):
-    # the right bath listed first: each channel's flow goes to the bath at
-    # its position, and j_in_left still reports the bath on site 0
-    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
-    H = build_hamiltonian(spec)
-    baths = standard_baths(spec, 1.0, 2.0, 0.3, style)[::-1]
-    dense = assemble_liouvillian(H, baths)
-    dense_state = steady_state_nullspace(dense)
-    j_dense = heat_currents(dense, dense_state.rho)
-    assert j_dense.j_in_left == dense_state.bath_currents[1] > 1e-3
-    _assert_same_currents(steady_state_block(chain_operators(H, baths), baths), dense_state)
+    # the right bath listed first: each bath's flow goes to its position,
+    # and j_in_left still reports the bath on site 0
+    for spec in (
+        SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE),
+        SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ),
+    ):
+        baths = standard_baths(spec, 1.0, 2.0, 0.3, style)[::-1]
+        dense = assemble_liouvillian(build_hamiltonian(spec), baths)
+        dense_state = steady_state_nullspace(dense)
+        j_dense = heat_currents(dense, dense_state.rho)
+        assert j_dense.j_in_left == dense_state.bath_currents[1]
+        _assert_same_currents(_route_state(spec, baths), dense_state)
+        # only the local Ising pair carries no current
+        if spec.model is ChainModel.XY_TRANSVERSE or style is DissipatorStyle.GLOBAL:
+            assert j_dense.j_in_left > 1e-3
 
 
 @pytest.mark.parametrize("n_spins", range(2, 7))
@@ -114,34 +165,7 @@ def test_local_xy_current_is_length_independent(n_spins):
     assert round(j, 6) == 0.150076
 
 
-def test_block_sizes():
-    spec = SpinChainSpec(5, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
-    H = build_hamiltonian(spec)
-    sizes = {
-        style: len(chain_operators(H, standard_baths(spec, 1.0, 1.0, 0.0, style)).rows)
-        for style in DissipatorStyle
-    }
-    assert sizes == {DissipatorStyle.GLOBAL: 80, DissipatorStyle.LOCAL: 252}
-
-
-def test_energy_charges_group_degenerate_levels():
-    energies = np.array([-1.0, -1.0 + 1e-12, 0.0, 0.5, 0.5, 0.5 + 1e-3])
-    assert energy_charges(energies).tolist() == [0, 0, 1, 2, 2, 3]
-
-
-def test_leaving_the_block_raises():
-    # a transverse field breaks the conservation of total S_z, so the
-    # number-of-up-spins block is no longer invariant under the generator
-    spec = SpinChainSpec(3, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
-    H = HermitianOperator(build_hamiltonian(spec).matrix + 0.3 * embed_matrix(PAULI_X, 1, 3))
-    baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
-    with pytest.raises(SteadyStateError, match="leaves the symmetry block"):
-        steady_state_block(chain_operators(H, baths), baths)
-
-
-def test_mixed_styles_rejected():
+def test_rate_route_refuses_the_xy_chain():
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
-    baths = standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.GLOBAL)[:1]
-    baths += standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.LOCAL)[1:]
-    with pytest.raises(ValueError):
-        chain_operators(build_hamiltonian(spec), baths)
+    with pytest.raises(ValueError, match="Ising"):
+        pauli_chain(spec, standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.GLOBAL))

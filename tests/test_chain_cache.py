@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import spinheat.lindblad as lindblad
 from spinheat import thermo
 from spinheat.experiments import run_fig3
-from spinheat.block import chain_operators, steady_state_block
 from spinheat.gaussian import steady_state_gaussian
 from spinheat.lindblad import DissipatorStyle, assemble_liouvillian, standard_baths
+from spinheat.rates import pauli_chain, steady_state_pauli
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.steady import steady_state_nullspace
 from spinheat.thermo import heat_currents, steady_net_current
@@ -74,11 +74,10 @@ def test_warm_cache_is_bit_identical_to_cold(data):
 
 
 def _cached_arrays(chain):
-    yield from (chain.basis, chain.rows, chain.cols, chain.effective)
-    yield from chain.row_pairs + chain.col_pairs
+    yield chain.energies
     for transitions in chain.transitions:
-        for _, lowering, raising in transitions:
-            yield from lowering + raising
+        for _, weights in transitions:
+            yield weights
 
 
 def _assert_read_only(arrays):
@@ -89,11 +88,13 @@ def _assert_read_only(arrays):
 
 @pytest.mark.parametrize("style", DissipatorStyle)
 def test_cached_arrays_are_read_only(style):
-    # the block route's chain step; the cache serves it to the Ising pair
-    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
-    chain = chain_operators(build_hamiltonian(spec), standard_baths(spec, 1.0, 2.0, 0.0, style))
-    arrays = list(_cached_arrays(chain))
-    assert len(arrays) > 10
+    # the rate route's chain step, which the cache serves to the Ising pair:
+    # the energies, and one weight matrix per transition: the left bath
+    # drives two globally (h + delta and h - delta), every other bath one
+    spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
+    steady_net_current(spec, 1.0, 2.0, 0.0, style)
+    arrays = list(_cached_arrays(thermo._chain(spec, style)))
+    assert len(arrays) == {DissipatorStyle.GLOBAL: 4, DissipatorStyle.LOCAL: 3}[style]
     _assert_read_only(arrays)
 
 
@@ -179,15 +180,15 @@ def test_warm_chain_takes_replaced_rate_law(monkeypatch):
 
 
 def test_baths_must_couple_where_the_chain_step_did():
-    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
     baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
-    chain = chain_operators(build_hamiltonian(spec), baths)
-    steady_state_block(chain, baths)
-    moved = [baths[0], replace(baths[1], site=1)]
+    chain = pauli_chain(spec, baths)
+    steady_state_pauli(chain, baths)
+    moved = [baths[0], replace(baths[1], site=0)]
     with pytest.raises(ValueError, match="couple"):
-        steady_state_block(chain, moved)
+        steady_state_pauli(chain, moved)
     with pytest.raises(ValueError, match="couple"):
-        steady_state_block(chain, [replace(baths[0], local_frequency=0.5), baths[1]])
+        steady_state_pauli(chain, [replace(baths[0], local_frequency=0.5), baths[1]])
 
 
 def test_baths_must_couple_where_the_gaussian_chain_step_did():

@@ -313,8 +313,9 @@ class TestCommandLine:
         assert not out.exists()
 
     def test_overlong_chain_config_exits_before_running(self, tmp_path, capsys, monkeypatch):
-        # parsing alone must refuse it: a 10-spin local point would need a
-        # 184756 x 184756 block, so no point may be evaluated
+        # parsing alone must refuse it: ten spins is past MAX_SPINS, the
+        # longest chain the transport route is checked at, so no point may
+        # be evaluated
         def refuse(*args):
             raise AssertionError("a point was evaluated")
 

@@ -1,9 +1,11 @@
 """The names the package exports, and the ones the benchmark imports."""
 
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinheat
@@ -37,6 +39,14 @@ def test_benchmark_names_stay_exported(name):
 def test_experiments_module_is_reachable():
     assert spinheat.experiments.run_fig3 is spinheat.run_fig3
 
+
+def test_no_submodule_shadows_an_exported_name():
+    # importing a submodule binds its name on the package, over any
+    # exported function or class of the same name
+    submodules = {module.name for module in pkgutil.iter_modules(spinheat.__path__)}
+    assert not submodules & set(spinheat.__all__)
+    assert spinheat.pauli is spinheat.spinops.pauli
+    assert np.array_equal(spinheat.pauli("x").matrix, [[0, 1], [1, 0]])
 
 
 def test_import_loads_no_scipy():

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinheat import thermo
-from spinheat.block import steady_state_block
 from spinheat.gaussian import GaussianChain, steady_state_gaussian
 from spinheat.lindblad import (
     DissipatorStyle,
@@ -13,6 +12,7 @@ from spinheat.lindblad import (
     unvectorize,
     vectorize,
 )
+from spinheat.rates import steady_state_pauli
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.steady import steady_state_nullspace, steady_state_rate_equations
 from spinheat.thermo import (
@@ -33,8 +33,8 @@ XY_CHAINS = [(ChainModel.XY_TRANSVERSE, n) for n in range(2, 7)]
 
 
 @st.composite
-def transport_specs(draw, chains=ISING_PAIR + XY_CHAINS):
-    """The Ising pair (charge-block route) or an XY chain of 2 to 6 spins (Gaussian route)."""
+def transport_specs(draw, chains):
+    """A chain of `chains`: the Ising pair (rate route) or XY chains (Gaussian route)."""
     model, n_spins = draw(st.sampled_from(chains))
     h = draw(st.floats(0.5, 2.0))
     delta = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
@@ -110,14 +110,22 @@ class TestHeatCurrents:
                 j = steady_net_current(ISING, 1.0, t_left, t_right, DissipatorStyle.GLOBAL)
                 assert j >= -1e-12
 
+    @pytest.mark.parametrize("chains", [ISING_PAIR, XY_CHAINS], ids=["pauli", "gaussian"])
     @PROPERTY
-    @given(transport_specs(), st.sampled_from(DissipatorStyle), kappas, temperatures, temperatures)
-    def test_clausius_sign_over_random_specs(self, spec, style, kappa, t_left, t_right):
+    @given(
+        data=st.data(),
+        style=st.sampled_from(DissipatorStyle),
+        kappa=kappas,
+        t_left=temperatures,
+        t_right=temperatures,
+    )
+    def test_clausius_sign_over_random_specs(self, chains, data, style, kappa, t_left, t_right):
         # heat never flows from the colder into the hotter bath
+        spec = data.draw(transport_specs(chains))
         j = steady_net_current(spec, kappa, t_left, t_right, style)
         assert j * (t_left - t_right) >= -1e-12 * kappa * spec.field_h**2
 
-    @pytest.mark.parametrize("chains", [ISING_PAIR, XY_CHAINS], ids=["block", "gaussian"])
+    @pytest.mark.parametrize("chains", [ISING_PAIR, XY_CHAINS], ids=["pauli", "gaussian"])
     @PROPERTY
     @given(
         data=st.data(),
@@ -131,7 +139,7 @@ class TestHeatCurrents:
         spec = data.draw(transport_specs(chains))
         baths = standard_baths(spec, kappa, t_left, t_right, style)
         chain = thermo._chain(spec, style)
-        step = steady_state_gaussian if isinstance(chain, GaussianChain) else steady_state_block
+        step = steady_state_gaussian if isinstance(chain, GaussianChain) else steady_state_pauli
         currents = step(chain, baths).bath_currents
         assert len(currents) == 2
         assert abs(sum(currents)) <= 1e-10 * kappa * spec.field_h**2
@@ -163,6 +171,16 @@ class TestCurrentFromCycle:
                 )
                 _, rates = steady_state_rate_equations(1.0, 0.5, 1.0, t_left, t_right)
                 assert abs(j_direct - current_from_cycle(0.5, rates.cycle_gamma)) < 1e-9
+
+    @PROPERTY
+    @given(st.floats(0.5, 2.0), st.floats(0.01, 0.99), kappas, temperatures, temperatures)
+    def test_route_equivalence_over_random_specs(self, h, ratio, kappa, t_left, t_right):
+        # the rate route against the hand-written four-level cycle
+        delta = ratio * h
+        spec = SpinChainSpec(2, h, delta, ChainModel.ISING_ZZ)
+        j_direct = steady_net_current(spec, kappa, t_left, t_right, DissipatorStyle.GLOBAL)
+        _, rates = steady_state_rate_equations(h, delta, kappa, t_left, t_right)
+        assert abs(j_direct - current_from_cycle(delta, rates.cycle_gamma)) <= 1e-9
 
 
 class TestPhenomenologicalNullCurrent:
