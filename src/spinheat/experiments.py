@@ -4,12 +4,16 @@ Every dataset, the figures and the configured sweeps alike, is a grid of
 x values and a list of curves.  The x variable is the left temperature
 T_L, the coupling delta, or the temperature difference delta_T at a fixed
 mean; a curve is one J column, fixed by a chain, a dissipator style, and
-the temperatures x leaves free.  One cell function evaluates a curve at
-one x.  Each dataset is written as a flat CSV with a units comment,
-parameter comment lines, a header row, and values at 15 significant
-digits.  Grid points are independent, so rows can be evaluated across
-worker processes; they are always assembled in grid order, which keeps the
-output files byte-for-byte reproducible.
+the temperatures x leaves free.  A column function evaluates every
+curve over a stretch of the grid: it groups the cells by the chain they
+need at their x and their style, and each group takes one stacked point
+step (`thermo._net_currents`).  Each dataset is written as a flat CSV
+with a units comment, parameter comment lines, a header row, and values
+at 15 significant digits.  Grid points are independent, so contiguous
+chunks of the grid can be evaluated across worker processes; rows are
+always assembled in grid order, and a stack member does not depend on the
+stack it is solved in, which keeps the output files byte-for-byte
+reproducible.
 """
 
 from __future__ import annotations
@@ -41,7 +45,13 @@ from .steady import (
     steady_state_nullspace,
     steady_state_rate_equations,
 )
-from .thermo import current_from_cycle, heat_currents, rectification, steady_net_current
+from .thermo import (
+    _net_currents,
+    current_from_cycle,
+    heat_currents,
+    rectification,
+    steady_net_current,
+)
 
 UNITS_COMMENT = "# hbar=1, kB=1, energies in units of h"
 
@@ -302,14 +312,20 @@ def _write_csv(
     return path
 
 
+def _workers(jobs: int | None, items: int) -> int:
+    """Workers for `items` items: at most `jobs` (None: one per processor),
+    and no more than there are items or processors."""
+    cpus = os.cpu_count() or 1
+    return max(1, min(cpus if jobs is None else jobs, items, cpus))
+
+
 def _parallel_map(fn: Callable, items: Sequence, jobs: int | None) -> list:
     """fn over items in order, on at most `jobs` workers (None: one per processor).
 
     No more workers start than there are items or processors.
     """
     items = list(items)
-    cpus = os.cpu_count() or 1
-    workers = min(cpus if jobs is None else jobs, len(items), cpus)
+    workers = _workers(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     chunksize = max(1, len(items) // (4 * workers))
@@ -337,11 +353,9 @@ class _Curve:
     t_mean: float | None = None
 
 
-def _cell(x_name: str, kappa: float, curve: _Curve, x: float) -> float | None:
-    """Net current of one curve at one x; None where a bath would drop below zero temperature.
-
-    A SteadyStateError is raised again with the curve's name and x.
-    """
+def _cell_point(x_name: str, curve: _Curve, x: float) -> tuple[SpinChainSpec, float, float] | None:
+    """The chain and the (t_left, t_right) of one curve at one x; None where
+    a bath would drop below zero temperature."""
     spec, t_left, t_right = curve.spec, curve.t_left, curve.t_right
     if x_name == "T_L":
         t_left = x
@@ -351,21 +365,49 @@ def _cell(x_name: str, kappa: float, curve: _Curve, x: float) -> float | None:
         t_left, t_right = curve.t_mean + 0.5 * x, curve.t_mean - 0.5 * x
         if t_left < 0 or t_right < 0:
             return None
-    try:
-        return steady_net_current(spec, kappa, t_left, t_right, curve.style)
-    except SteadyStateError as err:
-        raise SteadyStateError(f"{curve.name} at {x_name} = {x:.15g}: {err}") from err
+    return spec, t_left, t_right
 
 
-def _row(x_name: str, kappa: float, curves: Sequence[_Curve], x: float) -> tuple:
-    return (x, *(_cell(x_name, kappa, curve, x) for curve in curves))
+def _columns(x_name: str, kappa: float, curves: Sequence[_Curve], xs: np.ndarray) -> list[tuple]:
+    """Every curve at the grid points `xs`: one row per x, in grid order.
+
+    The cells are grouped by (chain at x, style) and each group takes one
+    stacked point step, so a curve whose chain does not move with x is one
+    group, and a coupling grid gives one group per coupling.  Cells where a
+    bath would drop below zero temperature stay None.  A SteadyStateError is
+    raised again with the failing cell's curve name and x.
+    """
+    cells: list[list[float | None]] = [[None] * len(curves) for _ in xs]
+    groups: dict[tuple[SpinChainSpec, DissipatorStyle], list[tuple[int, int, float, float]]] = {}
+    for row, x in enumerate(xs):
+        for col, curve in enumerate(curves):
+            point = _cell_point(x_name, curve, x)
+            if point is not None:
+                spec, t_left, t_right = point
+                groups.setdefault((spec, curve.style), []).append((row, col, t_left, t_right))
+    for (spec, style), members in groups.items():
+        try:
+            currents = _net_currents(spec, kappa, [member[2:] for member in members], style)
+        except SteadyStateError as err:
+            row, col = members[err.member][:2]
+            name = curves[col].name
+            raise SteadyStateError(f"{name} at {x_name} = {xs[row]:.15g}: {err}") from err
+        for (row, col, _, _), current in zip(members, currents):
+            cells[row][col] = float(current)
+    return [(x, *row) for x, row in zip(xs, cells)]
 
 
 def _rows(
     x_name: str, grid: np.ndarray, kappa: float, curves: Sequence[_Curve], jobs: int | None
 ) -> list[tuple]:
-    """Every curve at every grid point, rows in grid order."""
-    return _parallel_map(functools.partial(_row, x_name, kappa, tuple(curves)), grid, jobs)
+    """Every curve at every grid point, rows in grid order.
+
+    Each worker takes one contiguous chunk of the grid.  A stack member
+    comes out the same in any stack, so the chunking never moves a cell.
+    """
+    chunks = np.array_split(grid, _workers(jobs, len(grid)))
+    blocks = _parallel_map(functools.partial(_columns, x_name, kappa, tuple(curves)), chunks, jobs)
+    return [row for block in blocks for row in block]
 
 
 def _write_dataset(
@@ -621,7 +663,7 @@ def _check_high_mean_temperature_symmetry() -> tuple[str, str, str, bool]:
     # the curve of the fig3 inset at mean temperature 5h
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     curve = _Curve("J_tbar_5", spec, DissipatorStyle.GLOBAL, t_mean=5.0)
-    currents = np.array([_cell("delta_T", 1.0, curve, dt) for dt in gradient_grid()])
+    currents = np.array([row[1] for row in _columns("delta_T", 1.0, (curve,), gradient_grid())])
     asymmetry = np.max(np.abs(currents + currents[::-1]))
     bound = 0.02 * np.max(np.abs(currents))
     return (

@@ -39,17 +39,18 @@ vector l.
 
 The chain step, `gaussian_chain`, holds A and each bath's (frequency,
 lowering vector) pairs; none of it depends on temperature or kappa.  The
-point step, `steady_state_gaussian`, takes the rates of
-`lindblad.thermal_rates` into the bath matrices
+point step, `steady_state_gaussian`, takes P points of one chain at once.
+At each point it takes the rates of `lindblad.thermal_rates`, one call per
+transition, into the bath matrices
 
     M_k = sum_t (emission l_t^* l_t^T + absorption l_t l_t^dag),
 
 and solves X Gamma + Gamma X^T = -4 Im M with X = A - 2 Re M, M = sum_k
-M_k, by an eigendecomposition of X.  A pair of eigenvalues of X that sum
-to zero (within `KERNEL_RTOL` of the largest) belongs to modes no bath
-damps; the component of Gamma there is set to zero, which is the
-maximally mixed state on those modes, the state the dense route projects
-a degenerate kernel from.  Cost: O(n^3), against O(d^6) = O(64^n) for
+M_k, by an eigendecomposition of X, batched over the (P, 2n, 2n) stack.
+A pair of eigenvalues of X that sum to zero (within `KERNEL_RTOL` of the
+largest) belongs to modes no bath damps; the component of Gamma there is
+set to zero, which is the maximally mixed state on those modes, the state
+the dense route projects a degenerate kernel from.  Cost: O(n^3), against O(d^6) = O(64^n) for
 the SVD of the dense d^2 x d^2 generator.
 
 The point step also returns each bath's current.  With
@@ -60,10 +61,11 @@ feeds in sum_ab A_ab ((Re M_k Gamma + Gamma Re M_k)/2 - Im M_k)_ab.
 Where X is defective (an exceptional point: the 2-spin local chain at
 h = 1, delta = 0.5, kappa = 1, T_R = 0 has one at n_BE(h, T_L) = 1), its
 eigenvectors are nearly parallel and their solution misses the equation.
-A residual above `_EIG_RTOL` times ||X|| hands the point to the Kronecker
-solve of (I kron X + X kron I) vec Gamma = vec(-4 Im M), by minimum-norm
-least squares with relative cutoff `KERNEL_RTOL`, which zeroes undamped
-mode pairs as the eigenvector solution does.  The eigendecomposition
+A residual above `_EIG_RTOL` times ||X|| hands that stack member alone to
+the Kronecker solve of (I kron X + X kron I) vec Gamma = vec(-4 Im M), by
+minimum-norm least squares with relative cutoff `KERNEL_RTOL`, which
+zeroes undamped mode pairs as the eigenvector solution does; the other
+members keep their eigenvector solution.  The eigendecomposition
 stays first because the Kronecker solve costs O(n^6): 1.5 to 3.7 ms at
 n = 5 and 6 (one core of a 2-vCPU 2.0 GHz Xeon VM), against about 0.3 ms
 for a whole point.
@@ -72,13 +74,14 @@ for a whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import lindblad
 from .lindblad import DEGENERACY_TOL, BathSpec, DissipatorStyle, _coupling, _group_starts
 from .spinops import ChainModel, SpinChainSpec
-from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyStateError
+from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyStateError, _first_failure
 
 
 # The eigenvector solution is kept while its Lyapunov residual stays below
@@ -106,15 +109,16 @@ class GaussianChain:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """The steady Majorana covariance Gamma (<w_a w_b> = I + i Gamma).
+    """The steady Majorana covariances Gamma (<w_a w_b> = I + i Gamma) of P points.
 
-    `residual` is ||X Gamma + Gamma X^T + 4 Im M||; `bath_currents[k]` is
-    the energy the k-th bath passed to `steady_state_gaussian` feeds in.
+    `covariance` has shape (P, 2n, 2n).  `residual[p]` is
+    ||X Gamma + Gamma X^T + 4 Im M|| at point p, and `bath_currents[p, k]`
+    the energy the k-th bath of point p feeds in.
     """
 
     covariance: np.ndarray
-    residual: float
-    bath_currents: tuple[float, ...]
+    residual: np.ndarray
+    bath_currents: np.ndarray
 
 
 def _mode_vectors(phi: np.ndarray) -> np.ndarray:
@@ -191,28 +195,39 @@ def gaussian_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> GaussianChain:
     )
 
 
-def _bath_matrix(bath: BathSpec, frequencies: np.ndarray, lowering: np.ndarray) -> np.ndarray:
-    rates = np.array([lindblad.thermal_rates(bath, float(w)) for w in frequencies])
-    rates = rates.reshape(len(frequencies), 2)
-    emission = (lowering.conj().T * rates[:, 0]) @ lowering
-    absorption = (lowering.T * rates[:, 1]) @ lowering.conj()
+def _bath_matrices(
+    baths: Sequence[BathSpec], frequencies: np.ndarray, lowering: np.ndarray
+) -> np.ndarray:
+    """M_k of one bath at P points (`baths[p]` is the bath at point p), as a (P, 2n, 2n) stack."""
+    rates = np.array(
+        [[lindblad.thermal_rates(bath, float(w)) for w in frequencies] for bath in baths]
+    )
+    rates = rates.reshape(len(baths), len(frequencies), 2, 1)
+    # sum_t rate_t l_t^* l_t^T is (the rows l_t^* scaled by their rates)^T @ l
+    emission = (rates[:, :, 0] * lowering.conj()).transpose(0, 2, 1) @ lowering
+    absorption = (rates[:, :, 1] * lowering).transpose(0, 2, 1) @ lowering.conj()
     return emission + absorption
 
 
+def _transpose(stack: np.ndarray) -> np.ndarray:
+    return stack.swapaxes(-1, -2)
+
+
 def _lyapunov_eig(x: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Gamma from the eigendecomposition of X, zero on undamped mode pairs."""
+    """Gamma of each member of a (P, 2n, 2n) stack from the eigendecomposition
+    of X, zero on undamped mode pairs."""
     d, v = np.linalg.eig(x)
     v_inv = np.linalg.inv(v)
-    pair = d[:, None] + d[None, :]
-    undamped = np.abs(pair) <= KERNEL_RTOL * np.max(np.abs(d))
-    rotated = v_inv @ source @ v_inv.T
+    pair = d[:, :, None] + d[:, None, :]
+    undamped = np.abs(pair) <= KERNEL_RTOL * np.max(np.abs(d), axis=1)[:, None, None]
+    rotated = v_inv @ source @ _transpose(v_inv)
     solution = np.where(undamped, 0.0, rotated / np.where(undamped, 1.0, pair))
-    gamma = (v @ solution @ v.T).real
-    return 0.5 * (gamma - gamma.T)  # antisymmetric up to rounding
+    gamma = (v @ solution @ _transpose(v)).real
+    return 0.5 * (gamma - _transpose(gamma))  # antisymmetric up to rounding
 
 
 def _lyapunov_kronecker(x: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Gamma as the minimum-norm least-squares solution of
+    """Gamma of one point as the minimum-norm least-squares solution of
     (I kron X + X kron I) vec Gamma = vec S, which needs no eigenvectors."""
     eye = np.eye(len(x))
     operator = np.kron(eye, x) + np.kron(x, eye)
@@ -221,48 +236,60 @@ def _lyapunov_kronecker(x: np.ndarray, source: np.ndarray) -> np.ndarray:
     return 0.5 * (gamma - gamma.T)
 
 
-def _lyapunov_residual(x: np.ndarray, gamma: np.ndarray, source: np.ndarray) -> float:
-    return float(np.linalg.norm(x @ gamma + gamma @ x.T - source))
+def _lyapunov_residual(x: np.ndarray, gamma: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """||X Gamma + Gamma X^T - S|| of one point or of each member of a stack."""
+    return np.linalg.norm(x @ gamma + gamma @ _transpose(x) - source, axis=(-2, -1))
 
 
-def steady_state_gaussian(chain: GaussianChain, baths: list[BathSpec]) -> GaussianState:
-    """The point step: the steady covariance at the baths' rates, and each bath's current.
+def steady_state_gaussian(chain: GaussianChain, baths: Sequence[list[BathSpec]]) -> GaussianState:
+    """The point step: the steady covariances of P points, and each bath's current.
 
-    `baths` must couple where the chain step's baths did.  The
-    eigenvector solution is taken unless its residual exceeds `_EIG_RTOL`
-    times ||X||, near an exceptional point of X; then the Kronecker solve
-    replaces it (see the module docstring).  Raises SteadyStateError when
-    the Lyapunov residual exceeds `KERNEL_RTOL` times ||X|| or the
-    spectrum of i Gamma leaves [-1, 1] (mode occupations outside [0, 1]).
+    `baths[p]` lists point p's baths, which must couple where the chain
+    step's baths did.  The P points are solved as one stack: one batched
+    eigendecomposition of X, and the Kronecker solve for each member whose
+    eigenvector solution leaves a residual above `_EIG_RTOL` times ||X||,
+    near an exceptional point of X (see the module docstring); the other
+    members keep their eigenvector solution.  Raises SteadyStateError,
+    carrying the member's index, when a Lyapunov residual exceeds
+    `KERNEL_RTOL` times ||X|| or the spectrum of i Gamma leaves [-1, 1]
+    (mode occupations outside [0, 1]).  The returned fields carry a
+    leading axis of length P; a member comes out bit-identical in any
+    stack.
     """
-    if tuple(_coupling(bath) for bath in baths) != chain.couplings:
-        raise ValueError("the baths do not couple where the chain step's baths do")
+    for point in baths:
+        if tuple(_coupling(bath) for bath in point) != chain.couplings:
+            raise ValueError("the baths do not couple where the chain step's baths do")
     matrices = tuple(
-        _bath_matrix(bath, freqs, vectors)
-        for bath, freqs, vectors in zip(baths, chain.frequencies, chain.lowering)
+        _bath_matrices([point[k] for point in baths], freqs, vectors)
+        for k, (freqs, vectors) in enumerate(zip(chain.frequencies, chain.lowering))
     )
     m = sum(matrices)
     x = chain.majorana - 2.0 * m.real
     source = -4.0 * m.imag
 
-    scale = float(np.linalg.norm(x))
+    scale = np.linalg.norm(x, axis=(1, 2))
     gamma = _lyapunov_eig(x, source)
     residual = _lyapunov_residual(x, gamma, source)
-    if not residual <= _EIG_RTOL * scale:  # a NaN residual takes this branch too
-        gamma = _lyapunov_kronecker(x, source)
-        residual = _lyapunov_residual(x, gamma, source)
-    if residual > KERNEL_RTOL * scale:
-        raise SteadyStateError(
-            f"Lyapunov residual {residual:.3e} exceeds {KERNEL_RTOL:.0e} x ||X|| = {scale:.3e}"
-        )
-    # the mode occupations (1 -+ largest)/2 meet the bound rho's eigenvalues meet
-    largest = float(np.max(np.abs(np.linalg.eigvalsh(1j * gamma))))
-    if largest > 1.0 - 2.0 * _MIN_EIGENVALUE:
-        raise SteadyStateError(
-            f"covariance not physical: |spectrum of i Gamma| reaches {largest:.12f}"
-        )
-    a = chain.majorana
-    flows = tuple(
-        float(np.sum(a * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag))) for m in matrices
+    # a NaN residual takes the Kronecker solve too
+    for p in np.flatnonzero(~(residual <= _EIG_RTOL * scale)):
+        gamma[p] = _lyapunov_kronecker(x[p], source[p])
+        residual[p] = _lyapunov_residual(x[p], gamma[p], source[p])
+    _first_failure(
+        residual > KERNEL_RTOL * scale,
+        lambda p: f"Lyapunov residual {residual[p]:.3e} exceeds {KERNEL_RTOL:.0e} x "
+        f"||X|| = {scale[p]:.3e}",
     )
-    return GaussianState(covariance=gamma, residual=residual, bath_currents=flows)
+    # the mode occupations (1 -+ largest)/2 meet the bound rho's eigenvalues meet
+    largest = np.max(np.abs(np.linalg.eigvalsh(1j * gamma)), axis=1)
+    _first_failure(
+        largest > 1.0 - 2.0 * _MIN_EIGENVALUE,
+        lambda p: f"covariance not physical: |spectrum of i Gamma| reaches {largest[p]:.12f}",
+    )
+    a = chain.majorana
+    flows = [
+        (a * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag)).reshape(len(baths), -1).sum(1)
+        for m in matrices
+    ]
+    return GaussianState(
+        covariance=gamma, residual=residual, bath_currents=np.stack(flows, axis=1)
+    )

@@ -14,21 +14,24 @@ route projects from the maximally mixed state.
 The chain step, `pauli_chain`, holds the four energies (the diagonal of
 H) and, for each bath, one (frequency, |A_ij|^2) pair per transition of
 `lindblad.bath_transitions`; none of it depends on temperature or kappa.
-The point step, `steady_state_pauli`, takes the rates of
-`lindblad.thermal_rates` into each bath's rate matrix
+The point step, `steady_state_pauli`, takes P points of one chain at
+once.  At each point it takes the rates of `lindblad.thermal_rates`, one
+call per transition, into each bath's rate matrix
 
     W_k = sum_t (emission |A_t|^2 + absorption |A_t|^2 transposed),
 
-whose entry (i, j) moves population from level j to level i, and solves
-G = W - diag(column sums of W), W = sum_k W_k, by the kernel rule of
-`steady._kernel_vector`.  L maps diagonal states to diagonal ones, so
-||G p|| is the residual ||L[rho]||, and bath k feeds in
+whose entry (i, j) moves population from level j to level i, and it
+solves the (P, 4, 4) stack of G = W - diag(column sums of W),
+W = sum_k W_k, by the stacked kernel rule of `steady._kernel_vector`: one
+batched SVD, then the rule member by member.  L maps diagonal states to
+diagonal ones, so ||G p|| is the residual ||L[rho]||, and bath k feeds in
 sum_ij W_k[i, j] (E_i - E_j) p_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -82,34 +85,44 @@ def pauli_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> PauliChain:
     )
 
 
-def steady_state_pauli(chain: PauliChain, baths: list[BathSpec]) -> SteadyState:
-    """The point step: the steady populations at the baths' rates, and each bath's current.
+def steady_state_pauli(chain: PauliChain, baths: Sequence[list[BathSpec]]) -> SteadyState:
+    """The point step: the steady populations of P points, and each bath's current.
 
-    `baths` must couple where the chain step's baths did (same sites,
-    style and local frequencies); their temperatures and kappa are free.
-    The kernel rule and the state checks are those of
-    `steady.steady_state_nullspace`.
+    `baths[p]` lists point p's baths, which must couple where the chain
+    step's baths did (same sites, style and local frequencies); their
+    temperatures and kappa are free.  The rate matrices of all P points
+    are solved as one stack by the kernel rule of `steady._kernel_vector`,
+    whose checks are those of `steady.steady_state_nullspace`.  The
+    returned fields carry a leading axis of length P; a member comes out
+    bit-identical in any stack.
     """
-    if tuple(_coupling(bath) for bath in baths) != chain.couplings:
-        raise ValueError("the baths do not couple where the chain step's baths do")
+    for point in baths:
+        if tuple(_coupling(bath) for bath in point) != chain.couplings:
+            raise ValueError("the baths do not couple where the chain step's baths do")
     d = len(chain.energies)
     bath_rates = []
-    for bath, transitions in zip(baths, chain.transitions):
-        w = np.zeros((d, d))
+    for k, transitions in enumerate(chain.transitions):
+        w = np.zeros((len(baths), d, d))
         for frequency, weights in transitions:
-            emission, absorption = lindblad.thermal_rates(bath, frequency)
+            rates = np.array([lindblad.thermal_rates(point[k], frequency) for point in baths])
+            emission, absorption = rates[:, 0, None, None], rates[:, 1, None, None]
             w += emission * weights + absorption * weights.T
         bath_rates.append(w)
     w_total = sum(bath_rates)
-    generator = w_total - np.diag(w_total.sum(axis=0))
+    levels = np.arange(d)
+    generator = w_total.copy()
+    generator[:, levels, levels] -= w_total.sum(axis=1)
 
-    vec, kernel_dim, _ = _kernel_vector(generator, np.full(d, 1.0 / d))
-    rho = _density_matrix(np.diag(vec))
-    p = rho.diagonal().real
+    vectors, kernel_dim = _kernel_vector(generator, np.full(d, 1.0 / d))
+    rho = np.zeros((len(baths), d, d), dtype=vectors.dtype)
+    rho[:, levels, levels] = vectors
+    rho = _density_matrix(rho)
+    p = rho.diagonal(axis1=1, axis2=2).real
     gaps = chain.energies[:, None] - chain.energies[None, :]  # gaps[i, j] = E_i - E_j
+    flows = [(w * gaps * p[:, None, :]).reshape(len(baths), -1).sum(axis=1) for w in bath_rates]
     return SteadyState(
         rho=rho,
-        residual=float(np.linalg.norm(generator @ p)),
+        residual=np.linalg.norm((generator @ p[:, :, None])[:, :, 0], axis=1),
         kernel_dim=kernel_dim,
-        bath_currents=tuple(float(np.sum(w * gaps * p)) for w in bath_rates),
+        bath_currents=np.stack(flows, axis=1),
     )

@@ -101,12 +101,19 @@ def pauli(axis: str) -> HermitianOperator:
 
 
 def embed_matrix(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
-    """Kronecker-embed a single-spin matrix at `site` of an n-spin chain."""
+    """I kron op kron I: a single-spin matrix at `site` of an n-spin chain.
+
+    The 2 x 2 block is placed directly, as entry (a, :, b, a, :, b) of the
+    matrix viewed as (left, 2, right, left, 2, right), rather than through
+    two Kronecker products.
+    """
     if not 0 <= site < n_spins:
         raise ValueError(f"site {site} out of range for {n_spins} spins")
-    left = np.eye(2**site, dtype=complex)
-    right = np.eye(2 ** (n_spins - site - 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
+    left, right = 2**site, 2 ** (n_spins - site - 1)
+    matrix = np.zeros((left, 2, right, left, 2, right), dtype=np.result_type(op, complex))
+    a, b = np.ix_(np.arange(left), np.arange(right))
+    matrix[a, :, b, a, :, b] = op
+    return matrix.reshape(2**n_spins, 2**n_spins)
 
 
 def embed(op: HermitianOperator, site: int, n_spins: int) -> HermitianOperator:

@@ -5,10 +5,14 @@ One kernel rule serves every generator route (`_kernel_vector` and
 count as kernel, a one-dimensional kernel gives the state directly, and a
 degenerate kernel is resolved by projecting the maximally mixed state onto
 it; the result is trace-normalized, Hermitized and checked for
-positivity.  The rate route of the `rates` module applies it to the
-Ising pair's 4 x 4 rate matrix, and the Gaussian route of the `gaussian`
-module zeroes undamped mode pairs by the same `KERNEL_RTOL`, which gives
-the same projected state.
+positivity.  The rule takes a stack of P generators, takes one batched
+SVD and applies the rule to each member, so a member comes out the same
+in any stack; the first member that fails a check raises a
+SteadyStateError that carries its index.  The rate route of the `rates`
+module applies it to a stack of the Ising pair's 4 x 4 rate matrices, the
+dense route to a 1-stack, and the Gaussian route of the `gaussian` module
+zeroes undamped mode pairs by the same `KERNEL_RTOL`, which gives the
+same projected state.
 
 - `steady_state_nullspace` takes the SVD kernel of the full d^2 x d^2
   Liouvillian and reports each bath's current,
@@ -54,7 +58,16 @@ COHERENCE_TOL = 1e-10
 
 
 class SteadyStateError(RuntimeError):
-    """The Liouvillian kernel could not be extracted as a valid state."""
+    """The Liouvillian kernel could not be extracted as a valid state.
+
+    The kernel rule and the point steps set `member` to the index of the
+    stack member that failed; the dataset runner, which names the failing
+    curve and x in the message instead, leaves it None.
+    """
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 class CrossValidationError(RuntimeError):
@@ -70,12 +83,17 @@ class SteadyState:
     normalized projection of the maximally mixed state onto it.
     `bath_currents[k]` is Tr{D_k[rho] H}, the energy the k-th bath passed
     to the solver feeds in per unit time.
+
+    `steady_state_nullspace` returns one state.  The stacked point step of
+    the `rates` module returns P of them in the same fields: `rho` of shape
+    (P, d, d), `residual` and `kernel_dim` of shape (P,) and
+    `bath_currents` of shape (P, n_baths).
     """
 
     rho: np.ndarray
-    residual: float
-    kernel_dim: int
-    bath_currents: tuple[float, ...]
+    residual: float | np.ndarray
+    kernel_dim: int | np.ndarray
+    bath_currents: tuple[float, ...] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,41 +119,54 @@ class CrossCheckReport:
     coherence_max: float
 
 
-def _kernel_vector(matrix: np.ndarray, mixed: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Kernel vector of `matrix`, its kernel dimension and largest singular value.
+def _first_failure(failed: np.ndarray, message) -> None:
+    """Raise SteadyStateError for the first stack member flagged in `failed`,
+    with `message(member)` as its text."""
+    if np.any(failed):
+        member = int(np.argmax(failed))
+        raise SteadyStateError(message(member), member=member)
 
-    `mixed` is the maximally mixed state in the coordinates of `matrix`;
-    a degenerate kernel is resolved by projecting it onto the kernel.
+
+def _kernel_vector(matrices: np.ndarray, mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel vectors of a (P, m, m) stack and each member's kernel dimension.
+
+    `mixed` is the maximally mixed state in the coordinates of the
+    matrices; a degenerate kernel is resolved by projecting it onto the
+    kernel.  A member whose kernel is empty raises SteadyStateError.
     """
-    _, s, vh = np.linalg.svd(matrix)
-    if s[0] == 0.0:
-        raise SteadyStateError("Liouvillian is identically zero")
-    kernel_mask = s < KERNEL_RTOL * s[0]
-    kernel_dim = int(np.count_nonzero(kernel_mask))
-    if kernel_dim == 0:
-        raise SteadyStateError(
-            f"no kernel found: smallest relative singular value {s[-1] / s[0]:.3e}"
-        )
-    if kernel_dim == 1:
-        return vh[-1].conj(), kernel_dim, float(s[0])
-    basis = vh[kernel_mask].conj().T  # columns span the kernel
-    return basis @ (basis.conj().T @ mixed), kernel_dim, float(s[0])
+    _, s, vh = np.linalg.svd(matrices)
+    largest, smallest = s[:, 0], s[:, -1]
+    _first_failure(largest == 0.0, lambda p: "Liouvillian is identically zero")
+    kernel_mask = s < KERNEL_RTOL * largest[:, None]
+    kernel_dim = np.count_nonzero(kernel_mask, axis=1)
+    _first_failure(
+        kernel_dim == 0,
+        lambda p: f"no kernel found: smallest relative singular value "
+        f"{smallest[p] / largest[p]:.3e}",
+    )
+    vectors = np.array(vh[:, -1].conj())
+    for p in np.flatnonzero(kernel_dim > 1):
+        basis = vh[p][kernel_mask[p]].conj().T  # columns span the kernel
+        vectors[p] = basis @ (basis.conj().T @ mixed)
+    return vectors, kernel_dim
 
 
 def _density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Trace-normalized, Hermitized kernel matrix, checked for positivity."""
+    """Trace-normalized, Hermitized kernel matrices of a (P, d, d) stack,
+    each checked for positivity."""
     # the kernel vector carries an arbitrary global phase: dividing by the
     # complex trace removes it before Hermitization can cancel anything
-    trace = complex(np.trace(rho))
-    if abs(trace) < 1e-12:
-        raise SteadyStateError("kernel vector has vanishing trace")
-    rho = rho / trace
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
+    trace = np.trace(rho, axis1=1, axis2=2).astype(complex)
+    _first_failure(np.abs(trace) < 1e-12, lambda p: "kernel vector has vanishing trace")
+    rho = rho / trace[:, None, None]
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
-    min_eig = float(np.linalg.eigvalsh(rho).min())
-    if min_eig < _MIN_EIGENVALUE:
-        raise SteadyStateError(f"steady state not positive: min eigenvalue {min_eig:.3e}")
+    min_eig = np.linalg.eigvalsh(rho).min(axis=1)
+    _first_failure(
+        min_eig < _MIN_EIGENVALUE,
+        lambda p: f"steady state not positive: min eigenvalue {min_eig[p]:.3e}",
+    )
     return rho
 
 
@@ -146,16 +177,19 @@ def steady_state_nullspace(L: Liouvillian) -> SteadyState:
     Hermitized and trace-normalized.  A kernel of dimension > 1 (possible
     for decoupled chains) is resolved by projecting the maximally mixed
     state onto the kernel; an empty kernel raises SteadyStateError.  Each
-    bath's current is read off its own dissipator in `L`.
+    bath's current is read off its own dissipator in `L`.  The kernel rule
+    is the stacked one of the transport routes, applied to a 1-stack.
     """
     d = L.dim
-    vec, kernel_dim, _ = _kernel_vector(L.matrix, vectorize(np.eye(d, dtype=complex) / d))
-    rho = _density_matrix(unvectorize(vec, d))
+    vectors, kernel_dim = _kernel_vector(
+        L.matrix[None], vectorize(np.eye(d, dtype=complex) / d)
+    )
+    rho = _density_matrix(unvectorize(vectors[0], d)[None])[0]
     residual = float(np.linalg.norm(L.matrix @ vectorize(rho)))
     return SteadyState(
         rho=rho,
         residual=residual,
-        kernel_dim=kernel_dim,
+        kernel_dim=int(kernel_dim[0]),
         bath_currents=L.bath_currents(rho),
     )
 

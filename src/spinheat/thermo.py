@@ -4,17 +4,21 @@ The current entering the system from a bath is the energy expectation of
 that bath's dissipator output, Tr{D_bath[rho] H}.  Every solver reports it
 for each bath it was given, in the order given, as `bath_currents`: the
 dense `steady.steady_state_nullspace` through `Liouvillian.bath_currents`,
-and the point steps of the two transport routes in their own layout.
+and the stacked point steps of the two transport routes as one row per
+point.
 `heat_currents(L, rho)` reads it off the dense superoperator of each bath
 for any rho, in or out of the steady state.  The sign convention is
 anchored on the left reservoir (the bath on the lower site): `j_net` is
 the left input rate, so a positive value means heat flows from the left
 bath through the system into the right bath.
 
-`steady_net_current` evaluates one point in two steps, a chain step that
-depends only on the chain and the dissipator style and a point step that
-takes the baths' temperatures and kappa into the rates of
-`lindblad.thermal_rates`.  Which route it takes depends on the model:
+A current is evaluated in two steps, a chain step that depends only on
+the chain and the dissipator style and a point step that takes the baths'
+temperatures and kappa into the rates of `lindblad.thermal_rates`.  The
+point step takes a stack of P points of one chain at once:
+`_net_currents` solves every (t_left, t_right) pair of a dataset group in
+one call, and `steady_net_current` is its 1-stack.  Which route they take
+depends on the model:
 
 - The XY chain is quadratic in Jordan-Wigner fermions and both styles'
   jump operators are linear in them, so its steady state is fixed by the
@@ -47,11 +51,15 @@ from .lindblad import BathSpec, DissipatorStyle, Liouvillian, standard_baths
 from .rates import PauliChain, pauli_chain, steady_state_pauli
 from .spinops import ChainModel, SpinChainSpec
 
-# Chains whose chain step stays cached.  fig2 interleaves four
-# (chain, style) pairs in every row; twice that leaves room for the two
-# styles of a "both" sweep next to them.  The rate route's entries hold
-# 4 x 4 arrays and the Gaussian route's 2n x 2n ones, so each entry takes
-# a few kB at most.
+# Chains whose chain step stays cached.  The dataset runner asks for each
+# (chain, style) group once per grid chunk and solves the whole group in
+# one stacked point step, so the cache serves the scalar callers of
+# `steady_net_current`: `rectification`, which takes the same chain at both
+# bath orders, and the acceptance checks, which loop over temperatures on
+# one chain at a time.  Eight entries also hold the four (chain, style)
+# pairs of fig2 when a caller interleaves them point by point.  The rate
+# route's entries hold 4 x 4 arrays and the Gaussian route's 2n x 2n ones,
+# so each entry takes a few kB at most.
 _CHAIN_CACHE_SIZE = 8
 
 
@@ -123,6 +131,26 @@ def _chain(spec: SpinChainSpec, style: DissipatorStyle) -> GaussianChain | Pauli
     return pauli_chain(spec, baths)
 
 
+def _net_currents(
+    spec: SpinChainSpec,
+    kappa: float,
+    temperatures: Sequence[tuple[float, float]],
+    style: DissipatorStyle,
+) -> np.ndarray:
+    """Steady-state net currents of the canonical two-bath arrangement at
+    P (t_left, t_right) pairs, from one point step over all of them.
+
+    A SteadyStateError of the point step carries the index of the pair
+    that failed.
+    """
+    points = [
+        standard_baths(spec, kappa, t_left, t_right, style) for t_left, t_right in temperatures
+    ]
+    chain = _chain(spec, style)
+    step = steady_state_gaussian if isinstance(chain, GaussianChain) else steady_state_pauli
+    return step(chain, points).bath_currents[:, 0]  # `standard_baths` lists the left bath first
+
+
 def steady_net_current(
     spec: SpinChainSpec,
     kappa: float,
@@ -132,18 +160,12 @@ def steady_net_current(
 ) -> float:
     """Steady-state net current for the canonical two-bath arrangement.
 
-    The cached chain step of (spec, style), then the point step at these
-    temperatures and kappa: on the Majorana covariance for the XY chain,
-    on the four-level rate matrix for the Ising pair (see the module
-    docstring).
+    The cached chain step of (spec, style), then the point step on a
+    1-stack at these temperatures and kappa: on the Majorana covariance for
+    the XY chain, on the four-level rate matrix for the Ising pair (see the
+    module docstring).
     """
-    baths = standard_baths(spec, kappa, t_left, t_right, style)
-    chain = _chain(spec, style)
-    if isinstance(chain, GaussianChain):
-        state = steady_state_gaussian(chain, baths)
-    else:
-        state = steady_state_pauli(chain, baths)
-    return _left_right(baths, state.bath_currents).j_net
+    return float(_net_currents(spec, kappa, [(t_left, t_right)], style)[0])
 
 
 def rectification(

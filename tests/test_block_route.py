@@ -6,6 +6,7 @@ Gaussian route (`gaussian`) solves its Majorana covariance.
 """
 
 import itertools
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -59,11 +60,16 @@ def _dense_state(spec, baths):
     return steady_state_nullspace(assemble_liouvillian(build_hamiltonian(spec), baths))
 
 
+def _only_member(state):
+    """The one member of a point step's 1-stack, field by field."""
+    return replace(state, **{field.name: getattr(state, field.name)[0] for field in fields(state)})
+
+
 def _route_state(spec, baths):
     """The state of the transport route `steady_net_current` takes for `spec`."""
     if spec.model is ChainModel.XY_TRANSVERSE:
-        return steady_state_gaussian(gaussian_chain(spec, baths), baths)
-    return steady_state_pauli(pauli_chain(spec, baths), baths)
+        return _only_member(steady_state_gaussian(gaussian_chain(spec, baths), [baths]))
+    return _only_member(steady_state_pauli(pauli_chain(spec, baths), [baths]))
 
 
 def _both_routes(spec, kappa, t_left, t_right, style):
@@ -119,7 +125,7 @@ def test_rate_route_takes_mixed_styles():
         standard_baths(spec, 1.0, 2.0, 0.3, DissipatorStyle.LOCAL)[1],
     ]
     dense_state = _dense_state(spec, baths)
-    _assert_same_state(steady_state_pauli(pauli_chain(spec, baths), baths), dense_state)
+    _assert_same_state(_route_state(spec, baths), dense_state)
     assert abs(dense_state.bath_currents[0]) > 1e-3
 
 

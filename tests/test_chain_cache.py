@@ -183,21 +183,21 @@ def test_baths_must_couple_where_the_chain_step_did():
     spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
     baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
     chain = pauli_chain(spec, baths)
-    steady_state_pauli(chain, baths)
+    steady_state_pauli(chain, [baths])
     moved = [baths[0], replace(baths[1], site=0)]
     with pytest.raises(ValueError, match="couple"):
-        steady_state_pauli(chain, moved)
+        steady_state_pauli(chain, [baths, moved])
     with pytest.raises(ValueError, match="couple"):
-        steady_state_pauli(chain, [replace(baths[0], local_frequency=0.5), baths[1]])
+        steady_state_pauli(chain, [[replace(baths[0], local_frequency=0.5), baths[1]]])
 
 
 def test_baths_must_couple_where_the_gaussian_chain_step_did():
     spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
     chain = thermo._chain(spec, DissipatorStyle.LOCAL)
     baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
-    steady_state_gaussian(chain, baths)
+    steady_state_gaussian(chain, [baths])
     moved = [baths[0], replace(baths[1], site=1)]
     with pytest.raises(ValueError, match="couple"):
-        steady_state_gaussian(chain, moved)
+        steady_state_gaussian(chain, [baths, moved])
     with pytest.raises(ValueError, match="couple"):
-        steady_state_gaussian(chain, [replace(baths[0], local_frequency=0.5), baths[1]])
+        steady_state_gaussian(chain, [[replace(baths[0], local_frequency=0.5), baths[1]]])

@@ -144,13 +144,13 @@ def _assert_matches_oracle(case):
     n, ratio, style, t_left, t_right = case
     spec = _spec(n, ratio)
     baths = standard_baths(spec, KAPPA, t_left, t_right, style)
-    state = steady_state_gaussian(gaussian_chain(spec, baths), baths)
+    state = steady_state_gaussian(gaussian_chain(spec, baths), [baths])
     exact = _oracle_currents(case)
-    assert len(state.bath_currents) == len(exact) == 2
-    for got, want in zip(state.bath_currents, exact):
+    assert state.bath_currents.shape == (1, len(exact)) == (1, 2)
+    for got, want in zip(state.bath_currents[0], exact):
         assert abs(got - want) <= max(1e-10 * abs(want), 1e-12 * KAPPA)
-    assert np.max(np.abs(np.linalg.eigvalsh(1j * state.covariance))) <= 1.0 + 1e-10
-    assert state.residual <= 1e-10
+    assert np.max(np.abs(np.linalg.eigvalsh(1j * state.covariance[0]))) <= 1.0 + 1e-10
+    assert state.residual[0] <= 1e-10
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -264,7 +264,7 @@ def _with_rates(monkeypatch, rates):
     monkeypatch.setattr(lindblad, "thermal_rates", lambda bath, frequency: rates)
     spec = _spec(2, 0.0)
     baths = standard_baths(spec, 1.0, 1.0, 0.0, LOCAL)
-    return steady_state_gaussian(gaussian_chain(spec, baths), baths)
+    return steady_state_gaussian(gaussian_chain(spec, baths), [baths])
 
 
 def test_unphysical_covariance_raises(monkeypatch):
@@ -305,8 +305,8 @@ def _fermi(energies, temperature):
 def test_equal_temperatures_give_the_thermal_state(n, h, ratio, style, kappa, temperature):
     spec = SpinChainSpec(n, h, ratio * h, ChainModel.XY_TRANSVERSE)
     baths = standard_baths(spec, kappa, temperature, temperature, style)
-    state = steady_state_gaussian(gaussian_chain(spec, baths), baths)
-    for current in state.bath_currents:
+    state = steady_state_gaussian(gaussian_chain(spec, baths), [baths])
+    for current in state.bath_currents[0]:
         assert abs(current) <= 1e-12 * kappa * h**2
     if style is LOCAL:
         # each site in equilibrium with the baths at the bare splitting h
@@ -326,4 +326,4 @@ def test_equal_temperatures_give_the_thermal_state(n, h, ratio, style, kappa, te
             return
         filling = np.where(np.abs(eps) <= tol, 0.5, _fermi(eps, temperature))
         expected = (phi * filling) @ phi.T
-    assert np.max(np.abs(_occupations(state.covariance) - expected)) <= 1e-10
+    assert np.max(np.abs(_occupations(state.covariance[0]) - expected)) <= 1e-10

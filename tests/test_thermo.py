@@ -24,6 +24,9 @@ from spinheat.thermo import (
 
 from test_chain_cache import PROPERTY, kappas, temperatures
 
+# both baths above zero temperature, where -J_k / T_k is finite
+warm = st.floats(0.05, 5.0)
+
 ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
 XY2 = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
 
@@ -39,6 +42,32 @@ def transport_specs(draw, chains):
     h = draw(st.floats(0.5, 2.0))
     delta = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
     return SpinChainSpec(n_spins, h, delta, model)
+
+
+@st.composite
+def pair_gradients(draw, right=temperatures):
+    """The Ising pair where it carries current: global style, 0 < delta < h,
+    T_L > 0 and T_R != T_L, with T_R drawn from `right`."""
+    h = draw(st.floats(0.5, 2.0))
+    delta = draw(st.floats(0.05, 0.95)) * h
+    t_left = draw(st.floats(0.2, 5.0))
+    t_right = draw(right.filter(lambda t: abs(t - t_left) >= 0.05))
+    return SpinChainSpec(2, h, delta, ChainModel.ISING_ZZ), t_left, t_right
+
+
+def assert_entropy_production_is_nonnegative(spec, style, points):
+    """Spohn's inequality at each point of one stacked point step: the baths'
+    entropy grows at -sum_k J_k / T_k >= 0, up to rounding of the currents.
+    `points` holds (kappa, t_left, t_right) with both temperatures positive."""
+    baths = [
+        standard_baths(spec, kappa, t_left, t_right, style) for kappa, t_left, t_right in points
+    ]
+    chain = thermo._chain(spec, style)
+    step = steady_state_gaussian if isinstance(chain, GaussianChain) else steady_state_pauli
+    for point, flows in zip(baths, step(chain, baths).bath_currents):
+        production = -sum(j / bath.temperature for j, bath in zip(flows, point))
+        floor = 1e-12 * point[0].kappa * spec.field_h**2
+        assert production >= -floor / min(bath.temperature for bath in point)
 
 
 def steady_currents(spec, t_left, t_right, style, kappa=1.0):
@@ -140,9 +169,35 @@ class TestHeatCurrents:
         baths = standard_baths(spec, kappa, t_left, t_right, style)
         chain = thermo._chain(spec, style)
         step = steady_state_gaussian if isinstance(chain, GaussianChain) else steady_state_pauli
-        currents = step(chain, baths).bath_currents
+        currents = step(chain, [baths]).bath_currents[0]
         assert len(currents) == 2
         assert abs(sum(currents)) <= 1e-10 * kappa * spec.field_h**2
+
+    @PROPERTY
+    @given(pair_gradients(), kappas)
+    def test_clausius_sign_in_the_pair_gradient_regime(self, point, kappa):
+        spec, t_left, t_right = point
+        j = steady_net_current(spec, kappa, t_left, t_right, DissipatorStyle.GLOBAL)
+        assert j * (t_left - t_right) >= -1e-12 * kappa * spec.field_h**2
+
+    @pytest.mark.parametrize("chains", [ISING_PAIR, XY_CHAINS], ids=["pauli", "gaussian"])
+    @PROPERTY
+    @given(
+        data=st.data(),
+        style=st.sampled_from(DissipatorStyle),
+        points=st.lists(st.tuples(kappas, warm, warm), min_size=1, max_size=4),
+    )
+    def test_entropy_production_is_nonnegative(self, chains, data, style, points):
+        spec = data.draw(transport_specs(chains))
+        assert_entropy_production_is_nonnegative(spec, style, points)
+
+    @PROPERTY
+    @given(pair_gradients(right=warm), kappas)
+    def test_entropy_production_in_the_pair_gradient_regime(self, point, kappa):
+        spec, t_left, t_right = point
+        assert_entropy_production_is_nonnegative(
+            spec, DissipatorStyle.GLOBAL, [(kappa, t_left, t_right)]
+        )
 
     def test_saturation_bound(self):
         bound = 0.5 * 0.5**2  # kappa * delta^2 / 2
@@ -180,6 +235,15 @@ class TestCurrentFromCycle:
         spec = SpinChainSpec(2, h, delta, ChainModel.ISING_ZZ)
         j_direct = steady_net_current(spec, kappa, t_left, t_right, DissipatorStyle.GLOBAL)
         _, rates = steady_state_rate_equations(h, delta, kappa, t_left, t_right)
+        assert abs(j_direct - current_from_cycle(delta, rates.cycle_gamma)) <= 1e-9
+
+    @PROPERTY
+    @given(pair_gradients(), kappas)
+    def test_route_equivalence_in_the_gradient_regime(self, point, kappa):
+        spec, t_left, t_right = point
+        delta = spec.coupling_delta
+        j_direct = steady_net_current(spec, kappa, t_left, t_right, DissipatorStyle.GLOBAL)
+        _, rates = steady_state_rate_equations(spec.field_h, delta, kappa, t_left, t_right)
         assert abs(j_direct - current_from_cycle(delta, rates.cycle_gamma)) <= 1e-9
 
 
