@@ -46,10 +46,8 @@ from .steady import (
     steady_state_rate_equations,
 )
 from .thermo import (
-    HeatCurrents,
     RectificationReport,
     current_from_cycle,
-    heat_currents,
     rectification,
     steady_net_current,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "DissipatorStyle",
     "GaussianChain",
     "GaussianState",
-    "HeatCurrents",
     "HermitianOperator",
     "JumpOperator",
     "Liouvillian",
@@ -91,7 +88,6 @@ __all__ = [
     "embed",
     "gaussian_chain",
     "global_jump_operators",
-    "heat_currents",
     "pauli",
     "pauli_chain",
     "rectification",

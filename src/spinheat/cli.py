@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .experiments import (
@@ -85,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[output], help="run a sweep described by a config file"
     )
     sweep.add_argument("--config", type=Path, required=True, help="flat key=value file")
-    sweep.add_argument(
-        "--style",
-        choices=("global", "local", "both"),
-        default=None,
-        help="override the dissipator style from the config",
-    )
     return parser
 
 
@@ -110,8 +103,6 @@ def main(argv: list[str] | None = None) -> int:
             return run_acceptance()
         elif args.command == "sweep":
             config = _read_config(args.config)
-            if args.style is not None:
-                config = replace(config, style=args.style)
             out = Path(config.output_path) if config.output_path else args.out / "sweep.csv"
             path = run_sweep(config, out=out, jobs=args.jobs)
             print(f"wrote {path}")

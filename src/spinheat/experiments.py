@@ -48,15 +48,19 @@ from .steady import (
 from .thermo import (
     _net_currents,
     current_from_cycle,
-    heat_currents,
     rectification,
     steady_net_current,
 )
 
 UNITS_COMMENT = "# hbar=1, kB=1, energies in units of h"
 
-# the x variable of each sweep kind, also the first CSV column's header
-_X_NAMES = {"temperature": "T_L", "coupling": "delta", "gradient": "delta_T"}
+# each sweep kind: its x variable, which heads the first CSV column, and the
+# temperatures that x leaves fixed, which its config must set and no other
+_SWEEPS = {
+    "temperature": ("T_L", ("t_right",)),
+    "coupling": ("delta", ("t_left", "t_right")),
+    "gradient": ("delta_T", ("t_mean",)),
+}
 _STYLES = ("global", "local", "both")
 _SCALES = ("linear", "log")
 
@@ -103,8 +107,8 @@ class SweepConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.sweep not in _X_NAMES:
-            raise ConfigError(f"sweep must be one of {tuple(_X_NAMES)}, got {self.sweep!r}")
+        if self.sweep not in _SWEEPS:
+            raise ConfigError(f"sweep must be one of {tuple(_SWEEPS)}, got {self.sweep!r}")
         if self.style not in _STYLES:
             raise ConfigError(f"style must be one of {_STYLES}, got {self.style!r}")
         if self.scale not in _SCALES:
@@ -124,16 +128,12 @@ class SweepConfig:
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ConfigError("kappa must be finite and positive")
 
-        needed = {
-            "temperature": ("t_right",),
-            "coupling": ("t_left", "t_right"),
-            "gradient": ("t_mean",),
-        }[self.sweep]
+        _, fixed = _SWEEPS[self.sweep]
         for key in ("t_left", "t_right", "t_mean"):
             value = getattr(self, key)
-            if key in needed and value is None:
+            if key in fixed and value is None:
                 raise ConfigError(f"{self.sweep} sweep requires {key}")
-            if key not in needed and value is not None:
+            if key not in fixed and value is not None:
                 raise ConfigError(f"{key} does not apply to a {self.sweep} sweep")
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and nonnegative")
@@ -171,70 +171,49 @@ class SweepConfig:
         return (DissipatorStyle(self.style),)
 
 
-_CONFIG_KEYS = (
-    "model",
-    "spins",
-    "h",
-    "delta",
-    "style",
-    "kappa",
-    "sweep",
-    "start",
-    "stop",
-    "points",
-    "scale",
-    "t_left",
-    "t_right",
-    "t_mean",
-    "out",
-)
+_REQUIRED = object()  # the default of a key every config must set
 
-_DEFAULTS = {"spins": "2", "h": "1.0", "style": "global", "kappa": "1.0", "scale": "linear"}
+# file key -> (SweepConfig field, parser, default); an absent optional key is
+# None, and the rows keep the order of the fields and of the CSV lines
+_KEYS = {
+    "model": ("model", ChainModel, _REQUIRED),
+    "spins": ("n_spins", int, 2),
+    "h": ("field_h", float, 1.0),
+    "delta": ("coupling_delta", float, None),
+    "style": ("style", str, "global"),
+    "kappa": ("kappa", float, 1.0),
+    "sweep": ("sweep", str, _REQUIRED),
+    "start": ("start", float, _REQUIRED),
+    "stop": ("stop", float, _REQUIRED),
+    "points": ("points", int, _REQUIRED),
+    "scale": ("scale", str, "linear"),
+    "t_left": ("t_left", float, None),
+    "t_right": ("t_right", float, None),
+    "t_mean": ("t_mean", float, None),
+    "out": ("output_path", str, None),
+}
+
+# what a value its parser refuses should have been, and how a parsed value is
+# written back to a CSV parameter line (a str or an int as its str)
+_EXPECTED = {ChainModel: "'ising' or 'xy'", int: "an integer", float: "a number"}
+_FORMAT = {ChainModel: lambda model: model.value, float: repr}
 
 
 def _config_from_pairs(pairs: dict[str, str]) -> SweepConfig:
-    unknown = set(pairs) - set(_CONFIG_KEYS)
+    unknown = set(pairs) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    values = dict(_DEFAULTS)
-    values.update(pairs)
-    for key in ("model", "sweep", "start", "stop", "points"):
-        if key not in values:
+    for key, (_, _, default) in _KEYS.items():
+        if default is _REQUIRED and key not in pairs:
             raise ConfigError(f"missing required key: {key}")
-
-    def as_float(key):
+    fields = {}
+    for key, (field, parse, default) in _KEYS.items():
+        text = pairs.get(key)
         try:
-            return float(values[key])
+            fields[field] = default if text is None else parse(text)
         except ValueError:
-            raise ConfigError(f"{key} must be a number, got {values[key]!r}") from None
-
-    try:
-        model = ChainModel(values["model"])
-    except ValueError:
-        raise ConfigError(f"model must be 'ising' or 'xy', got {values['model']!r}") from None
-    try:
-        points = int(values["points"])
-        spins = int(values["spins"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-    return SweepConfig(
-        model=model,
-        n_spins=spins,
-        field_h=as_float("h"),
-        coupling_delta=as_float("delta") if "delta" in values else None,
-        style=values["style"],
-        kappa=as_float("kappa"),
-        sweep=values["sweep"],
-        start=as_float("start"),
-        stop=as_float("stop"),
-        points=points,
-        scale=values["scale"],
-        t_left=as_float("t_left") if "t_left" in values else None,
-        t_right=as_float("t_right") if "t_right" in values else None,
-        t_mean=as_float("t_mean") if "t_mean" in values else None,
-        output_path=values.get("out"),
-    )
+            raise ConfigError(f"{key} must be {_EXPECTED[parse]}, got {text!r}") from None
+    return SweepConfig(**fields)
 
 
 def parse_config_text(text: str) -> SweepConfig:
@@ -266,27 +245,14 @@ def read_embedded_config(csv_text: str) -> SweepConfig:
 
 
 def _config_param_lines(cfg: SweepConfig) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = [
-        ("model", cfg.model.value),
-        ("spins", str(cfg.n_spins)),
-        ("h", repr(cfg.field_h)),
-    ]
-    if cfg.coupling_delta is not None:
-        out.append(("delta", repr(cfg.coupling_delta)))
-    out += [
-        ("style", cfg.style),
-        ("kappa", repr(cfg.kappa)),
-        ("sweep", cfg.sweep),
-        ("start", repr(cfg.start)),
-        ("stop", repr(cfg.stop)),
-        ("points", str(cfg.points)),
-        ("scale", cfg.scale),
-    ]
-    for key in ("t_left", "t_right", "t_mean"):
-        value = getattr(cfg, key)
-        if value is not None:
-            out.append((key, repr(value)))
-    return out
+    """Every key the config sets, as (key, text) in table order; `out` names
+    where the CSV goes, not what it holds, and is left out."""
+    lines = []
+    for key, (field, parse, _) in _KEYS.items():
+        value = getattr(cfg, field)
+        if value is not None and key != "out":
+            lines.append((key, _FORMAT.get(parse, str)(value)))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +402,8 @@ def run_sweep(cfg: SweepConfig, out: Path | None = None, jobs: int | None = 1) -
         for style in cfg.styles()
     ]
     params = _config_param_lines(cfg)
-    return _write_dataset(out, _X_NAMES[cfg.sweep], cfg.grid(), cfg.kappa, curves, params, jobs)
+    x_name, _ = _SWEEPS[cfg.sweep]
+    return _write_dataset(out, x_name, cfg.grid(), cfg.kappa, curves, params, jobs)
 
 
 _FIG2_DELTAS = (0.01, 0.1, 0.5)
@@ -709,7 +676,7 @@ def _check_equilibrium_gibbs_state() -> tuple[str, str, str, bool]:
         gibbs_eig = np.diag(weights / weights.sum()).astype(complex)
         gibbs = decomp.eigenvectors @ gibbs_eig @ decomp.eigenvectors.conj().T
         worst_state = max(worst_state, float(np.max(np.abs(state.rho - gibbs))))
-        worst_current = max(worst_current, abs(heat_currents(liouvillian, state.rho).j_net))
+        worst_current = max(worst_current, abs(state.bath_currents[0]))  # the left bath
     passed = worst_state <= 1e-8 and worst_current < 1e-12
     return (
         "equal temperatures give Gibbs",

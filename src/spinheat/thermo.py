@@ -6,11 +6,11 @@ for each bath it was given, in the order given, as `bath_currents`: the
 dense `steady.steady_state_nullspace` through `Liouvillian.bath_currents`,
 and the stacked point steps of the two transport routes as one row per
 point.
-`heat_currents(L, rho)` reads it off the dense superoperator of each bath
-for any rho, in or out of the steady state.  The sign convention is
-anchored on the left reservoir (the bath on the lower site): `j_net` is
-the left input rate, so a positive value means heat flows from the left
-bath through the system into the right bath.
+`Liouvillian.bath_currents(rho)` also reads them for a rho out of the
+steady state.  The sign convention is anchored on the left reservoir:
+`standard_baths` lists the bath on the lower site first, and the net
+current is its input rate, so a positive value means heat flows from the
+left bath through the system into the right bath.
 
 A current is evaluated in two steps, a chain step that depends only on
 the chain and the dissipator style and a point step that takes the baths'
@@ -47,32 +47,24 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import GaussianChain, gaussian_chain, steady_state_gaussian
-from .lindblad import BathSpec, DissipatorStyle, Liouvillian, standard_baths
+from .lindblad import DissipatorStyle, standard_baths
 from .rates import PauliChain, pauli_chain, steady_state_pauli
 from .spinops import ChainModel, SpinChainSpec
 
 # Chains whose chain step stays cached.  The dataset runner asks for each
 # (chain, style) group once per grid chunk and solves the whole group in
-# one stacked point step, so the cache serves the scalar callers of
-# `steady_net_current`: `rectification`, which takes the same chain at both
-# bath orders, and the acceptance checks, which loop over temperatures on
-# one chain at a time.  Eight entries also hold the four (chain, style)
-# pairs of fig2 when a caller interleaves them point by point.  The rate
-# route's entries hold 4 x 4 arrays and the Gaussian route's 2n x 2n ones,
-# so each entry takes a few kB at most.
+# one stacked point step, so a dataset hardly reuses an entry; from a cold
+# cache (`_chain.cache_info()`, hits/misses) `run_fig2` reads 0/4,
+# `run_fig3` 0/101 and `run_xy_comparison` at 5 spins 0/2.  The acceptance
+# checks, which loop over temperatures on one chain at a time, read 211/10,
+# one miss per chain they use.  A caller that reruns one sweep hits once
+# per run: at 5 spins, global style, that saves the chain step, 0.45 ms of
+# a 1.9 ms two-point `run_sweep` (median of 1000, one BLAS thread, 2-core
+# Xeon).  A run of fig2 and fig3 after one another hits once in 105
+# lookups, where fig2 meets the chain of the fig3 inset.  The rate route's
+# entries hold 4 x 4 arrays and the Gaussian route's 2n x 2n ones, so each
+# entry takes a few kB at most.
 _CHAIN_CACHE_SIZE = 8
-
-
-@dataclass(frozen=True)
-class HeatCurrents:
-    """Per-bath input rates.  In steady state they cancel; out of steady
-    state their sum is the growth rate of the mean system energy, which is
-    reported through `balance_residual` without being asserted."""
-
-    j_in_left: float
-    j_in_right: float
-    j_net: float
-    balance_residual: float
 
 
 @dataclass(frozen=True)
@@ -87,27 +79,6 @@ class RectificationReport:
     j_forward: float
     j_reverse: float
     contrast: float
-
-
-def _left_right(baths: Sequence[BathSpec], currents: tuple[float, ...]) -> HeatCurrents:
-    """The currents of the baths on the lower and the higher site, from
-    currents listed in the order of `baths`."""
-    if len(baths) != 2:
-        raise ValueError("heat currents need exactly two baths")
-    left, right = np.argsort([bath.site for bath in baths], kind="stable")
-    j_left, j_right = currents[left], currents[right]
-    return HeatCurrents(
-        j_in_left=j_left,
-        j_in_right=j_right,
-        j_net=j_left,
-        balance_residual=abs(j_left + j_right),
-    )
-
-
-def heat_currents(L: Liouvillian, rho: np.ndarray) -> HeatCurrents:
-    """Input energy rates from the two reservoirs of a transport setup in
-    any state rho, measured with the Hamiltonian `L` was built from."""
-    return _left_right(L.baths, L.bath_currents(rho))
 
 
 def current_from_cycle(delta: float, cycle_gamma: float) -> float:
@@ -178,8 +149,8 @@ def rectification(
     """Compare conduction with the hot bath on the left versus the right."""
     if not t_hot >= t_cold >= 0:
         raise ValueError("requires t_hot >= t_cold >= 0")
-    j_forward = steady_net_current(spec, kappa, t_hot, t_cold, style)
-    j_reverse = steady_net_current(spec, kappa, t_cold, t_hot, style)
+    both_orders = [(t_hot, t_cold), (t_cold, t_hot)]
+    j_forward, j_reverse = map(float, _net_currents(spec, kappa, both_orders, style))
     # Below this floor both currents count as zero and the contrast is 0
     # rather than a ratio of numerical noise.
     floor = 1e-12 * kappa * spec.field_h**2

@@ -14,7 +14,7 @@ from spinheat.lindblad import DissipatorStyle, assemble_liouvillian, standard_ba
 from spinheat.rates import pauli_chain, steady_state_pauli
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.steady import steady_state_nullspace
-from spinheat.thermo import heat_currents, steady_net_current
+from spinheat.thermo import steady_net_current
 
 TOL = 1e-10
 
@@ -41,7 +41,7 @@ temperatures = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
 def _dense_current(spec, kappa, t_left, t_right, style):
     H = build_hamiltonian(spec)
     L = assemble_liouvillian(H, standard_baths(spec, kappa, t_left, t_right, style))
-    return heat_currents(L, steady_state_nullspace(L).rho).j_net
+    return steady_state_nullspace(L).bath_currents[0]  # the left bath
 
 
 def _cold(spec, kappa, t_left, t_right, style):

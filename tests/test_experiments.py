@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ class TestConfigParsing:
             parse_config_text("\n".join(lines.values()))
 
     @pytest.mark.parametrize(
+        "key, value", [("points", "five"), ("spins", "2.0"), ("kappa", "abc")]
+    )
+    def test_unparsable_value_names_its_key(self, key, value):
+        lines = [line for line in BASE_CONFIG.splitlines() if line.partition("=")[0].strip() != key]
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text("\n".join(lines + [f"{key} = {value}"]))
+        assert str(excinfo.value).startswith(f"{key} must be ")
+        assert repr(value) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
         "text",
         [
             "sweep = coupling\nt_left = inf\nt_right = 0.5\n",
@@ -140,17 +151,41 @@ class TestConfigParsing:
             )
 
 
+# one config per sweep kind, every key set away from its default
+ROUND_TRIP_CONFIGS = {
+    "temperature": (
+        "model = xy\nspins = 3\nh = 1.3\ndelta = 0.9\nstyle = both\nkappa = 0.7\n"
+        "sweep = temperature\nstart = 0.05\nstop = 20\npoints = 5\nscale = log\n"
+        "t_right = 0.4\nout = a.csv\n",
+        ["T_L", "J_global", "J_local"],
+    ),
+    "coupling": (
+        "model = ising\nh = 1.2\nstyle = local\nkappa = 1.5\nsweep = coupling\nstart = 0.1\n"
+        "stop = 0.9\npoints = 3\nt_left = 4.0\nt_right = 0.2\n",
+        ["delta", "J_local"],
+    ),
+    "gradient": (
+        "model = xy\nspins = 4\nh = 0.8\ndelta = 0.3\nstyle = local\nkappa = 2\n"
+        "sweep = gradient\nstart = -1.5\nstop = 1.5\npoints = 4\nt_mean = 1.2\n",
+        ["delta_T", "J_local"],
+    ),
+}
+
+
 class TestSweep:
-    def test_temperature_sweep_and_round_trip(self, tmp_path):
-        cfg = parse_config_text(BASE_CONFIG)
+    @pytest.mark.parametrize("kind", ROUND_TRIP_CONFIGS)
+    def test_sweep_round_trips_through_its_csv(self, kind, tmp_path):
+        text, columns = ROUND_TRIP_CONFIGS[kind]
+        cfg = parse_config_text(text)
+        assert cfg.sweep == kind
         first = run_sweep(cfg, out=tmp_path / "a.csv")
         recovered = read_embedded_config(first.read_text())
+        assert recovered == replace(cfg, output_path=None)
         second = run_sweep(recovered, out=tmp_path / "b.csv")
         assert first.read_bytes() == second.read_bytes()
-        columns, rows = read_table(first)
-        assert columns == ["T_L", "J_global", "J_local"]
-        assert rows.shape == (5, 3)
-        assert np.allclose(rows[:, 2], 0.0, atol=1e-10)  # local transport is dead
+        header, rows = read_table(first)
+        assert header == columns
+        assert rows.shape == (cfg.points, len(columns))
 
     def test_coupling_sweep_values(self, tmp_path):
         text = (
@@ -386,6 +421,7 @@ class TestCommandLine:
             ["acceptance", "--kappa", "2"],
             ["acceptance", "--jobs", "1"],
             ["sweep", "--config", "sweep.cfg", "--kappa", "2"],
+            ["sweep", "--config", "sweep.cfg", "--style", "local"],
         ],
         ids=[
             "fig2-jobs-0",
@@ -393,6 +429,7 @@ class TestCommandLine:
             "acceptance-kappa",
             "acceptance-jobs",
             "sweep-kappa",
+            "sweep-style",
         ],
     )
     def test_unread_or_invalid_options_are_usage_errors(self, argv, tmp_path, monkeypatch):

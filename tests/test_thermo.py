@@ -17,7 +17,6 @@ from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.steady import steady_state_nullspace, steady_state_rate_equations
 from spinheat.thermo import (
     current_from_cycle,
-    heat_currents,
     rectification,
     steady_net_current,
 )
@@ -71,24 +70,24 @@ def assert_entropy_production_is_nonnegative(spec, style, points):
 
 
 def steady_currents(spec, t_left, t_right, style, kappa=1.0):
+    """The dense oracle's (left, right) bath currents, in `standard_baths` order."""
     H = build_hamiltonian(spec)
     L = assemble_liouvillian(H, standard_baths(spec, kappa, t_left, t_right, style))
-    state = steady_state_nullspace(L)
-    return heat_currents(L, state.rho)
+    return steady_state_nullspace(L).bath_currents
 
 
 class TestHeatCurrents:
     def test_equilibrium_current_vanishes(self):
-        currents = steady_currents(ISING, 1.0, 1.0, DissipatorStyle.GLOBAL)
-        assert abs(currents.j_net) < 1e-10
+        j_left, _ = steady_currents(ISING, 1.0, 1.0, DissipatorStyle.GLOBAL)
+        assert abs(j_left) < 1e-10
 
     def test_saturation_current_value(self):
-        currents = steady_currents(ISING, 1e4, 0.0, DissipatorStyle.GLOBAL)
-        assert currents.j_net == pytest.approx(0.125, abs=1e-4)
+        j_left, _ = steady_currents(ISING, 1e4, 0.0, DissipatorStyle.GLOBAL)
+        assert j_left == pytest.approx(0.125, abs=1e-4)
 
     def test_cold_left_bath_insulates(self):
-        currents = steady_currents(ISING, 0.0, 10.0, DissipatorStyle.GLOBAL)
-        assert abs(currents.j_net) < 1e-10
+        j_left, _ = steady_currents(ISING, 0.0, 10.0, DissipatorStyle.GLOBAL)
+        assert abs(j_left) < 1e-10
 
     @pytest.mark.parametrize(
         "spec,style",
@@ -101,8 +100,8 @@ class TestHeatCurrents:
         ],
     )
     def test_steady_state_balance(self, spec, style):
-        currents = steady_currents(spec, 2.0, 0.7, style)
-        assert currents.balance_residual < 1e-9
+        j_left, j_right = steady_currents(spec, 2.0, 0.7, style)
+        assert abs(j_left + j_right) < 1e-9
 
     def test_out_of_equilibrium_balance_is_energy_growth(self):
         # away from the steady state the two input rates add up to the rate
@@ -115,12 +114,9 @@ class TestHeatCurrents:
         x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = x @ x.conj().T
         rho /= np.trace(rho)
-        currents = heat_currents(L, rho)
         drho = unvectorize(L.matrix @ vectorize(rho), 4)
         energy_rate = np.real(np.trace(drho @ H.matrix))
-        assert currents.j_in_left + currents.j_in_right == pytest.approx(
-            energy_rate, abs=1e-10
-        )
+        assert sum(L.bath_currents(rho)) == pytest.approx(energy_rate, abs=1e-10)
 
     def test_dimension_mismatch_rejected(self):
         H = build_hamiltonian(ISING)
@@ -128,7 +124,7 @@ class TestHeatCurrents:
             H, standard_baths(ISING, 1.0, 1.0, 0.5, DissipatorStyle.GLOBAL)
         )
         with pytest.raises(ValueError):
-            heat_currents(L, np.eye(3, dtype=complex) / 3)
+            L.bath_currents(np.eye(3, dtype=complex) / 3)
 
     def test_clausius_sign(self):
         temperatures = (0.0, 0.5, 1.0, 2.0, 5.0)
