@@ -107,6 +107,10 @@ class SweepConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        # numbers in float fields as floats, so `field_h=1` writes `h = 1.0` as a rerun does
+        for field, parse, _ in _KEYS.values():
+            if parse is float and isinstance(getattr(self, field), (int, float)):
+                object.__setattr__(self, field, float(getattr(self, field)))
         if self.sweep not in _SWEEPS:
             raise ConfigError(f"sweep must be one of {tuple(_SWEEPS)}, got {self.sweep!r}")
         if self.style not in _STYLES:

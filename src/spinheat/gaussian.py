@@ -38,10 +38,11 @@ vector l.
   gaps that sigma^x does not connect.
 
 The chain step, `gaussian_chain`, holds A and each bath's (frequency,
-lowering vector) pairs; none of it depends on temperature or kappa.  The
-point step, `steady_state_gaussian`, takes P points of one chain at once.
-At each point it takes the rates of `lindblad.thermal_rates`, one call per
-transition, into the bath matrices
+lowering vector) pairs; it alone says where the baths couple, and none of
+it depends on temperature or kappa.  The point step,
+`steady_state_gaussian`, takes P points of one chain at once, a kappa per
+point and a temperature per point and bath, and takes their rates
+(`lindblad._rate_tables`) into the bath matrices
 
     M_k = sum_t (emission l_t^* l_t^T + absorption l_t l_t^dag),
 
@@ -74,12 +75,10 @@ for a whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from . import lindblad
-from .lindblad import DEGENERACY_TOL, BathSpec, DissipatorStyle, _coupling, _group_starts
+from .lindblad import DEGENERACY_TOL, BathSpec, DissipatorStyle, _group_starts, _rate_tables
 from .spinops import ChainModel, SpinChainSpec
 from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyStateError, _first_failure
 
@@ -95,14 +94,12 @@ _EIG_RTOL = 1e-12
 class GaussianChain:
     """The temperature-independent half of the Gaussian route (the chain step).
 
-    `majorana` is the 2n x 2n form A of H.  For each bath, `couplings`
-    holds (site, style, local_frequency), `frequencies` one frequency per
-    transition and `lowering` the transitions' lowering vectors as rows.
-    Every array is read-only.
+    `majorana` is the 2n x 2n form A of H.  For each bath, `frequencies`
+    holds one frequency per transition and `lowering` the transitions'
+    lowering vectors as rows.  Every array is read-only.
     """
 
     majorana: np.ndarray
-    couplings: tuple[tuple[int, DissipatorStyle, float | None], ...]
     frequencies: tuple[np.ndarray, ...]
     lowering: tuple[np.ndarray, ...]
 
@@ -160,10 +157,8 @@ def gaussian_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> GaussianChain:
     """
     if spec.model is not ChainModel.XY_TRANSVERSE:
         raise ValueError("the Gaussian route needs the quadratic XY chain")
-    if not baths:
-        raise ValueError("at least one bath is required")
     if len({bath.style for bath in baths}) != 1:
-        raise ValueError("the Gaussian route needs one dissipator style for all baths")
+        raise ValueError("the Gaussian route needs at least one bath, all of one style")
     n = spec.n_spins
     off = np.full(n - 1, spec.coupling_delta)
     hop = spec.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
@@ -188,24 +183,15 @@ def gaussian_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> GaussianChain:
     for array in (majorana, *frequencies, *lowering):
         array.setflags(write=False)
     return GaussianChain(
-        majorana=majorana,
-        couplings=tuple(_coupling(bath) for bath in baths),
-        frequencies=tuple(frequencies),
-        lowering=tuple(lowering),
+        majorana=majorana, frequencies=tuple(frequencies), lowering=tuple(lowering)
     )
 
 
-def _bath_matrices(
-    baths: Sequence[BathSpec], frequencies: np.ndarray, lowering: np.ndarray
-) -> np.ndarray:
-    """M_k of one bath at P points (`baths[p]` is the bath at point p), as a (P, 2n, 2n) stack."""
-    rates = np.array(
-        [[lindblad.thermal_rates(bath, float(w)) for w in frequencies] for bath in baths]
-    )
-    rates = rates.reshape(len(baths), len(frequencies), 2, 1)
+def _bath_matrices(rates: np.ndarray, lowering: np.ndarray) -> np.ndarray:
+    """M_k of one bath at P points from its (P, T, 2) rate table, as a (P, 2n, 2n) stack."""
     # sum_t rate_t l_t^* l_t^T is (the rows l_t^* scaled by their rates)^T @ l
-    emission = (rates[:, :, 0] * lowering.conj()).transpose(0, 2, 1) @ lowering
-    absorption = (rates[:, :, 1] * lowering).transpose(0, 2, 1) @ lowering.conj()
+    emission = (rates[:, :, 0, None] * lowering.conj()).transpose(0, 2, 1) @ lowering
+    absorption = (rates[:, :, 1, None] * lowering).transpose(0, 2, 1) @ lowering.conj()
     return emission + absorption
 
 
@@ -241,28 +227,26 @@ def _lyapunov_residual(x: np.ndarray, gamma: np.ndarray, source: np.ndarray) -> 
     return np.linalg.norm(x @ gamma + gamma @ _transpose(x) - source, axis=(-2, -1))
 
 
-def steady_state_gaussian(chain: GaussianChain, baths: Sequence[list[BathSpec]]) -> GaussianState:
+def steady_state_gaussian(
+    chain: GaussianChain, kappa: np.ndarray, temperatures: np.ndarray
+) -> GaussianState:
     """The point step: the steady covariances of P points, and each bath's current.
 
-    `baths[p]` lists point p's baths, which must couple where the chain
-    step's baths did.  The P points are solved as one stack: one batched
-    eigendecomposition of X, and the Kronecker solve for each member whose
-    eigenvector solution leaves a residual above `_EIG_RTOL` times ||X||,
-    near an exceptional point of X (see the module docstring); the other
-    members keep their eigenvector solution.  Raises SteadyStateError,
-    carrying the member's index, when a Lyapunov residual exceeds
-    `KERNEL_RTOL` times ||X|| or the spectrum of i Gamma leaves [-1, 1]
-    (mode occupations outside [0, 1]).  The returned fields carry a
-    leading axis of length P; a member comes out bit-identical in any
-    stack.
+    `kappa[p]` is point p's kappa and `temperatures[p, k]` the temperature
+    of the chain step's k-th bath at point p; a `temperatures` array of
+    another shape than (P, n_baths) raises ValueError.  The P points are
+    solved as one stack: one batched eigendecomposition of X, and the
+    Kronecker solve for each member whose eigenvector solution leaves a
+    residual above `_EIG_RTOL` times ||X||, near an exceptional point of X
+    (see the module docstring); the other members keep their eigenvector
+    solution.  Raises SteadyStateError, carrying the member's index, when
+    a Lyapunov residual exceeds `KERNEL_RTOL` times ||X|| or the spectrum
+    of i Gamma leaves [-1, 1] (mode occupations outside [0, 1]).  The
+    returned fields carry a leading axis of length P; a member comes out
+    bit-identical in any stack.
     """
-    for point in baths:
-        if tuple(_coupling(bath) for bath in point) != chain.couplings:
-            raise ValueError("the baths do not couple where the chain step's baths do")
-    matrices = tuple(
-        _bath_matrices([point[k] for point in baths], freqs, vectors)
-        for k, (freqs, vectors) in enumerate(zip(chain.frequencies, chain.lowering))
-    )
+    tables = _rate_tables(kappa, temperatures, chain.frequencies)
+    matrices = tuple(map(_bath_matrices, tables, chain.lowering))
     m = sum(matrices)
     x = chain.majorana - 2.0 * m.real
     source = -4.0 * m.imag
@@ -287,7 +271,7 @@ def steady_state_gaussian(chain: GaussianChain, baths: Sequence[list[BathSpec]])
     )
     a = chain.majorana
     flows = [
-        (a * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag)).reshape(len(baths), -1).sum(1)
+        (a * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag)).reshape(len(gamma), -1).sum(1)
         for m in matrices
     ]
     return GaussianState(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -77,10 +78,7 @@ class BathSpec:
     def __post_init__(self):
         if self.site < 0:
             raise ValueError("site must be a nonnegative index")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError("temperature must be finite and nonnegative")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError("kappa must be finite and positive")
+        _check_rate_parameters([self.kappa], [self.temperature])
         if self.style is DissipatorStyle.LOCAL:
             nu = self.local_frequency
             if nu is None or not (math.isfinite(nu) and nu >= 0):
@@ -104,7 +102,7 @@ class Liouvillian:
     """Full generator plus the per-bath pieces needed for heat currents.
 
     `matrix` is the d^2 x d^2 generator; `h_part` the coherent part and
-    `bath_parts[k]` the dissipator of `baths[k]`, all in the same
+    `bath_parts[k]` the dissipator of the k-th bath, all in the same
     column-stacking convention.  `hamiltonian` keeps the d x d system
     Hamiltonian the bath currents are measured with.
     """
@@ -113,11 +111,10 @@ class Liouvillian:
     matrix: np.ndarray
     h_part: np.ndarray
     bath_parts: tuple[np.ndarray, ...]
-    baths: tuple[BathSpec, ...]
     hamiltonian: np.ndarray
 
     def bath_currents(self, rho: np.ndarray) -> tuple[float, ...]:
-        """Tr{D_k[rho] H}, the energy each bath feeds in, in the order of `baths`."""
+        """Tr{D_k[rho] H}, the energy each bath feeds in, in the order of `bath_parts`."""
         if rho.shape != (self.dim, self.dim):
             raise ValueError("dimension mismatch between Liouvillian and state")
         drhos = (unvectorize(part @ vectorize(rho), self.dim) for part in self.bath_parts)
@@ -261,20 +258,52 @@ def global_jump_operators(
     return jumps
 
 
-def thermal_rates(bath: BathSpec, frequency: float) -> tuple[float, float]:
-    """The ohmic rate law: (emission, absorption) rates of one bath at one frequency.
+def thermal_rates(kappa: float, temperature: float, frequency: float) -> tuple[float, float]:
+    """The ohmic rate law: (emission, absorption) rates of a bath at one frequency.
 
     At frequency w > 0 the bath emits at rate kappa*w*(1+n_w) and absorbs
     at rate kappa*w*n_w.  Frequency zero is the continuous w -> 0 limit of
     the local style, where both rates equal kappa*temperature (and vanish
-    at zero temperature).
+    at zero temperature).  A bath's site and style do not enter.
     """
     if frequency > 0:
-        spectrum = bath.kappa * frequency
-        occupation = bose_einstein(frequency, bath.temperature)
+        spectrum = kappa * frequency
+        occupation = bose_einstein(frequency, temperature)
         return spectrum * (1.0 + occupation), spectrum * occupation
-    rate = bath.kappa * bath.temperature
+    rate = kappa * temperature
     return rate, rate
+
+
+def _check_rate_parameters(kappas: Iterable[float], temperatures: Iterable[float]) -> None:
+    """Refuse the values the rate law is not defined for."""
+    if not all(math.isfinite(t) and t >= 0 for t in temperatures):
+        raise ValueError("temperature must be finite and nonnegative")
+    if not all(math.isfinite(k) and k > 0 for k in kappas):
+        raise ValueError("kappa must be finite and positive")
+
+
+def _rate_tables(
+    kappa: Sequence[float], temperatures: np.ndarray, frequencies: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """The (emission, absorption) rates of P points, one (P, T_k, 2) table per bath:
+    `kappa[p]` is point p's kappa, `temperatures[p, k]` bath k's temperature
+    there and `frequencies[k]` bath k's T_k transition frequencies.  The
+    rate law is looked up at call time and called with Python floats."""
+    kappa, temperatures = np.asarray(kappa, dtype=float), np.asarray(temperatures, dtype=float)
+    if kappa.ndim != 1 or temperatures.shape != (len(kappa), len(frequencies)):
+        raise ValueError(
+            f"temperatures of shape {temperatures.shape} for kappa of shape {kappa.shape}: "
+            f"expected (P, {len(frequencies)}) for P points of {len(frequencies)} baths"
+        )
+    # a NaN reaches both extremes and an infinity one of them
+    _check_rate_parameters((kappa.min(), kappa.max()), (temperatures.min(), temperatures.max()))
+    kappas = kappa.tolist()
+    tables = []
+    for bath_frequencies, column in zip(frequencies, temperatures.T.tolist()):
+        ws = np.asarray(bath_frequencies, dtype=float).tolist()
+        rates = [[thermal_rates(k, t, w) for w in ws] for k, t in zip(kappas, column)]
+        tables.append(np.array(rates).reshape(len(kappas), len(ws), 2))
+    return tables
 
 
 def bath_transitions(
@@ -301,7 +330,7 @@ def bath_dissipator(decomp: SpectralDecomposition, bath: BathSpec) -> np.ndarray
     dim = decomp.dim
     part = np.zeros((dim * dim, dim * dim), dtype=complex)
     for frequency, lowering in bath_transitions(decomp, bath):
-        emission, absorption = thermal_rates(bath, frequency)
+        emission, absorption = thermal_rates(bath.kappa, bath.temperature, frequency)
         part += emission * dissipation_superoperator(lowering)
         part += absorption * dissipation_superoperator(lowering.conj().T)
     return part
@@ -333,8 +362,8 @@ def standard_baths(
     ]
 
 
-def _chain_length(H: HermitianOperator, baths: list[BathSpec]) -> int:
-    """Number of spins behind H, checked against the bath sites."""
+def _check_bath_sites(H: HermitianOperator, baths: list[BathSpec]) -> None:
+    """Refuse no baths, an H not on spins, and a bath site beyond the chain."""
     if not baths:
         raise ValueError("at least one bath is required")
     n_spins = H.dim.bit_length() - 1
@@ -343,7 +372,6 @@ def _chain_length(H: HermitianOperator, baths: list[BathSpec]) -> int:
     for bath in baths:
         if bath.site >= n_spins:
             raise ValueError(f"bath site {bath.site} out of range for {n_spins} spins")
-    return n_spins
 
 
 def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvillian:
@@ -354,7 +382,7 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
     from its own dissipator alone.  This dense route is the oracle for
     the `rates` and `gaussian` transport routes.
     """
-    _chain_length(H, baths)
+    _check_bath_sites(H, baths)
     decomp = spectral_decompose(H)
     parts = [bath_dissipator(decomp, bath) for bath in baths]
 
@@ -365,10 +393,5 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
         matrix=matrix,
         h_part=h_part,
         bath_parts=tuple(parts),
-        baths=tuple(baths),
         hamiltonian=H.matrix.copy(),
     )
-
-
-def _coupling(bath: BathSpec) -> tuple[int, DissipatorStyle, float | None]:
-    return bath.site, bath.style, bath.local_frequency

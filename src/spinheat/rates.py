@@ -13,10 +13,11 @@ route projects from the maximally mixed state.
 
 The chain step, `pauli_chain`, holds the four energies (the diagonal of
 H) and, for each bath, one (frequency, |A_ij|^2) pair per transition of
-`lindblad.bath_transitions`; none of it depends on temperature or kappa.
-The point step, `steady_state_pauli`, takes P points of one chain at
-once.  At each point it takes the rates of `lindblad.thermal_rates`, one
-call per transition, into each bath's rate matrix
+`lindblad.bath_transitions`; it alone says where the baths couple, and
+none of it depends on temperature or kappa.  The point step,
+`steady_state_pauli`, takes P points of one chain at once, a kappa per
+point and a temperature per point and bath, and takes their rates
+(`lindblad._rate_tables`) into each bath's rate matrix
 
     W_k = sum_t (emission |A_t|^2 + absorption |A_t|^2 transposed),
 
@@ -31,12 +32,10 @@ sum_ij W_k[i, j] (E_i - E_j) p_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from . import lindblad
-from .lindblad import BathSpec, DissipatorStyle, _chain_length, _coupling, bath_transitions
+from .lindblad import BathSpec, _check_bath_sites, _rate_tables, bath_transitions
 from .spinops import ChainModel, SpinChainSpec, build_hamiltonian, spectral_decompose
 from .steady import SteadyState, _density_matrix, _kernel_vector
 
@@ -46,14 +45,14 @@ class PauliChain:
     """The temperature-independent half of the rate route (the chain step).
 
     `energies` is the diagonal of H in the product basis.  For each bath,
-    `couplings` holds (site, style, local_frequency) and `transitions`
-    holds one (frequency, |A_ij|^2) pair per lowering operator A.  Every
-    array is read-only.
+    `frequencies` holds one frequency per transition and `weights` the
+    transitions' |A_ij|^2, one 4 x 4 matrix per lowering operator A.
+    Every array is read-only.
     """
 
     energies: np.ndarray
-    couplings: tuple[tuple[int, DissipatorStyle, float | None], ...]
-    transitions: tuple[tuple[tuple[float, np.ndarray], ...], ...]
+    frequencies: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
 
 
 def pauli_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> PauliChain:
@@ -64,48 +63,37 @@ def pauli_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> PauliChain:
     if spec.model is not ChainModel.ISING_ZZ:
         raise ValueError("the rate route needs the Ising zz pair, whose H is diagonal")
     H = build_hamiltonian(spec)
-    _chain_length(H, baths)
+    _check_bath_sites(H, baths)
     decomp = spectral_decompose(H)
     energies = np.diag(H.matrix).real.copy()
-    transitions = tuple(
-        tuple(
-            (frequency, np.abs(lowering) ** 2)
-            for frequency, lowering in bath_transitions(decomp, bath)
-        )
-        for bath in baths
-    )
-    energies.setflags(write=False)
-    for pairs in transitions:
-        for _, weights in pairs:
-            weights.setflags(write=False)
-    return PauliChain(
-        energies=energies,
-        couplings=tuple(_coupling(bath) for bath in baths),
-        transitions=transitions,
-    )
+    transitions = [bath_transitions(decomp, bath) for bath in baths]
+    frequencies = tuple(np.array([frequency for frequency, _ in pairs]) for pairs in transitions)
+    weights = tuple(np.array([np.abs(a) ** 2 for _, a in pairs]) for pairs in transitions)
+    for array in (energies, *frequencies, *weights):
+        array.setflags(write=False)
+    return PauliChain(energies=energies, frequencies=frequencies, weights=weights)
 
 
-def steady_state_pauli(chain: PauliChain, baths: Sequence[list[BathSpec]]) -> SteadyState:
+def steady_state_pauli(
+    chain: PauliChain, kappa: np.ndarray, temperatures: np.ndarray
+) -> SteadyState:
     """The point step: the steady populations of P points, and each bath's current.
 
-    `baths[p]` lists point p's baths, which must couple where the chain
-    step's baths did (same sites, style and local frequencies); their
-    temperatures and kappa are free.  The rate matrices of all P points
-    are solved as one stack by the kernel rule of `steady._kernel_vector`,
-    whose checks are those of `steady.steady_state_nullspace`.  The
-    returned fields carry a leading axis of length P; a member comes out
-    bit-identical in any stack.
+    `kappa[p]` is point p's kappa and `temperatures[p, k]` the temperature
+    of the chain step's k-th bath at point p; a `temperatures` array of
+    another shape than (P, n_baths) raises ValueError.  The rate matrices
+    of all P points are solved as one stack by the kernel rule of
+    `steady._kernel_vector`, whose checks are those of
+    `steady.steady_state_nullspace`.  The returned fields carry a leading
+    axis of length P; a member comes out bit-identical in any stack.
     """
-    for point in baths:
-        if tuple(_coupling(bath) for bath in point) != chain.couplings:
-            raise ValueError("the baths do not couple where the chain step's baths do")
+    tables = _rate_tables(kappa, temperatures, chain.frequencies)
     d = len(chain.energies)
     bath_rates = []
-    for k, transitions in enumerate(chain.transitions):
-        w = np.zeros((len(baths), d, d))
-        for frequency, weights in transitions:
-            rates = np.array([lindblad.thermal_rates(point[k], frequency) for point in baths])
-            emission, absorption = rates[:, 0, None, None], rates[:, 1, None, None]
+    for bath_weights, rates in zip(chain.weights, tables):
+        w = np.zeros((len(rates), d, d))
+        for t, weights in enumerate(bath_weights):
+            emission, absorption = rates[:, t, 0, None, None], rates[:, t, 1, None, None]
             w += emission * weights + absorption * weights.T
         bath_rates.append(w)
     w_total = sum(bath_rates)
@@ -114,12 +102,12 @@ def steady_state_pauli(chain: PauliChain, baths: Sequence[list[BathSpec]]) -> St
     generator[:, levels, levels] -= w_total.sum(axis=1)
 
     vectors, kernel_dim = _kernel_vector(generator, np.full(d, 1.0 / d))
-    rho = np.zeros((len(baths), d, d), dtype=vectors.dtype)
+    rho = np.zeros((len(vectors), d, d), dtype=vectors.dtype)
     rho[:, levels, levels] = vectors
     rho = _density_matrix(rho)
     p = rho.diagonal(axis1=1, axis2=2).real
     gaps = chain.energies[:, None] - chain.energies[None, :]  # gaps[i, j] = E_i - E_j
-    flows = [(w * gaps * p[:, None, :]).reshape(len(baths), -1).sum(axis=1) for w in bath_rates]
+    flows = [(w * gaps * p[:, None, :]).reshape(len(p), -1).sum(axis=1) for w in bath_rates]
     return SteadyState(
         rho=rho,
         residual=np.linalg.norm((generator @ p[:, :, None])[:, :, 0], axis=1),

@@ -21,7 +21,8 @@ same projected state.
 - `steady_state_rate_equations` solves the closed population cycle of the
   two-spin Ising chain, written out by hand for its four levels.  It and
   the null-space route serve as oracles for each other (`cross_validate`),
-  and it shares no code with the rate route of the `rates` module.
+  and it shares only `bose_einstein` and the input check of the rate law
+  with the rate route of the `rates` module.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from .lindblad import (
     DissipatorStyle,
     Liouvillian,
+    _check_rate_parameters,
     assemble_liouvillian,
     bose_einstein,
     standard_baths,
@@ -81,11 +83,12 @@ class SteadyState:
     `residual` is ||L[rho]|| under the full generator.  `kernel_dim` is
     the dimension of the kernel that was solved; above 1, `rho` is the
     normalized projection of the maximally mixed state onto it.
-    `bath_currents[k]` is Tr{D_k[rho] H}, the energy the k-th bath passed
-    to the solver feeds in per unit time.
+    `bath_currents[k]` is Tr{D_k[rho] H}, the energy the k-th bath of the
+    generator (or of the chain step) feeds in per unit time.
 
-    `steady_state_nullspace` returns one state.  The stacked point step of
-    the `rates` module returns P of them in the same fields: `rho` of shape
+    `steady_state_nullspace` returns one state.  The point step of the
+    `rates` module, given a kappa per point and a temperature per point
+    and bath, returns P of them in the same fields: `rho` of shape
     (P, d, d), `residual` and `kernel_dim` of shape (P,) and
     `bath_currents` of shape (P, n_baths).
     """
@@ -206,10 +209,7 @@ def steady_state_rate_equations(
     """
     if not 0 < delta < h:
         raise ValueError("rate equations require 0 < delta < h")
-    if t_left < 0 or t_right < 0:
-        raise ValueError("temperatures must be nonnegative")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    _check_rate_parameters([kappa], [t_left, t_right])
 
     w41 = h + delta
     w32 = h - delta

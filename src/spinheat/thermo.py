@@ -12,13 +12,14 @@ steady state.  The sign convention is anchored on the left reservoir:
 current is its input rate, so a positive value means heat flows from the
 left bath through the system into the right bath.
 
-A current is evaluated in two steps, a chain step that depends only on
-the chain and the dissipator style and a point step that takes the baths'
-temperatures and kappa into the rates of `lindblad.thermal_rates`.  The
-point step takes a stack of P points of one chain at once:
-`_net_currents` solves every (t_left, t_right) pair of a dataset group in
-one call, and `steady_net_current` is its 1-stack.  Which route they take
-depends on the model:
+A current is evaluated in two steps: a chain step that depends only on
+the chain and the dissipator style, and alone says where the baths
+couple, and a point step that takes only what varies, a kappa per point
+and a temperature per point and bath, into the rates of
+`lindblad.thermal_rates`.  The point step takes a stack of P points of
+one chain at once: `_net_currents` solves every (t_left, t_right) pair of
+a dataset group in one call, and `steady_net_current` is its 1-stack.
+`_ROUTES` picks their route by the model:
 
 - The XY chain is quadratic in Jordan-Wigner fermions and both styles'
   jump operators are linear in them, so its steady state is fixed by the
@@ -66,6 +67,12 @@ from .spinops import ChainModel, SpinChainSpec
 # entry takes a few kB at most.
 _CHAIN_CACHE_SIZE = 8
 
+# each model's transport route: (chain step, point step)
+_ROUTES = {
+    ChainModel.XY_TRANSVERSE: (gaussian_chain, steady_state_gaussian),
+    ChainModel.ISING_ZZ: (pauli_chain, steady_state_pauli),
+}
+
 
 @dataclass(frozen=True)
 class RectificationReport:
@@ -92,14 +99,11 @@ def current_from_cycle(delta: float, cycle_gamma: float) -> float:
 
 @functools.lru_cache(maxsize=_CHAIN_CACHE_SIZE)
 def _chain(spec: SpinChainSpec, style: DissipatorStyle) -> GaussianChain | PauliChain:
-    """The chain step of the canonical two-bath arrangement: Gaussian for
-    the XY chain, the four-level rate matrix for the Ising pair."""
+    """The chain step of the canonical two-bath arrangement on the route of `_ROUTES`."""
     # the chain step reads the baths' sites, style and local frequencies,
     # never their kappa or temperatures, so any admissible values do here
-    baths = standard_baths(spec, 1.0, 0.0, 0.0, style)
-    if spec.model is ChainModel.XY_TRANSVERSE:
-        return gaussian_chain(spec, baths)
-    return pauli_chain(spec, baths)
+    chain_step, _ = _ROUTES[spec.model]
+    return chain_step(spec, standard_baths(spec, 1.0, 0.0, 0.0, style))
 
 
 def _net_currents(
@@ -114,12 +118,9 @@ def _net_currents(
     A SteadyStateError of the point step carries the index of the pair
     that failed.
     """
-    points = [
-        standard_baths(spec, kappa, t_left, t_right, style) for t_left, t_right in temperatures
-    ]
-    chain = _chain(spec, style)
-    step = steady_state_gaussian if isinstance(chain, GaussianChain) else steady_state_pauli
-    return step(chain, points).bath_currents[:, 0]  # `standard_baths` lists the left bath first
+    _, point_step = _ROUTES[spec.model]
+    state = point_step(_chain(spec, style), np.full(len(temperatures), kappa), temperatures)
+    return state.bath_currents[:, 0]  # `standard_baths` lists the left bath first
 
 
 def steady_net_current(
@@ -132,9 +133,7 @@ def steady_net_current(
     """Steady-state net current for the canonical two-bath arrangement.
 
     The cached chain step of (spec, style), then the point step on a
-    1-stack at these temperatures and kappa: on the Majorana covariance for
-    the XY chain, on the four-level rate matrix for the Ising pair (see the
-    module docstring).
+    1-stack at these temperatures and kappa, on the route of `_ROUTES`.
     """
     return float(_net_currents(spec, kappa, [(t_left, t_right)], style)[0])
 

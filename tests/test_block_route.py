@@ -11,9 +11,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from spinheat.gaussian import gaussian_chain, steady_state_gaussian
+from spinheat import thermo
 from spinheat.lindblad import DissipatorStyle, assemble_liouvillian, standard_baths
-from spinheat.rates import pauli_chain, steady_state_pauli
+from spinheat.rates import pauli_chain
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.steady import steady_state_nullspace
 from spinheat.thermo import steady_net_current
@@ -66,10 +66,12 @@ def _only_member(state):
 
 
 def _route_state(spec, baths):
-    """The state of the transport route `steady_net_current` takes for `spec`."""
-    if spec.model is ChainModel.XY_TRANSVERSE:
-        return _only_member(steady_state_gaussian(gaussian_chain(spec, baths), [baths]))
-    return _only_member(steady_state_pauli(pauli_chain(spec, baths), [baths]))
+    """The state of the transport route `steady_net_current` takes for `spec`,
+    with the chain step on `baths`; they share one kappa."""
+    chain_step, point_step = thermo._ROUTES[spec.model]
+    (kappa,) = {bath.kappa for bath in baths}
+    temperatures = [[bath.temperature for bath in baths]]
+    return _only_member(point_step(chain_step(spec, baths), [kappa], temperatures))
 
 
 def _both_routes(spec, kappa, t_left, t_right, style):

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,7 @@ from hypothesis import strategies as st
 import spinheat.lindblad as lindblad
 from spinheat import thermo
 from spinheat.experiments import run_fig3
-from spinheat.gaussian import steady_state_gaussian
 from spinheat.lindblad import DissipatorStyle, assemble_liouvillian, standard_baths
-from spinheat.rates import pauli_chain, steady_state_pauli
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.steady import steady_state_nullspace
 from spinheat.thermo import steady_net_current
@@ -73,13 +72,6 @@ def test_warm_cache_is_bit_identical_to_cold(data):
             assert steady_net_current(spec, kappa, t_left, t_right, style).hex() == cold[i]
 
 
-def _cached_arrays(chain):
-    yield chain.energies
-    for transitions in chain.transitions:
-        for _, weights in transitions:
-            yield weights
-
-
 def _assert_read_only(arrays):
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -89,13 +81,16 @@ def _assert_read_only(arrays):
 @pytest.mark.parametrize("style", DissipatorStyle)
 def test_cached_arrays_are_read_only(style):
     # the rate route's chain step, which the cache serves to the Ising pair:
-    # the energies, and one weight matrix per transition: the left bath
-    # drives two globally (h + delta and h - delta), every other bath one
+    # the energies, and each bath's frequencies and weight matrices, one per
+    # transition: the left bath drives two globally (h + delta and
+    # h - delta), every other bath one
     spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
-    arrays = list(_cached_arrays(thermo._chain(spec, style)))
-    assert len(arrays) == {DissipatorStyle.GLOBAL: 4, DissipatorStyle.LOCAL: 3}[style]
-    _assert_read_only(arrays)
+    chain = thermo._chain(spec, style)
+    transitions = {DissipatorStyle.GLOBAL: [2, 1], DissipatorStyle.LOCAL: [1, 1]}[style]
+    assert [len(weights) for weights in chain.weights] == transitions
+    assert [len(frequencies) for frequencies in chain.frequencies] == transitions
+    _assert_read_only([chain.energies, *chain.frequencies, *chain.weights])
 
 
 @pytest.mark.parametrize("style", DissipatorStyle)
@@ -167,8 +162,8 @@ def test_warm_chain_takes_replaced_rate_law(monkeypatch):
     steady_net_current(spec, 1.0, 2.0, 0.3, style)  # warm the chain
     original = lindblad.thermal_rates
 
-    def extra_absorption(bath, frequency):
-        emission, absorption = original(bath, frequency)
+    def extra_absorption(kappa, temperature, frequency):
+        emission, absorption = original(kappa, temperature, frequency)
         return emission, absorption + 0.2 * frequency
 
     monkeypatch.setattr(lindblad, "thermal_rates", extra_absorption)
@@ -179,25 +174,52 @@ def test_warm_chain_takes_replaced_rate_law(monkeypatch):
     assert abs(j_warm - steady_net_current(spec, 1.0, 2.0, 0.3, style)) > 1e-3
 
 
-def test_baths_must_couple_where_the_chain_step_did():
-    spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
-    baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
-    chain = pauli_chain(spec, baths)
-    steady_state_pauli(chain, [baths])
-    moved = [baths[0], replace(baths[1], site=0)]
-    with pytest.raises(ValueError, match="couple"):
-        steady_state_pauli(chain, [baths, moved])
-    with pytest.raises(ValueError, match="couple"):
-        steady_state_pauli(chain, [[replace(baths[0], local_frequency=0.5), baths[1]]])
+# a chain per route; each takes two baths
+ROUTE_SPECS = {
+    "pauli": SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ),
+    "gaussian": SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE),
+}
 
 
-def test_baths_must_couple_where_the_gaussian_chain_step_did():
-    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+def _point_step(route):
+    """The route's point step on the cached chain of its `ROUTE_SPECS` entry,
+    after a check that it takes an admissible point."""
+    spec = ROUTE_SPECS[route]
+    _, point_step = thermo._ROUTES[spec.model]
     chain = thermo._chain(spec, DissipatorStyle.LOCAL)
-    baths = standard_baths(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
-    steady_state_gaussian(chain, [baths])
-    moved = [baths[0], replace(baths[1], site=1)]
-    with pytest.raises(ValueError, match="couple"):
-        steady_state_gaussian(chain, [baths, moved])
-    with pytest.raises(ValueError, match="couple"):
-        steady_state_gaussian(chain, [[replace(baths[0], local_frequency=0.5), baths[1]]])
+    point_step(chain, [1.0], [[2.0, 0.0]])
+    return lambda kappa, temperatures: point_step(chain, kappa, temperatures)
+
+
+@pytest.mark.parametrize("route", ROUTE_SPECS)
+def test_point_step_refuses_temperatures_of_another_shape(route):
+    # the one mismatch a point step can still be handed: its temperatures
+    # must be (P, n_baths) for the P values of kappa
+    step = _point_step(route)
+    for kappa, temperatures in [
+        ([1.0], [[2.0, 0.0, 1.0]]),  # three baths where the chain has two
+        ([1.0], [[2.0]]),
+        ([1.0], [2.0, 0.0]),  # no point axis
+        ([1.0, 1.0], [[2.0, 0.0]]),  # two kappas for one point
+        (1.0, [[2.0, 0.0]]),
+    ]:
+        with pytest.raises(ValueError, match="shape"):
+            step(kappa, temperatures)
+
+
+@pytest.mark.parametrize("route", ROUTE_SPECS)
+@pytest.mark.parametrize(
+    "kappa, temperatures, message",
+    [
+        ([1.0, 0.0], [[2.0, 0.0], [2.0, 0.0]], "kappa must be finite and positive"),
+        ([1.0, np.nan], [[2.0, 0.0], [2.0, 0.0]], "kappa must be finite and positive"),
+        ([1.0, 1.0], [[2.0, 0.0], [2.0, -0.5]], "temperature must be finite and nonnegative"),
+        ([1.0, 1.0], [[2.0, 0.0], [np.inf, 0.0]], "temperature must be finite and nonnegative"),
+    ],
+    ids=["zero-kappa", "nan-kappa", "negative-temperature", "inf-temperature"],
+)
+def test_point_step_refuses_what_the_rate_law_is_not_defined_for(
+    route, kappa, temperatures, message
+):
+    with pytest.raises(ValueError, match=message):
+        _point_step(route)(kappa, temperatures)

@@ -187,6 +187,16 @@ class TestSweep:
         assert header == columns
         assert rows.shape == (cfg.points, len(columns))
 
+    def test_config_built_with_integers_reruns_to_the_same_bytes(self, tmp_path):
+        cfg = SweepConfig(
+            model=ChainModel.ISING_ZZ, n_spins=2, field_h=1, coupling_delta=1, style="both",
+            kappa=1, sweep="temperature", start=0, stop=2, points=3, scale="linear", t_right=0,
+        )
+        first = run_sweep(cfg, out=tmp_path / "a.csv")
+        assert "# h = 1.0" in first.read_text().splitlines()
+        second = run_sweep(read_embedded_config(first.read_text()), out=tmp_path / "b.csv")
+        assert first.read_bytes() == second.read_bytes()
+
     def test_coupling_sweep_values(self, tmp_path):
         text = (
             "model = ising\nsweep = coupling\nstart = 0.1\nstop = 0.9\n"
@@ -394,7 +404,9 @@ class TestCommandLine:
     def test_solver_failure_names_the_point(self, tmp_path, capsys, monkeypatch):
         # a negative absorption rate drives the occupation to -1, which the
         # Gaussian route's covariance guard refuses at every point
-        monkeypatch.setattr(lindblad, "thermal_rates", lambda bath, frequency: (1.0, -0.5))
+        monkeypatch.setattr(
+            lindblad, "thermal_rates", lambda kappa, temperature, frequency: (1.0, -0.5)
+        )
         config = tmp_path / "xy.cfg"
         config.write_text(
             "model = xy\ndelta = 0.0\nstyle = local\nsweep = temperature\n"
@@ -526,15 +538,13 @@ class TestAcceptanceRunner:
         assert experiments.format_criterion(rows[1]).endswith("FAIL")
 
     def test_injected_dissipator_sign_error_breaks_clausius(self, monkeypatch):
-        # swap the emission and absorption weights of the global baths:
-        # detailed balance inverts and heat runs from cold to hot, which the
-        # sanity check must catch
+        # swap the emission and absorption weights of every bath: detailed
+        # balance inverts and heat runs from cold to hot, which the sanity
+        # check must catch
         original = lindblad.thermal_rates
 
-        def corrupted(bath, frequency):
-            emission, absorption = original(bath, frequency)
-            if bath.style is not DissipatorStyle.GLOBAL:
-                return emission, absorption
+        def corrupted(kappa, temperature, frequency):
+            emission, absorption = original(kappa, temperature, frequency)
             return absorption, emission
 
         monkeypatch.setattr(lindblad, "thermal_rates", corrupted)
@@ -543,15 +553,14 @@ class TestAcceptanceRunner:
         assert not passed
 
     def test_injected_absorption_excess_breaks_reverse_leakage(self, monkeypatch):
-        # ten times the absorption weight lets the cold left bath feed the
-        # reverse cycle beyond what its thermal occupation allows, so the
-        # reverse current must exceed the cold-link bound of criterion 5
+        # ten times the absorption weight of every bath lets the cold left
+        # bath feed the reverse cycle beyond what its thermal occupation
+        # allows, so the reverse current must exceed the cold-link bound of
+        # criterion 5
         original = lindblad.thermal_rates
 
-        def corrupted(bath, frequency):
-            emission, absorption = original(bath, frequency)
-            if bath.style is not DissipatorStyle.GLOBAL:
-                return emission, absorption
+        def corrupted(kappa, temperature, frequency):
+            emission, absorption = original(kappa, temperature, frequency)
             return emission, 10.0 * absorption
 
         monkeypatch.setattr(lindblad, "thermal_rates", corrupted)

@@ -143,8 +143,8 @@ def _oracle_currents(case):
 def _assert_matches_oracle(case):
     n, ratio, style, t_left, t_right = case
     spec = _spec(n, ratio)
-    baths = standard_baths(spec, KAPPA, t_left, t_right, style)
-    state = steady_state_gaussian(gaussian_chain(spec, baths), [baths])
+    chain = gaussian_chain(spec, standard_baths(spec, KAPPA, t_left, t_right, style))
+    state = steady_state_gaussian(chain, [KAPPA], [[t_left, t_right]])
     exact = _oracle_currents(case)
     assert state.bath_currents.shape == (1, len(exact)) == (1, 2)
     for got, want in zip(state.bath_currents[0], exact):
@@ -261,10 +261,10 @@ def test_the_transport_route_is_chosen_by_the_model():
 
 
 def _with_rates(monkeypatch, rates):
-    monkeypatch.setattr(lindblad, "thermal_rates", lambda bath, frequency: rates)
+    monkeypatch.setattr(lindblad, "thermal_rates", lambda kappa, temperature, frequency: rates)
     spec = _spec(2, 0.0)
-    baths = standard_baths(spec, 1.0, 1.0, 0.0, LOCAL)
-    return steady_state_gaussian(gaussian_chain(spec, baths), [baths])
+    chain = gaussian_chain(spec, standard_baths(spec, 1.0, 1.0, 0.0, LOCAL))
+    return steady_state_gaussian(chain, [1.0], [[1.0, 0.0]])
 
 
 def test_unphysical_covariance_raises(monkeypatch):
@@ -304,8 +304,8 @@ def _fermi(energies, temperature):
 )
 def test_equal_temperatures_give_the_thermal_state(n, h, ratio, style, kappa, temperature):
     spec = SpinChainSpec(n, h, ratio * h, ChainModel.XY_TRANSVERSE)
-    baths = standard_baths(spec, kappa, temperature, temperature, style)
-    state = steady_state_gaussian(gaussian_chain(spec, baths), [baths])
+    chain = gaussian_chain(spec, standard_baths(spec, kappa, temperature, temperature, style))
+    state = steady_state_gaussian(chain, [kappa], [[temperature, temperature]])
     for current in state.bath_currents[0]:
         assert abs(current) <= 1e-12 * kappa * h**2
     if style is LOCAL:

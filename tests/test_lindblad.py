@@ -96,23 +96,22 @@ class TestThermalRates:
         "frequency, temperature", [(0.5, 0.3), (1.0, 1.0), (2.0, 5.0), (1.3, 0.05)]
     )
     def test_detailed_balance(self, frequency, temperature):
-        emission, absorption = thermal_rates(global_bath(0, temperature), frequency)
+        emission, absorption = thermal_rates(1.0, temperature, frequency)
         assert absorption / emission == pytest.approx(np.exp(-frequency / temperature), rel=1e-12)
 
     def test_zero_temperature_only_emits(self):
-        assert thermal_rates(global_bath(0, 0.0, kappa=0.7), 1.5) == (0.7 * 1.5, 0.0)
+        assert thermal_rates(0.7, 0.0, 1.5) == (0.7 * 1.5, 0.0)
 
     def test_zero_frequency_limit(self):
-        bath = local_bath(1, 0.8, 0.0, kappa=1.3)
-        assert thermal_rates(bath, 0.0) == (1.3 * 0.8, 1.3 * 0.8)
-        assert thermal_rates(bath, 1e-9) == pytest.approx((1.3 * 0.8, 1.3 * 0.8), rel=1e-8)
-        assert thermal_rates(local_bath(1, 0.0, 0.0), 0.0) == (0.0, 0.0)
+        assert thermal_rates(1.3, 0.8, 0.0) == (1.3 * 0.8, 1.3 * 0.8)
+        assert thermal_rates(1.3, 0.8, 1e-9) == pytest.approx((1.3 * 0.8, 1.3 * 0.8), rel=1e-8)
+        assert thermal_rates(1.0, 0.0, 0.0) == (0.0, 0.0)
 
     @pytest.mark.parametrize("frequency", [0.0, 0.4, 2.0])
     def test_linear_in_kappa(self, frequency):
-        unit = np.array(thermal_rates(local_bath(0, 1.2, frequency), frequency))
+        unit = np.array(thermal_rates(1.0, 1.2, frequency))
         for kappa in (0.3, 2.0, 7.5):
-            scaled = thermal_rates(local_bath(0, 1.2, frequency, kappa=kappa), frequency)
+            scaled = thermal_rates(kappa, 1.2, frequency)
             assert np.allclose(scaled, kappa * unit, rtol=1e-12, atol=0)
 
 

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 import spinheat.lindblad as lindblad
 from spinheat import gaussian, thermo
 from spinheat.cli import main
-from spinheat.gaussian import steady_state_gaussian
-from spinheat.lindblad import DissipatorStyle, standard_baths
-from spinheat.rates import steady_state_pauli
+from spinheat.lindblad import DissipatorStyle
 from spinheat.spinops import ChainModel, SpinChainSpec
 from spinheat.steady import SteadyStateError
 
@@ -34,16 +32,15 @@ EXCEPTIONAL_POINT = (1.0, 1.0 / math.log(2.0), 0.0)
 
 
 def _step(spec, style):
+    """The route's point step on (kappa, t_left, t_right) points of the cached chain."""
+    _, point_step = thermo._ROUTES[spec.model]
     chain = thermo._chain(spec, style)
-    if spec.model is ChainModel.XY_TRANSVERSE:
-        return lambda points: steady_state_gaussian(chain, points)
-    return lambda points: steady_state_pauli(chain, points)
 
+    def step(points):
+        points = np.array(points, dtype=float)
+        return point_step(chain, points[:, 0], points[:, 1:])
 
-def _baths(spec, style, points):
-    return [
-        standard_baths(spec, kappa, t_left, t_right, style) for kappa, t_left, t_right in points
-    ]
+    return step
 
 
 def _fields(state):
@@ -52,9 +49,8 @@ def _fields(state):
 
 def _assert_members_are_their_own_calls(spec, style, points):
     step = _step(spec, style)
-    baths = _baths(spec, style, points)
-    stacked = _fields(step(baths))
-    for p, point in enumerate(baths):
+    stacked = _fields(step(points))
+    for p, point in enumerate(points):
         alone = _fields(step([point]))
         for name, value in stacked.items():
             assert value.shape[0] == len(points)
@@ -102,13 +98,14 @@ def test_exceptional_point_alone_takes_the_kronecker_solve(monkeypatch):
 
 
 def _failing_at(monkeypatch, t_left):
-    """A rate law whose negative absorption breaks the left bath at `t_left` only."""
+    """A rate law whose negative absorption breaks a bath at `t_left` only;
+    the right bath must stay at another temperature."""
     original = lindblad.thermal_rates
 
-    def rate_law(bath, frequency):
-        if bath.site == 0 and bath.temperature == t_left:
+    def rate_law(kappa, temperature, frequency):
+        if temperature == t_left:
             return 1.0, -0.5
-        return original(bath, frequency)
+        return original(kappa, temperature, frequency)
 
     monkeypatch.setattr(lindblad, "thermal_rates", rate_law)
 
@@ -126,7 +123,7 @@ def test_failing_member_is_named_by_its_index(monkeypatch, spec, message, style)
     _failing_at(monkeypatch, 0.75)
     stack = [(1.0, 0.5, 0.2), (1.0, 1.0, 0.2), (1.0, 0.75, 0.2), (1.0, 2.0, 0.2)]
     with pytest.raises(SteadyStateError, match=message) as excinfo:
-        _step(spec, style)(_baths(spec, style, stack))
+        _step(spec, style)(stack)
     assert excinfo.value.member == 2
 
 

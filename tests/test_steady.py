@@ -83,7 +83,6 @@ class TestNullspaceSolver:
             matrix=np.eye(4, dtype=complex),
             h_part=np.eye(4, dtype=complex),
             bath_parts=(),
-            baths=(),
             hamiltonian=np.eye(2, dtype=complex),
         )
         with pytest.raises(SteadyStateError):
@@ -138,6 +137,15 @@ class TestRateEquations:
             for t in grid
         ]
         assert np.all(np.diff(magnitudes) >= -1e-12)
+
+    @pytest.mark.parametrize(
+        "kappa, t_left, t_right",
+        [(1.0, np.nan, 1.0), (1.0, 1.0, -0.5), (1.0, np.inf, 1.0), (0.0, 1.0, 1.0), (np.nan, 1.0, 1.0)],
+        ids=["nan-TL", "negative-TR", "inf-TL", "zero-kappa", "nan-kappa"],
+    )
+    def test_refuses_what_the_rate_law_is_not_defined_for(self, kappa, t_left, t_right):
+        with pytest.raises(ValueError, match="must be finite"):
+            steady_state_rate_equations(1.0, 0.5, kappa, t_left, t_right)
 
     def test_requires_coupling_below_field(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinheat import thermo
-from spinheat.gaussian import GaussianChain, steady_state_gaussian
 from spinheat.lindblad import (
     DissipatorStyle,
     assemble_liouvillian,
@@ -12,7 +11,6 @@ from spinheat.lindblad import (
     unvectorize,
     vectorize,
 )
-from spinheat.rates import steady_state_pauli
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.steady import steady_state_nullspace, steady_state_rate_equations
 from spinheat.thermo import (
@@ -58,15 +56,14 @@ def assert_entropy_production_is_nonnegative(spec, style, points):
     """Spohn's inequality at each point of one stacked point step: the baths'
     entropy grows at -sum_k J_k / T_k >= 0, up to rounding of the currents.
     `points` holds (kappa, t_left, t_right) with both temperatures positive."""
-    baths = [
-        standard_baths(spec, kappa, t_left, t_right, style) for kappa, t_left, t_right in points
-    ]
-    chain = thermo._chain(spec, style)
-    step = steady_state_gaussian if isinstance(chain, GaussianChain) else steady_state_pauli
-    for point, flows in zip(baths, step(chain, baths).bath_currents):
-        production = -sum(j / bath.temperature for j, bath in zip(flows, point))
-        floor = 1e-12 * point[0].kappa * spec.field_h**2
-        assert production >= -floor / min(bath.temperature for bath in point)
+    _, point_step = thermo._ROUTES[spec.model]
+    points = np.array(points)
+    kappas, temperatures = points[:, 0], points[:, 1:]
+    state = point_step(thermo._chain(spec, style), kappas, temperatures)
+    for kappa, temps, flows in zip(kappas, temperatures, state.bath_currents):
+        production = -sum(flows / temps)
+        floor = 1e-12 * kappa * spec.field_h**2
+        assert production >= -floor / min(temps)
 
 
 def steady_currents(spec, t_left, t_right, style, kappa=1.0):
@@ -162,10 +159,9 @@ class TestHeatCurrents:
     def test_transport_routes_balance_energy(self, chains, data, style, kappa, t_left, t_right):
         # in the steady state the baths' inputs cancel on both transport routes
         spec = data.draw(transport_specs(chains))
-        baths = standard_baths(spec, kappa, t_left, t_right, style)
+        _, point_step = thermo._ROUTES[spec.model]
         chain = thermo._chain(spec, style)
-        step = steady_state_gaussian if isinstance(chain, GaussianChain) else steady_state_pauli
-        currents = step(chain, [baths]).bath_currents[0]
+        currents = point_step(chain, [kappa], [[t_left, t_right]]).bath_currents[0]
         assert len(currents) == 2
         assert abs(sum(currents)) <= 1e-10 * kappa * spec.field_h**2
 
@@ -279,3 +275,39 @@ class TestRectification:
     def test_rejects_inverted_gradient(self):
         with pytest.raises(ValueError):
             rectification(ISING, 1.0, 0.5, 2.0, DissipatorStyle.GLOBAL)
+
+
+# (kappa, t_left, t_right) points the rate law is not defined for, by id
+BAD_INPUTS = {
+    "nan-TL": ((1.0, np.nan, 0.0), "temperature must be finite and nonnegative"),
+    "inf-TL": ((1.0, np.inf, 0.0), "temperature must be finite and nonnegative"),
+    "negative-TR": ((1.0, 2.0, -0.5), "temperature must be finite and nonnegative"),
+    "nan-TR": ((1.0, 2.0, np.nan), "temperature must be finite and nonnegative"),
+    "zero-kappa": ((0.0, 2.0, 0.5), "kappa must be finite and positive"),
+    "negative-kappa": ((-1.0, 2.0, 0.5), "kappa must be finite and positive"),
+    "nan-kappa": ((np.nan, 2.0, 0.5), "kappa must be finite and positive"),
+    "inf-kappa": ((np.inf, 2.0, 0.5), "kappa must be finite and positive"),
+}
+# a NaN or negative temperature already fails rectification's t_hot >= t_cold >= 0
+RECTIFICATION_INPUTS = {
+    name: case for name, case in BAD_INPUTS.items() if case[0][1] >= case[0][2] >= 0
+}
+
+
+@pytest.mark.parametrize("spec", [ISING, XY2], ids=["pauli", "gaussian"])
+@pytest.mark.parametrize("style", DissipatorStyle)
+class TestInadmissibleInput:
+    """The transport routes refuse a kappa or a temperature the rate law is
+    not defined for, with the messages of `BathSpec`."""
+
+    @pytest.mark.parametrize("case", BAD_INPUTS.values(), ids=BAD_INPUTS)
+    def test_steady_net_current_refuses(self, spec, style, case):
+        (kappa, t_left, t_right), message = case
+        with pytest.raises(ValueError, match=message):
+            steady_net_current(spec, kappa, t_left, t_right, style)
+
+    @pytest.mark.parametrize("case", RECTIFICATION_INPUTS.values(), ids=RECTIFICATION_INPUTS)
+    def test_rectification_refuses(self, spec, style, case):
+        (kappa, t_hot, t_cold), message = case
+        with pytest.raises(ValueError, match=message):
+            rectification(spec, kappa, t_hot, t_cold, style)
