@@ -5,11 +5,14 @@ x values and a list of curves.  The x variable is the left temperature
 T_L, the coupling delta, or the temperature difference delta_T at a fixed
 mean; a curve is one J column, fixed by a chain, a dissipator style, and
 the temperatures x leaves free.  A column function evaluates every
-curve over a stretch of the grid: it groups the cells by the chain they
-need at their x and their style, and each group takes one stacked point
-step (`thermo._net_currents`).  Each dataset is written as a flat CSV
-with a units comment, parameter comment lines, a header row, and values
-at 15 significant digits.  Grid points are independent, so contiguous
+curve over a stretch of the grid: it groups the cells by the model,
+chain length, field and style of the chain they need at their x, and
+each group takes one chain step over the chains of its cells, which
+differ in the coupling alone, and one stacked point step over its cells
+(`thermo._net_currents`).  So a coupling grid is one group, as is a
+temperature grid at several fixed couplings.  Each dataset is written as
+a flat CSV with a units comment, parameter comment lines, a header row,
+and values at 15 significant digits.  Grid points are independent, so contiguous
 chunks of the grid can be evaluated across worker processes; rows are
 always assembled in grid order, and a stack member does not depend on the
 stack it is solved in, which keeps the output files byte-for-byte
@@ -323,46 +326,75 @@ class _Curve:
     t_mean: float | None = None
 
 
-def _cell_point(x_name: str, curve: _Curve, x: float) -> tuple[SpinChainSpec, float, float] | None:
-    """The chain and the (t_left, t_right) of one curve at one x; None where
-    a bath would drop below zero temperature."""
-    spec, t_left, t_right = curve.spec, curve.t_left, curve.t_right
+def _cell_temperatures(x_name: str, curve: _Curve, x: float) -> tuple[float, float] | None:
+    """The (t_left, t_right) of one curve at one x; None where a bath would
+    drop below zero temperature."""
     if x_name == "T_L":
-        t_left = x
-    elif x_name == "delta":
-        spec = replace(spec, coupling_delta=x)
-    else:  # delta_T, at fixed mean temperature
-        t_left, t_right = curve.t_mean + 0.5 * x, curve.t_mean - 0.5 * x
-        if t_left < 0 or t_right < 0:
-            return None
-    return spec, t_left, t_right
+        return x, curve.t_right
+    if x_name == "delta":
+        return curve.t_left, curve.t_right
+    # delta_T, at fixed mean temperature
+    t_left, t_right = curve.t_mean + 0.5 * x, curve.t_mean - 0.5 * x
+    if t_left < 0 or t_right < 0:
+        return None
+    return t_left, t_right
 
 
 def _columns(x_name: str, kappa: float, curves: Sequence[_Curve], xs: np.ndarray) -> list[tuple]:
     """Every curve at the grid points `xs`: one row per x, in grid order.
 
-    The cells are grouped by (chain at x, style) and each group takes one
-    stacked point step, so a curve whose chain does not move with x is one
-    group, and a coupling grid gives one group per coupling.  Cells where a
-    bath would drop below zero temperature stay None.  A SteadyStateError is
-    raised again with the failing cell's curve name and x.
+    The cells are grouped by the model, chain length, field and style of
+    their chain, so the chains of a group differ in the coupling alone.
+    Each group takes one chain step over its distinct chains and one
+    stacked point step over its cells: a coupling grid on one chain is one
+    group, and so are curves at several fixed couplings.  At each x, the
+    chain of the curves that share a chain and a group is built once.
+    Cells where a bath would drop below zero temperature stay None.  A
+    SteadyStateError is raised again with the failing cell's curve name
+    and x.
     """
     cells: list[list[float | None]] = [[None] * len(curves) for _ in xs]
-    groups: dict[tuple[SpinChainSpec, DissipatorStyle], list[tuple[int, int, float, float]]] = {}
+    # each curve's link, its chain and group; a group holds its chains,
+    # each with its member index, and its cells
+    links = [
+        (curve.spec, (curve.spec.model, curve.spec.n_spins, curve.spec.field_h, curve.style))
+        for curve in curves
+    ]
+    distinct = list(dict.fromkeys(links))
+    link_of = [distinct.index(link) for link in links]
+    groups: dict[tuple, tuple[dict[SpinChainSpec, int], list[tuple]]] = {
+        key: ({}, []) for _, key in distinct
+    }
+    link_groups = [groups[key] for _, key in distinct]
     for row, x in enumerate(xs):
+        members: list[int | None] = [None] * len(distinct)  # each link's member at x
         for col, curve in enumerate(curves):
-            point = _cell_point(x_name, curve, x)
-            if point is not None:
-                spec, t_left, t_right = point
-                groups.setdefault((spec, curve.style), []).append((row, col, t_left, t_right))
-    for (spec, style), members in groups.items():
+            temperatures = _cell_temperatures(x_name, curve, x)
+            if temperatures is None:
+                continue
+            link = link_of[col]
+            chains, group = link_groups[link]
+            if members[link] is None:
+                base = distinct[link][0]
+                spec = replace(base, coupling_delta=x) if x_name == "delta" else base
+                members[link] = chains.setdefault(spec, len(chains))
+            group.append((row, col, members[link], *temperatures))
+    for (*_, style), (chains, group) in groups.items():
+        if not group:
+            continue
         try:
-            currents = _net_currents(spec, kappa, [member[2:] for member in members], style)
+            currents = _net_currents(
+                tuple(chains),
+                [cell[2] for cell in group],
+                kappa,
+                [cell[3:] for cell in group],
+                style,
+            )
         except SteadyStateError as err:
-            row, col = members[err.member][:2]
+            row, col = group[err.member][:2]
             name = curves[col].name
             raise SteadyStateError(f"{name} at {x_name} = {xs[row]:.15g}: {err}") from err
-        for (row, col, _, _), current in zip(members, currents):
+        for (row, col, *_), current in zip(group, currents):
             cells[row][col] = float(current)
     return [(x, *row) for x, row in zip(xs, cells)]
 
@@ -473,8 +505,8 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, P
         for _, _, cold in panels
         for c in _FIG3_COLD
     ]
-    # both panels in one pass over the couplings, so each coupling's chain
-    # step is built once rather than once per panel
+    # both panels in one pass over the couplings, so the couplings of both
+    # panels are one chain stack and their cells one point step
     rows = _rows("delta", deltas, kappa, curves, jobs)
 
     paths = []

@@ -29,20 +29,24 @@ vector l.
   lowers the energy by |eps| through sum_{eps_k = |eps|} phi_k(s) eta_k
   plus (+1 on site 0, -1 on site n-1) times sum_{eps_k = -|eps|}
   phi_k(s) eta_k^dag.  The gaps sigma^x connects are exactly the |eps_k|,
-  so they are grouped by the rule `lindblad.global_jump_operators` applies
-  to the many-body gaps: `lindblad._group_starts` at `DEGENERACY_TOL`
-  times the largest |E|, which is sum_k |eps_k| / 2.  Zero modes carry no
+  so they are grouped by the rule `lindblad.global_transitions` applies
+  to the many-body gaps: `lindblad._groups` at `DEGENERACY_TOL` times
+  the largest |E|, which is sum_k |eps_k| / 2.  Zero modes carry no
   jump operator.  The two groupings can differ only where two |eps_k|
   differ by less than that tolerance without being equal (delta near
   1e-9 h): there the eigenbasis grouping is also anchored on many-body
   gaps that sigma^x does not connect.
 
-The chain step, `gaussian_chain`, holds A and each bath's (frequency,
-lowering vector) pairs; it alone says where the baths couple, and none of
-it depends on temperature or kappa.  The point step,
-`steady_state_gaussian`, takes P points of one chain at once, a kappa per
-point and a temperature per point and bath, and takes their rates
-(`lindblad._rate_tables`) into the bath matrices
+The chain step, `gaussian_chain`, takes a stack of C chains that differ
+in the coupling alone and holds, for each member, A and each bath's
+(frequency, lowering vector) pairs, padded like those of the rate route;
+it alone says where the baths couple, and none of it depends on
+temperature or kappa.  Each member is built alone, as the number of
+modes a bath drives changes with delta.  The point step,
+`steady_state_gaussian`, takes P points on the members at once, a member
+index, a kappa and a temperature per bath for each point, takes their
+rates (`lindblad._rate_tables`) and solves the points of each member as
+one stack.  It takes the rates into the bath matrices
 
     M_k = sum_t (emission l_t^* l_t^T + absorption l_t l_t^dag),
 
@@ -75,11 +79,12 @@ for a whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .lindblad import DEGENERACY_TOL, BathSpec, DissipatorStyle, _group_starts, _rate_tables
-from .spinops import ChainModel, SpinChainSpec
+from .lindblad import DEGENERACY_TOL, BathSpec, DissipatorStyle, _groups, _rate_tables
+from .spinops import ChainModel, SpinChainSpec, _stack_head
 from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyStateError, _first_failure
 
 
@@ -92,16 +97,20 @@ _EIG_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class GaussianChain:
-    """The temperature-independent half of the Gaussian route (the chain step).
+    """The temperature-independent half of the Gaussian route (the chain
+    step), for a stack of C chains that differ in the coupling alone.
 
-    `majorana` is the 2n x 2n form A of H.  For each bath, `frequencies`
-    holds one frequency per transition and `lowering` the transitions'
-    lowering vectors as rows.  Every array is read-only.
+    `majorana[c]` is the 2n x 2n form A of member c's H.  For each bath,
+    member c drives `counts[c]` transitions: `frequencies[c, t]` is
+    transition t's frequency and `lowering[c, t]` its lowering vector.  The
+    slots past `counts[c]` are padding, with frequency NaN and a zero
+    vector.  Every array is read-only.
     """
 
     majorana: np.ndarray
     frequencies: tuple[np.ndarray, ...]
     lowering: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -139,26 +148,15 @@ def _global_transitions(
     tol = DEGENERACY_TOL * max(0.5 * float(energy.sum()), 1e-300)
     order = np.argsort(energy, kind="stable")
     order = order[energy[order] > tol]
-    starts = _group_starts(energy[order], tol) if len(order) else []
-    groups = [order[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(order)])]
-    frequencies = np.array([float(np.mean(energy[group])) for group in groups])
-    vectors = np.zeros((len(groups), lowering.shape[1]), dtype=complex)
-    for row, group in enumerate(groups):
-        vectors[row] = lowering[group].sum(axis=0)
-    return frequencies, vectors
+    labels, means = _groups(energy[order][None], np.array([tol]))
+    vectors = np.zeros((means.shape[1], lowering.shape[1]), dtype=complex)
+    for row in range(len(vectors)):
+        vectors[row] = lowering[order[labels[0] == row]].sum(axis=0)
+    return means[0], vectors
 
 
-def gaussian_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> GaussianChain:
-    """The chain step: A and each bath's (frequency, lowering vector) pairs.
-
-    Only each bath's site, style and local frequency are read.  Baths must
-    couple to an end of the chain, where the Jordan-Wigner string drops
-    out, and share one style.
-    """
-    if spec.model is not ChainModel.XY_TRANSVERSE:
-        raise ValueError("the Gaussian route needs the quadratic XY chain")
-    if len({bath.style for bath in baths}) != 1:
-        raise ValueError("the Gaussian route needs at least one bath, all of one style")
+def _chain_member(spec: SpinChainSpec, baths: list[BathSpec]) -> tuple[np.ndarray, list, list]:
+    """A and each bath's (frequencies, lowering vectors) of one chain."""
     n = spec.n_spins
     off = np.full(n - 1, spec.coupling_delta)
     hop = spec.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
@@ -170,8 +168,6 @@ def gaussian_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> GaussianChain:
         eps, phi = np.linalg.eigh(hop)
     frequencies, lowering = [], []
     for bath in baths:
-        if bath.site not in (0, n - 1):
-            raise ValueError(f"bath site {bath.site} is not an end of the {n}-spin chain")
         if bath.style is DissipatorStyle.GLOBAL:
             sign = 1.0 if bath.site == 0 else -1.0
             freqs, vectors = _global_transitions(eps, phi, bath.site, sign)
@@ -180,10 +176,48 @@ def gaussian_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> GaussianChain:
             vectors = _mode_vectors(np.eye(n))[bath.site : bath.site + 1]
         frequencies.append(freqs)
         lowering.append(vectors)
-    for array in (majorana, *frequencies, *lowering):
+    return majorana, frequencies, lowering
+
+
+def gaussian_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> GaussianChain:
+    """The chain step of a stack of XY chains that differ in the coupling
+    alone: A and each bath's (frequency, lowering vector) pairs, member c
+    for `specs[c]`, each member built alone.
+
+    Only each bath's site, style and local frequency are read.  Baths must
+    couple to an end of the chain, where the Jordan-Wigner string drops
+    out, and share one style.
+    """
+    head = _stack_head(specs)
+    if head.model is not ChainModel.XY_TRANSVERSE:
+        raise ValueError("the Gaussian route needs the quadratic XY chain")
+    if len({bath.style for bath in baths}) != 1:
+        raise ValueError("the Gaussian route needs at least one bath, all of one style")
+    n = head.n_spins
+    for bath in baths:
+        if bath.site not in (0, n - 1):
+            raise ValueError(f"bath site {bath.site} is not an end of the {n}-spin chain")
+    members = [_chain_member(spec, baths) for spec in specs]
+    majorana = np.stack([member[0] for member in members])
+    frequencies, lowering, counts = [], [], []
+    for k in range(len(baths)):
+        bath_counts = np.array([len(member[1][k]) for member in members])
+        width = bath_counts.max()
+        bath_frequencies = np.full((len(members), width), np.nan)
+        vectors = np.zeros((len(members), width, 2 * n), dtype=complex)
+        for c, (_, freqs, rows) in enumerate(members):
+            bath_frequencies[c, : bath_counts[c]] = freqs[k]
+            vectors[c, : bath_counts[c]] = rows[k]
+        frequencies.append(bath_frequencies)
+        lowering.append(vectors)
+        counts.append(bath_counts)
+    for array in (majorana, *frequencies, *lowering, *counts):
         array.setflags(write=False)
     return GaussianChain(
-        majorana=majorana, frequencies=tuple(frequencies), lowering=tuple(lowering)
+        majorana=majorana,
+        frequencies=tuple(frequencies),
+        lowering=tuple(lowering),
+        counts=tuple(counts),
     )
 
 
@@ -228,27 +262,62 @@ def _lyapunov_residual(x: np.ndarray, gamma: np.ndarray, source: np.ndarray) -> 
 
 
 def steady_state_gaussian(
-    chain: GaussianChain, kappa: np.ndarray, temperatures: np.ndarray
+    chain: GaussianChain, member: np.ndarray, kappa: np.ndarray, temperatures: np.ndarray
 ) -> GaussianState:
     """The point step: the steady covariances of P points, and each bath's current.
 
-    `kappa[p]` is point p's kappa and `temperatures[p, k]` the temperature
-    of the chain step's k-th bath at point p; a `temperatures` array of
-    another shape than (P, n_baths) raises ValueError.  The P points are
-    solved as one stack: one batched eigendecomposition of X, and the
-    Kronecker solve for each member whose eigenvector solution leaves a
-    residual above `_EIG_RTOL` times ||X||, near an exceptional point of X
-    (see the module docstring); the other members keep their eigenvector
-    solution.  Raises SteadyStateError, carrying the member's index, when
-    a Lyapunov residual exceeds `KERNEL_RTOL` times ||X|| or the spectrum
-    of i Gamma leaves [-1, 1] (mode occupations outside [0, 1]).  The
-    returned fields carry a leading axis of length P; a member comes out
-    bit-identical in any stack.
+    Point p is on member `member[p]` of the chain stack, `kappa[p]` is its
+    kappa and `temperatures[p, k]` the temperature of the chain step's
+    k-th bath there; arrays of other shapes than (P,), (P,) and
+    (P, n_baths) raise ValueError.  The points of each chain member are
+    solved as one stack (`_solve`).  Raises SteadyStateError, carrying the
+    index of the failing point, when a Lyapunov residual exceeds
+    `KERNEL_RTOL` times ||X|| or the spectrum of i Gamma leaves [-1, 1]
+    (mode occupations outside [0, 1]); where points of several chain
+    members fail, a point of the member first in the stack is named.  The
+    returned fields carry a leading axis of length P; a point comes out
+    bit-identical in any stack, and on any chain stack that holds its
+    chain.
     """
-    tables = _rate_tables(kappa, temperatures, chain.frequencies)
-    matrices = tuple(map(_bath_matrices, tables, chain.lowering))
+    member = np.asarray(member, dtype=np.intp)
+    tables = _rate_tables(member, kappa, temperatures, chain.frequencies, chain.counts)
+    chains = sorted(set(member.tolist()))
+    if len(chains) == 1:  # every point on one member: the stack is its sub-stack
+        return _solve(chain, chains[0], tables)
+    size = chain.majorana.shape[1]
+    state = GaussianState(
+        covariance=np.empty((len(member), size, size)),
+        residual=np.empty(len(member)),
+        bath_currents=np.empty((len(member), len(tables))),
+    )
+    for c in chains:
+        points = np.flatnonzero(member == c)
+        try:
+            part = _solve(chain, c, [table[points] for table in tables])
+        except SteadyStateError as err:
+            raise SteadyStateError(str(err), member=int(points[err.member])) from None
+        for field in ("covariance", "residual", "bath_currents"):
+            getattr(state, field)[points] = getattr(part, field)
+    return state
+
+
+def _solve(chain: GaussianChain, c: int, tables: list[np.ndarray]) -> GaussianState:
+    """The steady states of P points on member c of the chain stack, from
+    each bath's (P, T, 2) rate table.
+
+    One batched eigendecomposition of X, and the Kronecker solve for each
+    point whose eigenvector solution leaves a residual above `_EIG_RTOL`
+    times ||X||, near an exceptional point of X (see the module
+    docstring); the other points keep their eigenvector solution.  A
+    SteadyStateError carries the index of the failing point.
+    """
+    counts = [bath_counts[c] for bath_counts in chain.counts]
+    tables = [table[:, :n] for table, n in zip(tables, counts)]
+    lowering = [bath_lowering[c, :n] for bath_lowering, n in zip(chain.lowering, counts)]
+    majorana = chain.majorana[c]
+    matrices = tuple(map(_bath_matrices, tables, lowering))
     m = sum(matrices)
-    x = chain.majorana - 2.0 * m.real
+    x = majorana - 2.0 * m.real
     source = -4.0 * m.imag
 
     scale = np.linalg.norm(x, axis=(1, 2))
@@ -269,11 +338,11 @@ def steady_state_gaussian(
         largest > 1.0 - 2.0 * _MIN_EIGENVALUE,
         lambda p: f"covariance not physical: |spectrum of i Gamma| reaches {largest[p]:.12f}",
     )
-    a = chain.majorana
     flows = [
-        (a * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag)).reshape(len(gamma), -1).sum(1)
+        (majorana * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag))
+        .reshape(len(gamma), -1)
+        .sum(1)
         for m in matrices
     ]
-    return GaussianState(
-        covariance=gamma, residual=residual, bath_currents=np.stack(flows, axis=1)
-    )
+    currents = np.stack(flows, axis=1)
+    return GaussianState(covariance=gamma, residual=residual, bath_currents=currents)

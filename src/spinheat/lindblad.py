@@ -7,10 +7,14 @@ sees the true transition frequencies of the interacting system.  The
 at a fixed frequency, ignoring the inter-spin coupling.  The styles differ
 only in which transitions, (frequency, lowering operator) pairs, each bath
 sees, and `bath_transitions` is the one place that decides them for the
-dense generator below and for the rate matrix of the `rates` module.
-Every route takes its rates from one ohmic rate law, `thermal_rates`,
-which gives the emission rate of a bath at a frequency (carried by the
-lowering operator) and its absorption rate (carried by the adjoint).
+dense generator below and for the rate matrix of the `rates` module.  It
+takes a stack of C spectral decompositions and returns each member's
+transitions in array operations over the stack (`global_transitions`),
+padded to the largest count, as the number of transitions changes with
+the coupling; the dense generator takes it on a 1-stack.  Every route
+takes its rates from one ohmic rate law, `thermal_rates`, which gives the
+emission rate of a bath at a frequency (carried by the lowering operator)
+and its absorption rate (carried by the adjoint).
 
 `assemble_liouvillian` builds the full d^2 x d^2 superoperator with
 Kronecker products, one `bath_dissipator` per bath.  It is the oracle the
@@ -176,38 +180,61 @@ def hamiltonian_superoperator(H: np.ndarray) -> np.ndarray:
     return -1.0j * (np.kron(eye, H) - np.kron(H.T, eye))
 
 
-def _degeneracy_tolerance(energies: np.ndarray) -> float:
-    """Absolute spacing below which two energies or two gaps count as equal."""
-    scale = float(np.max(np.abs(energies))) if len(energies) else 0.0
-    return DEGENERACY_TOL * max(scale, 1e-300)
+def _degeneracy_tolerance(energies: np.ndarray) -> np.ndarray:
+    """Absolute spacing below which two energies or two gaps count as equal,
+    for each row of a (C, d) stack of energies."""
+    return DEGENERACY_TOL * np.maximum(np.max(np.abs(energies), axis=-1, initial=0.0), 1e-300)
 
 
-def _group_starts(values: np.ndarray, tol: float) -> list[int]:
-    """Indices at which the groups of equal ascending values start.
+def _groups(values: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The groups of equal values in each row of a (C, K) stack of ascending
+    values, padded with NaN past each row's end: each value's group (C, K),
+    and the mean value of each group (C, G), NaN past a row's last group.
 
     A new group starts once a value exceeds the first one of the current
-    group by more than `tol`.  The many-body Bohr frequencies
-    (`global_jump_operators`) and the mode energies |eps_k| of the
-    Gaussian route are grouped by this one rule.
+    group by more than the row's `tol`.  The many-body Bohr frequencies
+    (`global_transitions`) and the mode energies |eps_k| of the Gaussian
+    route are grouped by this one rule.  A group's mean is the one
+    `np.mean` takes of its values.
     """
-    starts = [0]
-    for k in range(1, len(values)):
-        if values[k] - values[starts[-1]] > tol:
-            starts.append(k)
-    return starts
+    labels = np.zeros(values.shape, dtype=int)
+    if values.shape[1]:
+        first = values[:, 0]
+        for k in range(1, values.shape[1]):
+            new = values[:, k] - first > tol
+            labels[:, k] = labels[:, k - 1] + new
+            first = np.where(new, values[:, k], first)
+    rows, cols = np.nonzero(~np.isnan(values))
+    n_groups = labels[rows, cols].max() + 1 if len(rows) else 0
+    means = np.full((len(values), n_groups), np.nan)
+    # each group is a run of one row: sum the runs of each length as one
+    # array, whose rows numpy sums as it sums a group alone
+    group = rows * n_groups + labels[rows, cols]
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    sizes = np.diff(starts, append=len(group))
+    flat = values[rows, cols]
+    for size in set(sizes.tolist()):
+        runs = starts[sizes == size]
+        means.reshape(-1)[group[runs]] = flat[runs[:, None] + np.arange(size)].sum(axis=1) / size
+    return labels, means
 
 
-def global_jump_operators(
-    decomp: SpectralDecomposition, coupling_op: HermitianOperator
-) -> list[JumpOperator]:
-    """Eigenbasis jump operators of a coupling operator, one per gap.
+def global_transitions(
+    decomp: SpectralDecomposition, coupling: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenbasis jump operators of one coupling matrix on a stack of C
+    decompositions: (frequencies (C, T), lowering (C, T, d, d), counts (C,)).
 
-    Every ordered eigenstate pair with a positive energy gap contributes
-    its matrix element of `coupling_op`; pairs whose gaps agree within
-    `DEGENERACY_TOL * max(|energy|)` are summed into a single operator, so
+    Member c drives `counts[c]` transitions, in its first slots sorted by
+    ascending frequency; the slots past them are padding, with frequency
+    NaN and a zero matrix.  For each member, every ordered eigenstate pair
+    with a positive energy gap contributes its matrix element of
+    `coupling`; pairs whose gaps agree within `DEGENERACY_TOL * max(|energy|)`
+    (`_groups`) are summed into a single operator at their mean gap, so
     degenerate transitions share one jump matrix.  Operators whose entries
     are all negligible (below 1e-12) are dropped.  Matrices are returned in
-    the original basis, sorted by ascending frequency.
+    the original basis.  Every step is an array operation over the stack,
+    so a member comes out the same in any stack.
 
     Keeping one operator per gap is the full secular approximation: cross
     terms between different gaps are dropped, however close the gaps are.
@@ -227,35 +254,55 @@ def global_jump_operators(
       relaxation rates needs a partial-secular grouping with its own
       coupling scale.
     """
-    energies = decomp.energies
-    vectors = decomp.eigenvectors
-    d = decomp.dim
-    if coupling_op.dim != d:
+    energies, vectors = decomp.energies, decomp.eigenvectors
+    members, d = energies.shape
+    if coupling.shape != (d, d):
         raise ValueError("coupling operator dimension does not match decomposition")
-
     tol = _degeneracy_tolerance(energies)
+    adjoints = vectors.conj().swapaxes(-1, -2)
+    coupling_eig = adjoints @ coupling @ vectors
+    gaps = energies[:, None, :] - energies[:, :, None]  # gaps[c, i, j] = E_j - E_i
 
-    coupling_eig = vectors.conj().T @ coupling_op.matrix @ vectors
-    gaps = energies[None, :] - energies[:, None]  # gaps[i, j] = E_j - E_i
+    # each member's pairs with a positive gap, ordered by (gap, i, j), then
+    # padding: the stable sort keeps the row-major order among equal gaps
+    gaps = gaps.reshape(members, d * d)
+    gaps = np.where(gaps > tol[:, None], gaps, np.nan)
+    order = np.argsort(gaps, axis=1, kind="stable")
+    order = order[:, : np.count_nonzero(~np.isnan(gaps), axis=1).max(initial=0)]
+    pair_gaps = np.take_along_axis(gaps, order, axis=1)
+    labels, frequencies = _groups(pair_gaps, tol)
 
-    # pairs with a positive gap, ordered by (gap, i, j): nonzero yields them
-    # by (i, j) and the stable sort keeps that order among equal gaps
-    rows, cols = np.nonzero(gaps > tol)
-    order = np.argsort(gaps[rows, cols], kind="stable")
-    rows, cols = rows[order], cols[order]
-    pair_gaps = gaps[rows, cols]
-    starts = _group_starts(pair_gaps, tol)
+    a_eig = np.zeros((members, frequencies.shape[1], d, d), dtype=complex)
+    member, slot = np.nonzero(~np.isnan(pair_gaps))
+    rows, cols = np.divmod(order[member, slot], d)
+    a_eig[member, labels[member, slot], rows, cols] = coupling_eig[member, rows, cols]
+    kept = np.max(np.abs(a_eig), axis=(2, 3), initial=0.0) > _NEGLIGIBLE_ENTRY
 
-    jumps: list[JumpOperator] = []
-    for lo, hi in zip(starts, starts[1:] + [len(pair_gaps)]):
-        a_eig = np.zeros((d, d), dtype=complex)
-        a_eig[rows[lo:hi], cols[lo:hi]] = coupling_eig[rows[lo:hi], cols[lo:hi]]
-        if np.max(np.abs(a_eig)) <= _NEGLIGIBLE_ENTRY:
-            continue
-        matrix = vectors @ a_eig @ vectors.conj().T
-        freq = float(np.mean(pair_gaps[lo:hi]))
-        jumps.append(JumpOperator(frequency=freq, matrix=matrix))
-    return jumps
+    # the kept operators of each member move to its first slots, in order
+    counts = np.count_nonzero(kept, axis=1)
+    member, group = np.nonzero(kept)
+    slot = np.cumsum(kept, axis=1)[member, group] - 1
+    lowering = np.zeros((members, counts.max(initial=0), d, d), dtype=complex)
+    lowering[member, slot] = vectors[member] @ a_eig[member, group] @ adjoints[member]
+    padded = np.full(lowering.shape[:2], np.nan)
+    padded[member, slot] = frequencies[member, group]
+    return padded, lowering, counts
+
+
+def _one_stack(decomp: SpectralDecomposition) -> SpectralDecomposition:
+    return SpectralDecomposition(decomp.energies[None], decomp.eigenvectors[None])
+
+
+def global_jump_operators(
+    decomp: SpectralDecomposition, coupling_op: HermitianOperator
+) -> list[JumpOperator]:
+    """Eigenbasis jump operators of a coupling operator, one per gap, sorted
+    by ascending frequency: `global_transitions` on a 1-stack."""
+    frequencies, lowering, counts = global_transitions(_one_stack(decomp), coupling_op.matrix)
+    return [
+        JumpOperator(frequency=frequency, matrix=matrix)
+        for frequency, matrix in zip(frequencies[0, : counts[0]].tolist(), lowering[0])
+    ]
 
 
 def thermal_rates(kappa: float, temperature: float, frequency: float) -> tuple[float, float]:
@@ -283,56 +330,89 @@ def _check_rate_parameters(kappas: Iterable[float], temperatures: Iterable[float
 
 
 def _rate_tables(
-    kappa: Sequence[float], temperatures: np.ndarray, frequencies: Sequence[np.ndarray]
+    member: np.ndarray,
+    kappa: Sequence[float],
+    temperatures: np.ndarray,
+    frequencies: Sequence[np.ndarray],
+    counts: Sequence[np.ndarray],
 ) -> list[np.ndarray]:
-    """The (emission, absorption) rates of P points, one (P, T_k, 2) table per bath:
-    `kappa[p]` is point p's kappa, `temperatures[p, k]` bath k's temperature
-    there and `frequencies[k]` bath k's T_k transition frequencies.  The
-    rate law is looked up at call time and called with Python floats."""
+    """The (emission, absorption) rates of P points, one (P, T_k, 2) table per bath.
+
+    Point p is on member `member[p]` (an integer array) of a chain stack,
+    `kappa[p]` is its kappa and `temperatures[p, k]` bath k's temperature
+    there.  Member c drives the transitions
+    `frequencies[k][c, :counts[k][c]]` of bath k; the rates of the padding
+    slots past them stay zero and never reach the rate law.  The rate law
+    is looked up at call time and called with Python floats.
+    """
     kappa, temperatures = np.asarray(kappa, dtype=float), np.asarray(temperatures, dtype=float)
-    if kappa.ndim != 1 or temperatures.shape != (len(kappa), len(frequencies)):
+    if (
+        kappa.ndim != 1
+        or member.shape != kappa.shape
+        or temperatures.shape != (len(kappa), len(frequencies))
+    ):
         raise ValueError(
-            f"temperatures of shape {temperatures.shape} for kappa of shape {kappa.shape}: "
-            f"expected (P, {len(frequencies)}) for P points of {len(frequencies)} baths"
+            f"temperatures of shape {temperatures.shape} for kappa of shape {kappa.shape} "
+            f"and member of shape {member.shape}: expected (P, {len(frequencies)}), (P,) "
+            f"and (P,) for P points of {len(frequencies)} baths"
         )
-    # a NaN reaches both extremes and an infinity one of them
-    _check_rate_parameters((kappa.min(), kappa.max()), (temperatures.min(), temperatures.max()))
-    kappas = kappa.tolist()
+    kappas, members = kappa.tolist(), member.tolist()
+    if members:
+        if not 0 <= min(members) <= max(members) < len(counts[0]):
+            raise ValueError(f"member indices must lie in [0, {len(counts[0])})")
+        # a NaN reaches both extremes and an infinity one of them
+        extremes = (temperatures.min(), temperatures.max())
+        _check_rate_parameters((kappa.min(), kappa.max()), extremes)
     tables = []
-    for bath_frequencies, column in zip(frequencies, temperatures.T.tolist()):
-        ws = np.asarray(bath_frequencies, dtype=float).tolist()
-        rates = [[thermal_rates(k, t, w) for w in ws] for k, t in zip(kappas, column)]
-        tables.append(np.array(rates).reshape(len(kappas), len(ws), 2))
+    for bath_frequencies, bath_counts, column in zip(frequencies, counts, temperatures.T.tolist()):
+        width = bath_frequencies.shape[1]
+        ws = [row[:n] for row, n in zip(bath_frequencies.tolist(), bath_counts.tolist())]
+        padding = [[(0.0, 0.0)] * (width - len(w)) for w in ws]
+        rates = [
+            [thermal_rates(k, t, w) for w in ws[m]] + padding[m]
+            for k, t, m in zip(kappas, column, members)
+        ]
+        tables.append(np.array(rates).reshape(len(kappas), width, 2))
     return tables
 
 
 def bath_transitions(
     decomp: SpectralDecomposition, bath: BathSpec
-) -> list[tuple[float, np.ndarray]]:
-    """The (frequency, lowering operator) pairs one bath drives.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (frequency, lowering operator) pairs one bath drives on each
+    member of a stack of C decompositions, in the layout of
+    `global_transitions`: (frequencies (C, T), lowering (C, T, d, d),
+    counts (C,)), padding past each member's count.
 
     Global style: the eigenbasis jump operators of sigma^x on the bath's
-    site (`global_jump_operators`).  Local style: sigma^- on that site at
-    the bath's local frequency.  The chain length is read off `decomp`.
+    site (`global_transitions`).  Local style: sigma^- on that site at the
+    bath's local frequency, one transition on every member.  The chain
+    length is read off `decomp`.
     """
     n_spins = decomp.dim.bit_length() - 1
     if bath.style is DissipatorStyle.GLOBAL:
-        coupling = HermitianOperator(embed_matrix(PAULI_X, bath.site, n_spins))
-        return [(jump.frequency, jump.matrix) for jump in global_jump_operators(decomp, coupling)]
-    return [(bath.local_frequency, embed_matrix(LOWERING, bath.site, n_spins))]
+        return global_transitions(decomp, embed_matrix(PAULI_X, bath.site, n_spins))
+    members = len(decomp.energies)
+    lowering = embed_matrix(LOWERING, bath.site, n_spins)
+    return (
+        np.full((members, 1), float(bath.local_frequency)),
+        np.broadcast_to(lowering, (members, 1, *lowering.shape)),
+        np.ones(members, dtype=int),
+    )
 
 
 def bath_dissipator(decomp: SpectralDecomposition, bath: BathSpec) -> np.ndarray:
     """The dense dissipator of one bath: emission through each lowering
-    operator of `bath_transitions`, absorption through its adjoint, at the
-    rates of `thermal_rates`.  A bath that drives no transition gives the
-    zero superoperator."""
+    operator of `bath_transitions` (on a 1-stack), absorption through its
+    adjoint, at the rates of `thermal_rates`.  A bath that drives no
+    transition gives the zero superoperator."""
     dim = decomp.dim
     part = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for frequency, lowering in bath_transitions(decomp, bath):
+    frequencies, lowering, counts = bath_transitions(_one_stack(decomp), bath)
+    for frequency, op in zip(frequencies[0, : counts[0]].tolist(), lowering[0]):
         emission, absorption = thermal_rates(bath.kappa, bath.temperature, frequency)
-        part += emission * dissipation_superoperator(lowering)
-        part += absorption * dissipation_superoperator(lowering.conj().T)
+        part += emission * dissipation_superoperator(op)
+        part += absorption * dissipation_superoperator(op.conj().T)
     return part
 
 
@@ -362,12 +442,13 @@ def standard_baths(
     ]
 
 
-def _check_bath_sites(H: HermitianOperator, baths: list[BathSpec]) -> None:
-    """Refuse no baths, an H not on spins, and a bath site beyond the chain."""
+def _check_bath_sites(dim: int, baths: list[BathSpec]) -> None:
+    """Refuse no baths, an H of dimension `dim` not on spins, and a bath site
+    beyond the chain."""
     if not baths:
         raise ValueError("at least one bath is required")
-    n_spins = H.dim.bit_length() - 1
-    if 2 ** n_spins != H.dim:
+    n_spins = dim.bit_length() - 1
+    if 2 ** n_spins != dim:
         raise ValueError("Hamiltonian dimension must be a power of two")
     for bath in baths:
         if bath.site >= n_spins:
@@ -382,7 +463,7 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
     from its own dissipator alone.  This dense route is the oracle for
     the `rates` and `gaussian` transport routes.
     """
-    _check_bath_sites(H, baths)
+    _check_bath_sites(H.dim, baths)
     decomp = spectral_decompose(H)
     parts = [bath_dissipator(decomp, bath) for bath in baths]
 

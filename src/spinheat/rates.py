@@ -11,13 +11,18 @@ full generator, and the uniform vector is the maximally mixed state on it,
 so projecting it onto a degenerate kernel of G gives the state the dense
 route projects from the maximally mixed state.
 
-The chain step, `pauli_chain`, holds the four energies (the diagonal of
-H) and, for each bath, one (frequency, |A_ij|^2) pair per transition of
-`lindblad.bath_transitions`; it alone says where the baths couple, and
-none of it depends on temperature or kappa.  The point step,
-`steady_state_pauli`, takes P points of one chain at once, a kappa per
-point and a temperature per point and bath, and takes their rates
-(`lindblad._rate_tables`) into each bath's rate matrix
+The chain step, `pauli_chain`, takes a stack of C pairs that differ in
+the coupling alone and holds, for each member, the four energies (the
+diagonal of H, `spinops.ising_levels`) and, for each bath, one
+(frequency, |A_ij|^2) pair per transition of `lindblad.bath_transitions`,
+the stacked transition rule; it alone says where the baths couple, and
+none of it depends on temperature or kappa.  Every member's levels and
+transitions come out of array operations over the stack, and a member
+with fewer transitions than another is padded with zero weights.  The
+point step, `steady_state_pauli`, takes P points on the members at once,
+a member index, a kappa and a temperature per bath for each point, and
+takes their rates (`lindblad._rate_tables`, which never evaluates a
+padding slot) into each bath's rate matrix
 
     W_k = sum_t (emission |A_t|^2 + absorption |A_t|^2 transposed),
 
@@ -32,69 +37,89 @@ sum_ij W_k[i, j] (E_i - E_j) p_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .lindblad import BathSpec, _check_bath_sites, _rate_tables, bath_transitions
-from .spinops import ChainModel, SpinChainSpec, build_hamiltonian, spectral_decompose
+from .spinops import ChainModel, SpinChainSpec, _stack_head, diagonal_decomposition, ising_levels
 from .steady import SteadyState, _density_matrix, _kernel_vector
 
 
 @dataclass(frozen=True)
 class PauliChain:
-    """The temperature-independent half of the rate route (the chain step).
+    """The temperature-independent half of the rate route (the chain step),
+    for a stack of C chains that differ in the coupling alone.
 
-    `energies` is the diagonal of H in the product basis.  For each bath,
-    `frequencies` holds one frequency per transition and `weights` the
-    transitions' |A_ij|^2, one 4 x 4 matrix per lowering operator A.
-    Every array is read-only.
+    `energies[c]` is the diagonal of member c's H in the product basis.
+    For each bath, member c drives `counts[c]` transitions:
+    `frequencies[c, t]` is transition t's frequency and `weights[c, t]` its
+    |A_ij|^2, a 4 x 4 matrix per lowering operator A.  The slots past
+    `counts[c]` are padding, with frequency NaN and zero weights.  Every
+    array is read-only.
     """
 
     energies: np.ndarray
     frequencies: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...]
 
 
-def pauli_chain(spec: SpinChainSpec, baths: list[BathSpec]) -> PauliChain:
-    """The chain step: the energies and each bath's transition weights.
+def pauli_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> PauliChain:
+    """The chain step of a stack of Ising pairs that differ in the coupling
+    alone: the energies and each bath's transition weights, member c for
+    `specs[c]`.  Levels and transitions of all members are array operations
+    over the stack (`ising_levels`, `lindblad.global_transitions`).
 
     Only each bath's site, style and local frequency are read.
     """
-    if spec.model is not ChainModel.ISING_ZZ:
+    head = _stack_head(specs)
+    if head.model is not ChainModel.ISING_ZZ:
         raise ValueError("the rate route needs the Ising zz pair, whose H is diagonal")
-    H = build_hamiltonian(spec)
-    _check_bath_sites(H, baths)
-    decomp = spectral_decompose(H)
-    energies = np.diag(H.matrix).real.copy()
-    transitions = [bath_transitions(decomp, bath) for bath in baths]
-    frequencies = tuple(np.array([frequency for frequency, _ in pairs]) for pairs in transitions)
-    weights = tuple(np.array([np.abs(a) ** 2 for _, a in pairs]) for pairs in transitions)
-    for array in (energies, *frequencies, *weights):
+    energies = ising_levels(head.field_h, [spec.coupling_delta for spec in specs])
+    _check_bath_sites(energies.shape[1], baths)
+    decomp = diagonal_decomposition(energies)
+    frequencies, weights, counts = [], [], []
+    for bath in baths:
+        bath_frequencies, lowering, bath_counts = bath_transitions(decomp, bath)
+        frequencies.append(bath_frequencies)
+        weights.append(np.abs(lowering) ** 2)
+        counts.append(bath_counts)
+    for array in (energies, *frequencies, *weights, *counts):
         array.setflags(write=False)
-    return PauliChain(energies=energies, frequencies=frequencies, weights=weights)
+    return PauliChain(
+        energies=energies,
+        frequencies=tuple(frequencies),
+        weights=tuple(weights),
+        counts=tuple(counts),
+    )
 
 
 def steady_state_pauli(
-    chain: PauliChain, kappa: np.ndarray, temperatures: np.ndarray
+    chain: PauliChain, member: np.ndarray, kappa: np.ndarray, temperatures: np.ndarray
 ) -> SteadyState:
     """The point step: the steady populations of P points, and each bath's current.
 
-    `kappa[p]` is point p's kappa and `temperatures[p, k]` the temperature
-    of the chain step's k-th bath at point p; a `temperatures` array of
-    another shape than (P, n_baths) raises ValueError.  The rate matrices
-    of all P points are solved as one stack by the kernel rule of
-    `steady._kernel_vector`, whose checks are those of
-    `steady.steady_state_nullspace`.  The returned fields carry a leading
-    axis of length P; a member comes out bit-identical in any stack.
+    Point p is on member `member[p]` of the chain stack, `kappa[p]` is its
+    kappa and `temperatures[p, k]` the temperature of the chain step's
+    k-th bath there; arrays of other shapes than (P,), (P,) and
+    (P, n_baths) raise ValueError.  The rate matrices of all P points are
+    solved as one stack by the kernel rule of `steady._kernel_vector`,
+    whose checks are those of `steady.steady_state_nullspace`.  The
+    returned fields carry a leading axis of length P; a point comes out
+    bit-identical in any stack, and on any chain stack that holds its
+    chain.
     """
-    tables = _rate_tables(kappa, temperatures, chain.frequencies)
-    d = len(chain.energies)
+    member = np.asarray(member, dtype=np.intp)
+    tables = _rate_tables(member, kappa, temperatures, chain.frequencies, chain.counts)
+    d = chain.energies.shape[1]
     bath_rates = []
     for bath_weights, rates in zip(chain.weights, tables):
+        weights = bath_weights[member]
         w = np.zeros((len(rates), d, d))
-        for t, weights in enumerate(bath_weights):
+        for t in range(rates.shape[1]):
             emission, absorption = rates[:, t, 0, None, None], rates[:, t, 1, None, None]
-            w += emission * weights + absorption * weights.T
+            w += emission * weights[:, t] + absorption * weights[:, t].swapaxes(1, 2)
         bath_rates.append(w)
     w_total = sum(bath_rates)
     levels = np.arange(d)
@@ -106,8 +131,9 @@ def steady_state_pauli(
     rho[:, levels, levels] = vectors
     rho = _density_matrix(rho)
     p = rho.diagonal(axis1=1, axis2=2).real
-    gaps = chain.energies[:, None] - chain.energies[None, :]  # gaps[i, j] = E_i - E_j
-    flows = [(w * gaps * p[:, None, :]).reshape(len(p), -1).sum(axis=1) for w in bath_rates]
+    energies = chain.energies[member]
+    gaps = energies[:, :, None] - energies[:, None, :]  # gaps[p, i, j] = E_i - E_j
+    flows = [(w * gaps * p[:, None, :]).reshape(len(p), d * d).sum(axis=1) for w in bath_rates]
     return SteadyState(
         rho=rho,
         residual=np.linalg.norm((generator @ p[:, :, None])[:, :, 0], axis=1),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -80,7 +81,8 @@ class SpinChainSpec:
 class SpectralDecomposition:
     """Eigen-decomposition with energies ascending.
 
-    ``eigenvectors[:, k]`` belongs to ``energies[k]``.
+    ``eigenvectors[:, k]`` belongs to ``energies[k]``.  A stack of C
+    decompositions carries a leading axis on both arrays.
     """
 
     energies: np.ndarray
@@ -88,7 +90,19 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return len(self.energies)
+        return self.energies.shape[-1]
+
+
+def _stack_head(specs: Sequence[SpinChainSpec]) -> SpinChainSpec:
+    """The first chain of a chain stack, after a check that the stack holds
+    at least one chain and that its chains differ in the coupling alone."""
+    if not specs:
+        raise ValueError("a chain stack needs at least one chain")
+    head = specs[0]
+    shared = (head.model, head.n_spins, head.field_h)
+    if any((spec.model, spec.n_spins, spec.field_h) != shared for spec in specs):
+        raise ValueError("the chains of a stack may differ in the coupling delta alone")
+    return head
 
 
 def pauli(axis: str) -> HermitianOperator:
@@ -123,10 +137,19 @@ def embed(op: HermitianOperator, site: int, n_spins: int) -> HermitianOperator:
     return HermitianOperator(embed_matrix(op.matrix, site, n_spins))
 
 
+def ising_levels(field_h: float, deltas: Sequence[float]) -> np.ndarray:
+    """The diagonal of the Ising pair's H in the product basis, one row per
+    coupling: a (C, 4) stack for C values of delta (see `build_hamiltonian`)."""
+    sz_left = np.array([1.0, 1.0, -1.0, -1.0])  # sz_L on (uu, ud, du, dd)
+    sz_both = np.array([1.0, -1.0, -1.0, 1.0])  # sz_L sz_R
+    return 0.5 * field_h * sz_left + 0.5 * np.asarray(deltas, dtype=float)[:, None] * sz_both
+
+
 def build_hamiltonian(spec: SpinChainSpec) -> HermitianOperator:
     """Chain Hamiltonian for the given model.
 
-    Ising zz (2 spins, field on the left spin only):
+    Ising zz (2 spins, field on the left spin only), diagonal in the
+    product basis (`ising_levels`):
         H = (h/2) sz_L + (delta/2) sz_L sz_R
     XY in a transverse field (open chain, uniform field on every site):
         H = (h/2) sum_i sz_i + (delta/2) sum_i (sx_i sx_{i+1} + sy_i sy_{i+1})
@@ -135,9 +158,7 @@ def build_hamiltonian(spec: SpinChainSpec) -> HermitianOperator:
     h = spec.field_h
     delta = spec.coupling_delta
     if spec.model is ChainModel.ISING_ZZ:
-        szl = embed_matrix(PAULI_Z, 0, 2)
-        szr = embed_matrix(PAULI_Z, 1, 2)
-        m = 0.5 * h * szl + 0.5 * delta * (szl @ szr)
+        m = np.diag(ising_levels(h, [delta])[0])
     else:
         m = np.zeros((spec.dim, spec.dim), dtype=complex)
         for i in range(n):
@@ -150,19 +171,26 @@ def build_hamiltonian(spec: SpinChainSpec) -> HermitianOperator:
     return HermitianOperator(m)
 
 
+def diagonal_decomposition(levels: np.ndarray) -> SpectralDecomposition:
+    """The decompositions of a (C, d) stack of diagonal Hamiltonians, given
+    their diagonals: each sorted with a stable tie-break on the basis index,
+    so that degenerate spectra come out deterministically."""
+    order = np.argsort(levels, axis=-1, kind="stable")
+    vectors = np.eye(levels.shape[-1], dtype=complex)[order].swapaxes(-1, -2)
+    return SpectralDecomposition(
+        energies=np.take_along_axis(levels, order, axis=-1), eigenvectors=vectors
+    )
+
+
 def spectral_decompose(H: HermitianOperator) -> SpectralDecomposition:
     """Diagonalize H with energies ascending.
 
-    Diagonal matrices are sorted with a stable tie-break on the basis index
-    so that degenerate spectra come out deterministically.
+    Diagonal matrices take `diagonal_decomposition`, as a 1-stack.
     """
     m = H.matrix
     offdiag = m - np.diag(np.diag(m))
     if m.size == 0 or np.max(np.abs(offdiag)) <= _DIAGONAL_ATOL:
-        diag = np.real(np.diag(m))
-        order = np.argsort(diag, kind="stable")
-        return SpectralDecomposition(
-            energies=diag[order], eigenvectors=np.eye(H.dim, dtype=complex)[:, order]
-        )
+        stack = diagonal_decomposition(np.real(np.diag(m))[None])
+        return SpectralDecomposition(stack.energies[0], stack.eigenvectors[0])
     energies, vectors = np.linalg.eigh(m)
     return SpectralDecomposition(energies=energies, eigenvectors=vectors)

@@ -87,10 +87,11 @@ class SteadyState:
     generator (or of the chain step) feeds in per unit time.
 
     `steady_state_nullspace` returns one state.  The point step of the
-    `rates` module, given a kappa per point and a temperature per point
-    and bath, returns P of them in the same fields: `rho` of shape
-    (P, d, d), `residual` and `kernel_dim` of shape (P,) and
-    `bath_currents` of shape (P, n_baths).
+    `rates` module, given a chain stack and, for each of P points, a
+    member of the stack, a kappa and a temperature per bath, returns P of
+    them in the same fields: `rho` of shape (P, d, d), `residual` and
+    `kernel_dim` of shape (P,) and `bath_currents` of shape (P, n_baths),
+    P = 0 included.
     """
 
     rho: np.ndarray

@@ -16,10 +16,13 @@ A current is evaluated in two steps: a chain step that depends only on
 the chain and the dissipator style, and alone says where the baths
 couple, and a point step that takes only what varies, a kappa per point
 and a temperature per point and bath, into the rates of
-`lindblad.thermal_rates`.  The point step takes a stack of P points of
-one chain at once: `_net_currents` solves every (t_left, t_right) pair of
-a dataset group in one call, and `steady_net_current` is its 1-stack.
-`_ROUTES` picks their route by the model:
+`lindblad.thermal_rates`.  The chain step takes a stack of C chains that
+differ in the coupling alone, and the point step a stack of P points on
+its members, each point with the index of its member: `_net_currents`
+solves every cell of a dataset group, all its couplings and
+(t_left, t_right) pairs, in one chain step and one point step, and
+`steady_net_current` is its 1-stack of one chain.  `_ROUTES` picks their
+route by the model:
 
 - The XY chain is quadratic in Jordan-Wigner fermions and both styles'
   jump operators are linear in them, so its steady state is fixed by the
@@ -33,10 +36,10 @@ a dataset group in one call, and `steady_net_current` is its 1-stack.
 
 The dense `assemble_liouvillian` route is the oracle of both in the
 tests.  The chain step is kept in a least-recently-used cache keyed by
-(SpinChainSpec, DissipatorStyle) and bounded at `_CHAIN_CACHE_SIZE`
-chains.  Only read-only arrays that no rate enters are cached, never a
-rate matrix or a covariance, so a cached chain gives bit-identical
-currents.
+(tuple of SpinChainSpec, DissipatorStyle) and bounded at
+`_CHAIN_CACHE_SIZE` chain stacks.  Only read-only arrays that no rate
+enters are cached, never a rate matrix or a covariance, so a cached chain
+gives bit-identical currents.
 """
 
 from __future__ import annotations
@@ -52,19 +55,20 @@ from .lindblad import DissipatorStyle, standard_baths
 from .rates import PauliChain, pauli_chain, steady_state_pauli
 from .spinops import ChainModel, SpinChainSpec
 
-# Chains whose chain step stays cached.  The dataset runner asks for each
-# (chain, style) group once per grid chunk and solves the whole group in
-# one stacked point step, so a dataset hardly reuses an entry; from a cold
-# cache (`_chain.cache_info()`, hits/misses) `run_fig2` reads 0/4,
-# `run_fig3` 0/101 and `run_xy_comparison` at 5 spins 0/2.  The acceptance
-# checks, which loop over temperatures on one chain at a time, read 211/10,
-# one miss per chain they use.  A caller that reruns one sweep hits once
-# per run: at 5 spins, global style, that saves the chain step, 0.45 ms of
-# a 1.9 ms two-point `run_sweep` (median of 1000, one BLAS thread, 2-core
-# Xeon).  A run of fig2 and fig3 after one another hits once in 105
-# lookups, where fig2 meets the chain of the fig3 inset.  The rate route's
-# entries hold 4 x 4 arrays and the Gaussian route's 2n x 2n ones, so each
-# entry takes a few kB at most.
+# Chain stacks whose chain step stays cached.  The dataset runner asks for
+# each group's stack once per grid chunk and solves the whole group in one
+# stacked point step, so a dataset hardly reuses an entry; from a cold
+# cache (`_chain.cache_info()`, hits/misses) `run_fig2` reads 0/2 (a
+# stack of its three global couplings, and the local chain), `run_fig3`
+# 0/2 (the 100 couplings of both panels, and the inset's chain), a run of
+# fig2 and fig3 after one another 0/4, and `run_xy_comparison` at 5 spins
+# 0/2.  The acceptance checks, which loop over temperatures on one chain
+# at a time, read 211/10, one miss per chain they use.  A caller that
+# reruns one sweep hits once per run: at 5 spins, global style, that saves
+# the chain step, 0.5 ms of a 2.0 ms two-point `run_sweep` (median of
+# 1000, one BLAS thread, 2-core Xeon).  The rate route's entries hold
+# (C, T, 4, 4) weights, 25 kB for fig3's 100 couplings, and the Gaussian
+# route's 2n x 2n arrays per member, so an entry takes a few tens of kB.
 _CHAIN_CACHE_SIZE = 8
 
 # each model's transport route: (chain step, point step)
@@ -98,28 +102,36 @@ def current_from_cycle(delta: float, cycle_gamma: float) -> float:
 
 
 @functools.lru_cache(maxsize=_CHAIN_CACHE_SIZE)
-def _chain(spec: SpinChainSpec, style: DissipatorStyle) -> GaussianChain | PauliChain:
-    """The chain step of the canonical two-bath arrangement on the route of `_ROUTES`."""
+def _chain(
+    specs: tuple[SpinChainSpec, ...], style: DissipatorStyle
+) -> GaussianChain | PauliChain:
+    """The chain step of a stack of chains that differ in the coupling alone,
+    in the canonical two-bath arrangement, on the route of `_ROUTES`."""
     # the chain step reads the baths' sites, style and local frequencies,
-    # never their kappa or temperatures, so any admissible values do here
-    chain_step, _ = _ROUTES[spec.model]
-    return chain_step(spec, standard_baths(spec, 1.0, 0.0, 0.0, style))
+    # which the chains of a stack share, never their kappa or temperatures,
+    # so any admissible values do here
+    chain_step, _ = _ROUTES[specs[0].model]
+    return chain_step(specs, standard_baths(specs[0], 1.0, 0.0, 0.0, style))
 
 
 def _net_currents(
-    spec: SpinChainSpec,
+    specs: tuple[SpinChainSpec, ...],
+    member: Sequence[int],
     kappa: float,
     temperatures: Sequence[tuple[float, float]],
     style: DissipatorStyle,
 ) -> np.ndarray:
     """Steady-state net currents of the canonical two-bath arrangement at
-    P (t_left, t_right) pairs, from one point step over all of them.
+    P points, from one chain step over `specs` and one point step over all
+    of them: point p is on chain `specs[member[p]]` at the (t_left, t_right)
+    pair `temperatures[p]`.
 
-    A SteadyStateError of the point step carries the index of the pair
+    A SteadyStateError of the point step carries the index of the point
     that failed.
     """
-    _, point_step = _ROUTES[spec.model]
-    state = point_step(_chain(spec, style), np.full(len(temperatures), kappa), temperatures)
+    _, point_step = _ROUTES[specs[0].model]
+    chain = _chain(specs, style)
+    state = point_step(chain, member, np.full(len(temperatures), kappa), temperatures)
     return state.bath_currents[:, 0]  # `standard_baths` lists the left bath first
 
 
@@ -132,10 +144,11 @@ def steady_net_current(
 ) -> float:
     """Steady-state net current for the canonical two-bath arrangement.
 
-    The cached chain step of (spec, style), then the point step on a
-    1-stack at these temperatures and kappa, on the route of `_ROUTES`.
+    The cached chain step of (spec, style) as a 1-stack of chains, then the
+    point step on a 1-stack of points at these temperatures and kappa, on
+    the route of `_ROUTES`.
     """
-    return float(_net_currents(spec, kappa, [(t_left, t_right)], style)[0])
+    return float(_net_currents((spec,), [0], kappa, [(t_left, t_right)], style)[0])
 
 
 def rectification(
@@ -149,7 +162,7 @@ def rectification(
     if not t_hot >= t_cold >= 0:
         raise ValueError("requires t_hot >= t_cold >= 0")
     both_orders = [(t_hot, t_cold), (t_cold, t_hot)]
-    j_forward, j_reverse = map(float, _net_currents(spec, kappa, both_orders, style))
+    j_forward, j_reverse = map(float, _net_currents((spec,), [0, 0], kappa, both_orders, style))
     # Below this floor both currents count as zero and the contrast is 0
     # rather than a ratio of numerical noise.
     floor = 1e-12 * kappa * spec.field_h**2

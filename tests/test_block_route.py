@@ -71,7 +71,7 @@ def _route_state(spec, baths):
     chain_step, point_step = thermo._ROUTES[spec.model]
     (kappa,) = {bath.kappa for bath in baths}
     temperatures = [[bath.temperature for bath in baths]]
-    return _only_member(point_step(chain_step(spec, baths), [kappa], temperatures))
+    return _only_member(point_step(chain_step([spec], baths), [0], [kappa], temperatures))
 
 
 def _both_routes(spec, kappa, t_left, t_right, style):
@@ -174,4 +174,4 @@ def test_local_xy_current_is_length_independent(n_spins):
 def test_rate_route_refuses_the_xy_chain():
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
     with pytest.raises(ValueError, match="Ising"):
-        pauli_chain(spec, standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.GLOBAL))
+        pauli_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.GLOBAL))

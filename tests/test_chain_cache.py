@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import spinheat.lindblad as lindblad
 from spinheat import thermo
-from spinheat.experiments import run_fig3
+from spinheat.experiments import run_fig2, run_fig3
 from spinheat.lindblad import DissipatorStyle, assemble_liouvillian, standard_baths
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.steady import steady_state_nullspace
@@ -86,20 +86,21 @@ def test_cached_arrays_are_read_only(style):
     # h - delta), every other bath one
     spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
-    chain = thermo._chain(spec, style)
+    chain = thermo._chain((spec,), style)
     transitions = {DissipatorStyle.GLOBAL: [2, 1], DissipatorStyle.LOCAL: [1, 1]}[style]
-    assert [len(weights) for weights in chain.weights] == transitions
-    assert [len(frequencies) for frequencies in chain.frequencies] == transitions
-    _assert_read_only([chain.energies, *chain.frequencies, *chain.weights])
+    assert [weights.shape[:2] for weights in chain.weights] == [(1, t) for t in transitions]
+    assert [freqs.shape for freqs in chain.frequencies] == [(1, t) for t in transitions]
+    assert [counts.tolist() for counts in chain.counts] == [[t] for t in transitions]
+    _assert_read_only([chain.energies, *chain.frequencies, *chain.weights, *chain.counts])
 
 
 @pytest.mark.parametrize("style", DissipatorStyle)
 def test_cached_gaussian_arrays_are_read_only(style):
     spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
-    chain = thermo._chain(spec, style)
-    arrays = [chain.majorana, *chain.frequencies, *chain.lowering]
-    assert len(arrays) == 5
+    chain = thermo._chain((spec,), style)
+    arrays = [chain.majorana, *chain.frequencies, *chain.lowering, *chain.counts]
+    assert len(arrays) == 7
     _assert_read_only(arrays)
 
 
@@ -140,12 +141,45 @@ def test_bound_holds_the_chains_fig2_interleaves():
     assert thermo._chain.cache_info().misses == len(curves)
 
 
-def test_fig3_builds_each_coupling_once(tmp_path):
-    # both panels share the 100 couplings of one pass, and the inset adds
-    # its own chain: 101 chain steps, not 201, under the same bound
+def _counted_steps(monkeypatch, model):
+    """The chain stacks and the point counts of every chain and point step
+    the route of `model` takes from now on."""
+    chain_step, point_step = thermo._ROUTES[model]
+    stacks, points = [], []
+
+    def counted_chain_step(specs, baths):
+        stacks.append(specs)
+        return chain_step(specs, baths)
+
+    def counted_point_step(chain, member, kappa, temperatures):
+        points.append(len(member))
+        return point_step(chain, member, kappa, temperatures)
+
+    monkeypatch.setitem(thermo._ROUTES, model, (counted_chain_step, counted_point_step))
     thermo._chain.cache_clear()
+    return stacks, points
+
+
+def test_fig3_builds_each_coupling_once(tmp_path, monkeypatch):
+    # both panels share the 100 couplings of one pass: one chain step over
+    # all of them and one point step over their 600 cells, then one chain
+    # step and one point step for the inset's chain
+    stacks, points = _counted_steps(monkeypatch, ChainModel.ISING_ZZ)
     run_fig3(1.0, tmp_path, jobs=1)
-    assert thermo._chain.cache_info().misses == 101
+    thermo._chain.cache_clear()
+    assert [len(specs) for specs in stacks] == [100, 1]
+    assert len(set(stacks[0])) == 100
+    assert len(points) == 2 and points[0] == 600
+
+
+def test_fig2_takes_one_chain_step_per_style(tmp_path, monkeypatch):
+    # three couplings in the global style are one chain stack, the weakest
+    # coupling in the local style the other
+    stacks, points = _counted_steps(monkeypatch, ChainModel.ISING_ZZ)
+    run_fig2(1.0, tmp_path, jobs=1)
+    thermo._chain.cache_clear()
+    assert sorted(len(specs) for specs in stacks) == [1, 3]
+    assert sorted(points) == [201, 3 * 201]
 
 
 def test_dense_oracle_bypasses_the_cache():
@@ -186,9 +220,11 @@ def _point_step(route):
     after a check that it takes an admissible point."""
     spec = ROUTE_SPECS[route]
     _, point_step = thermo._ROUTES[spec.model]
-    chain = thermo._chain(spec, DissipatorStyle.LOCAL)
-    point_step(chain, [1.0], [[2.0, 0.0]])
-    return lambda kappa, temperatures: point_step(chain, kappa, temperatures)
+    chain = thermo._chain((spec,), DissipatorStyle.LOCAL)
+    point_step(chain, [0], [1.0], [[2.0, 0.0]])
+    return lambda kappa, temperatures: point_step(
+        chain, np.zeros(np.size(kappa), dtype=int), kappa, temperatures
+    )
 
 
 @pytest.mark.parametrize("route", ROUTE_SPECS)
@@ -223,3 +259,15 @@ def test_point_step_refuses_what_the_rate_law_is_not_defined_for(
 ):
     with pytest.raises(ValueError, match=message):
         _point_step(route)(kappa, temperatures)
+
+
+@pytest.mark.parametrize("route", ROUTE_SPECS)
+def test_point_step_refuses_members_off_the_chain_stack(route):
+    # a point names its chain by its index in the stack: one index per
+    # point, and only indices of the stack's chains
+    spec = ROUTE_SPECS[route]
+    _, point_step = thermo._ROUTES[spec.model]
+    chain = thermo._chain((spec,), DissipatorStyle.LOCAL)
+    for member, message in [([0, 0], "shape"), ([1], "member indices"), ([-1], "member indices")]:
+        with pytest.raises(ValueError, match=message):
+            point_step(chain, member, [1.0], [[2.0, 0.0]])

@@ -17,7 +17,7 @@ from spinheat.lindblad import (
 )
 from spinheat.spinops import (
     ChainModel,
-    HermitianOperator,
+    SpectralDecomposition,
     SpinChainSpec,
     build_hamiltonian,
     embed,
@@ -30,6 +30,10 @@ ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
 
 def ising_decomp():
     return spectral_decompose(build_hamiltonian(ISING))
+
+
+def one_stack(decomp):
+    return SpectralDecomposition(decomp.energies[None], decomp.eigenvectors[None])
 
 
 def global_bath(site, temperature, kappa=1.0):
@@ -251,7 +255,9 @@ class TestGlobalDissipator:
         spec = SpinChainSpec(2, 1.0, 0.0, ChainModel.ISING_ZZ)
         decomp = spectral_decompose(build_hamiltonian(spec))
         bath = global_bath(1, 1.0)
-        assert bath_transitions(decomp, bath) == []
+        frequencies, lowering, counts = bath_transitions(one_stack(decomp), bath)
+        assert frequencies.shape == (1, 0) and lowering.shape == (1, 0, 4, 4)
+        assert counts.tolist() == [0]
         part = bath_dissipator(decomp, bath)
         assert part.shape == (16, 16)
         assert np.count_nonzero(part) == 0
@@ -259,10 +265,11 @@ class TestGlobalDissipator:
     def test_transitions_are_the_eigenbasis_jumps(self):
         decomp = ising_decomp()
         jumps = global_jump_operators(decomp, embed(pauli("x"), 1, 2))
-        transitions = bath_transitions(decomp, global_bath(1, 1.0))
-        assert [frequency for frequency, _ in transitions] == [j.frequency for j in jumps]
-        for (_, lowering), jump in zip(transitions, jumps):
-            assert np.array_equal(lowering, jump.matrix)
+        frequencies, lowering, counts = bath_transitions(one_stack(decomp), global_bath(1, 1.0))
+        assert counts.tolist() == [len(jumps)]
+        assert frequencies[0].tolist() == [j.frequency for j in jumps]
+        for matrix, jump in zip(lowering[0], jumps):
+            assert np.array_equal(matrix, jump.matrix)
 
 
 class TestLocalDissipator:
@@ -295,8 +302,9 @@ class TestLocalDissipator:
         assert np.count_nonzero(part) == 0
 
     def test_transition_is_sigma_minus_on_the_site(self):
-        [(frequency, lowering)] = bath_transitions(ising_decomp(), local_bath(1, 2.0, 0.7))
-        assert frequency == 0.7
+        transitions = bath_transitions(one_stack(ising_decomp()), local_bath(1, 2.0, 0.7))
+        [[frequency]], [[lowering]], [count] = transitions
+        assert (frequency, count) == (0.7, 1)
         assert np.array_equal(lowering, np.kron(np.eye(2), [[0, 0], [1, 0]]))
 
 

@@ -1,5 +1,7 @@
-"""The names the package exports, and the ones the benchmark imports."""
+"""The names the package exports, the ones the benchmark imports, and the
+imports every module uses."""
 
+import ast
 import pkgutil
 import subprocess
 import sys
@@ -61,3 +63,33 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(path):
+    """The names `path` imports and never references.  A reference is any
+    name the module reads, the head of an attribute chain included; a name
+    listed in the module's `__all__` counts as referenced."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+SOURCES = sorted(
+    [*Path(spinheat.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []

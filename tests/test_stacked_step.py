@@ -1,12 +1,16 @@
-"""The stacked point steps: a member of a stack is its own 1-stack call, bit for bit.
+"""The stacked steps: a member of a stack is its own 1-stack call, bit for bit.
 
-Both transport routes solve P points of one chain in one call.  Stacking
-must never change a member: not its state, its diagnostics or its
-currents, and not which solver a member takes.  A member that fails is
-named by its index, and the dataset runner names its curve and x.
+Both transport routes take a stack of chains that differ in the coupling
+in one chain step, and P points on its members in one point step.
+Stacking must never change a member: not its chain, its state, its
+diagnostics or its currents, and not which solver a member takes.  A
+member that fails is named by its index, and the dataset runner names its
+curve and x.
 """
 
 import math
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from spinheat.lindblad import DissipatorStyle
 from spinheat.spinops import ChainModel, SpinChainSpec
 from spinheat.steady import SteadyStateError
 
-from test_chain_cache import PROPERTY, chains, kappas, temperatures
+from test_chain_cache import PROPERTY, ROUTE_SPECS, chains, kappas, temperatures
 
 # a degenerate kernel on the rate route: the right local bath of the Ising
 # pair has frequency zero, so at T_R = 0 it drives nothing
@@ -34,11 +38,11 @@ EXCEPTIONAL_POINT = (1.0, 1.0 / math.log(2.0), 0.0)
 def _step(spec, style):
     """The route's point step on (kappa, t_left, t_right) points of the cached chain."""
     _, point_step = thermo._ROUTES[spec.model]
-    chain = thermo._chain(spec, style)
+    chain = thermo._chain((spec,), style)
 
     def step(points):
         points = np.array(points, dtype=float)
-        return point_step(chain, points[:, 0], points[:, 1:])
+        return point_step(chain, [0] * len(points), points[:, 0], points[:, 1:])
 
     return step
 
@@ -127,6 +131,20 @@ def test_failing_member_is_named_by_its_index(monkeypatch, spec, message, style)
     assert excinfo.value.member == 2
 
 
+@pytest.mark.parametrize("spec", [ISING, EXCEPTIONAL], ids=["pauli", "gaussian"])
+def test_failing_point_on_a_chain_stack_is_named_by_its_index(monkeypatch, spec):
+    # the failing point sits on the second chain of the stack, after points
+    # of both chains; the Gaussian route solves each chain's points apart
+    _failing_at(monkeypatch, 0.75)
+    chain_step, point_step = thermo._ROUTES[spec.model]
+    specs = [spec, SpinChainSpec(spec.n_spins, 1.0, 0.3, spec.model)]
+    chain = chain_step(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.GLOBAL))
+    temperatures = [[0.5, 0.2], [1.0, 0.2], [2.0, 0.2], [0.75, 0.2]]
+    with pytest.raises(SteadyStateError) as excinfo:
+        point_step(chain, [1, 0, 1, 1], [1.0] * 4, temperatures)
+    assert excinfo.value.member == 3
+
+
 @pytest.mark.parametrize("model", ["ising", "xy"])
 def test_failure_in_the_middle_of_a_stack_names_its_curve_and_x(
     tmp_path, capsys, monkeypatch, model
@@ -145,3 +163,105 @@ def test_failure_in_the_middle_of_a_stack_names_its_curve_and_x(
     assert err.startswith("solver error: J_global at T_L = 0.75: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# the couplings, as fractions of h, where the number of transitions of the
+# Ising pair changes: at 0 the right bath drives none and the left bath one
+# group; at 1/2 the left bath's h - delta group also holds the two delta
+# gaps; at 1 the h - delta transition vanishes; past 1 the levels reorder
+EDGES = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+@st.composite
+def coupling_stacks(draw):
+    """A stack of distinct chains that differ in the coupling alone, edges
+    included, and a dissipator style."""
+    model, n_spins = draw(
+        st.sampled_from(
+            [(ChainModel.ISING_ZZ, 2), (ChainModel.XY_TRANSVERSE, 2), (ChainModel.XY_TRANSVERSE, 3)]
+        )
+    )
+    h = draw(st.floats(0.5, 2.0))
+    ratio = st.one_of(st.sampled_from(EDGES), st.floats(0.01, 2.5))
+    ratios = draw(st.lists(ratio, min_size=1, max_size=5, unique=True))
+    specs = tuple(SpinChainSpec(n_spins, h, r * h, model) for r in ratios)
+    return specs, draw(st.sampled_from(DissipatorStyle))
+
+
+def _member_arrays(chain, c):
+    """Member c of a chain stack, each bath's arrays cut to its transitions,
+    and the padding past them."""
+    arrays, padding = {}, []
+    counts = chain.counts
+    for field in fields(chain):
+        value = getattr(chain, field.name)
+        if field.name == "counts":
+            continue
+        if isinstance(value, tuple):  # one array per bath
+            for k, (bath, n) in enumerate(zip(value, counts)):
+                arrays[field.name, k] = bath[c, : n[c]]
+                padding.append((field.name, bath[c, n[c] :]))
+        else:
+            arrays[field.name] = value[c]
+    return arrays, padding
+
+
+@PROPERTY
+@given(coupling_stacks(), st.data())
+def test_chain_stack_members_are_their_own_chains(stack, data):
+    specs, style = stack
+    chain_step, point_step = thermo._ROUTES[specs[0].model]
+    baths = lindblad.standard_baths(specs[0], 1.0, 0.0, 0.0, style)
+    chain = chain_step(specs, baths)
+    alone = [chain_step([spec], baths) for spec in specs]
+    for c, single in enumerate(alone):
+        assert [counts[c] for counts in chain.counts] == [n[0] for n in single.counts]
+        arrays, padding = _member_arrays(chain, c)
+        for name, value in _member_arrays(single, 0)[0].items():
+            assert arrays[name].tobytes() == value.tobytes(), (name, c)
+        for name, value in padding:
+            if name == "frequencies":
+                assert np.isnan(value).all()
+            else:
+                assert not value.any(), name
+
+    # points on drawn members, and a degenerate kernel on one of them: the
+    # Ising pair's right local bath at frequency zero and T_R = 0
+    point = st.tuples(st.integers(0, len(specs) - 1), kappas, temperatures, temperatures)
+    drawn = data.draw(st.lists(point, min_size=1, max_size=8))
+    drawn.append((data.draw(st.integers(0, len(specs) - 1)), *DEGENERATE_POINT))
+    member = [p[0] for p in drawn]
+    kappa = [p[1] for p in drawn]
+    temps = [p[2:] for p in drawn]
+    seen = []
+    rate_law = lindblad.thermal_rates
+
+    def recorded(kappa, temperature, frequency):
+        seen.append(frequency)
+        return rate_law(kappa, temperature, frequency)
+
+    with mock.patch.object(lindblad, "thermal_rates", recorded):
+        stacked = _fields(point_step(chain, member, kappa, temps))
+    # no padding slot reaches the rate law
+    assert len(seen) == sum(counts[m] for counts in chain.counts for m in member)
+    assert not np.isnan(seen).any()
+    for p, (m, *rest) in enumerate(drawn):
+        own = _fields(point_step(alone[m], [0], [rest[0]], [rest[1:]]))
+        for name, value in stacked.items():
+            assert value[p].tobytes() == own[name][0].tobytes(), (name, p)
+
+
+@pytest.mark.parametrize("route", ROUTE_SPECS)
+@pytest.mark.parametrize("style", DissipatorStyle)
+def test_empty_stack_gives_empty_fields(route, style):
+    spec = ROUTE_SPECS[route]
+    chain_step, point_step = thermo._ROUTES[spec.model]
+    chain = chain_step([spec], lindblad.standard_baths(spec, 1.0, 0.0, 0.0, style))
+    state = _fields(point_step(chain, [], np.empty(0), np.empty((0, 2))))
+    for name, value in state.items():
+        assert value.shape[0] == 0, name
+    assert state["bath_currents"].shape == (0, 2)
+    one = _fields(point_step(chain, [0], [1.0], [[1.0, 0.5]]))
+    assert {name: value.shape[1:] for name, value in state.items()} == {
+        name: value.shape[1:] for name, value in one.items()
+    }

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spinheat.lindblad import (
-    BathSpec,
     DissipatorStyle,
     Liouvillian,
     assemble_liouvillian,
