@@ -1,9 +1,11 @@
 """Steady-state heat transport through strongly coupled spin chains.
 
-The package builds Lindblad generators for short spin chains driven by two
-thermal reservoirs, in both the eigenbasis (global) and single-spin
-(local) dissipator treatments, solves for the stationary state, and
-evaluates heat currents and rectification.
+Short spin chains are driven by two thermal reservoirs, in both the
+eigenbasis (global) and single-spin (local) dissipator treatments.  Two
+transport routes solve for the stationary state: the four-level Pauli
+rate matrix of the Ising pair (`rates`) and the Majorana covariance of the
+XY chain (`gaussian`).  The heat currents and rectification are read off
+them (`thermo`), and the dense Lindblad generator of `oracle` checks both.
 """
 
 from .spinops import (
@@ -12,20 +14,14 @@ from .spinops import (
     SpectralDecomposition,
     SpinChainSpec,
     build_hamiltonian,
-    embed,
     pauli,
     spectral_decompose,
 )
 from .lindblad import (
     BathSpec,
     DissipatorStyle,
-    JumpOperator,
-    Liouvillian,
-    assemble_liouvillian,
-    bath_dissipator,
     bath_transitions,
     bose_einstein,
-    global_jump_operators,
     standard_baths,
     thermal_rates,
 )
@@ -36,21 +32,19 @@ from .gaussian import (
     steady_state_gaussian,
 )
 from .rates import PauliChain, pauli_chain, steady_state_pauli
-from .steady import (
+from .steady import SteadyState, SteadyStateError
+from .oracle import (
     CrossValidationError,
+    Liouvillian,
     NetRates,
-    SteadyState,
-    SteadyStateError,
+    assemble_liouvillian,
+    bath_dissipator,
     cross_validate,
+    current_from_cycle,
     steady_state_nullspace,
     steady_state_rate_equations,
 )
-from .thermo import (
-    RectificationReport,
-    current_from_cycle,
-    rectification,
-    steady_net_current,
-)
+from .thermo import RectificationReport, rectification, steady_net_current
 from .experiments import (
     SweepConfig,
     run_acceptance,
@@ -68,7 +62,6 @@ __all__ = [
     "GaussianChain",
     "GaussianState",
     "HermitianOperator",
-    "JumpOperator",
     "Liouvillian",
     "NetRates",
     "PauliChain",
@@ -85,9 +78,7 @@ __all__ = [
     "build_hamiltonian",
     "cross_validate",
     "current_from_cycle",
-    "embed",
     "gaussian_chain",
-    "global_jump_operators",
     "pauli",
     "pauli_chain",
     "rectification",

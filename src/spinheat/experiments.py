@@ -33,27 +33,20 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .lindblad import (
-    DissipatorStyle,
+from .lindblad import DissipatorStyle, standard_baths
+from .oracle import (
     assemble_liouvillian,
-    standard_baths,
+    cross_validate,
+    current_from_cycle,
+    steady_state_nullspace,
+    steady_state_rate_equations,
     trace_row,
     unvectorize,
     vectorize,
 )
 from .spinops import ChainModel, SpinChainSpec, build_hamiltonian, spectral_decompose
-from .steady import (
-    SteadyStateError,
-    cross_validate,
-    steady_state_nullspace,
-    steady_state_rate_equations,
-)
-from .thermo import (
-    _net_currents,
-    current_from_cycle,
-    rectification,
-    steady_net_current,
-)
+from .steady import SteadyStateError
+from .thermo import _net_currents, rectification, steady_net_current
 
 UNITS_COMMENT = "# hbar=1, kB=1, energies in units of h"
 
@@ -863,11 +856,6 @@ def format_table(results: Sequence[CriterionResult]) -> list[str]:
     ]
     lines.insert(1, "-" * max(len(line) for line in lines))
     return lines
-
-
-def format_criterion(result: CriterionResult) -> str:
-    """One result as a table line, its columns sized from the header and itself."""
-    return format_table([result])[-1]
 
 
 def run_acceptance(stream=None) -> int:

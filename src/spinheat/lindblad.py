@@ -1,4 +1,4 @@
-"""Baths, rates, transitions and the dense generator of thermally driven spin chains.
+"""Baths, rates and transitions of thermally driven spin chains.
 
 Two dissipator styles are provided.  The "global" style builds jump
 operators between eigenstates of the full chain Hamiltonian, so each bath
@@ -6,25 +6,14 @@ sees the true transition frequencies of the interacting system.  The
 "local" style damps a single spin with its bare raising/lowering operators
 at a fixed frequency, ignoring the inter-spin coupling.  The styles differ
 only in which transitions, (frequency, lowering operator) pairs, each bath
-sees, and `bath_transitions` is the one place that decides them for the
-dense generator below and for the rate matrix of the `rates` module.  It
-takes a stack of C spectral decompositions and returns each member's
-transitions in array operations over the stack (`global_transitions`),
-padded to the largest count, as the number of transitions changes with
-the coupling; the dense generator takes it on a 1-stack.  Every route
-takes its rates from one ohmic rate law, `thermal_rates`, which gives the
-emission rate of a bath at a frequency (carried by the lowering operator)
-and its absorption rate (carried by the adjoint).
-
-`assemble_liouvillian` builds the full d^2 x d^2 superoperator with
-Kronecker products, one `bath_dissipator` per bath.  It is the oracle the
-tests and the acceptance checks compare the two transport routes against,
-the four-level rate matrix (`rates`) and the Majorana covariance
-(`gaussian`); nothing on the transport path calls it.
-
-Superoperators use column-stacking vectorization: vec(rho) stacks the
-columns of rho (numpy order='F'), so vec(A rho B) = (B^T kron A) vec(rho)
-and the coherent part reads -i(I kron H - H^T kron I).
+sees, and `bath_transitions` is the one place that decides them for every
+route.  It takes a stack of C spectral decompositions and returns each
+member's transitions in array operations over the stack
+(`global_transitions`), padded to the largest count, as the number of
+transitions changes with the coupling.  Every route takes its rates from
+one ohmic rate law, `thermal_rates`, which gives the emission rate of a
+bath at a frequency (carried by the lowering operator) and its absorption
+rate (carried by the adjoint).
 """
 
 from __future__ import annotations
@@ -38,13 +27,11 @@ import numpy as np
 
 from .spinops import (
     ChainModel,
-    HermitianOperator,
     LOWERING,
     PAULI_X,
     SpectralDecomposition,
     SpinChainSpec,
     embed_matrix,
-    spectral_decompose,
 )
 
 # Relative tolerance for grouping Bohr frequencies into one jump operator.
@@ -89,59 +76,6 @@ class BathSpec:
                 raise ValueError("local style requires a finite local_frequency >= 0")
 
 
-@dataclass(frozen=True)
-class JumpOperator:
-    """A positive Bohr frequency and the transition matrix attached to it."""
-
-    frequency: float
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.frequency <= 0:
-            raise ValueError("jump operators carry strictly positive frequencies")
-
-
-@dataclass(frozen=True)
-class Liouvillian:
-    """Full generator plus the per-bath pieces needed for heat currents.
-
-    `matrix` is the d^2 x d^2 generator; `h_part` the coherent part and
-    `bath_parts[k]` the dissipator of the k-th bath, all in the same
-    column-stacking convention.  `hamiltonian` keeps the d x d system
-    Hamiltonian the bath currents are measured with.
-    """
-
-    dim: int
-    matrix: np.ndarray
-    h_part: np.ndarray
-    bath_parts: tuple[np.ndarray, ...]
-    hamiltonian: np.ndarray
-
-    def bath_currents(self, rho: np.ndarray) -> tuple[float, ...]:
-        """Tr{D_k[rho] H}, the energy each bath feeds in, in the order of `bath_parts`."""
-        if rho.shape != (self.dim, self.dim):
-            raise ValueError("dimension mismatch between Liouvillian and state")
-        drhos = (unvectorize(part @ vectorize(rho), self.dim) for part in self.bath_parts)
-        return tuple(float(np.real(np.trace(drho @ self.hamiltonian))) for drho in drhos)
-
-
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a density matrix into a length d^2 vector."""
-    return np.asarray(rho).reshape(-1, order="F")
-
-
-def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of `vectorize`."""
-    return np.asarray(vec).reshape(dim, dim, order="F")
-
-
-def trace_row(dim: int) -> np.ndarray:
-    """Row functional r with r @ vec(rho) = trace(rho)."""
-    row = np.zeros(dim * dim, dtype=complex)
-    row[:: dim + 1] = 1.0
-    return row
-
-
 def bose_einstein(frequency: float, temperature: float) -> float:
     """Mean thermal occupation 1 / (exp(frequency/temperature) - 1).
 
@@ -159,25 +93,6 @@ def bose_einstein(frequency: float, temperature: float) -> float:
     if x > _OVERFLOW_EXPONENT:
         return 0.0
     return 1.0 / math.expm1(x)
-
-
-def dissipation_superoperator(op: np.ndarray) -> np.ndarray:
-    """Unit-rate GKSL channel D[op] as a column-stacking superoperator."""
-    d = op.shape[0]
-    eye = np.eye(d, dtype=complex)
-    opd_op = op.conj().T @ op
-    return (
-        np.kron(op.conj(), op)
-        - 0.5 * np.kron(eye, opd_op)
-        - 0.5 * np.kron(opd_op.T, eye)
-    )
-
-
-def hamiltonian_superoperator(H: np.ndarray) -> np.ndarray:
-    """Coherent part -i[H, .] in column-stacking form."""
-    d = H.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return -1.0j * (np.kron(eye, H) - np.kron(H.T, eye))
 
 
 def _degeneracy_tolerance(energies: np.ndarray) -> np.ndarray:
@@ -289,22 +204,6 @@ def global_transitions(
     return padded, lowering, counts
 
 
-def _one_stack(decomp: SpectralDecomposition) -> SpectralDecomposition:
-    return SpectralDecomposition(decomp.energies[None], decomp.eigenvectors[None])
-
-
-def global_jump_operators(
-    decomp: SpectralDecomposition, coupling_op: HermitianOperator
-) -> list[JumpOperator]:
-    """Eigenbasis jump operators of a coupling operator, one per gap, sorted
-    by ascending frequency: `global_transitions` on a 1-stack."""
-    frequencies, lowering, counts = global_transitions(_one_stack(decomp), coupling_op.matrix)
-    return [
-        JumpOperator(frequency=frequency, matrix=matrix)
-        for frequency, matrix in zip(frequencies[0, : counts[0]].tolist(), lowering[0])
-    ]
-
-
 def thermal_rates(kappa: float, temperature: float, frequency: float) -> tuple[float, float]:
     """The ohmic rate law: (emission, absorption) rates of a bath at one frequency.
 
@@ -401,21 +300,6 @@ def bath_transitions(
     )
 
 
-def bath_dissipator(decomp: SpectralDecomposition, bath: BathSpec) -> np.ndarray:
-    """The dense dissipator of one bath: emission through each lowering
-    operator of `bath_transitions` (on a 1-stack), absorption through its
-    adjoint, at the rates of `thermal_rates`.  A bath that drives no
-    transition gives the zero superoperator."""
-    dim = decomp.dim
-    part = np.zeros((dim * dim, dim * dim), dtype=complex)
-    frequencies, lowering, counts = bath_transitions(_one_stack(decomp), bath)
-    for frequency, op in zip(frequencies[0, : counts[0]].tolist(), lowering[0]):
-        emission, absorption = thermal_rates(bath.kappa, bath.temperature, frequency)
-        part += emission * dissipation_superoperator(op)
-        part += absorption * dissipation_superoperator(op.conj().T)
-    return part
-
-
 def standard_baths(
     spec: SpinChainSpec,
     kappa: float,
@@ -453,26 +337,3 @@ def _check_bath_sites(dim: int, baths: list[BathSpec]) -> None:
     for bath in baths:
         if bath.site >= n_spins:
             raise ValueError(f"bath site {bath.site} out of range for {n_spins} spins")
-
-
-def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvillian:
-    """Coherent part plus one dissipator per bath, kept separately.
-
-    The per-bath pieces are retained in `bath_parts` (same order as
-    `baths`) because the heat current through each reservoir is computed
-    from its own dissipator alone.  This dense route is the oracle for
-    the `rates` and `gaussian` transport routes.
-    """
-    _check_bath_sites(H.dim, baths)
-    decomp = spectral_decompose(H)
-    parts = [bath_dissipator(decomp, bath) for bath in baths]
-
-    h_part = hamiltonian_superoperator(H.matrix)
-    matrix = h_part + sum(parts)
-    return Liouvillian(
-        dim=H.dim,
-        matrix=matrix,
-        h_part=h_part,
-        bath_parts=tuple(parts),
-        hamiltonian=H.matrix.copy(),
-    )

@@ -105,10 +105,9 @@ def steady_state_pauli(
     k-th bath there; arrays of other shapes than (P,), (P,) and
     (P, n_baths) raise ValueError.  The rate matrices of all P points are
     solved as one stack by the kernel rule of `steady._kernel_vector`,
-    whose checks are those of `steady.steady_state_nullspace`.  The
-    returned fields carry a leading axis of length P; a point comes out
-    bit-identical in any stack, and on any chain stack that holds its
-    chain.
+    which the dense oracle shares, checks included.  The returned fields
+    carry a leading axis of length P; a point comes out bit-identical in
+    any stack, and on any chain stack that holds its chain.
     """
     member = np.asarray(member, dtype=np.intp)
     tables = _rate_tables(member, kappa, temperatures, chain.frequencies, chain.counts)

@@ -130,13 +130,6 @@ def embed_matrix(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
     return matrix.reshape(2**n_spins, 2**n_spins)
 
 
-def embed(op: HermitianOperator, site: int, n_spins: int) -> HermitianOperator:
-    """Embed a 2x2 Hermitian operator, acting as identity elsewhere."""
-    if op.dim != 2:
-        raise ValueError("embed expects a single-spin (2x2) operator")
-    return HermitianOperator(embed_matrix(op.matrix, site, n_spins))
-
-
 def ising_levels(field_h: float, deltas: Sequence[float]) -> np.ndarray:
     """The diagonal of the Ising pair's H in the product basis, one row per
     coupling: a (C, 4) stack for C values of delta (see `build_hamiltonian`)."""

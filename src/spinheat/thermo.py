@@ -1,16 +1,13 @@
 """Heat currents and rectification diagnostics.
 
 The current entering the system from a bath is the energy expectation of
-that bath's dissipator output, Tr{D_bath[rho] H}.  Every solver reports it
-for each bath it was given, in the order given, as `bath_currents`: the
-dense `steady.steady_state_nullspace` through `Liouvillian.bath_currents`,
-and the stacked point steps of the two transport routes as one row per
-point.
-`Liouvillian.bath_currents(rho)` also reads them for a rho out of the
-steady state.  The sign convention is anchored on the left reservoir:
-`standard_baths` lists the bath on the lower site first, and the net
-current is its input rate, so a positive value means heat flows from the
-left bath through the system into the right bath.
+that bath's dissipator output, Tr{D_bath[rho] H}.  The point steps of
+both transport routes report it for each bath they were given, in the
+order given, as one row of `bath_currents` per point.  The sign
+convention is anchored on the left reservoir: `standard_baths` lists the
+bath on the lower site first, and the net current is its input rate, so a
+positive value means heat flows from the left bath through the system
+into the right bath.
 
 A current is evaluated in two steps: a chain step that depends only on
 the chain and the dissipator style, and alone says where the baths
@@ -34,8 +31,7 @@ route by the model:
   `rates.pauli_chain` is the chain step, `rates.steady_state_pauli` the
   point step.
 
-The dense `assemble_liouvillian` route is the oracle of both in the
-tests.  The chain step is kept in a least-recently-used cache keyed by
+The chain step is kept in a least-recently-used cache keyed by
 (tuple of SpinChainSpec, DissipatorStyle) and bounded at
 `_CHAIN_CACHE_SIZE` chain stacks.  Only read-only arrays that no rate
 enters are cached, never a rate matrix or a covariance, so a cached chain
@@ -90,15 +86,6 @@ class RectificationReport:
     j_forward: float
     j_reverse: float
     contrast: float
-
-
-def current_from_cycle(delta: float, cycle_gamma: float) -> float:
-    """Net current carried by the population cycle: -2 * delta * gamma.
-
-    One full cycle absorbs h+delta on one left-bath link and releases
-    h-delta on the other, so 2*delta crosses the system per cycle.
-    """
-    return -2.0 * delta * cycle_gamma
 
 
 @functools.lru_cache(maxsize=_CHAIN_CACHE_SIZE)

@@ -6,11 +6,7 @@ the same format as the `spinheat acceptance` command.
 
 import pytest
 
-from spinheat.experiments import (
-    ACCEPTANCE_CHECKS,
-    acceptance_criteria,
-    format_criterion,
-)
+from spinheat.experiments import ACCEPTANCE_CHECKS, acceptance_criteria, format_table
 
 RUNTIME_LIMITS = {
     "saturation current": 1.0,
@@ -34,7 +30,7 @@ def results():
 @pytest.mark.parametrize("index", range(len(ACCEPTANCE_CHECKS)))
 def test_criterion(results, index):
     result = results[index]
-    print(format_criterion(result))
+    print(format_table([result])[-1])
     assert result.passed, (
         f"criterion {result.index} ({result.name}): observed {result.observed}, "
         f"tolerance {result.tolerance}"

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import spinheat.lindblad as lindblad
 from spinheat import thermo
 from spinheat.experiments import run_fig2, run_fig3
-from spinheat.lindblad import DissipatorStyle, assemble_liouvillian, standard_baths
+from spinheat.lindblad import DissipatorStyle, standard_baths
+from spinheat.oracle import assemble_liouvillian, steady_state_nullspace
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
-from spinheat.steady import steady_state_nullspace
 from spinheat.thermo import steady_net_current
 
 TOL = 1e-10

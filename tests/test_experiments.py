@@ -535,7 +535,7 @@ class TestAcceptanceRunner:
         column = header.index("status")
         body = lines[: len(rows)]
         assert [line[column:] for line in body] == ["PASS", "FAIL", "PASS"]
-        assert experiments.format_criterion(rows[1]).endswith("FAIL")
+        assert experiments.format_table([rows[1]])[-1].endswith("FAIL")
 
     def test_injected_dissipator_sign_error_breaks_clausius(self, monkeypatch):
         # swap the emission and absorption weights of every bath: detailed

@@ -15,22 +15,22 @@ from spinheat.gaussian import GaussianChain, gaussian_chain, steady_state_gaussi
 from spinheat.lindblad import (
     DEGENERACY_TOL,
     DissipatorStyle,
-    assemble_liouvillian,
     bose_einstein,
-    global_jump_operators,
+    global_transitions,
     standard_baths,
 )
+from spinheat.oracle import assemble_liouvillian, steady_state_nullspace
 from spinheat.rates import PauliChain
 from spinheat.spinops import (
     PAULI_X,
     ChainModel,
-    HermitianOperator,
+    SpectralDecomposition,
     SpinChainSpec,
     build_hamiltonian,
     embed_matrix,
     spectral_decompose,
 )
-from spinheat.steady import SteadyStateError, steady_state_nullspace
+from spinheat.steady import SteadyStateError
 
 from test_chain_cache import PROPERTY, _dense_current, kappas, temperatures
 
@@ -154,14 +154,12 @@ def _assert_matches_oracle(case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_gaussian_route_matches_block_route(case):
-    # the name is kept from the charge-block oracle; the oracle is now
-    # `_oracle_currents`
+def test_gaussian_route_matches_oracle(case):
     _assert_matches_oracle(case)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_kronecker_solve_matches_block_route(case, monkeypatch):
+def test_kronecker_solve_matches_oracle(case, monkeypatch):
     # an eigenvector solution of NaNs misses every bound, so the Kronecker
     # solve carries each case alone, undamped modes included
     calls = []
@@ -202,8 +200,10 @@ def test_exceptional_point_matches_dense_oracle(factor):
 
 def _eigenbasis_frequencies(spec, site):
     decomp = spectral_decompose(build_hamiltonian(spec))
-    coupling = HermitianOperator(embed_matrix(PAULI_X, site, spec.n_spins))
-    return [jump.frequency for jump in global_jump_operators(decomp, coupling)]
+    stack = SpectralDecomposition(decomp.energies[None], decomp.eigenvectors[None])
+    coupling = embed_matrix(PAULI_X, site, spec.n_spins)
+    frequencies, _, counts = global_transitions(stack, coupling)
+    return frequencies[0, : counts[0]].tolist()
 
 
 @pytest.mark.parametrize(

@@ -1,27 +1,31 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from spinheat.lindblad import (
     BathSpec,
     DissipatorStyle,
-    assemble_liouvillian,
-    bath_dissipator,
     bath_transitions,
     bose_einstein,
-    global_jump_operators,
+    global_transitions,
     standard_baths,
     thermal_rates,
+)
+from spinheat.oracle import (
+    assemble_liouvillian,
+    bath_dissipator,
     trace_row,
     unvectorize,
     vectorize,
 )
 from spinheat.spinops import (
+    PAULI_X,
     ChainModel,
     SpectralDecomposition,
     SpinChainSpec,
     build_hamiltonian,
-    embed,
-    pauli,
+    embed_matrix,
     spectral_decompose,
 )
 
@@ -34,6 +38,17 @@ def ising_decomp():
 
 def one_stack(decomp):
     return SpectralDecomposition(decomp.energies[None], decomp.eigenvectors[None])
+
+
+Jump = namedtuple("Jump", "frequency matrix")
+
+
+def global_jumps(decomp, site, n_spins):
+    """The eigenbasis jumps of sigma^x on `site`, one per gap in ascending
+    order: `global_transitions` on a 1-stack."""
+    coupling = embed_matrix(PAULI_X, site, n_spins)
+    frequencies, lowering, counts = global_transitions(one_stack(decomp), coupling)
+    return [Jump(*jump) for jump in zip(frequencies[0, : counts[0]].tolist(), lowering[0])]
 
 
 def global_bath(site, temperature, kappa=1.0):
@@ -121,7 +136,7 @@ class TestThermalRates:
 
 class TestGlobalJumpOperators:
     def test_left_coupling_two_operators(self):
-        jumps = global_jump_operators(ising_decomp(), embed(pauli("x"), 0, 2))
+        jumps = global_jumps(ising_decomp(), 0, 2)
         assert [j.frequency for j in jumps] == pytest.approx([0.5, 1.5])
         a_small = np.zeros((4, 4))
         a_small[3, 1] = 1.0  # |dd><ud|
@@ -132,7 +147,7 @@ class TestGlobalJumpOperators:
         assert np.allclose(by_freq[1.5], a_large, atol=1e-12)
 
     def test_right_coupling_single_degenerate_operator(self):
-        jumps = global_jump_operators(ising_decomp(), embed(pauli("x"), 1, 2))
+        jumps = global_jumps(ising_decomp(), 1, 2)
         assert len(jumps) == 1
         assert jumps[0].frequency == pytest.approx(0.5)
         expected = np.zeros((4, 4))
@@ -144,7 +159,7 @@ class TestGlobalJumpOperators:
         # the gap h = 1 connects only states differing on both spins, so no
         # operator survives at that frequency for either coupling
         for site in (0, 1):
-            jumps = global_jump_operators(ising_decomp(), embed(pauli("x"), site, 2))
+            jumps = global_jumps(ising_decomp(), site, 2)
             assert all(abs(j.frequency - 1.0) > 1e-6 for j in jumps)
 
     @pytest.mark.parametrize(
@@ -160,10 +175,9 @@ class TestGlobalJumpOperators:
         # adjoints plus the near-degenerate block reproduce the coupling
         H = build_hamiltonian(spec)
         decomp = spectral_decompose(H)
-        coupling = embed(pauli("x"), 0, spec.n_spins)
-        jumps = global_jump_operators(decomp, coupling)
+        jumps = global_jumps(decomp, 0, spec.n_spins)
         v = decomp.eigenvectors
-        coupling_eig = v.conj().T @ coupling.matrix @ v
+        coupling_eig = v.conj().T @ embed_matrix(PAULI_X, 0, spec.n_spins) @ v
         total = np.zeros_like(coupling_eig)
         for j in jumps:
             a_eig = v.conj().T @ j.matrix @ v
@@ -191,8 +205,7 @@ class TestGlobalJumpOperators:
         e, v, d = decomp.energies, decomp.eigenvectors, decomp.dim
         tol = 1e-9 * np.max(np.abs(e))
         for site in (0, spec.n_spins - 1):
-            coupling = embed(pauli("x"), site, spec.n_spins)
-            coupling_eig = v.conj().T @ coupling.matrix @ v
+            coupling_eig = v.conj().T @ embed_matrix(PAULI_X, site, spec.n_spins) @ v
             pairs = sorted(
                 (e[j] - e[i], i, j) for i in range(d) for j in range(d) if e[j] - e[i] > tol
             )
@@ -210,7 +223,7 @@ class TestGlobalJumpOperators:
                 if np.max(np.abs(a_eig)) > 1e-12:
                     frequency = float(np.mean([gap for gap, _, _ in group]))
                     expected.append((frequency, v @ a_eig @ v.conj().T))
-            jumps = global_jump_operators(decomp, coupling)
+            jumps = global_jumps(decomp, site, spec.n_spins)
             assert [j.frequency for j in jumps] == [f for f, _ in expected]
             for jump, (_, matrix) in zip(jumps, expected):
                 assert np.array_equal(jump.matrix, matrix)
@@ -218,7 +231,7 @@ class TestGlobalJumpOperators:
     def test_matrices_connect_only_matching_gaps(self):
         spec = SpinChainSpec(3, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
         decomp = spectral_decompose(build_hamiltonian(spec))
-        jumps = global_jump_operators(decomp, embed(pauli("x"), 0, 3))
+        jumps = global_jumps(decomp, 0, 3)
         v = decomp.eigenvectors
         for j in jumps:
             a_eig = v.conj().T @ j.matrix @ v
@@ -264,7 +277,7 @@ class TestGlobalDissipator:
 
     def test_transitions_are_the_eigenbasis_jumps(self):
         decomp = ising_decomp()
-        jumps = global_jump_operators(decomp, embed(pauli("x"), 1, 2))
+        jumps = global_jumps(decomp, 1, 2)
         frequencies, lowering, counts = bath_transitions(one_stack(decomp), global_bath(1, 1.0))
         assert counts.tolist() == [len(jumps)]
         assert frequencies[0].tolist() == [j.frequency for j in jumps]

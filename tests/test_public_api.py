@@ -85,8 +85,46 @@ def _unused_imports(path):
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
+def _imported_modules(path):
+    """The absolute names of the modules `path`, a module of the package,
+    imports, by the walk of `_unused_imports`."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "spinheat." * (node.level > 0) + (node.module or "")
+            if node.module is None:  # `from . import name` imports a submodule
+                modules |= {module + alias.name for alias in node.names}
+            else:
+                modules.add(module)
+    return modules
+
+
+PACKAGE_SOURCES = sorted(Path(spinheat.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", ["lindblad", "steady", "rates", "gaussian", "thermo"])
+def test_transport_path_imports_no_oracle(module):
+    path = Path(spinheat.__file__).parent / f"{module}.py"
+    assert "spinheat.oracle" not in _imported_modules(path)
+
+
+def test_the_oracle_walk_sees_its_importers():
+    imported = {path.stem: _imported_modules(path) for path in PACKAGE_SOURCES}
+    assert "spinheat.oracle" in imported["experiments"]
+    assert "spinheat.lindblad" in imported["oracle"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_SOURCES, ids=lambda path: path.name)
+def test_no_assert_statement_in_the_package(path):
+    # `python -O` strips assert statements, so a check must raise instead
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 SOURCES = sorted(
-    [*Path(spinheat.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    [*PACKAGE_SOURCES, *Path(__file__).parent.glob("*.py")]
 )
 
 

@@ -6,7 +6,7 @@ from spinheat.spinops import (
     HermitianOperator,
     SpinChainSpec,
     build_hamiltonian,
-    embed,
+    embed_matrix,
     pauli,
     spectral_decompose,
 )
@@ -39,11 +39,11 @@ class TestPauli:
 
 class TestEmbed:
     def test_left_site(self):
-        m = embed(pauli("z"), 0, 2).matrix
+        m = embed_matrix(pauli("z").matrix, 0, 2)
         assert np.allclose(m, np.diag([1, 1, -1, -1]))
 
     def test_right_site(self):
-        m = embed(pauli("z"), 1, 2).matrix
+        m = embed_matrix(pauli("z").matrix, 1, 2)
         assert np.allclose(m, np.diag([1, -1, 1, -1]))
 
     def test_disjoint_sites_commute(self):
@@ -52,15 +52,15 @@ class TestEmbed:
                 for j in range(n):
                     if i == j:
                         continue
-                    a = embed(pauli("x"), i, n).matrix
-                    b = embed(pauli("y"), j, n).matrix
+                    a = embed_matrix(pauli("x").matrix, i, n)
+                    b = embed_matrix(pauli("y").matrix, j, n)
                     assert np.max(np.abs(a @ b - b @ a)) < 1e-14
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
-            embed(pauli("x"), 2, 2)
+            embed_matrix(pauli("x").matrix, 2, 2)
         with pytest.raises(ValueError):
-            embed(pauli("x"), -1, 2)
+            embed_matrix(pauli("x").matrix, -1, 2)
 
 
 class TestHermitianOperator:

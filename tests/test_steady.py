@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from spinheat.lindblad import (
-    DissipatorStyle,
+from spinheat import oracle
+from spinheat.lindblad import DissipatorStyle, standard_baths
+from spinheat.oracle import (
+    CrossValidationError,
     Liouvillian,
     assemble_liouvillian,
-    standard_baths,
+    cross_validate,
+    steady_state_nullspace,
+    steady_state_rate_equations,
 )
 from spinheat.spinops import (
     ChainModel,
@@ -13,14 +17,7 @@ from spinheat.spinops import (
     build_hamiltonian,
     spectral_decompose,
 )
-from spinheat import steady
-from spinheat.steady import (
-    CrossValidationError,
-    SteadyStateError,
-    cross_validate,
-    steady_state_nullspace,
-    steady_state_rate_equations,
-)
+from spinheat.steady import SteadyStateError
 
 ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
 
@@ -152,6 +149,19 @@ class TestRateEquations:
         with pytest.raises(ValueError):
             steady_state_rate_equations(1.0, 0.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("kappa", [1e-12, 1e-300])
+    def test_only_the_net_rates_scale_with_kappa(self, kappa):
+        unit_populations, unit_rates = steady_state_rate_equations(1.0, 0.5, 1.0, 2.0, 0.5)
+        populations, rates = steady_state_rate_equations(1.0, 0.5, kappa, 2.0, 0.5)
+        assert np.array_equal(populations, unit_populations)
+        assert rates.cycle_gamma == pytest.approx(kappa * unit_rates.cycle_gamma, rel=1e-14)
+
+    def test_singular_rate_matrix_raises(self):
+        # at T_R = 0 the right bath's rates, of order delta = 1e-17, vanish
+        # against the left bath's, and the cycle splits into two pairs
+        with pytest.raises(SteadyStateError, match="rank 3 of 4"):
+            steady_state_rate_equations(1.0, 1e-17, 1.0, 1.0, 0.0)
+
 
 class TestCrossValidation:
     def test_moderate_temperatures(self):
@@ -168,6 +178,6 @@ class TestCrossValidation:
         assert report.population_deviation < 1e-8
 
     def test_detects_disagreement(self, monkeypatch):
-        monkeypatch.setattr(steady, "POPULATION_TOL", 1e-18)
+        monkeypatch.setattr(oracle, "POPULATION_TOL", 1e-18)
         with pytest.raises(CrossValidationError):
             cross_validate(1.0, 0.5, 1.0, 2.0, 1.0)

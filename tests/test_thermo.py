@@ -4,20 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinheat import thermo
-from spinheat.lindblad import (
-    DissipatorStyle,
+from spinheat.lindblad import DissipatorStyle, standard_baths
+from spinheat.oracle import (
     assemble_liouvillian,
-    standard_baths,
+    current_from_cycle,
+    steady_state_nullspace,
+    steady_state_rate_equations,
     unvectorize,
     vectorize,
 )
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
-from spinheat.steady import steady_state_nullspace, steady_state_rate_equations
-from spinheat.thermo import (
-    current_from_cycle,
-    rectification,
-    steady_net_current,
-)
+from spinheat.thermo import rectification, steady_net_current
 
 from test_chain_cache import PROPERTY, kappas, temperatures
 

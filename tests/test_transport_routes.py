@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from spinheat import thermo
-from spinheat.lindblad import DissipatorStyle, assemble_liouvillian, standard_baths
+from spinheat.lindblad import DissipatorStyle, standard_baths
+from spinheat.oracle import assemble_liouvillian, steady_state_nullspace
 from spinheat.rates import pauli_chain
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
-from spinheat.steady import steady_state_nullspace
 from spinheat.thermo import steady_net_current
 
 TOL = 1e-10
@@ -93,9 +93,8 @@ def _assert_same_state(state, dense_state):
 
 
 @pytest.mark.parametrize("case", _grid() + DEGENERATE, ids=_case_id)
-def test_block_route_matches_dense_oracle(case):
-    # the name is kept from the charge-block route this grid once checked;
-    # the routes under test are the rate and Gaussian ones
+def test_rate_route_matches_dense_oracle(case):
+    # the Ising cases take the rate route, the XY cases the Gaussian one
     dense_state, state = _both_routes(*case)
     if case[0].model is ChainModel.ISING_ZZ:
         _assert_same_state(state, dense_state)
