@@ -73,7 +73,9 @@ zeroes undamped mode pairs as the eigenvector solution does; the other
 members keep their eigenvector solution.  The eigendecomposition
 stays first because the Kronecker solve costs O(n^6): 1.5 to 3.7 ms at
 n = 5 and 6 (one core of a 2-vCPU 2.0 GHz Xeon VM), against about 0.3 ms
-for a whole point.
+for a whole point.  Its operator grows as n^4 in memory, so past
+`_KRONECKER_MAX_SPINS` spins it is not built: such a point raises
+SteadyStateError with its n and the operator's size.
 """
 
 from __future__ import annotations
@@ -93,6 +95,11 @@ from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyStateError, _first_failu
 # exceptional point the error in J tracks the residual (5.3e-10 at a
 # residual of 5.4e-10, which the KERNEL_RTOL guard would let through).
 _EIG_RTOL = 1e-12
+
+# The longest chain the Kronecker solve is run on.  Its operator has (2n)^2
+# rows: 1024 rows (8 MiB) at n = 16, solved in 0.38 s on one core of a 2-vCPU
+# 2.0 GHz Xeon VM, and 0.75 GiB at n = 50, 12 GiB at n = 100.
+_KRONECKER_MAX_SPINS = 16
 
 
 @dataclass(frozen=True)
@@ -325,6 +332,14 @@ def _solve(chain: GaussianChain, c: int, tables: list[np.ndarray]) -> GaussianSt
     residual = _lyapunov_residual(x, gamma, source)
     # a NaN residual takes the Kronecker solve too
     for p in np.flatnonzero(~(residual <= _EIG_RTOL * scale)):
+        if x.shape[1] > 2 * _KRONECKER_MAX_SPINS:
+            rows = x.shape[1] ** 2
+            raise SteadyStateError(
+                f"the eigenvector solution misses the Lyapunov equation, and the Kronecker "
+                f"solve at n = {x.shape[1] // 2} needs a {rows} x {rows} operator "
+                f"({rows**2 * 8 / 2**20:.4g} MiB); it is refused above n = {_KRONECKER_MAX_SPINS}",
+                member=int(p),
+            )
         gamma[p] = _lyapunov_kronecker(x[p], source[p])
         residual[p] = _lyapunov_residual(x[p], gamma[p], source[p])
     _first_failure(

@@ -13,12 +13,14 @@ member's transitions in array operations over the stack
 transitions changes with the coupling.  Every route takes its rates from
 one ohmic rate law, `thermal_rates`, which gives the emission rate of a
 bath at a frequency (carried by the lowering operator) and its absorption
-rate (carried by the adjoint).
+rate (carried by the adjoint).  The law acts elementwise on arrays, and
+the point steps call it once per stack of points (`_rate_tables`).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -204,20 +206,43 @@ def global_transitions(
     return padded, lowering, counts
 
 
-def thermal_rates(kappa: float, temperature: float, frequency: float) -> tuple[float, float]:
-    """The ohmic rate law: (emission, absorption) rates of a bath at one frequency.
+def thermal_rates(
+    kappa: float | np.ndarray, temperature: float | np.ndarray, frequency: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ohmic rate law: (emission, absorption) rates of a bath at a frequency.
 
     At frequency w > 0 the bath emits at rate kappa*w*(1+n_w) and absorbs
     at rate kappa*w*n_w.  Frequency zero is the continuous w -> 0 limit of
     the local style, where both rates equal kappa*temperature (and vanish
     at zero temperature).  A bath's site and style do not enter.
+
+    The law acts elementwise on arrays that broadcast together and gives
+    numpy scalars for scalar arguments.  Every element takes the IEEE
+    operations of the scalar occupation `bose_einstein`, `math.expm1` included (`np.expm1`
+    differs from it in the last bit for a few percent of arguments), so
+    an element does not depend on the array it comes in.
     """
-    if frequency > 0:
-        spectrum = kappa * frequency
-        occupation = bose_einstein(frequency, temperature)
-        return spectrum * (1.0 + occupation), spectrum * occupation
-    rate = kappa * temperature
-    return rate, rate
+    kappa, temperature, frequency = np.broadcast_arrays(
+        np.asarray(kappa, dtype=float),
+        np.asarray(temperature, dtype=float),
+        np.asarray(frequency, dtype=float),
+    )
+    if not (temperature >= 0).all() or np.isinf(temperature).any():
+        raise ValueError("temperature must be finite and nonnegative")
+    emitting = frequency > 0
+    # the ratio stays infinite, and the occupation zero, at zero temperature
+    ratio = np.divide(
+        frequency, temperature, out=np.full(frequency.shape, np.inf), where=temperature > 0
+    )
+    ratios = ratio.ravel().tolist()
+    occupation = np.array(
+        [1.0 / math.expm1(x) if 0 < x <= _OVERFLOW_EXPONENT else 0.0 for x in ratios]
+    ).reshape(ratio.shape)
+    spectrum = kappa * frequency
+    flip = kappa * temperature
+    emission = np.where(emitting, spectrum * (1.0 + occupation), flip)
+    absorption = np.where(emitting, spectrum * occupation, flip)
+    return emission[()], absorption[()]
 
 
 def _check_rate_parameters(kappas: Iterable[float], temperatures: Iterable[float]) -> None:
@@ -241,8 +266,9 @@ def _rate_tables(
     `kappa[p]` is its kappa and `temperatures[p, k]` bath k's temperature
     there.  Member c drives the transitions
     `frequencies[k][c, :counts[k][c]]` of bath k; the rates of the padding
-    slots past them stay zero and never reach the rate law.  The rate law
-    is looked up at call time and called with Python floats.
+    slots past them stay zero and never reach the rate law.  The live slots
+    of every bath and point go to the rate law in one elementwise call,
+    which looks the law up at call time.
     """
     kappa, temperatures = np.asarray(kappa, dtype=float), np.asarray(temperatures, dtype=float)
     if (
@@ -255,24 +281,27 @@ def _rate_tables(
             f"and member of shape {member.shape}: expected (P, {len(frequencies)}), (P,) "
             f"and (P,) for P points of {len(frequencies)} baths"
         )
-    kappas, members = kappa.tolist(), member.tolist()
-    if members:
-        if not 0 <= min(members) <= max(members) < len(counts[0]):
+    if len(member):
+        if not 0 <= member.min() <= member.max() < len(counts[0]):
             raise ValueError(f"member indices must lie in [0, {len(counts[0])})")
         # a NaN reaches both extremes and an infinity one of them
         extremes = (temperatures.min(), temperatures.max())
         _check_rate_parameters((kappa.min(), kappa.max()), extremes)
-    tables = []
-    for bath_frequencies, bath_counts, column in zip(frequencies, counts, temperatures.T.tolist()):
-        width = bath_frequencies.shape[1]
-        ws = [row[:n] for row, n in zip(bath_frequencies.tolist(), bath_counts.tolist())]
-        padding = [[(0.0, 0.0)] * (width - len(w)) for w in ws]
-        rates = [
-            [thermal_rates(k, t, w) for w in ws[m]] + padding[m]
-            for k, t, m in zip(kappas, column, members)
-        ]
-        tables.append(np.array(rates).reshape(len(kappas), width, 2))
-    return tables
+    widths = [bath_frequencies.shape[1] for bath_frequencies in frequencies]
+    live = np.concatenate(
+        [np.arange(w) < n[member][:, None] for w, n in zip(widths, counts)], axis=1
+    )
+    points, slots = np.nonzero(live)
+    bath = np.repeat(np.arange(len(widths)), widths)[slots]
+    rates = np.zeros((*live.shape, 2))
+    # a law that gives scalars gives every live slot the same rates
+    rates[points, slots, 0], rates[points, slots, 1] = thermal_rates(
+        kappa[points],
+        temperatures[points, bath],
+        np.concatenate([f[member] for f in frequencies], axis=1)[points, slots],
+    )
+    bounds = list(itertools.accumulate(widths, initial=0))
+    return [rates[:, start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 def bath_transitions(

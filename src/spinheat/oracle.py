@@ -8,17 +8,21 @@ against this module; no module of the transport path imports it.
 - `assemble_liouvillian` builds the full generator with Kronecker
   products: the coherent part plus one `bath_dissipator` per bath, from
   the transitions of `lindblad.bath_transitions` on a 1-stack at the rates
-  of `lindblad.thermal_rates`, which it looks up at call time as the
-  transport routes do.
-- `steady_state_nullspace` solves it by the kernel rule of the transport
-  routes (`steady._kernel_vector`) on a 1-stack and reports each bath's
-  current, `Liouvillian.bath_currents`.  `kernel_dim` counts the kernel of
-  the full generator.
+  of `lindblad.thermal_rates`, called with scalars, which it looks up at
+  call time as the transport routes do.
+- `steady_state_nullspace` solves it by the kernel rule
+  `steady._kernel_vector` on a 1-stack, the rule the rate route falls back
+  to, turns the kernel vector into a trace-normalized, Hermitian and
+  positive state (`_density_matrix`) and reports each bath's current,
+  `Liouvillian.bath_currents`.  `kernel_dim` counts the kernel of the full
+  generator.
 - `steady_state_rate_equations` solves the closed population cycle of the
-  two-spin Ising chain, written out by hand for its four levels.  It and
-  the null-space route serve as oracles for each other (`cross_validate`),
-  and it shares only `bose_einstein` and the input check of the rate law
-  with the rate route.
+  two-spin Ising chain, written out by hand for its four levels by a
+  least-squares solve, where the rate route takes a spanning-tree sum.  It
+  and the null-space route serve as oracles for each other
+  (`cross_validate`).  Its occupations come from `bose_einstein`, which
+  the rate law does not call, so it shares only the input check of the
+  rate law with the rate route.
 
 Superoperators use column-stacking vectorization: vec(rho) stacks the
 columns of rho (numpy order='F'), so vec(A rho B) = (B^T kron A) vec(rho)
@@ -62,7 +66,13 @@ from .spinops import (
     build_hamiltonian,
     spectral_decompose,
 )
-from .steady import SteadyState, SteadyStateError, _density_matrix, _kernel_vector
+from .steady import (
+    _MIN_EIGENVALUE,
+    SteadyState,
+    SteadyStateError,
+    _first_failure,
+    _kernel_vector,
+)
 
 # `cross_validate` bounds: largest eigenbasis population deviation between
 # the two routes, and largest eigenbasis coherence of the null-space state.
@@ -196,6 +206,25 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
         bath_parts=tuple(parts),
         hamiltonian=H.matrix.copy(),
     )
+
+
+def _density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Trace-normalized, Hermitized kernel matrices of a (P, d, d) stack,
+    each checked for positivity."""
+    # the kernel vector carries an arbitrary global phase: dividing by the
+    # complex trace removes it before Hermitization can cancel anything
+    trace = np.trace(rho, axis1=1, axis2=2).astype(complex)
+    _first_failure(np.abs(trace) < 1e-12, lambda p: "kernel vector has vanishing trace")
+    rho = rho / trace[:, None, None]
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+    min_eig = np.linalg.eigvalsh(rho).min(axis=1)
+    _first_failure(
+        min_eig < _MIN_EIGENVALUE,
+        lambda p: f"steady state not positive: min eigenvalue {min_eig[p]:.3e}",
+    )
+    return rho
 
 
 def steady_state_nullspace(L: Liouvillian) -> SteadyState:

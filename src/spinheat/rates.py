@@ -28,14 +28,30 @@ padding slot) into each bath's rate matrix
 
 whose entry (i, j) moves population from level j to level i, and it
 solves the (P, 4, 4) stack of G = W - diag(column sums of W),
-W = sum_k W_k, by the stacked kernel rule of `steady._kernel_vector`: one
-batched SVD, then the rule member by member.  L maps diagonal states to
-diagonal ones, so ||G p|| is the residual ||L[rho]||, and bath k feeds in
-sum_ij W_k[i, j] (E_i - E_j) p_j.
+W = sum_k W_k.  The rate law is called once for the whole stack.
+
+The steady populations come from the Markov chain tree theorem
+(Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)): p_i is proportional to
+the sum, over the 16 spanning trees of the four levels directed toward i,
+of the product of their three rates, one gather, product and sum over a
+fixed index table for the whole stack.  The sum has no cancellation, and
+a population whose every tree holds a zero rate is exactly zero: with the
+cold bath at T = 0 on the left and 0 < delta < h, nothing lifts the left
+spin, the levels with it up are empty and the reverse current is exactly
+0.  The tree sum answers a
+point only when its total Z exceeds `_TREE_RTOL` times ||G||_F^3, which
+certifies that the kernel rule of `steady._kernel_vector` would find a
+one-dimensional kernel; the other points (a degenerate kernel, as at the
+local style's T_R = 0, or rates no law gives) go to that rule as one
+sub-stack.  The populations stay a real (P, 4) vector, normalized by
+their sum and refused below `steady._MIN_EIGENVALUE`, and rho = diag(p).
+L maps diagonal states to diagonal ones, so ||G p|| is the residual
+||L[rho]||, and bath k feeds in sum_ij W_k[i, j] (E_i - E_j) p_j.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,7 +59,49 @@ import numpy as np
 
 from .lindblad import BathSpec, _check_bath_sites, _rate_tables, bath_transitions
 from .spinops import ChainModel, SpinChainSpec, _stack_head, diagonal_decomposition, ising_levels
-from .steady import SteadyState, _density_matrix, _kernel_vector
+from .steady import (
+    _MIN_EIGENVALUE,
+    KERNEL_RTOL,
+    SteadyState,
+    SteadyStateError,
+    _first_failure,
+    _kernel_vector,
+)
+
+
+def _in_trees(d: int) -> np.ndarray:
+    """The spanning trees of the complete graph on d levels directed toward
+    each root, as a (d, d**(d-2), d-1) table of flat indices i*d + j into a
+    rate matrix: a tree is the edge j -> i, rate W[i, j], out of each level
+    j but its root."""
+    trees = []
+    for root in range(d):
+        others = [j for j in range(d) if j != root]
+        rooted = []
+        for targets in itertools.product(range(d), repeat=d - 1):
+            target = dict(zip(others, targets))
+            target[root] = root
+            # a tree when d - 1 steps take every level to the root
+            ends = others
+            for _ in range(d - 1):
+                ends = [target[j] for j in ends]
+            if all(j == root for j in ends):
+                rooted.append([target[j] * d + j for j in others])
+        trees.append(rooted)
+    return np.array(trees)
+
+
+# The Markov chain tree theorem (Schnakenberg, Rev. Mod. Phys. 48, 571
+# (1976)): the steady population of level i is proportional to the sum over
+# the trees directed toward i of the product of their rates.
+_TREES = _in_trees(4)
+
+# The tree sum answers a point when its total Z exceeds this fraction of
+# ||G||_F^3.  Z is the product of the nonzero eigenvalues of G, and Weyl's
+# product inequality gives Z <= s1 s2 s3 <= ||G||_F^2 s3 over the singular
+# values s1 >= s2 >= s3 of G, so there s3 > 2 KERNEL_RTOL s1: the kernel
+# rule would find a one-dimensional kernel, and the tree sum is its vector.
+_TREE_RTOL = 2.0 * KERNEL_RTOL
 
 
 @dataclass(frozen=True)
@@ -95,6 +153,18 @@ def pauli_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> PauliC
     )
 
 
+def _tree_sum(w: np.ndarray, generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tree sums of a (P, 4, 4) stack of rate matrices W and their
+    generators G: each member's unnormalized steady populations, and
+    whether the certificate of `_TREE_RTOL` lets the sum answer it."""
+    # np.take lays the gather out alike in every stack, so a member's
+    # products and sums do not depend on the stack
+    flat = (len(w), w.shape[1] * w.shape[2])
+    populations = np.take(w.reshape(flat), _TREES, axis=1).prod(axis=-1).sum(axis=-1)
+    scale = np.linalg.norm(generator.reshape(flat), axis=1)
+    return populations, populations.sum(axis=1) > _TREE_RTOL * scale**3
+
+
 def steady_state_pauli(
     chain: PauliChain, member: np.ndarray, kappa: np.ndarray, temperatures: np.ndarray
 ) -> SteadyState:
@@ -103,11 +173,13 @@ def steady_state_pauli(
     Point p is on member `member[p]` of the chain stack, `kappa[p]` is its
     kappa and `temperatures[p, k]` the temperature of the chain step's
     k-th bath there; arrays of other shapes than (P,), (P,) and
-    (P, n_baths) raise ValueError.  The rate matrices of all P points are
-    solved as one stack by the kernel rule of `steady._kernel_vector`,
-    which the dense oracle shares, checks included.  The returned fields
-    carry a leading axis of length P; a point comes out bit-identical in
-    any stack, and on any chain stack that holds its chain.
+    (P, n_baths) raise ValueError.  The tree sum solves the points it
+    certifies, and the kernel rule of `steady._kernel_vector` the others
+    as one sub-stack.  A population below `steady._MIN_EIGENVALUE`, or a
+    kernel rule that fails, raises SteadyStateError with the point's
+    index.  The returned fields carry a leading axis of length P; a point
+    comes out bit-identical in any stack, and on any chain stack that
+    holds its chain.
     """
     member = np.asarray(member, dtype=np.intp)
     tables = _rate_tables(member, kappa, temperatures, chain.frequencies, chain.counts)
@@ -125,11 +197,26 @@ def steady_state_pauli(
     generator = w_total.copy()
     generator[:, levels, levels] -= w_total.sum(axis=1)
 
-    vectors, kernel_dim = _kernel_vector(generator, np.full(d, 1.0 / d))
-    rho = np.zeros((len(vectors), d, d), dtype=vectors.dtype)
-    rho[:, levels, levels] = vectors
-    rho = _density_matrix(rho)
-    p = rho.diagonal(axis1=1, axis2=2).real
+    populations, certified = _tree_sum(w_total, generator)
+    kernel_dim = np.ones(len(generator), dtype=int)
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        try:
+            vectors, kernel_dim[rest] = _kernel_vector(generator[rest], np.full(d, 1.0 / d))
+            _first_failure(
+                np.abs(vectors.sum(axis=1)) < 1e-12, lambda i: "kernel vector has vanishing trace"
+            )
+        except SteadyStateError as err:
+            raise SteadyStateError(str(err), member=int(rest[err.member])) from None
+        populations[rest] = vectors
+    p = populations / populations.sum(axis=1)[:, None]
+    smallest = p.min(axis=1)
+    _first_failure(
+        smallest < _MIN_EIGENVALUE,
+        lambda i: f"steady state not positive: min eigenvalue {smallest[i]:.3e}",
+    )
+    rho = np.zeros((len(p), d, d))
+    rho[:, levels, levels] = p
     energies = chain.energies[member]
     gaps = energies[:, :, None] - energies[:, None, :]  # gaps[p, i, j] = E_i - E_j
     flows = [(w * gaps * p[:, None, :]).reshape(len(p), d * d).sum(axis=1) for w in bath_rates]

@@ -1,17 +1,24 @@
-"""Steady states: the kernel rule every generator route solves by.
+"""Steady states: the kernel rule of the dense oracle and of the rate
+route's fallback.
 
-One kernel rule serves every generator route (`_kernel_vector` and
-`_density_matrix`): singular values below `KERNEL_RTOL` times the largest
-count as kernel, a one-dimensional kernel gives the state directly, and a
-degenerate kernel is resolved by projecting the maximally mixed state onto
-it; the result is trace-normalized, Hermitized and checked for
-positivity.  The rule takes a stack of P generators, takes one batched
-SVD and applies the rule to each member, so a member comes out the same
-in any stack; the first member that fails a check raises a
-SteadyStateError that carries its index.  The rate route of the `rates`
-module applies it to a stack of the Ising pair's 4 x 4 rate matrices, and
-the Gaussian route of the `gaussian` module zeroes undamped mode pairs by
-the same `KERNEL_RTOL`, which gives the same projected state.
+`_kernel_vector` takes a stack of P generators and one batched SVD:
+singular values below `KERNEL_RTOL` times the largest count as kernel, a
+one-dimensional kernel gives the state directly, and a degenerate kernel
+is resolved by projecting the maximally mixed state onto it.  A member
+comes out the same in any stack, and the first member that fails a check
+raises a SteadyStateError that carries its index.
+
+- The rate route of the `rates` module solves the Ising pair's 4 x 4 rate
+  matrices by their spanning-tree sum where a certificate shows that this
+  rule would find a one-dimensional kernel, and hands the other points to
+  the rule as one sub-stack.
+- The dense oracle of the `oracle` module solves its d^2 x d^2 generator
+  by the rule on a 1-stack.
+- The Gaussian route of the `gaussian` module zeroes undamped mode pairs
+  by the same `KERNEL_RTOL`, which gives the same projected state.
+
+The rate route and the oracle refuse a state with an eigenvalue (on the
+rate route, a population) below `_MIN_EIGENVALUE`.
 """
 
 from __future__ import annotations
@@ -52,9 +59,11 @@ class SteadyState:
     The dense oracle returns one state.  The point step of the `rates`
     module, given a chain stack and, for each of P points, a member of the
     stack, a kappa and a temperature per bath, returns P of them in the
-    same fields: `rho` of shape (P, d, d), `residual` and
-    `kernel_dim` of shape (P,) and `bath_currents` of shape (P, n_baths),
-    P = 0 included.
+    same fields: `rho` of shape (P, d, d), real and diagonal, `residual`
+    and `kernel_dim` of shape (P,) and `bath_currents` of shape
+    (P, n_baths), P = 0 included.  A point its tree sum answers has
+    `kernel_dim` 1, which the sum's certificate guarantees the kernel rule
+    would find.
     """
 
     rho: np.ndarray
@@ -93,22 +102,3 @@ def _kernel_vector(matrices: np.ndarray, mixed: np.ndarray) -> tuple[np.ndarray,
         basis = vh[p][kernel_mask[p]].conj().T  # columns span the kernel
         vectors[p] = basis @ (basis.conj().T @ mixed)
     return vectors, kernel_dim
-
-
-def _density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Trace-normalized, Hermitized kernel matrices of a (P, d, d) stack,
-    each checked for positivity."""
-    # the kernel vector carries an arbitrary global phase: dividing by the
-    # complex trace removes it before Hermitization can cancel anything
-    trace = np.trace(rho, axis1=1, axis2=2).astype(complex)
-    _first_failure(np.abs(trace) < 1e-12, lambda p: "kernel vector has vanishing trace")
-    rho = rho / trace[:, None, None]
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-
-    min_eig = np.linalg.eigvalsh(rho).min(axis=1)
-    _first_failure(
-        min_eig < _MIN_EIGENVALUE,
-        lambda p: f"steady state not positive: min eigenvalue {min_eig[p]:.3e}",
-    )
-    return rho

@@ -13,9 +13,10 @@ A current is evaluated in two steps: a chain step that depends only on
 the chain and the dissipator style, and alone says where the baths
 couple, and a point step that takes only what varies, a kappa per point
 and a temperature per point and bath, into the rates of
-`lindblad.thermal_rates`.  The chain step takes a stack of C chains that
-differ in the coupling alone, and the point step a stack of P points on
-its members, each point with the index of its member: `_net_currents`
+`lindblad.thermal_rates`, in one elementwise call per point step.  The
+chain step takes a stack of C chains that differ in the coupling alone,
+and the point step a stack of P points on its members, each point with
+the index of its member: `_net_currents`
 solves every cell of a dataset group, all its couplings and
 (t_left, t_right) pairs, in one chain step and one point step, and
 `steady_net_current` is its 1-stack of one chain.  `_ROUTES` picks their
@@ -27,9 +28,9 @@ route by the model:
   step, `gaussian.steady_state_gaussian` the point step, at O(n^3).
 - The Ising zz pair is not quadratic (sz sz is quartic in the fermions),
   but its H is diagonal and its jumps map basis states to basis states, so
-  its populations obey a closed four-level Pauli master equation:
-  `rates.pauli_chain` is the chain step, `rates.steady_state_pauli` the
-  point step.
+  its populations obey a closed four-level Pauli master equation, solved
+  by its spanning-tree sum: `rates.pauli_chain` is the chain step,
+  `rates.steady_state_pauli` the point step.
 
 The chain step is kept in a least-recently-used cache keyed by
 (tuple of SpinChainSpec, DissipatorStyle) and bounded at

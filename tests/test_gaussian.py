@@ -175,6 +175,24 @@ def test_kronecker_solve_matches_oracle(case, monkeypatch):
     assert calls == [1]
 
 
+def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
+    # a 17-spin chain whose eigenvector solution misses: the Kronecker
+    # operator would have 1156 rows, so the point is refused before any is built
+    def never(x, source):
+        raise AssertionError("the Kronecker solve ran")
+
+    monkeypatch.setattr(gaussian, "_lyapunov_eig", lambda x, source: np.full_like(x, np.nan))
+    monkeypatch.setattr(gaussian, "_lyapunov_kronecker", never)
+    monkeypatch.setattr(np, "kron", never)
+    specs = [_spec(17, 0.3), _spec(17, 0.7)]
+    chain = gaussian_chain(specs, standard_baths(specs[0], 1.0, 0.0, 0.0, GLOBAL))
+    temps = [[2.0, 0.5], [1.0, 0.0], [2.0, 0.0]]
+    with pytest.raises(SteadyStateError, match=r"n = 17 needs a 1156 x 1156 operator") as excinfo:
+        steady_state_gaussian(chain, [1, 0, 1], [1.0, 1.0, 1.0], temps)
+    assert excinfo.value.member == 1  # the first point on the first member
+    assert "refused above n = 16" in str(excinfo.value)
+
+
 @pytest.mark.parametrize(
     "case",
     [case for case in CASES if 3 <= case[0] <= 4 and _closed_form_currents(case) is not None],

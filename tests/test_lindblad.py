@@ -1,3 +1,4 @@
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -125,6 +126,46 @@ class TestThermalRates:
         assert thermal_rates(1.3, 0.8, 0.0) == (1.3 * 0.8, 1.3 * 0.8)
         assert thermal_rates(1.3, 0.8, 1e-9) == pytest.approx((1.3 * 0.8, 1.3 * 0.8), rel=1e-8)
         assert thermal_rates(1.0, 0.0, 0.0) == (0.0, 0.0)
+
+    def test_array_law_is_the_scalar_law_bit_for_bit(self):
+        def scalar_law(kappa, temperature, frequency):
+            if frequency > 0:
+                spectrum = kappa * frequency
+                if temperature == 0 or frequency / temperature > 700.0:
+                    occupation = 0.0
+                else:
+                    occupation = 1.0 / math.expm1(frequency / temperature)
+                return spectrum * (1.0 + occupation), spectrum * occupation
+            return kappa * temperature, kappa * temperature
+
+        grid = np.geomspace(1e-4, 1e3, 71)
+        frequency, temperature = np.meshgrid(grid, grid * 1.37)
+        cases = [
+            (0.7, 0.0, 1.5),  # zero temperature
+            (1.3, 0.8, 0.0),  # zero frequency
+            (1.0, 0.0, 0.0),
+            (2.0, 1.0, 701.0),  # omega / T > 700
+            (2.0, 1.0 / 701.0, 1.0),
+            (0.9, 1.0, 700.0),
+            (0.5, 1.0, 1e-12),  # omega / T near 1e-12
+            (0.5, 1.3e3, 1.3e-9),
+        ]
+        cases += zip(np.geomspace(0.01, 10.0, grid.size**2), temperature.ravel(), frequency.ravel())
+        kappa, temperature, frequency = map(np.array, zip(*cases))
+        emission, absorption = thermal_rates(kappa, temperature, frequency)
+        expected = np.array([scalar_law(*case) for case in zip(kappa, temperature, frequency)])
+        assert np.stack([emission, absorption], axis=1).tobytes() == expected.tobytes()
+        # an element does not depend on the array it comes in
+        for p in (0, 3, 6, 100):
+            alone = thermal_rates(kappa[p], temperature[p], frequency[p])
+            assert np.array(alone).tobytes() == expected[p].tobytes()
+
+    @pytest.mark.parametrize("temperature", [-0.5, float("nan"), float("inf")])
+    def test_refuses_what_it_is_not_defined_for(self, temperature):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            thermal_rates(1.0, temperature, 1.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            thermal_rates(np.ones(3), np.array([1.0, temperature, 0.0]), np.ones(3))
 
     @pytest.mark.parametrize("frequency", [0.0, 0.4, 2.0])
     def test_linear_in_kappa(self, frequency):

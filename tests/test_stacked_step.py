@@ -107,9 +107,9 @@ def _failing_at(monkeypatch, t_left):
     original = lindblad.thermal_rates
 
     def rate_law(kappa, temperature, frequency):
-        if temperature == t_left:
-            return 1.0, -0.5
-        return original(kappa, temperature, frequency)
+        emission, absorption = original(kappa, temperature, frequency)
+        failing = np.asarray(temperature) == t_left
+        return np.where(failing, 1.0, emission), np.where(failing, -0.5, absorption)
 
     monkeypatch.setattr(lindblad, "thermal_rates", rate_law)
 
@@ -128,6 +128,24 @@ def test_failing_member_is_named_by_its_index(monkeypatch, spec, message, style)
     stack = [(1.0, 0.5, 0.2), (1.0, 1.0, 0.2), (1.0, 0.75, 0.2), (1.0, 2.0, 0.2)]
     with pytest.raises(SteadyStateError, match=message) as excinfo:
         _step(spec, style)(stack)
+    assert excinfo.value.member == 2
+
+
+def test_failing_point_of_the_kernel_rule_is_named_by_its_index(monkeypatch):
+    # the points the tree sum does not answer go to the kernel rule as one
+    # sub-stack: the degenerate point first, then a point whose rates all
+    # vanish, which the rule refuses under its index in the whole stack
+    original = lindblad.thermal_rates
+
+    def rate_law(kappa, temperature, frequency):
+        emission, absorption = original(kappa, temperature, frequency)
+        dead = np.asarray(temperature) == 0.75
+        return np.where(dead, 0.0, emission), np.where(dead, 0.0, absorption)
+
+    monkeypatch.setattr(lindblad, "thermal_rates", rate_law)
+    stack = [(1.0, 2.0, 0.5), DEGENERATE_POINT, (1.0, 0.75, 0.75), (1.0, 0.3, 0.2)]
+    with pytest.raises(SteadyStateError, match="identically zero") as excinfo:
+        _step(ISING, DissipatorStyle.LOCAL)(stack)
     assert excinfo.value.member == 2
 
 
@@ -237,7 +255,7 @@ def test_chain_stack_members_are_their_own_chains(stack, data):
     rate_law = lindblad.thermal_rates
 
     def recorded(kappa, temperature, frequency):
-        seen.append(frequency)
+        seen.extend(np.ravel(frequency).tolist())
         return rate_law(kappa, temperature, frequency)
 
     with mock.patch.object(lindblad, "thermal_rates", recorded):

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from spinheat import oracle
+from spinheat import oracle, rates
 from spinheat.lindblad import DissipatorStyle, standard_baths
 from spinheat.oracle import (
     CrossValidationError,
@@ -17,7 +19,7 @@ from spinheat.spinops import (
     build_hamiltonian,
     spectral_decompose,
 )
-from spinheat.steady import SteadyStateError
+from spinheat.steady import SteadyStateError, _kernel_vector
 
 ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
 
@@ -181,3 +183,70 @@ class TestCrossValidation:
         monkeypatch.setattr(oracle, "POPULATION_TOL", 1e-18)
         with pytest.raises(CrossValidationError):
             cross_validate(1.0, 0.5, 1.0, 2.0, 1.0)
+
+
+def _random_rate_matrices(size, seed):
+    """A (size, 4, 4) stack of rate matrices, rates log-uniform over
+    1e-14..1e2 with four in ten edges dropped, and their generators."""
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** rng.uniform(-14.0, 2.0, (size, 4, 4)) * (rng.random((size, 4, 4)) < 0.6)
+    levels = np.arange(4)
+    w[:, levels, levels] = 0.0
+    generator = w.copy()
+    generator[:, levels, levels] -= w.sum(axis=1)
+    return w, generator
+
+
+def _exact_tree_sums(w):
+    """The principal 3 x 3 minors of -G in exact arithmetic, which the
+    matrix-tree theorem equates with the tree sums of the float rates `w`."""
+    exact = [[Fraction(float(x)) for x in row] for row in w]
+    laplacian = [
+        [sum(exact[k][j] for k in range(4) if k != j) if i == j else -exact[i][j] for j in range(4)]
+        for i in range(4)
+    ]
+    minors = []
+    for root in range(4):
+        (a, b, c), (d, e, f), (g, h, i) = (
+            [laplacian[r][col] for col in range(4) if col != root] for r in range(4) if r != root
+        )
+        minors.append(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+    return minors
+
+
+class TestTreeSum:
+    W, GENERATOR = _random_rate_matrices(20000, seed=1701)
+    POPULATIONS, CERTIFIED = rates._tree_sum(W, GENERATOR)
+
+    def test_both_paths_are_drawn(self):
+        assert 0.2 < self.CERTIFIED.mean() < 0.8
+
+    def test_certified_members_have_a_one_dimensional_kernel(self):
+        _, kernel_dim = _kernel_vector(self.GENERATOR[self.CERTIFIED], np.full(4, 0.25))
+        assert (kernel_dim == 1).all()
+
+    def test_certified_populations_are_the_kernel_vector(self):
+        # a kernel vector from the SVD is accurate to about eps s1 / s3
+        generator = self.GENERATOR[self.CERTIFIED]
+        vectors, _ = _kernel_vector(generator, np.full(4, 0.25))
+        from_svd = vectors / vectors.sum(axis=1)[:, None]
+        populations = self.POPULATIONS[self.CERTIFIED]
+        from_trees = populations / populations.sum(axis=1)[:, None]
+        s = np.linalg.svd(generator, compute_uv=False)
+        bound = 100 * np.finfo(float).eps * s[:, 0] / s[:, 2]
+        assert (np.abs(from_trees - from_svd).max(axis=1) <= bound).all()
+
+    def test_populations_are_the_exact_tree_sums_within_a_few_ulps(self):
+        # two roundings per product, four per sum of 16, three for the
+        # total and one for the division bound the error by about 16 ulps
+        for m in np.flatnonzero(self.CERTIFIED)[:300]:
+            exact = _exact_tree_sums(self.W[m])
+            populations = self.POPULATIONS[m] / self.POPULATIONS[m].sum()
+            for value, tree_sum in zip(populations.tolist(), exact):
+                target = tree_sum / sum(exact)
+                if target == 0:
+                    assert value == 0.0
+                    continue
+                ulp = Fraction(np.spacing(float(target)))
+                assert abs(Fraction(value) - target) <= 16 * ulp, (m, value, float(target))
+

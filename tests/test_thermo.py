@@ -253,6 +253,19 @@ class TestRectification:
         assert report.j_forward > 1e-3
         assert report.contrast == pytest.approx(1.0, abs=1e-9)
 
+    def test_cold_left_bath_gives_exactly_zero_reverse_current(self):
+        # at T_L = 0 nothing lifts the left spin, so the levels with it up
+        # stay empty and the left bath exchanges no energy at all
+        nonzero = []
+        for ratio in [k / 20 for k in range(1, 20)]:
+            spec = SpinChainSpec(2, 1.0, ratio, ChainModel.ISING_ZZ)
+            for kappa in (0.1, 0.5, 1.0, 2.0):
+                for t_hot in (0.5, 1.0, 3.0, 10.0, 50.0):
+                    report = rectification(spec, kappa, t_hot, 0.0, DissipatorStyle.GLOBAL)
+                    if report.j_reverse != 0.0:
+                        nonzero.append((ratio, kappa, t_hot, report.j_reverse))
+        assert nonzero == []
+
     def test_local_treatment_shows_no_transport(self):
         report = rectification(ISING, 1.0, 10.0, 0.0, DissipatorStyle.LOCAL)
         assert report.j_forward == pytest.approx(0.0, abs=1e-10)
