@@ -6,17 +6,17 @@ T_L, the coupling delta, or the temperature difference delta_T at a fixed
 mean; a curve is one J column, fixed by a chain, a dissipator style, and
 the temperatures x leaves free.  A column function evaluates every
 curve over a stretch of the grid: it groups the cells by the model,
-chain length, field and style of the chain they need at their x, and
-each group takes one chain step over the chains of its cells, which
-differ in the coupling alone, and one stacked point step over its cells
-(`thermo._net_currents`).  So a coupling grid is one group, as is a
-temperature grid at several fixed couplings.  Each dataset is written as
-a flat CSV with a units comment, parameter comment lines, a header row,
-and values at 15 significant digits.  Grid points are independent, so contiguous
-chunks of the grid can be evaluated across worker processes; rows are
-always assembled in grid order, and a stack member does not depend on the
-stack it is solved in, which keeps the output files byte-for-byte
-reproducible.
+chain length, field and style of their chain, keys each cell's chain in
+its group by the coupling it needs at its x, and each group takes one
+chain step over its distinct couplings and one stacked point step over
+its cells (`thermo._net_currents`).  So a coupling grid is one group, as
+is a temperature grid at several fixed couplings.  Each dataset is
+written as a flat CSV with a units comment, parameter comment lines, a
+header row, and values at 15 significant digits.  Grid points are
+independent, so contiguous chunks of the grid can be evaluated across
+worker processes; rows are always assembled in grid order, and a stack
+member does not depend on the stack it is solved in, which keeps the
+output files byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -337,51 +337,34 @@ def _columns(x_name: str, kappa: float, curves: Sequence[_Curve], xs: np.ndarray
     """Every curve at the grid points `xs`: one row per x, in grid order.
 
     The cells are grouped by the model, chain length, field and style of
-    their chain, so the chains of a group differ in the coupling alone.
-    Each group takes one chain step over its distinct chains and one
-    stacked point step over its cells: a coupling grid on one chain is one
-    group, and so are curves at several fixed couplings.  At each x, the
-    chain of the curves that share a chain and a group is built once.
-    Cells where a bath would drop below zero temperature stay None.  A
-    SteadyStateError is raised again with the failing cell's curve name
-    and x.
+    their chain, so the chains of a group differ in the coupling alone,
+    and each cell's member of its group is keyed by its coupling.  Each
+    group takes one chain step over its distinct couplings and one stacked
+    point step over its cells: a coupling grid on one chain is one group,
+    and so are curves at several fixed couplings.  Cells where a bath
+    would drop below zero temperature stay None.  A SteadyStateError is
+    raised again with the failing cell's curve name and x.
     """
     cells: list[list[float | None]] = [[None] * len(curves) for _ in xs]
-    # each curve's link, its chain and group; a group holds its chains,
-    # each with its member index, and its cells
-    links = [
-        (curve.spec, (curve.spec.model, curve.spec.n_spins, curve.spec.field_h, curve.style))
-        for curve in curves
-    ]
-    distinct = list(dict.fromkeys(links))
-    link_of = [distinct.index(link) for link in links]
-    groups: dict[tuple, tuple[dict[SpinChainSpec, int], list[tuple]]] = {
-        key: ({}, []) for _, key in distinct
-    }
-    link_groups = [groups[key] for _, key in distinct]
-    for row, x in enumerate(xs):
-        members: list[int | None] = [None] * len(distinct)  # each link's member at x
-        for col, curve in enumerate(curves):
+    # each group's first chain, its members keyed by coupling, and its cells
+    groups: dict[tuple, tuple[SpinChainSpec, dict[float, int], list[tuple]]] = {}
+    for col, curve in enumerate(curves):
+        spec = curve.spec
+        key = (spec.model, spec.n_spins, spec.field_h, curve.style)
+        _, members, group = groups.setdefault(key, (spec, {}, []))
+        for row, x in enumerate(xs):
             temperatures = _cell_temperatures(x_name, curve, x)
             if temperatures is None:
                 continue
-            link = link_of[col]
-            chains, group = link_groups[link]
-            if members[link] is None:
-                base = distinct[link][0]
-                spec = replace(base, coupling_delta=x) if x_name == "delta" else base
-                members[link] = chains.setdefault(spec, len(chains))
-            group.append((row, col, members[link], *temperatures))
-    for (*_, style), (chains, group) in groups.items():
+            coupling = x if x_name == "delta" else spec.coupling_delta
+            group.append((row, col, members.setdefault(coupling, len(members)), *temperatures))
+    for (*_, style), (base, members, group) in groups.items():
         if not group:
             continue
+        specs = tuple(replace(base, coupling_delta=coupling) for coupling in members)
         try:
             currents = _net_currents(
-                tuple(chains),
-                [cell[2] for cell in group],
-                kappa,
-                [cell[3:] for cell in group],
-                style,
+                specs, [cell[2] for cell in group], kappa, [cell[3:] for cell in group], style
             )
         except SteadyStateError as err:
             row, col = group[err.member][:2]

@@ -30,23 +30,25 @@ vector l.
   plus (+1 on site 0, -1 on site n-1) times sum_{eps_k = -|eps|}
   phi_k(s) eta_k^dag.  The gaps sigma^x connects are exactly the |eps_k|,
   so they are grouped by the rule `lindblad.global_transitions` applies
-  to the many-body gaps: `lindblad._groups` at `DEGENERACY_TOL` times
-  the largest |E|, which is sum_k |eps_k| / 2.  Zero modes carry no
-  jump operator.  The two groupings can differ only where two |eps_k|
-  differ by less than that tolerance without being equal (delta near
-  1e-9 h): there the eigenbasis grouping is also anchored on many-body
-  gaps that sigma^x does not connect.
+  to the many-body gaps: `lindblad._groups` at the tolerance that
+  `lindblad._degeneracy_tolerance` gives the largest |E|, which is
+  sum_k |eps_k| / 2.  Zero modes carry no jump operator.  The two
+  groupings can differ only where two |eps_k| differ by less than that
+  tolerance without being equal (delta near 1e-9 h): there the eigenbasis
+  grouping is also anchored on many-body gaps that sigma^x does not
+  connect.
 
 The chain step, `gaussian_chain`, takes a stack of C chains that differ
 in the coupling alone and holds, for each member, A and each bath's
-(frequency, lowering vector) pairs, padded like those of the rate route;
-it alone says where the baths couple, and none of it depends on
-temperature or kappa.  Each member is built alone, as the number of
-modes a bath drives changes with delta.  The point step,
+(frequency, lowering vector) pairs, padded like those of the rate route
+with frequency NaN; it alone says where the baths couple, and none of it
+depends on temperature or kappa.  Each member is built alone, as the
+number of modes a bath drives changes with delta.  The point step,
 `steady_state_gaussian`, takes P points on the members at once, a member
 index, a kappa and a temperature per bath for each point, takes their
 rates (`lindblad._rate_tables`) and solves the points of each member as
-one stack.  It takes the rates into the bath matrices
+one stack, on that member's transitions alone.  It takes the rates into
+the bath matrices
 
     M_k = sum_t (emission l_t^* l_t^T + absorption l_t l_t^dag),
 
@@ -85,9 +87,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import DEGENERACY_TOL, BathSpec, DissipatorStyle, _groups, _rate_tables
+from .lindblad import BathSpec, DissipatorStyle, _degeneracy_tolerance, _groups, _rate_tables
 from .spinops import ChainModel, SpinChainSpec, _stack_head
-from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyStateError, _first_failure
+from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyStateError, _check_currents, _first_failure
 
 
 # The eigenvector solution is kept while its Lyapunov residual stays below
@@ -108,16 +110,15 @@ class GaussianChain:
     step), for a stack of C chains that differ in the coupling alone.
 
     `majorana[c]` is the 2n x 2n form A of member c's H.  For each bath,
-    member c drives `counts[c]` transitions: `frequencies[c, t]` is
-    transition t's frequency and `lowering[c, t]` its lowering vector.  The
-    slots past `counts[c]` are padding, with frequency NaN and a zero
-    vector.  Every array is read-only.
+    `frequencies[c, t]` is the frequency of member c's transition t and
+    `lowering[c, t]` its lowering vector.  The slots past a member's
+    transitions are padding, with frequency NaN and a zero vector.  Every
+    array is read-only.
     """
 
     majorana: np.ndarray
     frequencies: tuple[np.ndarray, ...]
     lowering: tuple[np.ndarray, ...]
-    counts: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -152,10 +153,10 @@ def _global_transitions(
     # a mode below zero is lowered by its creation operator
     lowering = np.where((eps > 0)[:, None], modes, sign * modes.conj())
     energy = np.abs(eps)
-    tol = DEGENERACY_TOL * max(0.5 * float(energy.sum()), 1e-300)
+    tol = _degeneracy_tolerance(np.array([0.5 * energy.sum()]))
     order = np.argsort(energy, kind="stable")
     order = order[energy[order] > tol]
-    labels, means = _groups(energy[order][None], np.array([tol]))
+    labels, means = _groups(energy[order][None], tol)
     vectors = np.zeros((means.shape[1], lowering.shape[1]), dtype=complex)
     for row in range(len(vectors)):
         vectors[row] = lowering[order[labels[0] == row]].sum(axis=0)
@@ -206,25 +207,20 @@ def gaussian_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> Gau
             raise ValueError(f"bath site {bath.site} is not an end of the {n}-spin chain")
     members = [_chain_member(spec, baths) for spec in specs]
     majorana = np.stack([member[0] for member in members])
-    frequencies, lowering, counts = [], [], []
+    frequencies, lowering = [], []
     for k in range(len(baths)):
-        bath_counts = np.array([len(member[1][k]) for member in members])
-        width = bath_counts.max()
+        width = max(len(member[1][k]) for member in members)
         bath_frequencies = np.full((len(members), width), np.nan)
         vectors = np.zeros((len(members), width, 2 * n), dtype=complex)
         for c, (_, freqs, rows) in enumerate(members):
-            bath_frequencies[c, : bath_counts[c]] = freqs[k]
-            vectors[c, : bath_counts[c]] = rows[k]
+            bath_frequencies[c, : len(freqs[k])] = freqs[k]
+            vectors[c, : len(rows[k])] = rows[k]
         frequencies.append(bath_frequencies)
         lowering.append(vectors)
-        counts.append(bath_counts)
-    for array in (majorana, *frequencies, *lowering, *counts):
+    for array in (majorana, *frequencies, *lowering):
         array.setflags(write=False)
     return GaussianChain(
-        majorana=majorana,
-        frequencies=tuple(frequencies),
-        lowering=tuple(lowering),
-        counts=tuple(counts),
+        majorana=majorana, frequencies=tuple(frequencies), lowering=tuple(lowering)
     )
 
 
@@ -278,8 +274,9 @@ def steady_state_gaussian(
     k-th bath there; arrays of other shapes than (P,), (P,) and
     (P, n_baths) raise ValueError.  The points of each chain member are
     solved as one stack (`_solve`).  Raises SteadyStateError, carrying the
-    index of the failing point, when a Lyapunov residual exceeds
-    `KERNEL_RTOL` times ||X|| or the spectrum of i Gamma leaves [-1, 1]
+    index of the failing point, when X or the source has a non-finite
+    entry, a Lyapunov residual exceeds `KERNEL_RTOL` times ||X||, the bath
+    currents are not finite, or the spectrum of i Gamma leaves [-1, 1]
     (mode occupations outside [0, 1]); where points of several chain
     members fail, a point of the member first in the stack is named.  The
     returned fields carry a leading axis of length P; a point comes out
@@ -287,7 +284,7 @@ def steady_state_gaussian(
     chain.
     """
     member = np.asarray(member, dtype=np.intp)
-    tables = _rate_tables(member, kappa, temperatures, chain.frequencies, chain.counts)
+    tables = _rate_tables(member, kappa, temperatures, chain.frequencies)
     chains = sorted(set(member.tolist()))
     if len(chains) == 1:  # every point on one member: the stack is its sub-stack
         return _solve(chain, chains[0], tables)
@@ -318,14 +315,17 @@ def _solve(chain: GaussianChain, c: int, tables: list[np.ndarray]) -> GaussianSt
     docstring); the other points keep their eigenvector solution.  A
     SteadyStateError carries the index of the failing point.
     """
-    counts = [bath_counts[c] for bath_counts in chain.counts]
-    tables = [table[:, :n] for table, n in zip(tables, counts)]
-    lowering = [bath_lowering[c, :n] for bath_lowering, n in zip(chain.lowering, counts)]
+    # each bath's transitions on member c: the slots before its NaN padding
+    live = [np.count_nonzero(~np.isnan(freqs[c])) for freqs in chain.frequencies]
+    tables = [table[:, :n] for table, n in zip(tables, live)]
+    lowering = [bath_lowering[c, :n] for bath_lowering, n in zip(chain.lowering, live)]
     majorana = chain.majorana[c]
     matrices = tuple(map(_bath_matrices, tables, lowering))
     m = sum(matrices)
     x = majorana - 2.0 * m.real
     source = -4.0 * m.imag
+    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(source).all(axis=(1, 2))
+    _first_failure(~finite, lambda p: "the Lyapunov equation has a non-finite entry")
 
     scale = np.linalg.norm(x, axis=(1, 2))
     gamma = _lyapunov_eig(x, source)
@@ -347,12 +347,6 @@ def _solve(chain: GaussianChain, c: int, tables: list[np.ndarray]) -> GaussianSt
         lambda p: f"Lyapunov residual {residual[p]:.3e} exceeds {KERNEL_RTOL:.0e} x "
         f"||X|| = {scale[p]:.3e}",
     )
-    # the mode occupations (1 -+ largest)/2 meet the bound rho's eigenvalues meet
-    largest = np.max(np.abs(np.linalg.eigvalsh(1j * gamma)), axis=1)
-    _first_failure(
-        largest > 1.0 - 2.0 * _MIN_EIGENVALUE,
-        lambda p: f"covariance not physical: |spectrum of i Gamma| reaches {largest[p]:.12f}",
-    )
     flows = [
         (majorana * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag))
         .reshape(len(gamma), -1)
@@ -360,4 +354,11 @@ def _solve(chain: GaussianChain, c: int, tables: list[np.ndarray]) -> GaussianSt
         for m in matrices
     ]
     currents = np.stack(flows, axis=1)
+    _check_currents(currents)
+    # the mode occupations (1 -+ largest)/2 meet the bound rho's eigenvalues meet
+    largest = np.max(np.abs(np.linalg.eigvalsh(1j * gamma)), axis=1)
+    _first_failure(
+        largest > 1.0 - 2.0 * _MIN_EIGENVALUE,
+        lambda p: f"covariance not physical: |spectrum of i Gamma| reaches {largest[p]:.12f}",
+    )
     return GaussianState(covariance=gamma, residual=residual, bath_currents=currents)

@@ -9,12 +9,14 @@ only in which transitions, (frequency, lowering operator) pairs, each bath
 sees, and `bath_transitions` is the one place that decides them for every
 route.  It takes a stack of C spectral decompositions and returns each
 member's transitions in array operations over the stack
-(`global_transitions`), padded to the largest count, as the number of
-transitions changes with the coupling.  Every route takes its rates from
-one ohmic rate law, `thermal_rates`, which gives the emission rate of a
-bath at a frequency (carried by the lowering operator) and its absorption
-rate (carried by the adjoint).  The law acts elementwise on arrays, and
-the point steps call it once per stack of points (`_rate_tables`).
+(`global_transitions`).  The number of transitions changes with the
+coupling: each member's transitions take its first slots, and the slots
+past them are padding, marked by frequency NaN alone.  Every route takes
+its rates from one ohmic rate law, `thermal_rates`, which gives the
+emission rate of a bath at a frequency (carried by the lowering operator)
+and its absorption rate (carried by the adjoint).  The law acts
+elementwise on arrays, and the point steps call it once per stack of
+points (`_rate_tables`).
 """
 
 from __future__ import annotations
@@ -97,10 +99,11 @@ def bose_einstein(frequency: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def _degeneracy_tolerance(energies: np.ndarray) -> np.ndarray:
+def _degeneracy_tolerance(largest: np.ndarray) -> np.ndarray:
     """Absolute spacing below which two energies or two gaps count as equal,
-    for each row of a (C, d) stack of energies."""
-    return DEGENERACY_TOL * np.maximum(np.max(np.abs(energies), axis=-1, initial=0.0), 1e-300)
+    for each member of a stack, from the largest |E| of its many-body
+    energies."""
+    return DEGENERACY_TOL * np.maximum(largest, 1e-300)
 
 
 def _groups(values: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,13 +141,13 @@ def _groups(values: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def global_transitions(
     decomp: SpectralDecomposition, coupling: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenbasis jump operators of one coupling matrix on a stack of C
-    decompositions: (frequencies (C, T), lowering (C, T, d, d), counts (C,)).
+    decompositions: (frequencies (C, T), lowering (C, T, d, d)).
 
-    Member c drives `counts[c]` transitions, in its first slots sorted by
-    ascending frequency; the slots past them are padding, with frequency
-    NaN and a zero matrix.  For each member, every ordered eigenstate pair
+    Each member's transitions take its first slots, sorted by ascending
+    frequency; the slots past them are padding, with frequency NaN and a
+    zero matrix.  For each member, every ordered eigenstate pair
     with a positive energy gap contributes its matrix element of
     `coupling`; pairs whose gaps agree within `DEGENERACY_TOL * max(|energy|)`
     (`_groups`) are summed into a single operator at their mean gap, so
@@ -175,7 +178,7 @@ def global_transitions(
     members, d = energies.shape
     if coupling.shape != (d, d):
         raise ValueError("coupling operator dimension does not match decomposition")
-    tol = _degeneracy_tolerance(energies)
+    tol = _degeneracy_tolerance(np.max(np.abs(energies), axis=-1, initial=0.0))
     adjoints = vectors.conj().swapaxes(-1, -2)
     coupling_eig = adjoints @ coupling @ vectors
     gaps = energies[:, None, :] - energies[:, :, None]  # gaps[c, i, j] = E_j - E_i
@@ -196,14 +199,13 @@ def global_transitions(
     kept = np.max(np.abs(a_eig), axis=(2, 3), initial=0.0) > _NEGLIGIBLE_ENTRY
 
     # the kept operators of each member move to its first slots, in order
-    counts = np.count_nonzero(kept, axis=1)
     member, group = np.nonzero(kept)
     slot = np.cumsum(kept, axis=1)[member, group] - 1
-    lowering = np.zeros((members, counts.max(initial=0), d, d), dtype=complex)
+    lowering = np.zeros((members, slot.max(initial=-1) + 1, d, d), dtype=complex)
     lowering[member, slot] = vectors[member] @ a_eig[member, group] @ adjoints[member]
     padded = np.full(lowering.shape[:2], np.nan)
     padded[member, slot] = frequencies[member, group]
-    return padded, lowering, counts
+    return padded, lowering
 
 
 def thermal_rates(
@@ -258,17 +260,16 @@ def _rate_tables(
     kappa: Sequence[float],
     temperatures: np.ndarray,
     frequencies: Sequence[np.ndarray],
-    counts: Sequence[np.ndarray],
 ) -> list[np.ndarray]:
     """The (emission, absorption) rates of P points, one (P, T_k, 2) table per bath.
 
     Point p is on member `member[p]` (an integer array) of a chain stack,
     `kappa[p]` is its kappa and `temperatures[p, k]` bath k's temperature
-    there.  Member c drives the transitions
-    `frequencies[k][c, :counts[k][c]]` of bath k; the rates of the padding
-    slots past them stay zero and never reach the rate law.  The live slots
-    of every bath and point go to the rate law in one elementwise call,
-    which looks the law up at call time.
+    there.  Member c drives the transitions `frequencies[k][c]` of bath k
+    that are not NaN; the rates of the NaN padding slots stay zero and
+    never reach the rate law.  The live slots of every bath and point go
+    to the rate law in one elementwise call, which looks the law up at
+    call time.
     """
     kappa, temperatures = np.asarray(kappa, dtype=float), np.asarray(temperatures, dtype=float)
     if (
@@ -282,23 +283,19 @@ def _rate_tables(
             f"and (P,) for P points of {len(frequencies)} baths"
         )
     if len(member):
-        if not 0 <= member.min() <= member.max() < len(counts[0]):
-            raise ValueError(f"member indices must lie in [0, {len(counts[0])})")
+        if not 0 <= member.min() <= member.max() < len(frequencies[0]):
+            raise ValueError(f"member indices must lie in [0, {len(frequencies[0])})")
         # a NaN reaches both extremes and an infinity one of them
         extremes = (temperatures.min(), temperatures.max())
         _check_rate_parameters((kappa.min(), kappa.max()), extremes)
     widths = [bath_frequencies.shape[1] for bath_frequencies in frequencies]
-    live = np.concatenate(
-        [np.arange(w) < n[member][:, None] for w, n in zip(widths, counts)], axis=1
-    )
-    points, slots = np.nonzero(live)
+    gathered = np.concatenate([f[member] for f in frequencies], axis=1)
+    points, slots = np.nonzero(~np.isnan(gathered))
     bath = np.repeat(np.arange(len(widths)), widths)[slots]
-    rates = np.zeros((*live.shape, 2))
+    rates = np.zeros((*gathered.shape, 2))
     # a law that gives scalars gives every live slot the same rates
     rates[points, slots, 0], rates[points, slots, 1] = thermal_rates(
-        kappa[points],
-        temperatures[points, bath],
-        np.concatenate([f[member] for f in frequencies], axis=1)[points, slots],
+        kappa[points], temperatures[points, bath], gathered[points, slots]
     )
     bounds = list(itertools.accumulate(widths, initial=0))
     return [rates[:, start:stop] for start, stop in zip(bounds, bounds[1:])]
@@ -306,11 +303,11 @@ def _rate_tables(
 
 def bath_transitions(
     decomp: SpectralDecomposition, bath: BathSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The (frequency, lowering operator) pairs one bath drives on each
     member of a stack of C decompositions, in the layout of
-    `global_transitions`: (frequencies (C, T), lowering (C, T, d, d),
-    counts (C,)), padding past each member's count.
+    `global_transitions`: (frequencies (C, T), lowering (C, T, d, d)),
+    padding past each member's transitions, with frequency NaN.
 
     Global style: the eigenbasis jump operators of sigma^x on the bath's
     site (`global_transitions`).  Local style: sigma^- on that site at the
@@ -325,7 +322,6 @@ def bath_transitions(
     return (
         np.full((members, 1), float(bath.local_frequency)),
         np.broadcast_to(lowering, (members, 1, *lowering.shape)),
-        np.ones(members, dtype=int),
     )
 
 

@@ -178,8 +178,9 @@ def bath_dissipator(decomp: SpectralDecomposition, bath: BathSpec) -> np.ndarray
     transition gives the zero superoperator."""
     dim = decomp.dim
     part = np.zeros((dim * dim, dim * dim), dtype=complex)
-    frequencies, lowering, counts = bath_transitions(_one_stack(decomp), bath)
-    for frequency, op in zip(frequencies[0, : counts[0]].tolist(), lowering[0]):
+    # a 1-stack has no padding
+    frequencies, lowering = bath_transitions(_one_stack(decomp), bath)
+    for frequency, op in zip(frequencies[0].tolist(), lowering[0]):
         emission, absorption = lindblad.thermal_rates(bath.kappa, bath.temperature, frequency)
         part += emission * dissipation_superoperator(op)
         part += absorption * dissipation_superoperator(op.conj().T)

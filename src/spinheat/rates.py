@@ -18,11 +18,11 @@ diagonal of H, `spinops.ising_levels`) and, for each bath, one
 the stacked transition rule; it alone says where the baths couple, and
 none of it depends on temperature or kappa.  Every member's levels and
 transitions come out of array operations over the stack, and a member
-with fewer transitions than another is padded with zero weights.  The
-point step, `steady_state_pauli`, takes P points on the members at once,
-a member index, a kappa and a temperature per bath for each point, and
-takes their rates (`lindblad._rate_tables`, which never evaluates a
-padding slot) into each bath's rate matrix
+with fewer transitions than another is padded with frequency NaN and zero
+weights.  The point step, `steady_state_pauli`, takes P points on the
+members at once, a member index, a kappa and a temperature per bath for
+each point, and takes their rates (`lindblad._rate_tables`, which never
+evaluates a NaN padding slot) into each bath's rate matrix
 
     W_k = sum_t (emission |A_t|^2 + absorption |A_t|^2 transposed),
 
@@ -64,6 +64,7 @@ from .steady import (
     KERNEL_RTOL,
     SteadyState,
     SteadyStateError,
+    _check_currents,
     _first_failure,
     _kernel_vector,
 )
@@ -110,17 +111,16 @@ class PauliChain:
     for a stack of C chains that differ in the coupling alone.
 
     `energies[c]` is the diagonal of member c's H in the product basis.
-    For each bath, member c drives `counts[c]` transitions:
-    `frequencies[c, t]` is transition t's frequency and `weights[c, t]` its
-    |A_ij|^2, a 4 x 4 matrix per lowering operator A.  The slots past
-    `counts[c]` are padding, with frequency NaN and zero weights.  Every
-    array is read-only.
+    For each bath, `frequencies[c, t]` is the frequency of member c's
+    transition t and `weights[c, t]` its |A_ij|^2, a 4 x 4 matrix per
+    lowering operator A.  The slots past a member's transitions are
+    padding, with frequency NaN and zero weights.  Every array is
+    read-only.
     """
 
     energies: np.ndarray
     frequencies: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
-    counts: tuple[np.ndarray, ...]
 
 
 def pauli_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> PauliChain:
@@ -137,20 +137,14 @@ def pauli_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> PauliC
     energies = ising_levels(head.field_h, [spec.coupling_delta for spec in specs])
     _check_bath_sites(energies.shape[1], baths)
     decomp = diagonal_decomposition(energies)
-    frequencies, weights, counts = [], [], []
+    frequencies, weights = [], []
     for bath in baths:
-        bath_frequencies, lowering, bath_counts = bath_transitions(decomp, bath)
+        bath_frequencies, lowering = bath_transitions(decomp, bath)
         frequencies.append(bath_frequencies)
         weights.append(np.abs(lowering) ** 2)
-        counts.append(bath_counts)
-    for array in (energies, *frequencies, *weights, *counts):
+    for array in (energies, *frequencies, *weights):
         array.setflags(write=False)
-    return PauliChain(
-        energies=energies,
-        frequencies=tuple(frequencies),
-        weights=tuple(weights),
-        counts=tuple(counts),
-    )
+    return PauliChain(energies=energies, frequencies=tuple(frequencies), weights=tuple(weights))
 
 
 def _tree_sum(w: np.ndarray, generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,12 +171,12 @@ def steady_state_pauli(
     certifies, and the kernel rule of `steady._kernel_vector` the others
     as one sub-stack.  A population below `steady._MIN_EIGENVALUE`, or a
     kernel rule that fails, raises SteadyStateError with the point's
-    index.  The returned fields carry a leading axis of length P; a point
-    comes out bit-identical in any stack, and on any chain stack that
-    holds its chain.
+    index, as do bath currents that are not finite.  The returned fields
+    carry a leading axis of length P; a point comes out bit-identical in
+    any stack, and on any chain stack that holds its chain.
     """
     member = np.asarray(member, dtype=np.intp)
-    tables = _rate_tables(member, kappa, temperatures, chain.frequencies, chain.counts)
+    tables = _rate_tables(member, kappa, temperatures, chain.frequencies)
     d = chain.energies.shape[1]
     bath_rates = []
     for bath_weights, rates in zip(chain.weights, tables):
@@ -220,9 +214,11 @@ def steady_state_pauli(
     energies = chain.energies[member]
     gaps = energies[:, :, None] - energies[:, None, :]  # gaps[p, i, j] = E_i - E_j
     flows = [(w * gaps * p[:, None, :]).reshape(len(p), d * d).sum(axis=1) for w in bath_rates]
+    currents = np.stack(flows, axis=1)
+    _check_currents(currents)
     return SteadyState(
         rho=rho,
         residual=np.linalg.norm((generator @ p[:, :, None])[:, :, 0], axis=1),
         kernel_dim=kernel_dim,
-        bath_currents=np.stack(flows, axis=1),
+        bath_currents=currents,
     )

@@ -18,7 +18,9 @@ raises a SteadyStateError that carries its index.
   by the same `KERNEL_RTOL`, which gives the same projected state.
 
 The rate route and the oracle refuse a state with an eigenvalue (on the
-rate route, a population) below `_MIN_EIGENVALUE`.
+rate route, a population) below `_MIN_EIGENVALUE`, and both transport
+routes refuse a point whose bath currents are not finite
+(`_check_currents`).
 """
 
 from __future__ import annotations
@@ -80,13 +82,26 @@ def _first_failure(failed: np.ndarray, message) -> None:
         raise SteadyStateError(message(member), member=member)
 
 
+def _check_currents(currents: np.ndarray) -> None:
+    """Refuse the first point of a (P, n_baths) stack of bath currents that
+    holds an infinity or a NaN, as an overflow of the rates leaves."""
+    _first_failure(
+        ~np.isfinite(currents).all(axis=1),
+        lambda p: f"bath currents not finite: {currents[p].tolist()}",
+    )
+
+
 def _kernel_vector(matrices: np.ndarray, mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kernel vectors of a (P, m, m) stack and each member's kernel dimension.
 
     `mixed` is the maximally mixed state in the coordinates of the
     matrices; a degenerate kernel is resolved by projecting it onto the
-    kernel.  A member whose kernel is empty raises SteadyStateError.
+    kernel.  A member with a non-finite entry, which the SVD cannot take,
+    or whose kernel is empty raises SteadyStateError.
     """
+    _first_failure(
+        ~np.isfinite(matrices).all(axis=(1, 2)), lambda p: "generator has a non-finite entry"
+    )
     _, s, vh = np.linalg.svd(matrices)
     largest, smallest = s[:, 0], s[:, -1]
     _first_failure(largest == 0.0, lambda p: "generator is identically zero")

@@ -220,8 +220,9 @@ def _eigenbasis_frequencies(spec, site):
     decomp = spectral_decompose(build_hamiltonian(spec))
     stack = SpectralDecomposition(decomp.energies[None], decomp.eigenvectors[None])
     coupling = embed_matrix(PAULI_X, site, spec.n_spins)
-    frequencies, _, counts = global_transitions(stack, coupling)
-    return frequencies[0, : counts[0]].tolist()
+    frequencies, _ = global_transitions(stack, coupling)
+    assert not np.isnan(frequencies).any()  # a 1-stack has no padding
+    return frequencies[0].tolist()
 
 
 @pytest.mark.parametrize(
@@ -243,7 +244,7 @@ def test_grouping_scales_by_the_largest_many_body_energy():
     # max|eps| (about 3e-9 h) would merge them
     spec = _spec(3, ROOT2 + 2.5e-9 / ROOT2)
     chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
-    assert [counts.tolist() for counts in chain.counts] == [[3], [3]]
+    assert [frequencies.shape for frequencies in chain.frequencies] == [(1, 3), (1, 3)]
     for site, frequencies in zip((0, 2), chain.frequencies):
         np.testing.assert_allclose(frequencies[0], _eigenbasis_frequencies(spec, site), rtol=1e-12)
 
@@ -252,7 +253,7 @@ def test_zero_modes_carry_no_jump_operator():
     # delta = h on five spins: eps = h (1 + 2 cos(k pi / 6)) vanishes at k = 4
     spec = _spec(5, 1.0)
     chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
-    assert [counts.tolist() for counts in chain.counts] == [[4], [4]]
+    assert [frequencies.shape for frequencies in chain.frequencies] == [(1, 4), (1, 4)]
     assert min(chain.frequencies[0][0]) > 0.5
 
 

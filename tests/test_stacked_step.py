@@ -9,7 +9,7 @@ curve and x.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -24,7 +24,7 @@ from spinheat.lindblad import DissipatorStyle
 from spinheat.spinops import ChainModel, SpinChainSpec
 from spinheat.steady import SteadyStateError
 
-from test_chain_cache import PROPERTY, ROUTE_SPECS, chains, kappas, temperatures
+from test_chain_cache import PROPERTY, ROUTE_SPECS, chains, kappas, live_counts, temperatures
 
 # a degenerate kernel on the rate route: the right local bath of the Ising
 # pair has frequency zero, so at T_R = 0 it drives nothing
@@ -183,6 +183,65 @@ def test_failure_in_the_middle_of_a_stack_names_its_curve_and_x(
     assert not out.exists()
 
 
+# points whose rates or flows overflow, global style, T_R = 0: the currents
+# of the XY chain (inf) and of the Ising pair (NaN), the Ising pair's
+# generator, on which the SVD does not converge, and the XY chain's X, which
+# the eigendecomposition refuses
+OVERFLOWS = {
+    "xy-delta": (SpinChainSpec(3, 1.0, 1e200, ChainModel.XY_TRANSVERSE), 1.0, "not finite"),
+    "ising-delta": (SpinChainSpec(2, 1.0, 1e200, ChainModel.ISING_ZZ), 1.0, "not finite"),
+    "ising-max-delta": (SpinChainSpec(2, 1.0, 1e308, ChainModel.ISING_ZZ), 1.0, "non-finite"),
+    "ising-max-t-left": (ISING, 1e308, "non-finite"),
+    "xy-max-t-left": (SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE), 1e308, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("spec, t_left, message", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_point_that_overflows_is_refused(spec, t_left, message):
+    with pytest.raises(SteadyStateError, match=message) as excinfo:
+        thermo.steady_net_current(spec, 1.0, t_left, 0.0, DissipatorStyle.GLOBAL)
+    assert excinfo.value.member == 0
+
+
+@pytest.mark.parametrize("spec, t_left, message", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_point_that_overflows_is_named_by_its_index_in_a_stack(spec, t_left, message):
+    chain_step, point_step = thermo._ROUTES[spec.model]
+    specs = [replace(spec, coupling_delta=0.5), spec]
+    chain = chain_step(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.GLOBAL))
+    temperatures = [[1.0, 0.0], [1.0, 0.0], [t_left, 0.0], [2.0, 0.0]]
+    with pytest.raises(SteadyStateError, match=message) as excinfo:
+        point_step(chain, [0, 0, 1, 0], [1.0] * 4, temperatures)
+    assert excinfo.value.member == 2
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        (
+            "model = xy\nspins = 3\nsweep = coupling\nstart = 0\nstop = 1e300\n"
+            "t_left = 1.0\nt_right = 0.0\n",
+            "J_global at delta = 5e+299: ",
+        ),
+        (
+            "model = ising\ndelta = 0.5\nsweep = temperature\nstart = 0\nstop = 1e308\n"
+            "t_right = 0.0\n",
+            "J_global at T_L = 1e+308: ",
+        ),
+    ],
+    ids=["xy-coupling", "ising-temperature"],
+)
+def test_sweep_that_overflows_names_its_point(tmp_path, capsys, config, named):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(config + "points = 3\n")
+    out = tmp_path / "out.csv"
+    status = main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("solver error: " + named)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # the couplings, as fractions of h, where the number of transitions of the
 # Ising pair changes: at 0 the right bath drives none and the left bath one
 # group; at 1/2 the left bath's h - delta group also holds the two delta
@@ -210,11 +269,9 @@ def _member_arrays(chain, c):
     """Member c of a chain stack, each bath's arrays cut to its transitions,
     and the padding past them."""
     arrays, padding = {}, []
-    counts = chain.counts
+    counts = [live_counts(freqs) for freqs in chain.frequencies]
     for field in fields(chain):
         value = getattr(chain, field.name)
-        if field.name == "counts":
-            continue
         if isinstance(value, tuple):  # one array per bath
             for k, (bath, n) in enumerate(zip(value, counts)):
                 arrays[field.name, k] = bath[c, : n[c]]
@@ -233,7 +290,9 @@ def test_chain_stack_members_are_their_own_chains(stack, data):
     chain = chain_step(specs, baths)
     alone = [chain_step([spec], baths) for spec in specs]
     for c, single in enumerate(alone):
-        assert [counts[c] for counts in chain.counts] == [n[0] for n in single.counts]
+        assert [live_counts(f)[c] for f in chain.frequencies] == [
+            live_counts(f)[0] for f in single.frequencies
+        ]
         arrays, padding = _member_arrays(chain, c)
         for name, value in _member_arrays(single, 0)[0].items():
             assert arrays[name].tobytes() == value.tobytes(), (name, c)
@@ -261,7 +320,7 @@ def test_chain_stack_members_are_their_own_chains(stack, data):
     with mock.patch.object(lindblad, "thermal_rates", recorded):
         stacked = _fields(point_step(chain, member, kappa, temps))
     # no padding slot reaches the rate law
-    assert len(seen) == sum(counts[m] for counts in chain.counts for m in member)
+    assert len(seen) == sum(live_counts(f)[m] for f in chain.frequencies for m in member)
     assert not np.isnan(seen).any()
     for p, (m, *rest) in enumerate(drawn):
         own = _fields(point_step(alone[m], [0], [rest[0]], [rest[1:]]))
