@@ -269,10 +269,21 @@ def _write_csv(
     rows: Iterable[Sequence[float | None]],
     params: Sequence[tuple[str, str]],
 ) -> Path:
+    """Write a dataset: the units line, one `# key = value` line per
+    parameter, the header and one line per row.
+
+    A cell is written as `%.15g` and an empty (None) cell as nothing.  A
+    row without an empty cell is formatted by one `%` over the whole row,
+    which gives the bytes of the per-cell `_format_cell` join.
+    """
     lines = [UNITS_COMMENT]
     lines += [f"# {key} = {value}" for key, value in params]
     lines.append(",".join(columns))
-    lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
+    row_format = ",".join(["%.15g"] * len(columns))
+    lines += [
+        ",".join(map(_format_cell, row)) if None in row else row_format % tuple(row)
+        for row in rows
+    ]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     return path

@@ -187,6 +187,8 @@ def _chain_member(spec: SpinChainSpec, baths: list[BathSpec]) -> tuple[np.ndarra
     return majorana, frequencies, lowering
 
 
+# an overflow leaves an infinite frequency, which the point step refuses
+@np.errstate(over="ignore", invalid="ignore")
 def gaussian_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> GaussianChain:
     """The chain step of a stack of XY chains that differ in the coupling
     alone: A and each bath's (frequency, lowering vector) pairs, member c
@@ -264,6 +266,8 @@ def _lyapunov_residual(x: np.ndarray, gamma: np.ndarray, source: np.ndarray) -> 
     return np.linalg.norm(x @ gamma + gamma @ _transpose(x) - source, axis=(-2, -1))
 
 
+# an overflow is refused by the non-finite checks, under the point's index
+@np.errstate(over="ignore", invalid="ignore")
 def steady_state_gaussian(
     chain: GaussianChain, member: np.ndarray, kappa: np.ndarray, temperatures: np.ndarray
 ) -> GaussianState:

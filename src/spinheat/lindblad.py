@@ -45,6 +45,9 @@ DEGENERACY_TOL = 1e-9
 # occupation is far below what a double can resolve anyway.
 _OVERFLOW_EXPONENT = 700.0
 
+# The scalar `math.expm1` as a ufunc over an array, element by element.
+_EXPM1 = np.frompyfunc(math.expm1, 1, 1)
+
 # Jump matrices whose entries all stay below this are dropped entirely.
 _NEGLIGIBLE_ENTRY = 1e-12
 
@@ -220,9 +223,12 @@ def thermal_rates(
 
     The law acts elementwise on arrays that broadcast together and gives
     numpy scalars for scalar arguments.  Every element takes the IEEE
-    operations of the scalar occupation `bose_einstein`, `math.expm1` included (`np.expm1`
-    differs from it in the last bit for a few percent of arguments), so
-    an element does not depend on the array it comes in.
+    operations of the scalar occupation `bose_einstein`, `math.expm1`
+    included (`np.expm1` differs from it in the last bit for a few percent
+    of arguments), so an element does not depend on the array it comes in.
+    Only the ratios frequency/temperature in (0, 700] reach `math.expm1`,
+    through one mask; a zero temperature, a ratio above 700 and frequency
+    zero give occupation 0 without a Python call.
     """
     kappa, temperature, frequency = np.broadcast_arrays(
         np.asarray(kappa, dtype=float),
@@ -236,10 +242,9 @@ def thermal_rates(
     ratio = np.divide(
         frequency, temperature, out=np.full(frequency.shape, np.inf), where=temperature > 0
     )
-    ratios = ratio.ravel().tolist()
-    occupation = np.array(
-        [1.0 / math.expm1(x) if 0 < x <= _OVERFLOW_EXPONENT else 0.0 for x in ratios]
-    ).reshape(ratio.shape)
+    live = (ratio > 0) & (ratio <= _OVERFLOW_EXPONENT)
+    occupation = np.zeros(ratio.shape)
+    occupation[live] = 1.0 / _EXPM1(ratio[live]).astype(float)
     spectrum = kappa * frequency
     flip = kappa * temperature
     emission = np.where(emitting, spectrum * (1.0 + occupation), flip)

@@ -123,6 +123,8 @@ class PauliChain:
     weights: tuple[np.ndarray, ...]
 
 
+# an overflow leaves an infinite frequency, which the point step refuses
+@np.errstate(over="ignore", invalid="ignore")
 def pauli_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> PauliChain:
     """The chain step of a stack of Ising pairs that differ in the coupling
     alone: the energies and each bath's transition weights, member c for
@@ -150,15 +152,23 @@ def pauli_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> PauliC
 def _tree_sum(w: np.ndarray, generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tree sums of a (P, 4, 4) stack of rate matrices W and their
     generators G: each member's unnormalized steady populations, and
-    whether the certificate of `_TREE_RTOL` lets the sum answer it."""
+    whether the certificate of `_TREE_RTOL` lets the sum answer it.
+
+    One gather takes every tree's three rates, two whole-stack products
+    multiply them and one sum adds the trees.  The products are the bits
+    `prod` over the length-3 axis gives, without its per-tree reduction
+    loop."""
     # np.take lays the gather out alike in every stack, so a member's
     # products and sums do not depend on the stack
     flat = (len(w), w.shape[1] * w.shape[2])
-    populations = np.take(w.reshape(flat), _TREES, axis=1).prod(axis=-1).sum(axis=-1)
+    edges = np.take(w.reshape(flat), _TREES, axis=1)
+    populations = (edges[..., 0] * edges[..., 1] * edges[..., 2]).sum(axis=-1)
     scale = np.linalg.norm(generator.reshape(flat), axis=1)
     return populations, populations.sum(axis=1) > _TREE_RTOL * scale**3
 
 
+# an overflow is refused by the non-finite checks, under the point's index
+@np.errstate(over="ignore", invalid="ignore")
 def steady_state_pauli(
     chain: PauliChain, member: np.ndarray, kappa: np.ndarray, temperatures: np.ndarray
 ) -> SteadyState:

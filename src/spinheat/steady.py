@@ -96,8 +96,11 @@ def _kernel_vector(matrices: np.ndarray, mixed: np.ndarray) -> tuple[np.ndarray,
 
     `mixed` is the maximally mixed state in the coordinates of the
     matrices; a degenerate kernel is resolved by projecting it onto the
-    kernel.  A member with a non-finite entry, which the SVD cannot take,
-    or whose kernel is empty raises SteadyStateError.
+    kernel.  The projection is one batched product for every degenerate
+    member: mixed's coefficients vh @ mixed on the right singular vectors,
+    masked to the kernel rows, taken back through vh^H (real or complex).
+    A member with a non-finite entry, which the SVD cannot take, or whose
+    kernel is empty raises SteadyStateError.
     """
     _first_failure(
         ~np.isfinite(matrices).all(axis=(1, 2)), lambda p: "generator has a non-finite entry"
@@ -113,7 +116,8 @@ def _kernel_vector(matrices: np.ndarray, mixed: np.ndarray) -> tuple[np.ndarray,
         f"{smallest[p] / largest[p]:.3e}",
     )
     vectors = np.array(vh[:, -1].conj())
-    for p in np.flatnonzero(kernel_dim > 1):
-        basis = vh[p][kernel_mask[p]].conj().T  # columns span the kernel
-        vectors[p] = basis @ (basis.conj().T @ mixed)
+    degenerate = np.flatnonzero(kernel_dim > 1)
+    rows = vh[degenerate]  # the kernel rows of each span its kernel
+    coefficients = np.where(kernel_mask[degenerate], rows @ mixed, 0.0)
+    vectors[degenerate] = (coefficients[:, None, :] @ rows.conj())[:, 0]
     return vectors, kernel_dim

@@ -230,6 +230,22 @@ class TestSweep:
             run_sweep(cfg)
 
 
+def test_csv_rows_are_the_per_cell_join(tmp_path):
+    rows = [
+        (0.0, None, 1.5),
+        (np.float64(0.1), np.nan, -0.0),
+        (np.float64(2.5), np.inf, -np.inf),
+        (3, 1e-300, 12345678901234567),
+        (np.float64(1.0) / 3, np.float64(-2e-17), None),
+        (None, None, None),
+    ]
+    path = experiments._write_csv(tmp_path / "rows.csv", ["x", "a", "b"], rows, [("k", "v")])
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[-len(rows) - 1 :] == ["x,a,b"] + [
+        ",".join("" if cell is None else f"{cell:.15g}" for cell in row) for row in rows
+    ]
+
+
 class TestFig2:
     @pytest.fixture(scope="class")
     def dataset(self, tmp_path_factory):

@@ -4,6 +4,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+import spinheat.lindblad as lindblad
 from spinheat.lindblad import (
     BathSpec,
     DissipatorStyle,
@@ -160,6 +161,32 @@ class TestThermalRates:
         for p in (0, 3, 6, 100):
             alone = thermal_rates(kappa[p], temperature[p], frequency[p])
             assert np.array(alone).tobytes() == expected[p].tobytes()
+
+    def test_only_ratios_up_to_the_cut_reach_expm1(self, monkeypatch):
+        reached = []
+        original = lindblad._EXPM1
+
+        def expm1(x):
+            reached.extend(x.tolist())
+            return original(x)
+
+        monkeypatch.setattr(lindblad, "_EXPM1", expm1)
+        cut = lindblad._OVERFLOW_EXPONENT
+        # (frequency, temperature): T = 0, ratios 1e-300, 700 and just past
+        # it, and frequency 0
+        cases = [(1.5, 0.0), (1e-300, 1.0), (cut, 1.0), (cut * (1 + 1e-15), 1.0)]
+        cases += [(0.0, 0.8), (0.0, 0.0), (2.0, 3.0)]
+        frequency, temperature = map(np.array, zip(*cases))
+        emission, absorption = thermal_rates(0.7, temperature, frequency)
+        assert reached == [1e-300, cut, 2.0 / 3.0]
+        for p, (w, t) in enumerate(cases):
+            if w == 0:
+                expected = (0.7 * t, 0.7 * t)
+            else:
+                occupation = bose_einstein(w, t)
+                expected = (0.7 * w * (1.0 + occupation), 0.7 * w * occupation)
+            assert (emission[p], absorption[p]) == expected
+            assert np.array(thermal_rates(0.7, t, w)).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("temperature", [-0.5, float("nan"), float("inf")])
     def test_refuses_what_it_is_not_defined_for(self, temperature):

@@ -9,6 +9,7 @@ curve and x.
 """
 
 import math
+import warnings
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -18,13 +19,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spinheat.lindblad as lindblad
-from spinheat import gaussian, thermo
+from spinheat import gaussian, rates, thermo
 from spinheat.cli import main
 from spinheat.lindblad import DissipatorStyle
 from spinheat.spinops import ChainModel, SpinChainSpec
 from spinheat.steady import SteadyStateError
 
 from test_chain_cache import PROPERTY, ROUTE_SPECS, chains, kappas, live_counts, temperatures
+from test_steady import assert_kernel_projection
 
 # a degenerate kernel on the rate route: the right local bath of the Ising
 # pair has frequency zero, so at T_R = 0 it drives nothing
@@ -81,6 +83,25 @@ def test_degenerate_kernel_inside_a_stack():
     stack = [(1.0, 2.0, 0.5), DEGENERATE_POINT, (0.7, 0.3, 1.5), (1.0, 0.0, 0.0)]
     state = _assert_members_are_their_own_calls(ISING, style, stack)
     assert list(state["kernel_dim"]) == [1, 2, 1, 2]
+
+
+def test_fig2_local_column_projects_each_member_as_its_own_stack(monkeypatch):
+    # fig2's phenomenological column, T_R = 0: the kernel rule receives
+    # every point, each with a two-dimensional kernel
+    calls = []
+    kernel_vector = rates._kernel_vector
+
+    def recorded(matrices, mixed):
+        calls.append((matrices, mixed))
+        return kernel_vector(matrices, mixed)
+
+    monkeypatch.setattr(rates, "_kernel_vector", recorded)
+    grid = np.concatenate([[0.0], np.logspace(-2, 2, 200)])
+    step = _step(replace(ISING, coupling_delta=0.01), DissipatorStyle.LOCAL)
+    step([(1.0, t_left, 0.0) for t_left in grid])
+    [(matrices, mixed)] = calls
+    assert len(matrices) == len(grid)
+    assert (assert_kernel_projection(matrices, mixed) == 2).all()
 
 
 def test_exceptional_point_alone_takes_the_kronecker_solve(monkeypatch):
@@ -234,10 +255,15 @@ def test_sweep_that_overflows_names_its_point(tmp_path, capsys, config, named):
     path = tmp_path / "sweep.cfg"
     path.write_text(config + "points = 3\n")
     out = tmp_path / "out.csv"
-    status = main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "1"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "1"])
     err = capsys.readouterr().err
     assert status == 1
     assert err.startswith("solver error: " + named)
+    # numpy's overflow warnings stay silent: the message alone names the point
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught] == []
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -19,7 +19,7 @@ from spinheat.spinops import (
     build_hamiltonian,
     spectral_decompose,
 )
-from spinheat.steady import SteadyStateError, _kernel_vector
+from spinheat.steady import KERNEL_RTOL, SteadyStateError, _kernel_vector
 
 ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
 
@@ -67,6 +67,21 @@ class TestNullspaceSolver:
         assert state.kernel_dim > 1
         assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(state.rho).min() > -1e-10
+
+    def test_degenerate_complex_kernels_are_projected_member_by_member(self):
+        # the oracle's generators: two degenerate kernels around a unique one
+        decoupled = SpinChainSpec(2, 1.0, 0.0, ChainModel.ISING_ZZ)
+        cases = [
+            (ISING, 1.0, 0.0, DissipatorStyle.LOCAL),
+            (ISING, 2.0, 1.0, DissipatorStyle.GLOBAL),
+            (decoupled, 1.0, 1.0, DissipatorStyle.GLOBAL),
+        ]
+        generators = np.array([
+            assemble_liouvillian(build_hamiltonian(spec), standard_baths(spec, 1.0, *point)).matrix
+            for spec, *point in cases
+        ])
+        kernel_dim = assert_kernel_projection(generators, oracle.vectorize(np.eye(4) / 4))
+        assert list(kernel_dim > 1) == [True, False, True]
 
     def test_degenerate_kernel_for_dead_local_bath(self):
         baths = standard_baths(ISING, 1.0, 1.0, 0.0, DissipatorStyle.LOCAL)
@@ -185,6 +200,26 @@ class TestCrossValidation:
             cross_validate(1.0, 0.5, 1.0, 2.0, 1.0)
 
 
+def assert_kernel_projection(matrices, mixed):
+    """`_kernel_vector` on a stack gives each member the vector of its own
+    1-stack, bit for bit, and within 1e-15 (relative) of the projection
+    basis @ (basis^H @ mixed) onto the member's kernel rows of vh; returns
+    the kernel dimensions."""
+    vectors, kernel_dim = _kernel_vector(matrices, mixed)
+    _, s, vh = np.linalg.svd(matrices)
+    for p, matrix in enumerate(matrices):
+        alone, alone_dim = _kernel_vector(matrix[None], mixed)
+        assert vectors[p].tobytes() == alone[0].tobytes()
+        assert alone_dim[0] == kernel_dim[p]
+        if kernel_dim[p] == 1:
+            assert vectors[p].tobytes() == vh[p, -1].conj().tobytes()
+            continue
+        basis = vh[p][s[p] < KERNEL_RTOL * s[p, 0]].conj().T  # columns span the kernel
+        expected = basis @ (basis.conj().T @ mixed)
+        assert np.abs(vectors[p] - expected).max() <= 1e-15 * np.abs(expected).max()
+    return kernel_dim
+
+
 def _random_rate_matrices(size, seed):
     """A (size, 4, 4) stack of rate matrices, rates log-uniform over
     1e-14..1e2 with four in ten edges dropped, and their generators."""
@@ -220,6 +255,22 @@ class TestTreeSum:
 
     def test_both_paths_are_drawn(self):
         assert 0.2 < self.CERTIFIED.mean() < 0.8
+
+    def test_tree_products_are_the_bits_of_prod(self):
+        # rates of zero, subnormal, ordinary and 1e300 scale: products that
+        # underflow, overflow and meet 0 * inf
+        rng = np.random.default_rng(1919)
+        exponents = rng.choice([-318.0, -310.0, -8.0, 0.0, 2.0, 299.0, 300.0], (4000, 4, 4))
+        w = rng.uniform(1.0, 10.0, exponents.shape) * 10.0**exponents
+        w *= rng.random(w.shape) < 0.8
+        with np.errstate(over="ignore", invalid="ignore"):
+            populations, _ = rates._tree_sum(w, w)  # the certificate is not read
+            edges = np.take(w.reshape(len(w), 16), rates._TREES, axis=1)
+            expected = edges.prod(axis=-1).sum(axis=-1)
+        assert populations.tobytes() == expected.tobytes()
+        assert np.isnan(expected).any() and np.isinf(expected).any()
+        finite = expected[np.isfinite(expected)]
+        assert ((0 < finite) & (finite < np.finfo(float).tiny)).any()  # subnormal
 
     def test_certified_members_have_a_one_dimensional_kernel(self):
         _, kernel_dim = _kernel_vector(self.GENERATOR[self.CERTIFIED], np.full(4, 0.25))
