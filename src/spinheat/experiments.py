@@ -5,14 +5,18 @@ x values and a list of curves.  The x variable is the left temperature
 T_L, the coupling delta, or the temperature difference delta_T at a fixed
 mean; a curve is one J column, fixed by a chain, a dissipator style, and
 the temperatures x leaves free.  A column function evaluates every
-curve over a stretch of the grid: it groups the cells by the model,
-chain length, field and style of their chain, keys each cell's chain in
-its group by the coupling it needs at its x, and each group takes one
-chain step over its distinct couplings and one stacked point step over
-its cells (`thermo._net_currents`).  So a coupling grid is one group, as
-is a temperature grid at several fixed couplings.  Each dataset is
-written as a flat CSV with a units comment, parameter comment lines, a
-header row, and values at 15 significant digits.  Grid points are
+curve over a stretch of the grid: it groups the curves by the model,
+chain length, field and style of their chain, builds each curve's cells
+as arrays of the grid (temperatures, live rows, members), keying its
+members of the group's chain stack once per curve, on its fixed coupling
+or on the grid itself for a delta sweep, and each group takes one chain
+step over its distinct couplings and one stacked point step over its
+cells (`thermo._net_currents`).  So a coupling grid is one group, as is
+a temperature grid at several fixed couplings.  The currents come back
+as a (rows, curves) table with a mask of the empty cells, where a bath
+would drop below zero temperature.  Each dataset is written as a flat CSV
+with a units comment, parameter comment lines, a header row, and values
+at 15 significant digits, an empty cell as nothing.  Grid points are
 independent, so contiguous chunks of the grid can be evaluated across
 worker processes; rows are always assembled in grid order, and a stack
 member does not depend on the stack it is solved in, which keeps the
@@ -27,7 +31,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -330,73 +334,115 @@ class _Curve:
     t_mean: float | None = None
 
 
-def _cell_temperatures(x_name: str, curve: _Curve, x: float) -> tuple[float, float] | None:
-    """The (t_left, t_right) of one curve at one x; None where a bath would
-    drop below zero temperature."""
+def _curve_temperatures(x_name: str, curve: _Curve, xs: np.ndarray) -> np.ndarray:
+    """The (t_left, t_right) of one curve at every x, as a (rows, 2) array."""
+    temperatures = np.empty((len(xs), 2))
     if x_name == "T_L":
-        return x, curve.t_right
-    if x_name == "delta":
-        return curve.t_left, curve.t_right
-    # delta_T, at fixed mean temperature
-    t_left, t_right = curve.t_mean + 0.5 * x, curve.t_mean - 0.5 * x
-    if t_left < 0 or t_right < 0:
-        return None
-    return t_left, t_right
+        temperatures[:, 0] = xs
+        temperatures[:, 1] = curve.t_right
+    elif x_name == "delta":
+        temperatures[:] = curve.t_left, curve.t_right
+    else:  # delta_T, at fixed mean temperature
+        temperatures[:, 0] = curve.t_mean + 0.5 * xs
+        temperatures[:, 1] = curve.t_mean - 0.5 * xs
+    return temperatures
 
 
-def _columns(x_name: str, kappa: float, curves: Sequence[_Curve], xs: np.ndarray) -> list[tuple]:
-    """Every curve at the grid points `xs`: one row per x, in grid order.
+def _columns(
+    x_name: str, kappa: float, curves: Sequence[_Curve], xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every curve at the grid points `xs`: a (rows, curves) table of
+    currents, row r at `xs[r]`, and a mask of the same shape that marks
+    the empty cells, where a bath would drop below zero temperature.  An
+    empty cell's table entry is NaN, but only the mask says it is empty.
 
-    The cells are grouped by the model, chain length, field and style of
-    their chain, so the chains of a group differ in the coupling alone,
-    and each cell's member of its group is keyed by its coupling.  Each
-    group takes one chain step over its distinct couplings and one stacked
-    point step over its cells: a coupling grid on one chain is one group,
-    and so are curves at several fixed couplings.  Cells where a bath
-    would drop below zero temperature stay None.  A SteadyStateError is
-    raised again with the failing cell's curve name and x.
+    The curves are grouped by the model, chain length, field and style of
+    their chain, so the chains of a group differ in the coupling alone.
+    A curve's cells are arrays of the grid: its temperatures
+    (`_curve_temperatures`), its live rows (all of them but where the
+    delta_T sweep takes a bath below zero), and its members of the group's
+    chain stack, keyed once per curve on its fixed coupling, or on the
+    grid itself for a delta sweep.  Each group takes one chain step over
+    its distinct couplings and one stacked point step over its cells,
+    curve by curve in grid order, and its currents go back into the table
+    in one assignment: a coupling grid on one chain is one group, and so
+    are curves at several fixed couplings.  A SteadyStateError is raised
+    again with the failing cell's curve name and x.
     """
-    cells: list[list[float | None]] = [[None] * len(curves) for _ in xs]
-    # each group's first chain, its members keyed by coupling, and its cells
+    table = np.full((len(xs), len(curves)), np.nan)
+    empty = np.zeros(table.shape, dtype=bool)
+    all_rows = np.arange(len(xs))
+    if x_name == "delta":
+        # every curve's couplings are the grid: each distinct x is a member
+        # of every group, keyed once per row
+        grid_keys: dict[float, int] = {}
+        grid_members = np.array([grid_keys.setdefault(x, len(grid_keys)) for x in xs.tolist()])
+    # each group's first chain, its members keyed by coupling, and the
+    # (rows, cols, members, temperatures) arrays of each of its curves
     groups: dict[tuple, tuple[SpinChainSpec, dict[float, int], list[tuple]]] = {}
     for col, curve in enumerate(curves):
         spec = curve.spec
         key = (spec.model, spec.n_spins, spec.field_h, curve.style)
-        _, members, group = groups.setdefault(key, (spec, {}, []))
-        for row, x in enumerate(xs):
-            temperatures = _cell_temperatures(x_name, curve, x)
-            if temperatures is None:
-                continue
-            coupling = x if x_name == "delta" else spec.coupling_delta
-            group.append((row, col, members.setdefault(coupling, len(members)), *temperatures))
-    for (*_, style), (base, members, group) in groups.items():
-        if not group:
+        _, members, parts = groups.setdefault(
+            key, (spec, grid_keys if x_name == "delta" else {}, [])
+        )
+        temperatures = _curve_temperatures(x_name, curve, xs)
+        rows = all_rows
+        if x_name == "delta_T":
+            below = (temperatures < 0).any(axis=1)
+            empty[:, col] = below
+            rows = np.flatnonzero(~below)
+            temperatures = temperatures[rows]
+        if not len(rows):
             continue
-        specs = tuple(replace(base, coupling_delta=coupling) for coupling in members)
+        if x_name == "delta":
+            member = grid_members
+        else:
+            member = np.full(len(rows), members.setdefault(spec.coupling_delta, len(members)))
+        parts.append((rows, np.full(len(rows), col), member, temperatures))
+    for (*_, style), (head, members, parts) in groups.items():
+        if not parts:
+            continue
+        if len(parts) == 1:
+            rows, cols, member, temperatures = parts[0]
+        else:
+            rows, cols, member, temperatures = map(np.concatenate, zip(*parts))
         try:
-            currents = _net_currents(
-                specs, [cell[2] for cell in group], kappa, [cell[3:] for cell in group], style
-            )
+            currents = _net_currents(head, tuple(members), member, kappa, temperatures, style)
         except SteadyStateError as err:
-            row, col = group[err.member][:2]
-            name = curves[col].name
-            raise SteadyStateError(f"{name} at {x_name} = {xs[row]:.15g}: {err}") from err
-        for (row, col, *_), current in zip(group, currents):
-            cells[row][col] = float(current)
-    return [(x, *row) for x, row in zip(xs, cells)]
+            name = curves[cols[err.member]].name
+            raise SteadyStateError(
+                f"{name} at {x_name} = {xs[rows[err.member]]:.15g}: {err}"
+            ) from err
+        table[rows, cols] = currents
+    return table, empty
 
 
-def _rows(
+def _table(
     x_name: str, grid: np.ndarray, kappa: float, curves: Sequence[_Curve], jobs: int | None
-) -> list[tuple]:
-    """Every curve at every grid point, rows in grid order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every curve at every grid point, as the table and empty-cell mask of
+    `_columns`, rows in grid order.
 
     Each worker takes one contiguous chunk of the grid.  A stack member
     comes out the same in any stack, so the chunking never moves a cell.
     """
     chunks = np.array_split(grid, _workers(jobs, len(grid)))
     blocks = _parallel_map(functools.partial(_columns, x_name, kappa, tuple(curves)), chunks, jobs)
-    return [row for block in blocks for row in block]
+    if len(blocks) == 1:
+        return blocks[0]
+    tables, masks = zip(*blocks)
+    return np.concatenate(tables), np.concatenate(masks)
+
+
+def _csv_rows(xs: np.ndarray, table: np.ndarray, empty: np.ndarray) -> list[list]:
+    """The rows `_write_csv` takes: x and then each curve's cell, None
+    where the cell is empty."""
+    rows = np.column_stack((xs, table)).tolist()
+    for r in np.flatnonzero(empty.any(axis=1)):
+        cells = zip(rows[r][1:], empty[r].tolist())
+        rows[r][1:] = [None if blank else cell for cell, blank in cells]
+    return rows
 
 
 def _write_dataset(
@@ -409,7 +455,7 @@ def _write_dataset(
     jobs: int | None,
 ) -> Path:
     """Evaluate every curve at every grid point and write the CSV."""
-    rows = _rows(x_name, grid, kappa, curves, jobs)
+    rows = _csv_rows(grid, *_table(x_name, grid, kappa, curves, jobs))
     return _write_csv(path, [x_name] + [curve.name for curve in curves], rows, params)
 
 
@@ -494,7 +540,7 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, P
     ]
     # both panels in one pass over the couplings, so the couplings of both
     # panels are one chain stack and their cells one point step
-    rows = _rows("delta", deltas, kappa, curves, jobs)
+    table, empty = _table("delta", deltas, kappa, curves, jobs)
 
     paths = []
     width = len(_FIG3_COLD)
@@ -508,7 +554,7 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, P
             ("t_cold_values", ",".join(f"{c:g}" for c in _FIG3_COLD)),
         ]
         header = ["delta"] + [curve.name for curve in curves[columns]]
-        panel_rows = [(row[0], *row[1:][columns]) for row in rows]
+        panel_rows = _csv_rows(deltas, table[:, columns], empty[:, columns])
         paths.append(_write_csv(out_dir / f"fig3{panel}.csv", header, panel_rows, params))
 
     curves = [
@@ -653,7 +699,7 @@ def _check_high_mean_temperature_symmetry() -> tuple[str, str, str, bool]:
     # the curve of the fig3 inset at mean temperature 5h
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     curve = _Curve("J_tbar_5", spec, DissipatorStyle.GLOBAL, t_mean=5.0)
-    currents = np.array([row[1] for row in _columns("delta_T", 1.0, (curve,), gradient_grid())])
+    currents = _columns("delta_T", 1.0, (curve,), gradient_grid())[0][:, 0]
     asymmetry = np.max(np.abs(currents + currents[::-1]))
     bound = 0.02 * np.max(np.abs(currents))
     return (

@@ -36,7 +36,9 @@ vector l.
   groupings can differ only where two |eps_k| differ by less than that
   tolerance without being equal (delta near 1e-9 h): there the eigenbasis
   grouping is also anchored on many-body gaps that sigma^x does not
-  connect.
+  connect.  Where the many-body energies overflow (delta near 1e308), an
+  infinite tolerance would drop every gap: the bath drives one transition
+  at an infinite frequency instead, whose rates the point step refuses.
 
 The chain step, `gaussian_chain`, takes a stack of C chains that differ
 in the coupling alone and holds, for each member, A and each bath's
@@ -72,7 +74,9 @@ A residual above `_EIG_RTOL` times ||X|| hands that stack member alone to
 the Kronecker solve of (I kron X + X kron I) vec Gamma = vec(-4 Im M), by
 minimum-norm least squares with relative cutoff `KERNEL_RTOL`, which
 zeroes undamped mode pairs as the eigenvector solution does; the other
-members keep their eigenvector solution.  The eigendecomposition
+members keep their eigenvector solution.  An operator with a non-finite
+entry, where sums X_ii + X_kk overflow, is refused rather than handed to
+least squares.  The eigendecomposition
 stays first because the Kronecker solve costs O(n^6): 1.5 to 3.7 ms at
 n = 5 and 6 (one core of a 2-vCPU 2.0 GHz Xeon VM), against about 0.3 ms
 for a whole point.  Its operator grows as n^4 in memory, so past
@@ -154,6 +158,10 @@ def _global_transitions(
     lowering = np.where((eps > 0)[:, None], modes, sign * modes.conj())
     energy = np.abs(eps)
     tol = _degeneracy_tolerance(np.array([0.5 * energy.sum()]))
+    if not np.isfinite(tol[0]):
+        # the many-body energies overflow: one transition at an infinite
+        # frequency, which the point step refuses under the point's index
+        return np.array([np.inf]), lowering.sum(axis=0, keepdims=True)
     order = np.argsort(energy, kind="stable")
     order = order[energy[order] > tol]
     labels, means = _groups(energy[order][None], tol)
@@ -253,9 +261,14 @@ def _lyapunov_eig(x: np.ndarray, source: np.ndarray) -> np.ndarray:
 
 def _lyapunov_kronecker(x: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Gamma of one point as the minimum-norm least-squares solution of
-    (I kron X + X kron I) vec Gamma = vec S, which needs no eigenvectors."""
+    (I kron X + X kron I) vec Gamma = vec S, which needs no eigenvectors.
+
+    A finite X whose sums X_ii + X_kk overflow gives an operator that least
+    squares cannot take: SteadyStateError, whose point the caller names."""
     eye = np.eye(len(x))
     operator = np.kron(eye, x) + np.kron(x, eye)
+    if not np.isfinite(operator).all():
+        raise SteadyStateError("the Kronecker operator has a non-finite entry")
     solution = np.linalg.lstsq(operator, source.reshape(-1), rcond=KERNEL_RTOL)[0]
     gamma = solution.reshape(x.shape)
     return 0.5 * (gamma - gamma.T)
@@ -344,7 +357,10 @@ def _solve(chain: GaussianChain, c: int, tables: list[np.ndarray]) -> GaussianSt
                 f"({rows**2 * 8 / 2**20:.4g} MiB); it is refused above n = {_KRONECKER_MAX_SPINS}",
                 member=int(p),
             )
-        gamma[p] = _lyapunov_kronecker(x[p], source[p])
+        try:
+            gamma[p] = _lyapunov_kronecker(x[p], source[p])
+        except SteadyStateError as err:
+            raise SteadyStateError(str(err), member=int(p)) from None
         residual[p] = _lyapunov_residual(x[p], gamma[p], source[p])
     _first_failure(
         residual > KERNEL_RTOL * scale,

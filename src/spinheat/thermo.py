@@ -32,17 +32,19 @@ route by the model:
   by its spanning-tree sum: `rates.pauli_chain` is the chain step,
   `rates.steady_state_pauli` the point step.
 
-The chain step is kept in a least-recently-used cache keyed by
-(tuple of SpinChainSpec, DissipatorStyle) and bounded at
-`_CHAIN_CACHE_SIZE` chain stacks.  Only read-only arrays that no rate
-enters are cached, never a rate matrix or a covariance, so a cached chain
-gives bit-identical currents.
+The chain step is kept in a least-recently-used cache keyed by the
+stack's first chain, its couplings as a tuple of Python floats, and the
+DissipatorStyle, and bounded at `_CHAIN_CACHE_SIZE` chain stacks.  The
+stack's SpinChainSpecs are built inside the cached function, so only on a
+miss: a warm lookup hashes one chain and a tuple of floats.  Only
+read-only arrays that no rate enters are cached, never a rate matrix or a
+covariance, so a cached chain gives bit-identical currents.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -52,20 +54,23 @@ from .lindblad import DissipatorStyle, standard_baths
 from .rates import PauliChain, pauli_chain, steady_state_pauli
 from .spinops import ChainModel, SpinChainSpec
 
-# Chain stacks whose chain step stays cached.  The dataset runner asks for
-# each group's stack once per grid chunk and solves the whole group in one
-# stacked point step, so a dataset hardly reuses an entry; from a cold
-# cache (`_chain.cache_info()`, hits/misses) `run_fig2` reads 0/2 (a
-# stack of its three global couplings, and the local chain), `run_fig3`
-# 0/2 (the 100 couplings of both panels, and the inset's chain), a run of
-# fig2 and fig3 after one another 0/4, and `run_xy_comparison` at 5 spins
-# 0/2.  The acceptance checks, which loop over temperatures on one chain
-# at a time, read 211/10, one miss per chain they use.  A caller that
-# reruns one sweep hits once per run: at 5 spins, global style, that saves
-# the chain step, 0.5 ms of a 2.0 ms two-point `run_sweep` (median of
-# 1000, one BLAS thread, 2-core Xeon).  The rate route's entries hold
-# (C, T, 4, 4) weights, 25 kB for fig3's 100 couplings, and the Gaussian
-# route's 2n x 2n arrays per member, so an entry takes a few tens of kB.
+# Chain stacks whose chain step stays cached, each keyed by its first
+# chain, its couplings as Python floats, and the style.  The dataset runner
+# asks for each group's stack once per grid chunk and solves the whole
+# group in one stacked point step, so a dataset hardly reuses an entry;
+# from a cold cache (`_chain.cache_info()`, hits/misses) `run_fig2` reads
+# 0/2 (a stack of its three global couplings, and the local chain),
+# `run_fig3` 0/2 (the 100 couplings of both panels, and the inset's
+# chain), a run of fig2 and fig3 after one another 0/4, and
+# `run_xy_comparison` at 5 spins 0/2.  The acceptance checks, which loop
+# over temperatures on one chain at a time, read 211/10, one miss per
+# chain they use.  A caller that reruns a dataset hits once per group: a
+# second fig2 + fig3 pass reads 4/0.  At 5 spins, global style, a hit saves
+# the chain step, 0.26 to 0.48 ms, of a two-point `run_sweep` that takes
+# 0.9 to 1.3 ms warm (medians of 1000 in three runs, one BLAS thread,
+# 2-vCPU Xeon VM).  The rate route's entries hold (C, T, 4, 4) weights,
+# 25 kB for fig3's 100 couplings, and the Gaussian route's 2n x 2n arrays
+# per member, so an entry takes a few tens of kB.
 _CHAIN_CACHE_SIZE = 8
 
 # each model's transport route: (chain step, point step)
@@ -91,34 +96,38 @@ class RectificationReport:
 
 @functools.lru_cache(maxsize=_CHAIN_CACHE_SIZE)
 def _chain(
-    specs: tuple[SpinChainSpec, ...], style: DissipatorStyle
+    head: SpinChainSpec, couplings: tuple[float, ...], style: DissipatorStyle
 ) -> GaussianChain | PauliChain:
-    """The chain step of a stack of chains that differ in the coupling alone,
-    in the canonical two-bath arrangement, on the route of `_ROUTES`."""
+    """The chain step of the stack of chains that are `head` at each of
+    `couplings`, member c at `couplings[c]`, in the canonical two-bath
+    arrangement, on the route of `_ROUTES`."""
+    specs = tuple(replace(head, coupling_delta=coupling) for coupling in couplings)
     # the chain step reads the baths' sites, style and local frequencies,
     # which the chains of a stack share, never their kappa or temperatures,
     # so any admissible values do here
-    chain_step, _ = _ROUTES[specs[0].model]
-    return chain_step(specs, standard_baths(specs[0], 1.0, 0.0, 0.0, style))
+    chain_step, _ = _ROUTES[head.model]
+    return chain_step(specs, standard_baths(head, 1.0, 0.0, 0.0, style))
 
 
 def _net_currents(
-    specs: tuple[SpinChainSpec, ...],
+    head: SpinChainSpec,
+    couplings: tuple[float, ...],
     member: Sequence[int],
     kappa: float,
     temperatures: Sequence[tuple[float, float]],
     style: DissipatorStyle,
 ) -> np.ndarray:
     """Steady-state net currents of the canonical two-bath arrangement at
-    P points, from one chain step over `specs` and one point step over all
-    of them: point p is on chain `specs[member[p]]` at the (t_left, t_right)
-    pair `temperatures[p]`.
+    P points, from one chain step over `head` at each of `couplings` and
+    one point step over all of them: point p is on `head` at the coupling
+    `couplings[member[p]]`, at the (t_left, t_right) pair
+    `temperatures[p]`.
 
     A SteadyStateError of the point step carries the index of the point
     that failed.
     """
-    _, point_step = _ROUTES[specs[0].model]
-    chain = _chain(specs, style)
+    _, point_step = _ROUTES[head.model]
+    chain = _chain(head, couplings, style)
     state = point_step(chain, member, np.full(len(temperatures), kappa), temperatures)
     return state.bath_currents[:, 0]  # `standard_baths` lists the left bath first
 
@@ -136,7 +145,8 @@ def steady_net_current(
     point step on a 1-stack of points at these temperatures and kappa, on
     the route of `_ROUTES`.
     """
-    return float(_net_currents((spec,), [0], kappa, [(t_left, t_right)], style)[0])
+    couplings = (spec.coupling_delta,)
+    return float(_net_currents(spec, couplings, [0], kappa, [(t_left, t_right)], style)[0])
 
 
 def rectification(
@@ -150,7 +160,10 @@ def rectification(
     if not t_hot >= t_cold >= 0:
         raise ValueError("requires t_hot >= t_cold >= 0")
     both_orders = [(t_hot, t_cold), (t_cold, t_hot)]
-    j_forward, j_reverse = map(float, _net_currents((spec,), [0, 0], kappa, both_orders, style))
+    couplings = (spec.coupling_delta,)
+    j_forward, j_reverse = map(
+        float, _net_currents(spec, couplings, [0, 0], kappa, both_orders, style)
+    )
     # Below this floor both currents count as zero and the contrast is 0
     # rather than a ratio of numerical noise.
     floor = 1e-12 * kappa * spec.field_h**2

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinheat.lindblad as lindblad
-from spinheat import thermo
+from spinheat import experiments, thermo
 from spinheat.experiments import run_fig2, run_fig3
 from spinheat.lindblad import DissipatorStyle, standard_baths
 from spinheat.oracle import assemble_liouvillian, steady_state_nullspace
@@ -92,7 +92,7 @@ def test_cached_arrays_are_read_only(style):
     # h - delta), every other bath one
     spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
-    chain = thermo._chain((spec,), style)
+    chain = thermo._chain(spec, (spec.coupling_delta,), style)
     transitions = {DissipatorStyle.GLOBAL: [2, 1], DissipatorStyle.LOCAL: [1, 1]}[style]
     assert [weights.shape[:2] for weights in chain.weights] == [(1, t) for t in transitions]
     assert [freqs.shape for freqs in chain.frequencies] == [(1, t) for t in transitions]
@@ -106,7 +106,7 @@ def test_cached_arrays_are_read_only(style):
 def test_cached_gaussian_arrays_are_read_only(style):
     spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
-    chain = thermo._chain((spec,), style)
+    chain = thermo._chain(spec, (spec.coupling_delta,), style)
     arrays = [chain.majorana, *chain.frequencies, *chain.lowering]
     assert len(arrays) == 5
     _assert_read_only(arrays)
@@ -190,6 +190,38 @@ def test_fig2_takes_one_chain_step_per_style(tmp_path, monkeypatch):
     assert sorted(points) == [201, 3 * 201]
 
 
+def test_warm_figures_pass_takes_one_step_per_group_and_builds_no_member_chain(
+    tmp_path, monkeypatch
+):
+    # a warm fig2 + fig3 pass: fig2's two groups and fig3's two, each one
+    # call of `_net_currents` and one cache hit keyed by coupling values;
+    # the only chains built are the three fig2 and the one fig3 writes down
+    thermo._chain.cache_clear()
+    run_fig2(1.0, tmp_path, jobs=1)
+    run_fig3(1.0, tmp_path, jobs=1)
+    calls, built = [], []
+    net_currents = experiments._net_currents
+    post_init = SpinChainSpec.__post_init__
+
+    def counted_net_currents(*args):
+        calls.append(args)
+        return net_currents(*args)
+
+    def counted_post_init(spec):
+        built.append(spec)
+        post_init(spec)
+
+    monkeypatch.setattr(experiments, "_net_currents", counted_net_currents)
+    monkeypatch.setattr(SpinChainSpec, "__post_init__", counted_post_init)
+    misses = thermo._chain.cache_info().misses
+    run_fig2(1.0, tmp_path, jobs=1)
+    run_fig3(1.0, tmp_path, jobs=1)
+    monkeypatch.undo()
+    assert len(calls) == 4
+    assert thermo._chain.cache_info().misses == misses
+    assert len(built) == 4
+
+
 def test_dense_oracle_bypasses_the_cache():
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     thermo._chain.cache_clear()
@@ -228,7 +260,7 @@ def _point_step(route):
     after a check that it takes an admissible point."""
     spec = ROUTE_SPECS[route]
     _, point_step = thermo._ROUTES[spec.model]
-    chain = thermo._chain((spec,), DissipatorStyle.LOCAL)
+    chain = thermo._chain(spec, (spec.coupling_delta,), DissipatorStyle.LOCAL)
     point_step(chain, [0], [1.0], [[2.0, 0.0]])
     return lambda kappa, temperatures: point_step(
         chain, np.zeros(np.size(kappa), dtype=int), kappa, temperatures
@@ -275,7 +307,7 @@ def test_point_step_refuses_members_off_the_chain_stack(route):
     # point, and only indices of the stack's chains
     spec = ROUTE_SPECS[route]
     _, point_step = thermo._ROUTES[spec.model]
-    chain = thermo._chain((spec,), DissipatorStyle.LOCAL)
+    chain = thermo._chain(spec, (spec.coupling_delta,), DissipatorStyle.LOCAL)
     for member, message in [([0, 0], "shape"), ([1], "member indices"), ([-1], "member indices")]:
         with pytest.raises(ValueError, match=message):
             point_step(chain, member, [1.0], [[2.0, 0.0]])

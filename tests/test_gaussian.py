@@ -275,8 +275,8 @@ def test_the_transport_route_is_chosen_by_the_model():
     xy = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
     ising = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     for style in DissipatorStyle:
-        assert isinstance(thermo._chain((xy,), style), GaussianChain)
-        assert isinstance(thermo._chain((ising,), style), PauliChain)
+        assert isinstance(thermo._chain(xy, (xy.coupling_delta,), style), GaussianChain)
+        assert isinstance(thermo._chain(ising, (ising.coupling_delta,), style), PauliChain)
 
 
 def _with_rates(monkeypatch, rates):

@@ -8,6 +8,7 @@ member that fails is named by its index, and the dataset runner names its
 curve and x.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import fields, replace
@@ -19,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spinheat.lindblad as lindblad
-from spinheat import gaussian, rates, thermo
+from spinheat import experiments, gaussian, rates, thermo
 from spinheat.cli import main
 from spinheat.lindblad import DissipatorStyle
 from spinheat.spinops import ChainModel, SpinChainSpec
@@ -40,7 +41,7 @@ EXCEPTIONAL_POINT = (1.0, 1.0 / math.log(2.0), 0.0)
 def _step(spec, style):
     """The route's point step on (kappa, t_left, t_right) points of the cached chain."""
     _, point_step = thermo._ROUTES[spec.model]
-    chain = thermo._chain((spec,), style)
+    chain = thermo._chain(spec, (spec.coupling_delta,), style)
 
     def step(points):
         points = np.array(points, dtype=float)
@@ -214,6 +215,8 @@ OVERFLOWS = {
     "ising-max-delta": (SpinChainSpec(2, 1.0, 1e308, ChainModel.ISING_ZZ), 1.0, "non-finite"),
     "ising-max-t-left": (ISING, 1e308, "non-finite"),
     "xy-max-t-left": (SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE), 1e308, "non-finite"),
+    # the mode energies overflow in the chain step, which must not drop the transitions
+    "xy-max-delta": (SpinChainSpec(3, 1.0, 1.7e308, ChainModel.XY_TRANSVERSE), 1.0, "non-finite"),
 }
 
 
@@ -248,19 +251,26 @@ def test_point_that_overflows_is_named_by_its_index_in_a_stack(spec, t_left, mes
             "t_right = 0.0\n",
             "J_global at T_L = 1e+308: ",
         ),
+        (
+            "model = xy\nspins = 3\ndelta = 1.7e308\nstyle = local\nsweep = temperature\n"
+            "start = 1\nstop = 1e308\nt_right = 0.0\n",
+            "J_local at T_L = 1e+308: ",
+        ),
     ],
-    ids=["xy-coupling", "ising-temperature"],
+    ids=["xy-coupling", "ising-temperature", "xy-kronecker"],
 )
-def test_sweep_that_overflows_names_its_point(tmp_path, capsys, config, named):
+def test_sweep_that_overflows_names_its_point(tmp_path, capfd, config, named):
     path = tmp_path / "sweep.cfg"
     path.write_text(config + "points = 3\n")
     out = tmp_path / "out.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         status = main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "1"])
-    err = capsys.readouterr().err
+    # capfd also holds what LAPACK prints to the file descriptors
+    printed, err = capfd.readouterr()
     assert status == 1
     assert err.startswith("solver error: " + named)
+    assert "illegal value" not in printed + err
     # numpy's overflow warnings stay silent: the message alone names the point
     assert "RuntimeWarning" not in err
     assert [str(w.message) for w in caught] == []
@@ -368,3 +378,60 @@ def test_empty_stack_gives_empty_fields(route, style):
     assert {name: value.shape[1:] for name, value in state.items()} == {
         name: value.shape[1:] for name, value in one.items()
     }
+
+
+@st.composite
+def datasets(draw):
+    """A grid kind, its x values and curves on one chain length and field:
+    couplings and styles drawn per curve, so several curves often share a
+    group, and delta_T grids that take a bath below zero for some cells."""
+    model, n_spins = draw(
+        st.sampled_from(
+            [(ChainModel.ISING_ZZ, 2), (ChainModel.XY_TRANSVERSE, 2), (ChainModel.XY_TRANSVERSE, 3)]
+        )
+    )
+    h = draw(st.floats(0.5, 2.0))
+    x_name = draw(st.sampled_from(["T_L", "delta", "delta_T"]))
+    # delta_T values and means on a lattice as well, so that a bath sits
+    # exactly at zero, the edge of the empty cells
+    lattice = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+    means = st.sampled_from([0.5, 1.0, 1.5])
+    x = {
+        "T_L": temperatures,
+        "delta": st.floats(0.0, 2.0),
+        "delta_T": st.one_of(lattice, st.floats(-4.0, 4.0)),
+    }
+    # repeated x values included: a delta grid keys each distinct coupling once
+    xs = np.array(draw(st.lists(x[x_name], min_size=1, max_size=6)))
+    curves = []
+    for k in range(draw(st.integers(1, 4))):
+        coupling = draw(st.one_of(st.sampled_from(EDGES), st.floats(0.01, 2.5))) * h
+        fixed = {
+            "T_L": {"t_right": draw(temperatures)},
+            "delta": {"t_left": draw(temperatures), "t_right": draw(temperatures)},
+            "delta_T": {"t_mean": draw(st.one_of(means, st.floats(0.05, 3.0)))},
+        }[x_name]
+        spec = SpinChainSpec(n_spins, h, coupling, model)
+        style = draw(st.sampled_from(DissipatorStyle))
+        curves.append(experiments._Curve(f"J_{k}", spec, style, **fixed))
+    return x_name, xs, curves
+
+
+@PROPERTY
+@given(datasets(), kappas)
+def test_dataset_cells_are_their_own_one_stacks(dataset, kappa):
+    x_name, xs, curves = dataset
+    table, empty = experiments._columns(x_name, kappa, curves, xs)
+    assert table.shape == empty.shape == (len(xs), len(curves))
+    for (r, x), (c, curve) in itertools.product(enumerate(xs), enumerate(curves)):
+        spec = replace(curve.spec, coupling_delta=x) if x_name == "delta" else curve.spec
+        if x_name == "T_L":
+            t_left, t_right = x, curve.t_right
+        elif x_name == "delta":
+            t_left, t_right = curve.t_left, curve.t_right
+        else:
+            t_left, t_right = curve.t_mean + 0.5 * x, curve.t_mean - 0.5 * x
+        assert empty[r, c] == (t_left < 0 or t_right < 0)
+        if not empty[r, c]:
+            alone = thermo.steady_net_current(spec, kappa, t_left, t_right, curve.style)
+            assert table[r, c].hex() == alone.hex(), (r, c)

@@ -56,7 +56,8 @@ def assert_entropy_production_is_nonnegative(spec, style, points):
     _, point_step = thermo._ROUTES[spec.model]
     points = np.array(points)
     kappas, temperatures = points[:, 0], points[:, 1:]
-    state = point_step(thermo._chain((spec,), style), [0] * len(points), kappas, temperatures)
+    chain = thermo._chain(spec, (spec.coupling_delta,), style)
+    state = point_step(chain, [0] * len(points), kappas, temperatures)
     for kappa, temps, flows in zip(kappas, temperatures, state.bath_currents):
         production = -sum(flows / temps)
         floor = 1e-12 * kappa * spec.field_h**2
@@ -157,7 +158,7 @@ class TestHeatCurrents:
         # in the steady state the baths' inputs cancel on both transport routes
         spec = data.draw(transport_specs(chains))
         _, point_step = thermo._ROUTES[spec.model]
-        chain = thermo._chain((spec,), style)
+        chain = thermo._chain(spec, (spec.coupling_delta,), style)
         currents = point_step(chain, [0], [kappa], [[t_left, t_right]]).bath_currents[0]
         assert len(currents) == 2
         assert abs(sum(currents)) <= 1e-10 * kappa * spec.field_h**2
