@@ -2,7 +2,7 @@
 and the rate equations of the Ising pair.
 
 The tests and the acceptance checks compare the two transport routes, the
-four-level rate matrix (`rates`) and the Majorana covariance (`gaussian`),
+four-level rate cycle (`rates`) and the Majorana covariance (`gaussian`),
 against this module; no module of the transport path imports it.
 
 - `assemble_liouvillian` builds the full generator with Kronecker
@@ -10,12 +10,11 @@ against this module; no module of the transport path imports it.
   the transitions of `lindblad.bath_transitions` on a 1-stack at the rates
   of `lindblad.thermal_rates`, called with scalars, which it looks up at
   call time as the transport routes do.
-- `steady_state_nullspace` solves it by the kernel rule
-  `steady._kernel_vector` on a 1-stack, the rule the rate route falls back
-  to, turns the kernel vector into a trace-normalized, Hermitian and
-  positive state (`_density_matrix`) and reports each bath's current,
-  `Liouvillian.bath_currents`.  `kernel_dim` counts the kernel of the full
-  generator.
+- `steady_state_nullspace` solves it by the kernel rule `_kernel_vector`
+  (no transport route holds one) on a 1-stack, turns the kernel vector
+  into a trace-normalized, Hermitian and positive state (`_density_matrix`)
+  and reports each bath's current, `Liouvillian.bath_currents`.
+  `kernel_dim` counts the kernel of the full generator.
 - `steady_state_rate_equations` solves the closed population cycle of the
   two-spin Ising chain, written out by hand for its four levels by a
   least-squares solve, where the rate route takes a spanning-tree sum.  It
@@ -28,16 +27,21 @@ Superoperators use column-stacking vectorization: vec(rho) stacks the
 columns of rho (numpy order='F'), so vec(A rho B) = (B^T kron A) vec(rho)
 and the coherent part reads -i(I kron H - H^T kron I).
 
-The null-space route has a weak-coupling floor.  `steady.KERNEL_RTOL` is
-relative to the largest singular value of the generator, which the
-coherent part (of order h) dominates, so once the dissipators fall below
-about `KERNEL_RTOL * h` the kernel takes in states the baths still tell
-apart.  On the Ising pair at h = 1, delta = 0.5, T_L = 1, T_R = 0.5,
-global style, the kernel has dimension 2 at kappa = 1e-9 and 4 at
-kappa = 1e-10, where this route gives J = -6.25e-11 against the rate
-route's 3.07e-12 and `cross_validate` fails with a population deviation
-of 0.26.  The rate route's 4 x 4 generator carries no coherent part, so
-its kernel does not depend on kappa.
+The null-space route has a floor: `steady.KERNEL_RTOL` is relative to
+the largest singular value of the generator, so a rate below about that
+fraction of the largest scale counts as none, and the kernel takes in
+states the baths still tell apart.
+
+- Weak coupling, where the coherent part (of order h) dominates: on the
+  Ising pair at h = 1, delta = 0.5, T_L = 1, T_R = 0.5, global style,
+  the kernel has dimension 2 at kappa = 1e-9 and 4 at kappa = 1e-10,
+  where J = -6.25e-11 against the rate route's 3.07e-12.
+- Boltzmann factors near exp(-20): on the Ising pair, global style, at
+  h = 1, delta = 1 or 3, kappa = 0.5 or 2, T_L = 0.1, T_R = 0, and at
+  h = 0.5, delta = 1.5, kappa = 1, T_L = 0.05078125, T_R = 0, it reports
+  `kernel_dim` 2 where the population block has one closed class (at
+  the latter J = 9.33e-10 against the exact 2.02e-17).  The tests take
+  their reference there from exact rational tree sums of that block.
 """
 
 from __future__ import annotations
@@ -66,13 +70,7 @@ from .spinops import (
     build_hamiltonian,
     spectral_decompose,
 )
-from .steady import (
-    _MIN_EIGENVALUE,
-    SteadyState,
-    SteadyStateError,
-    _first_failure,
-    _kernel_vector,
-)
+from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyState, SteadyStateError, _first_failure
 
 # `cross_validate` bounds: largest eigenbasis population deviation between
 # the two routes, and largest eigenbasis coherence of the null-space state.
@@ -209,6 +207,37 @@ def assemble_liouvillian(H: HermitianOperator, baths: list[BathSpec]) -> Liouvil
     )
 
 
+def _kernel_vector(matrices: np.ndarray, mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel vectors of a (P, m, m) stack and each member's kernel dimension.
+
+    One batched SVD: singular values below `KERNEL_RTOL` times the largest
+    count as kernel.  A degenerate kernel is resolved by projecting
+    `mixed`, the maximally mixed state in the coordinates of the matrices,
+    onto it: its coefficients vh @ mixed, masked to the kernel rows, taken
+    back through vh^H.  A member with a non-finite entry, which the SVD
+    cannot take, or whose kernel is empty raises SteadyStateError.
+    """
+    _first_failure(
+        ~np.isfinite(matrices).all(axis=(1, 2)), lambda p: "generator has a non-finite entry"
+    )
+    _, s, vh = np.linalg.svd(matrices)
+    largest, smallest = s[:, 0], s[:, -1]
+    _first_failure(largest == 0.0, lambda p: "generator is identically zero")
+    kernel_mask = s < KERNEL_RTOL * largest[:, None]
+    kernel_dim = np.count_nonzero(kernel_mask, axis=1)
+    _first_failure(
+        kernel_dim == 0,
+        lambda p: f"no kernel found: smallest relative singular value "
+        f"{smallest[p] / largest[p]:.3e}",
+    )
+    vectors = np.array(vh[:, -1].conj())
+    degenerate = np.flatnonzero(kernel_dim > 1)
+    rows = vh[degenerate]  # the kernel rows of each span its kernel
+    coefficients = np.where(kernel_mask[degenerate], rows @ mixed, 0.0)
+    vectors[degenerate] = (coefficients[:, None, :] @ rows.conj())[:, 0]
+    return vectors, kernel_dim
+
+
 def _density_matrix(rho: np.ndarray) -> np.ndarray:
     """Trace-normalized, Hermitized kernel matrices of a (P, d, d) stack,
     each checked for positivity."""
@@ -235,8 +264,8 @@ def steady_state_nullspace(L: Liouvillian) -> SteadyState:
     Hermitized and trace-normalized.  A kernel of dimension > 1 (possible
     for decoupled chains) is resolved by projecting the maximally mixed
     state onto the kernel; an empty kernel raises SteadyStateError.  Each
-    bath's current is read off its own dissipator in `L`.  The kernel rule
-    is the stacked one of the transport routes, applied to a 1-stack.
+    bath's current is read off its own dissipator in `L`.  The stacked
+    kernel rule `_kernel_vector` takes it as a 1-stack.
     """
     d = L.dim
     vectors, kernel_dim = _kernel_vector(

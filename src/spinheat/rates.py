@@ -1,57 +1,43 @@
-"""The steady state of the Ising zz pair from its four-level rate matrix.
+"""The steady state of the Ising zz pair from the cycle of its four levels.
 
-The Ising pair H = (h/2) sz_L + (delta/2) sz_L sz_R is diagonal in the
-product basis, and every jump operator of both styles maps each basis
-state to at most one basis state: sigma-minus or sigma-plus on one site in
-the local style, sum P_E sigma^x P_E' over the diagonal eigenprojectors of
-one gap in the global style.  So a diagonal rho stays diagonal, the
-populations p never couple to coherences, and they obey the closed Pauli
-master equation dp/dt = G p.  G is the diagonal-to-diagonal block of the
-full generator, and the uniform vector is the maximally mixed state on it,
-so projecting it onto a degenerate kernel of G gives the state the dense
-route projects from the maximally mixed state.
+The pair's H is diagonal and every jump of both styles maps a basis state
+to at most one basis state, so the populations obey a closed Pauli master
+equation dp/dt = G p, the diagonal block of the full generator.  Each
+bath flips one spin, so the rates join the levels around one cycle,
+uu - du - dd - ud - uu, whose edges 0 and 2 flip the left spin; a point
+has 8 rates, r[m] forward along edge m and r[4 + m] back.  The chain step,
+`pauli_chain`, holds each bath's frequencies (`lindblad.bath_transitions`),
+the weights |A_ij|^2 that put their rates on the cycle, and the energy its
+edges carry per forward cycle; the point step, `steady_state_pauli`, takes
+P points and their rates from one call of the rate law.
 
-The chain step, `pauli_chain`, takes a stack of C pairs that differ in
-the coupling alone and holds, for each member, the four energies (the
-diagonal of H, `spinops.ising_levels`) and, for each bath, one
-(frequency, |A_ij|^2) pair per transition of `lindblad.bath_transitions`,
-the stacked transition rule; it alone says where the baths couple, and
-none of it depends on temperature or kappa.  Every member's levels and
-transitions come out of array operations over the stack, and a member
-with fewer transitions than another is padded with frequency NaN and zero
-weights.  The point step, `steady_state_pauli`, takes P points on the
-members at once, a member index, a kappa and a temperature per bath for
-each point, and takes their rates (`lindblad._rate_tables`, which never
-evaluates a NaN padding slot) into each bath's rate matrix
+Each point's rates are scaled by a power of two, exactly, so that the
+largest lies in [0.5, 1).  By the Markov chain tree theorem (Schnakenberg,
+Rev. Mod. Phys. 48, 571 (1976)) p_i is proportional to the sum over the 4
+spanning trees of the cycle directed toward i of their rates' products,
+with no cancellation: a level whose every tree holds a zero rate is
+exactly empty.  Their total Z > 0 means one closed class, and every edge
+carries the cycle flux (Pi+ - Pi-) / Z, Pi+- the product of the forward
+and of the backward rates, each the left edges' product times the right
+edges'.  The difference is taken from the rounded products and their
+errors (`_two_product`), so it does not cancel, and a local bath, whose
+edges run at one emission and one absorption rate, leaves it exactly 0.
+Bath k feeds in the flux times the energy its edges carry.  Z = 0 is a
+cut cycle: `kernel_dim` counts its closed classes, arcs no rate leaves,
+its currents are 0, and its state is the dense oracle's projection of the
+uniform vector onto their stationary vectors, sum_a pi_a (pi_a . 1) /
+|pi_a|^2, pi_a by detailed balance along the arc.  rho = diag(p).
 
-    W_k = sum_t (emission |A_t|^2 + absorption |A_t|^2 transposed),
-
-whose entry (i, j) moves population from level j to level i, and it
-solves the (P, 4, 4) stack of G = W - diag(column sums of W),
-W = sum_k W_k.  The rate law is called once for the whole stack.
-
-The steady populations come from the Markov chain tree theorem
-(Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)): p_i is proportional to
-the sum, over the 16 spanning trees of the four levels directed toward i,
-of the product of their three rates, one gather, product and sum over a
-fixed index table for the whole stack.  The sum has no cancellation, and
-a population whose every tree holds a zero rate is exactly zero: with the
-cold bath at T = 0 on the left and 0 < delta < h, nothing lifts the left
-spin, the levels with it up are empty and the reverse current is exactly
-0.  The tree sum answers a
-point only when its total Z exceeds `_TREE_RTOL` times ||G||_F^3, which
-certifies that the kernel rule of `steady._kernel_vector` would find a
-one-dimensional kernel; the other points (a degenerate kernel, as at the
-local style's T_R = 0, or rates no law gives) go to that rule as one
-sub-stack.  The populations stay a real (P, 4) vector, normalized by
-their sum and refused below `steady._MIN_EIGENVALUE`, and rho = diag(p).
-L maps diagonal states to diagonal ones, so ||G p|| is the residual
-||L[rho]||, and bath k feeds in sum_ij W_k[i, j] (E_i - E_j) p_j.
+A point is refused, by a SteadyStateError with its index, when its rates
+or carried energies are not finite, when they all vanish, when a needed
+product without a zero rate (a cycle product, Z, a class's in-tree)
+falls below the normal range after the scaling (as at T_L above about
+1e154 with the right bath at T = 0), when a population falls below
+`steady._MIN_EIGENVALUE`, and when its currents overflow.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,50 +45,40 @@ import numpy as np
 
 from .lindblad import BathSpec, _check_bath_sites, _rate_tables, bath_transitions
 from .spinops import ChainModel, SpinChainSpec, _stack_head, diagonal_decomposition, ising_levels
-from .steady import (
-    _MIN_EIGENVALUE,
-    KERNEL_RTOL,
-    SteadyState,
-    SteadyStateError,
-    _check_currents,
-    _first_failure,
-    _kernel_vector,
-)
+from .steady import _MIN_EIGENVALUE, SteadyState, _check_currents, _first_failure
+
+# The cycle uu - du - dd - ud of the levels (uu, ud, du, dd) = (0, 1, 2, 3):
+# edge m steps from _CYCLE[m] to _HEADS[m] and flips spin m % 2.
+_CYCLE = np.array([0, 2, 3, 1])
+_HEADS = np.roll(_CYCLE, -1)
+# the 8 cycle rates as flat indices i * 4 + j of a rate matrix (j to i)
+_EDGES = np.concatenate([_HEADS * 4 + _CYCLE, _CYCLE * 4 + _HEADS])
+_TINY = np.finfo(float).tiny
 
 
-def _in_trees(d: int) -> np.ndarray:
-    """The spanning trees of the complete graph on d levels directed toward
-    each root, as a (d, d**(d-2), d-1) table of flat indices i*d + j into a
-    rate matrix: a tree is the edge j -> i, rate W[i, j], out of each level
-    j but its root."""
-    trees = []
-    for root in range(d):
-        others = [j for j in range(d) if j != root]
-        rooted = []
-        for targets in itertools.product(range(d), repeat=d - 1):
-            target = dict(zip(others, targets))
-            target[root] = root
-            # a tree when d - 1 steps take every level to the root
-            ends = others
-            for _ in range(d - 1):
-                ends = [target[j] for j in ends]
-            if all(j == root for j in ends):
-                rooted.append([target[j] * d + j for j in others])
-        trees.append(rooted)
-    return np.array(trees)
+def _cycle_arcs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 16 arcs of the cycle, one per first level and length, each as
+    indices into the cycle rates followed by a one (8) and a zero (9): the
+    two rates that leave it, the rates inside it both ways, and its
+    in-tree toward each level, the levels before it forward and those after
+    it back (three rates, padded with ones; zeros off the arc).  An arc of
+    four levels is the cycle without an edge: its in-trees span the cycle."""
+    leaving, inside, trees = [], [], []
+    for start, length in np.ndindex(4, 4):  # an arc of length + 1 levels
+        edges = [(start + k) % 4 for k in range(length)]
+        leaving.append([4 + (start - 1) % 4, (start + length) % 4])
+        inside.append(edges + [4 + m for m in edges] + [8] * (6 - 2 * length))
+        trees.append(np.full((4, 3), 9))
+        for j in range(length + 1):
+            tree = edges[:j] + [4 + m for m in edges[j:]] + [8] * (3 - length)
+            trees[-1][_CYCLE[(start + j) % 4]] = tree
+    return np.array(leaving), np.array(inside), np.array(trees)
 
 
-# The Markov chain tree theorem (Schnakenberg, Rev. Mod. Phys. 48, 571
-# (1976)): the steady population of level i is proportional to the sum over
-# the trees directed toward i of the product of their rates.
-_TREES = _in_trees(4)
-
-# The tree sum answers a point when its total Z exceeds this fraction of
-# ||G||_F^3.  Z is the product of the nonzero eigenvalues of G, and Weyl's
-# product inequality gives Z <= s1 s2 s3 <= ||G||_F^2 s3 over the singular
-# values s1 >= s2 >= s3 of G, so there s3 > 2 KERNEL_RTOL s1: the kernel
-# rule would find a one-dimensional kernel, and the tree sum is its vector.
-_TREE_RTOL = 2.0 * KERNEL_RTOL
+_ARC_LEAVING, _ARC_INSIDE, _ARC_TREES = _cycle_arcs()
+# the spanning trees toward each level, in which the Markov chain tree
+# theorem sums the products of the rates: the in-trees of the arcs of four levels
+_TREES = _ARC_TREES[3::4]
 
 
 @dataclass(frozen=True)
@@ -110,61 +86,101 @@ class PauliChain:
     """The temperature-independent half of the rate route (the chain step),
     for a stack of C chains that differ in the coupling alone.
 
-    `energies[c]` is the diagonal of member c's H in the product basis.
     For each bath, `frequencies[c, t]` is the frequency of member c's
-    transition t and `weights[c, t]` its |A_ij|^2, a 4 x 4 matrix per
-    lowering operator A.  The slots past a member's transitions are
-    padding, with frequency NaN and zero weights.  Every array is
-    read-only.
+    transition t and `weights[c, t, s]` the |A_ij|^2 of its lowering
+    operator A on each cycle rate, for emission (s = 0) and absorption
+    (s = 1); padding slots have frequency NaN and zero weights.
+    `carried[c, k]` is the energy the k-th bath's edges carry per forward
+    cycle.  Every array is read-only.
     """
 
-    energies: np.ndarray
     frequencies: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
+    carried: np.ndarray
 
 
-# an overflow leaves an infinite frequency, which the point step refuses
+# an overflow leaves an infinite frequency or carried energy, which the
+# point step refuses
 @np.errstate(over="ignore", invalid="ignore")
 def pauli_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> PauliChain:
     """The chain step of a stack of Ising pairs that differ in the coupling
-    alone: the energies and each bath's transition weights, member c for
-    `specs[c]`.  Levels and transitions of all members are array operations
-    over the stack (`ising_levels`, `lindblad.global_transitions`).
-
-    Only each bath's site, style and local frequency are read.
+    alone, member c for `specs[c]`, in array operations over the stack
+    (`ising_levels`, `lindblad.global_transitions`).  Only each bath's
+    site, style and local frequency are read.  Two baths on one site raise
+    ValueError: the cycle flux gives each edge to one bath.
     """
     head = _stack_head(specs)
     if head.model is not ChainModel.ISING_ZZ:
         raise ValueError("the rate route needs the Ising zz pair, whose H is diagonal")
-    energies = ising_levels(head.field_h, [spec.coupling_delta for spec in specs])
-    _check_bath_sites(energies.shape[1], baths)
-    decomp = diagonal_decomposition(energies)
+    levels = ising_levels(head.field_h, [spec.coupling_delta for spec in specs])
+    _check_bath_sites(levels.shape[1], baths)
+    sites = [bath.site for bath in baths]
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"the rate route takes one bath per site, not baths on sites {sites}")
+    decomp = diagonal_decomposition(levels)
     frequencies, weights = [], []
     for bath in baths:
         bath_frequencies, lowering = bath_transitions(decomp, bath)
+        emission = (np.abs(lowering) ** 2).reshape(*lowering.shape[:2], 16)[..., _EDGES]
         frequencies.append(bath_frequencies)
-        weights.append(np.abs(lowering) ** 2)
-    for array in (energies, *frequencies, *weights):
+        # absorption runs each edge the other way
+        weights.append(np.stack([emission, np.roll(emission, 4, axis=-1)], axis=2))
+    steps = levels[:, _HEADS] - levels[:, _CYCLE]
+    carried = (steps[:, :2] + steps[:, 2:])[:, sites]
+    for array in (*frequencies, *weights, carried):
         array.setflags(write=False)
-    return PauliChain(energies=energies, frequencies=tuple(frequencies), weights=tuple(weights))
+    return PauliChain(frequencies=tuple(frequencies), weights=tuple(weights), carried=carried)
 
 
-def _tree_sum(w: np.ndarray, generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tree sums of a (P, 4, 4) stack of rate matrices W and their
-    generators G: each member's unnormalized steady populations, and
-    whether the certificate of `_TREE_RTOL` lets the sum answer it.
+def _cycle_rates(chain: PauliChain, member: np.ndarray, kappa, temperatures) -> np.ndarray:
+    """The (P, 8) cycle rates of P points: each one rate of the rate law (its
+    weight is 1) or zero."""
+    tables = _rate_tables(member, kappa, temperatures, chain.frequencies)
+    return sum(np.einsum("pts,ptse->pe", r, w[member]) for r, w in zip(tables, chain.weights))
 
-    One gather takes every tree's three rates, two whole-stack products
-    multiply them and one sum adds the trees.  The products are the bits
-    `prod` over the length-3 axis gives, without its per-tree reduction
-    loop."""
-    # np.take lays the gather out alike in every stack, so a member's
-    # products and sums do not depend on the stack
-    flat = (len(w), w.shape[1] * w.shape[2])
-    edges = np.take(w.reshape(flat), _TREES, axis=1)
-    populations = (edges[..., 0] * edges[..., 1] * edges[..., 2]).sum(axis=-1)
-    scale = np.linalg.norm(generator.reshape(flat), axis=1)
-    return populations, populations.sum(axis=1) > _TREE_RTOL * scale**3
+
+def _tree_sum(rates: np.ndarray, trees: np.ndarray = _TREES) -> np.ndarray:
+    """The tree sums of a (P, 8) stack of cycle rates, each point's
+    unnormalized populations: one gather, two whole-stack products (the
+    bits of `prod` over the three rates) and a sum over axis 0 of `trees`,
+    one slab at a time.  np.take lays the gather out alike in every stack,
+    so a point's products and sums do not depend on the stack."""
+    edges = np.take(rates, trees, axis=1)
+    return sum((edges[..., 0] * edges[..., 1] * edges[..., 2]).swapaxes(0, 1))
+
+
+def _cut_cycles(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed classes of a (Q, 8) stack of scaled cycle rates, the arcs
+    no rate leaves and rates join both ways inside: each point's number of
+    them, the projection of the uniform vector onto their stationary vectors
+    (unnormalized), and whether a class's in-tree, normalized by its
+    largest entry, has that entry below the normal range."""
+    extended = np.column_stack([rates, np.ones(len(rates)), np.zeros(len(rates))])
+    closed = (extended[:, _ARC_LEAVING] == 0).all(axis=2)
+    closed &= (extended[:, _ARC_INSIDE] > 0).all(axis=2)
+    trees = _tree_sum(extended, _ARC_TREES[None])  # one tree per arc and level
+    largest = np.where(closed, trees.max(axis=2), 1.0)
+    trees = np.where(closed[..., None], trees / largest[..., None], 0.0)
+    weight = trees.sum(axis=2) / np.where(closed, (trees**2).sum(axis=2), 1.0)
+    # the classes share no level, so the sum over the arcs adds zeros only
+    lost = (largest < _TINY).any(axis=1)
+    return closed.sum(axis=1), (weight[..., None] * trees).sum(axis=1), lost
+
+
+def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * y and its rounding error (Dekker), for factors below 1: each
+    splits into 26 high and 27 low bits, whose products are exact.  The
+    cross terms are added first, so swapping x and y gives the same bits."""
+    (x_high, x_low), (y_high, y_low) = (_split(v) for v in (x, y))
+    product = x * y
+    cross = x_high * y_low + x_low * y_high
+    return product, ((x_high * y_high - product) + cross) + x_low * y_low
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    scaled = 134217729.0 * x  # 2**27 + 1
+    high = scaled - (scaled - x)
+    return high, x - high
 
 
 # an overflow is refused by the non-finite checks, under the point's index
@@ -177,58 +193,58 @@ def steady_state_pauli(
     Point p is on member `member[p]` of the chain stack, `kappa[p]` is its
     kappa and `temperatures[p, k]` the temperature of the chain step's
     k-th bath there; arrays of other shapes than (P,), (P,) and
-    (P, n_baths) raise ValueError.  The tree sum solves the points it
-    certifies, and the kernel rule of `steady._kernel_vector` the others
-    as one sub-stack.  A population below `steady._MIN_EIGENVALUE`, or a
-    kernel rule that fails, raises SteadyStateError with the point's
-    index, as do bath currents that are not finite.  The returned fields
-    carry a leading axis of length P; a point comes out bit-identical in
-    any stack, and on any chain stack that holds its chain.
+    (P, n_baths) raise ValueError.  The fields carry a leading axis of
+    length P; a point comes out bit-identical in any stack, and on any
+    chain stack that holds its chain.
     """
     member = np.asarray(member, dtype=np.intp)
-    tables = _rate_tables(member, kappa, temperatures, chain.frequencies)
-    d = chain.energies.shape[1]
-    bath_rates = []
-    for bath_weights, rates in zip(chain.weights, tables):
-        weights = bath_weights[member]
-        w = np.zeros((len(rates), d, d))
-        for t in range(rates.shape[1]):
-            emission, absorption = rates[:, t, 0, None, None], rates[:, t, 1, None, None]
-            w += emission * weights[:, t] + absorption * weights[:, t].swapaxes(1, 2)
-        bath_rates.append(w)
-    w_total = sum(bath_rates)
-    levels = np.arange(d)
-    generator = w_total.copy()
-    generator[:, levels, levels] -= w_total.sum(axis=1)
+    rates = _cycle_rates(chain, member, kappa, temperatures)
+    carried = chain.carried[member]
+    largest = rates.max(axis=1, initial=0.0)
+    _first_failure(
+        ~np.isfinite(largest) | ~np.isfinite(carried).all(axis=1),
+        lambda p: "non-finite rate or carried energy",
+    )
+    _first_failure(largest == 0.0, lambda p: "rates are identically zero")
+    exponent = np.frexp(largest)[1]
+    rates = np.ldexp(rates, -exponent[:, None])
 
-    populations, certified = _tree_sum(w_total, generator)
-    kernel_dim = np.ones(len(generator), dtype=int)
-    rest = np.flatnonzero(~certified)
-    if len(rest):
-        try:
-            vectors, kernel_dim[rest] = _kernel_vector(generator[rest], np.full(d, 1.0 / d))
-            _first_failure(
-                np.abs(vectors.sum(axis=1)) < 1e-12, lambda i: "kernel vector has vanishing trace"
-            )
-        except SteadyStateError as err:
-            raise SteadyStateError(str(err), member=int(rest[err.member])) from None
-        populations[rest] = vectors
-    p = populations / populations.sum(axis=1)[:, None]
+    populations = _tree_sum(rates)
+    total = sum(populations.T)
+    # Pi+ and Pi-: the left edges' product times the right edges', rounded
+    # and with its error
+    edges = rates.reshape(-1, 2, 2, 2)  # (point, direction, edge m // 2, spin m % 2)
+    sides, side_errors = _two_product(edges[:, :, 0], edges[:, :, 1])
+    cycles, errors = _two_product(sides[..., 0], sides[..., 1])
+    errors += sides[..., 0] * side_errors[..., 1] + side_errors[..., 0] * sides[..., 1]
+    difference = (cycles[:, 0] - cycles[:, 1]) + (errors[:, 0] - errors[:, 1])
+    flux = np.divide(difference, total, out=np.zeros(len(rates)), where=total >= _TINY)
+    # a needed product with no zero rate in it must stay in the normal range;
+    # a Z below it is a cut cycle, which needs no cycle product, or lost
+    positive = edges > 0
+    lost = (cycles < _TINY) & positive[:, :, 0, 0] & positive[:, :, 0, 1]
+    lost = (lost & positive[:, :, 1, 0] & positive[:, :, 1, 1]).any(axis=1)
+    small = np.flatnonzero(total < _TINY)
+    classes, populations[small], class_lost = _cut_cycles(rates[small])
+    lost[small] = np.where(classes > 1, class_lost, True)
+    _first_failure(lost, lambda p: "rates span more than the double range")
+    kernel_dim = np.ones(len(rates), dtype=int)
+    kernel_dim[small] = classes
+    total[small] = sum(populations[small].T)
+    p = populations / total[:, None]
     smallest = p.min(axis=1)
     _first_failure(
         smallest < _MIN_EIGENVALUE,
         lambda i: f"steady state not positive: min eigenvalue {smallest[i]:.3e}",
     )
-    rho = np.zeros((len(p), d, d))
-    rho[:, levels, levels] = p
-    energies = chain.energies[member]
-    gaps = energies[:, :, None] - energies[:, None, :]  # gaps[p, i, j] = E_i - E_j
-    flows = [(w * gaps * p[:, None, :]).reshape(len(p), d * d).sum(axis=1) for w in bath_rates]
-    currents = np.stack(flows, axis=1)
+    # adding zero turns the -0 of a zero flux times a negative energy into 0
+    currents = np.ldexp(flux, exponent)[:, None] * carried + 0.0
     _check_currents(currents)
+    flows = rates[:, :4] * p[:, _CYCLE] - rates[:, 4:] * p[:, _HEADS]
+    residual = np.linalg.norm(flows[:, [-1, 0, 1, 2]] - flows, axis=1)  # in minus out
     return SteadyState(
-        rho=rho,
-        residual=np.linalg.norm((generator @ p[:, :, None])[:, :, 0], axis=1),
+        rho=p[:, :, None] * np.eye(4),
+        residual=np.ldexp(residual, exponent),
         kernel_dim=kernel_dim,
         bath_currents=currents,
     )

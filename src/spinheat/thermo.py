@@ -28,9 +28,9 @@ route by the model:
   step, `gaussian.steady_state_gaussian` the point step, at O(n^3).
 - The Ising zz pair is not quadratic (sz sz is quartic in the fermions),
   but its H is diagonal and its jumps map basis states to basis states, so
-  its populations obey a closed four-level Pauli master equation, solved
-  by its spanning-tree sum: `rates.pauli_chain` is the chain step,
-  `rates.steady_state_pauli` the point step.
+  its populations obey a closed Pauli master equation on the cycle of its
+  four levels, solved by its tree sums and cycle flux: `rates.pauli_chain`
+  is the chain step, `rates.steady_state_pauli` the point step.
 
 The chain step is kept in a least-recently-used cache keyed by the
 stack's first chain, its couplings as a tuple of Python floats, and the
@@ -68,7 +68,7 @@ from .spinops import ChainModel, SpinChainSpec
 # second fig2 + fig3 pass reads 4/0.  At 5 spins, global style, a hit saves
 # the chain step, 0.26 to 0.48 ms, of a two-point `run_sweep` that takes
 # 0.9 to 1.3 ms warm (medians of 1000 in three runs, one BLAS thread,
-# 2-vCPU Xeon VM).  The rate route's entries hold (C, T, 4, 4) weights,
+# 2-vCPU Xeon VM).  The rate route's entries hold (C, T, 2, 8) weights,
 # 25 kB for fig3's 100 couplings, and the Gaussian route's 2n x 2n arrays
 # per member, so an entry takes a few tens of kB.
 _CHAIN_CACHE_SIZE = 8

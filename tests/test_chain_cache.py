@@ -15,6 +15,8 @@ from spinheat.oracle import assemble_liouvillian, steady_state_nullspace
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.thermo import steady_net_current
 
+from test_steady import dense_ising_state
+
 TOL = 1e-10
 
 # derandomized so that every run draws the same examples
@@ -38,9 +40,12 @@ temperatures = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
 
 
 def _dense_current(spec, kappa, t_left, t_right, style):
+    # on the Ising pair, the exact tree-sum state where the oracle's kernel
+    # rule is at fault (`dense_ising_state`)
     H = build_hamiltonian(spec)
     L = assemble_liouvillian(H, standard_baths(spec, kappa, t_left, t_right, style))
-    return steady_state_nullspace(L).bath_currents[0]  # the left bath
+    solve = dense_ising_state if spec.model is ChainModel.ISING_ZZ else steady_state_nullspace
+    return solve(L).bath_currents[0]  # the left bath
 
 
 def _cold(spec, kappa, t_left, t_right, style):
@@ -87,9 +92,9 @@ def _assert_read_only(arrays):
 @pytest.mark.parametrize("style", DissipatorStyle)
 def test_cached_arrays_are_read_only(style):
     # the rate route's chain step, which the cache serves to the Ising pair:
-    # the energies, and each bath's frequencies and weight matrices, one per
-    # transition: the left bath drives two globally (h + delta and
-    # h - delta), every other bath one
+    # each bath's frequencies and cycle weights, one per transition (the
+    # left bath drives two globally, h + delta and h - delta, every other
+    # bath one), and the energy each bath's edges carry
     spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
     chain = thermo._chain(spec, (spec.coupling_delta,), style)
@@ -99,7 +104,7 @@ def test_cached_arrays_are_read_only(style):
     assert [live_counts(freqs).tolist() for freqs in chain.frequencies] == [
         [t] for t in transitions
     ]
-    _assert_read_only([chain.energies, *chain.frequencies, *chain.weights])
+    _assert_read_only([chain.carried, *chain.frequencies, *chain.weights])
 
 
 @pytest.mark.parametrize("style", DissipatorStyle)

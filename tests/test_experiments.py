@@ -278,6 +278,12 @@ class TestFig2:
         _, _, rows = dataset
         assert np.max(np.abs(rows[:, 4])) < 1e-10
 
+    def test_phenomenological_column_reads_zero_in_every_row(self, dataset):
+        # an exact zero, and never a negative one
+        path, _, _ = dataset
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["0"] * 201
+
     def test_deterministic_output(self, dataset, tmp_path):
         path, _, _ = dataset
         again = run_fig2(1.0, tmp_path, jobs=1)

@@ -20,14 +20,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spinheat.lindblad as lindblad
-from spinheat import experiments, gaussian, rates, thermo
+from spinheat import experiments, gaussian, oracle, rates, thermo
 from spinheat.cli import main
 from spinheat.lindblad import DissipatorStyle
 from spinheat.spinops import ChainModel, SpinChainSpec
 from spinheat.steady import SteadyStateError
 
 from test_chain_cache import PROPERTY, ROUTE_SPECS, chains, kappas, live_counts, temperatures
-from test_steady import assert_kernel_projection
+from test_steady import _rate_matrices
 
 # a degenerate kernel on the rate route: the right local bath of the Ising
 # pair has frequency zero, so at T_R = 0 it drives nothing
@@ -86,23 +86,23 @@ def test_degenerate_kernel_inside_a_stack():
     assert list(state["kernel_dim"]) == [1, 2, 1, 2]
 
 
-def test_fig2_local_column_projects_each_member_as_its_own_stack(monkeypatch):
-    # fig2's phenomenological column, T_R = 0: the kernel rule receives
-    # every point, each with a two-dimensional kernel
-    calls = []
-    kernel_vector = rates._kernel_vector
-
-    def recorded(matrices, mixed):
-        calls.append((matrices, mixed))
-        return kernel_vector(matrices, mixed)
-
-    monkeypatch.setattr(rates, "_kernel_vector", recorded)
+def test_fig2_local_column_projects_each_member_as_its_own_stack():
+    # fig2's phenomenological column, T_R = 0: every point is a cut cycle
+    # of two closed classes, and its state is the projection of the
+    # uniform vector the oracle's kernel rule makes onto their kernel
     grid = np.concatenate([[0.0], np.logspace(-2, 2, 200)])
-    step = _step(replace(ISING, coupling_delta=0.01), DissipatorStyle.LOCAL)
-    step([(1.0, t_left, 0.0) for t_left in grid])
-    [(matrices, mixed)] = calls
-    assert len(matrices) == len(grid)
-    assert (assert_kernel_projection(matrices, mixed) == 2).all()
+    spec = replace(ISING, coupling_delta=0.01)
+    points = [(1.0, t_left, 0.0) for t_left in grid]
+    state = _assert_members_are_their_own_calls(spec, DissipatorStyle.LOCAL, points)
+    assert (state["kernel_dim"] == 2).all()
+    assert not state["bath_currents"].any()
+    chain = thermo._chain(spec, (spec.coupling_delta,), DissipatorStyle.LOCAL)
+    member, temperatures = np.zeros(len(grid), dtype=np.intp), np.array(points)[:, 1:]
+    cycle = rates._cycle_rates(chain, member, np.ones(len(grid)), temperatures)
+    vectors, kernel_dim = oracle._kernel_vector(_rate_matrices(cycle)[1], np.full(4, 0.25))
+    assert (kernel_dim == 2).all()
+    populations = np.diagonal(state["rho"], axis1=1, axis2=2)
+    assert np.abs(populations - vectors / vectors.sum(axis=1)[:, None]).max() <= 1e-15
 
 
 def test_exceptional_point_alone_takes_the_kronecker_solve(monkeypatch):
@@ -154,9 +154,8 @@ def test_failing_member_is_named_by_its_index(monkeypatch, spec, message, style)
 
 
 def test_failing_point_of_the_kernel_rule_is_named_by_its_index(monkeypatch):
-    # the points the tree sum does not answer go to the kernel rule as one
-    # sub-stack: the degenerate point first, then a point whose rates all
-    # vanish, which the rule refuses under its index in the whole stack
+    # a degenerate point first, then a point whose rates all vanish, which
+    # is refused under its index in the whole stack
     original = lindblad.thermal_rates
 
     def rate_law(kappa, temperature, frequency):
@@ -206,12 +205,12 @@ def test_failure_in_the_middle_of_a_stack_names_its_curve_and_x(
 
 
 # points whose rates or flows overflow, global style, T_R = 0: the currents
-# of the XY chain (inf) and of the Ising pair (NaN), the Ising pair's
-# generator, on which the SVD does not converge, and the XY chain's X, which
-# the eigendecomposition refuses
+# of the XY chain and of the Ising pair (inf), the Ising pair's rates or the
+# energy its edges carry, and the XY chain's X, which the eigendecomposition
+# refuses
 OVERFLOWS = {
     "xy-delta": (SpinChainSpec(3, 1.0, 1e200, ChainModel.XY_TRANSVERSE), 1.0, "not finite"),
-    "ising-delta": (SpinChainSpec(2, 1.0, 1e200, ChainModel.ISING_ZZ), 1.0, "not finite"),
+    "ising-delta": (SpinChainSpec(2, 1.0, 1e200, ChainModel.ISING_ZZ), 1e200, "not finite"),
     "ising-max-delta": (SpinChainSpec(2, 1.0, 1e308, ChainModel.ISING_ZZ), 1.0, "non-finite"),
     "ising-max-t-left": (ISING, 1e308, "non-finite"),
     "xy-max-t-left": (SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE), 1e308, "non-finite"),

@@ -8,6 +8,7 @@ from spinheat.lindblad import DissipatorStyle, standard_baths
 from spinheat.oracle import (
     CrossValidationError,
     Liouvillian,
+    _kernel_vector,
     assemble_liouvillian,
     cross_validate,
     steady_state_nullspace,
@@ -17,9 +18,11 @@ from spinheat.spinops import (
     ChainModel,
     SpinChainSpec,
     build_hamiltonian,
+    ising_levels,
     spectral_decompose,
 )
-from spinheat.steady import KERNEL_RTOL, SteadyStateError, _kernel_vector
+from spinheat.steady import KERNEL_RTOL, SteadyState, SteadyStateError
+from spinheat.thermo import steady_net_current
 
 ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
 
@@ -220,16 +223,23 @@ def assert_kernel_projection(matrices, mixed):
     return kernel_dim
 
 
-def _random_rate_matrices(size, seed):
-    """A (size, 4, 4) stack of rate matrices, rates log-uniform over
-    1e-14..1e2 with four in ten edges dropped, and their generators."""
-    rng = np.random.default_rng(seed)
-    w = 10.0 ** rng.uniform(-14.0, 2.0, (size, 4, 4)) * (rng.random((size, 4, 4)) < 0.6)
+def _rate_matrices(cycle_rates):
+    """The (P, 4, 4) rate matrices of a (P, 8) stack of cycle rates, entry
+    (i, j) moving population from level j to level i, and their generators."""
+    w = np.zeros((len(cycle_rates), 16))
+    w[:, rates._EDGES] = cycle_rates
+    w = w.reshape(-1, 4, 4)
     levels = np.arange(4)
-    w[:, levels, levels] = 0.0
     generator = w.copy()
     generator[:, levels, levels] -= w.sum(axis=1)
     return w, generator
+
+
+def _random_cycle_rates(size, seed):
+    """A (size, 8) stack of cycle rates, log-uniform over 1e-14..1e2 with
+    four in ten dropped."""
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-14.0, 2.0, (size, 8)) * (rng.random((size, 8)) < 0.6)
 
 
 def _exact_tree_sums(w):
@@ -249,48 +259,85 @@ def _exact_tree_sums(w):
     return minors
 
 
-class TestTreeSum:
-    W, GENERATOR = _random_rate_matrices(20000, seed=1701)
-    POPULATIONS, CERTIFIED = rates._tree_sum(W, GENERATOR)
+def dense_ising_state(L):
+    """The dense oracle's state of the Ising pair's generator `L`, except
+    where its kernel rule is at fault: where it reports a degenerate
+    kernel although the population block of `L` has one closed class (the
+    exact tree sums of the block have a positive total), the state of
+    those sums, with the currents and residual `L` gives it."""
+    state = steady_state_nullspace(L)
+    block = np.real(L.matrix[::5, ::5])  # the rows and columns of the rho_ii
+    tree_sums = _exact_tree_sums(block - np.diag(np.diag(block)))
+    if state.kernel_dim == 1 or sum(tree_sums) == 0:
+        return state
+    rho = np.diag([float(t / sum(tree_sums)) for t in tree_sums]).astype(complex)
+    return SteadyState(
+        rho=rho,
+        residual=float(np.linalg.norm(L.matrix @ oracle.vectorize(rho))),
+        kernel_dim=1,
+        bath_currents=L.bath_currents(rho),
+    )
 
-    def test_both_paths_are_drawn(self):
-        assert 0.2 < self.CERTIFIED.mean() < 0.8
+
+class TestTreeSum:
+    RATES = _random_cycle_rates(20000, seed=1701)
+    W, GENERATOR = _rate_matrices(RATES)
+    POPULATIONS = rates._tree_sum(RATES)
+    ONE_CLASS = POPULATIONS.sum(axis=1) > 0
+
+    def test_one_closed_class_and_cut_cycles_are_drawn(self):
+        assert 0.2 < self.ONE_CLASS.mean() < 0.8
 
     def test_tree_products_are_the_bits_of_prod(self):
         # rates of zero, subnormal, ordinary and 1e300 scale: products that
         # underflow, overflow and meet 0 * inf
         rng = np.random.default_rng(1919)
-        exponents = rng.choice([-318.0, -310.0, -8.0, 0.0, 2.0, 299.0, 300.0], (4000, 4, 4))
+        exponents = rng.choice([-318.0, -310.0, -8.0, 0.0, 2.0, 299.0, 300.0], (4000, 8))
         w = rng.uniform(1.0, 10.0, exponents.shape) * 10.0**exponents
         w *= rng.random(w.shape) < 0.8
         with np.errstate(over="ignore", invalid="ignore"):
-            populations, _ = rates._tree_sum(w, w)  # the certificate is not read
-            edges = np.take(w.reshape(len(w), 16), rates._TREES, axis=1)
-            expected = edges.prod(axis=-1).sum(axis=-1)
+            populations = rates._tree_sum(w)
+            edges = np.take(w, rates._TREES, axis=1)
+            expected = edges.prod(axis=-1).sum(axis=1)
         assert populations.tobytes() == expected.tobytes()
         assert np.isnan(expected).any() and np.isinf(expected).any()
         finite = expected[np.isfinite(expected)]
         assert ((0 < finite) & (finite < np.finfo(float).tiny)).any()  # subnormal
 
-    def test_certified_members_have_a_one_dimensional_kernel(self):
-        _, kernel_dim = _kernel_vector(self.GENERATOR[self.CERTIFIED], np.full(4, 0.25))
-        assert (kernel_dim == 1).all()
-
-    def test_certified_populations_are_the_kernel_vector(self):
-        # a kernel vector from the SVD is accurate to about eps s1 / s3
-        generator = self.GENERATOR[self.CERTIFIED]
-        vectors, _ = _kernel_vector(generator, np.full(4, 0.25))
-        from_svd = vectors / vectors.sum(axis=1)[:, None]
-        populations = self.POPULATIONS[self.CERTIFIED]
+    def test_one_class_populations_are_the_kernel_vector(self):
+        # a kernel vector from the SVD is accurate to about eps s1 / s3,
+        # where the SVD rule finds the one-dimensional kernel
+        vectors, kernel_dim = _kernel_vector(self.GENERATOR[self.ONE_CLASS], np.full(4, 0.25))
+        found = kernel_dim == 1
+        assert found.mean() > 0.5
+        from_svd = vectors[found] / vectors[found].sum(axis=1)[:, None]
+        populations = self.POPULATIONS[self.ONE_CLASS][found]
         from_trees = populations / populations.sum(axis=1)[:, None]
-        s = np.linalg.svd(generator, compute_uv=False)
+        s = np.linalg.svd(self.GENERATOR[self.ONE_CLASS][found], compute_uv=False)
         bound = 100 * np.finfo(float).eps * s[:, 0] / s[:, 2]
         assert (np.abs(from_trees - from_svd).max(axis=1) <= bound).all()
 
+    def test_cut_cycles_are_the_projected_kernel_vector(self):
+        # where the SVD rule finds as many kernel vectors as closed classes,
+        # the projection of the uniform vector onto them, as accurate as
+        # eps s1 / s, s the smallest singular value above the kernel
+        cut = ~self.ONE_CLASS & self.RATES.any(axis=1)
+        classes, projected, lost = rates._cut_cycles(self.RATES[cut])
+        assert (classes > 1).all() and not lost.any()
+        vectors, kernel_dim = _kernel_vector(self.GENERATOR[cut], np.full(4, 0.25))
+        found = kernel_dim == classes
+        assert found.mean() > 0.5
+        from_svd = vectors[found] / vectors[found].sum(axis=1)[:, None]
+        from_classes = projected[found] / projected[found].sum(axis=1)[:, None]
+        s = np.linalg.svd(self.GENERATOR[cut][found], compute_uv=False)
+        above = np.take_along_axis(s, 3 - classes[found, None], axis=1)[:, 0]
+        bound = 100 * np.finfo(float).eps * s[:, 0] / above
+        assert (np.abs(from_classes - from_svd).max(axis=1) <= bound).all()
+
     def test_populations_are_the_exact_tree_sums_within_a_few_ulps(self):
-        # two roundings per product, four per sum of 16, three for the
-        # total and one for the division bound the error by about 16 ulps
-        for m in np.flatnonzero(self.CERTIFIED)[:300]:
+        # two roundings per product, three per sum of 4 trees, three for
+        # the total and one for the division bound the error by about 9 ulps
+        for m in np.flatnonzero(self.ONE_CLASS)[:300]:
             exact = _exact_tree_sums(self.W[m])
             populations = self.POPULATIONS[m] / self.POPULATIONS[m].sum()
             for value, tree_sum in zip(populations.tolist(), exact):
@@ -301,3 +348,83 @@ class TestTreeSum:
                 ulp = Fraction(np.spacing(float(target)))
                 assert abs(Fraction(value) - target) <= 16 * ulp, (m, value, float(target))
 
+
+def _route_state(spec, kappa, t_left, t_right, style):
+    """The rate route's 1-stack at one point of the canonical pair."""
+    chain = rates.pauli_chain([spec], standard_baths(spec, kappa, t_left, t_right, style))
+    return rates.steady_state_pauli(chain, [0], [kappa], [[t_left, t_right]])
+
+
+def _exact_currents(spec, kappa, t_left, t_right, style):
+    """The left and right baths' currents of the canonical pair in exact
+    arithmetic on the rate route's own float rates and levels: exact tree
+    sums, and each bath's sum_ij W[i, j] (E_i - E_j) p_j over the level
+    pairs that differ in its spin (the left spin is the high bit of the
+    level index)."""
+    chain = rates.pauli_chain([spec], standard_baths(spec, kappa, t_left, t_right, style))
+    cycle = rates._cycle_rates(chain, np.array([0]), [kappa], np.array([[t_left, t_right]]))
+    matrix = _rate_matrices(cycle)[0][0]
+    w = [[Fraction(float(x)) for x in row] for row in matrix]
+    tree_sums = _exact_tree_sums(matrix)
+    p = [t / sum(tree_sums) for t in tree_sums]
+    energies = [Fraction(float(e)) for e in ising_levels(spec.field_h, [spec.coupling_delta])[0]]
+    return tuple(
+        sum(
+            w[i][j] * (energies[i] - energies[j]) * p[j]
+            for i in range(4)
+            for j in range(4)
+            if i ^ j == flip
+        )
+        for flip in (2, 1)
+    )
+
+
+def _relative_error(value, exact):
+    return abs(Fraction(float(value)) - exact) / abs(exact)
+
+
+class TestCycleFlux:
+    """The rate route against exact arithmetic on its own float rates."""
+
+    def test_point_the_svd_rule_misjudged_is_exact(self):
+        # the SVD rule counted a Boltzmann factor of 1e-17 as no rate here
+        spec = SpinChainSpec(2, 0.5, 1.5, ChainModel.ISING_ZZ)
+        point = (1.0, 0.05078125, 0.0, DissipatorStyle.GLOBAL)
+        state = _route_state(spec, *point)
+        exact_left, exact_right = _exact_currents(spec, *point)
+        assert float(exact_left) == 2.0214049735808878e-17 and exact_right == -exact_left
+        j_left, j_right = state.bath_currents[0]
+        assert _relative_error(j_left, exact_left) <= 1e-15
+        assert j_left + j_right == 0.0
+        assert (np.diag(state.rho[0]) >= 0).all() and state.kernel_dim[0] == 1
+
+    @pytest.mark.parametrize("t_left", [52.3, 75.75, 87.04, 100.0])
+    def test_fig2_cells_at_hot_left_baths_are_exact(self, t_left):
+        # fig2's J_delta_0.01 column at kappa = 1: the cells nearest t_left
+        grid = np.logspace(-2, 2, 200)
+        t_left = float(grid[np.argmin(np.abs(grid - t_left))])
+        spec = SpinChainSpec(2, 1.0, 0.01, ChainModel.ISING_ZZ)
+        point = (1.0, t_left, 0.0, DissipatorStyle.GLOBAL)
+        j = steady_net_current(spec, *point)
+        assert _relative_error(j, _exact_currents(spec, *point)[0]) <= 1e-15
+
+    @pytest.mark.parametrize("t_left, t_right", [(4.0, 6.0), (4.92, 5.08), (5.3, 4.7), (0.2, 0.8)])
+    def test_cycle_flux_near_equilibrium_does_not_cancel(self, t_left, t_right):
+        # points like fig3's inset cells, where Pi+ and Pi- agree to a few percent
+        point = (1.0, t_left, t_right, DissipatorStyle.GLOBAL)
+        j = steady_net_current(ISING, *point)
+        assert _relative_error(j, _exact_currents(ISING, *point)[0]) <= 1e-15
+
+    @pytest.mark.parametrize("t_left", [1e8, 1e10, 1e12, 1e15, 1e20, 1e50, 1e100, 1e150])
+    def test_hot_bath_gives_the_saturation_current(self, t_left):
+        # kappa delta^2 / 2 at h = kappa = 1, delta = 0.5, T_R = 0
+        j = steady_net_current(ISING, 1.0, t_left, 0.0, DissipatorStyle.GLOBAL)
+        assert abs(j - 0.125) <= 1e-9
+
+    @pytest.mark.parametrize("t_left", [1e155, 1e200, 1e300])
+    def test_hot_bath_beyond_the_double_range_is_refused(self, t_left):
+        # the right bath's rates, of order delta, fall 1e-155 below the left
+        # bath's: their square leaves the normal range
+        with pytest.raises(SteadyStateError, match="double range") as excinfo:
+            steady_net_current(ISING, 1.0, t_left, 0.0, DissipatorStyle.GLOBAL)
+        assert excinfo.value.member == 0

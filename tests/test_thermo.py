@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spinheat import thermo
+from spinheat import rates, thermo
 from spinheat.lindblad import DissipatorStyle, standard_baths
 from spinheat.oracle import (
     assemble_liouvillian,
@@ -14,12 +14,15 @@ from spinheat.oracle import (
     vectorize,
 )
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
+from spinheat.steady import SteadyStateError
 from spinheat.thermo import rectification, steady_net_current
 
 from test_chain_cache import PROPERTY, kappas, temperatures
 
 # both baths above zero temperature, where -J_k / T_k is finite
 warm = st.floats(0.05, 5.0)
+# zero, and log-uniform over 1e-3..1e300
+wide = st.one_of(st.just(0.0), st.floats(-3.0, 300.0).map(lambda x: 10.0**x))
 
 ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
 XY2 = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
@@ -169,6 +172,39 @@ class TestHeatCurrents:
         spec, t_left, t_right = point
         j = steady_net_current(spec, kappa, t_left, t_right, DissipatorStyle.GLOBAL)
         assert j * (t_left - t_right) >= -1e-12 * kappa * spec.field_h**2
+
+    @PROPERTY
+    @given(
+        style=st.sampled_from(DissipatorStyle),
+        h=st.floats(0.5, 2.0),
+        log_delta=st.floats(-8.0, 10.0),
+        kappa=kappas,
+        points=st.lists(st.tuples(wide, wide), min_size=1, max_size=6),
+    )
+    @example(style=DissipatorStyle.LOCAL, h=1.0, log_delta=-0.5, kappa=1.0, points=[(1e300, 0.0)])
+    def test_pair_over_the_double_range_is_exact_or_refused(
+        self, style, h, log_delta, kappa, points
+    ):
+        # every point of a stack is either refused under its index, as it is
+        # alone, or keeps the Clausius sign and balances its baths to 4 eps
+        spec = SpinChainSpec(2, h, 10.0**log_delta, ChainModel.ISING_ZZ)
+        chain = thermo._chain(spec, (spec.coupling_delta,), style)
+
+        def step(stack):
+            return rates.steady_state_pauli(chain, [0] * len(stack), [kappa] * len(stack), stack)
+
+        currents = np.empty((0, 2))
+        while points:
+            try:
+                currents = step(points).bath_currents
+                break
+            except SteadyStateError as err:
+                with pytest.raises(SteadyStateError):
+                    step([points[err.member]])
+                del points[err.member]
+        for (t_left, t_right), (j_left, j_right) in zip(points, currents):
+            assert j_left * (t_left - t_right) >= 0
+            assert abs(j_left + j_right) <= 4 * np.finfo(float).eps * abs(j_left)
 
     @pytest.mark.parametrize("chains", [ISING_PAIR, XY_CHAINS], ids=["pauli", "gaussian"])
     @PROPERTY

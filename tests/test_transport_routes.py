@@ -18,6 +18,8 @@ from spinheat.rates import pauli_chain
 from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
 from spinheat.thermo import steady_net_current
 
+from test_steady import dense_ising_state
+
 TOL = 1e-10
 
 
@@ -57,7 +59,10 @@ def _case_id(case):
 
 
 def _dense_state(spec, baths):
-    return steady_state_nullspace(assemble_liouvillian(build_hamiltonian(spec), baths))
+    """The dense oracle's state; on the Ising pair, the exact tree-sum state
+    where the oracle's kernel rule is at fault (`dense_ising_state`)."""
+    L = assemble_liouvillian(build_hamiltonian(spec), baths)
+    return dense_ising_state(L) if spec.model is ChainModel.ISING_ZZ else steady_state_nullspace(L)
 
 
 def _only_member(state):
@@ -174,3 +179,11 @@ def test_rate_route_refuses_the_xy_chain():
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
     with pytest.raises(ValueError, match="Ising"):
         pauli_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.GLOBAL))
+
+
+def test_rate_route_refuses_two_baths_on_one_site():
+    # the cycle flux gives each edge of the pair's cycle to the one bath on its spin
+    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
+    left = standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.GLOBAL)[0]
+    with pytest.raises(ValueError, match="one bath per site"):
+        pauli_chain([spec], [left, left])
