@@ -41,40 +41,50 @@ vector l.
   at an infinite frequency instead, whose rates the point step refuses.
 
 The chain step, `gaussian_chain`, takes a stack of C chains that differ
-in the coupling alone and holds, for each member, A and each bath's
-(frequency, lowering vector) pairs, padded like those of the rate route
-with frequency NaN; it alone says where the baths couple, and none of it
-depends on temperature or kappa.  Each member is built alone, as the
-number of modes a bath drives changes with delta.  The point step,
-`steady_state_gaussian`, takes P points on the members at once, a member
-index, a kappa and a temperature per bath for each point, takes their
-rates (`lindblad._rate_tables`) and solves the points of each member as
-one stack, on that member's transitions alone.  It takes the rates into
-the bath matrices
+in the coupling alone and holds, for each member, A and every bath's
+transitions side by side (`lindblad.Slots`), padded like those of the
+rate route with frequency NaN; it alone says where the baths couple, and
+none of it depends on temperature or kappa.  Each member is built alone,
+as the number of modes a bath drives changes with delta.  For each
+transition, with lowering vector l, it keeps the real and imaginary parts
+of l^* l^T and the work term sum_ab A_ab Im(l^* l^T)_ab, zero on padding.
+The point step, `steady_state_gaussian`, takes P points on the members
+at once, a member index, a kappa and a temperature per bath for each
+point, and takes their rates on the live slots (`lindblad._slot_rates`)
+into
 
-    M_k = sum_t (emission l_t^* l_t^T + absorption l_t l_t^dag),
+    M = sum_k M_k,  M_k = sum_t (emission l_t^* l_t^T + absorption l_t l_t^dag),
 
-and solves X Gamma + Gamma X^T = -4 Im M with X = A - 2 Re M, M = sum_k
-M_k, by an eigendecomposition of X, batched over the (P, 2n, 2n) stack.
-A pair of eigenvalues of X that sum to zero (within `KERNEL_RTOL` of the
+whose real part weighs Re(l^* l^T) by emission + absorption and whose
+imaginary part weighs Im(l^* l^T) by emission - absorption: two real
+products over the slots, summed in slot order from +0, so that a
+member's sums do not depend on how wide its stack is padded.  It solves
+X Gamma + Gamma X^T = -4 Im M with X = A - 2 Re M by one eigendecomposition
+of X, batched over the (P, 2n, 2n) stack of every member's points.  A
+pair of eigenvalues of X that sum to zero (within `KERNEL_RTOL` of the
 largest) belongs to modes no bath damps; the component of Gamma there is
 set to zero, which is the maximally mixed state on those modes, the state
-the dense route projects a degenerate kernel from.  Cost: O(n^3), against O(d^6) = O(64^n) for
-the SVD of the dense d^2 x d^2 generator.
+the dense route projects a degenerate kernel from.  Cost: O(n^3) per
+point, against O(d^6) = O(64^n) for the SVD of the dense d^2 x d^2
+generator; the chain step keeps 2 (2n)^2 + 1 doubles per transition, at
+most n of them per bath and member.
 
 The point step also returns each bath's current.  With
 <H> = -(1/4) sum_ab A_ab Gamma_ab and the bath part of the covariance's
 equation of motion, -2(Re M_k Gamma + Gamma Re M_k) + 4 Im M_k, bath k
-feeds in sum_ab A_ab ((Re M_k Gamma + Gamma Re M_k)/2 - Im M_k)_ab.
+feeds in sum_ab A_ab ((Re M_k Gamma + Gamma Re M_k)/2 - Im M_k)_ab, which
+is sum_t over its transitions of
+(emission + absorption)_t (-1/2) <Re(l^* l^T)_t, A Gamma + Gamma A>
+- (emission - absorption)_t work_t, for A and Gamma antisymmetric.
 
 Where X is defective (an exceptional point: the 2-spin local chain at
 h = 1, delta = 0.5, kappa = 1, T_R = 0 has one at n_BE(h, T_L) = 1), its
 eigenvectors are nearly parallel and their solution misses the equation.
-A residual above `_EIG_RTOL` times ||X|| hands that stack member alone to
+A residual above `_EIG_RTOL` times ||X|| hands that point alone to
 the Kronecker solve of (I kron X + X kron I) vec Gamma = vec(-4 Im M), by
 minimum-norm least squares with relative cutoff `KERNEL_RTOL`, which
 zeroes undamped mode pairs as the eigenvector solution does; the other
-members keep their eigenvector solution.  An operator with a non-finite
+points keep their eigenvector solution.  An operator with a non-finite
 entry, where sums X_ii + X_kk overflow, is refused rather than handed to
 least squares.  The eigendecomposition
 stays first because the Kronecker solve costs O(n^6): 1.5 to 3.7 ms at
@@ -91,9 +101,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import BathSpec, DissipatorStyle, _degeneracy_tolerance, _groups, _rate_tables
+from .lindblad import (
+    BathSpec,
+    DissipatorStyle,
+    Slots,
+    _degeneracy_tolerance,
+    _groups,
+    _slot_rates,
+    _slots,
+)
 from .spinops import ChainModel, SpinChainSpec, _stack_head
-from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyStateError, _check_currents, _first_failure
+from .steady import (
+    _MIN_EIGENVALUE,
+    KERNEL_RTOL,
+    SteadyStateError,
+    _currents_check,
+    _refuse_first,
+)
 
 
 # The eigenvector solution is kept while its Lyapunov residual stays below
@@ -113,16 +137,19 @@ class GaussianChain:
     """The temperature-independent half of the Gaussian route (the chain
     step), for a stack of C chains that differ in the coupling alone.
 
-    `majorana[c]` is the 2n x 2n form A of member c's H.  For each bath,
-    `frequencies[c, t]` is the frequency of member c's transition t and
-    `lowering[c, t]` its lowering vector.  The slots past a member's
-    transitions are padding, with frequency NaN and a zero vector.  Every
-    array is read-only.
+    `majorana[c]` is the 2n x 2n form A of member c's H.  `slots` holds
+    every bath's transitions side by side (`lindblad.Slots`).  For the
+    transition in slot s of member c, with lowering vector l,
+    `outer[c, s]` holds the real and the imaginary part of l^* l^T, each
+    flattened to (2n)^2 entries, and `work[c, s]` is
+    sum_ab A_ab Im(l^* l^T)_ab; both are zero on padding.  Every array is
+    read-only.
     """
 
     majorana: np.ndarray
-    frequencies: tuple[np.ndarray, ...]
-    lowering: tuple[np.ndarray, ...]
+    slots: Slots
+    outer: np.ndarray
+    work: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,7 +158,8 @@ class GaussianState:
 
     `covariance` has shape (P, 2n, 2n).  `residual[p]` is
     ||X Gamma + Gamma X^T + 4 Im M|| at point p, and `bath_currents[p, k]`
-    the energy the k-th bath of point p feeds in.
+    the energy the k-th bath of point p feeds in.  Where points are
+    refused, the SteadyStateError names the first of them.
     """
 
     covariance: np.ndarray
@@ -227,19 +255,13 @@ def gaussian_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> Gau
             vectors[c, : len(rows[k])] = rows[k]
         frequencies.append(bath_frequencies)
         lowering.append(vectors)
-    for array in (majorana, *frequencies, *lowering):
+    vectors = np.concatenate(lowering, axis=1)
+    outer = vectors.conj()[..., :, None] * vectors[..., None, :]
+    work = (majorana[:, None] * outer.imag).reshape(*outer.shape[:2], -1).sum(axis=2)
+    outer = np.stack([outer.real, outer.imag], axis=2).reshape(*outer.shape[:2], 2, -1)
+    for array in (majorana, outer, work):
         array.setflags(write=False)
-    return GaussianChain(
-        majorana=majorana, frequencies=tuple(frequencies), lowering=tuple(lowering)
-    )
-
-
-def _bath_matrices(rates: np.ndarray, lowering: np.ndarray) -> np.ndarray:
-    """M_k of one bath at P points from its (P, T, 2) rate table, as a (P, 2n, 2n) stack."""
-    # sum_t rate_t l_t^* l_t^T is (the rows l_t^* scaled by their rates)^T @ l
-    emission = (rates[:, :, 0, None] * lowering.conj()).transpose(0, 2, 1) @ lowering
-    absorption = (rates[:, :, 1, None] * lowering).transpose(0, 2, 1) @ lowering.conj()
-    return emission + absorption
+    return GaussianChain(majorana=majorana, slots=_slots(frequencies), outer=outer, work=work)
 
 
 def _transpose(stack: np.ndarray) -> np.ndarray:
@@ -289,96 +311,93 @@ def steady_state_gaussian(
     Point p is on member `member[p]` of the chain stack, `kappa[p]` is its
     kappa and `temperatures[p, k]` the temperature of the chain step's
     k-th bath there; arrays of other shapes than (P,), (P,) and
-    (P, n_baths) raise ValueError.  The points of each chain member are
-    solved as one stack (`_solve`).  Raises SteadyStateError, carrying the
-    index of the failing point, when X or the source has a non-finite
-    entry, a Lyapunov residual exceeds `KERNEL_RTOL` times ||X||, the bath
-    currents are not finite, or the spectrum of i Gamma leaves [-1, 1]
-    (mode occupations outside [0, 1]); where points of several chain
-    members fail, a point of the member first in the stack is named.  The
-    returned fields carry a leading axis of length P; a point comes out
-    bit-identical in any stack, and on any chain stack that holds its
-    chain.
+    (P, n_baths) raise ValueError.  The points of every chain member are
+    solved as one stack: one batched eigendecomposition of X, and the
+    Kronecker solve for each point whose eigenvector solution leaves a
+    residual above `_EIG_RTOL` times ||X||, near an exceptional point of X
+    (see the module docstring); the other points keep their eigenvector
+    solution.  The returned fields carry a leading axis of length P; a
+    point comes out bit-identical in any stack, and on any chain stack
+    that holds its chain.
+
+    Raises SteadyStateError, naming the first point refused with the
+    refusal it meets in a stack of its own, when X or the source has a
+    non-finite entry, the Kronecker solve is refused, a Lyapunov residual
+    exceeds `KERNEL_RTOL` times ||X||, the bath currents are not finite,
+    or the spectrum of i Gamma leaves [-1, 1] (mode occupations outside
+    [0, 1]).  The eigensolvers see only the points no earlier check
+    refuses.
     """
     member = np.asarray(member, dtype=np.intp)
-    tables = _rate_tables(member, kappa, temperatures, chain.frequencies)
-    chains = sorted(set(member.tolist()))
-    if len(chains) == 1:  # every point on one member: the stack is its sub-stack
-        return _solve(chain, chains[0], tables)
+    rates = _slot_rates(chain.slots, member, kappa, temperatures)
+    emission, absorption = rates[..., 0], rates[..., 1]
+    # M = sum_t (emission l_t^* l_t^T + absorption l_t l_t^dag), so its real
+    # part weighs Re(l^* l^T) by e + a and its imaginary part Im(l^* l^T) by
+    # e - a.  The sums over the slots run in order from +0, where padding
+    # adds zeros alone, so they do not depend on how wide a stack is padded
+    weights = np.stack([emission + absorption, emission - absorption], axis=2)
+    outer = chain.outer[member]
+    m = np.add.reduce(weights[..., None] * outer, axis=1, initial=0.0)
     size = chain.majorana.shape[1]
-    state = GaussianState(
-        covariance=np.empty((len(member), size, size)),
-        residual=np.empty(len(member)),
-        bath_currents=np.empty((len(member), len(tables))),
-    )
-    for c in chains:
-        points = np.flatnonzero(member == c)
-        try:
-            part = _solve(chain, c, [table[points] for table in tables])
-        except SteadyStateError as err:
-            raise SteadyStateError(str(err), member=int(points[err.member])) from None
-        for field in ("covariance", "residual", "bath_currents"):
-            getattr(state, field)[points] = getattr(part, field)
-    return state
-
-
-def _solve(chain: GaussianChain, c: int, tables: list[np.ndarray]) -> GaussianState:
-    """The steady states of P points on member c of the chain stack, from
-    each bath's (P, T, 2) rate table.
-
-    One batched eigendecomposition of X, and the Kronecker solve for each
-    point whose eigenvector solution leaves a residual above `_EIG_RTOL`
-    times ||X||, near an exceptional point of X (see the module
-    docstring); the other points keep their eigenvector solution.  A
-    SteadyStateError carries the index of the failing point.
-    """
-    # each bath's transitions on member c: the slots before its NaN padding
-    live = [np.count_nonzero(~np.isnan(freqs[c])) for freqs in chain.frequencies]
-    tables = [table[:, :n] for table, n in zip(tables, live)]
-    lowering = [bath_lowering[c, :n] for bath_lowering, n in zip(chain.lowering, live)]
-    majorana = chain.majorana[c]
-    matrices = tuple(map(_bath_matrices, tables, lowering))
-    m = sum(matrices)
-    x = majorana - 2.0 * m.real
-    source = -4.0 * m.imag
+    majorana = chain.majorana[member]
+    x = majorana - 2.0 * m[:, 0].reshape(len(member), size, size)
+    source = -4.0 * m[:, 1].reshape(len(member), size, size)
     finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(source).all(axis=(1, 2))
-    _first_failure(~finite, lambda p: "the Lyapunov equation has a non-finite entry")
 
     scale = np.linalg.norm(x, axis=(1, 2))
-    gamma = _lyapunov_eig(x, source)
-    residual = _lyapunov_residual(x, gamma, source)
+    gamma = np.zeros(x.shape)
+    residual = np.full(len(x), np.nan)
+    solved = np.flatnonzero(finite)
+    gamma[solved] = _lyapunov_eig(x[solved], source[solved])
+    residual[solved] = _lyapunov_residual(x[solved], gamma[solved], source[solved])
+    refused = {}  # the Kronecker solve's refusal of each point it refuses
     # a NaN residual takes the Kronecker solve too
-    for p in np.flatnonzero(~(residual <= _EIG_RTOL * scale)):
-        if x.shape[1] > 2 * _KRONECKER_MAX_SPINS:
-            rows = x.shape[1] ** 2
-            raise SteadyStateError(
+    for p in solved[~(residual[solved] <= _EIG_RTOL * scale[solved])].tolist():
+        if size > 2 * _KRONECKER_MAX_SPINS:
+            rows = size**2
+            refused[p] = (
                 f"the eigenvector solution misses the Lyapunov equation, and the Kronecker "
-                f"solve at n = {x.shape[1] // 2} needs a {rows} x {rows} operator "
-                f"({rows**2 * 8 / 2**20:.4g} MiB); it is refused above n = {_KRONECKER_MAX_SPINS}",
-                member=int(p),
+                f"solve at n = {size // 2} needs a {rows} x {rows} operator "
+                f"({rows**2 * 8 / 2**20:.4g} MiB); it is refused above n = {_KRONECKER_MAX_SPINS}"
             )
+            continue
         try:
             gamma[p] = _lyapunov_kronecker(x[p], source[p])
         except SteadyStateError as err:
-            raise SteadyStateError(str(err), member=int(p)) from None
+            refused[p] = str(err)
+            continue
         residual[p] = _lyapunov_residual(x[p], gamma[p], source[p])
-    _first_failure(
-        residual > KERNEL_RTOL * scale,
-        lambda p: f"Lyapunov residual {residual[p]:.3e} exceeds {KERNEL_RTOL:.0e} x "
-        f"||X|| = {scale[p]:.3e}",
-    )
-    flows = [
-        (majorana * (0.5 * (m.real @ gamma + gamma @ m.real) - m.imag))
-        .reshape(len(gamma), -1)
-        .sum(1)
-        for m in matrices
-    ]
-    currents = np.stack(flows, axis=1)
-    _check_currents(currents)
+    kronecker_refused = np.zeros(len(member), dtype=bool)
+    kronecker_refused[list(refused)] = True
+    unsolved = residual > KERNEL_RTOL * scale
+    kept = finite & ~kronecker_refused & ~unsolved
+
+    # bath k feeds in sum_t (e + a)_t (-1/2) <Re(l^* l^T)_t, A Gamma + Gamma A>
+    # - (e - a)_t work_t over its slots, summed in order from +0
+    anticommutator = (majorana @ gamma + gamma @ majorana).reshape(len(member), 1, size**2)
+    damping = -0.5 * (outer[:, :, 0] * anticommutator).sum(axis=2)
+    flows = weights[..., 0] * damping - weights[..., 1] * chain.work[member]
+    currents = np.zeros((len(member), chain.slots.n_baths))
+    for slot, bath in enumerate(chain.slots.bath.tolist()):
+        currents[:, bath] += flows[:, slot]
     # the mode occupations (1 -+ largest)/2 meet the bound rho's eigenvalues meet
-    largest = np.max(np.abs(np.linalg.eigvalsh(1j * gamma)), axis=1)
-    _first_failure(
-        largest > 1.0 - 2.0 * _MIN_EIGENVALUE,
-        lambda p: f"covariance not physical: |spectrum of i Gamma| reaches {largest[p]:.12f}",
+    largest = np.zeros(len(member))
+    largest[kept] = np.max(np.abs(np.linalg.eigvalsh(1j * gamma[kept])), axis=1)
+    _refuse_first(
+        [
+            (~finite, lambda p: "the Lyapunov equation has a non-finite entry"),
+            (kronecker_refused, refused.get),
+            (
+                unsolved,
+                lambda p: f"Lyapunov residual {residual[p]:.3e} exceeds {KERNEL_RTOL:.0e} x "
+                f"||X|| = {scale[p]:.3e}",
+            ),
+            _currents_check(currents),
+            (
+                largest > 1.0 - 2.0 * _MIN_EIGENVALUE,
+                lambda p: f"covariance not physical: |spectrum of i Gamma| reaches "
+                f"{largest[p]:.12f}",
+            ),
+        ]
     )
     return GaussianState(covariance=gamma, residual=residual, bath_currents=currents)

@@ -15,14 +15,14 @@ past them are padding, marked by frequency NaN alone.  Every route takes
 its rates from one ohmic rate law, `thermal_rates`, which gives the
 emission rate of a bath at a frequency (carried by the lowering operator)
 and its absorption rate (carried by the adjoint).  The law acts
-elementwise on arrays, and the point steps call it once per stack of
-points (`_rate_tables`).
+elementwise on arrays.  The chain steps lay every bath's transitions side
+by side (`Slots`), and the point steps call the law once per stack of
+points on the live slots alone (`_slot_rates`).
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -44,9 +44,6 @@ DEGENERACY_TOL = 1e-9
 # exp(x) overflows double precision near x ~ 709; beyond this the thermal
 # occupation is far below what a double can resolve anyway.
 _OVERFLOW_EXPONENT = 700.0
-
-# The scalar `math.expm1` as a ufunc over an array, element by element.
-_EXPM1 = np.frompyfunc(math.expm1, 1, 1)
 
 # Jump matrices whose entries all stay below this are dropped entirely.
 _NEGLIGIBLE_ENTRY = 1e-12
@@ -244,12 +241,17 @@ def thermal_rates(
     )
     live = (ratio > 0) & (ratio <= _OVERFLOW_EXPONENT)
     occupation = np.zeros(ratio.shape)
-    occupation[live] = 1.0 / _EXPM1(ratio[live]).astype(float)
+    occupation[live] = 1.0 / _expm1(ratio[live])
     spectrum = kappa * frequency
     flip = kappa * temperature
     emission = np.where(emitting, spectrum * (1.0 + occupation), flip)
     absorption = np.where(emitting, spectrum * occupation, flip)
     return emission[()], absorption[()]
+
+
+def _expm1(x: np.ndarray) -> np.ndarray:
+    """The scalar `math.expm1` over a 1-d array, element by element."""
+    return np.fromiter(map(math.expm1, x.tolist()), float, len(x))
 
 
 def _check_rate_parameters(kappas: Iterable[float], temperatures: Iterable[float]) -> None:
@@ -260,50 +262,73 @@ def _check_rate_parameters(kappas: Iterable[float], temperatures: Iterable[float
         raise ValueError("kappa must be finite and positive")
 
 
-def _rate_tables(
-    member: np.ndarray,
-    kappa: Sequence[float],
-    temperatures: np.ndarray,
-    frequencies: Sequence[np.ndarray],
-) -> list[np.ndarray]:
-    """The (emission, absorption) rates of P points, one (P, T_k, 2) table per bath.
+@dataclass(frozen=True)
+class Slots:
+    """The transitions of a stack of C chains, every bath's side by side.
+
+    Bath k takes a run of slots as wide as its most transitions on one
+    member, each member's transitions first and padding past them, in
+    the layout of `bath_transitions`.  `frequency[c, s]` is the frequency
+    of member c's transition in slot s, NaN on padding, `live[c, s]` is
+    False on padding, and `bath[s]` is the index of the bath that drives
+    slot s.  `n_baths` counts the baths, those that drive no transition
+    included (the right global bath of the Ising pair at delta = 0).
+    Every array is read-only.
+    """
+
+    frequency: np.ndarray
+    live: np.ndarray
+    bath: np.ndarray
+    n_baths: int
+
+
+def _slots(frequencies: Sequence[np.ndarray]) -> Slots:
+    """The slots of each bath's (C, T_k) frequencies, NaN on padding."""
+    frequency = np.concatenate(frequencies, axis=1)
+    bath = np.repeat(np.arange(len(frequencies)), [f.shape[1] for f in frequencies])
+    live = ~np.isnan(frequency)
+    for array in (frequency, live, bath):
+        array.setflags(write=False)
+    return Slots(frequency=frequency, live=live, bath=bath, n_baths=len(frequencies))
+
+
+def _slot_rates(
+    slots: Slots, member: np.ndarray, kappa: Sequence[float], temperatures: np.ndarray
+) -> np.ndarray:
+    """The (P, S, 2) (emission, absorption) rates of P points on their
+    members' slots.
 
     Point p is on member `member[p]` (an integer array) of a chain stack,
     `kappa[p]` is its kappa and `temperatures[p, k]` bath k's temperature
-    there.  Member c drives the transitions `frequencies[k][c]` of bath k
-    that are not NaN; the rates of the NaN padding slots stay zero and
-    never reach the rate law.  The live slots of every bath and point go
-    to the rate law in one elementwise call, which looks the law up at
-    call time.
+    there.  The rates of padding slots stay zero and never reach the rate
+    law.  The live slots of every point go to the rate law in one
+    elementwise call, which looks the law up at call time.
     """
     kappa, temperatures = np.asarray(kappa, dtype=float), np.asarray(temperatures, dtype=float)
     if (
         kappa.ndim != 1
         or member.shape != kappa.shape
-        or temperatures.shape != (len(kappa), len(frequencies))
+        or temperatures.shape != (len(kappa), slots.n_baths)
     ):
         raise ValueError(
             f"temperatures of shape {temperatures.shape} for kappa of shape {kappa.shape} "
-            f"and member of shape {member.shape}: expected (P, {len(frequencies)}), (P,) "
-            f"and (P,) for P points of {len(frequencies)} baths"
+            f"and member of shape {member.shape}: expected (P, {slots.n_baths}), (P,) "
+            f"and (P,) for P points of {slots.n_baths} baths"
         )
     if len(member):
-        if not 0 <= member.min() <= member.max() < len(frequencies[0]):
-            raise ValueError(f"member indices must lie in [0, {len(frequencies[0])})")
+        if not 0 <= member.min() <= member.max() < len(slots.live):
+            raise ValueError(f"member indices must lie in [0, {len(slots.live)})")
         # a NaN reaches both extremes and an infinity one of them
         extremes = (temperatures.min(), temperatures.max())
         _check_rate_parameters((kappa.min(), kappa.max()), extremes)
-    widths = [bath_frequencies.shape[1] for bath_frequencies in frequencies]
-    gathered = np.concatenate([f[member] for f in frequencies], axis=1)
-    points, slots = np.nonzero(~np.isnan(gathered))
-    bath = np.repeat(np.arange(len(widths)), widths)[slots]
-    rates = np.zeros((*gathered.shape, 2))
+    live = slots.live[member]
+    points, slot = np.nonzero(live)
+    rates = np.zeros((*live.shape, 2))
     # a law that gives scalars gives every live slot the same rates
-    rates[points, slots, 0], rates[points, slots, 1] = thermal_rates(
-        kappa[points], temperatures[points, bath], gathered[points, slots]
+    rates[points, slot, 0], rates[points, slot, 1] = thermal_rates(
+        kappa[points], temperatures[points, slots.bath[slot]], slots.frequency[member[points], slot]
     )
-    bounds = list(itertools.accumulate(widths, initial=0))
-    return [rates[:, start:stop] for start, stop in zip(bounds, bounds[1:])]
+    return rates
 
 
 def bath_transitions(

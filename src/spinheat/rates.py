@@ -6,10 +6,13 @@ equation dp/dt = G p, the diagonal block of the full generator.  Each
 bath flips one spin, so the rates join the levels around one cycle,
 uu - du - dd - ud - uu, whose edges 0 and 2 flip the left spin; a point
 has 8 rates, r[m] forward along edge m and r[4 + m] back.  The chain step,
-`pauli_chain`, holds each bath's frequencies (`lindblad.bath_transitions`),
-the weights |A_ij|^2 that put their rates on the cycle, and the energy its
-edges carry per forward cycle; the point step, `steady_state_pauli`, takes
-P points and their rates from one call of the rate law.
+`pauli_chain`, holds every bath's frequencies side by side
+(`lindblad.bath_transitions`, `lindblad.Slots`), the index that puts
+their rates on the cycle (each cycle rate is one rate of the rate law, at
+weight |A_ij|^2 = 1, or zero), and the energy each bath's edges carry per
+forward cycle; the point step, `steady_state_pauli`, takes P points and
+their rates from one call of the rate law, and its cycle rates from one
+gather.
 
 Each point's rates are scaled by a power of two, exactly, so that the
 largest lies in [0.5, 1).  By the Markov chain tree theorem (Schnakenberg,
@@ -23,17 +26,20 @@ edges'.  The difference is taken from the rounded products and their
 errors (`_two_product`), so it does not cancel, and a local bath, whose
 edges run at one emission and one absorption rate, leaves it exactly 0.
 Bath k feeds in the flux times the energy its edges carry.  Z = 0 is a
-cut cycle: `kernel_dim` counts its closed classes, arcs no rate leaves,
-its currents are 0, and its state is the dense oracle's projection of the
-uniform vector onto their stationary vectors, sum_a pi_a (pi_a . 1) /
-|pi_a|^2, pi_a by detailed balance along the arc.  rho = diag(p).
+cut cycle: `kernel_dim` counts its closed classes, arcs no rate leaves
+(read off the pattern of its zero rates, `_CLOSED_ARCS`), its currents
+are 0, and its state is the dense oracle's projection of the uniform
+vector onto their stationary vectors, sum_a pi_a (pi_a . 1) / |pi_a|^2,
+pi_a by detailed balance along the arc.  rho = diag(p).
 
 A point is refused, by a SteadyStateError with its index, when its rates
 or carried energies are not finite, when they all vanish, when a needed
 product without a zero rate (a cycle product, Z, a class's in-tree)
 falls below the normal range after the scaling (as at T_L above about
 1e154 with the right bath at T = 0), when a population falls below
-`steady._MIN_EIGENVALUE`, and when its currents overflow.
+`steady._MIN_EIGENVALUE`, and when its currents overflow.  The stack
+names its first refused point, with the refusal that point meets alone
+(`steady._refuse_first`).
 """
 
 from __future__ import annotations
@@ -43,9 +49,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import BathSpec, _check_bath_sites, _rate_tables, bath_transitions
+from .lindblad import BathSpec, Slots, _check_bath_sites, _slot_rates, _slots, bath_transitions
 from .spinops import ChainModel, SpinChainSpec, _stack_head, diagonal_decomposition, ising_levels
-from .steady import _MIN_EIGENVALUE, SteadyState, _check_currents, _first_failure
+from .steady import _MIN_EIGENVALUE, SteadyState, _currents_check, _refuse_first
 
 # The cycle uu - du - dd - ud of the levels (uu, ud, du, dd) = (0, 1, 2, 3):
 # edge m steps from _CYCLE[m] to _HEADS[m] and flips spin m % 2.
@@ -76,6 +82,19 @@ def _cycle_arcs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _ARC_LEAVING, _ARC_INSIDE, _ARC_TREES = _cycle_arcs()
+
+
+def _closed_arcs() -> np.ndarray:
+    """Which arcs are closed classes, no rate leaving them and rates joining
+    them both ways inside, for each of the 256 zero patterns of the cycle
+    rates: bit e of pattern b is set where rate e is not zero."""
+    nonzero = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    extended = np.column_stack([nonzero, np.ones(256), np.zeros(256)])
+    closed = (extended[:, _ARC_LEAVING] == 0).all(axis=2)
+    return closed & (extended[:, _ARC_INSIDE] > 0).all(axis=2)
+
+
+_CLOSED_ARCS = _closed_arcs()
 # the spanning trees toward each level, in which the Markov chain tree
 # theorem sums the products of the rates: the in-trees of the arcs of four levels
 _TREES = _ARC_TREES[3::4]
@@ -86,16 +105,17 @@ class PauliChain:
     """The temperature-independent half of the rate route (the chain step),
     for a stack of C chains that differ in the coupling alone.
 
-    For each bath, `frequencies[c, t]` is the frequency of member c's
-    transition t and `weights[c, t, s]` the |A_ij|^2 of its lowering
-    operator A on each cycle rate, for emission (s = 0) and absorption
-    (s = 1); padding slots have frequency NaN and zero weights.
-    `carried[c, k]` is the energy the k-th bath's edges carry per forward
-    cycle.  Every array is read-only.
+    `slots` holds every bath's transitions side by side, and a point's
+    rates on them form its flat (emission, absorption) table, entry
+    2 * slot + s for emission (s = 0) and absorption (s = 1), followed by
+    a zero.  `index[c, e]` points cycle rate e of member c into that
+    table, at the one rate of the rate law that drives it (with weight
+    |A_ij|^2 = 1) or at the zero.  `carried[c, k]` is the energy the k-th
+    bath's edges carry per forward cycle.  Every array is read-only.
     """
 
-    frequencies: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
+    slots: Slots
+    index: np.ndarray
     carried: np.ndarray
 
 
@@ -125,18 +145,26 @@ def pauli_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> PauliC
         frequencies.append(bath_frequencies)
         # absorption runs each edge the other way
         weights.append(np.stack([emission, np.roll(emission, 4, axis=-1)], axis=2))
+    # each transition's weight on a cycle rate is 0 or 1, and one
+    # transition at most drives a rate
+    weights = np.concatenate(weights, axis=1).reshape(len(levels), -1, 8)
+    member, entry, rate = np.nonzero(weights)
+    index = np.full((len(levels), 8), weights.shape[1])
+    index[member, rate] = entry
     steps = levels[:, _HEADS] - levels[:, _CYCLE]
     carried = (steps[:, :2] + steps[:, 2:])[:, sites]
-    for array in (*frequencies, *weights, carried):
+    for array in (index, carried):
         array.setflags(write=False)
-    return PauliChain(frequencies=tuple(frequencies), weights=tuple(weights), carried=carried)
+    return PauliChain(slots=_slots(frequencies), index=index, carried=carried)
 
 
 def _cycle_rates(chain: PauliChain, member: np.ndarray, kappa, temperatures) -> np.ndarray:
-    """The (P, 8) cycle rates of P points: each one rate of the rate law (its
-    weight is 1) or zero."""
-    tables = _rate_tables(member, kappa, temperatures, chain.frequencies)
-    return sum(np.einsum("pts,ptse->pe", r, w[member]) for r, w in zip(tables, chain.weights))
+    """The (P, 8) cycle rates of P points, each one rate of the rate law or
+    zero: one gather from each point's flat (emission, absorption) table."""
+    rates = _slot_rates(chain.slots, member, kappa, temperatures)
+    table = np.zeros((len(rates), rates.shape[1] * 2 + 1))
+    table[:, :-1] = rates.reshape(table[:, :-1].shape)
+    return np.take_along_axis(table, chain.index[member], axis=1)
 
 
 def _tree_sum(rates: np.ndarray, trees: np.ndarray = _TREES) -> np.ndarray:
@@ -154,11 +182,17 @@ def _cut_cycles(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     no rate leaves and rates join both ways inside: each point's number of
     them, the projection of the uniform vector onto their stationary vectors
     (unnormalized), and whether a class's in-tree, normalized by its
-    largest entry, has that entry below the normal range."""
+    largest entry, has that entry below the normal range.
+
+    Which arcs are closed depends only on which rates vanish
+    (`_CLOSED_ARCS`), and the in-trees are formed only for the arcs closed
+    at some point of the stack: an arc closed nowhere adds zeros alone."""
+    pattern = np.packbits(rates != 0, axis=1, bitorder="little")[:, 0]
+    closed = _CLOSED_ARCS[pattern]
+    arcs = np.flatnonzero(closed.any(axis=0))
+    closed = closed[:, arcs]
     extended = np.column_stack([rates, np.ones(len(rates)), np.zeros(len(rates))])
-    closed = (extended[:, _ARC_LEAVING] == 0).all(axis=2)
-    closed &= (extended[:, _ARC_INSIDE] > 0).all(axis=2)
-    trees = _tree_sum(extended, _ARC_TREES[None])  # one tree per arc and level
+    trees = _tree_sum(extended, _ARC_TREES[None, arcs])  # one tree per arc and level
     largest = np.where(closed, trees.max(axis=2), 1.0)
     trees = np.where(closed[..., None], trees / largest[..., None], 0.0)
     weight = trees.sum(axis=2) / np.where(closed, (trees**2).sum(axis=2), 1.0)
@@ -183,7 +217,8 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, x - high
 
 
-# an overflow is refused by the non-finite checks, under the point's index
+# an overflow is refused by the non-finite checks, under the point's index;
+# a point refused early runs through the later stages too, NaN and all
 @np.errstate(over="ignore", invalid="ignore")
 def steady_state_pauli(
     chain: PauliChain, member: np.ndarray, kappa: np.ndarray, temperatures: np.ndarray
@@ -195,17 +230,22 @@ def steady_state_pauli(
     k-th bath there; arrays of other shapes than (P,), (P,) and
     (P, n_baths) raise ValueError.  The fields carry a leading axis of
     length P; a point comes out bit-identical in any stack, and on any
-    chain stack that holds its chain.
+    chain stack that holds its chain.  Every check runs on the whole
+    stack, and a SteadyStateError names the first point refused, with the
+    refusal it meets in a stack of its own.
     """
     member = np.asarray(member, dtype=np.intp)
     rates = _cycle_rates(chain, member, kappa, temperatures)
     carried = chain.carried[member]
     largest = rates.max(axis=1, initial=0.0)
-    _first_failure(
-        ~np.isfinite(largest) | ~np.isfinite(carried).all(axis=1),
-        lambda p: "non-finite rate or carried energy",
-    )
-    _first_failure(largest == 0.0, lambda p: "rates are identically zero")
+    # each check's failures, in the order a point meets them alone
+    refusals = [
+        (
+            ~np.isfinite(largest) | ~np.isfinite(carried).all(axis=1),
+            lambda p: "non-finite rate or carried energy",
+        ),
+        (largest == 0.0, lambda p: "rates are identically zero"),
+    ]
     exponent = np.frexp(largest)[1]
     rates = np.ldexp(rates, -exponent[:, None])
 
@@ -224,22 +264,25 @@ def steady_state_pauli(
     positive = edges > 0
     lost = (cycles < _TINY) & positive[:, :, 0, 0] & positive[:, :, 0, 1]
     lost = (lost & positive[:, :, 1, 0] & positive[:, :, 1, 1]).any(axis=1)
-    small = np.flatnonzero(total < _TINY)
-    classes, populations[small], class_lost = _cut_cycles(rates[small])
-    lost[small] = np.where(classes > 1, class_lost, True)
-    _first_failure(lost, lambda p: "rates span more than the double range")
     kernel_dim = np.ones(len(rates), dtype=int)
-    kernel_dim[small] = classes
-    total[small] = sum(populations[small].T)
+    small = np.flatnonzero(total < _TINY)
+    if len(small):
+        kernel_dim[small], populations[small], class_lost = _cut_cycles(rates[small])
+        lost[small] = np.where(kernel_dim[small] > 1, class_lost, True)
+        total[small] = sum(populations[small].T)
+    refusals.append((lost, lambda p: "rates span more than the double range"))
     p = populations / total[:, None]
     smallest = p.min(axis=1)
-    _first_failure(
-        smallest < _MIN_EIGENVALUE,
-        lambda i: f"steady state not positive: min eigenvalue {smallest[i]:.3e}",
+    refusals.append(
+        (
+            smallest < _MIN_EIGENVALUE,
+            lambda i: f"steady state not positive: min eigenvalue {smallest[i]:.3e}",
+        )
     )
     # adding zero turns the -0 of a zero flux times a negative energy into 0
     currents = np.ldexp(flux, exponent)[:, None] * carried + 0.0
-    _check_currents(currents)
+    refusals.append(_currents_check(currents))
+    _refuse_first(refusals)
     flows = rates[:, :4] * p[:, _CYCLE] - rates[:, 4:] * p[:, _HEADS]
     residual = np.linalg.norm(flows[:, [-1, 0, 1, 2]] - flows, axis=1)  # in minus out
     return SteadyState(

@@ -1,19 +1,22 @@
 """Steady states: the types and checks the solvers share.
 
 `SteadyState` is the result of every solver and `SteadyStateError` its
-refusal, which names the failing stack member by its index
-(`_first_failure`).  `KERNEL_RTOL` is the relative cut of the dense
-oracle's kernel rule (`oracle._kernel_vector`) and of the Gaussian
-route's undamped mode pairs (`gaussian`); the Ising pair's rate route
-(`rates`) holds no relative cut.  The rate route and the oracle refuse a
-state with an eigenvalue (on the rate route, a population) below
+refusal, which names the failing stack member by its index: the first
+one a check flags on the dense oracle (`_first_failure`), and on the two
+point steps the first one any check flags, with the refusal it meets in
+a stack of its own (`_refuse_first`).  `KERNEL_RTOL` is the relative cut
+of the dense oracle's kernel rule (`oracle._kernel_vector`) and of the
+Gaussian route's undamped mode pairs (`gaussian`); the Ising pair's rate
+route (`rates`) holds no relative cut.  The rate route and the oracle
+refuse a state with an eigenvalue (on the rate route, a population) below
 `_MIN_EIGENVALUE`, and both transport routes refuse a point whose bath
-currents are not finite (`_check_currents`).
+currents are not finite (`_currents_check`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,8 +30,9 @@ class SteadyStateError(RuntimeError):
     """A point has no valid steady state, or its rates or currents are refused.
 
     The oracle's kernel rule and the point steps set `member` to the index
-    of the stack member that failed; the dataset runner, which names the
-    failing curve and x in the message instead, leaves it None.
+    of the stack member that failed, on a point step the first point
+    refused; the dataset runner, which names the failing curve and x in
+    the message instead, leaves it None.
     """
 
     def __init__(self, message: str, member: int | None = None):
@@ -52,7 +56,8 @@ class SteadyState:
     stack, a kappa and a temperature per bath, returns P of them in the
     same fields: `rho` of shape (P, d, d), real and diagonal, `residual`
     and `kernel_dim` of shape (P,) and `bath_currents` of shape
-    (P, n_baths), P = 0 included.
+    (P, n_baths), P = 0 included; where points are refused, the
+    SteadyStateError names the first of them.
     """
 
     rho: np.ndarray
@@ -69,10 +74,24 @@ def _first_failure(failed: np.ndarray, message) -> None:
         raise SteadyStateError(message(member), member=member)
 
 
-def _check_currents(currents: np.ndarray) -> None:
-    """Refuse the first point of a (P, n_baths) stack of bath currents that
-    holds an infinity or a NaN, as an overflow of the rates leaves."""
-    _first_failure(
+def _refuse_first(refusals: Sequence[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+    """Raise SteadyStateError for the first stack member that any check of
+    a point step flags, with the message of the first check that flags
+    it: the refusal it meets in a stack of its own.  `refusals` holds each
+    check's failure mask and message(member), in the order the checks run."""
+    flagged = [
+        (int(np.argmax(failed)), k) for k, (failed, _) in enumerate(refusals) if failed.any()
+    ]
+    if flagged:
+        member, k = min(flagged)
+        raise SteadyStateError(refusals[k][1](member), member=member)
+
+
+def _currents_check(currents: np.ndarray) -> tuple[np.ndarray, Callable[[int], str]]:
+    """The check that refuses each point of a (P, n_baths) stack of bath
+    currents that holds an infinity or a NaN, as an overflow of the rates
+    leaves."""
+    return (
         ~np.isfinite(currents).all(axis=1),
         lambda p: f"bath currents not finite: {currents[p].tolist()}",
     )

@@ -83,6 +83,11 @@ def live_counts(frequencies):
     return np.count_nonzero(~np.isnan(frequencies), axis=1)
 
 
+def bath_frequencies(slots):
+    """Each bath's (C, T) frequencies, its run of a chain step's slots."""
+    return [slots.frequency[:, slots.bath == k] for k in range(slots.n_baths)]
+
+
 def _assert_read_only(arrays):
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -92,19 +97,24 @@ def _assert_read_only(arrays):
 @pytest.mark.parametrize("style", DissipatorStyle)
 def test_cached_arrays_are_read_only(style):
     # the rate route's chain step, which the cache serves to the Ising pair:
-    # each bath's frequencies and cycle weights, one per transition (the
-    # left bath drives two globally, h + delta and h - delta, every other
-    # bath one), and the energy each bath's edges carry
+    # each bath's frequencies, one slot per transition (the left bath drives
+    # two globally, h + delta and h - delta, every other bath one), each
+    # cycle rate's entry in a point's flat rate table, and the energy each
+    # bath's edges carry
     spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
     chain = thermo._chain(spec, (spec.coupling_delta,), style)
     transitions = {DissipatorStyle.GLOBAL: [2, 1], DissipatorStyle.LOCAL: [1, 1]}[style]
-    assert [weights.shape[:2] for weights in chain.weights] == [(1, t) for t in transitions]
-    assert [freqs.shape for freqs in chain.frequencies] == [(1, t) for t in transitions]
-    assert [live_counts(freqs).tolist() for freqs in chain.frequencies] == [
+    slots = chain.slots
+    assert chain.index.shape == (1, 8)
+    # every entry is a live slot's (emission, absorption) pair or the zero past them
+    assert ((0 <= chain.index) & (chain.index <= 2 * sum(transitions))).all()
+    assert [freqs.shape for freqs in bath_frequencies(slots)] == [(1, t) for t in transitions]
+    assert [live_counts(freqs).tolist() for freqs in bath_frequencies(slots)] == [
         [t] for t in transitions
     ]
-    _assert_read_only([chain.carried, *chain.frequencies, *chain.weights])
+    assert slots.live.all() and slots.n_baths == 2
+    _assert_read_only([chain.carried, chain.index, slots.frequency, slots.live, slots.bath])
 
 
 @pytest.mark.parametrize("style", DissipatorStyle)
@@ -112,8 +122,11 @@ def test_cached_gaussian_arrays_are_read_only(style):
     spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
     chain = thermo._chain(spec, (spec.coupling_delta,), style)
-    arrays = [chain.majorana, *chain.frequencies, *chain.lowering]
-    assert len(arrays) == 5
+    slots = chain.slots
+    arrays = [chain.majorana, chain.outer, chain.work, slots.frequency, slots.live, slots.bath]
+    assert slots.n_baths == 2
+    assert chain.outer.shape == (1, len(slots.bath), 2, 36)
+    assert chain.work.shape == (1, len(slots.bath))
     _assert_read_only(arrays)
 
 

@@ -32,7 +32,7 @@ from spinheat.spinops import (
 )
 from spinheat.steady import SteadyStateError
 
-from test_chain_cache import PROPERTY, _dense_current, kappas, temperatures
+from test_chain_cache import PROPERTY, _dense_current, bath_frequencies, kappas, temperatures
 
 GLOBAL, LOCAL = DissipatorStyle.GLOBAL, DissipatorStyle.LOCAL
 ROOT2 = math.sqrt(2.0)
@@ -189,7 +189,7 @@ def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
     temps = [[2.0, 0.5], [1.0, 0.0], [2.0, 0.0]]
     with pytest.raises(SteadyStateError, match=r"n = 17 needs a 1156 x 1156 operator") as excinfo:
         steady_state_gaussian(chain, [1, 0, 1], [1.0, 1.0, 1.0], temps)
-    assert excinfo.value.member == 1  # the first point on the first member
+    assert excinfo.value.member == 0  # every point is refused: the first is named
     assert "refused above n = 16" in str(excinfo.value)
 
 
@@ -232,7 +232,7 @@ def _eigenbasis_frequencies(spec, site):
 def test_modes_are_grouped_like_the_eigenbasis_jumps(n, ratio):
     spec = _spec(n, ratio)
     chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
-    for site, frequencies in zip((0, n - 1), chain.frequencies):
+    for site, frequencies in zip((0, n - 1), bath_frequencies(chain.slots)):
         np.testing.assert_allclose(frequencies[0], _eigenbasis_frequencies(spec, site), rtol=1e-12)
 
 
@@ -244,17 +244,19 @@ def test_grouping_scales_by_the_largest_many_body_energy():
     # max|eps| (about 3e-9 h) would merge them
     spec = _spec(3, ROOT2 + 2.5e-9 / ROOT2)
     chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
-    assert [frequencies.shape for frequencies in chain.frequencies] == [(1, 3), (1, 3)]
-    for site, frequencies in zip((0, 2), chain.frequencies):
-        np.testing.assert_allclose(frequencies[0], _eigenbasis_frequencies(spec, site), rtol=1e-12)
+    frequencies = bath_frequencies(chain.slots)
+    assert [bath.shape for bath in frequencies] == [(1, 3), (1, 3)]
+    for site, bath in zip((0, 2), frequencies):
+        np.testing.assert_allclose(bath[0], _eigenbasis_frequencies(spec, site), rtol=1e-12)
 
 
 def test_zero_modes_carry_no_jump_operator():
     # delta = h on five spins: eps = h (1 + 2 cos(k pi / 6)) vanishes at k = 4
     spec = _spec(5, 1.0)
     chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
-    assert [frequencies.shape for frequencies in chain.frequencies] == [(1, 4), (1, 4)]
-    assert min(chain.frequencies[0][0]) > 0.5
+    frequencies = bath_frequencies(chain.slots)
+    assert [bath.shape for bath in frequencies] == [(1, 4), (1, 4)]
+    assert min(frequencies[0][0]) > 0.5
 
 
 def test_baths_off_the_chain_ends_are_refused():

@@ -164,13 +164,13 @@ class TestThermalRates:
 
     def test_only_ratios_up_to_the_cut_reach_expm1(self, monkeypatch):
         reached = []
-        original = lindblad._EXPM1
+        original = lindblad._expm1
 
         def expm1(x):
             reached.extend(x.tolist())
             return original(x)
 
-        monkeypatch.setattr(lindblad, "_EXPM1", expm1)
+        monkeypatch.setattr(lindblad, "_expm1", expm1)
         cut = lindblad._OVERFLOW_EXPONENT
         # (frequency, temperature): T = 0, ratios 1e-300, 700 and just past
         # it, and frequency 0

@@ -23,10 +23,18 @@ import spinheat.lindblad as lindblad
 from spinheat import experiments, gaussian, oracle, rates, thermo
 from spinheat.cli import main
 from spinheat.lindblad import DissipatorStyle
-from spinheat.spinops import ChainModel, SpinChainSpec
+from spinheat.spinops import ChainModel, SpinChainSpec, diagonal_decomposition, ising_levels
 from spinheat.steady import SteadyStateError
 
-from test_chain_cache import PROPERTY, ROUTE_SPECS, chains, kappas, live_counts, temperatures
+from test_chain_cache import (
+    PROPERTY,
+    ROUTE_SPECS,
+    bath_frequencies,
+    chains,
+    kappas,
+    live_counts,
+    temperatures,
+)
 from test_steady import _rate_matrices
 
 # a degenerate kernel on the rate route: the right local bath of the Ising
@@ -184,6 +192,55 @@ def test_failing_point_on_a_chain_stack_is_named_by_its_index(monkeypatch, spec)
     assert excinfo.value.member == 3
 
 
+def test_first_refused_point_is_named_on_the_rate_route():
+    # T_L = 5e307 spans more than the double range, and the later 1e308
+    # overflows the rates, a refusal that comes first in a point's checks
+    grid = [(0.0, 0.0), (5e307, 0.0), (1e308, 0.0)]
+    messages = ["rates span more than the double range", "non-finite rate"]
+    for p, message in enumerate(messages, start=1):
+        with pytest.raises(SteadyStateError, match=message):
+            thermo.steady_net_current(ISING, 1.0, *grid[p], DissipatorStyle.GLOBAL)
+    couplings = (ISING.coupling_delta,)
+    with pytest.raises(SteadyStateError, match=messages[0]) as excinfo:
+        thermo._net_currents(ISING, couplings, [0, 0, 0], 1.0, grid, DissipatorStyle.GLOBAL)
+    assert excinfo.value.member == 1
+
+
+def test_first_refused_point_is_named_on_the_gaussian_route(monkeypatch):
+    # the covariance at T_L = 0.75 is not physical, the last check, and
+    # X at T_L = 1e308 has a non-finite entry, the first, on the chain
+    # first in the stack
+    _failing_at(monkeypatch, 0.75)
+    spec = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
+    grid = [(2.0, 0.2), (0.75, 0.2), (1e308, 0.2)]
+    messages = ["covariance not physical", "non-finite entry"]
+    for p, message in enumerate(messages, start=1):
+        with pytest.raises(SteadyStateError, match=message):
+            thermo.steady_net_current(spec, 1.0, *grid[p], DissipatorStyle.GLOBAL)
+    couplings = (spec.coupling_delta, 0.3)
+    with pytest.raises(SteadyStateError, match=messages[0]) as excinfo:
+        thermo._net_currents(spec, couplings, [0, 1, 0], 1.0, grid, DissipatorStyle.GLOBAL)
+    assert excinfo.value.member == 1
+
+
+def test_one_eigendecomposition_solves_a_stack_of_several_chains(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(x):
+        calls.append(x.shape)
+        return eig(x)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    spec = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
+    chain_step, point_step = thermo._ROUTES[spec.model]
+    specs = [replace(spec, coupling_delta=delta) for delta in (0.0, 0.5, 1.3)]
+    chain = chain_step(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.GLOBAL))
+    temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0]]
+    point_step(chain, [2, 0, 1, 2, 0], [1.0] * 5, temperatures)
+    assert calls == [(5, 6, 6)]
+
+
 @pytest.mark.parametrize("model", ["ising", "xy"])
 def test_failure_in_the_middle_of_a_stack_names_its_curve_and_x(
     tmp_path, capsys, monkeypatch, model
@@ -248,7 +305,8 @@ def test_point_that_overflows_is_named_by_its_index_in_a_stack(spec, t_left, mes
         (
             "model = ising\ndelta = 0.5\nsweep = temperature\nstart = 0\nstop = 1e308\n"
             "t_right = 0.0\n",
-            "J_global at T_L = 1e+308: ",
+            # 5e307 is refused on its own, before 1e308 (non-finite rates)
+            "J_global at T_L = 5e+307: ",
         ),
         (
             "model = xy\nspins = 3\ndelta = 1.7e308\nstyle = local\nsweep = temperature\n"
@@ -301,17 +359,30 @@ def coupling_stacks(draw):
 
 
 def _member_arrays(chain, c):
-    """Member c of a chain stack, each bath's arrays cut to its transitions,
-    and the padding past them."""
-    arrays, padding = {}, []
-    counts = [live_counts(freqs) for freqs in chain.frequencies]
+    """Member c of a chain stack, each array cut to its live slots, and the
+    padding past them.  The rate route's cycle index points into a point's
+    flat rate table, at entry 2 * slot + s or at the zero past it, and is
+    read as the rank of that slot among the member's live slots (-1 for
+    the zero)."""
+    slots = chain.slots
+    live = slots.live[c]
+    arrays = {
+        "frequency": slots.frequency[c, live],
+        "bath": slots.bath[live],
+        "n_baths": np.array(slots.n_baths),
+    }
+    padding = [("frequency", slots.frequency[c, ~live]), ("live", slots.live[c, ~live])]
     for field in fields(chain):
         value = getattr(chain, field.name)
-        if isinstance(value, tuple):  # one array per bath
-            for k, (bath, n) in enumerate(zip(value, counts)):
-                arrays[field.name, k] = bath[c, : n[c]]
-                padding.append((field.name, bath[c, n[c] :]))
-        else:
+        if field.name in ("outer", "work"):  # one entry per slot
+            arrays[field.name] = value[c, live]
+            padding.append((field.name, value[c, ~live]))
+        elif field.name == "index":
+            slot, s = np.divmod(value[c], 2)
+            rank = np.append(np.cumsum(live) - 1, -1)
+            assert np.append(live, True)[slot].all()  # never a padding slot
+            arrays[field.name] = np.where(slot == len(live), -1, 2 * rank[slot] + s)
+        elif field.name != "slots":
             arrays[field.name] = value[c]
     return arrays, padding
 
@@ -325,14 +396,14 @@ def test_chain_stack_members_are_their_own_chains(stack, data):
     chain = chain_step(specs, baths)
     alone = [chain_step([spec], baths) for spec in specs]
     for c, single in enumerate(alone):
-        assert [live_counts(f)[c] for f in chain.frequencies] == [
-            live_counts(f)[0] for f in single.frequencies
+        assert [live_counts(f)[c] for f in bath_frequencies(chain.slots)] == [
+            live_counts(f)[0] for f in bath_frequencies(single.slots)
         ]
         arrays, padding = _member_arrays(chain, c)
         for name, value in _member_arrays(single, 0)[0].items():
             assert arrays[name].tobytes() == value.tobytes(), (name, c)
         for name, value in padding:
-            if name == "frequencies":
+            if name == "frequency":
                 assert np.isnan(value).all()
             else:
                 assert not value.any(), name
@@ -355,12 +426,53 @@ def test_chain_stack_members_are_their_own_chains(stack, data):
     with mock.patch.object(lindblad, "thermal_rates", recorded):
         stacked = _fields(point_step(chain, member, kappa, temps))
     # no padding slot reaches the rate law
-    assert len(seen) == sum(live_counts(f)[m] for f in chain.frequencies for m in member)
+    assert len(seen) == sum(
+        live_counts(f)[m] for f in bath_frequencies(chain.slots) for m in member
+    )
     assert not np.isnan(seen).any()
     for p, (m, *rest) in enumerate(drawn):
         own = _fields(point_step(alone[m], [0], [rest[0]], [rest[1:]]))
         for name, value in stacked.items():
             assert value[p].tobytes() == own[name][0].tobytes(), (name, p)
+
+
+def _weight_einsum(specs, style, member, kappa, temperatures):
+    """The (P, 8) cycle rates as the rate route formed them from 0/1 weights:
+    each bath's |A_ij|^2 on the cycle rates, for emission and absorption,
+    times its (P, T, 2) rate table, summed by one einsum per bath."""
+    head = specs[0]
+    levels = ising_levels(head.field_h, [spec.coupling_delta for spec in specs])
+    decomp = diagonal_decomposition(levels)
+    total = 0
+    for k, bath in enumerate(lindblad.standard_baths(head, 1.0, 0.0, 0.0, style)):
+        frequencies, lowering = lindblad.bath_transitions(decomp, bath)
+        emission = (np.abs(lowering) ** 2).reshape(*lowering.shape[:2], 16)[..., rates._EDGES]
+        weights = np.stack([emission, np.roll(emission, 4, axis=-1)], axis=2)
+        table = np.zeros((len(member), frequencies.shape[1], 2))
+        points, slots = np.nonzero(~np.isnan(frequencies[member]))
+        table[points, slots, 0], table[points, slots, 1] = lindblad.thermal_rates(
+            kappa[points], temperatures[points, k], frequencies[member[points], slots]
+        )
+        total = total + np.einsum("pts,ptse->pe", table, weights[member])
+    return total
+
+
+@PROPERTY
+@given(coupling_stacks(), st.data())
+def test_cycle_index_is_the_weight_einsum(stack, data):
+    specs, style = stack
+    if specs[0].model is not ChainModel.ISING_ZZ:
+        specs = tuple(replace(spec, model=ChainModel.ISING_ZZ, n_spins=2) for spec in specs)
+    # delta = 0 on one member: its right global bath drives no transition
+    specs += (replace(specs[0], coupling_delta=0.0),)
+    chain = rates.pauli_chain(specs, lindblad.standard_baths(specs[0], 1.0, 0.0, 0.0, style))
+    point = st.tuples(st.integers(0, len(specs) - 1), kappas, temperatures, temperatures)
+    drawn = data.draw(st.lists(point, min_size=1, max_size=8))
+    member = np.array([p[0] for p in drawn] + [len(specs) - 1])
+    kappa = np.array([p[1] for p in drawn] + [1.0])
+    temps = np.array([p[2:] for p in drawn] + [(1.0, 0.5)])
+    cycle = rates._cycle_rates(chain, member, kappa, temps)
+    assert cycle.tobytes() == _weight_einsum(specs, style, member, kappa, temps).tobytes()
 
 
 @pytest.mark.parametrize("route", ROUTE_SPECS)

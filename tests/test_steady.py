@@ -279,6 +279,21 @@ def dense_ising_state(L):
     )
 
 
+def _sixteen_arc_cut_cycles(cycle_rates):
+    """`rates._cut_cycles` by the direct rule on all 16 arcs, forming every
+    arc's in-trees: the reference of its closed-arc table."""
+    size = len(cycle_rates)
+    extended = np.column_stack([cycle_rates, np.ones(size), np.zeros(size)])
+    closed = (extended[:, rates._ARC_LEAVING] == 0).all(axis=2)
+    closed &= (extended[:, rates._ARC_INSIDE] > 0).all(axis=2)
+    trees = rates._tree_sum(extended, rates._ARC_TREES[None])
+    largest = np.where(closed, trees.max(axis=2), 1.0)
+    trees = np.where(closed[..., None], trees / largest[..., None], 0.0)
+    weight = trees.sum(axis=2) / np.where(closed, (trees**2).sum(axis=2), 1.0)
+    lost = (largest < np.finfo(float).tiny).any(axis=1)
+    return closed.sum(axis=1), (weight[..., None] * trees).sum(axis=1), lost
+
+
 class TestTreeSum:
     RATES = _random_cycle_rates(20000, seed=1701)
     W, GENERATOR = _rate_matrices(RATES)
@@ -333,6 +348,26 @@ class TestTreeSum:
         above = np.take_along_axis(s, 3 - classes[found, None], axis=1)[:, 0]
         bound = 100 * np.finfo(float).eps * s[:, 0] / above
         assert (np.abs(from_classes - from_svd).max(axis=1) <= bound).all()
+
+    def test_closed_arc_table_is_the_direct_rule(self):
+        # rates at each zero pattern, of sizes that vary across the patterns
+        patterns = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        cycle = patterns * 10.0 ** np.random.default_rng(7).uniform(-300.0, 300.0, (256, 8))
+        extended = np.column_stack([cycle, np.ones(256), np.zeros(256)])
+        direct = (extended[:, rates._ARC_LEAVING] == 0).all(axis=2)
+        direct &= (extended[:, rates._ARC_INSIDE] > 0).all(axis=2)
+        assert np.array_equal(rates._CLOSED_ARCS, direct)
+        key = np.packbits(cycle != 0, axis=1, bitorder="little")[:, 0]
+        assert np.array_equal(rates._CLOSED_ARCS[key], direct)
+
+    def test_cut_cycles_are_the_sixteen_arc_form(self):
+        # on every draw, on the cut cycles alone, and on stacks that close
+        # only a few arcs, the cut cycles are the bits of the rule that
+        # forms all 16 arcs' in-trees
+        cut = ~self.ONE_CLASS & self.RATES.any(axis=1)
+        for stack in (self.RATES, self.RATES[cut], self.RATES[cut][:3], self.RATES[:0]):
+            for ours, reference in zip(rates._cut_cycles(stack), _sixteen_arc_cut_cycles(stack)):
+                assert ours.tobytes() == reference.tobytes()
 
     def test_populations_are_the_exact_tree_sums_within_a_few_ulps(self):
         # two roundings per product, three per sum of 4 trees, three for
