@@ -30,7 +30,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -309,6 +308,10 @@ def _parallel_map(fn: Callable, items: Sequence, jobs: int | None) -> list:
     workers = _workers(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    # imported here: the pool pulls in multiprocessing, which would add to
+    # every import of the package while most runs use one worker
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

@@ -37,17 +37,21 @@ vector l.
   tolerance without being equal (delta near 1e-9 h): there the eigenbasis
   grouping is also anchored on many-body gaps that sigma^x does not
   connect.  Where the many-body energies overflow (delta near 1e308), an
-  infinite tolerance would drop every gap: the bath drives one transition
-  at an infinite frequency instead, whose rates the point step refuses.
+  infinite tolerance would drop every gap: every mode takes frequency
+  +inf instead, so the bath drives one transition at an infinite
+  frequency, whose rates the point step refuses.
 
 The chain step, `gaussian_chain`, takes a stack of C chains that differ
 in the coupling alone and holds, for each member, A and every bath's
 transitions side by side (`lindblad.Slots`), padded like those of the
 rate route with frequency NaN; it alone says where the baths couple, and
-none of it depends on temperature or kappa.  Each member is built alone,
-as the number of modes a bath drives changes with delta.  For each
-transition, with lowering vector l, it keeps the real and imaginary parts
-of l^* l^T and the work term sum_ab A_ab Im(l^* l^T)_ab, zero on padding.
+none of it depends on temperature or kappa.  It takes one batched
+eigendecomposition of the (C, n, n) hopping matrices and, per bath, one
+`lindblad._groups` call on every member's sorted |eps_k| (zero modes
+NaN), which puts each member's groups first and NaN past them; one
+scatter-add sums each group's lowering vectors.  For each transition,
+with lowering vector l, it keeps the real and imaginary parts of
+l^* l^T and the work term sum_ab A_ab Im(l^* l^T)_ab, zero on padding.
 The point step, `steady_state_gaussian`, takes P points on the members
 at once, a member index, a kappa and a temperature per bath for each
 point, and takes their rates on the live slots (`lindblad._slot_rates`)
@@ -168,59 +172,39 @@ class GaussianState:
 
 
 def _mode_vectors(phi: np.ndarray) -> np.ndarray:
-    """Row k holds the Majorana coefficients of c_k (phi = identity) or of
-    eta_k = sum_i phi[i, k] c_i."""
-    n = phi.shape[0]
-    vectors = np.zeros((n, 2 * n), dtype=complex)
-    vectors[:, 0::2] = 0.5 * phi.T
-    vectors[:, 1::2] = 0.5j * phi.T
+    """Row k of each member of a (..., n, n) stack holds the Majorana
+    coefficients of c_k (phi = identity) or of eta_k = sum_i phi[i, k] c_i."""
+    n = phi.shape[-1]
+    vectors = np.zeros((*phi.shape[:-2], n, 2 * n), dtype=complex)
+    vectors[..., 0::2] = 0.5 * _transpose(phi)
+    vectors[..., 1::2] = 0.5j * _transpose(phi)
     return vectors
 
 
 def _global_transitions(
     eps: np.ndarray, phi: np.ndarray, site: int, sign: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(frequencies, lowering vectors) of sigma^x on an edge site, grouped by |eps|."""
-    modes = _mode_vectors(phi) * phi[site][:, None]
+    """(frequencies (C, G), lowering vectors (C, G, 2n)) of sigma^x on an edge
+    site of each member of a stack of C mode sets, grouped by |eps|, NaN and
+    zero past each member's groups."""
+    modes = _mode_vectors(phi) * phi[:, site, :, None]
     # a mode below zero is lowered by its creation operator
-    lowering = np.where((eps > 0)[:, None], modes, sign * modes.conj())
+    lowering = np.where((eps > 0)[..., None], modes, sign * modes.conj())
     energy = np.abs(eps)
-    tol = _degeneracy_tolerance(np.array([0.5 * energy.sum()]))
-    if not np.isfinite(tol[0]):
-        # the many-body energies overflow: one transition at an infinite
-        # frequency, which the point step refuses under the point's index
-        return np.array([np.inf]), lowering.sum(axis=0, keepdims=True)
-    order = np.argsort(energy, kind="stable")
-    order = order[energy[order] > tol]
-    labels, means = _groups(energy[order][None], tol)
-    vectors = np.zeros((means.shape[1], lowering.shape[1]), dtype=complex)
-    for row in range(len(vectors)):
-        vectors[row] = lowering[order[labels[0] == row]].sum(axis=0)
-    return means[0], vectors
-
-
-def _chain_member(spec: SpinChainSpec, baths: list[BathSpec]) -> tuple[np.ndarray, list, list]:
-    """A and each bath's (frequencies, lowering vectors) of one chain."""
-    n = spec.n_spins
-    off = np.full(n - 1, spec.coupling_delta)
-    hop = spec.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
-    majorana = np.zeros((2 * n, 2 * n))
-    majorana[0::2, 1::2] = hop
-    majorana[1::2, 0::2] = -hop
-
-    if baths[0].style is DissipatorStyle.GLOBAL:
-        eps, phi = np.linalg.eigh(hop)
-    frequencies, lowering = [], []
-    for bath in baths:
-        if bath.style is DissipatorStyle.GLOBAL:
-            sign = 1.0 if bath.site == 0 else -1.0
-            freqs, vectors = _global_transitions(eps, phi, bath.site, sign)
-        else:
-            freqs = np.array([bath.local_frequency])
-            vectors = _mode_vectors(np.eye(n))[bath.site : bath.site + 1]
-        frequencies.append(freqs)
-        lowering.append(vectors)
-    return majorana, frequencies, lowering
+    tol = _degeneracy_tolerance(0.5 * energy.sum(axis=1))
+    # zero modes carry no jump operator; where the many-body energies
+    # overflow, every mode drives the one transition at an infinite
+    # frequency, which the point step refuses under the point's index
+    overflow = ~np.isfinite(tol)[:, None]
+    energy = np.where(overflow, np.inf, np.where(energy > tol[:, None], energy, np.nan))
+    order = np.argsort(energy, axis=1, kind="stable")
+    energy = np.take_along_axis(energy, order, axis=1)
+    labels, means = _groups(energy, tol)
+    # each group sums its modes in sorted order from +0, as np.sum does
+    vectors = np.zeros((*means.shape, lowering.shape[2]), dtype=complex)
+    member, rank = np.nonzero(~np.isnan(energy))
+    np.add.at(vectors, (member, labels[member, rank]), lowering[member, order[member, rank]])
+    return means, vectors
 
 
 # an overflow leaves an infinite frequency, which the point step refuses
@@ -228,7 +212,8 @@ def _chain_member(spec: SpinChainSpec, baths: list[BathSpec]) -> tuple[np.ndarra
 def gaussian_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> GaussianChain:
     """The chain step of a stack of XY chains that differ in the coupling
     alone: A and each bath's (frequency, lowering vector) pairs, member c
-    for `specs[c]`, each member built alone.
+    for `specs[c]`, built in array operations over the whole stack (one
+    batched `eigh` in the global style, none in the local one).
 
     Only each bath's site, style and local frequency are read.  Baths must
     couple to an end of the chain, where the Jordan-Wigner string drops
@@ -243,17 +228,23 @@ def gaussian_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> Gau
     for bath in baths:
         if bath.site not in (0, n - 1):
             raise ValueError(f"bath site {bath.site} is not an end of the {n}-spin chain")
-    members = [_chain_member(spec, baths) for spec in specs]
-    majorana = np.stack([member[0] for member in members])
+    delta = np.array([spec.coupling_delta for spec in specs], dtype=float)
+    hop = head.field_h * np.eye(n) + delta[:, None, None] * (np.eye(n, k=1) + np.eye(n, k=-1))
+    majorana = np.zeros((len(specs), 2 * n, 2 * n))
+    majorana[:, 0::2, 1::2] = hop
+    majorana[:, 1::2, 0::2] = -hop
+
+    if baths[0].style is DissipatorStyle.GLOBAL:
+        eps, phi = np.linalg.eigh(hop)
     frequencies, lowering = [], []
-    for k in range(len(baths)):
-        width = max(len(member[1][k]) for member in members)
-        bath_frequencies = np.full((len(members), width), np.nan)
-        vectors = np.zeros((len(members), width, 2 * n), dtype=complex)
-        for c, (_, freqs, rows) in enumerate(members):
-            bath_frequencies[c, : len(freqs[k])] = freqs[k]
-            vectors[c, : len(rows[k])] = rows[k]
-        frequencies.append(bath_frequencies)
+    for bath in baths:
+        if bath.style is DissipatorStyle.GLOBAL:
+            sign = 1.0 if bath.site == 0 else -1.0
+            freqs, vectors = _global_transitions(eps, phi, bath.site, sign)
+        else:
+            freqs = np.full((len(specs), 1), float(bath.local_frequency))
+            vectors = np.broadcast_to(_mode_vectors(np.eye(n))[bath.site], (len(specs), 1, 2 * n))
+        frequencies.append(freqs)
         lowering.append(vectors)
     vectors = np.concatenate(lowering, axis=1)
     outer = vectors.conj()[..., :, None] * vectors[..., None, :]
@@ -378,8 +369,7 @@ def steady_state_gaussian(
     damping = -0.5 * (outer[:, :, 0] * anticommutator).sum(axis=2)
     flows = weights[..., 0] * damping - weights[..., 1] * chain.work[member]
     currents = np.zeros((len(member), chain.slots.n_baths))
-    for slot, bath in enumerate(chain.slots.bath.tolist()):
-        currents[:, bath] += flows[:, slot]
+    np.add.at(currents, (slice(None), chain.slots.bath), flows)
     # the mode occupations (1 -+ largest)/2 meet the bound rho's eigenvalues meet
     largest = np.zeros(len(member))
     largest[kept] = np.max(np.abs(np.linalg.eigvalsh(1j * gamma[kept])), axis=1)

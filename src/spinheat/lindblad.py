@@ -6,18 +6,20 @@ sees the true transition frequencies of the interacting system.  The
 "local" style damps a single spin with its bare raising/lowering operators
 at a fixed frequency, ignoring the inter-spin coupling.  The styles differ
 only in which transitions, (frequency, lowering operator) pairs, each bath
-sees, and `bath_transitions` is the one place that decides them for every
-route.  It takes a stack of C spectral decompositions and returns each
-member's transitions in array operations over the stack
-(`global_transitions`).  The number of transitions changes with the
-coupling: each member's transitions take its first slots, and the slots
-past them are padding, marked by frequency NaN alone.  Every route takes
-its rates from one ohmic rate law, `thermal_rates`, which gives the
-emission rate of a bath at a frequency (carried by the lowering operator)
-and its absorption rate (carried by the adjoint).  The law acts
-elementwise on arrays.  The chain steps lay every bath's transitions side
-by side (`Slots`), and the point steps call the law once per stack of
-points on the live slots alone (`_slot_rates`).
+sees.  `bath_transitions` decides them on many-body operators, for the
+dense oracle and the rate route; the Gaussian route (`gaussian`) works on
+single-particle modes and groups their energies itself, by the same rule
+(`_groups`).  `bath_transitions` takes a stack of C spectral
+decompositions and returns each member's transitions in array operations
+over the stack (`global_transitions`).  The number of transitions changes
+with the coupling: each member's transitions take its first slots, and
+the slots past them are padding, marked by frequency NaN alone.  Every
+route takes its rates from one ohmic rate law, `thermal_rates`, which
+gives the emission rate of a bath at a frequency (carried by the
+lowering operator) and its absorption rate (carried by the adjoint).
+The law acts elementwise on arrays.  The chain steps lay every bath's
+transitions side by side (`Slots`), and the point steps call the law
+once per stack of points on the live slots alone (`_slot_rates`).
 """
 
 from __future__ import annotations

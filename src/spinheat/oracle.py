@@ -70,7 +70,7 @@ from .spinops import (
     build_hamiltonian,
     spectral_decompose,
 )
-from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyState, SteadyStateError, _first_failure
+from .steady import _MIN_EIGENVALUE, KERNEL_RTOL, SteadyState, SteadyStateError, _refuse_first
 
 # `cross_validate` bounds: largest eigenbasis population deviation between
 # the two routes, and largest eigenbasis coherence of the null-space state.
@@ -217,18 +217,22 @@ def _kernel_vector(matrices: np.ndarray, mixed: np.ndarray) -> tuple[np.ndarray,
     back through vh^H.  A member with a non-finite entry, which the SVD
     cannot take, or whose kernel is empty raises SteadyStateError.
     """
-    _first_failure(
-        ~np.isfinite(matrices).all(axis=(1, 2)), lambda p: "generator has a non-finite entry"
+    _refuse_first(
+        [(~np.isfinite(matrices).all(axis=(1, 2)), lambda p: "generator has a non-finite entry")]
     )
     _, s, vh = np.linalg.svd(matrices)
     largest, smallest = s[:, 0], s[:, -1]
-    _first_failure(largest == 0.0, lambda p: "generator is identically zero")
+    _refuse_first([(largest == 0.0, lambda p: "generator is identically zero")])
     kernel_mask = s < KERNEL_RTOL * largest[:, None]
     kernel_dim = np.count_nonzero(kernel_mask, axis=1)
-    _first_failure(
-        kernel_dim == 0,
-        lambda p: f"no kernel found: smallest relative singular value "
-        f"{smallest[p] / largest[p]:.3e}",
+    _refuse_first(
+        [
+            (
+                kernel_dim == 0,
+                lambda p: f"no kernel found: smallest relative singular value "
+                f"{smallest[p] / largest[p]:.3e}",
+            )
+        ]
     )
     vectors = np.array(vh[:, -1].conj())
     degenerate = np.flatnonzero(kernel_dim > 1)
@@ -244,15 +248,19 @@ def _density_matrix(rho: np.ndarray) -> np.ndarray:
     # the kernel vector carries an arbitrary global phase: dividing by the
     # complex trace removes it before Hermitization can cancel anything
     trace = np.trace(rho, axis1=1, axis2=2).astype(complex)
-    _first_failure(np.abs(trace) < 1e-12, lambda p: "kernel vector has vanishing trace")
+    _refuse_first([(np.abs(trace) < 1e-12, lambda p: "kernel vector has vanishing trace")])
     rho = rho / trace[:, None, None]
     rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
     min_eig = np.linalg.eigvalsh(rho).min(axis=1)
-    _first_failure(
-        min_eig < _MIN_EIGENVALUE,
-        lambda p: f"steady state not positive: min eigenvalue {min_eig[p]:.3e}",
+    _refuse_first(
+        [
+            (
+                min_eig < _MIN_EIGENVALUE,
+                lambda p: f"steady state not positive: min eigenvalue {min_eig[p]:.3e}",
+            )
+        ]
     )
     return rho
 

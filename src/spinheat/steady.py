@@ -1,13 +1,13 @@
 """Steady states: the types and checks the solvers share.
 
 `SteadyState` is the result of every solver and `SteadyStateError` its
-refusal, which names the failing stack member by its index: the first
-one a check flags on the dense oracle (`_first_failure`), and on the two
-point steps the first one any check flags, with the refusal it meets in
-a stack of its own (`_refuse_first`).  `KERNEL_RTOL` is the relative cut
-of the dense oracle's kernel rule (`oracle._kernel_vector`) and of the
-Gaussian route's undamped mode pairs (`gaussian`); the Ising pair's rate
-route (`rates`) holds no relative cut.  The rate route and the oracle
+refusal, which names the failing stack member by its index: on the dense
+oracle and on the two point steps, the first one any check flags, with
+the refusal it meets in a stack of its own (`_refuse_first`).
+`KERNEL_RTOL` is the relative cut of the dense oracle's kernel rule
+(`oracle._kernel_vector`) and of the Gaussian route's undamped mode
+pairs (`gaussian`); the Ising pair's rate route (`rates`) holds no
+relative cut.  The rate route and the oracle
 refuse a state with an eigenvalue (on the rate route, a population) below
 `_MIN_EIGENVALUE`, and both transport routes refuse a point whose bath
 currents are not finite (`_currents_check`).
@@ -66,19 +66,11 @@ class SteadyState:
     bath_currents: tuple[float, ...] | np.ndarray
 
 
-def _first_failure(failed: np.ndarray, message) -> None:
-    """Raise SteadyStateError for the first stack member flagged in `failed`,
-    with `message(member)` as its text."""
-    if np.any(failed):
-        member = int(np.argmax(failed))
-        raise SteadyStateError(message(member), member=member)
-
-
 def _refuse_first(refusals: Sequence[tuple[np.ndarray, Callable[[int], str]]]) -> None:
-    """Raise SteadyStateError for the first stack member that any check of
-    a point step flags, with the message of the first check that flags
-    it: the refusal it meets in a stack of its own.  `refusals` holds each
-    check's failure mask and message(member), in the order the checks run."""
+    """Raise SteadyStateError for the first stack member that any check
+    flags, with the message of the first check that flags it: the refusal
+    it meets in a stack of its own.  `refusals` holds each check's failure
+    mask and message(member), in the order the checks run."""
     flagged = [
         (int(np.argmax(failed)), k) for k, (failed, _) in enumerate(refusals) if failed.any()
     ]

@@ -66,9 +66,9 @@ from .spinops import ChainModel, SpinChainSpec
 # over temperatures on one chain at a time, read 211/10, one miss per
 # chain they use.  A caller that reruns a dataset hits once per group: a
 # second fig2 + fig3 pass reads 4/0.  At 5 spins, global style, a hit saves
-# the chain step, 0.35 to 0.62 ms, of a two-point `run_sweep` that takes
-# 1.4 to 1.6 ms warm (medians of 1000 in three runs, one BLAS thread,
-# 2-vCPU Xeon VM).  The rate route's entries hold each bath's slots and an
+# the chain step, 0.24 to 0.25 ms, of a two-point `run_sweep` that takes
+# 0.75 to 1.2 ms warm (medians of 1000, three runs in each of three
+# processes, one BLAS thread, 2-vCPU Xeon VM).  The rate route's entries hold each bath's slots and an
 # (C, 8) cycle index, 11 kB for fig3's 100 couplings.  The Gaussian
 # route's hold, per member, A and 2 (2n)^2 + 1 doubles per transition:
 # 14 kB for the 5-spin chain and 29 kB for the 6-spin chain in the global

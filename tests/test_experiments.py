@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 from dataclasses import replace
 
@@ -522,7 +523,7 @@ class TestParallelExecution:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
         items = [-1, -2, -3, -4, -5]
         assert experiments._parallel_map(abs, items, 100000) == [1, 2, 3, 4, 5]

@@ -51,18 +51,30 @@ def test_no_submodule_shadows_an_exported_name():
     assert np.array_equal(spinheat.pauli("x").matrix, [[0, 1], [1, 0]])
 
 
-def test_import_loads_no_scipy():
-    # importing scipy.linalg costs about 0.25 s on top of numpy, which the
-    # benchmark's set-up time would show
+def _loaded_by_import(names):
+    """The modules among `names` and their submodules that `import spinheat`
+    loads in a fresh interpreter."""
     src = Path(spinheat.__file__).resolve().parents[1]
     code = (
-        "import sys, spinheat; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"import sys, spinheat; names = {sorted(names)!r}; "
+        "print(sorted(m for m in sys.modules if any(m == n or m.startswith(n + '.') for n in names)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.linalg costs about 0.25 s on top of numpy, which the
+    # benchmark's set-up time would show
+    assert _loaded_by_import(["scipy"]) == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # the process pool pulls in multiprocessing, about 15 ms that every
+    # one-worker run would pay in its set-up time
+    assert _loaded_by_import(["concurrent.futures.process", "multiprocessing"]) == "[]"
 
 
 def _unused_imports(path):

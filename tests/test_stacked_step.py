@@ -475,6 +475,133 @@ def test_cycle_index_is_the_weight_einsum(stack, data):
     assert cycle.tobytes() == _weight_einsum(specs, style, member, kappa, temps).tobytes()
 
 
+def _member_by_member(specs, baths):
+    """The XY chain step built member by member, as a reference: each
+    member's A and each bath's (frequencies, lowering vectors) alone, each
+    group of modes summed in a Python loop, each bath padded by hand to its
+    widest member."""
+    n = specs[0].n_spins
+    members = []
+    for spec in specs:
+        off = np.full(n - 1, spec.coupling_delta)
+        hop = spec.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
+        majorana = np.zeros((2 * n, 2 * n))
+        majorana[0::2, 1::2] = hop
+        majorana[1::2, 0::2] = -hop
+        eps, phi = np.linalg.eigh(hop)
+        unit = np.zeros((n, 2 * n), dtype=complex)
+        unit[:, 0::2], unit[:, 1::2] = 0.5 * np.eye(n), 0.5j * np.eye(n)
+        frequencies, lowering = [], []
+        for bath in baths:
+            if bath.style is DissipatorStyle.LOCAL:
+                frequencies.append(np.array([bath.local_frequency]))
+                lowering.append(unit[bath.site : bath.site + 1])
+                continue
+            modes = np.zeros((n, 2 * n), dtype=complex)
+            modes[:, 0::2], modes[:, 1::2] = 0.5 * phi.T, 0.5j * phi.T
+            modes = modes * phi[bath.site][:, None]
+            sign = 1.0 if bath.site == 0 else -1.0
+            vectors = np.where((eps > 0)[:, None], modes, sign * modes.conj())
+            energy = np.abs(eps)
+            tol = lindblad._degeneracy_tolerance(np.array([0.5 * energy.sum()]))
+            if not np.isfinite(tol[0]):
+                frequencies.append(np.array([np.inf]))
+                lowering.append(vectors.sum(axis=0, keepdims=True))
+                continue
+            order = np.argsort(energy, kind="stable")
+            order = order[energy[order] > tol]
+            labels, means = lindblad._groups(energy[order][None], tol)
+            grouped = np.zeros((means.shape[1], 2 * n), dtype=complex)
+            for row in range(len(grouped)):
+                grouped[row] = vectors[order[labels[0] == row]].sum(axis=0)
+            frequencies.append(means[0])
+            lowering.append(grouped)
+        members.append((majorana, frequencies, lowering))
+    padded_frequencies, padded_lowering = [], []
+    for k in range(len(baths)):
+        width = max(len(member[1][k]) for member in members)
+        bath_frequencies = np.full((len(members), width), np.nan)
+        vectors = np.zeros((len(members), width, 2 * n), dtype=complex)
+        for c, (_, freqs, rows) in enumerate(members):
+            bath_frequencies[c, : len(freqs[k])] = freqs[k]
+            vectors[c, : len(rows[k])] = rows[k]
+        padded_frequencies.append(bath_frequencies)
+        padded_lowering.append(vectors)
+    majorana = np.stack([member[0] for member in members])
+    vectors = np.concatenate(padded_lowering, axis=1)
+    outer = vectors.conj()[..., :, None] * vectors[..., None, :]
+    work = (majorana[:, None] * outer.imag).reshape(*outer.shape[:2], -1).sum(axis=2)
+    outer = np.stack([outer.real, outer.imag], axis=2).reshape(*outer.shape[:2], 2, -1)
+    slots = lindblad._slots(padded_frequencies)
+    return {
+        "majorana": majorana,
+        "frequency": slots.frequency,
+        "live": slots.live,
+        "bath": slots.bath,
+        "outer": outer,
+        "work": work,
+    }
+
+
+# delta = 0 (every mode at h), sqrt(2) h on 3 spins and 2 h on 5 (modes at
+# +h and -h share one |eps|), 1e-9 h (mode splittings at the grouping
+# tolerance), 1e300 and 1.7e308 (the mode-energy sum overflows)
+XY_EDGES = (0.0, math.sqrt(2.0), 2.0, 1e-9)
+XY_HUGE = (1e300, 1.7e308)
+
+
+@st.composite
+def xy_coupling_stacks(draw):
+    """A stack of XY chains of 2 to 6 or 9 spins that differ in the coupling
+    alone, the edges of the mode grouping included, and a dissipator style."""
+    n_spins = draw(st.sampled_from([2, 3, 4, 5, 6, 9]))
+    h = draw(st.floats(0.5, 2.0))
+    ratio = st.one_of(st.floats(0.0, 2.5), st.floats(1e-10, 1e-8))
+    deltas = [r * h for r in XY_EDGES + tuple(draw(st.lists(ratio, max_size=8)))] + list(XY_HUGE)
+    order = draw(st.permutations(range(len(deltas))))
+    specs = [SpinChainSpec(n_spins, h, deltas[i], ChainModel.XY_TRANSVERSE) for i in order]
+    return specs, draw(st.sampled_from(DissipatorStyle))
+
+
+@PROPERTY
+@given(xy_coupling_stacks())
+def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
+    specs, style = stack
+    baths = lindblad.standard_baths(specs[0], 1.0, 0.0, 0.0, style)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = _member_by_member(specs, baths)
+    chain = gaussian.gaussian_chain(specs, baths)
+    arrays = {
+        "majorana": chain.majorana,
+        "frequency": chain.slots.frequency,
+        "live": chain.slots.live,
+        "bath": chain.slots.bath,
+        "outer": chain.outer,
+        "work": chain.work,
+    }
+    assert chain.slots.n_baths == len(baths)
+    for name, value in reference.items():
+        assert arrays[name].shape == value.shape, name
+        assert arrays[name].tobytes() == value.tobytes(), name
+
+
+def test_one_eigh_builds_a_stack_of_xy_chains(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    spec = SpinChainSpec(4, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
+    specs = [replace(spec, coupling_delta=delta) for delta in (0.0, 0.5, 1.3, 2.0)]
+    for style, expected in ((DissipatorStyle.GLOBAL, [(4, 4, 4)]), (DissipatorStyle.LOCAL, [])):
+        calls.clear()
+        gaussian.gaussian_chain(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, style))
+        assert calls == expected, style
+
+
 @pytest.mark.parametrize("route", ROUTE_SPECS)
 @pytest.mark.parametrize("style", DissipatorStyle)
 def test_empty_stack_gives_empty_fields(route, style):
