@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 when an acceptance criterion fails, output
 cannot be written or the solver fails on a point (the message names the
 point), 2 on bad arguments or a configuration file that cannot be read or
 is invalid.
+
+Each dataset command evaluates its grid in one process unless `--jobs`
+asks for more workers; a large sweep can gain from them, the shipped
+figures are faster without.
 """
 
 from __future__ import annotations
@@ -67,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument(
         "--jobs",
         type=_positive_int,
-        default=None,
-        help="worker processes for sweep points (default: number of processors)",
+        default=1,
+        help="worker processes for sweep points, at most one per processor (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(

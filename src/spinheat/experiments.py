@@ -13,12 +13,14 @@ or on the grid itself for a delta sweep, and each group takes one chain
 step over its distinct couplings and one stacked point step over its
 cells (`thermo._net_currents`).  So a coupling grid is one group, as is
 a temperature grid at several fixed couplings.  The currents come back
-as a (rows, curves) table with a mask of the empty cells, where a bath
-would drop below zero temperature.  Each dataset is written as a flat CSV
-with a units comment, parameter comment lines, a header row, and values
-at 15 significant digits, an empty cell as nothing.  Grid points are
-independent, so contiguous chunks of the grid can be evaluated across
-worker processes; rows are always assembled in grid order, and a stack
+as a (rows, curves) table in which NaN, and only NaN, marks an empty
+cell, where a bath would drop below zero temperature: the point steps
+refuse any current that is not finite.  Each dataset is written as a
+flat CSV with a units comment, parameter comment lines, a header row,
+and values at 15 significant digits, an empty cell as nothing.  One
+worker evaluates the whole grid in place; grid points are independent,
+so with more workers contiguous chunks of the grid are evaluated across
+worker processes.  Rows are always assembled in grid order, and a stack
 member does not depend on the stack it is solved in, which keeps the
 output files byte-for-byte reproducible.
 """
@@ -32,7 +34,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -262,59 +264,36 @@ def _config_param_lines(cfg: SweepConfig) -> list[tuple[str, str]]:
 # CSV output
 
 
-def _format_cell(value: float | None) -> str:
-    return "" if value is None else f"{value:.15g}"
-
-
 def _write_csv(
     path: Path,
     columns: Sequence[str],
-    rows: Iterable[Sequence[float | None]],
+    xs: np.ndarray,
+    table: np.ndarray,
     params: Sequence[tuple[str, str]],
 ) -> Path:
     """Write a dataset: the units line, one `# key = value` line per
-    parameter, the header and one line per row.
+    parameter, the header and one line per grid point, x and then the
+    row of `table`.
 
-    A cell is written as `%.15g` and an empty (None) cell as nothing.  A
-    row without an empty cell is formatted by one `%` over the whole row,
-    which gives the bytes of the per-cell `_format_cell` join.
+    Every row is formatted by one `%.15g` `%`, and the `nan` tokens of
+    the rows are then blanked, so an empty (NaN) cell is written as
+    nothing.  The grids are finite, and `%.15g` writes `nan` for NaN
+    alone, so only empty cells lose their text.
     """
+    row_format = ",".join(["%.15g"] * len(columns))
+    rows = "\n".join(row_format % tuple(row) for row in np.column_stack((xs, table)).tolist())
     lines = [UNITS_COMMENT]
     lines += [f"# {key} = {value}" for key, value in params]
-    lines.append(",".join(columns))
-    row_format = ",".join(["%.15g"] * len(columns))
-    lines += [
-        ",".join(map(_format_cell, row)) if None in row else row_format % tuple(row)
-        for row in rows
-    ]
+    lines += [",".join(columns), rows.replace("nan", "")]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     return path
 
 
-def _workers(jobs: int | None, items: int) -> int:
-    """Workers for `items` items: at most `jobs` (None: one per processor),
-    and no more than there are items or processors."""
-    cpus = os.cpu_count() or 1
-    return max(1, min(cpus if jobs is None else jobs, items, cpus))
-
-
-def _parallel_map(fn: Callable, items: Sequence, jobs: int | None) -> list:
-    """fn over items in order, on at most `jobs` workers (None: one per processor).
-
-    No more workers start than there are items or processors.
-    """
-    items = list(items)
-    workers = _workers(jobs, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    # imported here: the pool pulls in multiprocessing, which would add to
-    # every import of the package while most runs use one worker
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunksize = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+def _workers(jobs: int, items: int) -> int:
+    """Workers for `items` items: at most `jobs`, and no more than there
+    are items or processors."""
+    return max(1, min(jobs, items, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +330,11 @@ def _curve_temperatures(x_name: str, curve: _Curve, xs: np.ndarray) -> np.ndarra
     return temperatures
 
 
-def _columns(
-    x_name: str, kappa: float, curves: Sequence[_Curve], xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _columns(x_name: str, kappa: float, curves: Sequence[_Curve], xs: np.ndarray) -> np.ndarray:
     """Every curve at the grid points `xs`: a (rows, curves) table of
-    currents, row r at `xs[r]`, and a mask of the same shape that marks
-    the empty cells, where a bath would drop below zero temperature.  An
-    empty cell's table entry is NaN, but only the mask says it is empty.
+    currents, row r at `xs[r]`, NaN in the empty cells, where a bath would
+    drop below zero temperature.  The point steps refuse a current that is
+    not finite, so NaN marks an empty cell and nothing else.
 
     The curves are grouped by the model, chain length, field and style of
     their chain, so the chains of a group differ in the coupling alone.
@@ -373,7 +350,6 @@ def _columns(
     again with the failing cell's curve name and x.
     """
     table = np.full((len(xs), len(curves)), np.nan)
-    empty = np.zeros(table.shape, dtype=bool)
     all_rows = np.arange(len(xs))
     if x_name == "delta":
         # every curve's couplings are the grid: each distinct x is a member
@@ -392,9 +368,7 @@ def _columns(
         temperatures = _curve_temperatures(x_name, curve, xs)
         rows = all_rows
         if x_name == "delta_T":
-            below = (temperatures < 0).any(axis=1)
-            empty[:, col] = below
-            rows = np.flatnonzero(~below)
+            rows = np.flatnonzero((temperatures >= 0).all(axis=1))
             temperatures = temperatures[rows]
         if not len(rows):
             continue
@@ -418,34 +392,29 @@ def _columns(
                 f"{name} at {x_name} = {xs[rows[err.member]]:.15g}: {err}"
             ) from err
         table[rows, cols] = currents
-    return table, empty
+    return table
 
 
 def _table(
-    x_name: str, grid: np.ndarray, kappa: float, curves: Sequence[_Curve], jobs: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every curve at every grid point, as the table and empty-cell mask of
-    `_columns`, rows in grid order.
+    x_name: str, grid: np.ndarray, kappa: float, curves: Sequence[_Curve], jobs: int
+) -> np.ndarray:
+    """Every curve at every grid point, as the table of `_columns`, rows
+    in grid order.
 
-    Each worker takes one contiguous chunk of the grid.  A stack member
-    comes out the same in any stack, so the chunking never moves a cell.
+    One worker evaluates the grid in place.  More workers each take one
+    contiguous chunk of the grid; a stack member comes out the same in
+    any stack, so the chunking never moves a cell.
     """
-    chunks = np.array_split(grid, _workers(jobs, len(grid)))
-    blocks = _parallel_map(functools.partial(_columns, x_name, kappa, tuple(curves)), chunks, jobs)
-    if len(blocks) == 1:
-        return blocks[0]
-    tables, masks = zip(*blocks)
-    return np.concatenate(tables), np.concatenate(masks)
+    workers = _workers(jobs, len(grid))
+    if workers == 1:
+        return _columns(x_name, kappa, curves, grid)
+    # imported here: the pool pulls in multiprocessing, which would add to
+    # every import of the package while most runs use one worker
+    from concurrent.futures import ProcessPoolExecutor
 
-
-def _csv_rows(xs: np.ndarray, table: np.ndarray, empty: np.ndarray) -> list[list]:
-    """The rows `_write_csv` takes: x and then each curve's cell, None
-    where the cell is empty."""
-    rows = np.column_stack((xs, table)).tolist()
-    for r in np.flatnonzero(empty.any(axis=1)):
-        cells = zip(rows[r][1:], empty[r].tolist())
-        rows[r][1:] = [None if blank else cell for cell, blank in cells]
-    return rows
+    chunk_table = functools.partial(_columns, x_name, kappa, curves)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(chunk_table, np.array_split(grid, workers))))
 
 
 def _write_dataset(
@@ -455,14 +424,14 @@ def _write_dataset(
     kappa: float,
     curves: Sequence[_Curve],
     params: Sequence[tuple[str, str]],
-    jobs: int | None,
+    jobs: int,
 ) -> Path:
     """Evaluate every curve at every grid point and write the CSV."""
-    rows = _csv_rows(grid, *_table(x_name, grid, kappa, curves, jobs))
-    return _write_csv(path, [x_name] + [curve.name for curve in curves], rows, params)
+    table = _table(x_name, grid, kappa, curves, jobs)
+    return _write_csv(path, [x_name] + [curve.name for curve in curves], grid, table, params)
 
 
-def run_sweep(cfg: SweepConfig, out: Path | None = None, jobs: int | None = 1) -> Path:
+def run_sweep(cfg: SweepConfig, out: Path | None = None, jobs: int = 1) -> Path:
     """Evaluate a configured sweep and write its CSV dataset."""
     if out is None:
         if cfg.output_path is None:
@@ -481,7 +450,7 @@ def run_sweep(cfg: SweepConfig, out: Path | None = None, jobs: int | None = 1) -
 _FIG2_DELTAS = (0.01, 0.1, 0.5)
 
 
-def run_fig2(kappa: float, out_dir: Path, jobs: int | None = 1) -> Path:
+def run_fig2(kappa: float, out_dir: Path, jobs: int = 1) -> Path:
     """Current versus left temperature at T_R = 0, three couplings.
 
     The grid is logarithmic over 0.01h..100h with 200 points, preceded by
@@ -517,7 +486,7 @@ def gradient_grid() -> np.ndarray:
     return np.linspace(-2.0, 2.0, 101)
 
 
-def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, Path, Path]:
+def run_fig3(kappa: float, out_dir: Path, jobs: int = 1) -> tuple[Path, Path, Path]:
     """Current versus coupling with one hot bath, plus the diode curve.
 
     Writes three files: panel (a) has the hot bath on the left and scans
@@ -543,7 +512,7 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, P
     ]
     # both panels in one pass over the couplings, so the couplings of both
     # panels are one chain stack and their cells one point step
-    table, empty = _table("delta", deltas, kappa, curves, jobs)
+    table = _table("delta", deltas, kappa, curves, jobs)
 
     paths = []
     width = len(_FIG3_COLD)
@@ -557,8 +526,8 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, P
             ("t_cold_values", ",".join(f"{c:g}" for c in _FIG3_COLD)),
         ]
         header = ["delta"] + [curve.name for curve in curves[columns]]
-        panel_rows = _csv_rows(deltas, table[:, columns], empty[:, columns])
-        paths.append(_write_csv(out_dir / f"fig3{panel}.csv", header, panel_rows, params))
+        path = out_dir / f"fig3{panel}.csv"
+        paths.append(_write_csv(path, header, deltas, table[:, columns], params))
 
     curves = [
         _Curve(f"J_tbar_{t:g}", spec, DissipatorStyle.GLOBAL, t_mean=t) for t in _FIG3_TBARS
@@ -574,7 +543,7 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int | None = 1) -> tuple[Path, P
     return tuple(paths)
 
 
-def run_xy_comparison(n_spins: int, kappa: float, out_dir: Path, jobs: int | None = 1) -> Path:
+def run_xy_comparison(n_spins: int, kappa: float, out_dir: Path, jobs: int = 1) -> Path:
     """Global versus local currents for the XY chain at delta = h, T_R = 0.
 
     The local treatment produces a current that peaks and then dies away
@@ -614,12 +583,12 @@ class CriterionResult:
 
 
 def _check_saturation_current() -> tuple[str, str, str, bool]:
-    worst = 0.0
-    for delta in (0.01, 0.1, 0.5):
-        spec = SpinChainSpec(2, 1.0, delta, ChainModel.ISING_ZZ)
-        j = steady_net_current(spec, 1.0, 1e4, 0.0, DissipatorStyle.GLOBAL)
-        target = 0.5 * delta**2
-        worst = max(worst, abs(j - target) / target)
+    deltas = np.array([0.01, 0.1, 0.5])
+    spec = SpinChainSpec(2, 1.0, 0.0, ChainModel.ISING_ZZ)  # the grid sets delta
+    curve = _Curve("J", spec, DissipatorStyle.GLOBAL, t_left=1e4, t_right=0.0)
+    j = _columns("delta", 1.0, (curve,), deltas)[:, 0]
+    target = 0.5 * deltas**2
+    worst = float(np.max(np.abs(j - target) / target))
     return ("J -> kappa*delta^2/2", f"max rel err {worst:.2e}", "rel 1e-3", worst <= 1e-3)
 
 
@@ -650,14 +619,12 @@ def _check_optimal_rectification() -> tuple[str, str, str, bool]:
 
 
 def _check_phenomenological_null_current() -> tuple[str, str, str, bool]:
-    worst = 0.0
-    temperatures = (0.0, 0.5, 1.0, 2.0, 5.0)
-    for delta in (0.1, 0.5, 0.9):
-        spec = SpinChainSpec(2, 1.0, delta, ChainModel.ISING_ZZ)
-        for t_left in temperatures:
-            for t_right in temperatures:
-                j = steady_net_current(spec, 1.0, t_left, t_right, DissipatorStyle.LOCAL)
-                worst = max(worst, abs(j))
+    temperatures = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
+    specs = [SpinChainSpec(2, 1.0, delta, ChainModel.ISING_ZZ) for delta in (0.1, 0.5, 0.9)]
+    curves = [
+        _Curve("J_ph", spec, DissipatorStyle.LOCAL, t_right=t) for spec in specs for t in temperatures
+    ]
+    worst = float(np.max(np.abs(_columns("T_L", 1.0, curves, temperatures))))
     return ("J_ph = 0 on 5x5x3 grid", f"max |J| {worst:.1e}", "abs 1e-10", worst < 1e-10)
 
 
@@ -702,7 +669,7 @@ def _check_high_mean_temperature_symmetry() -> tuple[str, str, str, bool]:
     # the curve of the fig3 inset at mean temperature 5h
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     curve = _Curve("J_tbar_5", spec, DissipatorStyle.GLOBAL, t_mean=5.0)
-    currents = _columns("delta_T", 1.0, (curve,), gradient_grid())[0][:, 0]
+    currents = _columns("delta_T", 1.0, (curve,), gradient_grid())[:, 0]
     asymmetry = np.max(np.abs(currents + currents[::-1]))
     bound = 0.02 * np.max(np.abs(currents))
     return (
@@ -761,9 +728,8 @@ def _check_equilibrium_gibbs_state() -> tuple[str, str, str, bool]:
 def _check_xy_saturation_vs_local_decay() -> tuple[str, str, str, bool]:
     spec = SpinChainSpec(4, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
     grid = np.logspace(-2, 2, 25)
-    local = np.array(
-        [steady_net_current(spec, 1.0, t, 0.0, DissipatorStyle.LOCAL) for t in grid]
-    )
+    curve = _Curve("J_local", spec, DissipatorStyle.LOCAL, t_right=0.0)
+    local = _columns("T_L", 1.0, (curve,), grid)[:, 0]
     peak = int(np.argmax(local))
     interior_peak = 0 < peak < len(grid) - 1
     local_decayed = local[-1] < 0.5 * local[peak]
@@ -816,15 +782,12 @@ def _check_generator_sanity() -> tuple[str, str, str, bool]:
         )
 
     # Clausius: heat never flows from the colder into the hotter bath.
-    worst_sign = 0.0
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
-    temperatures = (0.0, 0.5, 1.0, 2.0, 5.0)
-    for t_left in temperatures:
-        for t_right in temperatures:
-            if t_left <= t_right:
-                continue
-            j = steady_net_current(spec, 1.0, t_left, t_right, DissipatorStyle.GLOBAL)
-            worst_sign = min(worst_sign, j)
+    temperatures = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
+    curves = [_Curve("J", spec, DissipatorStyle.GLOBAL, t_right=t) for t in temperatures]
+    currents = _columns("T_L", 1.0, curves, temperatures)
+    hotter_left = temperatures[:, None] > temperatures[None, :]  # row T_L, column T_R
+    worst_sign = min(0.0, float(np.min(currents[hotter_left])))
 
     passed = (
         worst_trace < 1e-10

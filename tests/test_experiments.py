@@ -232,18 +232,24 @@ class TestSweep:
 
 
 def test_csv_rows_are_the_per_cell_join(tmp_path):
-    rows = [
-        (0.0, None, 1.5),
-        (np.float64(0.1), np.nan, -0.0),
-        (np.float64(2.5), np.inf, -np.inf),
-        (3, 1e-300, 12345678901234567),
-        (np.float64(1.0) / 3, np.float64(-2e-17), None),
-        (None, None, None),
-    ]
-    path = experiments._write_csv(tmp_path / "rows.csv", ["x", "a", "b"], rows, [("k", "v")])
+    # NaN marks an empty cell, written as nothing; a `nan` in the header or
+    # a parameter line is text, not a cell, and stays
+    rows = np.array(
+        [
+            (0.0, np.nan, 1.5),
+            (0.1, np.nan, -0.0),
+            (2.5, np.inf, -np.inf),
+            (3, 1e-300, 12345678901234567),
+            (1.0 / 3, -2e-17, np.nan),
+            (np.nan, np.nan, np.nan),
+        ]
+    )
+    path = experiments._write_csv(
+        tmp_path / "rows.csv", ["x", "a_nan", "b"], rows[:, 0], rows[:, 1:], [("k", "nan")]
+    )
     lines = path.read_text(encoding="ascii").splitlines()
-    assert lines[-len(rows) - 1 :] == ["x,a,b"] + [
-        ",".join("" if cell is None else f"{cell:.15g}" for cell in row) for row in rows
+    assert lines == [experiments.UNITS_COMMENT, "# k = nan", "x,a_nan,b"] + [
+        ",".join("" if np.isnan(cell) else f"{cell:.15g}" for cell in row) for row in rows
     ]
 
 
@@ -520,18 +526,41 @@ class TestParallelExecution:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, items, chunksize=1):
+            def map(self, fn, items):
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-        items = [-1, -2, -3, -4, -5]
-        assert experiments._parallel_map(abs, items, 100000) == [1, 2, 3, 4, 5]
-        assert experiments._parallel_map(abs, items[:2], 100000) == [1, 2]
-        assert experiments._parallel_map(abs, items, None) == [1, 2, 3, 4, 5]
-        assert experiments._parallel_map(abs, items, 1) == [1, 2, 3, 4, 5]
-        assert experiments._parallel_map(abs, items, 0) == [1, 2, 3, 4, 5]
-        assert sizes == [3, 2, 3]
+        spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
+        curves = [experiments._Curve("J", spec, DissipatorStyle.GLOBAL, t_right=0.0)]
+        grid = np.linspace(0.5, 2.5, 5)
+        serial = experiments._columns("T_L", 1.0, curves, grid)
+
+        def table(points, jobs):
+            return experiments._table("T_L", grid[:points], 1.0, curves, jobs).tobytes()
+
+        assert table(5, 100000) == serial.tobytes()
+        assert table(2, 100000) == serial[:2].tobytes()
+        assert table(5, 1) == serial.tobytes()
+        assert table(5, 0) == serial.tobytes()
+        assert sizes == [3, 2]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fig2"], ["fig3"], ["xy-compare", "--spins", "2"], ["sweep", "--config", "sweep.cfg"]],
+        ids=["fig2", "fig3", "xy-compare", "sweep"],
+    )
+    def test_cli_without_jobs_starts_no_pool(self, command, tmp_path, monkeypatch):
+        # one worker is the default however many processors there are
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError(f"a pool of {max_workers} workers was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+        (tmp_path / "sweep.cfg").write_text(BASE_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(command + ["--out", str(tmp_path / "out")]) == 0
 
 
 class TestAcceptanceRunner:
