@@ -3,9 +3,10 @@
 Short spin chains are driven by two thermal reservoirs, in both the
 eigenbasis (global) and single-spin (local) dissipator treatments.  Two
 transport routes solve for the stationary state: the four-level Pauli
-rate cycle of the Ising pair (`rates`) and the Majorana covariance of the
-XY chain (`gaussian`).  The heat currents and rectification are read off
-them (`thermo`), and the dense Lindblad generator of `oracle` checks both.
+rate cycle of the Ising pair (`rates`) and the one-body correlation
+matrix of the XY chain (`gaussian`).  The heat currents and rectification
+are read off them (`thermo`), and the dense Lindblad generator of `oracle`
+checks both.
 """
 
 from .spinops import (

@@ -2,8 +2,9 @@
 and the rate equations of the Ising pair.
 
 The tests and the acceptance checks compare the two transport routes, the
-four-level rate cycle (`rates`) and the Majorana covariance (`gaussian`),
-against this module; no module of the transport path imports it.
+four-level rate cycle (`rates`) and the one-body correlation matrix
+(`gaussian`), against this module; no module of the transport path
+imports it.
 
 - `assemble_liouvillian` builds the full generator with Kronecker
   products: the coherent part plus one `bath_dissipator` per bath, from

@@ -23,9 +23,10 @@ solves every cell of a dataset group, all its couplings and
 route by the model:
 
 - The XY chain is quadratic in Jordan-Wigner fermions and both styles'
-  jump operators are linear in them, so its steady state is fixed by the
-  2n x 2n Majorana covariance: `gaussian.gaussian_chain` is the chain
-  step, `gaussian.steady_state_gaussian` the point step, at O(n^3).
+  jump operators are linear in annihilation operators of one fermion
+  basis, so its steady state is fixed by the n x n one-body correlation
+  matrix: `gaussian.gaussian_chain` is the chain step,
+  `gaussian.steady_state_gaussian` the point step, at O(n^3).
 - The Ising zz pair is not quadratic (sz sz is quartic in the fermions),
   but its H is diagonal and its jumps map basis states to basis states, so
   its populations obey a closed Pauli master equation on the cycle of its
@@ -38,7 +39,7 @@ DissipatorStyle, and bounded at `_CHAIN_CACHE_SIZE` chain stacks.  The
 stack's SpinChainSpecs are built inside the cached function, so only on a
 miss: a warm lookup hashes one chain and a tuple of floats.  Only
 read-only arrays that no rate enters are cached, never a rate matrix or a
-covariance, so a cached chain gives bit-identical currents.
+steady state, so a cached chain gives bit-identical currents.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ from .spinops import ChainModel, SpinChainSpec
 # 0.75 to 1.2 ms warm (medians of 1000, three runs in each of three
 # processes, one BLAS thread, 2-vCPU Xeon VM).  The rate route's entries hold each bath's slots and an
 # (C, 8) cycle index, 11 kB for fig3's 100 couplings.  The Gaussian
-# route's hold, per member, A and 2 (2n)^2 + 1 doubles per transition:
-# 14 kB for the 5-spin chain and 29 kB for the 6-spin chain in the global
-# style, 4 and 6 kB in the local style, so a coupling grid's entry grows
-# by that much per grid point.
+# route's hold, per member, H and n + 1 doubles per transition: 0.8 kB
+# for the 5-spin chain and 1.1 kB for the 6-spin chain in the global
+# style, 0.3 and 0.4 kB in the local style, so a coupling grid's entry
+# grows by that much per grid point.
 _CHAIN_CACHE_SIZE = 8
 
 # each model's transport route: (chain step, point step)

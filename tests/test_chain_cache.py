@@ -123,10 +123,10 @@ def test_cached_gaussian_arrays_are_read_only(style):
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
     chain = thermo._chain(spec, (spec.coupling_delta,), style)
     slots = chain.slots
-    arrays = [chain.majorana, chain.outer, chain.work, slots.frequency, slots.live, slots.bath]
+    arrays = [chain.hamiltonian, chain.lowering, slots.frequency, slots.live, slots.bath]
     assert slots.n_baths == 2
-    assert chain.outer.shape == (1, len(slots.bath), 2, 36)
-    assert chain.work.shape == (1, len(slots.bath))
+    assert chain.hamiltonian.shape == (1, 3, 3)
+    assert chain.lowering.shape == (1, len(slots.bath), 3)
     _assert_read_only(arrays)
 
 

@@ -1,5 +1,5 @@
-"""The Gaussian (Majorana covariance) route of the XY chain against the dense oracle
-and closed forms."""
+"""The Gaussian (one-body correlation matrix) route of the XY chain against the
+dense oracle, closed forms and the Majorana covariance equation."""
 
 import functools
 import math
@@ -72,8 +72,8 @@ def _spec(n, ratio):
     return SpinChainSpec(n, H_FIELD, ratio * H_FIELD, ChainModel.XY_TRANSVERSE)
 
 
-def _hopping(n, ratio):
-    return H_FIELD * np.eye(n) + ratio * H_FIELD * (np.eye(n, k=1) + np.eye(n, k=-1))
+def _hopping(n, ratio, h=H_FIELD):
+    return h * np.eye(n) + ratio * h * (np.eye(n, k=1) + np.eye(n, k=-1))
 
 
 def _distinct_modes(n, ratio):
@@ -92,7 +92,7 @@ def _dense_currents(case):
     return steady_state_nullspace(dense).bath_currents
 
 
-def _mode_sum_currents(case):
+def _mode_sum_currents(case, h=H_FIELD, kappa=KAPPA):
     """The global style's currents where the nonzero |eps_k| are pairwise
     distinct: each mode is a two-level system between the two baths, with
     a_k = phi_k(0) and b_k = phi_k(n-1) its couplings, and the left bath
@@ -100,16 +100,16 @@ def _mode_sum_currents(case):
     occupation p_k = (a_k^2 n_L + b_k^2 n_R) / (a_k^2 (1 + 2 n_L) + b_k^2 (1 + 2 n_R)).
     A zero mode has no jump operator and carries nothing."""
     n, ratio, _, t_left, t_right = case
-    eps, phi = np.linalg.eigh(_hopping(n, ratio))
+    eps, phi = np.linalg.eigh(_hopping(n, ratio, h))
     j = 0.0
     for energy, a, b in zip(np.abs(eps), phi[0], phi[-1]):
-        if energy <= 1e-8 * H_FIELD:
+        if energy <= 1e-8 * h:
             continue
         n_left, n_right = bose_einstein(energy, t_left), bose_einstein(energy, t_right)
         p = (a * a * n_left + b * b * n_right) / (
             a * a * (1.0 + 2.0 * n_left) + b * b * (1.0 + 2.0 * n_right)
         )
-        j += KAPPA * energy**2 * a * a * (n_left - p * (1.0 + 2.0 * n_left))
+        j += kappa * energy**2 * a * a * (n_left - p * (1.0 + 2.0 * n_left))
     return j, -j
 
 
@@ -149,7 +149,7 @@ def _assert_matches_oracle(case):
     assert state.bath_currents.shape == (1, len(exact)) == (1, 2)
     for got, want in zip(state.bath_currents[0], exact):
         assert abs(got - want) <= max(1e-10 * abs(want), 1e-12 * KAPPA)
-    assert np.max(np.abs(np.linalg.eigvalsh(1j * state.covariance[0]))) <= 1.0 + 1e-10
+    assert np.max(np.abs(np.linalg.eigvalsh(2.0 * state.covariance[0]))) <= 1.0 + 1e-10
     assert state.residual[0] <= 1e-10
 
 
@@ -177,7 +177,7 @@ def test_kronecker_solve_matches_oracle(case, monkeypatch):
 
 def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
     # a 17-spin chain whose eigenvector solution misses: the Kronecker
-    # operator would have 1156 rows, so the point is refused before any is built
+    # operator would have 289 rows, so the point is refused before any is built
     def never(x, source):
         raise AssertionError("the Kronecker solve ran")
 
@@ -187,10 +187,104 @@ def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
     specs = [_spec(17, 0.3), _spec(17, 0.7)]
     chain = gaussian_chain(specs, standard_baths(specs[0], 1.0, 0.0, 0.0, GLOBAL))
     temps = [[2.0, 0.5], [1.0, 0.0], [2.0, 0.0]]
-    with pytest.raises(SteadyStateError, match=r"n = 17 needs a 1156 x 1156 operator") as excinfo:
+    with pytest.raises(SteadyStateError, match=r"n = 17 needs a 289 x 289 operator") as excinfo:
         steady_state_gaussian(chain, [1, 0, 1], [1.0, 1.0, 1.0], temps)
     assert excinfo.value.member == 0  # every point is refused: the first is named
     assert "refused above n = 16" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("ratio", [1e7, 1e8])
+def test_strong_coupling_global_current_is_the_mode_sum(ratio):
+    # three spins at h = kappa = 1, T_L = 2, T_R = 0: only the |eps| = h mode,
+    # phi = (1, 0, -1) / sqrt(2), is warm enough to carry, so the mode sum
+    # reads n_L / (4 (1 + n_L)) = exp(-1/2) / 4 at every delta.  Further out
+    # the route misses it: a cold mode's K = -1/2 may keep a rounding of
+    # 1e-16, which its current multiplies by about kappa delta^2, and from
+    # delta = 7.07e8 on the |eps| = h mode falls under the grouping
+    # tolerance DEGENERACY_TOL * sum|eps_k| / 2 and counts as a zero mode
+    spec = SpinChainSpec(3, 1.0, ratio, ChainModel.XY_TRANSVERSE)
+    exact = _mode_sum_currents((3, ratio, GLOBAL, 2.0, 0.0), h=1.0, kappa=1.0)[0]
+    assert exact == pytest.approx(math.exp(-0.5) / 4.0, rel=1e-7)
+    j = thermo.steady_net_current(spec, 1.0, 2.0, 0.0, GLOBAL)
+    assert abs(j - exact) <= 1e-7 * exact
+
+
+def test_two_hundred_spin_global_currents_are_the_mode_sum():
+    # a chain far past the dense oracle, kept out of CASES, whose every
+    # entry the Kronecker-forced test runs as well
+    case = (200, 1.0, GLOBAL, 2.5, 0.0)
+    spec = SpinChainSpec(200, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
+    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 2.5, 0.0, GLOBAL))
+    state = steady_state_gaussian(chain, [0], [1.0], [[2.5, 0.0]])
+    for got, want in zip(state.bath_currents[0], _mode_sum_currents(case, h=1.0, kappa=1.0)):
+        assert abs(got - want) <= 1e-12
+
+
+def _majorana_currents(n, ratio, style, t_left, t_right):
+    """The bath currents from the 2n x 2n Majorana covariance, written out
+    with no code of the route.
+
+    With w_2i = c_i + c_i^dag and w_2i+1 = i (c_i^dag - c_i), H is
+    (i/4) sum_ab A_ab w_a w_b with A[2i, 2j+1] = h_ij = -A[2j+1, 2i], and a
+    jump operator sum_a l_a w_a is its 2n-vector l.  Bath k's
+    M_k = sum_t (e_t l_t^* l_t^T + a_t l_t l_t^dag) fixes
+    <w_a w_b> = delta_ab + i Gamma_ab through X Gamma + Gamma X^T = -4 Im M,
+    X = A - 2 Re M, solved here by Kronecker least squares, and bath k
+    feeds in sum_ab A_ab ((Re M_k Gamma + Gamma Re M_k) / 2 - Im M_k)_ab."""
+    hop = _hopping(n, ratio)
+    size = 2 * n
+    a = np.zeros((size, size))
+    a[0::2, 1::2], a[1::2, 0::2] = hop, -hop
+    sites = np.zeros((n, size), dtype=complex)  # c_i = (w_2i + i w_2i+1) / 2
+    sites[:, 0::2], sites[:, 1::2] = 0.5 * np.eye(n), 0.5j * np.eye(n)
+    if style is LOCAL:
+        baths = [[(H_FIELD, sites[0])], [(H_FIELD, sites[-1])]]
+    else:
+        eps, phi = np.linalg.eigh(hop)
+        tol = DEGENERACY_TOL * 0.5 * np.abs(eps).sum()
+        groups = []  # modes of one |eps|, each group anchored on its first
+        for k in np.argsort(np.abs(eps), kind="stable"):
+            if abs(eps[k]) <= tol:
+                continue
+            if groups and abs(eps[k]) - abs(eps[groups[-1][0]]) <= tol:
+                groups[-1].append(k)
+            else:
+                groups.append([k])
+        eta = phi.T @ sites
+        baths = []
+        for site, sign in ((0, 1.0), (n - 1, -1.0)):
+            # eta_k lowers a mode above zero, sign * eta_k^dag one below
+            modes = [
+                phi[site, k] * (eta[k] if eps[k] > 0 else sign * eta[k].conj()) for k in range(n)
+            ]
+            baths.append([(np.mean(np.abs(eps[g])), sum(modes[k] for k in g)) for g in groups])
+    ms = []
+    for transitions, temperature in zip(baths, (t_left, t_right)):
+        m = np.zeros((size, size), dtype=complex)
+        for frequency, l in transitions:
+            emission, absorption = lindblad.thermal_rates(KAPPA, temperature, frequency)
+            m += emission * np.outer(l.conj(), l) + absorption * np.outer(l, l.conj())
+        ms.append(m)
+    total = sum(ms)
+    x = a - 2.0 * total.real
+    eye = np.eye(size)
+    operator = np.kron(x, eye) + np.kron(eye, x)
+    gamma = np.linalg.lstsq(operator, (-4.0 * total.imag).reshape(-1), rcond=1e-9)[0]
+    gamma = gamma.reshape(size, size)
+    return [
+        float(np.sum(a * ((m.real @ gamma + gamma @ m.real) / 2.0 - m.imag))) for m in ms
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_majorana_covariance_gives_the_route_currents(n):
+    for ratio, style, t_left, t_right in sorted({case[1:] for case in CASES}, key=str):
+        spec = _spec(n, ratio)
+        chain = gaussian_chain([spec], standard_baths(spec, KAPPA, t_left, t_right, style))
+        state = steady_state_gaussian(chain, [0], [KAPPA], [[t_left, t_right]])
+        want = _majorana_currents(n, ratio, style, t_left, t_right)
+        for got, expected in zip(state.bath_currents[0], want):
+            assert abs(got - expected) <= 1e-12 * KAPPA, (ratio, style, t_left, t_right)
 
 
 @pytest.mark.parametrize(
@@ -301,16 +395,9 @@ def test_lyapunov_residual_guard_raises(monkeypatch):
         _with_rates(monkeypatch, (1.0, -1.0))
 
 
-def _occupations(covariance):
-    """<c_i^dag c_j> from G = I + i Gamma, with c_i = (w_2i + i w_2i+1) / 2."""
-    g = np.eye(len(covariance)) + 1j * covariance
-    even, odd = g[0::2], g[1::2]
-    return 0.25 * (even[:, 0::2] + 1j * even[:, 1::2] - 1j * odd[:, 0::2] + odd[:, 1::2])
-
-
 def _fermi(energies, temperature):
     if temperature == 0:
-        return np.where(energies < 0, 1.0, 0.0)
+        return np.zeros_like(energies)
     return 0.5 * (1.0 - np.tanh(energies / (2.0 * temperature)))
 
 
@@ -331,20 +418,19 @@ def test_equal_temperatures_give_the_thermal_state(n, h, ratio, style, kappa, te
         assert abs(current) <= 1e-12 * kappa * h**2
     if style is LOCAL:
         # each site in equilibrium with the baths at the bare splitting h
-        expected = _fermi(np.array([h]), temperature)[0] * np.eye(n)
+        expected = (_fermi(np.array([h]), temperature)[0] - 0.5) * np.eye(n)
     else:
-        # the modes eta_k of the hopping matrix in equilibrium at their own
-        # energies; a zero mode, which no bath damps, half filled
-        hop = h * np.eye(n) + ratio * h * (np.eye(n, k=1) + np.eye(n, k=-1))
-        eps, phi = np.linalg.eigh(hop)
+        # each mode xi_k in equilibrium at its own |eps_k|; a zero mode,
+        # which no bath damps, half filled
+        eps = np.linalg.eigvalsh(_hopping(n, ratio, h))
         tol = DEGENERACY_TOL * 0.5 * float(np.abs(eps).sum())
         # where eps_k and -eps_k' share one |eps| (n = 3 at delta = sqrt(2) h,
-        # n = 5 at delta = 2 h), one jump operator mixes eta_k and eta_k'^dag:
-        # the full-secular model then has a second steady state, and the
-        # covariance need not be the thermal one
+        # n = 5 at delta = 2 h), one jump operator mixes xi_k and xi_k': the
+        # full-secular model then has a second steady state, and K need not
+        # be the thermal one
         shared = np.abs(eps[:, None] + eps[None, :]) <= tol
         if np.any(shared & (np.abs(eps[:, None]) > tol)):
             return
-        filling = np.where(np.abs(eps) <= tol, 0.5, _fermi(eps, temperature))
-        expected = (phi * filling) @ phi.T
-    assert np.max(np.abs(_occupations(state.covariance[0]) - expected)) <= 1e-10
+        energy = np.abs(eps)
+        expected = np.diag(np.where(energy <= tol, 0.0, _fermi(energy, temperature) - 0.5))
+    assert np.max(np.abs(state.covariance[0] - expected)) <= 1e-10

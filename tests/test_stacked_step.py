@@ -10,8 +10,12 @@ curve and x.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -238,7 +242,7 @@ def test_one_eigendecomposition_solves_a_stack_of_several_chains(monkeypatch):
     chain = chain_step(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.GLOBAL))
     temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0]]
     point_step(chain, [2, 0, 1, 2, 0], [1.0] * 5, temperatures)
-    assert calls == [(5, 6, 6)]
+    assert calls == [(5, 3, 3)]
 
 
 @pytest.mark.parametrize("model", ["ising", "xy"])
@@ -374,7 +378,7 @@ def _member_arrays(chain, c):
     padding = [("frequency", slots.frequency[c, ~live]), ("live", slots.live[c, ~live])]
     for field in fields(chain):
         value = getattr(chain, field.name)
-        if field.name in ("outer", "work"):  # one entry per slot
+        if field.name == "lowering":  # one entry per slot
             arrays[field.name] = value[c, live]
             padding.append((field.name, value[c, ~live]))
         elif field.name == "index":
@@ -477,69 +481,58 @@ def test_cycle_index_is_the_weight_einsum(stack, data):
 
 def _member_by_member(specs, baths):
     """The XY chain step built member by member, as a reference: each
-    member's A and each bath's (frequencies, lowering vectors) alone, each
-    group of modes summed in a Python loop, each bath padded by hand to its
-    widest member."""
+    member's H and each bath's (frequencies, lowering vectors) alone, in
+    the modes xi_k in the global style, each group's modes placed in a
+    Python loop, each bath padded by hand to its widest member."""
     n = specs[0].n_spins
     members = []
     for spec in specs:
         off = np.full(n - 1, spec.coupling_delta)
         hop = spec.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
-        majorana = np.zeros((2 * n, 2 * n))
-        majorana[0::2, 1::2] = hop
-        majorana[1::2, 0::2] = -hop
-        eps, phi = np.linalg.eigh(hop)
-        unit = np.zeros((n, 2 * n), dtype=complex)
-        unit[:, 0::2], unit[:, 1::2] = 0.5 * np.eye(n), 0.5j * np.eye(n)
         frequencies, lowering = [], []
+        if baths[0].style is DissipatorStyle.GLOBAL:
+            eps, phi = np.linalg.eigh(hop)
+            hop = np.diag(np.abs(eps))
         for bath in baths:
             if bath.style is DissipatorStyle.LOCAL:
                 frequencies.append(np.array([bath.local_frequency]))
-                lowering.append(unit[bath.site : bath.site + 1])
+                lowering.append(np.eye(n)[bath.site : bath.site + 1])
                 continue
-            modes = np.zeros((n, 2 * n), dtype=complex)
-            modes[:, 0::2], modes[:, 1::2] = 0.5 * phi.T, 0.5j * phi.T
-            modes = modes * phi[bath.site][:, None]
             sign = 1.0 if bath.site == 0 else -1.0
-            vectors = np.where((eps > 0)[:, None], modes, sign * modes.conj())
+            coefficient = np.where(eps > 0, phi[bath.site], sign * phi[bath.site])
             energy = np.abs(eps)
             tol = lindblad._degeneracy_tolerance(np.array([0.5 * energy.sum()]))
             if not np.isfinite(tol[0]):
                 frequencies.append(np.array([np.inf]))
-                lowering.append(vectors.sum(axis=0, keepdims=True))
+                lowering.append(coefficient[None])
                 continue
             order = np.argsort(energy, kind="stable")
             order = order[energy[order] > tol]
             labels, means = lindblad._groups(energy[order][None], tol)
-            grouped = np.zeros((means.shape[1], 2 * n), dtype=complex)
+            grouped = np.zeros((means.shape[1], n))
             for row in range(len(grouped)):
-                grouped[row] = vectors[order[labels[0] == row]].sum(axis=0)
+                modes = order[labels[0] == row]
+                grouped[row, modes] = coefficient[modes]
             frequencies.append(means[0])
             lowering.append(grouped)
-        members.append((majorana, frequencies, lowering))
+        members.append((hop, frequencies, lowering))
     padded_frequencies, padded_lowering = [], []
     for k in range(len(baths)):
         width = max(len(member[1][k]) for member in members)
         bath_frequencies = np.full((len(members), width), np.nan)
-        vectors = np.zeros((len(members), width, 2 * n), dtype=complex)
+        vectors = np.zeros((len(members), width, n))
         for c, (_, freqs, rows) in enumerate(members):
             bath_frequencies[c, : len(freqs[k])] = freqs[k]
             vectors[c, : len(rows[k])] = rows[k]
         padded_frequencies.append(bath_frequencies)
         padded_lowering.append(vectors)
-    majorana = np.stack([member[0] for member in members])
-    vectors = np.concatenate(padded_lowering, axis=1)
-    outer = vectors.conj()[..., :, None] * vectors[..., None, :]
-    work = (majorana[:, None] * outer.imag).reshape(*outer.shape[:2], -1).sum(axis=2)
-    outer = np.stack([outer.real, outer.imag], axis=2).reshape(*outer.shape[:2], 2, -1)
     slots = lindblad._slots(padded_frequencies)
     return {
-        "majorana": majorana,
+        "hamiltonian": np.stack([member[0] for member in members]),
         "frequency": slots.frequency,
         "live": slots.live,
         "bath": slots.bath,
-        "outer": outer,
-        "work": work,
+        "lowering": np.concatenate(padded_lowering, axis=1),
     }
 
 
@@ -572,17 +565,46 @@ def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
         reference = _member_by_member(specs, baths)
     chain = gaussian.gaussian_chain(specs, baths)
     arrays = {
-        "majorana": chain.majorana,
+        "hamiltonian": chain.hamiltonian,
         "frequency": chain.slots.frequency,
         "live": chain.slots.live,
         "bath": chain.slots.bath,
-        "outer": chain.outer,
-        "work": chain.work,
+        "lowering": chain.lowering,
     }
     assert chain.slots.n_baths == len(baths)
     for name, value in reference.items():
         assert arrays[name].shape == value.shape, name
         assert arrays[name].tobytes() == value.tobytes(), name
+
+
+# 200 spins, global style: delta = h has a zero mode, so its 398 slots take
+# two padding slots beside delta = 0.7 h
+_LONG_CHAIN_STACK = """
+from spinheat import gaussian, lindblad
+from spinheat.spinops import ChainModel, SpinChainSpec
+specs = [SpinChainSpec(200, 1.0, delta, ChainModel.XY_TRANSVERSE) for delta in (0.7, 1.0)]
+baths = lindblad.standard_baths(specs[0], 1.0, 0.0, 0.0, lindblad.DissipatorStyle.GLOBAL)
+stack = gaussian.gaussian_chain(specs, baths)
+assert stack.slots.live.sum(axis=1).tolist() == [400, 398]
+state = gaussian.steady_state_gaussian(stack, [0, 1], [1.0, 1.0], [[2.5, 0.0], [2.5, 0.0]])
+alone = gaussian.gaussian_chain(specs[1:], baths)
+single = gaussian.steady_state_gaussian(alone, [0], [1.0], [[2.5, 0.0]])
+print([name for name, value in vars(single).items()
+       if getattr(state, name)[1].tobytes() != value[0].tobytes()])
+"""
+
+
+def test_long_chain_points_are_their_own_one_stacks():
+    # one BLAS thread, as the benchmark pins it, splits a product over that
+    # many slots in blocks that depend on its length, so only one product
+    # per bath, where each entry is one term, keeps a point's bytes
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    src = Path(gaussian.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _LONG_CHAIN_STACK],
+        cwd=src, env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_one_eigh_builds_a_stack_of_xy_chains(monkeypatch):

@@ -2,7 +2,7 @@
 
 The Ising pair's rate route (`rates`) solves the population block of its
 generator, the diagonal states it maps into themselves; the XY chain's
-Gaussian route (`gaussian`) solves its Majorana covariance.
+Gaussian route (`gaussian`) solves its one-body correlation matrix.
 """
 
 import itertools
@@ -168,7 +168,7 @@ def test_currents_follow_the_bath_order(style):
             assert dense_state.bath_currents[1] > 1e-3
 
 
-@pytest.mark.parametrize("n_spins", range(2, 7))
+@pytest.mark.parametrize("n_spins", [*range(2, 7), 50, 200])
 def test_local_xy_current_is_length_independent(n_spins):
     spec = SpinChainSpec(n_spins, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
     j = steady_net_current(spec, 1.0, 2.0, 0.0, DissipatorStyle.LOCAL)
