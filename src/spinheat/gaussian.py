@@ -59,14 +59,47 @@ depends on temperature or kappa.  It takes one batched eigendecomposition
 of the (C, n, n) hopping matrices and, per bath, one `lindblad._groups`
 call on every member's sorted |eps_k| (zero modes NaN), which puts each
 member's groups first and NaN past them; each mode sits in one group, so
-one assignment puts its l_k in its group's vector.  The point step,
+one assignment puts its l_k in its group's vector.  It also records which
+members have one mode in every group (`GaussianChain.diagonal`), from
+the group labels: the support of the lowering vectors would not tell,
+since at delta = 0 `eigh` returns site vectors and the one group of n
+modes then has lowering vectors of one entry.  The point step,
 `steady_state_gaussian`, takes P points on the members at once, a member
-index, a kappa and a temperature per bath for each point, and takes their
-rates on the live slots (`lindblad._slot_rates`) into Q and S by one
-product over the slots per bath: a bath's transitions share no mode, so
-each entry of it is one term, whatever padding a stack adds.  It solves
+index, a kappa and a temperature per bath for each point, takes their
+rates on the live slots (`lindblad._slot_rates`), and solves each point
+by one of two paths, chosen by its member's group sizes alone.
+
+On a member whose every group holds one mode (the global style away from
+|eps| collisions), each transition lowers one mode, so X and S are
+diagonal and so is K: K_kk = n_k - 1/2, with the occupation
+
+    n_k = A_k / D_k,  A_k = sum_t a_t l_tk^2,  D_k = sum_t (e + a)_t l_tk^2,
+
+and n_k = 1/2 where no bath damps mode k (D_k = 0).  With E_bk and A_bk
+bath b's emission and absorption rates times l_bk^2, bath b feeds in
+
+    sum_k eps_k sum_{c != b} (A_bk E_ck - E_bk A_ck) / D_k,
+
+in which no term cancels another: a cold mode (A = 0) carries an exact
+zero, where the general form's K = -1/2 would keep a rounding that its
+current multiplies by about kappa delta^2 (0.15 against -4.15 in the two
+baths of n = 3 at h = kappa = 1, delta = 3e8, T_L = 2, T_R = 0).  Every
+sum over slots has at most one nonzero term per entry, and the one over
+baths and modes runs elementwise in a fixed order, so a point does not
+depend on its stack.  These points take no eigendecomposition and no
+matrix product: their residual, ||X||, finiteness and physicality are
+taken from the diagonals, at O(n S) per point for S slots.  A two-point
+step on the global chain at h = delta = kappa = 1 takes 0.14 to 0.15 ms
+at n = 5 and 6, against 0.31 to 0.34 ms by the eigenvector route, and
+3.2 ms against 112 ms at n = 200 (one BLAS thread, 2-vCPU Xeon VM).
+
+The other points, the local style and global members with a group of
+several modes (delta = 0, sqrt(2) h at n = 3, 2 h at n = 5, and
+collisions within the grouping tolerance), take Q and S by one product
+over the slots per bath: a bath's transitions share no mode, so each
+entry of it is one term, whatever padding a stack adds.  They are solved
 for K by one eigendecomposition of X, batched over the (P, n, n) stack
-of every member's points.  A pair of eigenvalues with
+of every such point.  A pair of eigenvalues with
 d_i + conj(d_j) zero (within `KERNEL_RTOL` of the largest |d|) belongs to
 modes no bath damps; the component of K there is set to zero, which is
 the maximally mixed state on those modes, the state the dense route
@@ -140,13 +173,17 @@ class GaussianChain:
     fermions: the hopping matrix (local style) or diag|eps_k| (global
     style).  `slots` holds every bath's transitions side by side
     (`lindblad.Slots`), and `lowering[c, s]` is the real lowering vector l
-    of the transition in slot s of member c, zero on padding.  Every array
-    is read-only.
+    of the transition in slot s of member c, zero on padding.
+    `diagonal[c]` says whether every group of member c holds one mode
+    (global style only, from the group labels), so that its X, S and K are
+    diagonal and the point step solves its points in closed form.  Every
+    array is read-only.
     """
 
     hamiltonian: np.ndarray
     slots: Slots
     lowering: np.ndarray
+    diagonal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -167,10 +204,10 @@ class GaussianState:
 
 def _global_transitions(
     eps: np.ndarray, phi: np.ndarray, site: int, sign: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(frequencies (C, G), lowering vectors (C, G, n)) of sigma^x on an edge
-    site of each member of a stack of C mode sets, grouped by |eps|, NaN and
-    zero past each member's groups."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frequencies (C, G), lowering vectors (C, G, n), one mode per group
+    (C,)) of sigma^x on an edge site of each member of a stack of C mode
+    sets, grouped by |eps|, NaN and zero past each member's groups."""
     # a mode below zero is lowered by its creation operator
     coefficient = np.where(eps > 0, phi[:, site], sign * phi[:, site])
     energy = np.abs(eps)
@@ -185,10 +222,14 @@ def _global_transitions(
     labels, means = _groups(energy, tol)
     # each mode sits in one group
     vectors = np.zeros((*means.shape, eps.shape[1]))
-    member, rank = np.nonzero(~np.isnan(energy))
+    live = ~np.isnan(energy)
+    member, rank = np.nonzero(live)
     mode = order[member, rank]
     vectors[member, labels[member, rank], mode] = coefficient[member, mode]
-    return means, vectors
+    # the labels, not the vectors' support: at delta = 0 `eigh` returns site
+    # vectors, and a group of n modes has a lowering vector of one entry
+    one_mode = ~(live[:, 1:] & (np.diff(labels, axis=1) == 0)).any(axis=1)
+    return means, vectors, one_mode
 
 
 # an overflow leaves an infinite frequency, which the point step refuses
@@ -221,19 +262,23 @@ def gaussian_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> Gau
         hamiltonian = np.zeros(hop.shape)
         hamiltonian[:, range(n), range(n)] = np.abs(eps)
     frequencies, lowering = [], []
+    diagonal = np.full(len(specs), baths[0].style is DissipatorStyle.GLOBAL)
     for bath in baths:
         if bath.style is DissipatorStyle.GLOBAL:
             sign = 1.0 if bath.site == 0 else -1.0
-            freqs, vectors = _global_transitions(eps, phi, bath.site, sign)
+            freqs, vectors, one_mode = _global_transitions(eps, phi, bath.site, sign)
+            diagonal &= one_mode
         else:
             freqs = np.full((len(specs), 1), float(bath.local_frequency))
             vectors = np.broadcast_to(np.eye(n)[bath.site], (len(specs), 1, n))
         frequencies.append(freqs)
         lowering.append(vectors)
     lowering = np.concatenate(lowering, axis=1)
-    for array in (hamiltonian, lowering):
+    for array in (hamiltonian, lowering, diagonal):
         array.setflags(write=False)
-    return GaussianChain(hamiltonian=hamiltonian, slots=_slots(frequencies), lowering=lowering)
+    return GaussianChain(
+        hamiltonian=hamiltonian, slots=_slots(frequencies), lowering=lowering, diagonal=diagonal
+    )
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -274,35 +319,63 @@ def _lyapunov_residual(x: np.ndarray, k: np.ndarray, source: np.ndarray) -> np.n
     return np.linalg.norm(x @ k + k @ _adjoint(x) - source, axis=(-2, -1))
 
 
-# an overflow is refused by the non-finite checks, under the point's index
-@np.errstate(over="ignore", invalid="ignore")
-def steady_state_gaussian(
-    chain: GaussianChain, member: np.ndarray, kappa: np.ndarray, temperatures: np.ndarray
-) -> GaussianState:
-    """The point step: the steady one-body matrices of P points, and each
-    bath's current.
+def _one_mode_points(
+    chain: GaussianChain, member: np.ndarray, rates: np.ndarray, runs: list[slice]
+) -> tuple[np.ndarray, ...]:
+    """The point step's fields of P points on members whose every group
+    holds one mode, where X, S and K are diagonal: elementwise, in closed
+    form, with no eigendecomposition (see the module docstring).
 
-    Point p is on member `member[p]` of the chain stack, `kappa[p]` is its
-    kappa and `temperatures[p, k]` the temperature of the chain step's
-    k-th bath there; arrays of other shapes than (P,), (P,) and
-    (P, n_baths) raise ValueError.  The points of every chain member are
-    solved as one stack: one batched eigendecomposition of X, and the
-    Kronecker solve for each point whose eigenvector solution leaves a
-    residual above `_EIG_RTOL` times ||X||, near an exceptional point of X
-    (see the module docstring); the other points keep their eigenvector
-    solution.  The returned fields carry a leading axis of length P; a
-    point comes out bit-identical in any stack, and on any chain stack
-    that holds its chain.
+    The fields are K, the Lyapunov residual, ||X||, whether X and S are
+    finite, the Kronecker solve's refusal (None here), the bath currents,
+    and the largest |eigenvalue| of 2K, each with a leading axis of P."""
+    energy = np.diagonal(chain.hamiltonian, axis1=1, axis2=2)[member]
+    # each slot's (emission, absorption) rates on l_tk^2, summed over each
+    # bath's slots: they share no mode and hold one each, so each sum has
+    # one term per entry, however many padding slots the stack adds
+    terms = rates.transpose(2, 0, 1)[..., None] * np.square(chain.lowering[member])
+    emitted, absorbed = np.stack([terms[:, :, run].sum(axis=2) for run in runs], axis=2)
+    # the (P, n) sums over the baths, elementwise in bath order
+    emission, absorption = emitted.sum(axis=1), absorbed.sum(axis=1)
+    damping = emission + absorption
+    undamped = damping == 0
+    # a mode no bath damps stays half filled
+    occupation = np.divide(absorption, damping, out=np.full(damping.shape, 0.5), where=~undamped)
+    k_diagonal = occupation - 0.5
+    x = 1j * energy - 0.5 * damping
+    source = 0.5 * (emission - absorption)
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(source).all(axis=1)
+    residual = np.linalg.norm(-damping * k_diagonal - source, axis=1)
+    n = energy.shape[1]
+    k = np.zeros((len(member), n, n), dtype=complex)
+    k.reshape(len(member), n * n)[:, :: n + 1] = k_diagonal
+    # bath b gains eps_k sum_c (A_b E_c - E_b A_c) / D_k from mode k, whose
+    # c = b term is an exact zero: no term cancels another
+    exchange = absorbed[:, :, None] * emitted[:, None] - emitted[:, :, None] * absorbed[:, None]
+    flows = np.divide(
+        energy[:, None] * exchange.sum(axis=2),
+        damping[:, None],
+        out=np.zeros(emitted.shape),
+        where=~undamped[:, None],
+    )
+    return (
+        k,
+        residual,
+        np.linalg.norm(x, axis=1),
+        finite,
+        np.full(len(member), None, dtype=object),
+        flows.sum(axis=2),
+        np.max(np.abs(2.0 * k_diagonal), axis=1),
+    )
 
-    Raises SteadyStateError, naming the first point refused with the
-    refusal it meets in a stack of its own, when X or S has a non-finite
-    entry, the Kronecker solve is refused, a Lyapunov residual exceeds
-    `KERNEL_RTOL` times ||X||, the bath currents are not finite, or the
-    spectrum of 2K leaves [-1, 1] (mode occupations outside [0, 1]).  The
-    eigensolvers see only the points no earlier check refuses.
-    """
-    member = np.asarray(member, dtype=np.intp)
-    rates = _slot_rates(chain.slots, member, kappa, temperatures)
+
+def _coupled_points(
+    chain: GaussianChain, member: np.ndarray, rates: np.ndarray, runs: list[slice]
+) -> tuple[np.ndarray, ...]:
+    """The point step's fields of P points on any members, those of
+    `_one_mode_points`: one batched eigendecomposition of X, and the
+    Kronecker solve for each point whose eigenvector solution misses (see
+    the module docstring)."""
     # the (P, 2, S) weights e + a and e - a of each slot
     weights = np.stack([rates[..., 0] + rates[..., 1], rates[..., 0] - rates[..., 1]], axis=1)
     lowering = chain.lowering[member]
@@ -311,8 +384,7 @@ def steady_state_gaussian(
     # a bath's transitions share no mode, so each entry of its product is one
     # term, however many padding slots the stack adds
     products = 0.0
-    edges = np.searchsorted(chain.slots.bath, np.arange(chain.slots.n_baths + 1)).tolist()
-    for run in map(slice, edges[:-1], edges[1:]):
+    for run in runs:
         l = lowering[:, None, run]
         products = products + (weights[..., run, None] * l).swapaxes(-1, -2) @ l
     x = 1j * hamiltonian - 0.5 * products[:, 0]
@@ -325,7 +397,7 @@ def steady_state_gaussian(
     solved = np.flatnonzero(finite)
     k[solved] = _lyapunov_eig(x[solved], source[solved])
     residual[solved] = _lyapunov_residual(x[solved], k[solved], source[solved])
-    refused = {}  # the Kronecker solve's refusal of each point it refuses
+    refused = np.full(len(x), None, dtype=object)  # the Kronecker solve's refusals
     n = x.shape[1]
     # a NaN residual takes the Kronecker solve too
     for p in solved[~(residual[solved] <= _EIG_RTOL * scale[solved])].tolist():
@@ -343,10 +415,7 @@ def steady_state_gaussian(
             refused[p] = str(err)
             continue
         residual[p] = _lyapunov_residual(x[p], k[p], source[p])
-    kronecker_refused = np.zeros(len(member), dtype=bool)
-    kronecker_refused[list(refused)] = True
-    unsolved = residual > KERNEL_RTOL * scale
-    kept = finite & ~kronecker_refused & ~unsolved
+    kept = finite & ~refused.astype(bool) & ~(residual > KERNEL_RTOL * scale)
 
     # bath k feeds in sum_t -(e + a)_t l_t^T Re(K) H l_t - (e - a)_t l_t^T H l_t / 2
     # over its slots, summed in order from +0
@@ -359,12 +428,63 @@ def steady_state_gaussian(
     # the mode occupations (1 -+ largest)/2 meet the bound rho's eigenvalues meet
     largest = np.zeros(len(member))
     largest[kept] = np.max(np.abs(np.linalg.eigvalsh(2.0 * k[kept])), axis=1)
+    return k, residual, scale, finite, refused, currents, largest
+
+
+# an overflow is refused by the non-finite checks, under the point's index
+@np.errstate(over="ignore", invalid="ignore")
+def steady_state_gaussian(
+    chain: GaussianChain, member: np.ndarray, kappa: np.ndarray, temperatures: np.ndarray
+) -> GaussianState:
+    """The point step: the steady one-body matrices of P points, and each
+    bath's current.
+
+    Point p is on member `member[p]` of the chain stack, `kappa[p]` is its
+    kappa and `temperatures[p, k]` the temperature of the chain step's
+    k-th bath there; arrays of other shapes than (P,), (P,) and
+    (P, n_baths) raise ValueError.  A point on a member whose every group
+    holds one mode (`GaussianChain.diagonal`) is solved in closed form,
+    elementwise, at O(n S) for S slots, with no eigendecomposition and no
+    matrix product.  The other points are solved as one stack, at O(n^3)
+    each: one batched eigendecomposition of X, and the Kronecker solve for
+    each point whose eigenvector solution leaves a residual above
+    `_EIG_RTOL` times ||X||, near an exceptional point of X (see the module
+    docstring); the other points keep their eigenvector solution.  The
+    returned fields carry a leading axis of length P; a point comes out
+    bit-identical in any stack, and on any chain stack that holds its
+    chain.
+
+    Raises SteadyStateError, naming the first point refused with the
+    refusal it meets in a stack of its own, when X or S has a non-finite
+    entry, the Kronecker solve is refused, a Lyapunov residual exceeds
+    `KERNEL_RTOL` times ||X||, the bath currents are not finite, or the
+    spectrum of 2K leaves [-1, 1] (mode occupations outside [0, 1]).  The
+    eigensolvers see only the points no earlier check refuses and that
+    the closed form does not take.
+    """
+    member = np.asarray(member, dtype=np.intp)
+    rates = _slot_rates(chain.slots, member, kappa, temperatures)
+    edges = np.searchsorted(chain.slots.bath, np.arange(chain.slots.n_baths + 1)).tolist()
+    runs = list(map(slice, edges[:-1], edges[1:]))
+    diagonal = chain.diagonal[member]
+    if diagonal.all() == diagonal.any():  # one path takes every point
+        solve = _one_mode_points if diagonal.any() else _coupled_points
+        fields = solve(chain, member, rates, runs)
+    else:
+        fields = None
+        for mask, solve in ((diagonal, _one_mode_points), (~diagonal, _coupled_points)):
+            part = solve(chain, member[mask], rates[mask], runs)
+            if fields is None:
+                fields = [np.empty((len(member), *a.shape[1:]), a.dtype) for a in part]
+            for merged, a in zip(fields, part):
+                merged[mask] = a
+    k, residual, scale, finite, refused, currents, largest = fields
     _refuse_first(
         [
             (~finite, lambda p: "the Lyapunov equation has a non-finite entry"),
-            (kronecker_refused, refused.get),
+            (refused.astype(bool), refused.__getitem__),
             (
-                unsolved,
+                residual > KERNEL_RTOL * scale,
                 lambda p: f"Lyapunov residual {residual[p]:.3e} exceeds {KERNEL_RTOL:.0e} x "
                 f"||X|| = {scale[p]:.3e}",
             ),

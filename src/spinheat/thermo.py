@@ -26,7 +26,8 @@ route by the model:
   jump operators are linear in annihilation operators of one fermion
   basis, so its steady state is fixed by the n x n one-body correlation
   matrix: `gaussian.gaussian_chain` is the chain step,
-  `gaussian.steady_state_gaussian` the point step, at O(n^3).
+  `gaussian.steady_state_gaussian` the point step, at O(n^3), and at
+  O(n^2) in closed form where every group of global modes is one mode.
 - The Ising zz pair is not quadratic (sz sz is quartic in the fermions),
   but its H is diagonal and its jumps map basis states to basis states, so
   its populations obey a closed Pauli master equation on the cycle of its
@@ -67,11 +68,13 @@ from .spinops import ChainModel, SpinChainSpec
 # over temperatures on one chain at a time, read 211/10, one miss per
 # chain they use.  A caller that reruns a dataset hits once per group: a
 # second fig2 + fig3 pass reads 4/0.  At 5 spins, global style, a hit saves
-# the chain step, 0.24 to 0.25 ms, of a two-point `run_sweep` that takes
-# 0.75 to 1.2 ms warm (medians of 1000, three runs in each of three
-# processes, one BLAS thread, 2-vCPU Xeon VM).  The rate route's entries hold each bath's slots and an
-# (C, 8) cycle index, 11 kB for fig3's 100 couplings.  The Gaussian
-# route's hold, per member, H and n + 1 doubles per transition: 0.8 kB
+# the chain step, 0.25 to 0.54 ms, of a two-point `run_sweep` that takes
+# 0.44 to 0.88 ms warm, its points solved in closed form (medians of 1000,
+# three runs in each of three processes, one BLAS thread, a 2-vCPU Xeon VM
+# shared with other load; the low ends are its quiet runs).  The rate
+# route's entries hold each bath's slots and an (C, 8) cycle index, 11 kB
+# for fig3's 100 couplings.  The Gaussian route's hold, per member, H, a
+# one-byte flag and n + 1 doubles per transition: 0.8 kB
 # for the 5-spin chain and 1.1 kB for the 6-spin chain in the global
 # style, 0.3 and 0.4 kB in the local style, so a coupling grid's entry
 # grows by that much per grid point.

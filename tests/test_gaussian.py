@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spinheat.lindblad as lindblad
@@ -141,6 +141,7 @@ def _oracle_currents(case):
 
 
 def _assert_matches_oracle(case):
+    """The route's chain step and state of one case, checked against the oracle."""
     n, ratio, style, t_left, t_right = case
     spec = _spec(n, ratio)
     chain = gaussian_chain([spec], standard_baths(spec, KAPPA, t_left, t_right, style))
@@ -151,6 +152,22 @@ def _assert_matches_oracle(case):
         assert abs(got - want) <= max(1e-10 * abs(want), 1e-12 * KAPPA)
     assert np.max(np.abs(np.linalg.eigvalsh(2.0 * state.covariance[0]))) <= 1.0 + 1e-10
     assert state.residual[0] <= 1e-10
+    return chain, state
+
+
+def _lyapunov_equation(chain, temperatures):
+    """X = i H - Q / 2 and S of one point on a 1-stack chain, from each live
+    slot's rates and outer product l l^T written out one by one."""
+    slots = chain.slots
+    q = s = 0.0
+    for t in np.flatnonzero(slots.live[0]):
+        emission, absorption = lindblad.thermal_rates(
+            KAPPA, temperatures[slots.bath[t]], slots.frequency[0, t]
+        )
+        outer = np.outer(chain.lowering[0, t], chain.lowering[0, t])
+        q = q + (emission + absorption) * outer
+        s = s + 0.5 * (emission - absorption) * outer
+    return 1j * chain.hamiltonian[0] - 0.5 * q, s
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -161,18 +178,30 @@ def test_gaussian_route_matches_oracle(case):
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_kronecker_solve_matches_oracle(case, monkeypatch):
     # an eigenvector solution of NaNs misses every bound, so the Kronecker
-    # solve carries each case alone, undamped modes included
-    calls = []
+    # solve carries each case of the eigenvector route alone, undamped modes
+    # included.  A case whose every group holds one mode takes the closed
+    # form, which calls neither solver; its K is the Kronecker solution of
+    # the same equation
+    eig_calls, calls = [], []
     kronecker = gaussian._lyapunov_kronecker
+
+    def nan_eig(x, source):
+        eig_calls.append(len(x))
+        return np.full_like(x, np.nan)
 
     def counted(x, source):
         calls.append(1)
         return kronecker(x, source)
 
-    monkeypatch.setattr(gaussian, "_lyapunov_eig", lambda x, source: np.full_like(x, np.nan))
+    monkeypatch.setattr(gaussian, "_lyapunov_eig", nan_eig)
     monkeypatch.setattr(gaussian, "_lyapunov_kronecker", counted)
-    _assert_matches_oracle(case)
-    assert calls == [1]
+    chain, state = _assert_matches_oracle(case)
+    if not chain.diagonal[0]:
+        assert calls == [1]
+        return
+    assert eig_calls == calls == []
+    x, source = _lyapunov_equation(chain, case[3:])
+    assert np.max(np.abs(state.covariance[0] - kronecker(x, source))) <= 1e-12
 
 
 def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
@@ -185,7 +214,7 @@ def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
     monkeypatch.setattr(gaussian, "_lyapunov_kronecker", never)
     monkeypatch.setattr(np, "kron", never)
     specs = [_spec(17, 0.3), _spec(17, 0.7)]
-    chain = gaussian_chain(specs, standard_baths(specs[0], 1.0, 0.0, 0.0, GLOBAL))
+    chain = gaussian_chain(specs, standard_baths(specs[0], 1.0, 0.0, 0.0, LOCAL))
     temps = [[2.0, 0.5], [1.0, 0.0], [2.0, 0.0]]
     with pytest.raises(SteadyStateError, match=r"n = 17 needs a 289 x 289 operator") as excinfo:
         steady_state_gaussian(chain, [1, 0, 1], [1.0, 1.0, 1.0], temps)
@@ -193,20 +222,60 @@ def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
     assert "refused above n = 16" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("ratio", [1e7, 1e8])
+@pytest.mark.parametrize("ratio", [1e7, 1e8, 3e8, 7e8])
 def test_strong_coupling_global_current_is_the_mode_sum(ratio):
     # three spins at h = kappa = 1, T_L = 2, T_R = 0: only the |eps| = h mode,
     # phi = (1, 0, -1) / sqrt(2), is warm enough to carry, so the mode sum
-    # reads n_L / (4 (1 + n_L)) = exp(-1/2) / 4 at every delta.  Further out
-    # the route misses it: a cold mode's K = -1/2 may keep a rounding of
-    # 1e-16, which its current multiplies by about kappa delta^2, and from
-    # delta = 7.07e8 on the |eps| = h mode falls under the grouping
-    # tolerance DEGENERACY_TOL * sum|eps_k| / 2 and counts as a zero mode
+    # reads n_L / (4 (1 + n_L)) = exp(-1/2) / 4 at every delta.  Every group
+    # holds one mode, and the closed form gives each cold mode an exact zero.
+    # Only the grouping stops it: from delta = 7.07e8 on the |eps| = h mode
+    # falls under the tolerance DEGENERACY_TOL * sum|eps_k| / 2 and counts as
+    # a zero mode
     spec = SpinChainSpec(3, 1.0, ratio, ChainModel.XY_TRANSVERSE)
-    exact = _mode_sum_currents((3, ratio, GLOBAL, 2.0, 0.0), h=1.0, kappa=1.0)[0]
-    assert exact == pytest.approx(math.exp(-0.5) / 4.0, rel=1e-7)
-    j = thermo.steady_net_current(spec, 1.0, 2.0, 0.0, GLOBAL)
-    assert abs(j - exact) <= 1e-7 * exact
+    exact = _mode_sum_currents((3, ratio, GLOBAL, 2.0, 0.0), h=1.0, kappa=1.0)
+    assert exact[0] == pytest.approx(math.exp(-0.5) / 4.0, rel=1e-7)
+    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 2.0, 0.0, GLOBAL))
+    currents = steady_state_gaussian(chain, [0], [1.0], [[2.0, 0.0]]).bath_currents[0]
+    for got, want in zip(currents, exact):
+        assert abs(got - want) <= 1e-7 * abs(want)
+    assert thermo.steady_net_current(spec, 1.0, 2.0, 0.0, GLOBAL) == currents[0]
+
+
+def _one_mode_groups(spec):
+    """Whether every nonzero |eps_k| of a chain stands alone: each differs
+    from the next by more than the grouping tolerance."""
+    hop = _hopping(spec.n_spins, spec.coupling_delta / spec.field_h, spec.field_h)
+    energy = np.sort(np.abs(np.linalg.eigvalsh(hop)))
+    tol = DEGENERACY_TOL * 0.5 * energy.sum()
+    return bool(np.all(np.diff(energy[energy > tol]) > tol))
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 8),
+    h=st.floats(0.5, 2.0),
+    delta=st.floats(-3.0, 8.0).map(lambda exponent: 10.0**exponent),
+    kappa=kappas,
+    points=st.lists(st.tuples(temperatures, temperatures), min_size=1, max_size=6),
+)
+@example(n=3, h=1.0, delta=3e8, kappa=1.0, points=[(2.0, 0.0)])
+def test_one_mode_groups_keep_the_clausius_sign_over_the_coupling_range(
+    n, h, delta, kappa, points
+):
+    # every point of a global chain whose groups hold one mode each keeps
+    # the Clausius sign and balances its two baths to 4 eps, from delta =
+    # 1e-3 to 1e8.  The example is where a cold mode's K = -1/2, solved with
+    # a rounding of 1e-16, would carry about kappa delta^2 1e-16 = 4 into
+    # one bath alone
+    spec = SpinChainSpec(n, h, delta, ChainModel.XY_TRANSVERSE)
+    if not _one_mode_groups(spec):
+        return
+    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 0.0, 0.0, GLOBAL))
+    stack = steady_state_gaussian(chain, [0] * len(points), [kappa] * len(points), points)
+    for (t_left, t_right), (j_left, j_right) in zip(points, stack.bath_currents):
+        assert j_left * (t_left - t_right) >= 0
+        assert abs(j_left + j_right) <= 4 * np.finfo(float).eps * abs(j_left)
+    assert chain.diagonal[0]
 
 
 def test_two_hundred_spin_global_currents_are_the_mode_sum():
@@ -375,24 +444,32 @@ def test_the_transport_route_is_chosen_by_the_model():
         assert isinstance(thermo._chain(ising, (ising.coupling_delta,), style), PauliChain)
 
 
-def _with_rates(monkeypatch, rates):
+def _with_rates(monkeypatch, rates, style, ratio):
     monkeypatch.setattr(lindblad, "thermal_rates", lambda kappa, temperature, frequency: rates)
-    spec = _spec(2, 0.0)
-    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, LOCAL))
+    spec = _spec(2, ratio)
+    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, style))
     return steady_state_gaussian(chain, [0], [1.0], [[1.0, 0.0]])
 
 
-def test_unphysical_covariance_raises(monkeypatch):
+# the eigenvector route, and the closed form of two modes apart
+ROUTE_CHAINS = pytest.mark.parametrize(
+    "style, ratio", [(LOCAL, 0.0), (GLOBAL, 0.5)], ids=["eigenvectors", "closed-form"]
+)
+
+
+@ROUTE_CHAINS
+def test_unphysical_covariance_raises(monkeypatch, style, ratio):
     # a negative absorption rate drives the occupation to a/(e + a) = -1
     with pytest.raises(SteadyStateError, match="not physical"):
-        _with_rates(monkeypatch, (1.0, -0.5))
+        _with_rates(monkeypatch, (1.0, -0.5), style, ratio)
 
 
-def test_lyapunov_residual_guard_raises(monkeypatch):
+@ROUTE_CHAINS
+def test_lyapunov_residual_guard_raises(monkeypatch, style, ratio):
     # opposite rates cancel the damping but leave a source on the undamped
     # modes, so no covariance solves the equation
     with pytest.raises(SteadyStateError, match="residual"):
-        _with_rates(monkeypatch, (1.0, -1.0))
+        _with_rates(monkeypatch, (1.0, -1.0), style, ratio)
 
 
 def _fermi(energies, temperature):

@@ -239,10 +239,46 @@ def test_one_eigendecomposition_solves_a_stack_of_several_chains(monkeypatch):
     spec = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
     chain_step, point_step = thermo._ROUTES[spec.model]
     specs = [replace(spec, coupling_delta=delta) for delta in (0.0, 0.5, 1.3)]
-    chain = chain_step(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.GLOBAL))
+    chain = chain_step(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.LOCAL))
     temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0]]
     point_step(chain, [2, 0, 1, 2, 0], [1.0] * 5, temperatures)
     assert calls == [(5, 3, 3)]
+
+
+def test_one_mode_members_skip_the_eigendecomposition_in_a_mixed_stack(monkeypatch):
+    # three spins, global style: every mode sits at h at delta = 0, and
+    # |eps| = h twice at sqrt(2) h, so those two members take the
+    # eigenvector route; at 0.5 and 1.3 every group holds one mode
+    seen = []
+    eig = np.linalg.eig
+
+    def recorded(x):
+        seen.append(x.copy())
+        return eig(x)
+
+    monkeypatch.setattr(np.linalg, "eig", recorded)
+    spec = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
+    specs = [replace(spec, coupling_delta=delta) for delta in (0.0, math.sqrt(2.0), 0.5, 1.3)]
+    baths = lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.GLOBAL)
+    chain = gaussian.gaussian_chain(specs, baths)
+    assert chain.diagonal.tolist() == [False, False, True, True]
+    member = [2, 0, 3, 1, 2, 1, 0, 3]
+    temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0], [0.5, 3.0],
+                    [1.5, 1.5], [4.0, 0.2]]
+    stacked = _fields(gaussian.steady_state_gaussian(chain, member, [0.7] * 8, temperatures))
+    multi_mode = [p for p, m in enumerate(member) if not chain.diagonal[m]]
+    assert [x.shape for x in seen] == [(len(multi_mode), 3, 3)]
+    eig_input = seen.pop()
+    for p, (m, temps) in enumerate(zip(member, temperatures)):
+        alone = gaussian.gaussian_chain(specs[m : m + 1], baths)
+        own = _fields(gaussian.steady_state_gaussian(alone, [0], [0.7], [temps]))
+        for name, value in stacked.items():
+            assert value[p].tobytes() == own[name][0].tobytes(), (name, p)
+        # the point's own X, and only it, reached the stack's eigendecomposition
+        if chain.diagonal[m]:
+            assert seen == []
+        else:
+            assert seen.pop().tobytes() == eig_input[multi_mode.index(p)].tobytes()
 
 
 @pytest.mark.parametrize("model", ["ising", "xy"])
@@ -483,14 +519,16 @@ def _member_by_member(specs, baths):
     """The XY chain step built member by member, as a reference: each
     member's H and each bath's (frequencies, lowering vectors) alone, in
     the modes xi_k in the global style, each group's modes placed in a
-    Python loop, each bath padded by hand to its widest member."""
+    Python loop, each bath padded by hand to its widest member, and
+    whether every group of the member holds one mode."""
     n = specs[0].n_spins
     members = []
     for spec in specs:
         off = np.full(n - 1, spec.coupling_delta)
         hop = spec.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
         frequencies, lowering = [], []
-        if baths[0].style is DissipatorStyle.GLOBAL:
+        diagonal = baths[0].style is DissipatorStyle.GLOBAL
+        if diagonal:
             eps, phi = np.linalg.eigh(hop)
             hop = np.diag(np.abs(eps))
         for bath in baths:
@@ -505,6 +543,7 @@ def _member_by_member(specs, baths):
             if not np.isfinite(tol[0]):
                 frequencies.append(np.array([np.inf]))
                 lowering.append(coefficient[None])
+                diagonal = False  # every mode in one group
                 continue
             order = np.argsort(energy, kind="stable")
             order = order[energy[order] > tol]
@@ -515,13 +554,15 @@ def _member_by_member(specs, baths):
                 grouped[row, modes] = coefficient[modes]
             frequencies.append(means[0])
             lowering.append(grouped)
-        members.append((hop, frequencies, lowering))
+            # one mode per group, from the group sizes
+            diagonal = diagonal and np.bincount(labels[0]).max(initial=1) == 1
+        members.append((hop, frequencies, lowering, diagonal))
     padded_frequencies, padded_lowering = [], []
     for k in range(len(baths)):
         width = max(len(member[1][k]) for member in members)
         bath_frequencies = np.full((len(members), width), np.nan)
         vectors = np.zeros((len(members), width, n))
-        for c, (_, freqs, rows) in enumerate(members):
+        for c, (_, freqs, rows, _) in enumerate(members):
             bath_frequencies[c, : len(freqs[k])] = freqs[k]
             vectors[c, : len(rows[k])] = rows[k]
         padded_frequencies.append(bath_frequencies)
@@ -533,6 +574,7 @@ def _member_by_member(specs, baths):
         "live": slots.live,
         "bath": slots.bath,
         "lowering": np.concatenate(padded_lowering, axis=1),
+        "diagonal": np.array([member[3] for member in members]),
     }
 
 
@@ -570,6 +612,7 @@ def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
         "live": chain.slots.live,
         "bath": chain.slots.bath,
         "lowering": chain.lowering,
+        "diagonal": chain.diagonal,
     }
     assert chain.slots.n_baths == len(baths)
     for name, value in reference.items():
@@ -586,6 +629,7 @@ specs = [SpinChainSpec(200, 1.0, delta, ChainModel.XY_TRANSVERSE) for delta in (
 baths = lindblad.standard_baths(specs[0], 1.0, 0.0, 0.0, lindblad.DissipatorStyle.GLOBAL)
 stack = gaussian.gaussian_chain(specs, baths)
 assert stack.slots.live.sum(axis=1).tolist() == [400, 398]
+assert stack.diagonal.all()
 state = gaussian.steady_state_gaussian(stack, [0, 1], [1.0, 1.0], [[2.5, 0.0], [2.5, 0.0]])
 alone = gaussian.gaussian_chain(specs[1:], baths)
 single = gaussian.steady_state_gaussian(alone, [0], [1.0], [[2.5, 0.0]])
@@ -596,8 +640,10 @@ print([name for name, value in vars(single).items()
 
 def test_long_chain_points_are_their_own_one_stacks():
     # one BLAS thread, as the benchmark pins it, splits a product over that
-    # many slots in blocks that depend on its length, so only one product
-    # per bath, where each entry is one term, keeps a point's bytes
+    # many slots in blocks that depend on its length, so only sums in which
+    # each entry has one nonzero term keep a point's bytes: here the closed
+    # form's sum over each bath's slots, as both members hold one mode per
+    # group
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     src = Path(gaussian.__file__).parents[1]
     out = subprocess.run(
