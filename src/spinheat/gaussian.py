@@ -22,14 +22,14 @@ is L = sum_i l_i a_i, with a real lowering vector l, or its adjoint.
   too.  A bath at site s lowers the energy by |eps| through
   sum_{|eps_k| = |eps|} l_k xi_k, with l_k = phi_k(s), times (+1 on site
   0, -1 on site n-1) where eps_k < 0.  The gaps sigma^x connects are
-  exactly the |eps_k|, so they are grouped by the rule
-  `lindblad.global_transitions` applies to the many-body gaps:
+  exactly the |eps_k|, so they are grouped by the rule the dense oracle
+  (`lindblad.global_transitions`) applies to the many-body gaps:
   `lindblad._groups` at the tolerance that `lindblad._degeneracy_tolerance`
   gives the largest |E|, which is sum_k |eps_k| / 2.  Zero modes carry no
-  jump operator.  The two groupings can differ only where two |eps_k|
-  differ by less than that tolerance without being equal (delta near
-  1e-9 h): there the eigenbasis grouping is also anchored on many-body
-  gaps that sigma^x does not connect.  Where the many-body energies
+  jump operator.  This grouping and the oracle's can differ only where
+  two |eps_k| differ by less than that tolerance without being equal
+  (delta near 1e-9 h): there the oracle's grouping is also anchored on
+  many-body gaps that sigma^x does not connect.  Where the many-body energies
   overflow (delta near 1e308), an infinite tolerance would drop every
   gap: every mode takes frequency +inf instead, so the bath drives one
   transition at an infinite frequency, whose rates the point step

@@ -6,20 +6,18 @@ sees the true transition frequencies of the interacting system.  The
 "local" style damps a single spin with its bare raising/lowering operators
 at a fixed frequency, ignoring the inter-spin coupling.  The styles differ
 only in which transitions, (frequency, lowering operator) pairs, each bath
-sees.  `bath_transitions` decides them on many-body operators, for the
-dense oracle and the rate route; the Gaussian route (`gaussian`) works on
-single-particle modes and groups their energies itself, by the same rule
-(`_groups`).  `bath_transitions` takes a stack of C spectral
-decompositions and returns each member's transitions in array operations
-over the stack (`global_transitions`).  The number of transitions changes
-with the coupling: each member's transitions take its first slots, and
-the slots past them are padding, marked by frequency NaN alone.  Every
-route takes its rates from one ohmic rate law, `thermal_rates`, which
-gives the emission rate of a bath at a frequency (carried by the
-lowering operator) and its absorption rate (carried by the adjoint).
-The law acts elementwise on arrays.  The chain steps lay every bath's
-transitions side by side (`Slots`), and the point steps call the law
-once per stack of points on the live slots alone (`_slot_rates`).
+sees.  `bath_transitions` decides them on many-body operators for the
+dense oracle alone; the transport routes take theirs in their own terms:
+the rate route (`rates`) from the edges of the Ising pair's level cycle
+in closed form, the Gaussian route (`gaussian`) from single-particle
+modes, whose energies it groups by the rule `global_transitions` applies
+to the many-body gaps (`_groups`).  Every route takes its rates from one
+ohmic rate law, `thermal_rates`, which gives the emission rate of a bath
+at a frequency (carried by the lowering operator) and its absorption rate
+(carried by the adjoint).  The law acts elementwise on arrays.  The
+chain steps lay every bath's transitions side by side (`Slots`), and the
+point steps call the law once per stack of points on the live slots
+alone (`_slot_rates`).
 """
 
 from __future__ import annotations
@@ -144,19 +142,15 @@ def _groups(values: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def global_transitions(
     decomp: SpectralDecomposition, coupling: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenbasis jump operators of one coupling matrix on a stack of C
-    decompositions: (frequencies (C, T), lowering (C, T, d, d)).
+    """Eigenbasis jump operators of a coupling matrix: (frequencies (T,),
+    lowering (T, d, d)), sorted by ascending frequency.
 
-    Each member's transitions take its first slots, sorted by ascending
-    frequency; the slots past them are padding, with frequency NaN and a
-    zero matrix.  For each member, every ordered eigenstate pair
-    with a positive energy gap contributes its matrix element of
-    `coupling`; pairs whose gaps agree within `DEGENERACY_TOL * max(|energy|)`
-    (`_groups`) are summed into a single operator at their mean gap, so
-    degenerate transitions share one jump matrix.  Operators whose entries
-    are all negligible (below 1e-12) are dropped.  Matrices are returned in
-    the original basis.  Every step is an array operation over the stack,
-    so a member comes out the same in any stack.
+    Every ordered eigenstate pair with a positive energy gap contributes
+    its matrix element of `coupling`; pairs whose gaps agree within
+    `DEGENERACY_TOL * max(|energy|)` (`_groups`) are summed into a single
+    operator at their mean gap, so degenerate transitions share one jump
+    matrix.  Operators whose entries are all negligible (below 1e-12) are
+    dropped.  Matrices are returned in the original basis.
 
     Keeping one operator per gap is the full secular approximation: cross
     terms between different gaps are dropped, however close the gaps are.
@@ -177,37 +171,23 @@ def global_transitions(
       coupling scale.
     """
     energies, vectors = decomp.energies, decomp.eigenvectors
-    members, d = energies.shape
+    d = len(energies)
     if coupling.shape != (d, d):
         raise ValueError("coupling operator dimension does not match decomposition")
-    tol = _degeneracy_tolerance(np.max(np.abs(energies), axis=-1, initial=0.0))
-    adjoints = vectors.conj().swapaxes(-1, -2)
-    coupling_eig = adjoints @ coupling @ vectors
-    gaps = energies[:, None, :] - energies[:, :, None]  # gaps[c, i, j] = E_j - E_i
-
-    # each member's pairs with a positive gap, ordered by (gap, i, j), then
-    # padding: the stable sort keeps the row-major order among equal gaps
-    gaps = gaps.reshape(members, d * d)
-    gaps = np.where(gaps > tol[:, None], gaps, np.nan)
-    order = np.argsort(gaps, axis=1, kind="stable")
-    order = order[:, : np.count_nonzero(~np.isnan(gaps), axis=1).max(initial=0)]
-    pair_gaps = np.take_along_axis(gaps, order, axis=1)
-    labels, frequencies = _groups(pair_gaps, tol)
-
-    a_eig = np.zeros((members, frequencies.shape[1], d, d), dtype=complex)
-    member, slot = np.nonzero(~np.isnan(pair_gaps))
-    rows, cols = np.divmod(order[member, slot], d)
-    a_eig[member, labels[member, slot], rows, cols] = coupling_eig[member, rows, cols]
-    kept = np.max(np.abs(a_eig), axis=(2, 3), initial=0.0) > _NEGLIGIBLE_ENTRY
-
-    # the kept operators of each member move to its first slots, in order
-    member, group = np.nonzero(kept)
-    slot = np.cumsum(kept, axis=1)[member, group] - 1
-    lowering = np.zeros((members, slot.max(initial=-1) + 1, d, d), dtype=complex)
-    lowering[member, slot] = vectors[member] @ a_eig[member, group] @ adjoints[member]
-    padded = np.full(lowering.shape[:2], np.nan)
-    padded[member, slot] = frequencies[member, group]
-    return padded, lowering
+    tol = _degeneracy_tolerance(np.max(np.abs(energies), initial=0.0))
+    adjoint = vectors.conj().T
+    coupling_eig = adjoint @ coupling @ vectors
+    gaps = energies[None, :] - energies[:, None]  # gaps[i, j] = E_j - E_i
+    # the pairs with a positive gap, ordered by (gap, i, j): the stable sort
+    # keeps the row-major order among equal gaps
+    rows, cols = np.nonzero(gaps > tol)
+    order = np.argsort(gaps[rows, cols], kind="stable")
+    rows, cols = rows[order], cols[order]
+    labels, frequencies = _groups(gaps[rows, cols][None], tol)
+    a_eig = np.zeros((frequencies.shape[1], d, d), dtype=complex)
+    a_eig[labels[0], rows, cols] = coupling_eig[rows, cols]
+    kept = np.max(np.abs(a_eig), axis=(1, 2), initial=0.0) > _NEGLIGIBLE_ENTRY
+    return frequencies[0, kept], vectors @ a_eig[kept] @ adjoint
 
 
 def thermal_rates(
@@ -268,14 +248,13 @@ def _check_rate_parameters(kappas: Iterable[float], temperatures: Iterable[float
 class Slots:
     """The transitions of a stack of C chains, every bath's side by side.
 
-    Bath k takes a run of slots as wide as its most transitions on one
-    member, each member's transitions first and padding past them, in
-    the layout of `bath_transitions`.  `frequency[c, s]` is the frequency
-    of member c's transition in slot s, NaN on padding, `live[c, s]` is
-    False on padding, and `bath[s]` is the index of the bath that drives
-    slot s.  `n_baths` counts the baths, those that drive no transition
-    included (the right global bath of the Ising pair at delta = 0).
-    Every array is read-only.
+    Bath k takes a run of slots, each member's transitions first and
+    padding past them.  `frequency[c, s]` is the frequency of member c's
+    transition in slot s, NaN on padding, `live[c, s]` is False on
+    padding, and `bath[s]` is the index of the bath that drives slot s.
+    `n_baths` counts the baths, those that drive no transition included
+    (the right global bath of the Ising pair at delta = 0).  Every array
+    is read-only.
     """
 
     frequency: np.ndarray
@@ -336,25 +315,17 @@ def _slot_rates(
 def bath_transitions(
     decomp: SpectralDecomposition, bath: BathSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (frequency, lowering operator) pairs one bath drives on each
-    member of a stack of C decompositions, in the layout of
-    `global_transitions`: (frequencies (C, T), lowering (C, T, d, d)),
-    padding past each member's transitions, with frequency NaN.
+    """The (frequency, lowering operator) pairs one bath drives on a chain,
+    as (frequencies (T,), lowering (T, d, d)).
 
     Global style: the eigenbasis jump operators of sigma^x on the bath's
     site (`global_transitions`).  Local style: sigma^- on that site at the
-    bath's local frequency, one transition on every member.  The chain
-    length is read off `decomp`.
+    bath's local frequency.  The chain length is read off `decomp`.
     """
     n_spins = decomp.dim.bit_length() - 1
     if bath.style is DissipatorStyle.GLOBAL:
         return global_transitions(decomp, embed_matrix(PAULI_X, bath.site, n_spins))
-    members = len(decomp.energies)
-    lowering = embed_matrix(LOWERING, bath.site, n_spins)
-    return (
-        np.full((members, 1), float(bath.local_frequency)),
-        np.broadcast_to(lowering, (members, 1, *lowering.shape)),
-    )
+    return np.array([float(bath.local_frequency)]), embed_matrix(LOWERING, bath.site, n_spins)[None]
 
 
 def standard_baths(

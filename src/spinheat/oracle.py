@@ -8,9 +8,9 @@ imports it.
 
 - `assemble_liouvillian` builds the full generator with Kronecker
   products: the coherent part plus one `bath_dissipator` per bath, from
-  the transitions of `lindblad.bath_transitions` on a 1-stack at the rates
-  of `lindblad.thermal_rates`, called with scalars, which it looks up at
-  call time as the transport routes do.
+  the transitions of `lindblad.bath_transitions`, which no transport route
+  calls, at the rates of `lindblad.thermal_rates`, called with scalars,
+  which it looks up at call time as the transport routes do.
 - `steady_state_nullspace` solves it by the kernel rule `_kernel_vector`
   (no transport route holds one) on a 1-stack, turns the kernel vector
   into a trace-normalized, Hermitian and positive state (`_density_matrix`)
@@ -43,6 +43,13 @@ states the baths still tell apart.
   `kernel_dim` 2 where the population block has one closed class (at
   the latter J = 9.33e-10 against the exact 2.02e-17).  The tests take
   their reference there from exact rational tree sums of that block.
+
+Its global jumps group every many-body gap (`lindblad.global_transitions`);
+the rate route keeps each edge of the Ising pair's cycle at its own
+frequency.  They differ at 2 delta <= 1e-9 (h + delta) / 2, where the
+oracle merges h + delta and h - delta at their mean, and from delta of
+about 2e9 h, where its right-bath group takes in the gap delta - h that
+sigma^x does not connect and runs at delta - h / 3.
 """
 
 from __future__ import annotations
@@ -166,20 +173,15 @@ def hamiltonian_superoperator(H: np.ndarray) -> np.ndarray:
     return -1.0j * (np.kron(eye, H) - np.kron(H.T, eye))
 
 
-def _one_stack(decomp: SpectralDecomposition) -> SpectralDecomposition:
-    return SpectralDecomposition(decomp.energies[None], decomp.eigenvectors[None])
-
-
 def bath_dissipator(decomp: SpectralDecomposition, bath: BathSpec) -> np.ndarray:
     """The dense dissipator of one bath: emission through each lowering
-    operator of `bath_transitions` (on a 1-stack), absorption through its
-    adjoint, at the rates of `lindblad.thermal_rates`.  A bath that drives no
-    transition gives the zero superoperator."""
+    operator of `bath_transitions`, absorption through its adjoint, at the
+    rates of `lindblad.thermal_rates`.  A bath that drives no transition
+    gives the zero superoperator."""
     dim = decomp.dim
     part = np.zeros((dim * dim, dim * dim), dtype=complex)
-    # a 1-stack has no padding
-    frequencies, lowering = bath_transitions(_one_stack(decomp), bath)
-    for frequency, op in zip(frequencies[0].tolist(), lowering[0]):
+    frequencies, lowering = bath_transitions(decomp, bath)
+    for frequency, op in zip(frequencies.tolist(), lowering):
         emission, absorption = lindblad.thermal_rates(bath.kappa, bath.temperature, frequency)
         part += emission * dissipation_superoperator(op)
         part += absorption * dissipation_superoperator(op.conj().T)

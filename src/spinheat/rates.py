@@ -6,13 +6,13 @@ equation dp/dt = G p, the diagonal block of the full generator.  Each
 bath flips one spin, so the rates join the levels around one cycle,
 uu - du - dd - ud - uu, whose edges 0 and 2 flip the left spin; a point
 has 8 rates, r[m] forward along edge m and r[4 + m] back.  The chain step,
-`pauli_chain`, holds every bath's frequencies side by side
-(`lindblad.bath_transitions`, `lindblad.Slots`), the index that puts
-their rates on the cycle (each cycle rate is one rate of the rate law, at
-weight |A_ij|^2 = 1, or zero), and the energy each bath's edges carry per
-forward cycle; the point step, `steady_state_pauli`, takes P points and
-their rates from one call of the rate law, and its cycle rates from one
-gather.
+`pauli_chain`, writes each edge's transition in closed form, its
+frequency and the direction its bath emits in, and holds every bath's
+frequencies side by side (`lindblad.Slots`), the index that puts their
+rates on the cycle (each cycle rate is one rate of the rate law, or
+zero), and the energy each bath's edges carry per forward cycle; the
+point step, `steady_state_pauli`, takes P points and their rates from
+one call of the rate law, and its cycle rates from one gather.
 
 Each point's rates are scaled by a power of two, exactly, so that the
 largest lies in [0.5, 1).  By the Markov chain tree theorem (Schnakenberg,
@@ -49,16 +49,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .lindblad import BathSpec, Slots, _check_bath_sites, _slot_rates, _slots, bath_transitions
-from .spinops import ChainModel, SpinChainSpec, _stack_head, diagonal_decomposition, ising_levels
+from .lindblad import (
+    BathSpec,
+    DissipatorStyle,
+    Slots,
+    _check_bath_sites,
+    _degeneracy_tolerance,
+    _slot_rates,
+    _slots,
+)
+from .spinops import ChainModel, SpinChainSpec, _stack_head
 from .steady import _MIN_EIGENVALUE, SteadyState, _currents_check, _refuse_first
 
 # The cycle uu - du - dd - ud of the levels (uu, ud, du, dd) = (0, 1, 2, 3):
-# edge m steps from _CYCLE[m] to _HEADS[m] and flips spin m % 2.
+# edge m steps from _CYCLE[m] to _HEADS[m] and flips spin m % 2, which it
+# lowers on edges 0 and 1 and raises on edges 2 and 3.
 _CYCLE = np.array([0, 2, 3, 1])
 _HEADS = np.roll(_CYCLE, -1)
-# the 8 cycle rates as flat indices i * 4 + j of a rate matrix (j to i)
-_EDGES = np.concatenate([_HEADS * 4 + _CYCLE, _CYCLE * 4 + _HEADS])
+_LOWERS = np.array([True, True, False, False])
 _TINY = np.finfo(float).tiny
 
 
@@ -109,9 +117,9 @@ class PauliChain:
     rates on them form its flat (emission, absorption) table, entry
     2 * slot + s for emission (s = 0) and absorption (s = 1), followed by
     a zero.  `index[c, e]` points cycle rate e of member c into that
-    table, at the one rate of the rate law that drives it (with weight
-    |A_ij|^2 = 1) or at the zero.  `carried[c, k]` is the energy the k-th
-    bath's edges carry per forward cycle.  Every array is read-only.
+    table, at the rate of the transition that drives it or at the zero.
+    `carried[c, k]` is the energy the k-th bath's edges carry per forward
+    cycle.  Every array is read-only.
     """
 
     slots: Slots
@@ -124,38 +132,54 @@ class PauliChain:
 @np.errstate(over="ignore", invalid="ignore")
 def pauli_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> PauliChain:
     """The chain step of a stack of Ising pairs that differ in the coupling
-    alone, member c for `specs[c]`, in array operations over the stack
-    (`ising_levels`, `lindblad.global_transitions`).  Only each bath's
-    site, style and local frequency are read.  Two baths on one site raise
-    ValueError: the cycle flux gives each edge to one bath.
+    alone, member c for `specs[c]`, in closed form over the stack.
+
+    Edge m climbs -(h + delta), delta, h - delta and delta, so the left
+    spin's edges carry -2 delta per forward cycle and the right spin's
+    2 delta.  A global bath drives each edge at its own |step|, emitting
+    downhill; a step no larger than the grouping tolerance of the largest
+    |E|, (h + delta) / 2, drives nothing.  A local bath emits where sigma^-
+    lowers its spin.  The left global bath takes a slot per edge; the right
+    spin has no field, so its two edges share one, as a local bath's do.
+    Only each bath's site, style and local frequency are read.  Two baths
+    on one site raise ValueError: the cycle flux gives each edge to one
+    bath.
     """
     head = _stack_head(specs)
     if head.model is not ChainModel.ISING_ZZ:
         raise ValueError("the rate route needs the Ising zz pair, whose H is diagonal")
-    levels = ising_levels(head.field_h, [spec.coupling_delta for spec in specs])
-    _check_bath_sites(levels.shape[1], baths)
+    _check_bath_sites(4, baths)
     sites = [bath.site for bath in baths]
     if len(set(sites)) != len(sites):
         raise ValueError(f"the rate route takes one bath per site, not baths on sites {sites}")
-    decomp = diagonal_decomposition(levels)
-    frequencies, weights = [], []
+    h = head.field_h
+    delta = np.array([spec.coupling_delta for spec in specs], dtype=float)
+    steps = np.stack([-(h + delta), delta, h - delta, delta], axis=1)
+    tol = _degeneracy_tolerance(0.5 * h + 0.5 * delta)[:, None]
+    gaps = np.where(np.abs(steps) > tol, np.abs(steps), np.nan)
+    # each edge's slot (-1 without a bath) and whether it emits forward
+    slot = np.full(steps.shape, -1)
+    emits = np.zeros(steps.shape, dtype=bool)
+    frequencies = []
     for bath in baths:
-        bath_frequencies, lowering = bath_transitions(decomp, bath)
-        emission = (np.abs(lowering) ** 2).reshape(*lowering.shape[:2], 16)[..., _EDGES]
-        frequencies.append(bath_frequencies)
-        # absorption runs each edge the other way
-        weights.append(np.stack([emission, np.roll(emission, 4, axis=-1)], axis=2))
-    # each transition's weight on a cycle rate is 0 or 1, and one
-    # transition at most drives a rate
-    weights = np.concatenate(weights, axis=1).reshape(len(levels), -1, 8)
-    member, entry, rate = np.nonzero(weights)
-    index = np.full((len(levels), 8), weights.shape[1])
-    index[member, rate] = entry
-    steps = levels[:, _HEADS] - levels[:, _CYCLE]
-    carried = (steps[:, :2] + steps[:, 2:])[:, sites]
+        edges = [bath.site, bath.site + 2]
+        first = sum(f.shape[1] for f in frequencies)
+        if bath.style is DissipatorStyle.LOCAL:
+            frequencies.append(np.full((len(specs), 1), float(bath.local_frequency)))
+            emits[:, edges] = _LOWERS[edges]
+        else:
+            frequencies.append(gaps[:, edges] if bath.site == 0 else gaps[:, [1]])
+            emits[:, edges] = steps[:, edges] < 0
+        slot[:, edges] = [first, first + frequencies[-1].shape[1] - 1]
+    slots = _slots(frequencies)
+    driven = (slot >= 0) & np.take_along_axis(slots.live, slot, axis=1)
+    forward = 2 * slot + ~emits  # the reverse rate takes the other entry of the slot
+    zero = 2 * slots.frequency.shape[1]
+    index = np.where(np.tile(driven, 2), np.hstack([forward, forward ^ 1]), zero)
+    carried = np.stack([-2.0 * delta, 2.0 * delta], axis=1)[:, sites]
     for array in (index, carried):
         array.setflags(write=False)
-    return PauliChain(slots=_slots(frequencies), index=index, carried=carried)
+    return PauliChain(slots=slots, index=index, carried=carried)
 
 
 def _cycle_rates(chain: PauliChain, member: np.ndarray, kappa, temperatures) -> np.ndarray:

@@ -81,8 +81,7 @@ class SpinChainSpec:
 class SpectralDecomposition:
     """Eigen-decomposition with energies ascending.
 
-    ``eigenvectors[:, k]`` belongs to ``energies[k]``.  A stack of C
-    decompositions carries a leading axis on both arrays.
+    ``eigenvectors[:, k]`` belongs to ``energies[k]``.
     """
 
     energies: np.ndarray
@@ -130,19 +129,11 @@ def embed_matrix(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
     return matrix.reshape(2**n_spins, 2**n_spins)
 
 
-def ising_levels(field_h: float, deltas: Sequence[float]) -> np.ndarray:
-    """The diagonal of the Ising pair's H in the product basis, one row per
-    coupling: a (C, 4) stack for C values of delta (see `build_hamiltonian`)."""
-    sz_left = np.array([1.0, 1.0, -1.0, -1.0])  # sz_L on (uu, ud, du, dd)
-    sz_both = np.array([1.0, -1.0, -1.0, 1.0])  # sz_L sz_R
-    return 0.5 * field_h * sz_left + 0.5 * np.asarray(deltas, dtype=float)[:, None] * sz_both
-
-
 def build_hamiltonian(spec: SpinChainSpec) -> HermitianOperator:
     """Chain Hamiltonian for the given model.
 
     Ising zz (2 spins, field on the left spin only), diagonal in the
-    product basis (`ising_levels`):
+    product basis:
         H = (h/2) sz_L + (delta/2) sz_L sz_R
     XY in a transverse field (open chain, uniform field on every site):
         H = (h/2) sum_i sz_i + (delta/2) sum_i (sx_i sx_{i+1} + sy_i sy_{i+1})
@@ -151,7 +142,9 @@ def build_hamiltonian(spec: SpinChainSpec) -> HermitianOperator:
     h = spec.field_h
     delta = spec.coupling_delta
     if spec.model is ChainModel.ISING_ZZ:
-        m = np.diag(ising_levels(h, [delta])[0])
+        sz_left = np.array([1.0, 1.0, -1.0, -1.0])  # sz_L on (uu, ud, du, dd)
+        sz_both = np.array([1.0, -1.0, -1.0, 1.0])  # sz_L sz_R
+        m = np.diag(0.5 * h * sz_left + 0.5 * delta * sz_both)
     else:
         m = np.zeros((spec.dim, spec.dim), dtype=complex)
         for i in range(n):
@@ -165,25 +158,21 @@ def build_hamiltonian(spec: SpinChainSpec) -> HermitianOperator:
 
 
 def diagonal_decomposition(levels: np.ndarray) -> SpectralDecomposition:
-    """The decompositions of a (C, d) stack of diagonal Hamiltonians, given
-    their diagonals: each sorted with a stable tie-break on the basis index,
-    so that degenerate spectra come out deterministically."""
-    order = np.argsort(levels, axis=-1, kind="stable")
-    vectors = np.eye(levels.shape[-1], dtype=complex)[order].swapaxes(-1, -2)
-    return SpectralDecomposition(
-        energies=np.take_along_axis(levels, order, axis=-1), eigenvectors=vectors
-    )
+    """The decomposition of a diagonal Hamiltonian, given its diagonal,
+    sorted with a stable tie-break on the basis index, so that degenerate
+    spectra come out deterministically."""
+    order = np.argsort(levels, kind="stable")
+    return SpectralDecomposition(levels[order], np.eye(len(levels), dtype=complex)[:, order])
 
 
 def spectral_decompose(H: HermitianOperator) -> SpectralDecomposition:
     """Diagonalize H with energies ascending.
 
-    Diagonal matrices take `diagonal_decomposition`, as a 1-stack.
+    Diagonal matrices take `diagonal_decomposition`.
     """
     m = H.matrix
     offdiag = m - np.diag(np.diag(m))
     if m.size == 0 or np.max(np.abs(offdiag)) <= _DIAGONAL_ATOL:
-        stack = diagonal_decomposition(np.real(np.diag(m))[None])
-        return SpectralDecomposition(stack.energies[0], stack.eigenvectors[0])
+        return diagonal_decomposition(np.real(np.diag(m)))
     energies, vectors = np.linalg.eigh(m)
     return SpectralDecomposition(energies=energies, eigenvectors=vectors)

@@ -32,7 +32,9 @@ route by the model:
   but its H is diagonal and its jumps map basis states to basis states, so
   its populations obey a closed Pauli master equation on the cycle of its
   four levels, solved by its tree sums and cycle flux: `rates.pauli_chain`
-  is the chain step, `rates.steady_state_pauli` the point step.
+  is the chain step, which writes each edge's transition in closed form
+  and builds no many-body operator, `rates.steady_state_pauli` the point
+  step.  Neither route calls the dense oracle's `lindblad.bath_transitions`.
 
 The chain step is kept in a least-recently-used cache keyed by the
 stack's first chain, its couplings as a tuple of Python floats, and the

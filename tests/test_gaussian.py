@@ -24,7 +24,6 @@ from spinheat.rates import PauliChain
 from spinheat.spinops import (
     PAULI_X,
     ChainModel,
-    SpectralDecomposition,
     SpinChainSpec,
     build_hamiltonian,
     embed_matrix,
@@ -32,6 +31,7 @@ from spinheat.spinops import (
 )
 from spinheat.steady import SteadyStateError
 
+import test_transport_routes as transport_routes
 from test_chain_cache import PROPERTY, _dense_current, bath_frequencies, kappas, temperatures
 
 GLOBAL, LOCAL = DissipatorStyle.GLOBAL, DissipatorStyle.LOCAL
@@ -173,6 +173,36 @@ def _lyapunov_equation(chain, temperatures):
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_gaussian_route_matches_oracle(case):
     _assert_matches_oracle(case)
+
+
+@pytest.mark.parametrize(
+    "case", transport_routes._grid(ChainModel.XY_TRANSVERSE), ids=transport_routes._case_id
+)
+def test_gaussian_route_matches_dense_oracle_on_the_seeded_grid(case):
+    # the XY share of the seeded grid of tests/test_transport_routes.py
+    dense_state, state = transport_routes._both_routes(*case)
+    transport_routes._assert_same_currents(state, dense_state)
+    assert abs(sum(state.bath_currents)) <= transport_routes.TOL
+
+
+@pytest.mark.parametrize("style", DissipatorStyle)
+def test_currents_follow_the_bath_order(style):
+    # the right bath listed first: each bath's flow goes to its position,
+    # so the hot left bath's input sits second
+    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    baths = standard_baths(spec, 1.0, 2.0, 0.3, style)[::-1]
+    dense_state = steady_state_nullspace(assemble_liouvillian(build_hamiltonian(spec), baths))
+    transport_routes._assert_same_currents(
+        transport_routes._route_state(spec, baths), dense_state
+    )
+    assert dense_state.bath_currents[1] > 1e-3
+
+
+@pytest.mark.parametrize("n_spins", [*range(2, 7), 50, 200])
+def test_local_xy_current_is_length_independent(n_spins):
+    spec = SpinChainSpec(n_spins, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
+    j = thermo.steady_net_current(spec, 1.0, 2.0, 0.0, LOCAL)
+    assert round(j, 6) == 0.150076
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -381,11 +411,8 @@ def test_exceptional_point_matches_dense_oracle(factor):
 
 def _eigenbasis_frequencies(spec, site):
     decomp = spectral_decompose(build_hamiltonian(spec))
-    stack = SpectralDecomposition(decomp.energies[None], decomp.eigenvectors[None])
-    coupling = embed_matrix(PAULI_X, site, spec.n_spins)
-    frequencies, _ = global_transitions(stack, coupling)
-    assert not np.isnan(frequencies).any()  # a 1-stack has no padding
-    return frequencies[0].tolist()
+    frequencies, _ = global_transitions(decomp, embed_matrix(PAULI_X, site, spec.n_spins))
+    return frequencies.tolist()
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from spinheat.oracle import (
 from spinheat.spinops import (
     PAULI_X,
     ChainModel,
-    SpectralDecomposition,
     SpinChainSpec,
     build_hamiltonian,
     embed_matrix,
@@ -38,20 +37,15 @@ def ising_decomp():
     return spectral_decompose(build_hamiltonian(ISING))
 
 
-def one_stack(decomp):
-    return SpectralDecomposition(decomp.energies[None], decomp.eigenvectors[None])
-
-
 Jump = namedtuple("Jump", "frequency matrix")
 
 
 def global_jumps(decomp, site, n_spins):
     """The eigenbasis jumps of sigma^x on `site`, one per gap in ascending
-    order: `global_transitions` on a 1-stack."""
+    order: `global_transitions`."""
     coupling = embed_matrix(PAULI_X, site, n_spins)
-    frequencies, lowering = global_transitions(one_stack(decomp), coupling)
-    assert not np.isnan(frequencies).any()  # a 1-stack has no padding
-    return [Jump(*jump) for jump in zip(frequencies[0].tolist(), lowering[0])]
+    frequencies, lowering = global_transitions(decomp, coupling)
+    return [Jump(*jump) for jump in zip(frequencies.tolist(), lowering)]
 
 
 def global_bath(site, temperature, kappa=1.0):
@@ -337,8 +331,8 @@ class TestGlobalDissipator:
         spec = SpinChainSpec(2, 1.0, 0.0, ChainModel.ISING_ZZ)
         decomp = spectral_decompose(build_hamiltonian(spec))
         bath = global_bath(1, 1.0)
-        frequencies, lowering = bath_transitions(one_stack(decomp), bath)
-        assert frequencies.shape == (1, 0) and lowering.shape == (1, 0, 4, 4)
+        frequencies, lowering = bath_transitions(decomp, bath)
+        assert frequencies.shape == (0,) and lowering.shape == (0, 4, 4)
         part = bath_dissipator(decomp, bath)
         assert part.shape == (16, 16)
         assert np.count_nonzero(part) == 0
@@ -346,10 +340,10 @@ class TestGlobalDissipator:
     def test_transitions_are_the_eigenbasis_jumps(self):
         decomp = ising_decomp()
         jumps = global_jumps(decomp, 1, 2)
-        frequencies, lowering = bath_transitions(one_stack(decomp), global_bath(1, 1.0))
-        assert frequencies.shape == (1, len(jumps))
-        assert frequencies[0].tolist() == [j.frequency for j in jumps]
-        for matrix, jump in zip(lowering[0], jumps):
+        frequencies, lowering = bath_transitions(decomp, global_bath(1, 1.0))
+        assert frequencies.shape == (len(jumps),)
+        assert frequencies.tolist() == [j.frequency for j in jumps]
+        for matrix, jump in zip(lowering, jumps):
             assert np.array_equal(matrix, jump.matrix)
 
 
@@ -383,8 +377,8 @@ class TestLocalDissipator:
         assert np.count_nonzero(part) == 0
 
     def test_transition_is_sigma_minus_on_the_site(self):
-        transitions = bath_transitions(one_stack(ising_decomp()), local_bath(1, 2.0, 0.7))
-        [[frequency]], [[lowering]] = transitions
+        transitions = bath_transitions(ising_decomp(), local_bath(1, 2.0, 0.7))
+        [frequency], [lowering] = transitions
         assert frequency == 0.7
         assert np.array_equal(lowering, np.kron(np.eye(2), [[0, 0], [1, 0]]))
 

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinheat import oracle, rates
-from spinheat.lindblad import DissipatorStyle, standard_baths
+from spinheat.lindblad import DEGENERACY_TOL, DissipatorStyle, standard_baths
 from spinheat.oracle import (
     CrossValidationError,
     Liouvillian,
@@ -18,7 +20,6 @@ from spinheat.spinops import (
     ChainModel,
     SpinChainSpec,
     build_hamiltonian,
-    ising_levels,
     spectral_decompose,
 )
 from spinheat.steady import KERNEL_RTOL, SteadyState, SteadyStateError
@@ -223,11 +224,18 @@ def assert_kernel_projection(matrices, mixed):
     return kernel_dim
 
 
+# the 8 cycle rates of the rate route, forward along each edge of the cycle
+# and back, as flat indices i * 4 + j of a rate matrix (j to i)
+CYCLE_EDGES = np.concatenate(
+    [rates._HEADS * 4 + rates._CYCLE, rates._CYCLE * 4 + rates._HEADS]
+)
+
+
 def _rate_matrices(cycle_rates):
     """The (P, 4, 4) rate matrices of a (P, 8) stack of cycle rates, entry
     (i, j) moving population from level j to level i, and their generators."""
     w = np.zeros((len(cycle_rates), 16))
-    w[:, rates._EDGES] = cycle_rates
+    w[:, CYCLE_EDGES] = cycle_rates
     w = w.reshape(-1, 4, 4)
     levels = np.arange(4)
     generator = w.copy()
@@ -392,17 +400,18 @@ def _route_state(spec, kappa, t_left, t_right, style):
 
 def _exact_currents(spec, kappa, t_left, t_right, style):
     """The left and right baths' currents of the canonical pair in exact
-    arithmetic on the rate route's own float rates and levels: exact tree
-    sums, and each bath's sum_ij W[i, j] (E_i - E_j) p_j over the level
-    pairs that differ in its spin (the left spin is the high bit of the
-    level index)."""
+    arithmetic on the rate route's own float rates: exact tree sums, the
+    levels (uu, ud, du, dd) as exact rationals of h and delta, and each
+    bath's sum_ij W[i, j] (E_i - E_j) p_j over the level pairs that differ
+    in its spin (the left spin is the high bit of the level index)."""
     chain = rates.pauli_chain([spec], standard_baths(spec, kappa, t_left, t_right, style))
     cycle = rates._cycle_rates(chain, np.array([0]), [kappa], np.array([[t_left, t_right]]))
     matrix = _rate_matrices(cycle)[0][0]
     w = [[Fraction(float(x)) for x in row] for row in matrix]
     tree_sums = _exact_tree_sums(matrix)
     p = [t / sum(tree_sums) for t in tree_sums]
-    energies = [Fraction(float(e)) for e in ising_levels(spec.field_h, [spec.coupling_delta])[0]]
+    h, delta = Fraction(spec.field_h), Fraction(spec.coupling_delta)
+    energies = [(h + delta) / 2, (h - delta) / 2, -(h + delta) / 2, (delta - h) / 2]
     return tuple(
         sum(
             w[i][j] * (energies[i] - energies[j]) * p[j]
@@ -412,6 +421,35 @@ def _exact_currents(spec, kappa, t_left, t_right, style):
         )
         for flip in (2, 1)
     )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.5, 2.0),
+    st.floats(-12.0, 12.0).map(lambda exponent: 10.0**exponent),
+    st.sampled_from(DissipatorStyle),
+)
+# the right bath read 9.999999999732445e-07, a difference of levels of
+# order h, and 2999999999.6666665, the mean of its group with the gap
+# delta - h that sigma^x does not connect
+@example(1.0, 1e-6, DissipatorStyle.GLOBAL)
+@example(1.0, 3e9, DissipatorStyle.GLOBAL)
+def test_chain_step_is_exact(h, ratio, style):
+    # each slot's frequency and each bath's carried energy, exactly: the
+    # left global bath drives h + delta and |h - delta|, the right one
+    # delta, and a gap within the grouping tolerance of zero drives nothing
+    spec = SpinChainSpec(2, h, ratio * h, ChainModel.ISING_ZZ)
+    delta = spec.coupling_delta
+    chain = rates.pauli_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, style))
+    left, right = (chain.slots.frequency[0, chain.slots.bath == k] for k in range(2))
+    if style is DissipatorStyle.GLOBAL:
+        tol = DEGENERACY_TOL * (0.5 * h + 0.5 * delta)
+        expected = [h + delta, abs(h - delta), delta]
+        expected = [f if f > tol else np.nan for f in expected]
+        np.testing.assert_array_equal(np.concatenate([left, right]), expected)
+    else:
+        assert (left.tolist(), right.tolist()) == ([h], [0.0])
+    assert chain.carried[0].tolist() == [-2.0 * delta, 2.0 * delta]
 
 
 def _relative_error(value, exact):
