@@ -17,12 +17,13 @@ as a (rows, curves) table in which NaN, and only NaN, marks an empty
 cell, where a bath would drop below zero temperature: the point steps
 refuse any current that is not finite.  Each dataset is written as a
 flat CSV with a units comment, parameter comment lines, a header row,
-and values at 15 significant digits, an empty cell as nothing.  One
-worker evaluates the whole grid in place; grid points are independent,
-so with more workers contiguous chunks of the grid are evaluated across
-worker processes.  Rows are always assembled in grid order, and a stack
-member does not depend on the stack it is solved in, which keeps the
-output files byte-for-byte reproducible.
+and values at 15 significant digits, an empty cell as nothing.  The
+grid is evaluated in contiguous chunks of a bounded number of cells,
+which bounds a run's memory: one worker takes them in place, one after
+another, and more workers take them across worker processes.  Rows are
+always assembled in grid order, and a stack member does not depend on
+the stack it is solved in, which keeps the output files byte-for-byte
+reproducible.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ _SCALES = ("linear", "log")
 # five spins, and closed forms (the global single-mode sum, the decoupled
 # chain and the length-independent local current) up to six.
 MAX_SPINS = 6
+
+
+# The most cells (grid rows times curves) one point step takes.  A cell of
+# a 6-spin local sweep holds about 7.5 kB while it is solved, so a chunk
+# peaks near 30 MB, and every shipped dataset, fig2's 804 cells the
+# largest, is one chunk.
+_CHUNK_CELLS = 4096
 
 
 class ConfigError(ValueError):
@@ -127,9 +135,13 @@ class SweepConfig:
         if self.scale == "log" and self.start <= 0:
             raise ConfigError("log grids need start > 0")
         try:
-            self.grid()
+            # a span past the double range leaves inf and NaN points, refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = self.grid()
         except (MemoryError, ValueError) as err:
             raise ConfigError(f"points = {self.points} is too many for one grid: {err}") from None
+        if not np.isfinite(grid).all():
+            raise ConfigError(f"grid points must be finite: {self.start} to {self.stop} overflows")
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ConfigError("kappa must be finite and positive")
 
@@ -401,20 +413,26 @@ def _table(
     """Every curve at every grid point, as the table of `_columns`, rows
     in grid order.
 
-    One worker evaluates the grid in place.  More workers each take one
-    contiguous chunk of the grid; a stack member comes out the same in
-    any stack, so the chunking never moves a cell.
+    The grid is cut into contiguous chunks of at most `_CHUNK_CELLS`
+    cells and at most each worker's share of the rows.  One worker
+    evaluates the chunks in place, one after another; more workers take
+    them over a process pool.  A stack member comes out the same in any
+    stack, so the chunking never moves a cell.
     """
     workers = _workers(jobs, len(grid))
+    size = max(1, min(_CHUNK_CELLS // len(curves), -(-len(grid) // workers)))
+    chunks = [grid[start : start + size] for start in range(0, len(grid), size)]
+    chunk_table = functools.partial(_columns, x_name, kappa, curves)
+    if len(chunks) == 1:
+        return chunk_table(grid)
     if workers == 1:
-        return _columns(x_name, kappa, curves, grid)
+        return np.concatenate([chunk_table(chunk) for chunk in chunks])
     # imported here: the pool pulls in multiprocessing, which would add to
     # every import of the package while most runs use one worker
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk_table = functools.partial(_columns, x_name, kappa, curves)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(chunk_table, np.array_split(grid, workers))))
+        return np.concatenate(list(pool.map(chunk_table, chunks)))
 
 
 def _write_dataset(

@@ -28,12 +28,10 @@ is L = sum_i l_i a_i, with a real lowering vector l, or its adjoint.
   gives the largest |E|, which is sum_k |eps_k| / 2.  Zero modes carry no
   jump operator.  This grouping and the oracle's can differ only where
   two |eps_k| differ by less than that tolerance without being equal
-  (delta near 1e-9 h): there the oracle's grouping is also anchored on
-  many-body gaps that sigma^x does not connect.  Where the many-body energies
-  overflow (delta near 1e308), an infinite tolerance would drop every
-  gap: every mode takes frequency +inf instead, so the bath drives one
-  transition at an infinite frequency, whose rates the point step
-  refuses.
+  (delta near 1e-9 h).  Where the many-body energies overflow (delta
+  near 1e308), an infinite tolerance would drop every gap: every mode
+  takes frequency +inf instead, so the bath drives one transition at an
+  infinite frequency, whose rates the point step refuses.
 
 No jump operator creates or annihilates two fermions, so the steady state
 has no anomalous part <a_i a_j>, and the one-body matrix
@@ -51,23 +49,24 @@ transitions add, sum_t -(e + a)_t l_t^T Re(K) H l_t - (e - a)_t l_t^T H l_t / 2
 over its transitions.
 
 The chain step, `gaussian_chain`, takes a stack of C chains that differ
-in the coupling alone and holds, for each member, H and every bath's
+in the coupling alone, with the left bath on site 0 and the right bath
+on site n - 1, and holds, for each member, H and the two baths'
 transitions side by side (`lindblad.Slots`), padded like those of the
 rate route with frequency NaN, with each transition's lowering vector,
-zero on padding; it alone says where the baths couple, and none of it
-depends on temperature or kappa.  It takes one batched eigendecomposition
-of the (C, n, n) hopping matrices and, per bath, one `lindblad._groups`
-call on every member's sorted |eps_k| (zero modes NaN), which puts each
-member's groups first and NaN past them; each mode sits in one group, so
-one assignment puts its l_k in its group's vector.  It also records which
-members have one mode in every group (`GaussianChain.diagonal`), from
-the group labels: the support of the lowering vectors would not tell,
-since at delta = 0 `eigh` returns site vectors and the one group of n
-modes then has lowering vectors of one entry.  The point step,
-`steady_state_gaussian`, takes P points on the members at once, a member
-index, a kappa and a temperature per bath for each point, takes their
-rates on the live slots (`lindblad._slot_rates`), and solves each point
-by one of two paths, chosen by its member's group sizes alone.
+zero on padding; none of it depends on temperature or kappa.  It takes
+one batched eigendecomposition of the (C, n, n) hopping matrices and,
+per bath, one `lindblad._groups` call on every member's sorted |eps_k|
+(zero modes NaN), which puts each member's groups first and NaN past
+them; each mode sits in one group, so one assignment puts its l_k in its
+group's vector.  It also records which members have one mode in every
+group (`GaussianChain.diagonal`), from the group labels: the support of
+the lowering vectors would not tell, since at delta = 0 `eigh` returns
+site vectors and the one group of n modes then has lowering vectors of
+one entry.  The point step, `steady_state_gaussian`, takes P points on
+the members at once, at one kappa, with a member index and the two
+baths' temperatures for each point, takes their rates on the live slots
+(`lindblad._slot_rates`), and solves each point by one of two paths,
+chosen by its member's group sizes alone.
 
 On a member whose every group holds one mode (the global style away from
 |eps| collisions), each transition lowers one mode, so X and S are
@@ -134,15 +133,15 @@ from typing import Sequence
 import numpy as np
 
 from .lindblad import (
-    BathSpec,
     DissipatorStyle,
     Slots,
     _degeneracy_tolerance,
     _groups,
+    _local_frequencies,
     _slot_rates,
     _slots,
 )
-from .spinops import ChainModel, SpinChainSpec, _stack_head
+from .spinops import ChainModel, SpinChainSpec, _coupling_stack
 from .steady import (
     _MIN_EIGENVALUE,
     KERNEL_RTOL,
@@ -171,7 +170,7 @@ class GaussianChain:
 
     `hamiltonian[c]` is the real n x n matrix H of member c in its style's
     fermions: the hopping matrix (local style) or diag|eps_k| (global
-    style).  `slots` holds every bath's transitions side by side
+    style).  `slots` holds the two baths' transitions side by side
     (`lindblad.Slots`), and `lowering[c, s]` is the real lowering vector l
     of the transition in slot s of member c, zero on padding.
     `diagonal[c]` says whether every group of member c holds one mode
@@ -192,9 +191,9 @@ class GaussianState:
 
     `covariance` has shape (P, n, n), complex Hermitian, in the fermions of
     the chain step's H.  `residual[p]` is ||X K + K X^dag - S|| at point p,
-    and `bath_currents[p, k]` the energy the k-th bath of point p feeds
-    in.  Where points are refused, the SteadyStateError names the first of
-    them.
+    and `bath_currents[p]` the energy the left and the right bath feed in
+    at point p.  Where points are refused, the SteadyStateError names the
+    first of them.
     """
 
     covariance: np.ndarray
@@ -234,51 +233,38 @@ def _global_transitions(
 
 # an overflow leaves an infinite frequency, which the point step refuses
 @np.errstate(over="ignore", invalid="ignore")
-def gaussian_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> GaussianChain:
-    """The chain step of a stack of XY chains that differ in the coupling
-    alone: H and each bath's (frequency, lowering vector) pairs, member c
-    for `specs[c]`, built in array operations over the whole stack (one
-    batched `eigh` in the global style, none in the local one).
-
-    Only each bath's site, style and local frequency are read.  Baths must
-    couple to an end of the chain, where the Jordan-Wigner string drops
-    out, and share one style.
+def gaussian_chain(
+    head: SpinChainSpec, couplings: Sequence[float], style: DissipatorStyle
+) -> GaussianChain:
+    """The chain step of the XY chains that are `head` at each of
+    `couplings`, member c at `couplings[c]`, with a bath of `style` on each
+    end, the left bath on site 0 and the right bath on site n - 1: H and
+    each bath's (frequency, lowering vector) pairs, built in array
+    operations over the whole stack (one batched `eigh` in the global
+    style, none in the local one).  The head's own coupling is not read.
     """
-    head = _stack_head(specs)
     if head.model is not ChainModel.XY_TRANSVERSE:
         raise ValueError("the Gaussian route needs the quadratic XY chain")
-    if len({bath.style for bath in baths}) != 1:
-        raise ValueError("the Gaussian route needs at least one bath, all of one style")
+    delta = _coupling_stack(couplings)
     n = head.n_spins
-    for bath in baths:
-        if bath.site not in (0, n - 1):
-            raise ValueError(f"bath site {bath.site} is not an end of the {n}-spin chain")
-    delta = np.array([spec.coupling_delta for spec in specs], dtype=float)
     hop = head.field_h * np.eye(n) + delta[:, None, None] * (np.eye(n, k=1) + np.eye(n, k=-1))
-
-    hamiltonian = hop
-    if baths[0].style is DissipatorStyle.GLOBAL:
+    if style is DissipatorStyle.GLOBAL:
         eps, phi = np.linalg.eigh(hop)
         hamiltonian = np.zeros(hop.shape)
         hamiltonian[:, range(n), range(n)] = np.abs(eps)
-    frequencies, lowering = [], []
-    diagonal = np.full(len(specs), baths[0].style is DissipatorStyle.GLOBAL)
-    for bath in baths:
-        if bath.style is DissipatorStyle.GLOBAL:
-            sign = 1.0 if bath.site == 0 else -1.0
-            freqs, vectors, one_mode = _global_transitions(eps, phi, bath.site, sign)
-            diagonal &= one_mode
-        else:
-            freqs = np.full((len(specs), 1), float(bath.local_frequency))
-            vectors = np.broadcast_to(np.eye(n)[bath.site], (len(specs), 1, n))
-        frequencies.append(freqs)
-        lowering.append(vectors)
-    lowering = np.concatenate(lowering, axis=1)
+        left = _global_transitions(eps, phi, 0, 1.0)
+        right = _global_transitions(eps, phi, n - 1, -1.0)
+        slots = _slots(left[0], right[0])
+        lowering = np.concatenate([left[1], right[1]], axis=1)
+        diagonal = left[2] & right[2]
+    else:
+        hamiltonian = hop
+        slots = _slots(*(np.full((len(delta), 1), nu) for nu in _local_frequencies(head)))
+        lowering = np.repeat(np.eye(n)[None, [0, n - 1]], len(delta), axis=0)
+        diagonal = np.zeros(len(delta), dtype=bool)
     for array in (hamiltonian, lowering, diagonal):
         array.setflags(write=False)
-    return GaussianChain(
-        hamiltonian=hamiltonian, slots=_slots(frequencies), lowering=lowering, diagonal=diagonal
-    )
+    return GaussianChain(hamiltonian=hamiltonian, slots=slots, lowering=lowering, diagonal=diagonal)
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -423,7 +409,7 @@ def _coupled_points(
     k_h_l = (k.real[:, None] @ h_l)[..., 0]
     flows = -weights[:, 0] * (lowering * k_h_l).sum(axis=2)
     flows -= 0.5 * weights[:, 1] * (lowering * h_l[..., 0]).sum(axis=2)
-    currents = np.zeros((len(member), chain.slots.n_baths))
+    currents = np.zeros((len(member), 2))  # the left bath's and the right bath's
     np.add.at(currents, (slice(None), chain.slots.bath), flows)
     # the mode occupations (1 -+ largest)/2 meet the bound rho's eigenvalues meet
     largest = np.zeros(len(member))
@@ -434,22 +420,22 @@ def _coupled_points(
 # an overflow is refused by the non-finite checks, under the point's index
 @np.errstate(over="ignore", invalid="ignore")
 def steady_state_gaussian(
-    chain: GaussianChain, member: np.ndarray, kappa: np.ndarray, temperatures: np.ndarray
+    chain: GaussianChain, member: np.ndarray, kappa: float, temperatures: np.ndarray
 ) -> GaussianState:
-    """The point step: the steady one-body matrices of P points, and each
-    bath's current.
+    """The point step: the steady one-body matrices of P points at one
+    kappa, and the left and the right bath's current.
 
-    Point p is on member `member[p]` of the chain stack, `kappa[p]` is its
-    kappa and `temperatures[p, k]` the temperature of the chain step's
-    k-th bath there; arrays of other shapes than (P,), (P,) and
-    (P, n_baths) raise ValueError.  A point on a member whose every group
-    holds one mode (`GaussianChain.diagonal`) is solved in closed form,
-    elementwise, at O(n S) for S slots, with no eigendecomposition and no
-    matrix product.  The other points are solved as one stack, at O(n^3)
-    each: one batched eigendecomposition of X, and the Kronecker solve for
-    each point whose eigenvector solution leaves a residual above
-    `_EIG_RTOL` times ||X||, near an exceptional point of X (see the module
-    docstring); the other points keep their eigenvector solution.  The
+    Point p is on member `member[p]` of the chain stack, and
+    `temperatures[p]` holds the left and the right bath's temperature
+    there; arrays of other shapes than (P,) and (P, 2) raise ValueError.
+    A point on a member whose every group holds one mode
+    (`GaussianChain.diagonal`) is solved in closed form, elementwise, at
+    O(n S) for S slots, with no eigendecomposition and no matrix product.
+    The other points are solved as one stack, at O(n^3) each: one batched
+    eigendecomposition of X, and the Kronecker solve for each point whose
+    eigenvector solution leaves a residual above `_EIG_RTOL` times ||X||,
+    near an exceptional point of X (see the module docstring); the other
+    points keep their eigenvector solution.  The
     returned fields carry a leading axis of length P; a point comes out
     bit-identical in any stack, and on any chain stack that holds its
     chain.
@@ -464,8 +450,9 @@ def steady_state_gaussian(
     """
     member = np.asarray(member, dtype=np.intp)
     rates = _slot_rates(chain.slots, member, kappa, temperatures)
-    edges = np.searchsorted(chain.slots.bath, np.arange(chain.slots.n_baths + 1)).tolist()
-    runs = list(map(slice, edges[:-1], edges[1:]))
+    # the left bath's run of slots, then the right bath's
+    split = int(np.searchsorted(chain.slots.bath, 1))
+    runs = [slice(0, split), slice(split, None)]
     diagonal = chain.diagonal[member]
     if diagonal.all() == diagonal.any():  # one path takes every point
         solve = _one_mode_points if diagonal.any() else _coupled_points

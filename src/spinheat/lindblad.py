@@ -6,18 +6,22 @@ sees the true transition frequencies of the interacting system.  The
 "local" style damps a single spin with its bare raising/lowering operators
 at a fixed frequency, ignoring the inter-spin coupling.  The styles differ
 only in which transitions, (frequency, lowering operator) pairs, each bath
-sees.  `bath_transitions` decides them on many-body operators for the
-dense oracle alone; the transport routes take theirs in their own terms:
-the rate route (`rates`) from the edges of the Ising pair's level cycle
-in closed form, the Gaussian route (`gaussian`) from single-particle
-modes, whose energies it groups by the rule `global_transitions` applies
-to the many-body gaps (`_groups`).  Every route takes its rates from one
-ohmic rate law, `thermal_rates`, which gives the emission rate of a bath
-at a frequency (carried by the lowering operator) and its absorption rate
-(carried by the adjoint).  The law acts elementwise on arrays.  The
-chain steps lay every bath's transitions side by side (`Slots`), and the
-point steps call the law once per stack of points on the live slots
-alone (`_slot_rates`).
+sees.  This module decides the one bath arrangement of every current: a
+left bath on site 0 and a right bath on the last site, of one style, the
+local ones at the frequencies of `_local_frequencies`.  `standard_baths`
+writes it down as `BathSpec`s for the dense oracle, which takes any bath
+list and each bath's transitions from `bath_transitions`; the transport
+routes build the two baths in their own terms: the rate route (`rates`)
+from the edges of the Ising pair's level cycle in closed form, the
+Gaussian route (`gaussian`) from single-particle modes, whose energies it
+groups by the rule `global_transitions` applies to the many-body gaps
+(`_groups`).  Every route takes its rates from one ohmic rate law,
+`thermal_rates`, which gives the emission rate of a bath at a frequency
+(carried by the lowering operator) and its absorption rate (carried by
+the adjoint).  The law acts elementwise on arrays.  The chain steps lay
+the left bath's and the right bath's transitions side by side (`Slots`),
+and the point steps call the law once per stack of points on the live
+slots alone (`_slot_rates`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -45,7 +49,8 @@ DEGENERACY_TOL = 1e-9
 # occupation is far below what a double can resolve anyway.
 _OVERFLOW_EXPONENT = 700.0
 
-# Jump matrices whose entries all stay below this are dropped entirely.
+# Eigenstate pairs whose matrix element of a bath's coupling stays below
+# this drive no transition.
 _NEGLIGIBLE_ENTRY = 1e-12
 
 
@@ -145,12 +150,12 @@ def global_transitions(
     """Eigenbasis jump operators of a coupling matrix: (frequencies (T,),
     lowering (T, d, d)), sorted by ascending frequency.
 
-    Every ordered eigenstate pair with a positive energy gap contributes
-    its matrix element of `coupling`; pairs whose gaps agree within
-    `DEGENERACY_TOL * max(|energy|)` (`_groups`) are summed into a single
-    operator at their mean gap, so degenerate transitions share one jump
-    matrix.  Operators whose entries are all negligible (below 1e-12) are
-    dropped.  Matrices are returned in the original basis.
+    Every ordered eigenstate pair with a positive energy gap and a matrix
+    element of `coupling` above 1e-12 contributes that element; pairs
+    whose gaps agree within `DEGENERACY_TOL * max(|energy|)` (`_groups`)
+    are summed into a single operator at their mean gap, so degenerate
+    transitions share one jump matrix.  A gap the coupling does not
+    connect joins no group.  Matrices are returned in the original basis.
 
     Keeping one operator per gap is the full secular approximation: cross
     terms between different gaps are dropped, however close the gaps are.
@@ -178,16 +183,15 @@ def global_transitions(
     adjoint = vectors.conj().T
     coupling_eig = adjoint @ coupling @ vectors
     gaps = energies[None, :] - energies[:, None]  # gaps[i, j] = E_j - E_i
-    # the pairs with a positive gap, ordered by (gap, i, j): the stable sort
-    # keeps the row-major order among equal gaps
-    rows, cols = np.nonzero(gaps > tol)
+    # the connected pairs with a positive gap, ordered by (gap, i, j): the
+    # stable sort keeps the row-major order among equal gaps
+    rows, cols = np.nonzero((gaps > tol) & (np.abs(coupling_eig) > _NEGLIGIBLE_ENTRY))
     order = np.argsort(gaps[rows, cols], kind="stable")
     rows, cols = rows[order], cols[order]
     labels, frequencies = _groups(gaps[rows, cols][None], tol)
     a_eig = np.zeros((frequencies.shape[1], d, d), dtype=complex)
     a_eig[labels[0], rows, cols] = coupling_eig[rows, cols]
-    kept = np.max(np.abs(a_eig), axis=(1, 2), initial=0.0) > _NEGLIGIBLE_ENTRY
-    return frequencies[0, kept], vectors @ a_eig[kept] @ adjoint
+    return frequencies[0], vectors @ a_eig @ adjoint
 
 
 def thermal_rates(
@@ -246,68 +250,65 @@ def _check_rate_parameters(kappas: Iterable[float], temperatures: Iterable[float
 
 @dataclass(frozen=True)
 class Slots:
-    """The transitions of a stack of C chains, every bath's side by side.
+    """The transitions of a stack of C chains, the left bath's and the
+    right bath's side by side.
 
-    Bath k takes a run of slots, each member's transitions first and
+    Each bath takes a run of slots, each member's transitions first and
     padding past them.  `frequency[c, s]` is the frequency of member c's
     transition in slot s, NaN on padding, `live[c, s]` is False on
-    padding, and `bath[s]` is the index of the bath that drives slot s.
-    `n_baths` counts the baths, those that drive no transition included
-    (the right global bath of the Ising pair at delta = 0).  Every array
-    is read-only.
+    padding, and `bath[s]` is 0 on the left bath's slots and 1 on the
+    right bath's.  A bath may drive no transition (the right global bath of
+    the Ising pair at delta = 0).  Every array is read-only.
     """
 
     frequency: np.ndarray
     live: np.ndarray
     bath: np.ndarray
-    n_baths: int
 
 
-def _slots(frequencies: Sequence[np.ndarray]) -> Slots:
-    """The slots of each bath's (C, T_k) frequencies, NaN on padding."""
-    frequency = np.concatenate(frequencies, axis=1)
-    bath = np.repeat(np.arange(len(frequencies)), [f.shape[1] for f in frequencies])
+def _slots(left: np.ndarray, right: np.ndarray) -> Slots:
+    """The slots of the left and the right bath's (C, T) frequencies, NaN
+    on padding."""
+    frequency = np.concatenate([left, right], axis=1)
+    bath = np.repeat([0, 1], [left.shape[1], right.shape[1]])
     live = ~np.isnan(frequency)
     for array in (frequency, live, bath):
         array.setflags(write=False)
-    return Slots(frequency=frequency, live=live, bath=bath, n_baths=len(frequencies))
+    return Slots(frequency=frequency, live=live, bath=bath)
 
 
 def _slot_rates(
-    slots: Slots, member: np.ndarray, kappa: Sequence[float], temperatures: np.ndarray
+    slots: Slots, member: np.ndarray, kappa: float, temperatures: np.ndarray
 ) -> np.ndarray:
     """The (P, S, 2) (emission, absorption) rates of P points on their
-    members' slots.
+    members' slots, at one kappa.
 
     Point p is on member `member[p]` (an integer array) of a chain stack,
-    `kappa[p]` is its kappa and `temperatures[p, k]` bath k's temperature
+    and `temperatures[p]` holds the left and the right bath's temperature
     there.  The rates of padding slots stay zero and never reach the rate
     law.  The live slots of every point go to the rate law in one
     elementwise call, which looks the law up at call time.
     """
-    kappa, temperatures = np.asarray(kappa, dtype=float), np.asarray(temperatures, dtype=float)
-    if (
-        kappa.ndim != 1
-        or member.shape != kappa.shape
-        or temperatures.shape != (len(kappa), slots.n_baths)
-    ):
+    temperatures = np.asarray(temperatures, dtype=float)
+    if member.ndim != 1 or temperatures.shape != (len(member), 2):
         raise ValueError(
-            f"temperatures of shape {temperatures.shape} for kappa of shape {kappa.shape} "
-            f"and member of shape {member.shape}: expected (P, {slots.n_baths}), (P,) "
-            f"and (P,) for P points of {slots.n_baths} baths"
+            f"temperatures of shape {temperatures.shape} for member of shape {member.shape}: "
+            f"expected (P, 2) and (P,) for P points of a left and a right bath"
         )
     if len(member):
         if not 0 <= member.min() <= member.max() < len(slots.live):
             raise ValueError(f"member indices must lie in [0, {len(slots.live)})")
         # a NaN reaches both extremes and an infinity one of them
-        extremes = (temperatures.min(), temperatures.max())
-        _check_rate_parameters((kappa.min(), kappa.max()), extremes)
+        _check_rate_parameters((kappa,), (temperatures.min(), temperatures.max()))
     live = slots.live[member]
     points, slot = np.nonzero(live)
     rates = np.zeros((*live.shape, 2))
-    # a law that gives scalars gives every live slot the same rates
+    # a law that gives scalars gives every live slot the same rates; kappa
+    # comes as an array of the slots' shape, which the law need not broadcast
     rates[points, slot, 0], rates[points, slot, 1] = thermal_rates(
-        kappa[points], temperatures[points, slots.bath[slot]], slots.frequency[member[points], slot]
+        np.full(len(points), kappa),
+        temperatures[points, slots.bath[slot]],
+        slots.frequency[member[points], slot],
     )
     return rates
 
@@ -328,6 +329,15 @@ def bath_transitions(
     return np.array([float(bath.local_frequency)]), embed_matrix(LOWERING, bath.site, n_spins)[None]
 
 
+def _local_frequencies(spec: SpinChainSpec) -> tuple[float, float]:
+    """The frequencies of the left and the right local bath: the bare
+    splitting h on both ends of the XY chain; h and zero on the Ising
+    pair, whose right spin carries no field of its own."""
+    if spec.model is ChainModel.ISING_ZZ:
+        return spec.field_h, 0.0
+    return spec.field_h, spec.field_h
+
+
 def standard_baths(
     spec: SpinChainSpec,
     kappa: float,
@@ -337,17 +347,12 @@ def standard_baths(
 ) -> list[BathSpec]:
     """Left and right reservoirs in the canonical transport arrangement.
 
-    The left bath sits on site 0 and the right bath on the last site.  For
-    the local style the left bath is evaluated at the bare splitting h; the
-    right bath uses h as well on the XY chain but frequency zero on the
-    Ising chain, whose right spin carries no field of its own.
+    The left bath sits on site 0 and the right bath on the last site; the
+    local style evaluates them at `_local_frequencies`.
     """
-    if style is DissipatorStyle.GLOBAL:
-        nu_left = nu_right = None
-    elif spec.model is ChainModel.ISING_ZZ:
-        nu_left, nu_right = spec.field_h, 0.0
-    else:
-        nu_left = nu_right = spec.field_h
+    nu_left = nu_right = None
+    if style is DissipatorStyle.LOCAL:
+        nu_left, nu_right = _local_frequencies(spec)
     return [
         BathSpec(0, t_left, kappa, style, nu_left),
         BathSpec(spec.n_spins - 1, t_right, kappa, style, nu_right),

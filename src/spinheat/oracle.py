@@ -44,12 +44,11 @@ states the baths still tell apart.
   the latter J = 9.33e-10 against the exact 2.02e-17).  The tests take
   their reference there from exact rational tree sums of that block.
 
-Its global jumps group every many-body gap (`lindblad.global_transitions`);
-the rate route keeps each edge of the Ising pair's cycle at its own
-frequency.  They differ at 2 delta <= 1e-9 (h + delta) / 2, where the
-oracle merges h + delta and h - delta at their mean, and from delta of
-about 2e9 h, where its right-bath group takes in the gap delta - h that
-sigma^x does not connect and runs at delta - h / 3.
+Its global jumps group the many-body gaps each bath's coupling connects
+(`lindblad.global_transitions`); the rate route keeps each edge of the
+Ising pair's cycle at its own frequency.  They differ at
+2 delta <= 1e-9 (h + delta) / 2, where the oracle merges h + delta and
+h - delta at their mean.
 """
 
 from __future__ import annotations

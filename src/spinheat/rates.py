@@ -6,13 +6,15 @@ equation dp/dt = G p, the diagonal block of the full generator.  Each
 bath flips one spin, so the rates join the levels around one cycle,
 uu - du - dd - ud - uu, whose edges 0 and 2 flip the left spin; a point
 has 8 rates, r[m] forward along edge m and r[4 + m] back.  The chain step,
-`pauli_chain`, writes each edge's transition in closed form, its
-frequency and the direction its bath emits in, and holds every bath's
+`pauli_chain`, puts the left bath on the left spin and the right bath on
+the right one, writes each edge's transition in closed form, its
+frequency and the direction its bath emits in, and holds the two baths'
 frequencies side by side (`lindblad.Slots`), the index that puts their
 rates on the cycle (each cycle rate is one rate of the rate law, or
 zero), and the energy each bath's edges carry per forward cycle; the
-point step, `steady_state_pauli`, takes P points and their rates from
-one call of the rate law, and its cycle rates from one gather.
+point step, `steady_state_pauli`, takes P points at one kappa and their
+rates from one call of the rate law, and its cycle rates from one
+gather.
 
 Each point's rates are scaled by a power of two, exactly, so that the
 largest lies in [0.5, 1).  By the Markov chain tree theorem (Schnakenberg,
@@ -50,15 +52,14 @@ from typing import Sequence
 import numpy as np
 
 from .lindblad import (
-    BathSpec,
     DissipatorStyle,
     Slots,
-    _check_bath_sites,
     _degeneracy_tolerance,
+    _local_frequencies,
     _slot_rates,
     _slots,
 )
-from .spinops import ChainModel, SpinChainSpec, _stack_head
+from .spinops import ChainModel, SpinChainSpec, _coupling_stack
 from .steady import _MIN_EIGENVALUE, SteadyState, _currents_check, _refuse_first
 
 # The cycle uu - du - dd - ud of the levels (uu, ud, du, dd) = (0, 1, 2, 3):
@@ -113,13 +114,14 @@ class PauliChain:
     """The temperature-independent half of the rate route (the chain step),
     for a stack of C chains that differ in the coupling alone.
 
-    `slots` holds every bath's transitions side by side, and a point's
-    rates on them form its flat (emission, absorption) table, entry
-    2 * slot + s for emission (s = 0) and absorption (s = 1), followed by
-    a zero.  `index[c, e]` points cycle rate e of member c into that
-    table, at the rate of the transition that drives it or at the zero.
-    `carried[c, k]` is the energy the k-th bath's edges carry per forward
-    cycle.  Every array is read-only.
+    `slots` holds the left and the right bath's transitions side by side,
+    and a point's rates on them form its flat (emission, absorption)
+    table, entry 2 * slot + s for emission (s = 0) and absorption (s = 1),
+    followed by a zero.  `index[c, e]` points cycle rate e of member c
+    into that table, at the rate of the transition that drives it or at
+    the zero.
+    `carried[c]` is the energy the left and the right bath's edges carry
+    per forward cycle.  Every array is read-only.
     """
 
     slots: Slots
@@ -130,59 +132,52 @@ class PauliChain:
 # an overflow leaves an infinite frequency or carried energy, which the
 # point step refuses
 @np.errstate(over="ignore", invalid="ignore")
-def pauli_chain(specs: Sequence[SpinChainSpec], baths: list[BathSpec]) -> PauliChain:
-    """The chain step of a stack of Ising pairs that differ in the coupling
-    alone, member c for `specs[c]`, in closed form over the stack.
+def pauli_chain(
+    head: SpinChainSpec, couplings: Sequence[float], style: DissipatorStyle
+) -> PauliChain:
+    """The chain step of the Ising pairs that are `head` at each of
+    `couplings`, member c at `couplings[c]`, in closed form over the stack,
+    with a bath of `style` on each spin: the left bath on spin 0, the right
+    bath on spin 1.  The head's own coupling is not read.
 
     Edge m climbs -(h + delta), delta, h - delta and delta, so the left
     spin's edges carry -2 delta per forward cycle and the right spin's
     2 delta.  A global bath drives each edge at its own |step|, emitting
     downhill; a step no larger than the grouping tolerance of the largest
     |E|, (h + delta) / 2, drives nothing.  A local bath emits where sigma^-
-    lowers its spin.  The left global bath takes a slot per edge; the right
-    spin has no field, so its two edges share one, as a local bath's do.
-    Only each bath's site, style and local frequency are read.  Two baths
-    on one site raise ValueError: the cycle flux gives each edge to one
-    bath.
+    lowers its spin, at its frequency of `lindblad._local_frequencies`.
+    The left global bath takes a slot per edge; the right spin has no
+    field, so its two edges share one, as a local bath's do.
     """
-    head = _stack_head(specs)
     if head.model is not ChainModel.ISING_ZZ:
         raise ValueError("the rate route needs the Ising zz pair, whose H is diagonal")
-    _check_bath_sites(4, baths)
-    sites = [bath.site for bath in baths]
-    if len(set(sites)) != len(sites):
-        raise ValueError(f"the rate route takes one bath per site, not baths on sites {sites}")
+    delta = _coupling_stack(couplings)
     h = head.field_h
-    delta = np.array([spec.coupling_delta for spec in specs], dtype=float)
     steps = np.stack([-(h + delta), delta, h - delta, delta], axis=1)
-    tol = _degeneracy_tolerance(0.5 * h + 0.5 * delta)[:, None]
-    gaps = np.where(np.abs(steps) > tol, np.abs(steps), np.nan)
-    # each edge's slot (-1 without a bath) and whether it emits forward
-    slot = np.full(steps.shape, -1)
-    emits = np.zeros(steps.shape, dtype=bool)
-    frequencies = []
-    for bath in baths:
-        edges = [bath.site, bath.site + 2]
-        first = sum(f.shape[1] for f in frequencies)
-        if bath.style is DissipatorStyle.LOCAL:
-            frequencies.append(np.full((len(specs), 1), float(bath.local_frequency)))
-            emits[:, edges] = _LOWERS[edges]
-        else:
-            frequencies.append(gaps[:, edges] if bath.site == 0 else gaps[:, [1]])
-            emits[:, edges] = steps[:, edges] < 0
-        slot[:, edges] = [first, first + frequencies[-1].shape[1] - 1]
-    slots = _slots(frequencies)
-    driven = (slot >= 0) & np.take_along_axis(slots.live, slot, axis=1)
+    # each edge's slot, the left bath's first: edges 0 and 2 flip the left
+    # spin, 1 and 3 the right one
+    if style is DissipatorStyle.GLOBAL:
+        tol = _degeneracy_tolerance(0.5 * h + 0.5 * delta)[:, None]
+        gaps = np.where(np.abs(steps) > tol, np.abs(steps), np.nan)
+        slots = _slots(gaps[:, [0, 2]], gaps[:, [1]])
+        slot, emits = [0, 2, 1, 2], steps < 0
+    else:
+        slots = _slots(*(np.full((len(delta), 1), nu) for nu in _local_frequencies(head)))
+        slot, emits = [0, 1, 0, 1], _LOWERS
+    slot = np.broadcast_to(slot, steps.shape)
+    driven = np.take_along_axis(slots.live, slot, axis=1)
     forward = 2 * slot + ~emits  # the reverse rate takes the other entry of the slot
     zero = 2 * slots.frequency.shape[1]
     index = np.where(np.tile(driven, 2), np.hstack([forward, forward ^ 1]), zero)
-    carried = np.stack([-2.0 * delta, 2.0 * delta], axis=1)[:, sites]
+    carried = np.stack([-2.0 * delta, 2.0 * delta], axis=1)
     for array in (index, carried):
         array.setflags(write=False)
     return PauliChain(slots=slots, index=index, carried=carried)
 
 
-def _cycle_rates(chain: PauliChain, member: np.ndarray, kappa, temperatures) -> np.ndarray:
+def _cycle_rates(
+    chain: PauliChain, member: np.ndarray, kappa: float, temperatures: np.ndarray
+) -> np.ndarray:
     """The (P, 8) cycle rates of P points, each one rate of the rate law or
     zero: one gather from each point's flat (emission, absorption) table."""
     rates = _slot_rates(chain.slots, member, kappa, temperatures)
@@ -245,18 +240,19 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # a point refused early runs through the later stages too, NaN and all
 @np.errstate(over="ignore", invalid="ignore")
 def steady_state_pauli(
-    chain: PauliChain, member: np.ndarray, kappa: np.ndarray, temperatures: np.ndarray
+    chain: PauliChain, member: np.ndarray, kappa: float, temperatures: np.ndarray
 ) -> SteadyState:
-    """The point step: the steady populations of P points, and each bath's current.
+    """The point step: the steady populations of P points at one kappa,
+    and the left and the right bath's current.
 
-    Point p is on member `member[p]` of the chain stack, `kappa[p]` is its
-    kappa and `temperatures[p, k]` the temperature of the chain step's
-    k-th bath there; arrays of other shapes than (P,), (P,) and
-    (P, n_baths) raise ValueError.  The fields carry a leading axis of
-    length P; a point comes out bit-identical in any stack, and on any
-    chain stack that holds its chain.  Every check runs on the whole
-    stack, and a SteadyStateError names the first point refused, with the
-    refusal it meets in a stack of its own.
+    Point p is on member `member[p]` of the chain stack, and
+    `temperatures[p]` holds the left and the right bath's temperature
+    there; arrays of other shapes than (P,) and (P, 2) raise ValueError.
+    The fields carry a leading axis of length P; a point comes out
+    bit-identical in any stack, and on any chain stack that holds its
+    chain.  Every check runs on the whole stack, and a SteadyStateError
+    names the first point refused, with the refusal it meets in a stack
+    of its own.
     """
     member = np.asarray(member, dtype=np.intp)
     rates = _cycle_rates(chain, member, kappa, temperatures)

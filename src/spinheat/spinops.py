@@ -92,16 +92,16 @@ class SpectralDecomposition:
         return self.energies.shape[-1]
 
 
-def _stack_head(specs: Sequence[SpinChainSpec]) -> SpinChainSpec:
-    """The first chain of a chain stack, after a check that the stack holds
-    at least one chain and that its chains differ in the coupling alone."""
-    if not specs:
-        raise ValueError("a chain stack needs at least one chain")
-    head = specs[0]
-    shared = (head.model, head.n_spins, head.field_h)
-    if any((spec.model, spec.n_spins, spec.field_h) != shared for spec in specs):
-        raise ValueError("the chains of a stack may differ in the coupling delta alone")
-    return head
+def _coupling_stack(couplings: Sequence[float]) -> np.ndarray:
+    """The couplings of a chain stack as an array, after a check that the
+    stack holds at least one chain and that each coupling is finite and
+    nonnegative."""
+    delta = np.array(couplings, dtype=float)
+    if delta.ndim != 1 or not len(delta):
+        raise ValueError("a chain stack needs at least one coupling")
+    if not (np.isfinite(delta) & (delta >= 0)).all():
+        raise ValueError("coupling_delta must be finite and nonnegative")
+    return delta
 
 
 def pauli(axis: str) -> HermitianOperator:

@@ -52,12 +52,12 @@ class SteadyState:
     chain step) feeds in per unit time.
 
     The dense oracle returns one state.  The point step of the `rates`
-    module, given a chain stack and, for each of P points, a member of the
-    stack, a kappa and a temperature per bath, returns P of them in the
-    same fields: `rho` of shape (P, d, d), real and diagonal, `residual`
-    and `kernel_dim` of shape (P,) and `bath_currents` of shape
-    (P, n_baths), P = 0 included; where points are refused, the
-    SteadyStateError names the first of them.
+    module, given a chain stack, one kappa and, for each of P points, a
+    member of the stack and the left and the right bath's temperature,
+    returns P of them in the same fields: `rho` of shape (P, d, d), real
+    and diagonal, `residual` and `kernel_dim` of shape (P,) and
+    `bath_currents` of shape (P, 2), P = 0 included; where points are
+    refused, the SteadyStateError names the first of them.
     """
 
     rho: np.ndarray
@@ -80,7 +80,7 @@ def _refuse_first(refusals: Sequence[tuple[np.ndarray, Callable[[int], str]]]) -
 
 
 def _currents_check(currents: np.ndarray) -> tuple[np.ndarray, Callable[[int], str]]:
-    """The check that refuses each point of a (P, n_baths) stack of bath
+    """The check that refuses each point of a (P, 2) stack of bath
     currents that holds an infinity or a NaN, as an overflow of the rates
     leaves."""
     return (

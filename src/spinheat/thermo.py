@@ -1,26 +1,26 @@
 """Heat currents and rectification diagnostics.
 
 The current entering the system from a bath is the energy expectation of
-that bath's dissipator output, Tr{D_bath[rho] H}.  The point steps of
-both transport routes report it for each bath they were given, in the
-order given, as one row of `bath_currents` per point.  The sign
-convention is anchored on the left reservoir: `standard_baths` lists the
-bath on the lower site first, and the net current is its input rate, so a
-positive value means heat flows from the left bath through the system
-into the right bath.
+that bath's dissipator output, Tr{D_bath[rho] H}.  Every current is
+taken in the one bath arrangement `lindblad` decides: a left bath on
+site 0 and a right bath on the last site, of one style.  The point
+steps of both transport routes report the left bath's and the right
+bath's, in that order, as one row of `bath_currents` per point.  The
+sign convention is anchored on the left reservoir: the net current is
+its input rate, so a positive value means heat flows from the left bath
+through the system into the right bath.
 
 A current is evaluated in two steps: a chain step that depends only on
-the chain and the dissipator style, and alone says where the baths
-couple, and a point step that takes only what varies, a kappa per point
-and a temperature per point and bath, into the rates of
-`lindblad.thermal_rates`, in one elementwise call per point step.  The
-chain step takes a stack of C chains that differ in the coupling alone,
-and the point step a stack of P points on its members, each point with
-the index of its member: `_net_currents`
-solves every cell of a dataset group, all its couplings and
-(t_left, t_right) pairs, in one chain step and one point step, and
-`steady_net_current` is its 1-stack of one chain.  `_ROUTES` picks their
-route by the model:
+the chain and the dissipator style, and a point step that takes only
+what varies, kappa and a temperature per point and bath, into the rates
+of `lindblad.thermal_rates`, in one elementwise call per point step.
+The chain step takes a first chain, the couplings of a stack of C chains
+that differ from it in the coupling alone, and the style, and the point
+step one kappa and a stack of P points on its members, each point with
+the index of its member: `_net_currents` solves every cell of a dataset
+group, all its couplings and (t_left, t_right) pairs, in one chain step
+and one point step, and `steady_net_current` is its 1-stack of one
+chain.  `_ROUTES` picks their route by the model:
 
 - The XY chain is quadratic in Jordan-Wigner fermions and both styles'
   jump operators are linear in annihilation operators of one fermion
@@ -38,9 +38,8 @@ route by the model:
 
 The chain step is kept in a least-recently-used cache keyed by the
 stack's first chain, its couplings as a tuple of Python floats, and the
-DissipatorStyle, and bounded at `_CHAIN_CACHE_SIZE` chain stacks.  The
-stack's SpinChainSpecs are built inside the cached function, so only on a
-miss: a warm lookup hashes one chain and a tuple of floats.  Only
+DissipatorStyle, and bounded at `_CHAIN_CACHE_SIZE` chain stacks: a
+lookup hashes one chain and a tuple of floats, and builds no chain.  Only
 read-only arrays that no rate enters are cached, never a rate matrix or a
 steady state, so a cached chain gives bit-identical currents.
 """
@@ -48,13 +47,13 @@ steady state, so a cached chain gives bit-identical currents.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .gaussian import GaussianChain, gaussian_chain, steady_state_gaussian
-from .lindblad import DissipatorStyle, standard_baths
+from .lindblad import DissipatorStyle
 from .rates import PauliChain, pauli_chain, steady_state_pauli
 from .spinops import ChainModel, SpinChainSpec
 
@@ -108,14 +107,9 @@ def _chain(
     head: SpinChainSpec, couplings: tuple[float, ...], style: DissipatorStyle
 ) -> GaussianChain | PauliChain:
     """The chain step of the stack of chains that are `head` at each of
-    `couplings`, member c at `couplings[c]`, in the canonical two-bath
-    arrangement, on the route of `_ROUTES`."""
-    specs = tuple(replace(head, coupling_delta=coupling) for coupling in couplings)
-    # the chain step reads the baths' sites, style and local frequencies,
-    # which the chains of a stack share, never their kappa or temperatures,
-    # so any admissible values do here
+    `couplings`, member c at `couplings[c]`, on the route of `_ROUTES`."""
     chain_step, _ = _ROUTES[head.model]
-    return chain_step(specs, standard_baths(head, 1.0, 0.0, 0.0, style))
+    return chain_step(head, couplings, style)
 
 
 def _net_currents(
@@ -126,19 +120,17 @@ def _net_currents(
     temperatures: Sequence[tuple[float, float]],
     style: DissipatorStyle,
 ) -> np.ndarray:
-    """Steady-state net currents of the canonical two-bath arrangement at
-    P points, from one chain step over `head` at each of `couplings` and
-    one point step over all of them: point p is on `head` at the coupling
-    `couplings[member[p]]`, at the (t_left, t_right) pair
-    `temperatures[p]`.
+    """Steady-state net currents at P points, from one chain step over
+    `head` at each of `couplings` and one point step over all of them:
+    point p is on `head` at the coupling `couplings[member[p]]`, at the
+    (t_left, t_right) pair `temperatures[p]`.
 
     A SteadyStateError of the point step carries the index of the point
     that failed.
     """
     _, point_step = _ROUTES[head.model]
     chain = _chain(head, couplings, style)
-    state = point_step(chain, member, np.full(len(temperatures), kappa), temperatures)
-    return state.bath_currents[:, 0]  # `standard_baths` lists the left bath first
+    return point_step(chain, member, kappa, temperatures).bath_currents[:, 0]  # the left bath
 
 
 def steady_net_current(
@@ -148,7 +140,7 @@ def steady_net_current(
     t_right: float,
     style: DissipatorStyle,
 ) -> float:
-    """Steady-state net current for the canonical two-bath arrangement.
+    """Steady-state net current: the left bath's input.
 
     The cached chain step of (spec, style) as a 1-stack of chains, then the
     point step on a 1-stack of points at these temperatures and kappa, on

@@ -84,8 +84,9 @@ def live_counts(frequencies):
 
 
 def bath_frequencies(slots):
-    """Each bath's (C, T) frequencies, its run of a chain step's slots."""
-    return [slots.frequency[:, slots.bath == k] for k in range(slots.n_baths)]
+    """The left and the right bath's (C, T) frequencies, each its run of a
+    chain step's slots."""
+    return [slots.frequency[:, slots.bath == k] for k in (0, 1)]
 
 
 def _assert_read_only(arrays):
@@ -113,7 +114,7 @@ def test_cached_arrays_are_read_only(style):
     assert [live_counts(freqs).tolist() for freqs in bath_frequencies(slots)] == [
         [t] for t in transitions
     ]
-    assert slots.live.all() and slots.n_baths == 2
+    assert slots.live.all()
     _assert_read_only([chain.carried, chain.index, slots.frequency, slots.live, slots.bath])
 
 
@@ -126,7 +127,6 @@ def test_cached_gaussian_arrays_are_read_only(style):
     arrays = [
         chain.hamiltonian, chain.lowering, chain.diagonal, slots.frequency, slots.live, slots.bath
     ]
-    assert slots.n_baths == 2
     assert chain.hamiltonian.shape == (1, 3, 3)
     assert chain.lowering.shape == (1, len(slots.bath), 3)
     # |eps| = 1 + 0.7 sqrt(2), 1 and 0.7 sqrt(2) - 1 stand apart
@@ -172,14 +172,14 @@ def test_bound_holds_the_chains_fig2_interleaves():
 
 
 def _counted_steps(monkeypatch, model):
-    """The chain stacks and the point counts of every chain and point step
-    the route of `model` takes from now on."""
+    """The couplings of every chain stack and the point counts of every
+    point step the route of `model` takes from now on."""
     chain_step, point_step = thermo._ROUTES[model]
     stacks, points = [], []
 
-    def counted_chain_step(specs, baths):
-        stacks.append(specs)
-        return chain_step(specs, baths)
+    def counted_chain_step(head, couplings, style):
+        stacks.append(couplings)
+        return chain_step(head, couplings, style)
 
     def counted_point_step(chain, member, kappa, temperatures):
         points.append(len(member))
@@ -197,7 +197,7 @@ def test_fig3_builds_each_coupling_once(tmp_path, monkeypatch):
     stacks, points = _counted_steps(monkeypatch, ChainModel.ISING_ZZ)
     run_fig3(1.0, tmp_path, jobs=1)
     thermo._chain.cache_clear()
-    assert [len(specs) for specs in stacks] == [100, 1]
+    assert [len(couplings) for couplings in stacks] == [100, 1]
     assert len(set(stacks[0])) == 100
     assert len(points) == 2 and points[0] == 600
 
@@ -208,7 +208,7 @@ def test_fig2_takes_one_chain_step_per_style(tmp_path, monkeypatch):
     stacks, points = _counted_steps(monkeypatch, ChainModel.ISING_ZZ)
     run_fig2(1.0, tmp_path, jobs=1)
     thermo._chain.cache_clear()
-    assert sorted(len(specs) for specs in stacks) == [1, 3]
+    assert sorted(len(couplings) for couplings in stacks) == [1, 3]
     assert sorted(points) == [201, 3 * 201]
 
 
@@ -283,36 +283,34 @@ def _point_step(route):
     spec = ROUTE_SPECS[route]
     _, point_step = thermo._ROUTES[spec.model]
     chain = thermo._chain(spec, (spec.coupling_delta,), DissipatorStyle.LOCAL)
-    point_step(chain, [0], [1.0], [[2.0, 0.0]])
+    point_step(chain, [0], 1.0, [[2.0, 0.0]])
     return lambda kappa, temperatures: point_step(
-        chain, np.zeros(np.size(kappa), dtype=int), kappa, temperatures
+        chain, np.zeros(len(temperatures), dtype=int), kappa, temperatures
     )
 
 
 @pytest.mark.parametrize("route", ROUTE_SPECS)
 def test_point_step_refuses_temperatures_of_another_shape(route):
     # the one mismatch a point step can still be handed: its temperatures
-    # must be (P, n_baths) for the P values of kappa
+    # must be (P, 2), a left and a right bath's for each of the P points
     step = _point_step(route)
-    for kappa, temperatures in [
-        ([1.0], [[2.0, 0.0, 1.0]]),  # three baths where the chain has two
-        ([1.0], [[2.0]]),
-        ([1.0], [2.0, 0.0]),  # no point axis
-        ([1.0, 1.0], [[2.0, 0.0]]),  # two kappas for one point
-        (1.0, [[2.0, 0.0]]),
+    for temperatures in [
+        [[2.0, 0.0, 1.0]],  # three baths where the chain has two
+        [[2.0]],
+        [2.0, 0.0],  # no point axis
     ]:
         with pytest.raises(ValueError, match="shape"):
-            step(kappa, temperatures)
+            step(1.0, temperatures)
 
 
 @pytest.mark.parametrize("route", ROUTE_SPECS)
 @pytest.mark.parametrize(
     "kappa, temperatures, message",
     [
-        ([1.0, 0.0], [[2.0, 0.0], [2.0, 0.0]], "kappa must be finite and positive"),
-        ([1.0, np.nan], [[2.0, 0.0], [2.0, 0.0]], "kappa must be finite and positive"),
-        ([1.0, 1.0], [[2.0, 0.0], [2.0, -0.5]], "temperature must be finite and nonnegative"),
-        ([1.0, 1.0], [[2.0, 0.0], [np.inf, 0.0]], "temperature must be finite and nonnegative"),
+        (0.0, [[2.0, 0.0], [2.0, 0.0]], "kappa must be finite and positive"),
+        (np.nan, [[2.0, 0.0], [2.0, 0.0]], "kappa must be finite and positive"),
+        (1.0, [[2.0, 0.0], [2.0, -0.5]], "temperature must be finite and nonnegative"),
+        (1.0, [[2.0, 0.0], [np.inf, 0.0]], "temperature must be finite and nonnegative"),
     ],
     ids=["zero-kappa", "nan-kappa", "negative-temperature", "inf-temperature"],
 )
@@ -332,4 +330,4 @@ def test_point_step_refuses_members_off_the_chain_stack(route):
     chain = thermo._chain(spec, (spec.coupling_delta,), DissipatorStyle.LOCAL)
     for member, message in [([0, 0], "shape"), ([1], "member indices"), ([-1], "member indices")]:
         with pytest.raises(ValueError, match=message):
-            point_step(chain, member, [1.0], [[2.0, 0.0]])
+            point_step(chain, member, 1.0, [[2.0, 0.0]])

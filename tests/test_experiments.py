@@ -25,6 +25,27 @@ from spinheat.spinops import ChainModel, SpinChainSpec
 from spinheat.thermo import steady_net_current
 
 
+def in_process_executor(sizes):
+    """A stand-in for ProcessPoolExecutor that records each pool size it
+    is asked for in `sizes` and maps in this process, so no pool is ever
+    started."""
+
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return InProcessExecutor
+
+
 def read_table(path):
     columns = None
     rows = []
@@ -86,18 +107,23 @@ class TestConfigParsing:
             "t_right = inf",
             "h = nan",
             "delta = inf",
+            # a span past the double range: the grid reads [nan, inf, inf, 1e308]
+            "sweep = gradient\nstart = -1e308\nstop = 1e308\npoints = 4\nt_mean = 1\nt_right =",
         ],
     )
     def test_invalid_values(self, override):
+        # an override line without a value drops that key of the base
         base = (
             "model = ising\ndelta = 0.5\nsweep = temperature\n"
             "start = 0.1\nstop = 5.0\npoints = 5\nt_right = 0.5\n"
         )
         lines = {}
         for line in (base + override).splitlines():
-            key = line.split("=")[0].strip()
-            if key:
+            key, _, value = (part.strip() for part in line.partition("="))
+            if value:
                 lines[key] = line
+            else:
+                lines.pop(key, None)
         with pytest.raises(ConfigError):
             parse_config_text("\n".join(lines.values()))
 
@@ -416,6 +442,20 @@ class TestCommandLine:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_grid_past_the_double_range_exits_with_configuration_error(self, tmp_path, capsys):
+        config = tmp_path / "overflow.cfg"
+        config.write_text(
+            "model = ising\ndelta = 0.5\nsweep = gradient\nstart = -1e308\nstop = 1e308\n"
+            "points = 4\nt_mean = 1\n"
+        )
+        out = tmp_path / "out"
+        status = cli.main(["sweep", "--config", str(config), "--out", str(out), "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("configuration error: ") and "finite" in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
     def test_grid_numpy_cannot_size_exits_with_configuration_error(self, tmp_path, capsys):
         # numpy refuses 10**19 elements before it allocates anything
         self._assert_grid_refused(10**19, tmp_path, capsys)
@@ -512,24 +552,9 @@ class TestParallelExecution:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_pool_is_no_larger_than_the_items_or_the_processors(self, monkeypatch):
-        # a stand-in executor records the pool size and maps in this process,
-        # so no oversized pool is ever started
+        # no oversized pool is ever started
         sizes = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_executor(sizes))
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
         spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
         curves = [experiments._Curve("J", spec, DissipatorStyle.GLOBAL, t_right=0.0)]
@@ -544,6 +569,38 @@ class TestParallelExecution:
         assert table(5, 1) == serial.tobytes()
         assert table(5, 0) == serial.tobytes()
         assert sizes == [3, 2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chunks_bound_the_cells_of_a_point_step(self, jobs, tmp_path, monkeypatch):
+        # fig2, fig3 and a 3-spin XY sweep in both styles, in chunks of at
+        # most 7 cells: every CSV keeps the bytes of the whole grid, and no
+        # `_columns` call takes more cells
+        cells = []
+        columns = experiments._columns
+
+        def counted(x_name, kappa, curves, xs):
+            cells.append(len(xs) * len(curves))
+            return columns(x_name, kappa, curves, xs)
+
+        def datasets(out):
+            cfg = parse_config_text(
+                "model = xy\nspins = 3\ndelta = 0.7\nstyle = both\nsweep = temperature\n"
+                "start = 0\nstop = 2\npoints = 9\nt_right = 0.1\n"
+            )
+            paths = [run_fig2(1.0, out, jobs), *run_fig3(1.0, out, jobs)]
+            paths.append(run_sweep(cfg, out / "xy.csv", jobs))
+            return [path.read_bytes() for path in paths]
+
+        monkeypatch.setattr(experiments, "_columns", counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_executor([]))
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        whole = datasets(tmp_path / "whole")
+        # one chunk per dataset and worker
+        assert len(cells) == 4 * jobs and max(cells) <= 804
+        whole_cells, cells[:] = sum(cells), []
+        monkeypatch.setattr(experiments, "_CHUNK_CELLS", 7)
+        assert datasets(tmp_path / "chunked") == whole
+        assert max(cells) <= 7 and sum(cells) == whole_cells
 
     @pytest.mark.parametrize(
         "command",

@@ -144,8 +144,8 @@ def _assert_matches_oracle(case):
     """The route's chain step and state of one case, checked against the oracle."""
     n, ratio, style, t_left, t_right = case
     spec = _spec(n, ratio)
-    chain = gaussian_chain([spec], standard_baths(spec, KAPPA, t_left, t_right, style))
-    state = steady_state_gaussian(chain, [0], [KAPPA], [[t_left, t_right]])
+    chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    state = steady_state_gaussian(chain, [0], KAPPA, [[t_left, t_right]])
     exact = _oracle_currents(case)
     assert state.bath_currents.shape == (1, len(exact)) == (1, 2)
     for got, want in zip(state.bath_currents[0], exact):
@@ -183,19 +183,6 @@ def test_gaussian_route_matches_dense_oracle_on_the_seeded_grid(case):
     dense_state, state = transport_routes._both_routes(*case)
     transport_routes._assert_same_currents(state, dense_state)
     assert abs(sum(state.bath_currents)) <= transport_routes.TOL
-
-
-@pytest.mark.parametrize("style", DissipatorStyle)
-def test_currents_follow_the_bath_order(style):
-    # the right bath listed first: each bath's flow goes to its position,
-    # so the hot left bath's input sits second
-    spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
-    baths = standard_baths(spec, 1.0, 2.0, 0.3, style)[::-1]
-    dense_state = steady_state_nullspace(assemble_liouvillian(build_hamiltonian(spec), baths))
-    transport_routes._assert_same_currents(
-        transport_routes._route_state(spec, baths), dense_state
-    )
-    assert dense_state.bath_currents[1] > 1e-3
 
 
 @pytest.mark.parametrize("n_spins", [*range(2, 7), 50, 200])
@@ -243,11 +230,11 @@ def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
     monkeypatch.setattr(gaussian, "_lyapunov_eig", lambda x, source: np.full_like(x, np.nan))
     monkeypatch.setattr(gaussian, "_lyapunov_kronecker", never)
     monkeypatch.setattr(np, "kron", never)
-    specs = [_spec(17, 0.3), _spec(17, 0.7)]
-    chain = gaussian_chain(specs, standard_baths(specs[0], 1.0, 0.0, 0.0, LOCAL))
+    spec = _spec(17, 0.3)
+    chain = gaussian_chain(spec, (spec.coupling_delta, 0.7 * spec.field_h), LOCAL)
     temps = [[2.0, 0.5], [1.0, 0.0], [2.0, 0.0]]
     with pytest.raises(SteadyStateError, match=r"n = 17 needs a 289 x 289 operator") as excinfo:
-        steady_state_gaussian(chain, [1, 0, 1], [1.0, 1.0, 1.0], temps)
+        steady_state_gaussian(chain, [1, 0, 1], 1.0, temps)
     assert excinfo.value.member == 0  # every point is refused: the first is named
     assert "refused above n = 16" in str(excinfo.value)
 
@@ -264,8 +251,8 @@ def test_strong_coupling_global_current_is_the_mode_sum(ratio):
     spec = SpinChainSpec(3, 1.0, ratio, ChainModel.XY_TRANSVERSE)
     exact = _mode_sum_currents((3, ratio, GLOBAL, 2.0, 0.0), h=1.0, kappa=1.0)
     assert exact[0] == pytest.approx(math.exp(-0.5) / 4.0, rel=1e-7)
-    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 2.0, 0.0, GLOBAL))
-    currents = steady_state_gaussian(chain, [0], [1.0], [[2.0, 0.0]]).bath_currents[0]
+    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    currents = steady_state_gaussian(chain, [0], 1.0, [[2.0, 0.0]]).bath_currents[0]
     for got, want in zip(currents, exact):
         assert abs(got - want) <= 1e-7 * abs(want)
     assert thermo.steady_net_current(spec, 1.0, 2.0, 0.0, GLOBAL) == currents[0]
@@ -300,8 +287,8 @@ def test_one_mode_groups_keep_the_clausius_sign_over_the_coupling_range(
     spec = SpinChainSpec(n, h, delta, ChainModel.XY_TRANSVERSE)
     if not _one_mode_groups(spec):
         return
-    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 0.0, 0.0, GLOBAL))
-    stack = steady_state_gaussian(chain, [0] * len(points), [kappa] * len(points), points)
+    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    stack = steady_state_gaussian(chain, [0] * len(points), kappa, points)
     for (t_left, t_right), (j_left, j_right) in zip(points, stack.bath_currents):
         assert j_left * (t_left - t_right) >= 0
         assert abs(j_left + j_right) <= 4 * np.finfo(float).eps * abs(j_left)
@@ -313,8 +300,8 @@ def test_two_hundred_spin_global_currents_are_the_mode_sum():
     # entry the Kronecker-forced test runs as well
     case = (200, 1.0, GLOBAL, 2.5, 0.0)
     spec = SpinChainSpec(200, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
-    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 2.5, 0.0, GLOBAL))
-    state = steady_state_gaussian(chain, [0], [1.0], [[2.5, 0.0]])
+    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    state = steady_state_gaussian(chain, [0], 1.0, [[2.5, 0.0]])
     for got, want in zip(state.bath_currents[0], _mode_sum_currents(case, h=1.0, kappa=1.0)):
         assert abs(got - want) <= 1e-12
 
@@ -379,8 +366,8 @@ def _majorana_currents(n, ratio, style, t_left, t_right):
 def test_majorana_covariance_gives_the_route_currents(n):
     for ratio, style, t_left, t_right in sorted({case[1:] for case in CASES}, key=str):
         spec = _spec(n, ratio)
-        chain = gaussian_chain([spec], standard_baths(spec, KAPPA, t_left, t_right, style))
-        state = steady_state_gaussian(chain, [0], [KAPPA], [[t_left, t_right]])
+        chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+        state = steady_state_gaussian(chain, [0], KAPPA, [[t_left, t_right]])
         want = _majorana_currents(n, ratio, style, t_left, t_right)
         for got, expected in zip(state.bath_currents[0], want):
             assert abs(got - expected) <= 1e-12 * KAPPA, (ratio, style, t_left, t_right)
@@ -421,7 +408,7 @@ def _eigenbasis_frequencies(spec, site):
 )
 def test_modes_are_grouped_like_the_eigenbasis_jumps(n, ratio):
     spec = _spec(n, ratio)
-    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
+    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
     for site, frequencies in zip((0, n - 1), bath_frequencies(chain.slots)):
         np.testing.assert_allclose(frequencies[0], _eigenbasis_frequencies(spec, site), rtol=1e-12)
 
@@ -433,7 +420,7 @@ def test_grouping_scales_by_the_largest_many_body_energy():
     # chain) keeps them apart, as the eigenbasis jumps do; one scaled by
     # max|eps| (about 3e-9 h) would merge them
     spec = _spec(3, ROOT2 + 2.5e-9 / ROOT2)
-    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
+    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
     frequencies = bath_frequencies(chain.slots)
     assert [bath.shape for bath in frequencies] == [(1, 3), (1, 3)]
     for site, bath in zip((0, 2), frequencies):
@@ -443,24 +430,16 @@ def test_grouping_scales_by_the_largest_many_body_energy():
 def test_zero_modes_carry_no_jump_operator():
     # delta = h on five spins: eps = h (1 + 2 cos(k pi / 6)) vanishes at k = 4
     spec = _spec(5, 1.0)
-    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
+    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
     frequencies = bath_frequencies(chain.slots)
     assert [bath.shape for bath in frequencies] == [(1, 4), (1, 4)]
     assert min(frequencies[0][0]) > 0.5
 
 
-def test_baths_off_the_chain_ends_are_refused():
-    spec = _spec(4, 0.5)
-    baths = standard_baths(spec, 1.0, 1.0, 0.0, LOCAL)
-    baths[1] = lindblad.BathSpec(2, 0.0, 1.0, LOCAL, H_FIELD)
-    with pytest.raises(ValueError, match="not an end"):
-        gaussian_chain([spec], baths)
-
-
 def test_ising_pair_is_refused():
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     with pytest.raises(ValueError, match="quadratic"):
-        gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, GLOBAL))
+        gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
 
 
 def test_the_transport_route_is_chosen_by_the_model():
@@ -474,8 +453,8 @@ def test_the_transport_route_is_chosen_by_the_model():
 def _with_rates(monkeypatch, rates, style, ratio):
     monkeypatch.setattr(lindblad, "thermal_rates", lambda kappa, temperature, frequency: rates)
     spec = _spec(2, ratio)
-    chain = gaussian_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, style))
-    return steady_state_gaussian(chain, [0], [1.0], [[1.0, 0.0]])
+    chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    return steady_state_gaussian(chain, [0], 1.0, [[1.0, 0.0]])
 
 
 # the eigenvector route, and the closed form of two modes apart
@@ -516,8 +495,8 @@ def _fermi(energies, temperature):
 )
 def test_equal_temperatures_give_the_thermal_state(n, h, ratio, style, kappa, temperature):
     spec = SpinChainSpec(n, h, ratio * h, ChainModel.XY_TRANSVERSE)
-    chain = gaussian_chain([spec], standard_baths(spec, kappa, temperature, temperature, style))
-    state = steady_state_gaussian(chain, [0], [kappa], [[temperature, temperature]])
+    chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    state = steady_state_gaussian(chain, [0], kappa, [[temperature, temperature]])
     for current in state.bath_currents[0]:
         assert abs(current) <= 1e-12 * kappa * h**2
     if style is LOCAL:

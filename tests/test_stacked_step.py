@@ -44,20 +44,20 @@ from test_steady import CYCLE_EDGES, _rate_matrices
 # a degenerate kernel on the rate route: the right local bath of the Ising
 # pair has frequency zero, so at T_R = 0 it drives nothing
 ISING = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
-DEGENERATE_POINT = (1.0, 1.0, 0.0)
-# an exceptional point of X on the Gaussian route (see `gaussian`)
+DEGENERATE_POINT = (1.0, 0.0)
+# an exceptional point of X on the Gaussian route at kappa = 1 (see `gaussian`)
 EXCEPTIONAL = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
-EXCEPTIONAL_POINT = (1.0, 1.0 / math.log(2.0), 0.0)
+EXCEPTIONAL_POINT = (1.0 / math.log(2.0), 0.0)
 
 
-def _step(spec, style):
-    """The route's point step on (kappa, t_left, t_right) points of the cached chain."""
+def _step(spec, style, kappa=1.0):
+    """The route's point step at `kappa` on (t_left, t_right) points of the
+    cached chain."""
     _, point_step = thermo._ROUTES[spec.model]
     chain = thermo._chain(spec, (spec.coupling_delta,), style)
 
     def step(points):
-        points = np.array(points, dtype=float)
-        return point_step(chain, [0] * len(points), points[:, 0], points[:, 1:])
+        return point_step(chain, [0] * len(points), kappa, points)
 
     return step
 
@@ -66,8 +66,8 @@ def _fields(state):
     return {name: np.asarray(value) for name, value in vars(state).items()}
 
 
-def _assert_members_are_their_own_calls(spec, style, points):
-    step = _step(spec, style)
+def _assert_members_are_their_own_calls(spec, style, points, kappa=1.0):
+    step = _step(spec, style, kappa)
     stacked = _fields(step(points))
     for p, point in enumerate(points):
         alone = _fields(step([point]))
@@ -77,23 +77,23 @@ def _assert_members_are_their_own_calls(spec, style, points):
     return stacked
 
 
-points = st.tuples(kappas, temperatures, temperatures)
+points = st.tuples(temperatures, temperatures)
 
 
 @PROPERTY
-@given(chains(), st.lists(points, min_size=1, max_size=6), st.integers(0, 6))
-def test_members_are_bit_identical_to_one_stacks(chain, drawn, position):
+@given(chains(), kappas, st.lists(points, min_size=1, max_size=6), st.integers(0, 6))
+def test_members_are_bit_identical_to_one_stacks(chain, kappa, drawn, position):
     spec, style = chain
     # every Ising stack holds a degenerate kernel, every XY stack the
     # exceptional point's temperatures
     extra = DEGENERATE_POINT if spec.model is ChainModel.ISING_ZZ else EXCEPTIONAL_POINT
     drawn.insert(min(position, len(drawn)), extra)
-    _assert_members_are_their_own_calls(spec, style, drawn)
+    _assert_members_are_their_own_calls(spec, style, drawn, kappa)
 
 
 def test_degenerate_kernel_inside_a_stack():
     style = DissipatorStyle.LOCAL
-    stack = [(1.0, 2.0, 0.5), DEGENERATE_POINT, (0.7, 0.3, 1.5), (1.0, 0.0, 0.0)]
+    stack = [(2.0, 0.5), DEGENERATE_POINT, (0.3, 1.5), (0.0, 0.0)]
     state = _assert_members_are_their_own_calls(ISING, style, stack)
     assert list(state["kernel_dim"]) == [1, 2, 1, 2]
 
@@ -104,13 +104,13 @@ def test_fig2_local_column_projects_each_member_as_its_own_stack():
     # uniform vector the oracle's kernel rule makes onto their kernel
     grid = np.concatenate([[0.0], np.logspace(-2, 2, 200)])
     spec = replace(ISING, coupling_delta=0.01)
-    points = [(1.0, t_left, 0.0) for t_left in grid]
+    points = [(t_left, 0.0) for t_left in grid]
     state = _assert_members_are_their_own_calls(spec, DissipatorStyle.LOCAL, points)
     assert (state["kernel_dim"] == 2).all()
     assert not state["bath_currents"].any()
     chain = thermo._chain(spec, (spec.coupling_delta,), DissipatorStyle.LOCAL)
-    member, temperatures = np.zeros(len(grid), dtype=np.intp), np.array(points)[:, 1:]
-    cycle = rates._cycle_rates(chain, member, np.ones(len(grid)), temperatures)
+    member = np.zeros(len(grid), dtype=np.intp)
+    cycle = rates._cycle_rates(chain, member, 1.0, np.array(points))
     vectors, kernel_dim = oracle._kernel_vector(_rate_matrices(cycle)[1], np.full(4, 0.25))
     assert (kernel_dim == 2).all()
     populations = np.diagonal(state["rho"], axis1=1, axis2=2)
@@ -127,7 +127,7 @@ def test_exceptional_point_alone_takes_the_kronecker_solve(monkeypatch):
 
     monkeypatch.setattr(gaussian, "_lyapunov_kronecker", counted)
     style = DissipatorStyle.LOCAL
-    stack = [(1.0, 0.5, 0.0), EXCEPTIONAL_POINT, (1.0, 2.0, 0.0)]
+    stack = [(0.5, 0.0), EXCEPTIONAL_POINT, (2.0, 0.0)]
     state = _assert_members_are_their_own_calls(EXCEPTIONAL, style, stack)
     # once in the stack and once in its own 1-stack; the neighbours never
     assert len(calls) == 2
@@ -159,7 +159,7 @@ def _failing_at(monkeypatch, t_left):
 @pytest.mark.parametrize("style", DissipatorStyle)
 def test_failing_member_is_named_by_its_index(monkeypatch, spec, message, style):
     _failing_at(monkeypatch, 0.75)
-    stack = [(1.0, 0.5, 0.2), (1.0, 1.0, 0.2), (1.0, 0.75, 0.2), (1.0, 2.0, 0.2)]
+    stack = [(0.5, 0.2), (1.0, 0.2), (0.75, 0.2), (2.0, 0.2)]
     with pytest.raises(SteadyStateError, match=message) as excinfo:
         _step(spec, style)(stack)
     assert excinfo.value.member == 2
@@ -176,7 +176,7 @@ def test_failing_point_of_the_kernel_rule_is_named_by_its_index(monkeypatch):
         return np.where(dead, 0.0, emission), np.where(dead, 0.0, absorption)
 
     monkeypatch.setattr(lindblad, "thermal_rates", rate_law)
-    stack = [(1.0, 2.0, 0.5), DEGENERATE_POINT, (1.0, 0.75, 0.75), (1.0, 0.3, 0.2)]
+    stack = [(2.0, 0.5), DEGENERATE_POINT, (0.75, 0.75), (0.3, 0.2)]
     with pytest.raises(SteadyStateError, match="identically zero") as excinfo:
         _step(ISING, DissipatorStyle.LOCAL)(stack)
     assert excinfo.value.member == 2
@@ -188,11 +188,10 @@ def test_failing_point_on_a_chain_stack_is_named_by_its_index(monkeypatch, spec)
     # of both chains; the Gaussian route solves each chain's points apart
     _failing_at(monkeypatch, 0.75)
     chain_step, point_step = thermo._ROUTES[spec.model]
-    specs = [spec, SpinChainSpec(spec.n_spins, 1.0, 0.3, spec.model)]
-    chain = chain_step(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.GLOBAL))
+    chain = chain_step(spec, (spec.coupling_delta, 0.3), DissipatorStyle.GLOBAL)
     temperatures = [[0.5, 0.2], [1.0, 0.2], [2.0, 0.2], [0.75, 0.2]]
     with pytest.raises(SteadyStateError) as excinfo:
-        point_step(chain, [1, 0, 1, 1], [1.0] * 4, temperatures)
+        point_step(chain, [1, 0, 1, 1], 1.0, temperatures)
     assert excinfo.value.member == 3
 
 
@@ -238,10 +237,9 @@ def test_one_eigendecomposition_solves_a_stack_of_several_chains(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counted)
     spec = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
     chain_step, point_step = thermo._ROUTES[spec.model]
-    specs = [replace(spec, coupling_delta=delta) for delta in (0.0, 0.5, 1.3)]
-    chain = chain_step(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.LOCAL))
+    chain = chain_step(spec, (0.0, 0.5, 1.3), DissipatorStyle.LOCAL)
     temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0]]
-    point_step(chain, [2, 0, 1, 2, 0], [1.0] * 5, temperatures)
+    point_step(chain, [2, 0, 1, 2, 0], 1.0, temperatures)
     assert calls == [(5, 3, 3)]
 
 
@@ -258,20 +256,19 @@ def test_one_mode_members_skip_the_eigendecomposition_in_a_mixed_stack(monkeypat
 
     monkeypatch.setattr(np.linalg, "eig", recorded)
     spec = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
-    specs = [replace(spec, coupling_delta=delta) for delta in (0.0, math.sqrt(2.0), 0.5, 1.3)]
-    baths = lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.GLOBAL)
-    chain = gaussian.gaussian_chain(specs, baths)
+    couplings = (0.0, math.sqrt(2.0), 0.5, 1.3)
+    chain = gaussian.gaussian_chain(spec, couplings, DissipatorStyle.GLOBAL)
     assert chain.diagonal.tolist() == [False, False, True, True]
     member = [2, 0, 3, 1, 2, 1, 0, 3]
     temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0], [0.5, 3.0],
                     [1.5, 1.5], [4.0, 0.2]]
-    stacked = _fields(gaussian.steady_state_gaussian(chain, member, [0.7] * 8, temperatures))
+    stacked = _fields(gaussian.steady_state_gaussian(chain, member, 0.7, temperatures))
     multi_mode = [p for p, m in enumerate(member) if not chain.diagonal[m]]
     assert [x.shape for x in seen] == [(len(multi_mode), 3, 3)]
     eig_input = seen.pop()
     for p, (m, temps) in enumerate(zip(member, temperatures)):
-        alone = gaussian.gaussian_chain(specs[m : m + 1], baths)
-        own = _fields(gaussian.steady_state_gaussian(alone, [0], [0.7], [temps]))
+        alone = gaussian.gaussian_chain(spec, couplings[m : m + 1], DissipatorStyle.GLOBAL)
+        own = _fields(gaussian.steady_state_gaussian(alone, [0], 0.7, [temps]))
         for name, value in stacked.items():
             assert value[p].tobytes() == own[name][0].tobytes(), (name, p)
         # the point's own X, and only it, reached the stack's eigendecomposition
@@ -326,11 +323,10 @@ def test_point_that_overflows_is_refused(spec, t_left, message):
 @pytest.mark.parametrize("spec, t_left, message", OVERFLOWS.values(), ids=OVERFLOWS.keys())
 def test_point_that_overflows_is_named_by_its_index_in_a_stack(spec, t_left, message):
     chain_step, point_step = thermo._ROUTES[spec.model]
-    specs = [replace(spec, coupling_delta=0.5), spec]
-    chain = chain_step(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, DissipatorStyle.GLOBAL))
+    chain = chain_step(spec, (0.5, spec.coupling_delta), DissipatorStyle.GLOBAL)
     temperatures = [[1.0, 0.0], [1.0, 0.0], [t_left, 0.0], [2.0, 0.0]]
     with pytest.raises(SteadyStateError, match=message) as excinfo:
-        point_step(chain, [0, 0, 1, 0], [1.0] * 4, temperatures)
+        point_step(chain, [0, 0, 1, 0], 1.0, temperatures)
     assert excinfo.value.member == 2
 
 
@@ -384,8 +380,9 @@ EDGES = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 @st.composite
 def coupling_stacks(draw):
-    """A stack of distinct chains that differ in the coupling alone, edges
-    included, and a dissipator style."""
+    """A first chain, the distinct couplings of a stack of chains that
+    differ from it in the coupling alone, edges included, and a dissipator
+    style."""
     model, n_spins = draw(
         st.sampled_from(
             [(ChainModel.ISING_ZZ, 2), (ChainModel.XY_TRANSVERSE, 2), (ChainModel.XY_TRANSVERSE, 3)]
@@ -393,9 +390,9 @@ def coupling_stacks(draw):
     )
     h = draw(st.floats(0.5, 2.0))
     ratio = st.one_of(st.sampled_from(EDGES), st.floats(0.01, 2.5))
-    ratios = draw(st.lists(ratio, min_size=1, max_size=5, unique=True))
-    specs = tuple(SpinChainSpec(n_spins, h, r * h, model) for r in ratios)
-    return specs, draw(st.sampled_from(DissipatorStyle))
+    couplings = tuple(r * h for r in draw(st.lists(ratio, min_size=1, max_size=5, unique=True)))
+    head = SpinChainSpec(n_spins, h, couplings[0], model)
+    return head, couplings, draw(st.sampled_from(DissipatorStyle))
 
 
 def _member_arrays(chain, c):
@@ -409,7 +406,6 @@ def _member_arrays(chain, c):
     arrays = {
         "frequency": slots.frequency[c, live],
         "bath": slots.bath[live],
-        "n_baths": np.array(slots.n_baths),
     }
     padding = [("frequency", slots.frequency[c, ~live]), ("live", slots.live[c, ~live])]
     for field in fields(chain):
@@ -430,11 +426,10 @@ def _member_arrays(chain, c):
 @PROPERTY
 @given(coupling_stacks(), st.data())
 def test_chain_stack_members_are_their_own_chains(stack, data):
-    specs, style = stack
-    chain_step, point_step = thermo._ROUTES[specs[0].model]
-    baths = lindblad.standard_baths(specs[0], 1.0, 0.0, 0.0, style)
-    chain = chain_step(specs, baths)
-    alone = [chain_step([spec], baths) for spec in specs]
+    head, couplings, style = stack
+    chain_step, point_step = thermo._ROUTES[head.model]
+    chain = chain_step(head, couplings, style)
+    alone = [chain_step(head, (coupling,), style) for coupling in couplings]
     for c, single in enumerate(alone):
         assert [live_counts(f)[c] for f in bath_frequencies(chain.slots)] == [
             live_counts(f)[0] for f in bath_frequencies(single.slots)
@@ -450,12 +445,12 @@ def test_chain_stack_members_are_their_own_chains(stack, data):
 
     # points on drawn members, and a degenerate kernel on one of them: the
     # Ising pair's right local bath at frequency zero and T_R = 0
-    point = st.tuples(st.integers(0, len(specs) - 1), kappas, temperatures, temperatures)
+    point = st.tuples(st.integers(0, len(couplings) - 1), temperatures, temperatures)
     drawn = data.draw(st.lists(point, min_size=1, max_size=8))
-    drawn.append((data.draw(st.integers(0, len(specs) - 1)), *DEGENERATE_POINT))
+    drawn.append((data.draw(st.integers(0, len(couplings) - 1)), *DEGENERATE_POINT))
+    kappa = data.draw(kappas)
     member = [p[0] for p in drawn]
-    kappa = [p[1] for p in drawn]
-    temps = [p[2:] for p in drawn]
+    temps = [p[1:] for p in drawn]
     seen = []
     rate_law = lindblad.thermal_rates
 
@@ -471,7 +466,7 @@ def test_chain_stack_members_are_their_own_chains(stack, data):
     )
     assert not np.isnan(seen).any()
     for p, (m, *rest) in enumerate(drawn):
-        own = _fields(point_step(alone[m], [0], [rest[0]], [rest[1:]]))
+        own = _fields(point_step(alone[m], [0], kappa, [rest]))
         for name, value in stacked.items():
             assert value[p].tobytes() == own[name][0].tobytes(), (name, p)
 
@@ -499,17 +494,16 @@ def _dense_drives(spec, baths):
 @PROPERTY
 @given(coupling_stacks())
 def test_cycle_index_is_the_dense_jump_pattern(stack):
-    specs, style = stack
-    if specs[0].model is not ChainModel.ISING_ZZ:
-        specs = tuple(replace(spec, model=ChainModel.ISING_ZZ, n_spins=2) for spec in specs)
+    head, couplings, style = stack
+    head = replace(head, model=ChainModel.ISING_ZZ, n_spins=2)
     # delta = 0 on one member: its right global bath drives no transition
-    specs += (replace(specs[0], coupling_delta=0.0),)
-    baths = lindblad.standard_baths(specs[0], 1.0, 0.0, 0.0, style)
-    chain = rates.pauli_chain(specs, baths)
+    couplings += (0.0,)
+    baths = lindblad.standard_baths(head, 1.0, 0.0, 0.0, style)
+    chain = rates.pauli_chain(head, couplings, style)
     slots = chain.slots
-    for c, spec in enumerate(specs):
+    for c, coupling in enumerate(couplings):
         slot, s = np.divmod(chain.index[c], 2)
-        for e, drive in enumerate(_dense_drives(spec, baths)):
+        for e, drive in enumerate(_dense_drives(replace(head, coupling_delta=coupling), baths)):
             if drive is None:
                 assert slot[e] == len(slots.bath)  # the zero past the table
                 continue
@@ -520,19 +514,20 @@ def test_cycle_index_is_the_dense_jump_pattern(stack):
             assert slots.frequency[c, slot[e]] == pytest.approx(frequency, rel=1e-13, abs=0)
 
 
-def _member_by_member(specs, baths):
+def _member_by_member(head, couplings, style):
     """The XY chain step built member by member, as a reference: each
-    member's H and each bath's (frequencies, lowering vectors) alone, in
-    the modes xi_k in the global style, each group's modes placed in a
-    Python loop, each bath padded by hand to its widest member, and
-    whether every group of the member holds one mode."""
-    n = specs[0].n_spins
+    member's H and each bath of `standard_baths` (frequencies, lowering
+    vectors) alone, in the modes xi_k in the global style, each group's
+    modes placed in a Python loop, each bath padded by hand to its widest
+    member, and whether every group of the member holds one mode."""
+    n = head.n_spins
+    baths = lindblad.standard_baths(head, 1.0, 0.0, 0.0, style)
     members = []
-    for spec in specs:
-        off = np.full(n - 1, spec.coupling_delta)
-        hop = spec.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
+    for coupling in couplings:
+        off = np.full(n - 1, coupling)
+        hop = head.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
         frequencies, lowering = [], []
-        diagonal = baths[0].style is DissipatorStyle.GLOBAL
+        diagonal = style is DissipatorStyle.GLOBAL
         if diagonal:
             eps, phi = np.linalg.eigh(hop)
             hop = np.diag(np.abs(eps))
@@ -572,7 +567,7 @@ def _member_by_member(specs, baths):
             vectors[c, : len(rows[k])] = rows[k]
         padded_frequencies.append(bath_frequencies)
         padded_lowering.append(vectors)
-    slots = lindblad._slots(padded_frequencies)
+    slots = lindblad._slots(*padded_frequencies)
     return {
         "hamiltonian": np.stack([member[0] for member in members]),
         "frequency": slots.frequency,
@@ -592,25 +587,24 @@ XY_HUGE = (1e300, 1.7e308)
 
 @st.composite
 def xy_coupling_stacks(draw):
-    """A stack of XY chains of 2 to 6 or 9 spins that differ in the coupling
-    alone, the edges of the mode grouping included, and a dissipator style."""
+    """An XY chain of 2 to 6 or 9 spins, the couplings of a stack of chains
+    that differ from it in the coupling alone, the edges of the mode
+    grouping included, and a dissipator style."""
     n_spins = draw(st.sampled_from([2, 3, 4, 5, 6, 9]))
     h = draw(st.floats(0.5, 2.0))
     ratio = st.one_of(st.floats(0.0, 2.5), st.floats(1e-10, 1e-8))
     deltas = [r * h for r in XY_EDGES + tuple(draw(st.lists(ratio, max_size=8)))] + list(XY_HUGE)
-    order = draw(st.permutations(range(len(deltas))))
-    specs = [SpinChainSpec(n_spins, h, deltas[i], ChainModel.XY_TRANSVERSE) for i in order]
-    return specs, draw(st.sampled_from(DissipatorStyle))
+    couplings = tuple(deltas[i] for i in draw(st.permutations(range(len(deltas)))))
+    head = SpinChainSpec(n_spins, h, couplings[0], ChainModel.XY_TRANSVERSE)
+    return head, couplings, draw(st.sampled_from(DissipatorStyle))
 
 
 @PROPERTY
 @given(xy_coupling_stacks())
 def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
-    specs, style = stack
-    baths = lindblad.standard_baths(specs[0], 1.0, 0.0, 0.0, style)
     with np.errstate(over="ignore", invalid="ignore"):
-        reference = _member_by_member(specs, baths)
-    chain = gaussian.gaussian_chain(specs, baths)
+        reference = _member_by_member(*stack)
+    chain = gaussian.gaussian_chain(*stack)
     arrays = {
         "hamiltonian": chain.hamiltonian,
         "frequency": chain.slots.frequency,
@@ -619,7 +613,6 @@ def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
         "lowering": chain.lowering,
         "diagonal": chain.diagonal,
     }
-    assert chain.slots.n_baths == len(baths)
     for name, value in reference.items():
         assert arrays[name].shape == value.shape, name
         assert arrays[name].tobytes() == value.tobytes(), name
@@ -628,16 +621,16 @@ def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
 # 200 spins, global style: delta = h has a zero mode, so its 398 slots take
 # two padding slots beside delta = 0.7 h
 _LONG_CHAIN_STACK = """
-from spinheat import gaussian, lindblad
+from spinheat import gaussian
+from spinheat.lindblad import DissipatorStyle
 from spinheat.spinops import ChainModel, SpinChainSpec
-specs = [SpinChainSpec(200, 1.0, delta, ChainModel.XY_TRANSVERSE) for delta in (0.7, 1.0)]
-baths = lindblad.standard_baths(specs[0], 1.0, 0.0, 0.0, lindblad.DissipatorStyle.GLOBAL)
-stack = gaussian.gaussian_chain(specs, baths)
+head = SpinChainSpec(200, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+stack = gaussian.gaussian_chain(head, (0.7, 1.0), DissipatorStyle.GLOBAL)
 assert stack.slots.live.sum(axis=1).tolist() == [400, 398]
 assert stack.diagonal.all()
-state = gaussian.steady_state_gaussian(stack, [0, 1], [1.0, 1.0], [[2.5, 0.0], [2.5, 0.0]])
-alone = gaussian.gaussian_chain(specs[1:], baths)
-single = gaussian.steady_state_gaussian(alone, [0], [1.0], [[2.5, 0.0]])
+state = gaussian.steady_state_gaussian(stack, [0, 1], 1.0, [[2.5, 0.0], [2.5, 0.0]])
+alone = gaussian.gaussian_chain(head, (1.0,), DissipatorStyle.GLOBAL)
+single = gaussian.steady_state_gaussian(alone, [0], 1.0, [[2.5, 0.0]])
 print([name for name, value in vars(single).items()
        if getattr(state, name)[1].tobytes() != value[0].tobytes()])
 """
@@ -668,11 +661,29 @@ def test_one_eigh_builds_a_stack_of_xy_chains(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     spec = SpinChainSpec(4, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
-    specs = [replace(spec, coupling_delta=delta) for delta in (0.0, 0.5, 1.3, 2.0)]
     for style, expected in ((DissipatorStyle.GLOBAL, [(4, 4, 4)]), (DissipatorStyle.LOCAL, [])):
         calls.clear()
-        gaussian.gaussian_chain(specs, lindblad.standard_baths(spec, 1.0, 0.0, 0.0, style))
+        gaussian.gaussian_chain(spec, (0.0, 0.5, 1.3, 2.0), style)
         assert calls == expected, style
+
+
+@pytest.mark.parametrize("route", ROUTE_SPECS)
+@pytest.mark.parametrize("style", DissipatorStyle)
+@pytest.mark.parametrize(
+    "couplings, message",
+    [
+        ((), "at least one coupling"),
+        ((0.5, np.nan), "finite and nonnegative"),
+        ((np.inf,), "finite and nonnegative"),
+        ((0.5, -0.1), "finite and nonnegative"),
+    ],
+    ids=["empty", "nan", "inf", "negative"],
+)
+def test_chain_step_refuses_a_bad_stack_of_couplings(route, style, couplings, message):
+    spec = ROUTE_SPECS[route]
+    chain_step, _ = thermo._ROUTES[spec.model]
+    with pytest.raises(ValueError, match=message):
+        chain_step(spec, couplings, style)
 
 
 @pytest.mark.parametrize("route", ROUTE_SPECS)
@@ -680,12 +691,12 @@ def test_one_eigh_builds_a_stack_of_xy_chains(monkeypatch):
 def test_empty_stack_gives_empty_fields(route, style):
     spec = ROUTE_SPECS[route]
     chain_step, point_step = thermo._ROUTES[spec.model]
-    chain = chain_step([spec], lindblad.standard_baths(spec, 1.0, 0.0, 0.0, style))
-    state = _fields(point_step(chain, [], np.empty(0), np.empty((0, 2))))
+    chain = chain_step(spec, (spec.coupling_delta,), style)
+    state = _fields(point_step(chain, [], 1.0, np.empty((0, 2))))
     for name, value in state.items():
         assert value.shape[0] == 0, name
     assert state["bath_currents"].shape == (0, 2)
-    one = _fields(point_step(chain, [0], [1.0], [[1.0, 0.5]]))
+    one = _fields(point_step(chain, [0], 1.0, [[1.0, 0.5]]))
     assert {name: value.shape[1:] for name, value in state.items()} == {
         name: value.shape[1:] for name, value in one.items()
     }

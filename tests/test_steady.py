@@ -394,8 +394,8 @@ class TestTreeSum:
 
 def _route_state(spec, kappa, t_left, t_right, style):
     """The rate route's 1-stack at one point of the canonical pair."""
-    chain = rates.pauli_chain([spec], standard_baths(spec, kappa, t_left, t_right, style))
-    return rates.steady_state_pauli(chain, [0], [kappa], [[t_left, t_right]])
+    chain = rates.pauli_chain(spec, (spec.coupling_delta,), style)
+    return rates.steady_state_pauli(chain, [0], kappa, [[t_left, t_right]])
 
 
 def _exact_currents(spec, kappa, t_left, t_right, style):
@@ -404,8 +404,8 @@ def _exact_currents(spec, kappa, t_left, t_right, style):
     levels (uu, ud, du, dd) as exact rationals of h and delta, and each
     bath's sum_ij W[i, j] (E_i - E_j) p_j over the level pairs that differ
     in its spin (the left spin is the high bit of the level index)."""
-    chain = rates.pauli_chain([spec], standard_baths(spec, kappa, t_left, t_right, style))
-    cycle = rates._cycle_rates(chain, np.array([0]), [kappa], np.array([[t_left, t_right]]))
+    chain = rates.pauli_chain(spec, (spec.coupling_delta,), style)
+    cycle = rates._cycle_rates(chain, np.array([0]), kappa, np.array([[t_left, t_right]]))
     matrix = _rate_matrices(cycle)[0][0]
     w = [[Fraction(float(x)) for x in row] for row in matrix]
     tree_sums = _exact_tree_sums(matrix)
@@ -440,7 +440,7 @@ def test_chain_step_is_exact(h, ratio, style):
     # delta, and a gap within the grouping tolerance of zero drives nothing
     spec = SpinChainSpec(2, h, ratio * h, ChainModel.ISING_ZZ)
     delta = spec.coupling_delta
-    chain = rates.pauli_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, style))
+    chain = rates.pauli_chain(spec, (spec.coupling_delta,), style)
     left, right = (chain.slots.frequency[0, chain.slots.bath == k] for k in range(2))
     if style is DissipatorStyle.GLOBAL:
         tol = DEGENERACY_TOL * (0.5 * h + 0.5 * delta)

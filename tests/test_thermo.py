@@ -52,16 +52,15 @@ def pair_gradients(draw, right=temperatures):
     return SpinChainSpec(2, h, delta, ChainModel.ISING_ZZ), t_left, t_right
 
 
-def assert_entropy_production_is_nonnegative(spec, style, points):
+def assert_entropy_production_is_nonnegative(spec, style, kappa, points):
     """Spohn's inequality at each point of one stacked point step: the baths'
     entropy grows at -sum_k J_k / T_k >= 0, up to rounding of the currents.
-    `points` holds (kappa, t_left, t_right) with both temperatures positive."""
+    `points` holds (t_left, t_right) with both temperatures positive."""
     _, point_step = thermo._ROUTES[spec.model]
-    points = np.array(points)
-    kappas, temperatures = points[:, 0], points[:, 1:]
+    temperatures = np.array(points)
     chain = thermo._chain(spec, (spec.coupling_delta,), style)
-    state = point_step(chain, [0] * len(points), kappas, temperatures)
-    for kappa, temps, flows in zip(kappas, temperatures, state.bath_currents):
+    state = point_step(chain, [0] * len(points), kappa, temperatures)
+    for temps, flows in zip(temperatures, state.bath_currents):
         production = -sum(flows / temps)
         floor = 1e-12 * kappa * spec.field_h**2
         assert production >= -floor / min(temps)
@@ -162,7 +161,7 @@ class TestHeatCurrents:
         spec = data.draw(transport_specs(chains))
         _, point_step = thermo._ROUTES[spec.model]
         chain = thermo._chain(spec, (spec.coupling_delta,), style)
-        currents = point_step(chain, [0], [kappa], [[t_left, t_right]]).bath_currents[0]
+        currents = point_step(chain, [0], kappa, [[t_left, t_right]]).bath_currents[0]
         assert len(currents) == 2
         assert abs(sum(currents)) <= 1e-10 * kappa * spec.field_h**2
 
@@ -191,7 +190,7 @@ class TestHeatCurrents:
         chain = thermo._chain(spec, (spec.coupling_delta,), style)
 
         def step(stack):
-            return rates.steady_state_pauli(chain, [0] * len(stack), [kappa] * len(stack), stack)
+            return rates.steady_state_pauli(chain, [0] * len(stack), kappa, stack)
 
         currents = np.empty((0, 2))
         while points:
@@ -211,18 +210,19 @@ class TestHeatCurrents:
     @given(
         data=st.data(),
         style=st.sampled_from(DissipatorStyle),
-        points=st.lists(st.tuples(kappas, warm, warm), min_size=1, max_size=4),
+        kappa=kappas,
+        points=st.lists(st.tuples(warm, warm), min_size=1, max_size=4),
     )
-    def test_entropy_production_is_nonnegative(self, chains, data, style, points):
+    def test_entropy_production_is_nonnegative(self, chains, data, style, kappa, points):
         spec = data.draw(transport_specs(chains))
-        assert_entropy_production_is_nonnegative(spec, style, points)
+        assert_entropy_production_is_nonnegative(spec, style, kappa, points)
 
     @PROPERTY
     @given(pair_gradients(right=warm), kappas)
     def test_entropy_production_in_the_pair_gradient_regime(self, point, kappa):
         spec, t_left, t_right = point
         assert_entropy_production_is_nonnegative(
-            spec, DissipatorStyle.GLOBAL, [(kappa, t_left, t_right)]
+            spec, DissipatorStyle.GLOBAL, kappa, [(t_left, t_right)]
         )
 
     def test_saturation_bound(self):

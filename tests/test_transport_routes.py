@@ -18,7 +18,7 @@ from spinheat.experiments import SweepConfig, run_fig2, run_fig3, run_sweep
 from spinheat.lindblad import DissipatorStyle, standard_baths
 from spinheat.oracle import assemble_liouvillian, steady_state_nullspace
 from spinheat.rates import pauli_chain
-from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian
+from spinheat.spinops import ChainModel, SpinChainSpec, build_hamiltonian, spectral_decompose
 
 from test_steady import dense_ising_state
 
@@ -74,18 +74,16 @@ def _only_member(state):
     return replace(state, **{field.name: getattr(state, field.name)[0] for field in fields(state)})
 
 
-def _route_state(spec, baths):
-    """The state of the transport route `steady_net_current` takes for `spec`,
-    with the chain step on `baths`; they share one kappa."""
+def _route_state(spec, kappa, t_left, t_right, style):
+    """The state of the transport route `steady_net_current` takes for `spec`."""
     chain_step, point_step = thermo._ROUTES[spec.model]
-    (kappa,) = {bath.kappa for bath in baths}
-    temperatures = [[bath.temperature for bath in baths]]
-    return _only_member(point_step(chain_step([spec], baths), [0], [kappa], temperatures))
+    chain = chain_step(spec, (spec.coupling_delta,), style)
+    return _only_member(point_step(chain, [0], kappa, [[t_left, t_right]]))
 
 
 def _both_routes(spec, kappa, t_left, t_right, style):
     baths = standard_baths(spec, kappa, t_left, t_right, style)
-    return _dense_state(spec, baths), _route_state(spec, baths)
+    return _dense_state(spec, baths), _route_state(spec, kappa, t_left, t_right, style)
 
 
 def _assert_same_currents(state, dense_state):
@@ -122,19 +120,6 @@ def test_rate_route_matches_dense_oracle_on_a_grid(style, kappa, ratio):
         _assert_same_state(state, dense_state)
 
 
-def test_rate_route_takes_mixed_styles():
-    # each bath's rate matrix is built on its own, so the baths need not
-    # share a style
-    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
-    baths = [
-        standard_baths(spec, 1.0, 2.0, 0.3, DissipatorStyle.GLOBAL)[0],
-        standard_baths(spec, 1.0, 2.0, 0.3, DissipatorStyle.LOCAL)[1],
-    ]
-    dense_state = _dense_state(spec, baths)
-    _assert_same_state(_route_state(spec, baths), dense_state)
-    assert abs(dense_state.bath_currents[0]) > 1e-3
-
-
 @pytest.mark.parametrize("case", DEGENERATE, ids=_case_id)
 def test_degenerate_kernels_are_resolved_alike(case):
     dense_state, state = _both_routes(*case)
@@ -151,18 +136,18 @@ def test_dense_route_counts_coherences_outside_the_block():
     assert np.max(np.abs(state.rho - dense_state.rho)) <= TOL
 
 
-@pytest.mark.parametrize("style", DissipatorStyle)
-def test_currents_follow_the_bath_order(style):
-    # the right bath listed first: each bath's flow goes to its position,
-    # so the hot left bath's input sits second
-    spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
-    baths = standard_baths(spec, 1.0, 2.0, 0.3, style)[::-1]
-    dense = assemble_liouvillian(build_hamiltonian(spec), baths)
-    dense_state = steady_state_nullspace(dense)
-    _assert_same_currents(_route_state(spec, baths), dense_state)
-    # the local pair carries no current
-    if style is DissipatorStyle.GLOBAL:
-        assert dense_state.bath_currents[1] > 1e-3
+def test_oracle_groups_only_the_gaps_its_coupling_connects():
+    # at delta = 3e9 h the gaps delta - h and delta + h lie within the
+    # grouping tolerance of delta; sigma^x on the right spin connects the gap
+    # delta alone, and on the left spin h - delta and h + delta alone
+    spec = SpinChainSpec(2, 1.0, 3e9, ChainModel.ISING_ZZ)
+    baths = standard_baths(spec, 1.0, 1e10, 1e9, DissipatorStyle.GLOBAL)
+    decomp = spectral_decompose(build_hamiltonian(spec))
+    frequencies = [lindblad.bath_transitions(decomp, bath)[0].tolist() for bath in baths]
+    assert frequencies == [[2999999999.0, 3000000001.0], [3e9]]
+    dense_state, state = _both_routes(spec, 1.0, 1e10, 1e9, DissipatorStyle.GLOBAL)
+    j_dense, j_route = dense_state.bath_currents[0], state.bath_currents[0]
+    assert abs(j_dense - j_route) <= 1e-14 * abs(j_route)
 
 
 def test_transport_path_builds_no_many_body_operator(tmp_path, monkeypatch):
@@ -188,12 +173,4 @@ def test_transport_path_builds_no_many_body_operator(tmp_path, monkeypatch):
 def test_rate_route_refuses_the_xy_chain():
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
     with pytest.raises(ValueError, match="Ising"):
-        pauli_chain([spec], standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.GLOBAL))
-
-
-def test_rate_route_refuses_two_baths_on_one_site():
-    # the cycle flux gives each edge of the pair's cycle to the one bath on its spin
-    spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
-    left = standard_baths(spec, 1.0, 1.0, 0.0, DissipatorStyle.GLOBAL)[0]
-    with pytest.raises(ValueError, match="one bath per site"):
-        pauli_chain([spec], [left, left])
+        pauli_chain(spec, (spec.coupling_delta,), DissipatorStyle.GLOBAL)
