@@ -304,8 +304,11 @@ def _write_csv(
 
 def _workers(jobs: int, items: int) -> int:
     """Workers for `items` items: at most `jobs`, and no more than there
-    are items or processors."""
-    return max(1, min(jobs, items, os.cpu_count() or 1))
+    are items or processors.  One job or one item needs no processor
+    count."""
+    if jobs <= 1 or items <= 1:
+        return 1
+    return min(jobs, items, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------

@@ -53,20 +53,29 @@ in the coupling alone, with the left bath on site 0 and the right bath
 on site n - 1, and holds, for each member, H and the two baths'
 transitions side by side (`lindblad.Slots`), padded like those of the
 rate route with frequency NaN, with each transition's lowering vector,
-zero on padding; none of it depends on temperature or kappa.  It takes
-one batched eigendecomposition of the (C, n, n) hopping matrices and,
-per bath, one `lindblad._groups` call on every member's sorted |eps_k|
-(zero modes NaN), which puts each member's groups first and NaN past
-them; each mode sits in one group, so one assignment puts its l_k in its
-group's vector.  It also records which members have one mode in every
-group (`GaussianChain.diagonal`), from the group labels: the support of
-the lowering vectors would not tell, since at delta = 0 `eigh` returns
-site vectors and the one group of n modes then has lowering vectors of
-one entry.  The point step, `steady_state_gaussian`, takes P points on
-the members at once, at one kappa, with a member index and the two
-baths' temperatures for each point, takes their rates on the live slots
-(`lindblad._slot_rates`), and solves each point by one of two paths,
-chosen by its member's group sizes alone.
+zero on padding; none of it depends on temperature or kappa.  In the
+global style it takes one batched eigendecomposition of the (C, n, n)
+hopping matrices and, per bath, one `lindblad._groups` call on every
+member's sorted |eps_k| (zero modes NaN), which puts each member's groups
+first and NaN past them; each mode sits in one group, so one assignment
+puts its l_k in its group's vector.  It records, read-only and per
+member, which of three paths the point step takes: `GaussianChain.diagonal`
+for a global member whose every group holds one mode, read from the group
+labels (the support of the lowering vectors would not tell, since at
+delta = 0 `eigh` returns site vectors and the one group of n modes then
+has lowering vectors of one entry), and `GaussianChain.tridiagonal` for
+every local member.  The point step, `steady_state_gaussian`, takes P
+points on the members at once, at one kappa, with a member index and the
+two baths' temperatures for each point, takes their rates on the live
+slots (`lindblad._slot_rates`), and solves each point on its member's
+path.
+
+Both closed forms below take each point's rates after an exact scaling
+by a power of two that brings the largest into [0.5, 1), as the Ising
+pair's rate route does, and scale what carries the units of a rate back:
+no product of two rates leaves the normal range at small kappa (the
+one-mode form read 0 from kappa of about 1e-162 on without it), and a
+point whose numbers stay in the normal range keeps its bits.
 
 On a member whose every group holds one mode (the global style away from
 |eps| collisions), each transition lowers one mode, so X and S are
@@ -92,24 +101,57 @@ step on the global chain at h = delta = kappa = 1 takes 0.14 to 0.15 ms
 at n = 5 and 6, against 0.31 to 0.34 ms by the eigenvector route, and
 3.2 ms against 112 ms at n = 200 (one BLAS thread, 2-vCPU Xeon VM).
 
-The other points, the local style and global members with a group of
-several modes (delta = 0, sqrt(2) h at n = 3, 2 h at n = 5, and
-collisions within the grouping tolerance), take Q and S by one product
-over the slots per bath: a bath's transitions share no mode, so each
-entry of it is one term, whatever padding a stack adds.  They are solved
-for K by one eigendecomposition of X, batched over the (P, n, n) stack
-of every such point.  A pair of eigenvalues with
-d_i + conj(d_j) zero (within `KERNEL_RTOL` of the largest |d|) belongs to
-modes no bath damps; the component of K there is set to zero, which is
-the maximally mixed state on those modes, the state the dense route
-projects a degenerate kernel from.  Cost: O(n^3) per point, against
-O(d^6) = O(64^n) for the SVD of the dense d^2 x d^2 generator; the chain
-step keeps n^2 doubles per member and n per transition, at most n
-transitions per bath and member.
+A local member is the uniform chain, h on the diagonal of H and delta
+on its first off-diagonals, with one transition per bath, of rates
+(e_L, a_L) on site 0 and (e_R, a_R) on site n - 1, and its steady state
+is known exactly (Karevski and Platini, PRL 102, 207207 (2009)).  With
+g = e + a and s = (e - a) / 2 for each bath, K is tridiagonal: c_0 on
+K_00, c_{n-1} on the last diagonal entry, one bulk value m on the rest
+of the diagonal, +i beta above the diagonal and -i beta below it.  It
+meets every entry of the equation identically but the two corners and
+the first and last entries above the diagonal, which read
+
+    2 delta beta - g_L c_0 = s_L,      delta (m - c_0) = g_L beta / 2,
+    -2 delta beta - g_R c_{n-1} = s_R,  delta (c_{n-1} - m) = g_R beta / 2,
+
+so that, with X_LR = a_L e_R - e_L a_R, which has the sign of T_L - T_R,
+
+    2 delta beta = -f X_LR / (g_L + g_R),
+    f = 4 delta^2 / (4 delta^2 + g_L g_R) = 1 / (1 + (g_L / 2 delta)(g_R / 2 delta)),
+    m = (g_R c_0 + g_L c_{n-1}) / (g_L + g_R),
+
+and the left bath feeds in -h (g_L c_0 + s_L) = h f X_LR / (g_L + g_R),
+the right bath exactly its negative: the current does not depend on n,
+cannot take the wrong sign, and f, written so, never squares delta.  At
+delta = 0 the middle sites are undamped and m is set to 0, the maximally
+mixed state on them, the state the dense route projects its degenerate
+kernel from.  These points take no eigendecomposition of X: building K
+is O(n) per point, and only its checks, the Lyapunov residual by product
+and `eigvalsh` of the real tridiagonal matrix similar to 2K, cost
+O(n^3).  A two-point step on the local chain at h = delta = kappa = 1
+takes 0.15 to 0.18 ms at n = 5 and 6, against 0.25 to 0.29 ms by the
+eigenvector route, and 10 ms against 170 ms at n = 200 (one BLAS thread,
+2-vCPU Xeon VM).  g > 0 always holds, since h > 0 and kappa > 0 give
+every emission rate a floor of kappa h.
+
+The other points, global members with a group of several modes
+(delta = 0, sqrt(2) h at n = 3, 2 h at n = 5, and collisions within the
+grouping tolerance), take Q and S by one product over the slots per
+bath: a bath's transitions share no mode, so each entry of it is one
+term, whatever padding a stack adds.  They are solved for K by one
+eigendecomposition of X, batched over the (P, n, n) stack of every such
+point.  A pair of eigenvalues with d_i + conj(d_j) zero (within
+`KERNEL_RTOL` of the largest |d|) belongs to modes no bath damps; the
+component of K there is set to zero, which is the maximally mixed state
+on those modes, the state the dense route projects a degenerate kernel
+from.  Cost: O(n^3) per point, against O(d^6) = O(64^n) for the SVD of
+the dense d^2 x d^2 generator; the chain step keeps n^2 doubles per
+member and n per transition, at most n transitions per bath and member.
 
 Where X is defective (an exceptional point: the 2-spin local chain at
-h = 1, delta = 0.5, kappa = 1, T_R = 0 has one at n_BE(h, T_L) = 1), its
-eigenvectors are nearly parallel and their solution misses the equation.
+h = 1, delta = 0.5, kappa = 1, T_R = 0, sent down this route, has one at
+n_BE(h, T_L) = 1), its eigenvectors are nearly parallel and their
+solution misses the equation.
 A residual above `_EIG_RTOL` times ||X|| hands that point alone to the
 Kronecker solve of (X kron I + I kron X^*) vec K = vec S, by
 minimum-norm least squares with relative cutoff `KERNEL_RTOL`, which
@@ -175,14 +217,16 @@ class GaussianChain:
     of the transition in slot s of member c, zero on padding.
     `diagonal[c]` says whether every group of member c holds one mode
     (global style only, from the group labels), so that its X, S and K are
-    diagonal and the point step solves its points in closed form.  Every
-    array is read-only.
+    diagonal, and `tridiagonal[c]` whether member c is a local chain, whose
+    K is tridiagonal with a uniform bulk; the point step solves the points
+    of either in closed form.  Every array is read-only.
     """
 
     hamiltonian: np.ndarray
     slots: Slots
     lowering: np.ndarray
     diagonal: np.ndarray
+    tridiagonal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -241,7 +285,8 @@ def gaussian_chain(
     end, the left bath on site 0 and the right bath on site n - 1: H and
     each bath's (frequency, lowering vector) pairs, built in array
     operations over the whole stack (one batched `eigh` in the global
-    style, none in the local one).  The head's own coupling is not read.
+    style, none in the local one), and the path each member's points take.
+    The head's own coupling is not read.
     """
     if head.model is not ChainModel.XY_TRANSVERSE:
         raise ValueError("the Gaussian route needs the quadratic XY chain")
@@ -257,14 +302,22 @@ def gaussian_chain(
         slots = _slots(left[0], right[0])
         lowering = np.concatenate([left[1], right[1]], axis=1)
         diagonal = left[2] & right[2]
+        tridiagonal = np.zeros(len(delta), dtype=bool)
     else:
         hamiltonian = hop
         slots = _slots(*(np.full((len(delta), 1), nu) for nu in _local_frequencies(head)))
         lowering = np.repeat(np.eye(n)[None, [0, n - 1]], len(delta), axis=0)
         diagonal = np.zeros(len(delta), dtype=bool)
-    for array in (hamiltonian, lowering, diagonal):
+        tridiagonal = np.ones(len(delta), dtype=bool)
+    for array in (hamiltonian, lowering, diagonal, tridiagonal):
         array.setflags(write=False)
-    return GaussianChain(hamiltonian=hamiltonian, slots=slots, lowering=lowering, diagonal=diagonal)
+    return GaussianChain(
+        hamiltonian=hamiltonian,
+        slots=slots,
+        lowering=lowering,
+        diagonal=diagonal,
+        tridiagonal=tridiagonal,
+    )
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -305,6 +358,14 @@ def _lyapunov_residual(x: np.ndarray, k: np.ndarray, source: np.ndarray) -> np.n
     return np.linalg.norm(x @ k + k @ _adjoint(x) - source, axis=(-2, -1))
 
 
+def _scaled(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's (P, S, 2) rates times 2^-E, exactly, with E (P,) the
+    exponent that brings the point's largest rate into [0.5, 1); an
+    infinite or NaN rate keeps E = 0 and reaches the non-finite checks."""
+    exponent = np.frexp(rates.max(axis=(1, 2), initial=0.0))[1]
+    return np.ldexp(rates, -exponent[:, None, None]), exponent
+
+
 def _one_mode_points(
     chain: GaussianChain, member: np.ndarray, rates: np.ndarray, runs: list[slice]
 ) -> tuple[np.ndarray, ...]:
@@ -316,10 +377,12 @@ def _one_mode_points(
     finite, the Kronecker solve's refusal (None here), the bath currents,
     and the largest |eigenvalue| of 2K, each with a leading axis of P."""
     energy = np.diagonal(chain.hamiltonian, axis1=1, axis2=2)[member]
-    # each slot's (emission, absorption) rates on l_tk^2, summed over each
-    # bath's slots: they share no mode and hold one each, so each sum has
-    # one term per entry, however many padding slots the stack adds
-    terms = rates.transpose(2, 0, 1)[..., None] * np.square(chain.lowering[member])
+    # each slot's scaled (emission, absorption) rates on l_tk^2, summed over
+    # each bath's slots: they share no mode and hold one each, so each sum
+    # has one term per entry, however many padding slots the stack adds
+    scaled, exponent = _scaled(rates)
+    exponent = exponent[:, None]
+    terms = scaled.transpose(2, 0, 1)[..., None] * np.square(chain.lowering[member])
     emitted, absorbed = np.stack([terms[:, :, run].sum(axis=2) for run in runs], axis=2)
     # the (P, n) sums over the baths, elementwise in bath order
     emission, absorption = emitted.sum(axis=1), absorbed.sum(axis=1)
@@ -328,10 +391,12 @@ def _one_mode_points(
     # a mode no bath damps stays half filled
     occupation = np.divide(absorption, damping, out=np.full(damping.shape, 0.5), where=~undamped)
     k_diagonal = occupation - 0.5
-    x = 1j * energy - 0.5 * damping
-    source = 0.5 * (emission - absorption)
+    # X, S and the residual in the units of the rates
+    unscaled = np.ldexp(damping, exponent)
+    x = 1j * energy - 0.5 * unscaled
+    source = np.ldexp(0.5 * (emission - absorption), exponent)
     finite = np.isfinite(x).all(axis=1) & np.isfinite(source).all(axis=1)
-    residual = np.linalg.norm(-damping * k_diagonal - source, axis=1)
+    residual = np.linalg.norm(-unscaled * k_diagonal - source, axis=1)
     n = energy.shape[1]
     k = np.zeros((len(member), n, n), dtype=complex)
     k.reshape(len(member), n * n)[:, :: n + 1] = k_diagonal
@@ -350,9 +415,63 @@ def _one_mode_points(
         np.linalg.norm(x, axis=1),
         finite,
         np.full(len(member), None, dtype=object),
-        flows.sum(axis=2),
+        np.ldexp(flows.sum(axis=2), exponent),
         np.max(np.abs(2.0 * k_diagonal), axis=1),
     )
+
+
+def _tridiagonal_points(
+    chain: GaussianChain, member: np.ndarray, rates: np.ndarray, runs: list[slice]
+) -> tuple[np.ndarray, ...]:
+    """The point step's fields of P points on local members, the uniform
+    chain between two edge baths, whose K is tridiagonal with a uniform
+    bulk: in closed form, with no eigendecomposition of X (see the module
+    docstring).  The fields are those of `_one_mode_points`; each bath
+    has one slot, so `runs` is not needed."""
+    hamiltonian = chain.hamiltonian[member]
+    field, delta = hamiltonian[:, 0, 0], hamiltonian[:, 0, 1]
+    # (P, 2) arrays hold the left bath's and the right bath's one slot
+    g = rates.sum(axis=2)
+    s = 0.5 * (rates[..., 0] - rates[..., 1])
+    # X_LR / (g_L + g_R) from the scaled rates, so that no product of two
+    # rates underflows, scaled back
+    scaled, exponent = _scaled(rates)
+    exchange = scaled[:, 0, 1] * scaled[:, 1, 0] - scaled[:, 0, 0] * scaled[:, 1, 1]
+    drive = np.ldexp(exchange / scaled.sum(axis=(1, 2)), exponent)
+    # g / (2 delta), infinite at delta = 0, where f = 0 and beta = 0
+    half = 0.5 * g / delta[:, None]
+    flow = drive / (1.0 + half[:, 0] * half[:, 1])  # f X_LR / (g_L + g_R) = -2 delta beta
+    beta = -0.5 * drive / (delta + 0.5 * g[:, 0] * half[:, 1])
+    ends = (flow[:, None] * [-1.0, 1.0] - s) / g  # c_0 and c_{n-1}
+    bulk = np.where(delta > 0, (g[:, ::-1] * ends).sum(axis=1) / g.sum(axis=1), 0.0)
+
+    n = hamiltonian.shape[1]
+    k = np.zeros((len(member), n * n), dtype=complex)
+    k[:, :: n + 1] = bulk[:, None]
+    k[:, 0], k[:, -1] = ends.T
+    k[:, 1 :: n + 1] = 1j * beta[:, None]
+    k[:, n :: n + 1] = -1j * beta[:, None]
+    k = k.reshape(len(member), n, n)
+    x = 1j * hamiltonian
+    x[:, 0, 0] -= 0.5 * g[:, 0]
+    x[:, -1, -1] -= 0.5 * g[:, 1]
+    source = np.zeros(x.shape)
+    source[:, 0, 0], source[:, -1, -1] = s.T
+    # H is finite: X and S are where g and s are
+    finite = np.isfinite(g).all(axis=1) & np.isfinite(s).all(axis=1)
+    residual = np.full(len(member), np.nan)
+    residual[finite] = _lyapunov_residual(x[finite], k[finite], source[finite])
+    scale = np.linalg.norm(x, axis=(1, 2))
+    kept = residual <= KERNEL_RTOL * scale
+    # a diagonal matrix of phases takes 2K to the real symmetric tridiagonal
+    # 2 (Re K + |Im K|), which has its spectrum
+    similar = 2.0 * (k.real + np.abs(k.imag))
+    largest = np.zeros(len(member))
+    largest[kept] = np.abs(np.linalg.eigvalsh(similar[kept])).max(axis=1)
+    # the left bath feeds in -h (g_L c_0 + s_L) = h f X_LR / (g_L + g_R), the
+    # right bath its negative; adding zero turns a -0 into 0
+    currents = (field * flow)[:, None] * [1.0, -1.0] + 0.0
+    return k, residual, scale, finite, np.full(len(member), None, dtype=object), currents, largest
 
 
 def _coupled_points(
@@ -417,8 +536,9 @@ def _coupled_points(
     return k, residual, scale, finite, refused, currents, largest
 
 
-# an overflow is refused by the non-finite checks, under the point's index
-@np.errstate(over="ignore", invalid="ignore")
+# an overflow is refused by the non-finite checks, under the point's index;
+# a local chain's g / (2 delta) is infinite at delta = 0, where f = 0
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def steady_state_gaussian(
     chain: GaussianChain, member: np.ndarray, kappa: float, temperatures: np.ndarray
 ) -> GaussianState:
@@ -431,35 +551,44 @@ def steady_state_gaussian(
     A point on a member whose every group holds one mode
     (`GaussianChain.diagonal`) is solved in closed form, elementwise, at
     O(n S) for S slots, with no eigendecomposition and no matrix product.
-    The other points are solved as one stack, at O(n^3) each: one batched
-    eigendecomposition of X, and the Kronecker solve for each point whose
-    eigenvector solution leaves a residual above `_EIG_RTOL` times ||X||,
-    near an exceptional point of X (see the module docstring); the other
-    points keep their eigenvector solution.  The
-    returned fields carry a leading axis of length P; a point comes out
-    bit-identical in any stack, and on any chain stack that holds its
-    chain.
+    A point on a local member (`GaussianChain.tridiagonal`) is solved in
+    closed form as well, its tridiagonal K in O(n), and checked by its
+    Lyapunov residual and the spectrum of 2K at O(n^3), with no
+    eigendecomposition of X.  The other points, on global members with a
+    group of several modes, are solved as one stack, at O(n^3) each: one
+    batched eigendecomposition of X, and the Kronecker solve for each point
+    whose eigenvector solution leaves a residual above `_EIG_RTOL` times
+    ||X||, near an exceptional point of X (see the module docstring); the
+    other points keep their eigenvector solution.  The returned fields
+    carry a leading axis of length P; a point comes out bit-identical in
+    any stack, and on any chain stack that holds its chain.
 
     Raises SteadyStateError, naming the first point refused with the
     refusal it meets in a stack of its own, when X or S has a non-finite
     entry, the Kronecker solve is refused, a Lyapunov residual exceeds
-    `KERNEL_RTOL` times ||X||, the bath currents are not finite, or the
-    spectrum of 2K leaves [-1, 1] (mode occupations outside [0, 1]).  The
-    eigensolvers see only the points no earlier check refuses and that
-    the closed form does not take.
+    `KERNEL_RTOL` times ||X|| or is NaN, the bath currents are not finite,
+    or the spectrum of 2K leaves [-1, 1] (mode occupations outside [0, 1]).
+    The eigensolvers see only the points no earlier check refuses and that
+    neither closed form takes.
     """
     member = np.asarray(member, dtype=np.intp)
     rates = _slot_rates(chain.slots, member, kappa, temperatures)
     # the left bath's run of slots, then the right bath's
     split = int(np.searchsorted(chain.slots.bath, 1))
     runs = [slice(0, split), slice(split, None)]
-    diagonal = chain.diagonal[member]
-    if diagonal.all() == diagonal.any():  # one path takes every point
-        solve = _one_mode_points if diagonal.any() else _coupled_points
+    diagonal, tridiagonal = chain.diagonal[member], chain.tridiagonal[member]
+    paths = [
+        (diagonal, _one_mode_points),
+        (tridiagonal, _tridiagonal_points),
+        (~(diagonal | tridiagonal), _coupled_points),
+    ]
+    taken = [(mask, solve) for mask, solve in paths if mask.any()]
+    if len(taken) <= 1:  # one path takes every point
+        solve = taken[0][1] if taken else _coupled_points
         fields = solve(chain, member, rates, runs)
     else:
         fields = None
-        for mask, solve in ((diagonal, _one_mode_points), (~diagonal, _coupled_points)):
+        for mask, solve in taken:
             part = solve(chain, member[mask], rates[mask], runs)
             if fields is None:
                 fields = [np.empty((len(member), *a.shape[1:]), a.dtype) for a in part]
@@ -471,7 +600,7 @@ def steady_state_gaussian(
             (~finite, lambda p: "the Lyapunov equation has a non-finite entry"),
             (refused.astype(bool), refused.__getitem__),
             (
-                residual > KERNEL_RTOL * scale,
+                ~(residual <= KERNEL_RTOL * scale),  # a NaN residual too
                 lambda p: f"Lyapunov residual {residual[p]:.3e} exceeds {KERNEL_RTOL:.0e} x "
                 f"||X|| = {scale[p]:.3e}",
             ),

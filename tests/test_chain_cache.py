@@ -125,12 +125,19 @@ def test_cached_gaussian_arrays_are_read_only(style):
     chain = thermo._chain(spec, (spec.coupling_delta,), style)
     slots = chain.slots
     arrays = [
-        chain.hamiltonian, chain.lowering, chain.diagonal, slots.frequency, slots.live, slots.bath
+        chain.hamiltonian,
+        chain.lowering,
+        chain.diagonal,
+        chain.tridiagonal,
+        slots.frequency,
+        slots.live,
+        slots.bath,
     ]
     assert chain.hamiltonian.shape == (1, 3, 3)
     assert chain.lowering.shape == (1, len(slots.bath), 3)
     # |eps| = 1 + 0.7 sqrt(2), 1 and 0.7 sqrt(2) - 1 stand apart
     assert chain.diagonal.tolist() == [style is DissipatorStyle.GLOBAL]
+    assert chain.tridiagonal.tolist() == [style is DissipatorStyle.LOCAL]
     _assert_read_only(arrays)
 
 

@@ -551,6 +551,20 @@ class TestParallelExecution:
         parallel = run_sweep(cfg, out=tmp_path / "parallel.csv", jobs=2)
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_one_job_asks_no_processor_count(self, tmp_path, monkeypatch):
+        # a dataset at one job runs in this process and needs no processor
+        # count, nor does one item at any number of jobs
+        def cpu_count():
+            raise AssertionError("the processor count was asked for")
+
+        monkeypatch.setattr(experiments.os, "cpu_count", cpu_count)
+        text = (
+            "model = xy\nspins = 3\ndelta = 0.5\nstyle = both\nsweep = temperature\n"
+            "start = 0.1\nstop = 2.0\npoints = 6\nt_right = 0.0\n"
+        )
+        run_sweep(parse_config_text(text), out=tmp_path / "sweep.csv", jobs=1)
+        assert experiments._workers(1, 100) == experiments._workers(4, 1) == 1
+
     def test_pool_is_no_larger_than_the_items_or_the_processors(self, monkeypatch):
         # no oversized pool is ever started
         sizes = []

@@ -1,6 +1,7 @@
 """The Gaussian (one-body correlation matrix) route of the XY chain against the
 dense oracle, closed forms and the Majorana covariance equation."""
 
+import dataclasses
 import functools
 import math
 
@@ -33,6 +34,7 @@ from spinheat.steady import SteadyStateError
 
 import test_transport_routes as transport_routes
 from test_chain_cache import PROPERTY, _dense_current, bath_frequencies, kappas, temperatures
+from test_thermo import wide
 
 GLOBAL, LOCAL = DissipatorStyle.GLOBAL, DissipatorStyle.LOCAL
 ROOT2 = math.sqrt(2.0)
@@ -62,10 +64,32 @@ CASES = (
 )
 H_FIELD, KAPPA = 1.3, 0.7
 
+# Below this coupling, as a fraction of h, the middle modes of a local chain
+# of three or more spins are damped, at order delta^2 / kappa, below
+# KERNEL_RTOL of the largest rate.  A reference that solves with that
+# relative cut (the dense kernel rule, least squares) drops them, as the
+# eigenvector route does, and reads the wrong sign: -8.04e-13 against the
+# exact +8.23e-13 at delta = 1e-6 h.  The local current does not depend on
+# the length of the chain, so such a case takes its reference from the
+# 2-spin chain, which has no middle modes.
+WEAK_LOCAL = 1e-3
+
 
 def _case_id(case):
     n, ratio, style, t_left, t_right = case
     return f"xy{n}-{style.value}-d{ratio:.10g}h-TL{t_left}-TR{t_right}"
+
+
+def _weak_local(case):
+    n, ratio, style = case[:3]
+    return style is LOCAL and n >= 3 and 0.0 < ratio < WEAK_LOCAL
+
+
+def eigenvector_route(chain):
+    """The same chain with no member marked for the local closed form, so
+    that the point step sends its local members to `_coupled_points`: the
+    eigenvector and Kronecker solves, which no local point takes otherwise."""
+    return dataclasses.replace(chain, tridiagonal=np.zeros_like(chain.tridiagonal))
 
 
 def _spec(n, ratio):
@@ -133,20 +157,28 @@ def _oracle_currents(case):
     """Each case's bath currents from a route that shares no code with the
     Gaussian one: the dense generator up to four spins, a closed form past
     that, and the dense generator at five spins where no closed form
-    applies.  A six-spin dense point would need a 4096 x 4096 SVD."""
+    applies.  A six-spin dense point would need a 4096 x 4096 SVD.  A weak
+    local coupling takes the 2-spin dense generator (`WEAK_LOCAL`)."""
+    if _weak_local(case):
+        return _dense_currents((2, *case[1:]))
     closed = _closed_form_currents(case)
     if case[0] <= 4 or closed is None:
         return _dense_currents(case)
     return closed
 
 
-def _assert_matches_oracle(case):
-    """The route's chain step and state of one case, checked against the oracle."""
+def _assert_matches_oracle(case, eigenvectors=False):
+    """The route's chain step and state of one case, checked against the
+    oracle.  With `eigenvectors`, the chain goes down the eigenvector route
+    (`eigenvector_route`), whose weak local cases are checked against the
+    dense generator at their own length, which cuts the same modes."""
     n, ratio, style, t_left, t_right = case
     spec = _spec(n, ratio)
     chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    if eigenvectors:
+        chain = eigenvector_route(chain)
     state = steady_state_gaussian(chain, [0], KAPPA, [[t_left, t_right]])
-    exact = _oracle_currents(case)
+    exact = _dense_currents(case) if eigenvectors and _weak_local(case) else _oracle_currents(case)
     assert state.bath_currents.shape == (1, len(exact)) == (1, 2)
     for got, want in zip(state.bath_currents[0], exact):
         assert abs(got - want) <= max(1e-10 * abs(want), 1e-12 * KAPPA)
@@ -196,9 +228,11 @@ def test_local_xy_current_is_length_independent(n_spins):
 def test_kronecker_solve_matches_oracle(case, monkeypatch):
     # an eigenvector solution of NaNs misses every bound, so the Kronecker
     # solve carries each case of the eigenvector route alone, undamped modes
-    # included.  A case whose every group holds one mode takes the closed
-    # form, which calls neither solver; its K is the Kronecker solution of
-    # the same equation
+    # included: the global cases with a group of several modes, and every
+    # local case sent down that route.  A case whose every group holds one
+    # mode, and a local case, take a closed form, which calls neither
+    # solver; its K is the Kronecker solution of the same equation, except
+    # where least squares cuts a weak local chain's middle modes
     eig_calls, calls = [], []
     kronecker = gaussian._lyapunov_kronecker
 
@@ -213,12 +247,15 @@ def test_kronecker_solve_matches_oracle(case, monkeypatch):
     monkeypatch.setattr(gaussian, "_lyapunov_eig", nan_eig)
     monkeypatch.setattr(gaussian, "_lyapunov_kronecker", counted)
     chain, state = _assert_matches_oracle(case)
+    if chain.diagonal[0] or chain.tridiagonal[0]:
+        assert eig_calls == calls == []
+        if not _weak_local(case):
+            x, source = _lyapunov_equation(chain, case[3:])
+            assert np.max(np.abs(state.covariance[0] - kronecker(x, source))) <= 1e-12
+    if chain.tridiagonal[0]:
+        _assert_matches_oracle(case, eigenvectors=True)
     if not chain.diagonal[0]:
         assert calls == [1]
-        return
-    assert eig_calls == calls == []
-    x, source = _lyapunov_equation(chain, case[3:])
-    assert np.max(np.abs(state.covariance[0] - kronecker(x, source))) <= 1e-12
 
 
 def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
@@ -231,7 +268,7 @@ def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
     monkeypatch.setattr(gaussian, "_lyapunov_kronecker", never)
     monkeypatch.setattr(np, "kron", never)
     spec = _spec(17, 0.3)
-    chain = gaussian_chain(spec, (spec.coupling_delta, 0.7 * spec.field_h), LOCAL)
+    chain = eigenvector_route(gaussian_chain(spec, (spec.coupling_delta, 0.7 * spec.field_h), LOCAL))
     temps = [[2.0, 0.5], [1.0, 0.0], [2.0, 0.0]]
     with pytest.raises(SteadyStateError, match=r"n = 17 needs a 289 x 289 operator") as excinfo:
         steady_state_gaussian(chain, [1, 0, 1], 1.0, temps)
@@ -293,6 +330,93 @@ def test_one_mode_groups_keep_the_clausius_sign_over_the_coupling_range(
         assert j_left * (t_left - t_right) >= 0
         assert abs(j_left + j_right) <= 4 * np.finfo(float).eps * abs(j_left)
     assert chain.diagonal[0]
+
+
+@pytest.mark.parametrize("style", DissipatorStyle)
+def test_current_per_kappa_holds_down_to_the_bottom_of_the_double_range(style):
+    # n = 3, h = 1, delta = 0.5, T_L = 2, T_R = 0.  Global J is linear in
+    # kappa: the mode sum.  Local J / kappa is e^(-1/2) / 2 times
+    # 1 / (1 + g_L g_R / 4 delta^2), with g of order kappa, which stays
+    # within 1e-13 of 1 from kappa = 1e-7 down.  Without the power-of-two
+    # scaling the one-mode form's products of two rates underflowed and J
+    # read 0 from kappa of about 1e-162 on; the local eigenvector route cut
+    # damped mode pairs as undamped and read -0.098 at kappa = 1e-9 and -0.5
+    # from 1e-10 on
+    spec = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
+    if style is GLOBAL:
+        exact = _mode_sum_currents((3, 0.5, GLOBAL, 2.0, 0.0), h=1.0, kappa=1.0)[0]
+        exponents = range(0, -301, -10)
+    else:
+        exact = math.exp(-0.5) / 2.0
+        exponents = [-7, -8, -9, -10, *range(-20, -301, -10)]
+    chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    for exponent in exponents:
+        kappa = 10.0**exponent
+        currents = steady_state_gaussian(chain, [0], kappa, [[2.0, 0.0]]).bath_currents[0]
+        assert currents[0] / kappa == pytest.approx(exact, rel=1e-12, abs=0), exponent
+        assert currents[1] == -currents[0]
+
+
+def _exact_or_refused(step, points):
+    """The (P, 2) bath currents of a stack of points, NaN on each point the
+    stack refuses, which must be refused alone as well."""
+    currents = np.full((len(points), 2), np.nan)
+    live = list(range(len(points)))
+    while live:
+        try:
+            currents[live] = step([points[p] for p in live])
+            break
+        except SteadyStateError as err:
+            refused = live.pop(err.member)
+            with pytest.raises(SteadyStateError):
+                step([points[refused]])
+    return currents
+
+
+@PROPERTY
+@given(
+    h=st.floats(0.5, 2.0),
+    delta=st.floats(-8.0, 10.0).map(lambda exponent: 10.0**exponent),
+    kappa=st.floats(-12.0, 2.0).map(lambda exponent: 10.0**exponent),
+    points=st.lists(st.tuples(wide, wide), min_size=1, max_size=6),
+)
+# the local cases of F3: weak coupling, where the eigenvector route read
+# -1.1997e-11 at n = 3 and 4; weak kappa, where it read -0.5 kappa; strong
+# coupling, where it read 0.765 at n = 3 against the 2-spin chain's
+# 0.3032653; and delta far below kappa h, where the 2-spin chain's
+# absolute error of 1e-16 kappa moved J / delta^2 by a factor 5.8
+@example(h=1.0, delta=1e-5, kappa=1.0, points=[(2.0, 0.5)])
+@example(h=1.0, delta=0.5, kappa=1e-10, points=[(2.0, 0.0)])
+@example(h=1.0, delta=1e8, kappa=1.0, points=[(2.0, 0.0)])
+@example(h=1.0, delta=1e-8, kappa=1.0, points=[(2.0, 0.5), (0.0, 1.0)])
+def test_local_chain_over_the_double_range_is_exact_or_refused(h, delta, kappa, points):
+    # every point on the local chain of 2 to 8 spins is either refused, as
+    # it is alone, or keeps the Clausius sign, balances its baths exactly
+    # and reads the same bits at every length.  Where delta <= 1e-7 kappa h,
+    # g_L g_R / 4 delta^2 >= 2.5e13 (g >= kappa h), J is kappa-weak: J /
+    # delta^2 at delta and at delta / 1024 agree to 1e-12
+    weak = delta / 1024.0
+    lengths = []
+    for n in range(2, 9):
+        spec = SpinChainSpec(n, h, delta, ChainModel.XY_TRANSVERSE)
+        chain = gaussian_chain(spec, (delta, weak), LOCAL)
+
+        def step(stack, member):
+            return steady_state_gaussian(chain, [member] * len(stack), kappa, stack).bath_currents
+
+        lengths.append([_exact_or_refused(lambda stack: step(stack, m), points) for m in (0, 1)])
+    for currents in lengths[1:]:
+        assert [c.tobytes() for c in currents] == [c.tobytes() for c in lengths[0]]
+    at_delta, at_weak = lengths[0]
+    for (t_left, t_right), (j_left, j_right) in zip(points, at_delta):
+        if np.isnan(j_left):
+            continue
+        assert j_left * (t_left - t_right) >= 0
+        assert j_right == -j_left
+    if delta <= 1e-7 * kappa * h:
+        for j, j_weak in zip(at_delta[:, 0], at_weak[:, 0]):
+            if not np.isnan(j):
+                assert abs(j / delta**2 - j_weak / weak**2) <= 1e-12 * abs(j / delta**2)
 
 
 def test_two_hundred_spin_global_currents_are_the_mode_sum():
@@ -368,7 +492,9 @@ def test_majorana_covariance_gives_the_route_currents(n):
         spec = _spec(n, ratio)
         chain = gaussian_chain(spec, (spec.coupling_delta,), style)
         state = steady_state_gaussian(chain, [0], KAPPA, [[t_left, t_right]])
-        want = _majorana_currents(n, ratio, style, t_left, t_right)
+        # least squares cuts a weak local chain's middle modes (`WEAK_LOCAL`)
+        length = 2 if _weak_local((n, ratio, style)) else n
+        want = _majorana_currents(length, ratio, style, t_left, t_right)
         for got, expected in zip(state.bath_currents[0], want):
             assert abs(got - expected) <= 1e-12 * KAPPA, (ratio, style, t_left, t_right)
 
@@ -450,32 +576,37 @@ def test_the_transport_route_is_chosen_by_the_model():
         assert isinstance(thermo._chain(ising, (ising.coupling_delta,), style), PauliChain)
 
 
-def _with_rates(monkeypatch, rates, style, ratio):
+def _with_rates(monkeypatch, rates, style, ratio, eigenvectors):
     monkeypatch.setattr(lindblad, "thermal_rates", lambda kappa, temperature, frequency: rates)
     spec = _spec(2, ratio)
     chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    if eigenvectors:
+        chain = eigenvector_route(chain)
     return steady_state_gaussian(chain, [0], 1.0, [[1.0, 0.0]])
 
 
-# the eigenvector route, and the closed form of two modes apart
+# the eigenvector route (a local chain sent down it), the closed form of two
+# modes apart, and the local closed form
 ROUTE_CHAINS = pytest.mark.parametrize(
-    "style, ratio", [(LOCAL, 0.0), (GLOBAL, 0.5)], ids=["eigenvectors", "closed-form"]
+    "style, ratio, eigenvectors",
+    [(LOCAL, 0.0, True), (GLOBAL, 0.5, False), (LOCAL, 0.5, False)],
+    ids=["eigenvectors", "closed-form", "tridiagonal"],
 )
 
 
 @ROUTE_CHAINS
-def test_unphysical_covariance_raises(monkeypatch, style, ratio):
+def test_unphysical_covariance_raises(monkeypatch, style, ratio, eigenvectors):
     # a negative absorption rate drives the occupation to a/(e + a) = -1
     with pytest.raises(SteadyStateError, match="not physical"):
-        _with_rates(monkeypatch, (1.0, -0.5), style, ratio)
+        _with_rates(monkeypatch, (1.0, -0.5), style, ratio, eigenvectors)
 
 
 @ROUTE_CHAINS
-def test_lyapunov_residual_guard_raises(monkeypatch, style, ratio):
+def test_lyapunov_residual_guard_raises(monkeypatch, style, ratio, eigenvectors):
     # opposite rates cancel the damping but leave a source on the undamped
     # modes, so no covariance solves the equation
     with pytest.raises(SteadyStateError, match="residual"):
-        _with_rates(monkeypatch, (1.0, -1.0), style, ratio)
+        _with_rates(monkeypatch, (1.0, -1.0), style, ratio, eigenvectors)
 
 
 def _fermi(energies, temperature):

@@ -39,6 +39,7 @@ from test_chain_cache import (
     live_counts,
     temperatures,
 )
+from test_gaussian import eigenvector_route
 from test_steady import CYCLE_EDGES, _rate_matrices
 
 # a degenerate kernel on the rate route: the right local bath of the Ising
@@ -50,11 +51,12 @@ EXCEPTIONAL = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
 EXCEPTIONAL_POINT = (1.0 / math.log(2.0), 0.0)
 
 
-def _step(spec, style, kappa=1.0):
-    """The route's point step at `kappa` on (t_left, t_right) points of the
-    cached chain."""
+def _step(spec, style, kappa=1.0, chain=None):
+    """The route's point step at `kappa` on (t_left, t_right) points of
+    `chain`, by default the cached chain."""
     _, point_step = thermo._ROUTES[spec.model]
-    chain = thermo._chain(spec, (spec.coupling_delta,), style)
+    if chain is None:
+        chain = thermo._chain(spec, (spec.coupling_delta,), style)
 
     def step(points):
         return point_step(chain, [0] * len(points), kappa, points)
@@ -66,8 +68,8 @@ def _fields(state):
     return {name: np.asarray(value) for name, value in vars(state).items()}
 
 
-def _assert_members_are_their_own_calls(spec, style, points, kappa=1.0):
-    step = _step(spec, style, kappa)
+def _assert_members_are_their_own_calls(spec, style, points, kappa=1.0, chain=None):
+    step = _step(spec, style, kappa, chain)
     stacked = _fields(step(points))
     for p, point in enumerate(points):
         alone = _fields(step([point]))
@@ -128,7 +130,10 @@ def test_exceptional_point_alone_takes_the_kronecker_solve(monkeypatch):
     monkeypatch.setattr(gaussian, "_lyapunov_kronecker", counted)
     style = DissipatorStyle.LOCAL
     stack = [(0.5, 0.0), EXCEPTIONAL_POINT, (2.0, 0.0)]
-    state = _assert_members_are_their_own_calls(EXCEPTIONAL, style, stack)
+    # a local chain takes its closed form; sent down the eigenvector route,
+    # it keeps the exceptional point
+    chain = eigenvector_route(gaussian.gaussian_chain(EXCEPTIONAL, (0.5,), style))
+    state = _assert_members_are_their_own_calls(EXCEPTIONAL, style, stack, chain=chain)
     # once in the stack and once in its own 1-stack; the neighbours never
     assert len(calls) == 2
     assert np.array_equal(calls[0], calls[1])
@@ -237,10 +242,35 @@ def test_one_eigendecomposition_solves_a_stack_of_several_chains(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counted)
     spec = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
     chain_step, point_step = thermo._ROUTES[spec.model]
-    chain = chain_step(spec, (0.0, 0.5, 1.3), DissipatorStyle.LOCAL)
+    chain = eigenvector_route(chain_step(spec, (0.0, 0.5, 1.3), DissipatorStyle.LOCAL))
     temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0]]
     point_step(chain, [2, 0, 1, 2, 0], 1.0, temperatures)
     assert calls == [(5, 3, 3)]
+
+
+def test_local_points_take_neither_solver(monkeypatch):
+    # every local member, delta = 0 and the exceptional point included,
+    # takes the closed form: no eigendecomposition of X, no Kronecker solve,
+    # and each point is its own 1-stack
+    def never(*args):
+        raise AssertionError("a local point reached a Lyapunov solver")
+
+    monkeypatch.setattr(gaussian, "_lyapunov_eig", never)
+    monkeypatch.setattr(gaussian, "_lyapunov_kronecker", never)
+    monkeypatch.setattr(np.linalg, "eig", never)
+    couplings = (0.0, 0.5, 1.3, 1e-6, 1e9)
+    for spec in (EXCEPTIONAL, SpinChainSpec(6, 1.0, 0.5, ChainModel.XY_TRANSVERSE)):
+        chain = gaussian.gaussian_chain(spec, couplings, DissipatorStyle.LOCAL)
+        assert chain.tridiagonal.all() and not chain.diagonal.any()
+        member = [2, 0, 1, 4, 3, 2]
+        temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0],
+                        list(EXCEPTIONAL_POINT)]
+        stacked = _fields(gaussian.steady_state_gaussian(chain, member, 1.0, temperatures))
+        for p, (m, temps) in enumerate(zip(member, temperatures)):
+            alone = gaussian.gaussian_chain(spec, couplings[m : m + 1], DissipatorStyle.LOCAL)
+            own = _fields(gaussian.steady_state_gaussian(alone, [0], 1.0, [temps]))
+            for name, value in stacked.items():
+                assert value[p].tobytes() == own[name][0].tobytes(), (name, p)
 
 
 def test_one_mode_members_skip_the_eigendecomposition_in_a_mixed_stack(monkeypatch):
@@ -575,6 +605,7 @@ def _member_by_member(head, couplings, style):
         "bath": slots.bath,
         "lowering": np.concatenate(padded_lowering, axis=1),
         "diagonal": np.array([member[3] for member in members]),
+        "tridiagonal": np.full(len(members), style is DissipatorStyle.LOCAL),
     }
 
 
@@ -612,6 +643,7 @@ def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
         "bath": chain.slots.bath,
         "lowering": chain.lowering,
         "diagonal": chain.diagonal,
+        "tridiagonal": chain.tridiagonal,
     }
     for name, value in reference.items():
         assert arrays[name].shape == value.shape, name
