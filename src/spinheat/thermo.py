@@ -26,11 +26,12 @@ chain.  `_ROUTES` picks their route by the model:
   jump operators are linear in annihilation operators of one fermion
   basis, so its steady state is fixed by the n x n one-body correlation
   matrix: `gaussian.gaussian_chain` is the chain step,
-  `gaussian.steady_state_gaussian` the point step.  It solves in closed
-  form a global member whose every group of modes is one mode, at O(n^2),
-  and every local member, whose K is tridiagonal with a uniform bulk, with
-  O(n^3) checks; only global members with a group of several modes take
-  an eigendecomposition of X, at O(n^3).
+  `gaussian.steady_state_gaussian` the point step.  It solves every
+  point in closed form, with no eigendecomposition of X: a global member
+  on its collective modes, each group of several modes written on span(u, v)
+  of its two baths' lowering vectors, at O(n S) for S slots, and O(n^3)
+  checks where a group holds a pair of collective modes; a local member,
+  whose K is tridiagonal with a uniform bulk, with O(n^3) checks.
 - The Ising zz pair is not quadratic (sz sz is quartic in the fermions),
   but its H is diagonal and its jumps map basis states to basis states, so
   its populations obey a closed Pauli master equation on the cycle of its
@@ -77,11 +78,11 @@ from .spinops import ChainModel, SpinChainSpec
 # three runs in each of three processes, one BLAS thread, a 2-vCPU Xeon VM
 # shared with other load; the low ends are its quiet runs).  The rate
 # route's entries hold each bath's slots and an (C, 8) cycle index, 11 kB
-# for fig3's 100 couplings.  The Gaussian route's hold, per member, H, two
-# one-byte flags and n + 1 doubles per transition: 0.8 kB
-# for the 5-spin chain and 1.1 kB for the 6-spin chain in the global
-# style, 0.3 and 0.4 kB in the local style, so a coupling grid's entry
-# grows by that much per grid point.
+# for fig3's 100 couplings.  The Gaussian route's hold, per member, H,
+# n integers (the pairs) and n + 1 doubles per transition: 0.7 kB for the
+# 5-spin chain and 1.1 kB for the 6-spin chain in the global style, 0.4
+# and 0.5 kB in the local style, so a coupling grid's entry grows by that
+# much per grid point.
 _CHAIN_CACHE_SIZE = 8
 
 # each model's transport route: (chain step, point step)

@@ -127,17 +127,16 @@ def test_cached_gaussian_arrays_are_read_only(style):
     arrays = [
         chain.hamiltonian,
         chain.lowering,
-        chain.diagonal,
-        chain.tridiagonal,
+        chain.partner,
         slots.frequency,
         slots.live,
         slots.bath,
     ]
     assert chain.hamiltonian.shape == (1, 3, 3)
     assert chain.lowering.shape == (1, len(slots.bath), 3)
-    # |eps| = 1 + 0.7 sqrt(2), 1 and 0.7 sqrt(2) - 1 stand apart
-    assert chain.diagonal.tolist() == [style is DissipatorStyle.GLOBAL]
-    assert chain.tridiagonal.tolist() == [style is DissipatorStyle.LOCAL]
+    # |eps| = 1 + 0.7 sqrt(2), 1 and 0.7 sqrt(2) - 1 stand apart: no pair
+    assert chain.partner.tolist() == [[0, 1, 2]]
+    assert chain.style is style
     _assert_read_only(arrays)
 
 

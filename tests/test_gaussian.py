@@ -1,8 +1,8 @@
 """The Gaussian (one-body correlation matrix) route of the XY chain against the
 dense oracle, closed forms and the Majorana covariance equation."""
 
-import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spinheat.lindblad as lindblad
-from spinheat import gaussian, thermo
+from spinheat import thermo
 from spinheat.gaussian import GaussianChain, gaussian_chain, steady_state_gaussian
 from spinheat.lindblad import (
     DEGENERACY_TOL,
@@ -30,7 +30,7 @@ from spinheat.spinops import (
     embed_matrix,
     spectral_decompose,
 )
-from spinheat.steady import SteadyStateError
+from spinheat.steady import KERNEL_RTOL, SteadyStateError
 
 import test_transport_routes as transport_routes
 from test_chain_cache import PROPERTY, _dense_current, bath_frequencies, kappas, temperatures
@@ -51,6 +51,9 @@ CASES = (
     # eta_k'^dag, and the right bath's eta^dag part carries a minus sign
     + [(n, ratio, style, tl, tr) for n, ratio in ((3, ROOT2), (4, 2.0), (5, 2.0))
        for style in (GLOBAL, LOCAL) for tl, tr in ((2.0, 0.0), (1.0, 0.4), (0.0, 2.5))]
+    # a collision whose two lowering vectors are neither parallel nor
+    # orthogonal (cos = 0.6): a pair of collective modes
+    + [(5, 2.0 / math.sqrt(3.0), GLOBAL, 2.0, 0.0)]
     # generic couplings, a split far below every rate, and equal temperatures
     + [(n, ratio, style, 1.5, 0.2) for n in (2, 3, 4, 5) for ratio in (1e-6, 0.3, 0.7)
        for style in (GLOBAL, LOCAL)]
@@ -67,11 +70,10 @@ H_FIELD, KAPPA = 1.3, 0.7
 # Below this coupling, as a fraction of h, the middle modes of a local chain
 # of three or more spins are damped, at order delta^2 / kappa, below
 # KERNEL_RTOL of the largest rate.  A reference that solves with that
-# relative cut (the dense kernel rule, least squares) drops them, as the
-# eigenvector route does, and reads the wrong sign: -8.04e-13 against the
-# exact +8.23e-13 at delta = 1e-6 h.  The local current does not depend on
-# the length of the chain, so such a case takes its reference from the
-# 2-spin chain, which has no middle modes.
+# relative cut (the dense kernel rule, least squares) drops them and reads
+# the wrong sign: -8.04e-13 against the exact +8.23e-13 at delta = 1e-6 h.
+# The local current does not depend on the length of the chain, so such a
+# case takes its reference from the 2-spin chain, which has no middle modes.
 WEAK_LOCAL = 1e-3
 
 
@@ -83,13 +85,6 @@ def _case_id(case):
 def _weak_local(case):
     n, ratio, style = case[:3]
     return style is LOCAL and n >= 3 and 0.0 < ratio < WEAK_LOCAL
-
-
-def eigenvector_route(chain):
-    """The same chain with no member marked for the local closed form, so
-    that the point step sends its local members to `_coupled_points`: the
-    eigenvector and Kronecker solves, which no local point takes otherwise."""
-    return dataclasses.replace(chain, tridiagonal=np.zeros_like(chain.tridiagonal))
 
 
 def _spec(n, ratio):
@@ -167,18 +162,13 @@ def _oracle_currents(case):
     return closed
 
 
-def _assert_matches_oracle(case, eigenvectors=False):
-    """The route's chain step and state of one case, checked against the
-    oracle.  With `eigenvectors`, the chain goes down the eigenvector route
-    (`eigenvector_route`), whose weak local cases are checked against the
-    dense generator at their own length, which cuts the same modes."""
+def _assert_matches_oracle(case):
+    """The route's state of one case, checked against the oracle."""
     n, ratio, style, t_left, t_right = case
     spec = _spec(n, ratio)
     chain = gaussian_chain(spec, (spec.coupling_delta,), style)
-    if eigenvectors:
-        chain = eigenvector_route(chain)
     state = steady_state_gaussian(chain, [0], KAPPA, [[t_left, t_right]])
-    exact = _dense_currents(case) if eigenvectors and _weak_local(case) else _oracle_currents(case)
+    exact = _oracle_currents(case)
     assert state.bath_currents.shape == (1, len(exact)) == (1, 2)
     for got, want in zip(state.bath_currents[0], exact):
         assert abs(got - want) <= max(1e-10 * abs(want), 1e-12 * KAPPA)
@@ -202,9 +192,31 @@ def _lyapunov_equation(chain, temperatures):
     return 1j * chain.hamiltonian[0] - 0.5 * q, s
 
 
+def _kronecker_solve(x, source):
+    """K as the minimum-norm least-squares solution of
+    (X kron I + I kron X^*) vec K = vec S, with no code of the route."""
+    eye = np.eye(len(x))
+    operator = np.kron(x, eye) + np.kron(eye, x.conj())
+    k = np.linalg.lstsq(operator, source.reshape(-1).astype(complex), rcond=KERNEL_RTOL)[0]
+    k = k.reshape(x.shape)
+    return 0.5 * (k + k.conj().T)
+
+
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_gaussian_route_matches_oracle(case):
     _assert_matches_oracle(case)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_kronecker_solve_matches_oracle(case):
+    # the route's K, in its own closed form, is the Kronecker least-squares
+    # solution of its own equation X K + K X^dag = S, undamped modes
+    # included, except where least squares cuts a weak local chain's middle
+    # modes (WEAK_LOCAL), which the oracle comparison covers alone
+    chain, state = _assert_matches_oracle(case)
+    if not _weak_local(case):
+        x, source = _lyapunov_equation(chain, case[3:])
+        assert np.max(np.abs(state.covariance[0] - _kronecker_solve(x, source))) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -222,58 +234,6 @@ def test_local_xy_current_is_length_independent(n_spins):
     spec = SpinChainSpec(n_spins, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
     j = thermo.steady_net_current(spec, 1.0, 2.0, 0.0, LOCAL)
     assert round(j, 6) == 0.150076
-
-
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_kronecker_solve_matches_oracle(case, monkeypatch):
-    # an eigenvector solution of NaNs misses every bound, so the Kronecker
-    # solve carries each case of the eigenvector route alone, undamped modes
-    # included: the global cases with a group of several modes, and every
-    # local case sent down that route.  A case whose every group holds one
-    # mode, and a local case, take a closed form, which calls neither
-    # solver; its K is the Kronecker solution of the same equation, except
-    # where least squares cuts a weak local chain's middle modes
-    eig_calls, calls = [], []
-    kronecker = gaussian._lyapunov_kronecker
-
-    def nan_eig(x, source):
-        eig_calls.append(len(x))
-        return np.full_like(x, np.nan)
-
-    def counted(x, source):
-        calls.append(1)
-        return kronecker(x, source)
-
-    monkeypatch.setattr(gaussian, "_lyapunov_eig", nan_eig)
-    monkeypatch.setattr(gaussian, "_lyapunov_kronecker", counted)
-    chain, state = _assert_matches_oracle(case)
-    if chain.diagonal[0] or chain.tridiagonal[0]:
-        assert eig_calls == calls == []
-        if not _weak_local(case):
-            x, source = _lyapunov_equation(chain, case[3:])
-            assert np.max(np.abs(state.covariance[0] - kronecker(x, source))) <= 1e-12
-    if chain.tridiagonal[0]:
-        _assert_matches_oracle(case, eigenvectors=True)
-    if not chain.diagonal[0]:
-        assert calls == [1]
-
-
-def test_kronecker_solve_is_refused_above_sixteen_spins(monkeypatch):
-    # a 17-spin chain whose eigenvector solution misses: the Kronecker
-    # operator would have 289 rows, so the point is refused before any is built
-    def never(x, source):
-        raise AssertionError("the Kronecker solve ran")
-
-    monkeypatch.setattr(gaussian, "_lyapunov_eig", lambda x, source: np.full_like(x, np.nan))
-    monkeypatch.setattr(gaussian, "_lyapunov_kronecker", never)
-    monkeypatch.setattr(np, "kron", never)
-    spec = _spec(17, 0.3)
-    chain = eigenvector_route(gaussian_chain(spec, (spec.coupling_delta, 0.7 * spec.field_h), LOCAL))
-    temps = [[2.0, 0.5], [1.0, 0.0], [2.0, 0.0]]
-    with pytest.raises(SteadyStateError, match=r"n = 17 needs a 289 x 289 operator") as excinfo:
-        steady_state_gaussian(chain, [1, 0, 1], 1.0, temps)
-    assert excinfo.value.member == 0  # every point is refused: the first is named
-    assert "refused above n = 16" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("ratio", [1e7, 1e8, 3e8, 7e8])
@@ -329,7 +289,7 @@ def test_one_mode_groups_keep_the_clausius_sign_over_the_coupling_range(
     for (t_left, t_right), (j_left, j_right) in zip(points, stack.bath_currents):
         assert j_left * (t_left - t_right) >= 0
         assert abs(j_left + j_right) <= 4 * np.finfo(float).eps * abs(j_left)
-    assert chain.diagonal[0]
+    assert chain.partner.tolist() == [list(range(n))]
 
 
 @pytest.mark.parametrize("style", DissipatorStyle)
@@ -419,9 +379,171 @@ def test_local_chain_over_the_double_range_is_exact_or_refused(h, delta, kappa, 
                 assert abs(j / delta**2 - j_weak / weak**2) <= 1e-12 * abs(j / delta**2)
 
 
+def _collisions(max_spins=8):
+    """Every |eps| collision of the uniform chain of 2 to `max_spins` spins,
+    as (n, delta / h): the mode at theta_k = pi k / (n + 1) above zero meets
+    the mode at theta_j below zero where delta = -h / (cos theta_k + cos theta_j).
+    Mirror parity makes the two baths' lowering vectors on the group
+    parallel where k + j is odd, and independent where it is even."""
+    cases = []
+    for n in range(2, max_spins + 1):
+        cosines = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+        for k, j in itertools.combinations(range(n), 2):
+            if cosines[k] + cosines[j] < -1e-12:
+                cases.append((n, float(-1.0 / (cosines[k] + cosines[j]))))
+    return cases
+
+
+COLLISIONS = _collisions()
+# the members of the F3 table: J / kappa (left, right) at h = 1, T_L = 2, T_R
+# = 0, kappa <= 1e-10, where the eigenvector solve read (-1.5, -1.5),
+# (-2.5, -2.5), (-1.1667, -1.1667), (-1.5, -1.5) and (-0.5, -0.5), both
+# baths negative
+WEAK_KAPPA_MEMBERS = [
+    (3, ROOT2, 1e-10), (5, 2.0, 1e-10), (5, 2.0 / math.sqrt(3.0), 1e-10), (7, ROOT2, 1e-10),
+    (4, 0.0, 1e-12),
+]
+
+
+@PROPERTY
+@given(
+    member=st.one_of(
+        st.tuples(st.integers(2, 8), st.floats(-8.0, 8.0).map(lambda exponent: 10.0**exponent)),
+        st.sampled_from([(n, 0.0) for n in range(2, 9)] + COLLISIONS),
+    ),
+    h=st.floats(0.5, 2.0),
+    kappa=st.floats(-12.0, 2.0).map(lambda exponent: 10.0**exponent),
+    points=st.lists(st.tuples(wide, wide), min_size=1, max_size=6),
+)
+@example(member=(3, ROOT2), h=1.0, kappa=1e-10, points=[(2.0, 0.0)])
+@example(member=(5, 2.0), h=1.0, kappa=1e-10, points=[(2.0, 0.0)])
+@example(member=(5, 2.0 / math.sqrt(3.0)), h=1.0, kappa=1e-10, points=[(2.0, 0.0)])
+@example(member=(7, ROOT2), h=1.0, kappa=1e-10, points=[(2.0, 0.0)])
+@example(member=(4, 0.0), h=1.0, kappa=1e-12, points=[(2.0, 0.0)])
+def test_global_chain_over_the_double_range_is_exact_or_refused(member, h, kappa, points):
+    # every point on a global chain of 2 to 8 spins, one-mode members,
+    # collisions and delta = 0 included, is either refused, as it is alone,
+    # or keeps the Clausius sign and balances its baths.  Drawn delta is a
+    # multiple of h; a collision or zero is the ratio delta / h.  The
+    # examples are the members of the F3 table (WEAK_KAPPA_MEMBERS)
+    n, delta = member
+    if (n, delta) in COLLISIONS or delta == 0.0:
+        delta *= h
+    spec = SpinChainSpec(n, h, delta, ChainModel.XY_TRANSVERSE)
+    chain = gaussian_chain(spec, (delta,), GLOBAL)
+
+    def step(stack):
+        return steady_state_gaussian(chain, [0] * len(stack), kappa, stack).bath_currents
+
+    for (t_left, t_right), (j_left, j_right) in zip(points, _exact_or_refused(step, points)):
+        if np.isnan(j_left):
+            continue
+        # signs, as J times a temperature of 1e300 can overflow
+        assert np.sign(j_left) * np.sign(t_left - t_right) >= 0
+        assert abs(j_left + j_right) <= 4 * np.finfo(float).eps * abs(j_left)
+
+
+@pytest.mark.parametrize("n, ratio, kappa", WEAK_KAPPA_MEMBERS)
+def test_weak_kappa_members_keep_their_current_per_kappa(n, ratio, kappa):
+    # J / kappa of each F3 member is its value at kappa = 1 (0.47847,
+    # 0.59082, 0.32954, 0.36269 and 0) down to kappa = 1e-300
+    spec = SpinChainSpec(n, 1.0, ratio, ChainModel.XY_TRANSVERSE)
+    chain = gaussian_chain(spec, (ratio,), GLOBAL)
+    want = steady_state_gaussian(chain, [0], 1.0, [[2.0, 0.0]]).bath_currents[0]
+    for weak in (1e-8, kappa, 1e-300):
+        currents = steady_state_gaussian(chain, [0], weak, [[2.0, 0.0]]).bath_currents[0]
+        assert currents[1] == -currents[0]
+        np.testing.assert_allclose(currents / weak, want, rtol=1e-12, atol=0)
+
+
+def test_near_collision_balances_its_baths():
+    # three spins at delta = sqrt(2) h + 1e-11 h: the modes at -h - 1.4e-11 h
+    # and h share one group, which drops their splitting, far below the
+    # grouping tolerance, and is one collective mode.  The eigenvector
+    # solve kept the splitting and read J / kappa = (0.47847035, -0.47847045)
+    # at kappa = 1e-8, missing the energy balance by 1e-7
+    spec = SpinChainSpec(3, 1.0, ROOT2 + 1e-11, ChainModel.XY_TRANSVERSE)
+    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    currents = steady_state_gaussian(chain, [0], 1e-8, [[2.0, 0.0]]).bath_currents[0]
+    assert currents[1] == -currents[0]
+    assert currents[0] / 1e-8 == pytest.approx(0.4784704, abs=1e-7)
+
+
+def _mode_groups(n, ratio):
+    """The global style's modes, written out with no code of the route:
+    (eps, phi) of `eigh`, the groups of modes of one |eps|, each anchored
+    on its first, and each mode's energy, its group's mean |eps| (|eps| on
+    a zero mode)."""
+    eps, phi = np.linalg.eigh(_hopping(n, ratio))
+    tol = DEGENERACY_TOL * 0.5 * np.abs(eps).sum()
+    groups = []
+    for k in np.argsort(np.abs(eps), kind="stable"):
+        if abs(eps[k]) <= tol:
+            continue
+        if groups and abs(eps[k]) - abs(eps[groups[-1][0]]) <= tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    energy = np.abs(eps)
+    for group in groups:
+        energy[group] = np.mean(energy[group])
+    return eps, phi, groups, energy
+
+
+def _mode_covariance(n, ratio, t_left, t_right, kappa):
+    """The global style's lowering vectors (one row per slot, the left
+    bath's groups and then the right bath's) and K in the modes xi_k of
+    `_mode_groups`, by minimum-norm Kronecker least squares of
+    X K + K X^dag = S, with no code of the route."""
+    eps, phi, groups, energy = _mode_groups(n, ratio)
+    rows, q, s = [], 0.0, 0.0
+    for site, sign, temperature in ((0, 1.0, t_left), (n - 1, -1.0, t_right)):
+        for group in groups:
+            l = np.zeros(n)
+            for k in group:
+                l[k] = phi[site, k] * (1.0 if eps[k] > 0 else sign)
+            emission, absorption = lindblad.thermal_rates(kappa, temperature, energy[group[0]])
+            q = q + (emission + absorption) * np.outer(l, l)
+            s = s + 0.5 * (emission - absorption) * np.outer(l, l)
+            rows.append(l)
+    x = 1j * np.diag(energy) - 0.5 * q
+    eye = np.eye(n)
+    operator = np.kron(x, eye) + np.kron(eye, x.conj())
+    k = np.linalg.lstsq(operator, s.reshape(-1).astype(complex), rcond=1e-9)[0].reshape(n, n)
+    return np.array(rows), 0.5 * (k + k.conj().T)
+
+
+@pytest.mark.parametrize(
+    "n, ratio",
+    COLLISIONS + [(n, 0.0) for n in range(2, 9)],
+    ids=lambda value: f"{value:.6g}",
+)
+def test_collective_modes_match_the_kronecker_references(n, ratio):
+    # the route's K is written on each group's collective modes, an
+    # orthogonal change of basis within the group, so it is checked by what
+    # does not depend on it: its spectrum, and L K L^T over the slots'
+    # lowering vectors; the currents against the Majorana covariance.  Least
+    # squares loses about eps h / kappa
+    spec = _spec(n, ratio)
+    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    lowering = chain.lowering[0, chain.slots.live[0]]
+    points = zip((1e-6, 1e-3, 1.0, 10.0), itertools.cycle([(2.0, 0.0), (0.5, 1.5)]))
+    for kappa, (t_left, t_right) in points:
+        bound = 1e-14 * max(1.0, H_FIELD / kappa)
+        state = steady_state_gaussian(chain, [0], kappa, [[t_left, t_right]])
+        k = state.covariance[0]
+        rows, reference = _mode_covariance(n, ratio, t_left, t_right, kappa)
+        seen = lowering @ k @ lowering.T
+        assert np.abs(seen - rows @ reference @ rows.T).max() <= bound
+        spectra = [np.linalg.eigvalsh(m) for m in (k, reference)]
+        assert np.abs(spectra[0] - spectra[1]).max() <= bound
+        want = _majorana_currents(n, ratio, GLOBAL, t_left, t_right, kappa)
+        for got, expected in zip(state.bath_currents[0], want):
+            assert abs(got - expected) <= 10.0 * bound * kappa * H_FIELD
+
+
 def test_two_hundred_spin_global_currents_are_the_mode_sum():
-    # a chain far past the dense oracle, kept out of CASES, whose every
-    # entry the Kronecker-forced test runs as well
+    # a chain far past the dense oracle, kept out of CASES
     case = (200, 1.0, GLOBAL, 2.5, 0.0)
     spec = SpinChainSpec(200, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
     chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
@@ -430,36 +552,29 @@ def test_two_hundred_spin_global_currents_are_the_mode_sum():
         assert abs(got - want) <= 1e-12
 
 
-def _majorana_currents(n, ratio, style, t_left, t_right):
+def _majorana_currents(n, ratio, style, t_left, t_right, kappa=KAPPA):
     """The bath currents from the 2n x 2n Majorana covariance, written out
     with no code of the route.
 
     With w_2i = c_i + c_i^dag and w_2i+1 = i (c_i^dag - c_i), H is
-    (i/4) sum_ab A_ab w_a w_b with A[2i, 2j+1] = h_ij = -A[2j+1, 2i], and a
-    jump operator sum_a l_a w_a is its 2n-vector l.  Bath k's
+    (i/4) sum_ab A_ab w_a w_b with A[2i, 2j+1] = h_ij = -A[2j+1, 2i], h the
+    hopping matrix, whose modes the global style puts at their groups'
+    energies (`_mode_groups`), and a jump operator sum_a l_a w_a is its
+    2n-vector l.  Bath k's
     M_k = sum_t (e_t l_t^* l_t^T + a_t l_t l_t^dag) fixes
     <w_a w_b> = delta_ab + i Gamma_ab through X Gamma + Gamma X^T = -4 Im M,
     X = A - 2 Re M, solved here by Kronecker least squares, and bath k
     feeds in sum_ab A_ab ((Re M_k Gamma + Gamma Re M_k) / 2 - Im M_k)_ab."""
     hop = _hopping(n, ratio)
     size = 2 * n
-    a = np.zeros((size, size))
-    a[0::2, 1::2], a[1::2, 0::2] = hop, -hop
     sites = np.zeros((n, size), dtype=complex)  # c_i = (w_2i + i w_2i+1) / 2
     sites[:, 0::2], sites[:, 1::2] = 0.5 * np.eye(n), 0.5j * np.eye(n)
     if style is LOCAL:
         baths = [[(H_FIELD, sites[0])], [(H_FIELD, sites[-1])]]
     else:
-        eps, phi = np.linalg.eigh(hop)
-        tol = DEGENERACY_TOL * 0.5 * np.abs(eps).sum()
-        groups = []  # modes of one |eps|, each group anchored on its first
-        for k in np.argsort(np.abs(eps), kind="stable"):
-            if abs(eps[k]) <= tol:
-                continue
-            if groups and abs(eps[k]) - abs(eps[groups[-1][0]]) <= tol:
-                groups[-1].append(k)
-            else:
-                groups.append([k])
+        eps, phi, groups, energy = _mode_groups(n, ratio)
+        # each mode at its group's energy, of its own sign
+        hop = (phi * np.copysign(energy, eps)) @ phi.T
         eta = phi.T @ sites
         baths = []
         for site, sign in ((0, 1.0), (n - 1, -1.0)):
@@ -467,12 +582,14 @@ def _majorana_currents(n, ratio, style, t_left, t_right):
             modes = [
                 phi[site, k] * (eta[k] if eps[k] > 0 else sign * eta[k].conj()) for k in range(n)
             ]
-            baths.append([(np.mean(np.abs(eps[g])), sum(modes[k] for k in g)) for g in groups])
+            baths.append([(energy[g[0]], sum(modes[k] for k in g)) for g in groups])
+    a = np.zeros((size, size))
+    a[0::2, 1::2], a[1::2, 0::2] = hop, -hop
     ms = []
     for transitions, temperature in zip(baths, (t_left, t_right)):
         m = np.zeros((size, size), dtype=complex)
         for frequency, l in transitions:
-            emission, absorption = lindblad.thermal_rates(KAPPA, temperature, frequency)
+            emission, absorption = lindblad.thermal_rates(kappa, temperature, frequency)
             m += emission * np.outer(l.conj(), l) + absorption * np.outer(l, l.conj())
         ms.append(m)
     total = sum(ms)
@@ -576,37 +693,35 @@ def test_the_transport_route_is_chosen_by_the_model():
         assert isinstance(thermo._chain(ising, (ising.coupling_delta,), style), PauliChain)
 
 
-def _with_rates(monkeypatch, rates, style, ratio, eigenvectors):
+def _with_rates(monkeypatch, rates, style, n, ratio):
     monkeypatch.setattr(lindblad, "thermal_rates", lambda kappa, temperature, frequency: rates)
-    spec = _spec(2, ratio)
+    spec = _spec(n, ratio)
     chain = gaussian_chain(spec, (spec.coupling_delta,), style)
-    if eigenvectors:
-        chain = eigenvector_route(chain)
     return steady_state_gaussian(chain, [0], 1.0, [[1.0, 0.0]])
 
 
-# the eigenvector route (a local chain sent down it), the closed form of two
-# modes apart, and the local closed form
+# the global closed form of two modes apart, the global closed form of a pair
+# of collective modes, and the local closed form
 ROUTE_CHAINS = pytest.mark.parametrize(
-    "style, ratio, eigenvectors",
-    [(LOCAL, 0.0, True), (GLOBAL, 0.5, False), (LOCAL, 0.5, False)],
-    ids=["eigenvectors", "closed-form", "tridiagonal"],
+    "style, n, ratio",
+    [(GLOBAL, 2, 0.5), (GLOBAL, 5, 2.0 / math.sqrt(3.0)), (LOCAL, 2, 0.5)],
+    ids=["closed-form", "pair", "tridiagonal"],
 )
 
 
 @ROUTE_CHAINS
-def test_unphysical_covariance_raises(monkeypatch, style, ratio, eigenvectors):
+def test_unphysical_covariance_raises(monkeypatch, style, n, ratio):
     # a negative absorption rate drives the occupation to a/(e + a) = -1
     with pytest.raises(SteadyStateError, match="not physical"):
-        _with_rates(monkeypatch, (1.0, -0.5), style, ratio, eigenvectors)
+        _with_rates(monkeypatch, (1.0, -0.5), style, n, ratio)
 
 
 @ROUTE_CHAINS
-def test_lyapunov_residual_guard_raises(monkeypatch, style, ratio, eigenvectors):
+def test_lyapunov_residual_guard_raises(monkeypatch, style, n, ratio):
     # opposite rates cancel the damping but leave a source on the undamped
     # modes, so no covariance solves the equation
     with pytest.raises(SteadyStateError, match="residual"):
-        _with_rates(monkeypatch, (1.0, -1.0), style, ratio, eigenvectors)
+        _with_rates(monkeypatch, (1.0, -1.0), style, n, ratio)
 
 
 def _fermi(energies, temperature):

@@ -39,7 +39,6 @@ from test_chain_cache import (
     live_counts,
     temperatures,
 )
-from test_gaussian import eigenvector_route
 from test_steady import CYCLE_EDGES, _rate_matrices
 
 # a degenerate kernel on the rate route: the right local bath of the Ising
@@ -119,27 +118,6 @@ def test_fig2_local_column_projects_each_member_as_its_own_stack():
     assert np.abs(populations - vectors / vectors.sum(axis=1)[:, None]).max() <= 1e-15
 
 
-def test_exceptional_point_alone_takes_the_kronecker_solve(monkeypatch):
-    calls = []
-    kronecker = gaussian._lyapunov_kronecker
-
-    def counted(x, source):
-        calls.append(x.copy())
-        return kronecker(x, source)
-
-    monkeypatch.setattr(gaussian, "_lyapunov_kronecker", counted)
-    style = DissipatorStyle.LOCAL
-    stack = [(0.5, 0.0), EXCEPTIONAL_POINT, (2.0, 0.0)]
-    # a local chain takes its closed form; sent down the eigenvector route,
-    # it keeps the exceptional point
-    chain = eigenvector_route(gaussian.gaussian_chain(EXCEPTIONAL, (0.5,), style))
-    state = _assert_members_are_their_own_calls(EXCEPTIONAL, style, stack, chain=chain)
-    # once in the stack and once in its own 1-stack; the neighbours never
-    assert len(calls) == 2
-    assert np.array_equal(calls[0], calls[1])
-    assert state["bath_currents"][1, 0] == pytest.approx(0.0625, abs=1e-9)
-
-
 def _failing_at(monkeypatch, t_left):
     """A rate law whose negative absorption breaks a bath at `t_left` only;
     the right bath must stay at another temperature."""
@@ -190,7 +168,7 @@ def test_failing_point_of_the_kernel_rule_is_named_by_its_index(monkeypatch):
 @pytest.mark.parametrize("spec", [ISING, EXCEPTIONAL], ids=["pauli", "gaussian"])
 def test_failing_point_on_a_chain_stack_is_named_by_its_index(monkeypatch, spec):
     # the failing point sits on the second chain of the stack, after points
-    # of both chains; the Gaussian route solves each chain's points apart
+    # of both chains
     _failing_at(monkeypatch, 0.75)
     chain_step, point_step = thermo._ROUTES[spec.model]
     chain = chain_step(spec, (spec.coupling_delta, 0.3), DissipatorStyle.GLOBAL)
@@ -231,81 +209,56 @@ def test_first_refused_point_is_named_on_the_gaussian_route(monkeypatch):
     assert excinfo.value.member == 1
 
 
-def test_one_eigendecomposition_solves_a_stack_of_several_chains(monkeypatch):
-    calls = []
-    eig = np.linalg.eig
-
-    def counted(x):
-        calls.append(x.shape)
-        return eig(x)
-
-    monkeypatch.setattr(np.linalg, "eig", counted)
-    spec = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
-    chain_step, point_step = thermo._ROUTES[spec.model]
-    chain = eigenvector_route(chain_step(spec, (0.0, 0.5, 1.3), DissipatorStyle.LOCAL))
-    temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0]]
-    point_step(chain, [2, 0, 1, 2, 0], 1.0, temperatures)
-    assert calls == [(5, 3, 3)]
-
-
-def test_local_points_take_neither_solver(monkeypatch):
-    # every local member, delta = 0 and the exceptional point included,
-    # takes the closed form: no eigendecomposition of X, no Kronecker solve,
-    # and each point is its own 1-stack
-    def never(*args):
-        raise AssertionError("a local point reached a Lyapunov solver")
-
-    monkeypatch.setattr(gaussian, "_lyapunov_eig", never)
-    monkeypatch.setattr(gaussian, "_lyapunov_kronecker", never)
-    monkeypatch.setattr(np.linalg, "eig", never)
-    couplings = (0.0, 0.5, 1.3, 1e-6, 1e9)
-    for spec in (EXCEPTIONAL, SpinChainSpec(6, 1.0, 0.5, ChainModel.XY_TRANSVERSE)):
-        chain = gaussian.gaussian_chain(spec, couplings, DissipatorStyle.LOCAL)
-        assert chain.tridiagonal.all() and not chain.diagonal.any()
-        member = [2, 0, 1, 4, 3, 2]
-        temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0],
-                        list(EXCEPTIONAL_POINT)]
-        stacked = _fields(gaussian.steady_state_gaussian(chain, member, 1.0, temperatures))
-        for p, (m, temps) in enumerate(zip(member, temperatures)):
-            alone = gaussian.gaussian_chain(spec, couplings[m : m + 1], DissipatorStyle.LOCAL)
-            own = _fields(gaussian.steady_state_gaussian(alone, [0], 1.0, [temps]))
-            for name, value in stacked.items():
-                assert value[p].tobytes() == own[name][0].tobytes(), (name, p)
+# stacks of each style's members: local chains at delta = 0, weak and strong
+# coupling; global chains at delta = 0 (every mode at h), a collision whose
+# lowering vectors are parallel (sqrt(2) h on three spins, 2 h on five), one
+# whose are neither parallel nor orthogonal (2 h / sqrt(3) on five), and
+# members whose every group holds one mode
+SOLVED_STACKS = {
+    "local-2": (EXCEPTIONAL, (0.0, 0.5, 1.3, 1e-6, 1e9), DissipatorStyle.LOCAL),
+    "local-6": (
+        SpinChainSpec(6, 1.0, 0.5, ChainModel.XY_TRANSVERSE),
+        (0.0, 0.5, 1.3, 1e-6, 1e9),
+        DissipatorStyle.LOCAL,
+    ),
+    "global-3": (
+        SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE),
+        (0.0, math.sqrt(2.0), 0.5, 1.3),
+        DissipatorStyle.GLOBAL,
+    ),
+    "global-5": (
+        SpinChainSpec(5, 1.0, 0.5, ChainModel.XY_TRANSVERSE),
+        (2.0 / math.sqrt(3.0), 0.0, 2.0, 0.5),
+        DissipatorStyle.GLOBAL,
+    ),
+}
 
 
-def test_one_mode_members_skip_the_eigendecomposition_in_a_mixed_stack(monkeypatch):
-    # three spins, global style: every mode sits at h at delta = 0, and
-    # |eps| = h twice at sqrt(2) h, so those two members take the
-    # eigenvector route; at 0.5 and 1.3 every group holds one mode
-    seen = []
-    eig = np.linalg.eig
+@pytest.mark.parametrize("spec, couplings, style", SOLVED_STACKS.values(), ids=SOLVED_STACKS)
+def test_mixed_stack_points_are_their_own_one_stacks(monkeypatch, spec, couplings, style):
+    # every member takes its style's closed form: no point calls a general
+    # eigensolver, an inverse or least squares, and each point, the
+    # exceptional point of a local chain included, is its own 1-stack on the
+    # chain of its coupling alone
+    def never(*args, **kwargs):
+        raise AssertionError("a point reached a general solver")
 
-    def recorded(x):
-        seen.append(x.copy())
-        return eig(x)
-
-    monkeypatch.setattr(np.linalg, "eig", recorded)
-    spec = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
-    couplings = (0.0, math.sqrt(2.0), 0.5, 1.3)
-    chain = gaussian.gaussian_chain(spec, couplings, DissipatorStyle.GLOBAL)
-    assert chain.diagonal.tolist() == [False, False, True, True]
-    member = [2, 0, 3, 1, 2, 1, 0, 3]
+    for name in ("eig", "inv", "lstsq", "solve"):
+        monkeypatch.setattr(np.linalg, name, never)
+    chain = gaussian.gaussian_chain(spec, couplings, style)
+    member = [2, 0, 3, 1, 2, 1, 0, 3, 0]
     temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0], [0.5, 3.0],
-                    [1.5, 1.5], [4.0, 0.2]]
+                    [1.5, 1.5], [4.0, 0.2], list(EXCEPTIONAL_POINT)]
     stacked = _fields(gaussian.steady_state_gaussian(chain, member, 0.7, temperatures))
-    multi_mode = [p for p, m in enumerate(member) if not chain.diagonal[m]]
-    assert [x.shape for x in seen] == [(len(multi_mode), 3, 3)]
-    eig_input = seen.pop()
     for p, (m, temps) in enumerate(zip(member, temperatures)):
-        alone = gaussian.gaussian_chain(spec, couplings[m : m + 1], DissipatorStyle.GLOBAL)
+        alone = gaussian.gaussian_chain(spec, couplings[m : m + 1], style)
         own = _fields(gaussian.steady_state_gaussian(alone, [0], 0.7, [temps]))
         for name, value in stacked.items():
             assert value[p].tobytes() == own[name][0].tobytes(), (name, p)
-        # the point's own X, and only it, reached the stack's eigendecomposition
-        if chain.diagonal[m]:
-            assert seen == []
-        else:
-            assert seen.pop().tobytes() == eig_input[multi_mode.index(p)].tobytes()
+    if style is DissipatorStyle.GLOBAL:
+        # only 2 h / sqrt(3) holds a pair of collective modes
+        paired = [bool((row != np.arange(spec.n_spins)).any()) for row in chain.partner]
+        assert paired == [c == 2.0 / math.sqrt(3.0) for c in couplings]
 
 
 @pytest.mark.parametrize("model", ["ising", "xy"])
@@ -330,10 +283,13 @@ def test_failure_in_the_middle_of_a_stack_names_its_curve_and_x(
 
 # points whose rates or flows overflow, global style, T_R = 0: the currents
 # of the XY chain and of the Ising pair (inf), the Ising pair's rates or the
-# energy its edges carry, and the XY chain's X, which the eigendecomposition
-# refuses
+# energy its edges carry, and the XY chain's X.  The XY chain's currents
+# overflow on four spins, whose modes at h +- 1.618 delta share one group
+# with parallel lowering vectors; on three spins the middle mode is a zero
+# mode and the two outer ones share a group with orthogonal ones, so every
+# current is an exact zero
 OVERFLOWS = {
-    "xy-delta": (SpinChainSpec(3, 1.0, 1e200, ChainModel.XY_TRANSVERSE), 1.0, "not finite"),
+    "xy-delta": (SpinChainSpec(4, 1.0, 1e200, ChainModel.XY_TRANSVERSE), 1e200, "not finite"),
     "ising-delta": (SpinChainSpec(2, 1.0, 1e200, ChainModel.ISING_ZZ), 1e200, "not finite"),
     "ising-max-delta": (SpinChainSpec(2, 1.0, 1e308, ChainModel.ISING_ZZ), 1.0, "non-finite"),
     "ising-max-t-left": (ISING, 1e308, "non-finite"),
@@ -364,8 +320,8 @@ def test_point_that_overflows_is_named_by_its_index_in_a_stack(spec, t_left, mes
     "config, named",
     [
         (
-            "model = xy\nspins = 3\nsweep = coupling\nstart = 0\nstop = 1e300\n"
-            "t_left = 1.0\nt_right = 0.0\n",
+            "model = xy\nspins = 4\nsweep = coupling\nstart = 0\nstop = 1e300\n"
+            "t_left = 1e300\nt_right = 0.0\n",
             "J_global at delta = 5e+299: ",
         ),
         (
@@ -380,7 +336,7 @@ def test_point_that_overflows_is_named_by_its_index_in_a_stack(spec, t_left, mes
             "J_local at T_L = 1e+308: ",
         ),
     ],
-    ids=["xy-coupling", "ising-temperature", "xy-kronecker"],
+    ids=["xy-coupling", "ising-temperature", "xy-local-delta"],
 )
 def test_sweep_that_overflows_names_its_point(tmp_path, capfd, config, named):
     path = tmp_path / "sweep.cfg"
@@ -448,7 +404,7 @@ def _member_arrays(chain, c):
             rank = np.append(np.cumsum(live) - 1, -1)
             assert np.append(live, True)[slot].all()  # never a padding slot
             arrays[field.name] = np.where(slot == len(live), -1, 2 * rank[slot] + s)
-        elif field.name != "slots":
+        elif field.name not in ("slots", "style"):
             arrays[field.name] = value[c]
     return arrays, padding
 
@@ -544,49 +500,70 @@ def test_cycle_index_is_the_dense_jump_pattern(stack):
             assert slots.frequency[c, slot[e]] == pytest.approx(frequency, rel=1e-13, abs=0)
 
 
+def _collective(u, v, modes):
+    """One group of several modes of one member written on its collective
+    modes, in a Python loop over the group: the two baths' lowering vectors
+    (n-vectors, zero off the group) on e1 = +-u / |u|, at the group's lowest
+    mode index, and e2, at its next, and whether e1 and e2 form a pair."""
+    first, second = sorted(modes)[:2]
+    length = np.sqrt(np.square(u).sum())
+    e1 = u / length if length > 0 else np.zeros(len(u))
+    along = (v * e1).sum()
+    across = np.sqrt(np.square(v - along * e1).sum())
+    left, right = np.zeros(len(u)), np.zeros(len(u))
+    left[first] = -length if along < 0 else length
+    right[first], right[second] = (
+        c if c > lindblad._NEGLIGIBLE_ENTRY else 0.0 for c in (abs(along), across)
+    )
+    return left, right, bool(right[first] > 0 and right[second] > 0)
+
+
 def _member_by_member(head, couplings, style):
     """The XY chain step built member by member, as a reference: each
-    member's H and each bath of `standard_baths` (frequencies, lowering
+    member's H and both baths of `standard_baths` (frequencies, lowering
     vectors) alone, in the modes xi_k in the global style, each group's
-    modes placed in a Python loop, each bath padded by hand to its widest
-    member, and whether every group of the member holds one mode."""
+    modes placed in a Python loop and each group of several modes written
+    on its collective modes (`_collective`), each bath padded by hand to its
+    widest member, and each member's pairs of collective modes."""
     n = head.n_spins
     baths = lindblad.standard_baths(head, 1.0, 0.0, 0.0, style)
     members = []
     for coupling in couplings:
         off = np.full(n - 1, coupling)
         hop = head.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
-        frequencies, lowering = [], []
-        diagonal = style is DissipatorStyle.GLOBAL
-        if diagonal:
-            eps, phi = np.linalg.eigh(hop)
-            hop = np.diag(np.abs(eps))
-        for bath in baths:
-            if bath.style is DissipatorStyle.LOCAL:
-                frequencies.append(np.array([bath.local_frequency]))
-                lowering.append(np.eye(n)[bath.site : bath.site + 1])
-                continue
-            sign = 1.0 if bath.site == 0 else -1.0
-            coefficient = np.where(eps > 0, phi[bath.site], sign * phi[bath.site])
-            energy = np.abs(eps)
-            tol = lindblad._degeneracy_tolerance(np.array([0.5 * energy.sum()]))
-            if not np.isfinite(tol[0]):
-                frequencies.append(np.array([np.inf]))
-                lowering.append(coefficient[None])
-                diagonal = False  # every mode in one group
-                continue
+        partner = np.arange(n)
+        if style is DissipatorStyle.LOCAL:
+            frequencies = [np.array([bath.local_frequency]) for bath in baths]
+            lowering = [np.eye(n)[bath.site : bath.site + 1] for bath in baths]
+            members.append((hop, frequencies, lowering, partner))
+            continue
+        eps, phi = np.linalg.eigh(hop)
+        energy = np.abs(eps)
+        coefficients = [
+            np.where(eps > 0, phi[bath.site], (1.0 if bath.site == 0 else -1.0) * phi[bath.site])
+            for bath in baths
+        ]
+        tol = lindblad._degeneracy_tolerance(np.array([0.5 * energy.sum()]))
+        if np.isfinite(tol[0]):
             order = np.argsort(energy, kind="stable")
             order = order[energy[order] > tol]
             labels, means = lindblad._groups(energy[order][None], tol)
-            grouped = np.zeros((means.shape[1], n))
-            for row in range(len(grouped)):
-                modes = order[labels[0] == row]
-                grouped[row, modes] = coefficient[modes]
-            frequencies.append(means[0])
-            lowering.append(grouped)
-            # one mode per group, from the group sizes
-            diagonal = diagonal and np.bincount(labels[0]).max(initial=1) == 1
-        members.append((hop, frequencies, lowering, diagonal))
+            groups = [order[labels[0] == row] for row in range(means.shape[1])]
+            means = means[0]
+        else:
+            groups, means = [np.arange(n)], np.array([np.inf])  # every mode in one group
+        diagonal = energy.copy()
+        lowering = np.zeros((2, len(groups), n))
+        for row, modes in enumerate(groups):
+            diagonal[modes] = means[row]
+            lowering[:, row, modes] = [coefficient[modes] for coefficient in coefficients]
+            if len(modes) > 1:
+                left, right, paired = _collective(*lowering[:, row], modes)
+                lowering[:, row] = left, right
+                if paired:
+                    first, second = sorted(modes)[:2]
+                    partner[first], partner[second] = second, first
+        members.append((np.diag(diagonal), [means, means], lowering, partner))
     padded_frequencies, padded_lowering = [], []
     for k in range(len(baths)):
         width = max(len(member[1][k]) for member in members)
@@ -604,8 +581,7 @@ def _member_by_member(head, couplings, style):
         "live": slots.live,
         "bath": slots.bath,
         "lowering": np.concatenate(padded_lowering, axis=1),
-        "diagonal": np.array([member[3] for member in members]),
-        "tridiagonal": np.full(len(members), style is DissipatorStyle.LOCAL),
+        "partner": np.stack([member[3] for member in members]),
     }
 
 
@@ -642,9 +618,9 @@ def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
         "live": chain.slots.live,
         "bath": chain.slots.bath,
         "lowering": chain.lowering,
-        "diagonal": chain.diagonal,
-        "tridiagonal": chain.tridiagonal,
+        "partner": chain.partner,
     }
+    assert chain.style is stack[2]
     for name, value in reference.items():
         assert arrays[name].shape == value.shape, name
         assert arrays[name].tobytes() == value.tobytes(), name
@@ -659,7 +635,7 @@ from spinheat.spinops import ChainModel, SpinChainSpec
 head = SpinChainSpec(200, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
 stack = gaussian.gaussian_chain(head, (0.7, 1.0), DissipatorStyle.GLOBAL)
 assert stack.slots.live.sum(axis=1).tolist() == [400, 398]
-assert stack.diagonal.all()
+assert (stack.partner == range(200)).all()
 state = gaussian.steady_state_gaussian(stack, [0, 1], 1.0, [[2.5, 0.0], [2.5, 0.0]])
 alone = gaussian.gaussian_chain(head, (1.0,), DissipatorStyle.GLOBAL)
 single = gaussian.steady_state_gaussian(alone, [0], 1.0, [[2.5, 0.0]])
