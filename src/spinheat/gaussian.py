@@ -52,53 +52,53 @@ transitions add, sum_t -(e + a)_t l_t^T Re(K) H l_t - (e - a)_t l_t^T H l_t / 2
 over its transitions.
 
 The chain step, `gaussian_chain`, takes a stack of C chains that differ
-in the coupling alone, with the left bath on site 0 and the right bath
-on site n - 1, and holds, for each member, H and the two baths'
-transitions side by side (`lindblad.Slots`), padded like those of the
-rate route with frequency NaN, with each transition's lowering vector,
-zero on padding; none of it depends on temperature or kappa.  In the
-global style it takes one batched eigendecomposition of the (C, n, n)
-hopping matrices and one `lindblad._groups` call on every member's sorted
-|eps_k| (zero modes NaN), which puts each member's groups first and NaN
-past them; both baths share the groups, and each mode sits in one, so
-one assignment puts its l_k in its group's vector.  It then writes each
-group of several modes on its collective modes, in array operations over
-every such group of the stack, and records its pairs
-(`GaussianChain.partner`).  The point step, `steady_state_gaussian`,
-takes P points on the members at once, at one kappa, with a member index
-and the two baths' temperatures for each point, takes their rates on the
-live slots (`lindblad._slot_rates`), and solves every point in the
-closed form of its stack's style: no point takes a general eigensolver.
+in the coupling alone, the left bath on site 0 and the right bath on site
+n - 1, and holds, for each member, H and each bath's coordinate l_bk on
+each mode a_k (e_0 and e_{n-1} in the local style), with a slot per bath
+and mode (`lindblad.Slots`) at its frequency, live where l_bk is nonzero;
+a bath's modes of one frequency form its one transition, sum_k l_bk a_k,
+and none of it depends on temperature or kappa.  In the global style it
+takes one batched eigendecomposition of the (C, n, n) hopping matrices
+and one `lindblad._groups` call on every member's sorted |eps_k| (zero
+modes NaN), and writes each group of several modes on its collective
+modes, in array operations over every such group of the stack, recording
+its pairs (`GaussianChain.partner`).  The point step,
+`steady_state_gaussian`, takes P points at one kappa, each with a member
+index and the two baths' temperatures, takes their rates on the live
+slots (`lindblad._slot_rates`), and solves each in the closed form of its
+stack's style: no point takes a general eigensolver.
 
 Both closed forms below take each point's rates after an exact scaling
 by a power of two that brings the largest into [0.5, 1), as the Ising
 pair's rate route does, and scale what carries the units of a rate back:
 no product of two rates leaves the normal range at small kappa (the
 one-mode form read 0 from kappa of about 1e-162 on without it), and a
-point whose numbers stay in the normal range keeps its bits.
+point whose numbers stay in the normal range keeps its bits.  The
+residual guard takes both its norms after one more such scaling, which
+brings every |X_ij| below 1: unscaled, ||X||^2 overflows from |X_ij| of
+about 1e154 on, where inf <= KERNEL_RTOL * inf would pass any residual.
 
 On a global member away from pairs (below), each transition lowers one
 mode, so X and S are diagonal and so is K: K_kk = n_k - 1/2, with the
 occupation
 
-    n_k = A_k / D_k,  A_k = sum_t a_t l_tk^2,  D_k = sum_t (e + a)_t l_tk^2,
+    n_k = A_k / D_k,  A_k = sum_b A_bk,  D_k = sum_b (E_bk + A_bk),
 
-and n_k = 1/2 where no bath damps mode k (D_k = 0).  With E_bk and A_bk
-bath b's emission and absorption rates times l_bk^2, bath b feeds in
+with E_bk and A_bk bath b's emission and absorption rates times l_bk^2,
+and n_k = 1/2 where no bath damps mode k (D_k = 0).  Bath b feeds in
 
     sum_k eps_k sum_{c != b} (A_bk E_ck - E_bk A_ck) / D_k,
 
 in which no term cancels another: a cold mode (A = 0) carries an exact
 zero, where the general form's K = -1/2 would keep a rounding that its
 current multiplies by about kappa delta^2 (0.15 against -4.15 in the two
-baths of n = 3 at h = kappa = 1, delta = 3e8, T_L = 2, T_R = 0).  Every
-sum over slots has at most one nonzero term per entry, and the one over
-baths and modes runs elementwise in a fixed order, so a point does not
-depend on its stack.  These points take no eigendecomposition and no
-matrix product: their residual, ||X||, finiteness and physicality are
-taken from the diagonals, at O(n S) per point for S slots.  A two-point
-step on the global chain at h = delta = kappa = 1 takes 0.14 to 0.15 ms
-at n = 5 and 6, and 3.2 ms at n = 200 (one BLAS thread, 2-vCPU Xeon VM).
+baths of n = 3 at h = kappa = 1, delta = 3e8, T_L = 2, T_R = 0).  Each
+sum runs elementwise over baths and modes in a fixed order, so a point
+does not depend on its stack.  These points take no eigendecomposition
+and no matrix product: their residual, ||X||, finiteness and physicality
+are taken from the diagonals, at O(n) per point.  A two-point step on the
+global chain at h = delta = kappa = 1 takes 0.14 to 0.16 ms at n = 5 and
+6, and 0.3 ms at n = 200 (one BLAS thread, 2-vCPU Xeon VM).
 
 On a group of several modes, with u and v the left and the right bath's
 lowering vectors there, Q = g_L u u^T + g_R v v^T and S live on
@@ -140,7 +140,7 @@ and the right bath its negative: the one-mode current of e1 with Tr Q
 for D_1, which has the sign of T_L - T_R and an exact zero on a cold
 bath.  A point with a pair is checked on its whole X, S and K, by the
 residual by product and `eigvalsh` of 2K, at O(n^3); the other global
-points stay at O(n S).
+points stay at O(n).
 
 One energy per group drops the splitting of modes that differ by less
 than the grouping tolerance without being equal.  The full secular
@@ -180,7 +180,7 @@ kernel from.  These points take no eigendecomposition of X: building K
 is O(n) per point, and only its checks, the Lyapunov residual by product
 and `eigvalsh` of the real tridiagonal matrix similar to 2K, cost
 O(n^3).  A two-point step on the local chain at h = delta = kappa = 1
-takes 0.15 to 0.18 ms at n = 5 and 6, and 10 ms at n = 200 (one BLAS
+takes 0.16 to 0.17 ms at n = 5 and 6, and 11 ms at n = 200 (one BLAS
 thread, 2-vCPU Xeon VM).  g > 0 always holds, since h > 0 and kappa > 0
 give every emission rate a floor of kappa h.
 """
@@ -219,9 +219,9 @@ class GaussianChain:
     `hamiltonian[c]` is the real n x n matrix H of member c in its style's
     fermions: the hopping matrix (local style) or the diagonal of the mode
     energies, each group's energy on its collective modes (global style).
-    `slots` holds the two baths' transitions side by side
-    (`lindblad.Slots`), and `lowering[c, s]` is the real lowering vector l
-    of the transition in slot s of member c, zero on padding.
+    `lowering[c, b, k]` is bath b's (0 left, 1 right) coordinate l_bk on
+    mode k of member c, and `slots` holds a slot per bath and mode
+    (`lindblad.Slots`) at its frequency, live where l_bk is nonzero.
     `partner[c, k]` is the other collective mode of mode k's pair, where
     both baths damp a group's two collective modes together (global style
     only), and k itself elsewhere.  `style` picks the closed form the point
@@ -253,12 +253,12 @@ class GaussianState:
 
 def _collective_modes(
     eps: np.ndarray, phi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The global style's groups of a stack of C mode sets, each group of
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The global style's modes of a stack of C mode sets, each group of
     several modes written on its collective modes (see the module
-    docstring): H's diagonal (C, n), the groups' frequencies (C, G), NaN
-    past each member's groups, the left and the right bath's lowering
-    vectors (2, C, G, n), zero past them, and `GaussianChain.partner`."""
+    docstring): H's diagonal (C, n), each mode at its group's energy, the
+    left and the right bath's coordinates on each mode (C, 2, n), and
+    `GaussianChain.partner`."""
     n = eps.shape[1]
     energy = np.abs(eps)
     tol = _degeneracy_tolerance(0.5 * energy.sum(axis=1))
@@ -274,39 +274,40 @@ def _collective_modes(
     mode, group = order[member, rank], labels[member, rank]
     # a mode below zero is lowered by its creation operator, with a minus
     # sign on site n - 1
-    coefficient = np.stack([phi[:, 0], np.where(eps > 0, phi[:, n - 1], -phi[:, n - 1])])
-    vectors = np.zeros((2, *means.shape, n))
-    vectors[:, member, group, mode] = coefficient[:, member, mode]
+    coefficient = np.stack([phi[:, 0], np.where(eps > 0, phi[:, n - 1], -phi[:, n - 1])], axis=1)
+    lowering = np.zeros(coefficient.shape)
+    lowering[member, :, mode] = coefficient[member, :, mode]
     diagonal = energy.copy()
     diagonal[member, mode] = means[member, group]
 
     # each group of several modes: its two lowest mode indices take the
     # collective modes e1 = u / |u| and e2, the rest of span(u, v), and its
     # other modes the undamped complement
-    first = np.full(means.shape, n)
-    np.minimum.at(first, (member, group), mode)
-    later = mode != first[member, group]
-    second = np.full(means.shape, n)
-    np.minimum.at(second, (member[later], group[later]), mode[later])
-    rows = np.nonzero(second < n)
-    u, v = vectors[:, rows[0], rows[1]]
+    size = np.bincount(member * means.shape[1] + group, minlength=means.size)
+    owner, several = np.nonzero(size.reshape(means.shape) > 1)
+    within = diagonal[owner] == means[owner, several][:, None]
+    first = within.argmax(axis=1)
+    second = (within & (np.arange(n) > first[:, None])).argmax(axis=1)
+    u, v = np.where(within[:, None], lowering[owner], 0.0).swapaxes(0, 1)
     length = np.sqrt(np.square(u).sum(axis=1))
     e1 = np.divide(u, length[:, None], out=np.zeros(u.shape), where=length[:, None] > 0)
     along = (v * e1).sum(axis=1)
     across = np.sqrt(np.square(v - along[:, None] * e1).sum(axis=1))
     # e1 and e2 are oriented so that v has nonnegative coordinates; one at
     # or below _NEGLIGIBLE_ENTRY is a rounding of v = +-u or of u . v = 0, and
-    # drives nothing, as the dense oracle drops such matrix elements
-    vectors[:, rows[0], rows[1]] = 0.0
-    vectors[0, rows[0], rows[1], first[rows]] = np.where(along < 0, -length, length)
+    # drives nothing, as the dense oracle drops such matrix elements.  The
+    # groups' modes are zeroed by (member, mode), as a member may hold two
+    row, spot = np.nonzero(within)
+    lowering[owner[row], :, spot] = 0.0
+    lowering[owner, 0, first] = np.where(along < 0, -length, length)
     along, across = (np.where(c > _NEGLIGIBLE_ENTRY, c, 0.0) for c in (np.abs(along), across))
-    vectors[1, rows[0], rows[1], first[rows]] = along
-    vectors[1, rows[0], rows[1], second[rows]] = across
+    lowering[owner, 1, first] = along
+    lowering[owner, 1, second] = across
     partner = np.tile(np.arange(n), (len(eps), 1))
     pair = (along > 0) & (across > 0)
-    ends = first[rows][pair], second[rows][pair]
-    partner[rows[0][pair], ends[0]], partner[rows[0][pair], ends[1]] = ends[1], ends[0]
-    return diagonal, means, vectors, partner
+    ends = first[pair], second[pair]
+    partner[owner[pair], ends[0]], partner[owner[pair], ends[1]] = ends[1], ends[0]
+    return diagonal, lowering, partner
 
 
 # an overflow leaves an infinite frequency, which the point step refuses
@@ -317,7 +318,7 @@ def gaussian_chain(
     """The chain step of the XY chains that are `head` at each of
     `couplings`, member c at `couplings[c]`, with a bath of `style` on each
     end, the left bath on site 0 and the right bath on site n - 1: H and
-    each bath's (frequency, lowering vector) pairs, built in array
+    each bath's coordinate and frequency on each mode, built in array
     operations over the whole stack (one batched `eigh` in the global
     style, none in the local one).  The head's own coupling is not read.
     """
@@ -327,16 +328,16 @@ def gaussian_chain(
     n = head.n_spins
     hop = head.field_h * np.eye(n) + delta[:, None, None] * (np.eye(n, k=1) + np.eye(n, k=-1))
     if style is DissipatorStyle.GLOBAL:
-        diagonal, frequencies, vectors, partner = _collective_modes(*np.linalg.eigh(hop))
+        diagonal, lowering, partner = _collective_modes(*np.linalg.eigh(hop))
         hamiltonian = np.zeros(hop.shape)
         hamiltonian[:, range(n), range(n)] = diagonal
-        slots = _slots(frequencies, frequencies)
-        lowering = np.concatenate(vectors, axis=1)
+        frequency = diagonal[:, None]
     else:
         hamiltonian = hop
-        slots = _slots(*(np.full((len(delta), 1), nu) for nu in _local_frequencies(head)))
         lowering = np.repeat(np.eye(n)[None, [0, n - 1]], len(delta), axis=0)
         partner = np.tile(np.arange(n), (len(delta), 1))
+        frequency = np.array(_local_frequencies(head))[:, None]
+    slots = _slots(*np.where(lowering != 0, frequency, np.nan).swapaxes(0, 1))
     for array in (hamiltonian, lowering, partner):
         array.setflags(write=False)
     return GaussianChain(
@@ -344,38 +345,41 @@ def gaussian_chain(
     )
 
 
-def _lyapunov_residual(x: np.ndarray, k: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """||X K + K X^dag - S|| of each member of a stack."""
-    return np.linalg.norm(x @ k + k @ x.conj().swapaxes(-1, -2) - source, axis=(-2, -1))
+def _norms(residual: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """||R|| and ||X|| of each point's residual R and X, (P, ...) each,
+    times 2^-F, exactly, and F (P,), the least exponent >= 0 that brings
+    every |X_ij| below 1: neither norm overflows where X is finite."""
+    axes = tuple(range(1, x.ndim))
+    power = np.maximum(np.frexp(np.abs(x).max(axis=axes))[1], 0)
+    factor = np.ldexp(1.0, -power).reshape((-1,) + (1,) * len(axes))
+    return *(np.linalg.norm(m * factor, axis=axes) for m in (residual, x)), power
 
 
 def _scaled(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's (P, S, 2) rates times 2^-E, exactly, with E (P,) the
+    """Each point's rates (P, ...) times 2^-E, exactly, with E (P,) the
     exponent that brings the point's largest rate into [0.5, 1); an
     infinite or NaN rate keeps E = 0 and reaches the non-finite checks."""
-    exponent = np.frexp(rates.max(axis=(1, 2), initial=0.0))[1]
-    return np.ldexp(rates, -exponent[:, None, None]), exponent
+    exponent = np.frexp(rates.max(axis=tuple(range(1, rates.ndim)), initial=0.0))[1]
+    return np.ldexp(rates, -exponent.reshape((-1,) + (1,) * (rates.ndim - 1))), exponent
 
 
 def _global_points(
-    chain: GaussianChain, member: np.ndarray, rates: np.ndarray, runs: list[slice]
+    chain: GaussianChain, member: np.ndarray, rates: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """The point step's fields of P points on global members: elementwise
     on the collective modes, where X, S and K are diagonal, and a 2 x 2
     block in closed form on each pair, with no eigendecomposition of X (see
     the module docstring).
 
-    The fields are K, the Lyapunov residual, ||X||, whether X and S are
-    finite, the bath currents, and the largest |eigenvalue| of 2K, each
-    with a leading axis of P."""
+    The fields are K, the Lyapunov residual, ||X|| and F of `_norms`,
+    whether X and S are finite, the bath currents, and the largest
+    |eigenvalue| of 2K, each with a leading axis of P."""
     energy = np.diagonal(chain.hamiltonian, axis1=1, axis2=2)[member]
-    # each slot's scaled (emission, absorption) rates on l_tk^2, summed over
-    # each bath's slots: they share no mode and hold one each, so each sum
-    # has one term per entry, however many padding slots the stack adds
+    # each bath's scaled (emission, absorption) rates on each mode times
+    # l_bk^2, (P, 2, n) each
     scaled, exponent = _scaled(rates)
     exponent = exponent[:, None]
-    terms = scaled.transpose(2, 0, 1)[..., None] * np.square(chain.lowering[member])
-    emitted, absorbed = np.stack([terms[:, :, run].sum(axis=2) for run in runs], axis=2)
+    emitted, absorbed = np.moveaxis(scaled, -1, 0) * np.square(chain.lowering[member])
     # the (P, n) sums over the baths, elementwise in bath order
     emission, absorption = emitted.sum(axis=1), absorbed.sum(axis=1)
     damping = emission + absorption
@@ -391,8 +395,7 @@ def _global_points(
     x = 1j * energy - 0.5 * unscaled
     source = np.ldexp(0.5 * (emission - absorption), exponent)
     finite = np.isfinite(x).all(axis=1) & np.isfinite(source).all(axis=1)
-    residual = np.linalg.norm(-unscaled * k_diagonal - source, axis=1)
-    scale = np.linalg.norm(x, axis=1)
+    residual, scale, power = _norms(-unscaled * k_diagonal - source, x)
     largest = np.max(np.abs(2.0 * k_diagonal), axis=1)
 
     # each pair (e1, e2), e1 at the lower index: the left bath damps e1
@@ -401,8 +404,7 @@ def _global_points(
     point, first = np.nonzero(chain.partner[member] > np.arange(n))
     if len(point):
         second = chain.partner[member[point], first]
-        right = chain.lowering[member[point], runs[1]].sum(axis=1)
-        ratio = right[range(len(point)), second] / right[range(len(point)), first]
+        ratio = chain.lowering[member[point], 1, second] / chain.lowering[member[point], 1, first]
         damp_left = emitted[point, 0, first] + absorbed[point, 0, first]
         damp_right = emitted[point, 1, first] + absorbed[point, 1, first]
         pooled = damping[point, first] + damping[point, second]  # the trace of Q
@@ -421,8 +423,8 @@ def _global_points(
         for i, j in ((first, second), (second, first)):
             full_x[rows, i, j] = -0.5 * off_q
             full_source[rows, i, j] = 0.5 * off_q - off_a
-        residual[paired] = _lyapunov_residual(full_x, k[paired], full_source)
-        scale[paired] = np.linalg.norm(full_x, axis=(1, 2))
+        defect = full_x @ k[paired] + k[paired] @ full_x.conj().swapaxes(1, 2) - full_source
+        residual[paired], scale[paired], power[paired] = _norms(defect, full_x)
         kept = paired[residual[paired] <= KERNEL_RTOL * scale[paired]]
         largest[kept] = np.abs(np.linalg.eigvalsh(2.0 * k[kept].real)).max(axis=1)
         # e1 carries the pair's current, with the trace of Q for D
@@ -438,20 +440,21 @@ def _global_points(
         out=np.zeros(emitted.shape),
         where=~undamped[:, None],
     )
-    return k, residual, scale, finite, np.ldexp(flows.sum(axis=2), exponent), largest
+    return k, residual, scale, power, finite, np.ldexp(flows.sum(axis=2), exponent), largest
 
 
 def _tridiagonal_points(
-    chain: GaussianChain, member: np.ndarray, rates: np.ndarray, runs: list[slice]
+    chain: GaussianChain, member: np.ndarray, rates: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """The point step's fields of P points on local members, the uniform
     chain between two edge baths, whose K is tridiagonal with a uniform
     bulk: in closed form, with no eigendecomposition of X (see the module
-    docstring).  The fields are those of `_global_points`; each bath has
-    one slot, so `runs` is not needed."""
+    docstring).  The fields are those of `_global_points`; the left bath
+    reaches site 0 alone and the right bath site n - 1."""
     hamiltonian = chain.hamiltonian[member]
     field, delta = hamiltonian[:, 0, 0], hamiltonian[:, 0, 1]
-    # (P, 2) arrays hold the left bath's and the right bath's one slot
+    # (P, 2) arrays hold the left bath's value on site 0 and the right's on n - 1
+    rates = np.stack([rates[:, 0, 0], rates[:, 1, -1]], axis=1)
     g = rates.sum(axis=2)
     s = 0.5 * (rates[..., 0] - rates[..., 1])
     # X_LR / (g_L + g_R) from the scaled rates, so that no product of two
@@ -480,10 +483,8 @@ def _tridiagonal_points(
     source[:, 0, 0], source[:, -1, -1] = s.T
     # H is finite: X and S are where g and s are
     finite = np.isfinite(g).all(axis=1) & np.isfinite(s).all(axis=1)
-    residual = np.full(len(member), np.nan)
-    residual[finite] = _lyapunov_residual(x[finite], k[finite], source[finite])
-    scale = np.linalg.norm(x, axis=(1, 2))
-    kept = residual <= KERNEL_RTOL * scale
+    residual, scale, power = _norms(x @ k + k @ x.conj().swapaxes(1, 2) - source, x)
+    kept = finite & (residual <= KERNEL_RTOL * scale)
     # a diagonal matrix of phases takes 2K to the real symmetric tridiagonal
     # 2 (Re K + |Im K|), which has its spectrum
     similar = 2.0 * (k.real + np.abs(k.imag))
@@ -492,7 +493,7 @@ def _tridiagonal_points(
     # the left bath feeds in -h (g_L c_0 + s_L) = h f X_LR / (g_L + g_R), the
     # right bath its negative; adding zero turns a -0 into 0
     currents = (field * flow)[:, None] * [1.0, -1.0] + 0.0
-    return k, residual, scale, finite, currents, largest
+    return k, residual, scale, power, finite, currents, largest
 
 
 # an overflow is refused by the non-finite checks, under the point's index;
@@ -509,8 +510,8 @@ def steady_state_gaussian(
     there; arrays of other shapes than (P,) and (P, 2) raise ValueError.
     Every point is solved in the closed form of the stack's style (see the
     module docstring), with no eigendecomposition of X.  A point on a
-    global member is solved elementwise on its collective modes, at O(n S)
-    for S slots with no matrix product, and a pair of collective modes in
+    global member is solved elementwise on its collective modes, at O(n)
+    with no matrix product, and a pair of collective modes in
     a 2 x 2 closed form, whose point is checked on its whole X, S and K at
     O(n^3).  A point on a local member gets its tridiagonal K in O(n), and
     is checked by its Lyapunov residual and the spectrum of 2K at O(n^3).
@@ -527,18 +528,16 @@ def steady_state_gaussian(
     """
     member = np.asarray(member, dtype=np.intp)
     rates = _slot_rates(chain.slots, member, kappa, temperatures)
-    # the left bath's run of slots, then the right bath's
-    split = int(np.searchsorted(chain.slots.bath, 1))
-    runs = [slice(0, split), slice(split, None)]
+    rates = rates.reshape(len(member), *chain.lowering.shape[1:], 2)  # (P, bath, mode, 2)
     solve = _global_points if chain.style is DissipatorStyle.GLOBAL else _tridiagonal_points
-    k, residual, scale, finite, currents, largest = solve(chain, member, rates, runs)
+    k, residual, scale, power, finite, currents, largest = solve(chain, member, rates)
     _refuse_first(
         [
             (~finite, lambda p: "the Lyapunov equation has a non-finite entry"),
             (
                 ~(residual <= KERNEL_RTOL * scale),  # a NaN residual too
-                lambda p: f"Lyapunov residual {residual[p]:.3e} exceeds {KERNEL_RTOL:.0e} x "
-                f"||X|| = {scale[p]:.3e}",
+                lambda p: f"Lyapunov residual {np.ldexp(residual[p], power[p]):.3e} exceeds "
+                f"{KERNEL_RTOL:.0e} x ||X|| = {np.ldexp(scale[p], power[p]):.3e}",
             ),
             _currents_check(currents),
             (
@@ -548,4 +547,4 @@ def steady_state_gaussian(
             ),
         ]
     )
-    return GaussianState(covariance=k, residual=residual, bath_currents=currents)
+    return GaussianState(covariance=k, residual=np.ldexp(residual, power), bath_currents=currents)

@@ -253,12 +253,13 @@ class Slots:
     """The transitions of a stack of C chains, the left bath's and the
     right bath's side by side.
 
-    Each bath takes a run of slots, each member's transitions first and
-    padding past them.  `frequency[c, s]` is the frequency of member c's
-    transition in slot s, NaN on padding, `live[c, s]` is False on
-    padding, and `bath[s]` is 0 on the left bath's slots and 1 on the
-    right bath's.  A bath may drive no transition (the right global bath of
-    the Ising pair at delta = 0).  Every array is read-only.
+    Each bath takes a run of slots: a transition each on the rate route,
+    padding past each member's, and a mode each on the Gaussian route,
+    whose modes of one frequency form one transition.  `frequency[c, s]`
+    is member c's frequency in slot s, NaN where `live[c, s]` is False,
+    and `bath[s]` is 0 on the left bath's slots, 1 on the right bath's.
+    A bath may drive no transition (the right global bath of the Ising
+    pair at delta = 0).  Every array is read-only.
     """
 
     frequency: np.ndarray

@@ -5,9 +5,9 @@ refusal, which names the failing stack member by its index: on the dense
 oracle and on the two point steps, the first one any check flags, with
 the refusal it meets in a stack of its own (`_refuse_first`).
 `KERNEL_RTOL` is the relative cut of the dense oracle's kernel rule
-(`oracle._kernel_vector`) and of the Gaussian route's undamped mode
-pairs (`gaussian`); the Ising pair's rate route (`rates`) holds no
-relative cut.  The rate route and the oracle
+(`oracle._kernel_vector`) and the bound of the Gaussian route's residual
+guard, ||X K + K X^dag - S|| <= KERNEL_RTOL ||X|| (`gaussian`); the Ising
+pair's rate route (`rates`) holds no relative cut.  The rate route and the oracle
 refuse a state with an eigenvalue (on the rate route, a population) below
 `_MIN_EIGENVALUE`, and both transport routes refuse a point whose bath
 currents are not finite (`_currents_check`).

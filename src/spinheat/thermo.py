@@ -29,8 +29,8 @@ chain.  `_ROUTES` picks their route by the model:
   `gaussian.steady_state_gaussian` the point step.  It solves every
   point in closed form, with no eigendecomposition of X: a global member
   on its collective modes, each group of several modes written on span(u, v)
-  of its two baths' lowering vectors, at O(n S) for S slots, and O(n^3)
-  checks where a group holds a pair of collective modes; a local member,
+  of its two baths' lowering vectors, elementwise over its baths and modes,
+  and O(n^3) checks where a group holds a pair of collective modes; a local member,
   whose K is tridiagonal with a uniform bulk, with O(n^3) checks.
 - The Ising zz pair is not quadratic (sz sz is quartic in the fermions),
   but its H is diagonal and its jumps map basis states to basis states, so
@@ -79,10 +79,10 @@ from .spinops import ChainModel, SpinChainSpec
 # shared with other load; the low ends are its quiet runs).  The rate
 # route's entries hold each bath's slots and an (C, 8) cycle index, 11 kB
 # for fig3's 100 couplings.  The Gaussian route's hold, per member, H,
-# n integers (the pairs) and n + 1 doubles per transition: 0.7 kB for the
-# 5-spin chain and 1.1 kB for the 6-spin chain in the global style, 0.4
-# and 0.5 kB in the local style, so a coupling grid's entry grows by that
-# much per grid point.
+# n integers (the pairs), and for each bath and mode a coordinate, a
+# frequency and a flag, 8 n^2 + 42 n bytes: 0.41 kB for the 5-spin chain
+# and 0.54 kB for the 6-spin chain in either style, so a coupling grid's
+# entry grows by that much per grid point.
 _CHAIN_CACHE_SIZE = 8
 
 # each model's transport route: (chain step, point step)

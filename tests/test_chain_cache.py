@@ -132,8 +132,10 @@ def test_cached_gaussian_arrays_are_read_only(style):
         slots.live,
         slots.bath,
     ]
+    # each bath's coordinate on each mode, and one slot per bath and mode
     assert chain.hamiltonian.shape == (1, 3, 3)
-    assert chain.lowering.shape == (1, len(slots.bath), 3)
+    assert chain.lowering.shape == (1, 2, 3)
+    assert slots.frequency.shape == slots.live.shape == (1, 6)
     # |eps| = 1 + 0.7 sqrt(2), 1 and 0.7 sqrt(2) - 1 stand apart: no pair
     assert chain.partner.tolist() == [[0, 1, 2]]
     assert chain.style is style

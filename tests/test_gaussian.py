@@ -4,6 +4,7 @@ dense oracle, closed forms and the Majorana covariance equation."""
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,16 +178,25 @@ def _assert_matches_oracle(case):
     return chain, state
 
 
-def _lyapunov_equation(chain, temperatures):
-    """X = i H - Q / 2 and S of one point on a 1-stack chain, from each live
-    slot's rates and outer product l l^T written out one by one."""
-    slots = chain.slots
+def _jumps(chain):
+    """The jumps of a 1-stack chain step as (bath, frequency, lowering
+    vector l): one per bath and group of modes, L = sum_k l_k a_k over the
+    modes of one frequency that the bath reaches, so that a pair of
+    collective modes keeps its off-diagonal g_R b c."""
+    jumps = []
+    for bath, frequency in enumerate(bath_frequencies(chain.slots)):
+        for nu in np.unique(frequency[0][~np.isnan(frequency[0])]):
+            jumps.append((bath, nu, np.where(frequency[0] == nu, chain.lowering[0, bath], 0.0)))
+    return jumps
+
+
+def _lyapunov_equation(chain, temperatures, kappa=KAPPA):
+    """X = i H - Q / 2 and S of one point on a 1-stack chain, from each
+    jump's rates and outer product l l^T written out one by one."""
     q = s = 0.0
-    for t in np.flatnonzero(slots.live[0]):
-        emission, absorption = lindblad.thermal_rates(
-            KAPPA, temperatures[slots.bath[t]], slots.frequency[0, t]
-        )
-        outer = np.outer(chain.lowering[0, t], chain.lowering[0, t])
+    for bath, frequency, lowering in _jumps(chain):
+        emission, absorption = lindblad.thermal_rates(kappa, temperatures[bath], frequency)
+        outer = np.outer(lowering, lowering)
         q = q + (emission + absorption) * outer
         s = s + 0.5 * (emission - absorption) * outer
     return 1j * chain.hamiltonian[0] - 0.5 * q, s
@@ -521,12 +531,12 @@ def _mode_covariance(n, ratio, t_left, t_right, kappa):
 def test_collective_modes_match_the_kronecker_references(n, ratio):
     # the route's K is written on each group's collective modes, an
     # orthogonal change of basis within the group, so it is checked by what
-    # does not depend on it: its spectrum, and L K L^T over the slots'
+    # does not depend on it: its spectrum, and L K L^T over the jumps'
     # lowering vectors; the currents against the Majorana covariance.  Least
     # squares loses about eps h / kappa
     spec = _spec(n, ratio)
     chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
-    lowering = chain.lowering[0, chain.slots.live[0]]
+    lowering = np.array([jump[2] for jump in _jumps(chain)])
     points = zip((1e-6, 1e-3, 1.0, 10.0), itertools.cycle([(2.0, 0.0), (0.5, 1.5)]))
     for kappa, (t_left, t_right) in points:
         bound = 1e-14 * max(1.0, H_FIELD / kappa)
@@ -639,6 +649,12 @@ def test_exceptional_point_matches_dense_oracle(factor):
     assert abs(thermo.steady_net_current(spec, 1.0, t_left, 0.0, LOCAL) - dense) <= 1e-10
 
 
+def _jump_frequencies(chain):
+    """Each bath's jump frequencies on a 1-stack chain step, ascending."""
+    jumps = _jumps(chain)
+    return [np.array([nu for bath, nu, _ in jumps if bath == k]) for k in (0, 1)]
+
+
 def _eigenbasis_frequencies(spec, site):
     decomp = spectral_decompose(build_hamiltonian(spec))
     frequencies, _ = global_transitions(decomp, embed_matrix(PAULI_X, site, spec.n_spins))
@@ -652,8 +668,8 @@ def _eigenbasis_frequencies(spec, site):
 def test_modes_are_grouped_like_the_eigenbasis_jumps(n, ratio):
     spec = _spec(n, ratio)
     chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
-    for site, frequencies in zip((0, n - 1), bath_frequencies(chain.slots)):
-        np.testing.assert_allclose(frequencies[0], _eigenbasis_frequencies(spec, site), rtol=1e-12)
+    for site, frequencies in zip((0, n - 1), _jump_frequencies(chain)):
+        np.testing.assert_allclose(frequencies, _eigenbasis_frequencies(spec, site), rtol=1e-12)
 
 
 def test_grouping_scales_by_the_largest_many_body_energy():
@@ -664,19 +680,19 @@ def test_grouping_scales_by_the_largest_many_body_energy():
     # max|eps| (about 3e-9 h) would merge them
     spec = _spec(3, ROOT2 + 2.5e-9 / ROOT2)
     chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
-    frequencies = bath_frequencies(chain.slots)
-    assert [bath.shape for bath in frequencies] == [(1, 3), (1, 3)]
+    frequencies = _jump_frequencies(chain)
+    assert [bath.shape for bath in frequencies] == [(3,), (3,)]
     for site, bath in zip((0, 2), frequencies):
-        np.testing.assert_allclose(bath[0], _eigenbasis_frequencies(spec, site), rtol=1e-12)
+        np.testing.assert_allclose(bath, _eigenbasis_frequencies(spec, site), rtol=1e-12)
 
 
 def test_zero_modes_carry_no_jump_operator():
     # delta = h on five spins: eps = h (1 + 2 cos(k pi / 6)) vanishes at k = 4
     spec = _spec(5, 1.0)
     chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
-    frequencies = bath_frequencies(chain.slots)
-    assert [bath.shape for bath in frequencies] == [(1, 4), (1, 4)]
-    assert min(frequencies[0][0]) > 0.5
+    frequencies = _jump_frequencies(chain)
+    assert [bath.shape for bath in frequencies] == [(4,), (4,)]
+    assert min(frequencies[0]) > 0.5
 
 
 def test_ising_pair_is_refused():
@@ -722,6 +738,50 @@ def test_lyapunov_residual_guard_raises(monkeypatch, style, n, ratio):
     # modes, so no covariance solves the equation
     with pytest.raises(SteadyStateError, match="residual"):
         _with_rates(monkeypatch, (1.0, -1.0), style, n, ratio)
+
+
+@pytest.mark.parametrize(
+    "n, ratio, style, temperatures, currents",
+    [
+        # a pair of collective modes under a right bath at 1e300
+        (4, 2.0, GLOBAL, (0.3, 1e300), [-1.4999999999999993, 1.4999999999999993]),
+        # a local chain whose H reaches 1e200
+        (4, 1e200, LOCAL, (2.0, 1000.0), [-0.49796266529398736, 0.49796266529398736]),
+    ],
+    ids=["pair", "tridiagonal"],
+)
+def test_residual_guard_holds_where_the_norms_overflow(n, ratio, style, temperatures, currents):
+    # at h = kappa = 1, ||X||^2 and ||X K + K X^dag - S||^2 overflow: taken
+    # unscaled, both norms read inf, and inf <= 1e-9 * inf would pass any
+    # residual.  Taken after one power-of-two scaling per point, the
+    # residual is finite and within KERNEL_RTOL of the largest |X_ij| <=
+    # ||X||, and the currents keep their bits
+    spec = SpinChainSpec(n, 1.0, ratio, ChainModel.XY_TRANSVERSE)
+    chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    state = steady_state_gaussian(chain, [0], 1.0, [temperatures])
+    assert np.isfinite(state.residual[0])
+    x, _ = _lyapunov_equation(chain, temperatures, kappa=1.0)
+    assert state.residual[0] <= KERNEL_RTOL * np.abs(x).max()
+    assert state.bath_currents[0].tolist() == currents
+
+
+def test_global_point_step_holds_little_beside_its_covariance():
+    # 17 points at 200 spins: the point step takes each bath's rates on each
+    # mode elementwise, so its peak stays within 1.5 times the (P, n, n)
+    # complex K it returns, 10.9 MB (11.8 MB measured)
+    spec = SpinChainSpec(200, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    member = np.zeros(17, dtype=int)
+    temperatures = np.column_stack([np.linspace(0.1, 3.0, 17), np.zeros(17)])
+    steady_state_gaussian(chain, member, 1.0, temperatures)
+    tracemalloc.start()
+    try:
+        state = steady_state_gaussian(chain, member, 1.0, temperatures)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.covariance.nbytes == 17 * 200 * 200 * 16
+    assert peak < 1.5 * state.covariance.nbytes
 
 
 def _fermi(energies, temperature):

@@ -396,9 +396,9 @@ def _member_arrays(chain, c):
     padding = [("frequency", slots.frequency[c, ~live]), ("live", slots.live[c, ~live])]
     for field in fields(chain):
         value = getattr(chain, field.name)
-        if field.name == "lowering":  # one entry per slot
-            arrays[field.name] = value[c, live]
-            padding.append((field.name, value[c, ~live]))
+        if field.name == "lowering":  # one entry per slot, bath by bath
+            arrays[field.name] = value[c].reshape(live.shape)[live]
+            padding.append((field.name, value[c].reshape(live.shape)[~live]))
         elif field.name == "index":
             slot, s = np.divmod(value[c], 2)
             rank = np.append(np.cumsum(live) - 1, -1)
@@ -520,11 +520,13 @@ def _collective(u, v, modes):
 
 def _member_by_member(head, couplings, style):
     """The XY chain step built member by member, as a reference: each
-    member's H and both baths of `standard_baths` (frequencies, lowering
-    vectors) alone, in the modes xi_k in the global style, each group's
-    modes placed in a Python loop and each group of several modes written
-    on its collective modes (`_collective`), each bath padded by hand to its
-    widest member, and each member's pairs of collective modes."""
+    member's H and both baths of `standard_baths` alone, each bath's
+    coordinate on each mode (the sites 0 and n - 1 in the local style, the
+    modes xi_k in the global one, each group's modes placed in a Python loop
+    and each group of several modes written on its collective modes,
+    `_collective`), a slot per bath and mode at the bath's frequency there,
+    live where the coordinate is nonzero, and each member's pairs of
+    collective modes."""
     n = head.n_spins
     baths = lindblad.standard_baths(head, 1.0, 0.0, 0.0, style)
     members = []
@@ -533,9 +535,9 @@ def _member_by_member(head, couplings, style):
         hop = head.field_h * np.eye(n) + np.diag(off, 1) + np.diag(off, -1)
         partner = np.arange(n)
         if style is DissipatorStyle.LOCAL:
-            frequencies = [np.array([bath.local_frequency]) for bath in baths]
-            lowering = [np.eye(n)[bath.site : bath.site + 1] for bath in baths]
-            members.append((hop, frequencies, lowering, partner))
+            lowering = np.array([np.eye(n)[bath.site] for bath in baths])
+            energies = [np.full(n, bath.local_frequency) for bath in baths]
+            members.append((hop, energies, lowering, partner))
             continue
         eps, phi = np.linalg.eigh(hop)
         energy = np.abs(eps)
@@ -553,34 +555,30 @@ def _member_by_member(head, couplings, style):
         else:
             groups, means = [np.arange(n)], np.array([np.inf])  # every mode in one group
         diagonal = energy.copy()
-        lowering = np.zeros((2, len(groups), n))
+        lowering = np.zeros((2, n))
         for row, modes in enumerate(groups):
             diagonal[modes] = means[row]
-            lowering[:, row, modes] = [coefficient[modes] for coefficient in coefficients]
+            vectors = np.zeros((2, n))
+            vectors[:, modes] = [coefficient[modes] for coefficient in coefficients]
             if len(modes) > 1:
-                left, right, paired = _collective(*lowering[:, row], modes)
-                lowering[:, row] = left, right
+                left, right, paired = _collective(*vectors, modes)
+                vectors = np.array([left, right])
                 if paired:
                     first, second = sorted(modes)[:2]
                     partner[first], partner[second] = second, first
-        members.append((np.diag(diagonal), [means, means], lowering, partner))
-    padded_frequencies, padded_lowering = [], []
-    for k in range(len(baths)):
-        width = max(len(member[1][k]) for member in members)
-        bath_frequencies = np.full((len(members), width), np.nan)
-        vectors = np.zeros((len(members), width, n))
-        for c, (_, freqs, rows, _) in enumerate(members):
-            bath_frequencies[c, : len(freqs[k])] = freqs[k]
-            vectors[c, : len(rows[k])] = rows[k]
-        padded_frequencies.append(bath_frequencies)
-        padded_lowering.append(vectors)
-    slots = lindblad._slots(*padded_frequencies)
+            lowering[:, modes] = vectors[:, modes]
+        members.append((np.diag(diagonal), [diagonal, diagonal], lowering, partner))
+    frequencies = [
+        np.array([np.where(member[2][k] != 0, member[1][k], np.nan) for member in members])
+        for k in range(len(baths))
+    ]
+    slots = lindblad._slots(*frequencies)
     return {
         "hamiltonian": np.stack([member[0] for member in members]),
         "frequency": slots.frequency,
         "live": slots.live,
         "bath": slots.bath,
-        "lowering": np.concatenate(padded_lowering, axis=1),
+        "lowering": np.stack([member[2] for member in members]),
         "partner": np.stack([member[3] for member in members]),
     }
 
@@ -626,8 +624,8 @@ def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
         assert arrays[name].tobytes() == value.tobytes(), name
 
 
-# 200 spins, global style: delta = h has a zero mode, so its 398 slots take
-# two padding slots beside delta = 0.7 h
+# 200 spins, global style: delta = h has a zero mode, which neither bath
+# reaches, so two of its 400 slots are not live, and none of delta = 0.7 h's
 _LONG_CHAIN_STACK = """
 from spinheat import gaussian
 from spinheat.lindblad import DissipatorStyle
@@ -646,10 +644,10 @@ print([name for name, value in vars(single).items()
 
 def test_long_chain_points_are_their_own_one_stacks():
     # one BLAS thread, as the benchmark pins it, splits a product over that
-    # many slots in blocks that depend on its length, so only sums in which
-    # each entry has one nonzero term keep a point's bytes: here the closed
-    # form's sum over each bath's slots, as both members hold one mode per
-    # group
+    # many modes in blocks that depend on its length, so a point keeps its
+    # bytes only where no such product is taken: the closed form takes each
+    # bath's rates on each mode elementwise, as both members hold one mode
+    # per group
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     src = Path(gaussian.__file__).parents[1]
     out = subprocess.run(
