@@ -53,11 +53,13 @@ over its transitions.
 
 The chain step, `gaussian_chain`, takes a stack of C chains that differ
 in the coupling alone, the left bath on site 0 and the right bath on site
-n - 1, and holds, for each member, H and each bath's coordinate l_bk on
-each mode a_k (e_0 and e_{n-1} in the local style), with a slot per bath
-and mode (`lindblad.Slots`) at its frequency, live where l_bk is nonzero;
-a bath's modes of one frequency form its one transition, sum_k l_bk a_k,
-and none of it depends on temperature or kappa.  In the global style it
+n - 1, and holds, for each member, H's diagonal and its coupling on the
+first off-diagonals (0 on the modes of the global style; a dense X is
+formed only where a check multiplies by it), and each bath's coordinate
+l_bk on each mode a_k (e_0 and e_{n-1} in the local style), with a slot
+per bath and mode (`lindblad.Slots`) at its frequency, live where l_bk is
+nonzero; a bath's modes of one frequency form its one transition,
+sum_k l_bk a_k, and none of it depends on temperature or kappa.  In the global style it
 takes one batched eigendecomposition of the (C, n, n) hopping matrices
 and one `lindblad._groups` call on every member's sorted |eps_k| (zero
 modes NaN), and writes each group of several modes on its collective
@@ -216,9 +218,11 @@ class GaussianChain:
     """The temperature-independent half of the Gaussian route (the chain
     step), for a stack of C chains that differ in the coupling alone.
 
-    `hamiltonian[c]` is the real n x n matrix H of member c in its style's
-    fermions: the hopping matrix (local style) or the diagonal of the mode
-    energies, each group's energy on its collective modes (global style).
+    H of member c in its style's fermions is real and tridiagonal, with
+    `diagonal[c]` on its diagonal and `coupling[c]` on both first
+    off-diagonals: the hopping matrix, h and delta (local style), or the
+    mode energies, each group's energy on its collective modes, and 0
+    (global style).
     `lowering[c, b, k]` is bath b's (0 left, 1 right) coordinate l_bk on
     mode k of member c, and `slots` holds a slot per bath and mode
     (`lindblad.Slots`) at its frequency, live where l_bk is nonzero.
@@ -228,7 +232,8 @@ class GaussianChain:
     step takes.  Every array is read-only.
     """
 
-    hamiltonian: np.ndarray
+    diagonal: np.ndarray
+    coupling: np.ndarray
     slots: Slots
     lowering: np.ndarray
     partner: np.ndarray
@@ -326,23 +331,37 @@ def gaussian_chain(
         raise ValueError("the Gaussian route needs the quadratic XY chain")
     delta = _coupling_stack(couplings)
     n = head.n_spins
-    hop = head.field_h * np.eye(n) + delta[:, None, None] * (np.eye(n, k=1) + np.eye(n, k=-1))
+    diagonal = np.full((len(delta), n), head.field_h)
     if style is DissipatorStyle.GLOBAL:
-        diagonal, lowering, partner = _collective_modes(*np.linalg.eigh(hop))
-        hamiltonian = np.zeros(hop.shape)
-        hamiltonian[:, range(n), range(n)] = diagonal
+        diagonal, lowering, partner = _collective_modes(*np.linalg.eigh(_hopping(diagonal, delta)))
+        coupling = np.zeros(len(delta))
         frequency = diagonal[:, None]
     else:
-        hamiltonian = hop
+        coupling = delta
         lowering = np.repeat(np.eye(n)[None, [0, n - 1]], len(delta), axis=0)
         partner = np.tile(np.arange(n), (len(delta), 1))
         frequency = np.array(_local_frequencies(head))[:, None]
     slots = _slots(*np.where(lowering != 0, frequency, np.nan).swapaxes(0, 1))
-    for array in (hamiltonian, lowering, partner):
+    for array in (diagonal, coupling, lowering, partner):
         array.setflags(write=False)
     return GaussianChain(
-        hamiltonian=hamiltonian, slots=slots, lowering=lowering, partner=partner, style=style
+        diagonal=diagonal,
+        coupling=coupling,
+        slots=slots,
+        lowering=lowering,
+        partner=partner,
+        style=style,
     )
+
+
+def _hopping(diagonal: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """The dense (P, n, n) tridiagonal matrices with `diagonal` (P, n) on
+    the diagonal and `coupling` (P,) on both first off-diagonals."""
+    size, n = diagonal.shape
+    matrix = np.zeros((size, n * n))
+    matrix[:, :: n + 1] = diagonal
+    matrix[:, 1 :: n + 1] = matrix[:, n :: n + 1] = coupling[:, None]
+    return matrix.reshape(size, n, n)
 
 
 def _norms(residual: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -374,7 +393,7 @@ def _global_points(
     The fields are K, the Lyapunov residual, ||X|| and F of `_norms`,
     whether X and S are finite, the bath currents, and the largest
     |eigenvalue| of 2K, each with a leading axis of P."""
-    energy = np.diagonal(chain.hamiltonian, axis1=1, axis2=2)[member]
+    energy = chain.diagonal[member]
     # each bath's scaled (emission, absorption) rates on each mode times
     # l_bk^2, (P, 2, n) each
     scaled, exponent = _scaled(rates)
@@ -451,8 +470,8 @@ def _tridiagonal_points(
     bulk: in closed form, with no eigendecomposition of X (see the module
     docstring).  The fields are those of `_global_points`; the left bath
     reaches site 0 alone and the right bath site n - 1."""
-    hamiltonian = chain.hamiltonian[member]
-    field, delta = hamiltonian[:, 0, 0], hamiltonian[:, 0, 1]
+    diagonal, delta = chain.diagonal[member], chain.coupling[member]
+    field = diagonal[:, 0]
     # (P, 2) arrays hold the left bath's value on site 0 and the right's on n - 1
     rates = np.stack([rates[:, 0, 0], rates[:, 1, -1]], axis=1)
     g = rates.sum(axis=2)
@@ -469,14 +488,15 @@ def _tridiagonal_points(
     ends = (flow[:, None] * [-1.0, 1.0] - s) / g  # c_0 and c_{n-1}
     bulk = np.where(delta > 0, (g[:, ::-1] * ends).sum(axis=1) / g.sum(axis=1), 0.0)
 
-    n = hamiltonian.shape[1]
+    n = diagonal.shape[1]
     k = np.zeros((len(member), n * n), dtype=complex)
     k[:, :: n + 1] = bulk[:, None]
     k[:, 0], k[:, -1] = ends.T
     k[:, 1 :: n + 1] = 1j * beta[:, None]
     k[:, n :: n + 1] = -1j * beta[:, None]
     k = k.reshape(len(member), n, n)
-    x = 1j * hamiltonian
+    # the residual by product takes the dense X
+    x = 1j * _hopping(diagonal, delta)
     x[:, 0, 0] -= 0.5 * g[:, 0]
     x[:, -1, -1] -= 0.5 * g[:, 1]
     source = np.zeros(x.shape)

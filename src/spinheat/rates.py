@@ -16,6 +16,13 @@ point step, `steady_state_pauli`, takes P points at one kappa and their
 rates from one call of the rate law, and its cycle rates from one
 gather.
 
+The point step lays its arrays out by rate, not by point: the cycle rates
+are an (8, P) array, one contiguous row per rate, the populations (4, P),
+the tree gathers (3, tree, level, P), and each product, sum and check
+runs elementwise on contiguous slabs of points (numpy walks the strided
+columns of a (P, 8) array two to three times slower).  Only the returned
+fields put P first.
+
 Each point's rates are scaled by a power of two, exactly, so that the
 largest lies in [0.5, 1).  By the Markov chain tree theorem (Schnakenberg,
 Rev. Mod. Phys. 48, 571 (1976)) p_i is proportional to the sum over the 4
@@ -76,8 +83,10 @@ def _cycle_arcs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     indices into the cycle rates followed by a one (8) and a zero (9): the
     two rates that leave it, the rates inside it both ways, and its
     in-tree toward each level, the levels before it forward and those after
-    it back (three rates, padded with ones; zeros off the arc).  An arc of
-    four levels is the cycle without an edge: its in-trees span the cycle."""
+    it back (three rates, padded with ones; zeros off the arc), laid out
+    (rate, arc, level) so that a gather from an (8, P) stack of cycle rates
+    takes each tree's rates as contiguous slabs of points.  An arc of four
+    levels is the cycle without an edge: its in-trees span the cycle."""
     leaving, inside, trees = [], [], []
     for start, length in np.ndindex(4, 4):  # an arc of length + 1 levels
         edges = [(start + k) % 4 for k in range(length)]
@@ -87,7 +96,7 @@ def _cycle_arcs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for j in range(length + 1):
             tree = edges[:j] + [4 + m for m in edges[j:]] + [8] * (3 - length)
             trees[-1][_CYCLE[(start + j) % 4]] = tree
-    return np.array(leaving), np.array(inside), np.array(trees)
+    return np.array(leaving), np.array(inside), np.moveaxis(np.array(trees), -1, 0).copy()
 
 
 _ARC_LEAVING, _ARC_INSIDE, _ARC_TREES = _cycle_arcs()
@@ -104,9 +113,10 @@ def _closed_arcs() -> np.ndarray:
 
 
 _CLOSED_ARCS = _closed_arcs()
-# the spanning trees toward each level, in which the Markov chain tree
-# theorem sums the products of the rates: the in-trees of the arcs of four levels
-_TREES = _ARC_TREES[3::4]
+# the spanning trees toward each level, (rate, tree, level), in which the
+# Markov chain tree theorem sums the products of the rates: the in-trees of
+# the arcs of four levels
+_TREES = _ARC_TREES[:, 3::4].copy()
 
 
 @dataclass(frozen=True)
@@ -117,9 +127,9 @@ class PauliChain:
     `slots` holds the left and the right bath's transitions side by side,
     and a point's rates on them form its flat (emission, absorption)
     table, entry 2 * slot + s for emission (s = 0) and absorption (s = 1),
-    followed by a zero.  `index[c, e]` points cycle rate e of member c
-    into that table, at the rate of the transition that drives it or at
-    the zero.
+    followed by a zero; the point step stacks the tables of its points as
+    columns.  `index[c, e]` points cycle rate e of member c into that
+    table, at the rate of the transition that drives it or at the zero.
     `carried[c]` is the energy the left and the right bath's edges carry
     per forward cycle.  Every array is read-only.
     """
@@ -178,46 +188,53 @@ def pauli_chain(
 def _cycle_rates(
     chain: PauliChain, member: np.ndarray, kappa: float, temperatures: np.ndarray
 ) -> np.ndarray:
-    """The (P, 8) cycle rates of P points, each one rate of the rate law or
-    zero: one gather from each point's flat (emission, absorption) table."""
+    """The (8, P) cycle rates of P points, row e cycle rate e, each one rate
+    of the rate law or zero: one gather from the points' flat (emission,
+    absorption) tables, a column each."""
     rates = _slot_rates(chain.slots, member, kappa, temperatures)
-    table = np.zeros((len(rates), rates.shape[1] * 2 + 1))
-    table[:, :-1] = rates.reshape(table[:, :-1].shape)
-    return np.take_along_axis(table, chain.index[member], axis=1)
+    table = np.zeros((rates.shape[1] * 2 + 1, len(rates)))
+    table[:-1] = rates.reshape(len(rates), len(table) - 1).T
+    # the gather takes the layout of its index: a transposed view would
+    # leave the cycle rates F-ordered
+    index = np.ascontiguousarray(chain.index[member].T)
+    return np.take_along_axis(table, index, axis=0)
 
 
 def _tree_sum(rates: np.ndarray, trees: np.ndarray = _TREES) -> np.ndarray:
-    """The tree sums of a (P, 8) stack of cycle rates, each point's
-    unnormalized populations: one gather, two whole-stack products (the
-    bits of `prod` over the three rates) and a sum over axis 0 of `trees`,
-    one slab at a time.  np.take lays the gather out alike in every stack,
-    so a point's products and sums do not depend on the stack."""
-    edges = np.take(rates, trees, axis=1)
-    return sum((edges[..., 0] * edges[..., 1] * edges[..., 2]).swapaxes(0, 1))
+    """The tree sums of an (8, P) stack of cycle rates, each point's
+    unnormalized populations (level, P): one gather of the (rate, tree,
+    level) table `trees` into contiguous slabs of points, two whole-stack
+    products (the bits of `prod` over the three rates) and a sum over the
+    tree axis, one slab at a time.  Every operation runs elementwise along
+    the points, so a point's products and sums do not depend on the stack."""
+    edges = np.take(rates, trees, axis=0)
+    return sum(edges[0] * edges[1] * edges[2])
 
 
 def _cut_cycles(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The closed classes of a (Q, 8) stack of scaled cycle rates, the arcs
+    """The closed classes of an (8, Q) stack of scaled cycle rates, the arcs
     no rate leaves and rates join both ways inside: each point's number of
     them, the projection of the uniform vector onto their stationary vectors
-    (unnormalized), and whether a class's in-tree, normalized by its
-    largest entry, has that entry below the normal range.
+    (unnormalized, (level, Q)), and whether a class's in-tree, normalized by
+    its largest entry, has that entry below the normal range.
 
     Which arcs are closed depends only on which rates vanish
-    (`_CLOSED_ARCS`), and the in-trees are formed only for the arcs closed
-    at some point of the stack: an arc closed nowhere adds zeros alone."""
-    pattern = np.packbits(rates != 0, axis=1, bitorder="little")[:, 0]
-    closed = _CLOSED_ARCS[pattern]
-    arcs = np.flatnonzero(closed.any(axis=0))
-    closed = closed[:, arcs]
-    extended = np.column_stack([rates, np.ones(len(rates)), np.zeros(len(rates))])
-    trees = _tree_sum(extended, _ARC_TREES[None, arcs])  # one tree per arc and level
-    largest = np.where(closed, trees.max(axis=2), 1.0)
-    trees = np.where(closed[..., None], trees / largest[..., None], 0.0)
-    weight = trees.sum(axis=2) / np.where(closed, (trees**2).sum(axis=2), 1.0)
+    (`_CLOSED_ARCS`), and the in-trees are formed, as an (arc, level, Q)
+    stack, only for the arcs closed at some point of the stack: an arc
+    closed nowhere adds zeros alone."""
+    size = rates.shape[1]
+    pattern = np.packbits(rates != 0, axis=0, bitorder="little")[0]
+    closed = _CLOSED_ARCS[pattern].T
+    arcs = np.flatnonzero(closed.any(axis=1))
+    closed = closed[arcs]
+    extended = np.vstack([rates, np.ones(size), np.zeros(size)])
+    trees = _tree_sum(extended, _ARC_TREES[:, None, arcs])  # one tree per arc and level
+    largest = np.where(closed, trees.max(axis=1), 1.0)
+    trees = np.where(closed[:, None], trees / largest[:, None], 0.0)
+    weight = trees.sum(axis=1) / np.where(closed, (trees**2).sum(axis=1), 1.0)
     # the classes share no level, so the sum over the arcs adds zeros only
-    lost = (largest < _TINY).any(axis=1)
-    return closed.sum(axis=1), (weight[..., None] * trees).sum(axis=1), lost
+    lost = (largest < _TINY).any(axis=0)
+    return closed.sum(axis=0), (weight[:, None] * trees).sum(axis=0), lost
 
 
 def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,8 +273,9 @@ def steady_state_pauli(
     """
     member = np.asarray(member, dtype=np.intp)
     rates = _cycle_rates(chain, member, kappa, temperatures)
+    size = rates.shape[1]
     carried = chain.carried[member]
-    largest = rates.max(axis=1, initial=0.0)
+    largest = rates.max(axis=0, initial=0.0)
     # each check's failures, in the order a point meets them alone
     refusals = [
         (
@@ -267,32 +285,32 @@ def steady_state_pauli(
         (largest == 0.0, lambda p: "rates are identically zero"),
     ]
     exponent = np.frexp(largest)[1]
-    rates = np.ldexp(rates, -exponent[:, None])
+    rates = np.ldexp(rates, -exponent)
 
     populations = _tree_sum(rates)
-    total = sum(populations.T)
+    total = sum(populations)
     # Pi+ and Pi-: the left edges' product times the right edges', rounded
     # and with its error
-    edges = rates.reshape(-1, 2, 2, 2)  # (point, direction, edge m // 2, spin m % 2)
-    sides, side_errors = _two_product(edges[:, :, 0], edges[:, :, 1])
-    cycles, errors = _two_product(sides[..., 0], sides[..., 1])
-    errors += sides[..., 0] * side_errors[..., 1] + side_errors[..., 0] * sides[..., 1]
-    difference = (cycles[:, 0] - cycles[:, 1]) + (errors[:, 0] - errors[:, 1])
-    flux = np.divide(difference, total, out=np.zeros(len(rates)), where=total >= _TINY)
+    edges = rates.reshape(2, 2, 2, size)  # (direction, edge m // 2, spin m % 2, point)
+    sides, side_errors = _two_product(edges[:, 0], edges[:, 1])
+    cycles, errors = _two_product(sides[:, 0], sides[:, 1])
+    errors += sides[:, 0] * side_errors[:, 1] + side_errors[:, 0] * sides[:, 1]
+    difference = (cycles[0] - cycles[1]) + (errors[0] - errors[1])
+    flux = np.divide(difference, total, out=np.zeros(size), where=total >= _TINY)
     # a needed product with no zero rate in it must stay in the normal range;
     # a Z below it is a cut cycle, which needs no cycle product, or lost
     positive = edges > 0
-    lost = (cycles < _TINY) & positive[:, :, 0, 0] & positive[:, :, 0, 1]
-    lost = (lost & positive[:, :, 1, 0] & positive[:, :, 1, 1]).any(axis=1)
-    kernel_dim = np.ones(len(rates), dtype=int)
+    lost = (cycles < _TINY) & positive[:, 0, 0] & positive[:, 0, 1]
+    lost = (lost & positive[:, 1, 0] & positive[:, 1, 1]).any(axis=0)
+    kernel_dim = np.ones(size, dtype=int)
     small = np.flatnonzero(total < _TINY)
     if len(small):
-        kernel_dim[small], populations[small], class_lost = _cut_cycles(rates[small])
+        kernel_dim[small], populations[:, small], class_lost = _cut_cycles(rates[:, small])
         lost[small] = np.where(kernel_dim[small] > 1, class_lost, True)
-        total[small] = sum(populations[small].T)
+        total[small] = sum(populations[:, small])
     refusals.append((lost, lambda p: "rates span more than the double range"))
-    p = populations / total[:, None]
-    smallest = p.min(axis=1)
+    p = populations / total
+    smallest = p.min(axis=0)
     refusals.append(
         (
             smallest < _MIN_EIGENVALUE,
@@ -303,10 +321,10 @@ def steady_state_pauli(
     currents = np.ldexp(flux, exponent)[:, None] * carried + 0.0
     refusals.append(_currents_check(currents))
     _refuse_first(refusals)
-    flows = rates[:, :4] * p[:, _CYCLE] - rates[:, 4:] * p[:, _HEADS]
-    residual = np.linalg.norm(flows[:, [-1, 0, 1, 2]] - flows, axis=1)  # in minus out
+    flows = rates[:4] * p[_CYCLE] - rates[4:] * p[_HEADS]
+    residual = np.linalg.norm(flows[[-1, 0, 1, 2]] - flows, axis=0)  # in minus out
     return SteadyState(
-        rho=p[:, :, None] * np.eye(4),
+        rho=p.T[:, :, None] * np.eye(4),
         residual=np.ldexp(residual, exponent),
         kernel_dim=kernel_dim,
         bath_currents=currents,

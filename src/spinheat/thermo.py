@@ -77,12 +77,14 @@ from .spinops import ChainModel, SpinChainSpec
 # 0.44 to 0.88 ms warm, its points solved in closed form (medians of 1000,
 # three runs in each of three processes, one BLAS thread, a 2-vCPU Xeon VM
 # shared with other load; the low ends are its quiet runs).  The rate
-# route's entries hold each bath's slots and an (C, 8) cycle index, 11 kB
-# for fig3's 100 couplings.  The Gaussian route's hold, per member, H,
-# n integers (the pairs), and for each bath and mode a coordinate, a
-# frequency and a flag, 8 n^2 + 42 n bytes: 0.41 kB for the 5-spin chain
-# and 0.54 kB for the 6-spin chain in either style, so a coupling grid's
-# entry grows by that much per grid point.
+# route's entries hold each bath's slots, a (C, 8) cycle index, member
+# first like every chain-step array, and the carried energies, 11 kB for
+# fig3's 100 couplings.  The Gaussian route's hold, per member, H's
+# diagonal and coupling, n integers (the pairs), and for each bath and
+# mode a coordinate, a frequency and a flag, 50 n + 8 bytes, and 16 n
+# bytes of bath labels per entry: 0.26 kB for the 5-spin chain, 0.31 kB
+# for the 6-spin chain and 40 kB for an 800-spin chain in either style, so
+# a coupling grid's entry grows by that much per grid point.
 _CHAIN_CACHE_SIZE = 8
 
 # each model's transport route: (chain step, point step)

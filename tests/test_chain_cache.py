@@ -125,21 +125,35 @@ def test_cached_gaussian_arrays_are_read_only(style):
     chain = thermo._chain(spec, (spec.coupling_delta,), style)
     slots = chain.slots
     arrays = [
-        chain.hamiltonian,
+        chain.diagonal,
+        chain.coupling,
         chain.lowering,
         chain.partner,
         slots.frequency,
         slots.live,
         slots.bath,
     ]
-    # each bath's coordinate on each mode, and one slot per bath and mode
-    assert chain.hamiltonian.shape == (1, 3, 3)
+    # H as its diagonal and its coupling on the first off-diagonals, each
+    # bath's coordinate on each mode, and one slot per bath and mode
+    assert chain.diagonal.shape == (1, 3) and chain.coupling.shape == (1,)
     assert chain.lowering.shape == (1, 2, 3)
     assert slots.frequency.shape == slots.live.shape == (1, 6)
     # |eps| = 1 + 0.7 sqrt(2), 1 and 0.7 sqrt(2) - 1 stand apart: no pair
     assert chain.partner.tolist() == [[0, 1, 2]]
     assert chain.style is style
     _assert_read_only(arrays)
+
+
+@pytest.mark.parametrize("style", DissipatorStyle)
+def test_long_gaussian_chain_step_holds_no_dense_matrix(style):
+    # 800 spins: H as its diagonal and coupling, not a dense n x n matrix
+    # of 5.12 MB, and O(n) bytes for everything else
+    spec = SpinChainSpec(800, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
+    chain = thermo._chain(spec, (spec.coupling_delta,), style)
+    slots = chain.slots
+    arrays = [chain.diagonal, chain.coupling, chain.lowering, chain.partner]
+    arrays += [slots.frequency, slots.live, slots.bath]
+    assert sum(array.nbytes for array in arrays) < 64 * 1024
 
 
 def test_other_coupling_and_other_style_miss_the_cache():

@@ -199,7 +199,9 @@ def _lyapunov_equation(chain, temperatures, kappa=KAPPA):
         outer = np.outer(lowering, lowering)
         q = q + (emission + absorption) * outer
         s = s + 0.5 * (emission - absorption) * outer
-    return 1j * chain.hamiltonian[0] - 0.5 * q, s
+    off = np.full(chain.diagonal.shape[1] - 1, chain.coupling[0])
+    hamiltonian = np.diag(chain.diagonal[0]) + np.diag(off, 1) + np.diag(off, -1)
+    return 1j * hamiltonian - 0.5 * q, s
 
 
 def _kronecker_solve(x, source):

@@ -520,7 +520,8 @@ def _collective(u, v, modes):
 
 def _member_by_member(head, couplings, style):
     """The XY chain step built member by member, as a reference: each
-    member's H and both baths of `standard_baths` alone, each bath's
+    member's H, as its diagonal and its coupling on the first off-diagonals,
+    and both baths of `standard_baths` alone, each bath's
     coordinate on each mode (the sites 0 and n - 1 in the local style, the
     modes xi_k in the global one, each group's modes placed in a Python loop
     and each group of several modes written on its collective modes,
@@ -537,7 +538,7 @@ def _member_by_member(head, couplings, style):
         if style is DissipatorStyle.LOCAL:
             lowering = np.array([np.eye(n)[bath.site] for bath in baths])
             energies = [np.full(n, bath.local_frequency) for bath in baths]
-            members.append((hop, energies, lowering, partner))
+            members.append(((np.diag(hop).copy(), hop[0, 1]), energies, lowering, partner))
             continue
         eps, phi = np.linalg.eigh(hop)
         energy = np.abs(eps)
@@ -567,14 +568,15 @@ def _member_by_member(head, couplings, style):
                     first, second = sorted(modes)[:2]
                     partner[first], partner[second] = second, first
             lowering[:, modes] = vectors[:, modes]
-        members.append((np.diag(diagonal), [diagonal, diagonal], lowering, partner))
+        members.append(((diagonal, 0.0), [diagonal, diagonal], lowering, partner))
     frequencies = [
         np.array([np.where(member[2][k] != 0, member[1][k], np.nan) for member in members])
         for k in range(len(baths))
     ]
     slots = lindblad._slots(*frequencies)
     return {
-        "hamiltonian": np.stack([member[0] for member in members]),
+        "diagonal": np.stack([member[0][0] for member in members]),
+        "coupling": np.array([member[0][1] for member in members]),
         "frequency": slots.frequency,
         "live": slots.live,
         "bath": slots.bath,
@@ -611,7 +613,8 @@ def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
         reference = _member_by_member(*stack)
     chain = gaussian.gaussian_chain(*stack)
     arrays = {
-        "hamiltonian": chain.hamiltonian,
+        "diagonal": chain.diagonal,
+        "coupling": chain.coupling,
         "frequency": chain.slots.frequency,
         "live": chain.slots.live,
         "bath": chain.slots.bath,

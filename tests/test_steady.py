@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinheat import oracle, rates
+from spinheat import lindblad, oracle, rates
 from spinheat.lindblad import DEGENERACY_TOL, DissipatorStyle, standard_baths
 from spinheat.oracle import (
     CrossValidationError,
@@ -232,10 +232,10 @@ CYCLE_EDGES = np.concatenate(
 
 
 def _rate_matrices(cycle_rates):
-    """The (P, 4, 4) rate matrices of a (P, 8) stack of cycle rates, entry
+    """The (P, 4, 4) rate matrices of an (8, P) stack of cycle rates, entry
     (i, j) moving population from level j to level i, and their generators."""
-    w = np.zeros((len(cycle_rates), 16))
-    w[:, CYCLE_EDGES] = cycle_rates
+    w = np.zeros((cycle_rates.shape[1], 16))
+    w[:, CYCLE_EDGES] = cycle_rates.T
     w = w.reshape(-1, 4, 4)
     levels = np.arange(4)
     generator = w.copy()
@@ -244,10 +244,11 @@ def _rate_matrices(cycle_rates):
 
 
 def _random_cycle_rates(size, seed):
-    """A (size, 8) stack of cycle rates, log-uniform over 1e-14..1e2 with
+    """An (8, size) stack of cycle rates, log-uniform over 1e-14..1e2 with
     four in ten dropped."""
     rng = np.random.default_rng(seed)
-    return 10.0 ** rng.uniform(-14.0, 2.0, (size, 8)) * (rng.random((size, 8)) < 0.6)
+    drawn = 10.0 ** rng.uniform(-14.0, 2.0, (size, 8)) * (rng.random((size, 8)) < 0.6)
+    return np.ascontiguousarray(drawn.T)
 
 
 def _exact_tree_sums(w):
@@ -290,23 +291,23 @@ def dense_ising_state(L):
 def _sixteen_arc_cut_cycles(cycle_rates):
     """`rates._cut_cycles` by the direct rule on all 16 arcs, forming every
     arc's in-trees: the reference of its closed-arc table."""
-    size = len(cycle_rates)
-    extended = np.column_stack([cycle_rates, np.ones(size), np.zeros(size)])
-    closed = (extended[:, rates._ARC_LEAVING] == 0).all(axis=2)
-    closed &= (extended[:, rates._ARC_INSIDE] > 0).all(axis=2)
-    trees = rates._tree_sum(extended, rates._ARC_TREES[None])
-    largest = np.where(closed, trees.max(axis=2), 1.0)
-    trees = np.where(closed[..., None], trees / largest[..., None], 0.0)
-    weight = trees.sum(axis=2) / np.where(closed, (trees**2).sum(axis=2), 1.0)
-    lost = (largest < np.finfo(float).tiny).any(axis=1)
-    return closed.sum(axis=1), (weight[..., None] * trees).sum(axis=1), lost
+    size = cycle_rates.shape[1]
+    extended = np.vstack([cycle_rates, np.ones(size), np.zeros(size)])
+    closed = (extended[rates._ARC_LEAVING] == 0).all(axis=1)
+    closed &= (extended[rates._ARC_INSIDE] > 0).all(axis=1)
+    trees = rates._tree_sum(extended, rates._ARC_TREES[:, None])
+    largest = np.where(closed, trees.max(axis=1), 1.0)
+    trees = np.where(closed[:, None], trees / largest[:, None], 0.0)
+    weight = trees.sum(axis=1) / np.where(closed, (trees**2).sum(axis=1), 1.0)
+    lost = (largest < np.finfo(float).tiny).any(axis=0)
+    return closed.sum(axis=0), (weight[:, None] * trees).sum(axis=0), lost
 
 
 class TestTreeSum:
     RATES = _random_cycle_rates(20000, seed=1701)
     W, GENERATOR = _rate_matrices(RATES)
     POPULATIONS = rates._tree_sum(RATES)
-    ONE_CLASS = POPULATIONS.sum(axis=1) > 0
+    ONE_CLASS = POPULATIONS.sum(axis=0) > 0
 
     def test_one_closed_class_and_cut_cycles_are_drawn(self):
         assert 0.2 < self.ONE_CLASS.mean() < 0.8
@@ -318,10 +319,11 @@ class TestTreeSum:
         exponents = rng.choice([-318.0, -310.0, -8.0, 0.0, 2.0, 299.0, 300.0], (4000, 8))
         w = rng.uniform(1.0, 10.0, exponents.shape) * 10.0**exponents
         w *= rng.random(w.shape) < 0.8
+        w = np.ascontiguousarray(w.T)
         with np.errstate(over="ignore", invalid="ignore"):
             populations = rates._tree_sum(w)
-            edges = np.take(w, rates._TREES, axis=1)
-            expected = edges.prod(axis=-1).sum(axis=1)
+            edges = np.take(w, rates._TREES, axis=0)
+            expected = edges.prod(axis=0).sum(axis=0)
         assert populations.tobytes() == expected.tobytes()
         assert np.isnan(expected).any() and np.isinf(expected).any()
         finite = expected[np.isfinite(expected)]
@@ -334,7 +336,7 @@ class TestTreeSum:
         found = kernel_dim == 1
         assert found.mean() > 0.5
         from_svd = vectors[found] / vectors[found].sum(axis=1)[:, None]
-        populations = self.POPULATIONS[self.ONE_CLASS][found]
+        populations = self.POPULATIONS[:, self.ONE_CLASS][:, found].T
         from_trees = populations / populations.sum(axis=1)[:, None]
         s = np.linalg.svd(self.GENERATOR[self.ONE_CLASS][found], compute_uv=False)
         bound = 100 * np.finfo(float).eps * s[:, 0] / s[:, 2]
@@ -344,8 +346,9 @@ class TestTreeSum:
         # where the SVD rule finds as many kernel vectors as closed classes,
         # the projection of the uniform vector onto them, as accurate as
         # eps s1 / s, s the smallest singular value above the kernel
-        cut = ~self.ONE_CLASS & self.RATES.any(axis=1)
-        classes, projected, lost = rates._cut_cycles(self.RATES[cut])
+        cut = ~self.ONE_CLASS & self.RATES.any(axis=0)
+        classes, projected, lost = rates._cut_cycles(self.RATES[:, cut])
+        projected = projected.T
         assert (classes > 1).all() and not lost.any()
         vectors, kernel_dim = _kernel_vector(self.GENERATOR[cut], np.full(4, 0.25))
         found = kernel_dim == classes
@@ -372,8 +375,8 @@ class TestTreeSum:
         # on every draw, on the cut cycles alone, and on stacks that close
         # only a few arcs, the cut cycles are the bits of the rule that
         # forms all 16 arcs' in-trees
-        cut = ~self.ONE_CLASS & self.RATES.any(axis=1)
-        for stack in (self.RATES, self.RATES[cut], self.RATES[cut][:3], self.RATES[:0]):
+        cut = ~self.ONE_CLASS & self.RATES.any(axis=0)
+        for stack in (self.RATES, self.RATES[:, cut], self.RATES[:, cut][:, :3], self.RATES[:, :0]):
             for ours, reference in zip(rates._cut_cycles(stack), _sixteen_arc_cut_cycles(stack)):
                 assert ours.tobytes() == reference.tobytes()
 
@@ -382,7 +385,7 @@ class TestTreeSum:
         # the total and one for the division bound the error by about 9 ulps
         for m in np.flatnonzero(self.ONE_CLASS)[:300]:
             exact = _exact_tree_sums(self.W[m])
-            populations = self.POPULATIONS[m] / self.POPULATIONS[m].sum()
+            populations = self.POPULATIONS[:, m] / self.POPULATIONS[:, m].sum()
             for value, tree_sum in zip(populations.tolist(), exact):
                 target = tree_sum / sum(exact)
                 if target == 0:
@@ -390,6 +393,87 @@ class TestTreeSum:
                     continue
                 ulp = Fraction(np.spacing(float(target)))
                 assert abs(Fraction(value) - target) <= 16 * ulp, (m, value, float(target))
+
+
+def test_cycle_rates_are_contiguous_rows_of_points():
+    # one row per cycle rate, the points of a stack of several members
+    # contiguous along it
+    chain = rates.pauli_chain(ISING, (0.01, 0.5, 1.5), DissipatorStyle.GLOBAL)
+    member = np.array([2, 0, 1, 1, 0])
+    temperatures = np.linspace(0.0, 2.0, 10).reshape(5, 2)
+    cycle = rates._cycle_rates(chain, member, 1.0, temperatures)
+    assert cycle.shape == (8, 5) and cycle.flags.c_contiguous
+
+
+# fig2's T_L = 0 row at delta = 0.01, its hot-left cell at delta = 0.5, fig3
+# panel (b) at T_L = 0, the inset at delta T = +-0.04 about 5h, and a cut
+# cycle of fig2's local column, each under a rate law of +, * and / alone
+_T_LEFT, _DELTA_T = np.logspace(-2, 2, 200), np.linspace(-2.0, 2.0, 101)
+FIGURE_STACKS = [
+    (
+        DissipatorStyle.GLOBAL,
+        (0.01, 0.5, np.linspace(0.0, 1.0, 102)[30]),
+        [0, 1, 2, 1, 1],
+        [
+            [0.0, 0.0],
+            [_T_LEFT[-1], 0.0],
+            [0.0, 10.0],
+            [5.0 + 0.5 * _DELTA_T[51], 5.0 - 0.5 * _DELTA_T[51]],
+            [5.0 + 0.5 * _DELTA_T[49], 5.0 - 0.5 * _DELTA_T[49]],
+        ],
+        [
+            [0.0, 0.0],
+            [0.12437810945273632, -0.12437810945273632],
+            [0.0, 0.0],
+            [0.008253336423377403, -0.008253336423377403],
+            [0.0074003483844326335, -0.0074003483844326335],
+        ],
+        [1, 1, 1, 1, 1],
+        [
+            [0.0, 0.0, 1.0, 0.0],
+            [0.24875621890547264, 0.24875621890547264, 0.2537313432835821, 0.24875621890547264],
+            [0.0, 0.0, 0.5073170731707317, 0.4926829268292683],
+            [0.21771186761165126, 0.23791319238724326, 0.2844093054285545, 0.2599656345725509],
+            [0.21755318581763228, 0.23774765683842583, 0.28456726756680517, 0.2601318897771367],
+        ],
+    ),
+    (
+        DissipatorStyle.LOCAL,
+        (0.01,),
+        [0],
+        [[_T_LEFT[120], 0.0]],
+        [[0.0, 0.0]],
+        [2],
+        [[0.20945006187780502, 0.20945006187780502, 0.290549938122195, 0.290549938122195]],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "style, couplings, member, temperatures, currents, kernel_dim, populations",
+    FIGURE_STACKS,
+    ids=["global", "local"],
+)
+def test_figure_cells_keep_their_bits(
+    monkeypatch, style, couplings, member, temperatures, currents, kernel_dim, populations
+):
+    # e = kappa (omega + T) and a = kappa T keep the zero rates of the
+    # thermal law and need no libm, so the bits pin the point step alone,
+    # the sign of each zero included
+    monkeypatch.setattr(
+        lindblad,
+        "thermal_rates",
+        lambda kappa, temperature, frequency: (
+            kappa * frequency + kappa * temperature,
+            kappa * temperature,
+        ),
+    )
+    chain = rates.pauli_chain(ISING, couplings, style)
+    state = rates.steady_state_pauli(chain, member, 1.0, temperatures)
+    assert state.bath_currents.tobytes() == np.array(currents).tobytes()
+    assert state.kernel_dim.tolist() == kernel_dim
+    diagonal = np.diagonal(state.rho, axis1=1, axis2=2)
+    assert diagonal.tobytes() == np.array(populations).tobytes()
 
 
 def _route_state(spec, kappa, t_left, t_right, style):
