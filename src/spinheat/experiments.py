@@ -4,31 +4,36 @@ Every dataset, the figures and the configured sweeps alike, is a grid of
 x values and a list of curves.  The x variable is the left temperature
 T_L, the coupling delta, or the temperature difference delta_T at a fixed
 mean; a curve is one J column, fixed by a chain, a dissipator style, and
-the temperatures x leaves free.  A column function evaluates every
-curve over a stretch of the grid: it groups the curves by the model,
-chain length, field and style of their chain, builds each curve's cells
-as arrays of the grid (temperatures, live rows, members), keying its
-members of the group's chain stack once per curve, on its fixed coupling
-or on the grid itself for a delta sweep, and each group takes one chain
-step over its distinct couplings and one stacked point step over its
-cells (`thermo._net_currents`).  So a coupling grid is one group, as is
-a temperature grid at several fixed couplings.  The currents come back
-as a (rows, curves) table in which NaN, and only NaN, marks an empty
-cell, where a bath would drop below zero temperature: the point steps
-refuse any current that is not finite.  Each dataset is written as a
-flat CSV with a units comment, parameter comment lines, a header row,
-and values at 15 significant digits, an empty cell as nothing.  The
-grid is evaluated in contiguous chunks of a bounded number of cells,
-which bounds a run's memory: one worker takes them in place, one after
-another, and more workers take them across worker processes.  Rows are
-always assembled in grid order, and a stack member does not depend on
-the stack it is solved in, which keeps the output files byte-for-byte
-reproducible.
+the temperatures x leaves free.  A command solves all its grids at once
+(fig3 its panels' coupling grid and its inset's delta_T grid): a column
+function evaluates every curve of every grid over a stretch of each grid,
+groups the curves by the chain stack they share (`thermo._stack_key`:
+the model, chain length and field of their chain, and on the Gaussian
+route the style), and builds each curve's cells as arrays of its grid
+(flat cell indices, temperatures, members).  It keys a curve's members of
+the group's chain stack once per curve on its fixed coupling, or on a
+delta grid itself once per grid and style, and each group takes one chain
+step over each style's distinct couplings and one stacked point step over
+its cells (`thermo._net_currents`).  So fig2's three global curves and
+its local one are one group, and so are fig3's panels and inset.  The
+currents come back as a (rows, curves) table per grid in which NaN, and
+only NaN, marks an empty cell, where a bath would drop below zero
+temperature: the point steps refuse any current that is not finite.  Each
+dataset is written as a flat CSV with a units comment, parameter comment
+lines, a header row, and values at 15 significant digits, an empty cell
+as nothing.  The rows of a command's grids are evaluated in contiguous
+chunks of a bounded number of cells, which bounds a run's memory: one
+worker takes them in place, one after another, and more workers take
+them across worker processes.  Rows are always assembled in grid order,
+and a stack member does not depend on the stack it is solved in, which
+keeps the output files byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import os
 import sys
@@ -52,7 +57,7 @@ from .oracle import (
 )
 from .spinops import ChainModel, SpinChainSpec, build_hamiltonian, spectral_decompose
 from .steady import SteadyStateError
-from .thermo import _net_currents, rectification, steady_net_current
+from .thermo import _net_currents, _stack_key, rectification, steady_net_current
 
 UNITS_COMMENT = "# hbar=1, kB=1, energies in units of h"
 
@@ -74,10 +79,12 @@ _SCALES = ("linear", "log")
 MAX_SPINS = 6
 
 
-# The most cells (grid rows times curves) one point step takes.  A cell of
-# a 6-spin local sweep holds about 7.5 kB while it is solved, so a chunk
-# peaks near 30 MB, and every shipped dataset, fig2's 804 cells the
-# largest, is one chunk.
+# The most cells (grid rows times curves, over all the grids of a chunk)
+# one `_columns` call takes.  While it is solved, a cell of a 6-spin sweep
+# holds about 3.7 kB in the local style and 2.1 kB in the global one, and
+# an Ising cell 0.75 kB, so a chunk peaks near 15 MB (tracemalloc, a
+# 4096-cell call on a cached chain), and every shipped command, fig2's 804
+# cells the largest, is one chunk.
 _CHUNK_CELLS = 4096
 
 
@@ -304,15 +311,20 @@ def _write_csv(
 
 def _workers(jobs: int, items: int) -> int:
     """Workers for `items` items: at most `jobs`, and no more than there
-    are items or processors.  One job or one item needs no processor
-    count."""
+    are items or processors this process may run on (its affinity, where
+    the platform reports one, else the host's processor count).  One job
+    or one item needs no processor count."""
     if jobs <= 1 or items <= 1:
         return 1
-    return min(jobs, items, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(jobs, items, usable)
 
 
 # ---------------------------------------------------------------------------
-# datasets: one grid of x values, one column per curve
+# datasets: grids of x values, one column per curve
 
 
 @dataclass(frozen=True)
@@ -331,6 +343,15 @@ class _Curve:
     t_mean: float | None = None
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """One dataset's x variable, its x values and its curves."""
+
+    x_name: str
+    xs: np.ndarray
+    curves: Sequence[_Curve]
+
+
 def _curve_temperatures(x_name: str, curve: _Curve, xs: np.ndarray) -> np.ndarray:
     """The (t_left, t_right) of one curve at every x, as a (rows, 2) array."""
     temperatures = np.empty((len(xs), 2))
@@ -345,111 +366,149 @@ def _curve_temperatures(x_name: str, curve: _Curve, xs: np.ndarray) -> np.ndarra
     return temperatures
 
 
-def _columns(x_name: str, kappa: float, curves: Sequence[_Curve], xs: np.ndarray) -> np.ndarray:
-    """Every curve at the grid points `xs`: a (rows, curves) table of
-    currents, row r at `xs[r]`, NaN in the empty cells, where a bath would
-    drop below zero temperature.  The point steps refuse a current that is
-    not finite, so NaN marks an empty cell and nothing else.
+def _columns(kappa: float, grids: Sequence[_Grid]) -> list[np.ndarray]:
+    """Every curve of every grid at its grid's x values: a (rows, curves)
+    table of currents per grid, row r at `xs[r]`, NaN in the empty cells,
+    where a bath would drop below zero temperature.  The point steps refuse
+    a current that is not finite, so NaN marks an empty cell and nothing
+    else.
 
-    The curves are grouped by the model, chain length, field and style of
-    their chain, so the chains of a group differ in the coupling alone.
-    A curve's cells are arrays of the grid: its temperatures
-    (`_curve_temperatures`), its live rows (all of them but where the
-    delta_T sweep takes a bath below zero), and its members of the group's
-    chain stack, keyed once per curve on its fixed coupling, or on the
-    grid itself for a delta sweep.  Each group takes one chain step over
-    its distinct couplings and one stacked point step over its cells,
-    curve by curve in grid order, and its currents go back into the table
-    in one assignment: a coupling grid on one chain is one group, and so
-    are curves at several fixed couplings.  A SteadyStateError is raised
-    again with the failing cell's curve name and x.
+    The cells of all grids are one flat array, each grid's table a block of
+    it in row-major order.  The curves of all grids are grouped by the
+    chain stack they share (`thermo._stack_key`), so the chains of a group
+    differ in the coupling alone, and on the rate route in the style.  A
+    curve's cells are arrays of its grid: their flat indices, its
+    temperatures (`_curve_temperatures`), all of them but where the
+    delta_T sweep takes a bath below zero, and its members of the group's
+    chain stack, keyed once per curve on its fixed coupling, or, for a
+    delta grid, on the grid itself once per grid and style of the group.
+    Each group takes one chain step over each style's distinct couplings
+    and one stacked point step over its cells, curve by curve in the order
+    of the grids, and its currents go into the flat array in one
+    assignment.  A SteadyStateError is raised again with the failing
+    cell's curve name, x name and x, those of its own grid.
     """
-    table = np.full((len(xs), len(curves)), np.nan)
-    all_rows = np.arange(len(xs))
-    if x_name == "delta":
-        # every curve's couplings are the grid: each distinct x is a member
-        # of every group, keyed once per row
-        grid_keys: dict[float, int] = {}
-        grid_members = np.array([grid_keys.setdefault(x, len(grid_keys)) for x in xs.tolist()])
-    # each group's first chain, its members keyed by coupling, and the
-    # (rows, cols, members, temperatures) arrays of each of its curves
-    groups: dict[tuple, tuple[SpinChainSpec, dict[float, int], list[tuple]]] = {}
-    for col, curve in enumerate(curves):
-        spec = curve.spec
-        key = (spec.model, spec.n_spins, spec.field_h, curve.style)
-        _, members, parts = groups.setdefault(
-            key, (spec, grid_keys if x_name == "delta" else {}, [])
-        )
-        temperatures = _curve_temperatures(x_name, curve, xs)
-        rows = all_rows
-        if x_name == "delta_T":
-            rows = np.flatnonzero((temperatures >= 0).all(axis=1))
-            temperatures = temperatures[rows]
-        if not len(rows):
-            continue
-        if x_name == "delta":
-            member = grid_members
-        else:
-            member = np.full(len(rows), members.setdefault(spec.coupling_delta, len(members)))
-        parts.append((rows, np.full(len(rows), col), member, temperatures))
-    for (*_, style), (head, members, parts) in groups.items():
-        if not parts:
-            continue
+    starts = [0]
+    for grid in grids:
+        starts.append(starts[-1] + len(grid.xs) * len(grid.curves))
+    cells = np.full(starts[-1], np.nan)
+    # each group's first chain; each of its styles' position in the stack,
+    # coupling keys and members on each delta grid, by the grid's index;
+    # and the (position, cells, members, temperatures) of each of its curves
+    groups: dict[tuple, tuple[SpinChainSpec, dict, list[tuple]]] = {}
+    for k, (grid, start) in enumerate(zip(grids, starts)):
+        width = len(grid.curves)
+        first_cells = np.arange(start, start + len(grid.xs) * width, width)
+        for col, curve in enumerate(grid.curves):
+            temperatures = _curve_temperatures(grid.x_name, curve, grid.xs)
+            index = first_cells + col
+            if grid.x_name == "delta_T":
+                live = (temperatures >= 0).all(axis=1)
+                index, temperatures = index[live], temperatures[live]
+            if not len(index):
+                continue
+            spec = curve.spec
+            _, runs, parts = groups.setdefault(_stack_key(spec, curve.style), (spec, {}, []))
+            position, keys, on_grid = runs.setdefault(curve.style, (len(runs), {}, {}))
+            if grid.x_name == "delta":
+                member = on_grid.get(k)
+                if member is None:
+                    keyed = [keys.setdefault(x, len(keys)) for x in grid.xs.tolist()]
+                    member = on_grid[k] = np.array(keyed)
+            else:
+                member = np.full(len(index), keys.setdefault(spec.coupling_delta, len(keys)))
+            parts.append((position, index, member, temperatures))
+    for head, runs, parts in groups.values():
+        # members are numbered style by style, in the order of the stack
+        stack = tuple([(style, tuple(keys)) for style, (_, keys, _) in runs.items()])
         if len(parts) == 1:
-            rows, cols, member, temperatures = parts[0]
+            _, index, member, temperatures = parts[0]
         else:
-            rows, cols, member, temperatures = map(np.concatenate, zip(*parts))
+            offsets = list(itertools.accumulate([len(keys) for _, keys in stack], initial=0))
+            index, member, temperatures = map(
+                np.concatenate,
+                zip(*[(i, m + offsets[r] if r else m, t) for r, i, m, t in parts]),
+            )
         try:
-            currents = _net_currents(head, tuple(members), member, kappa, temperatures, style)
+            currents = _net_currents(head, stack, member, kappa, temperatures)
         except SteadyStateError as err:
-            name = curves[cols[err.member]].name
+            cell = int(index[err.member])
+            k = bisect.bisect_right(starts, cell) - 1
+            grid = grids[k]
+            row, col = divmod(cell - starts[k], len(grid.curves))
             raise SteadyStateError(
-                f"{name} at {x_name} = {xs[rows[err.member]]:.15g}: {err}"
+                f"{grid.curves[col].name} at {grid.x_name} = {grid.xs[row]:.15g}: {err}"
             ) from err
-        table[rows, cols] = currents
-    return table
+        cells[index] = currents
+    return [
+        cells[start:stop].reshape(len(grid.xs), len(grid.curves))
+        for grid, start, stop in zip(grids, starts, starts[1:])
+    ]
 
 
-def _table(
-    x_name: str, grid: np.ndarray, kappa: float, curves: Sequence[_Curve], jobs: int
-) -> np.ndarray:
-    """Every curve at every grid point, as the table of `_columns`, rows
-    in grid order.
+def _chunks(grids: Sequence[_Grid], limit: int) -> list[list[slice]]:
+    """The rows of all grids, grid after grid, cut into contiguous chunks
+    of at most `limit` cells each, all grids together (a row wider than
+    that alone), each chunk as one slice of rows per grid, empty for the
+    grids it holds no row of.  A chunk is closed when the next row does
+    not fit."""
+    chunks: list[list[slice]] = []
+    room = 0
+    for k, grid in enumerate(grids):
+        width, start = len(grid.curves), 0
+        while start < len(grid.xs):
+            if room < width:
+                chunks.append([slice(0, 0)] * len(grids))
+                room = limit
+            take = min(len(grid.xs) - start, max(1, room // width))
+            chunks[-1][k] = slice(start, start + take)
+            start += take
+            room -= take * width
+    return chunks
 
-    The grid is cut into contiguous chunks of at most `_CHUNK_CELLS`
-    cells and at most each worker's share of the rows.  One worker
-    evaluates the chunks in place, one after another; more workers take
-    them over a process pool.  A stack member comes out the same in any
-    stack, so the chunking never moves a cell.
+
+def _table(kappa: float, grids: Sequence[_Grid], jobs: int) -> list[np.ndarray]:
+    """Every curve of every grid at every x, as the tables of `_columns`,
+    rows in grid order.
+
+    The rows of all grids are cut into contiguous chunks (`_chunks`) of at
+    most `_CHUNK_CELLS` cells and at most each worker's share of the cells
+    plus a row, which leaves no more chunks than workers where the bound
+    allows.  One worker evaluates the chunks in place, one after another;
+    more workers take them over a process pool.  A stack member comes out
+    the same in any stack, so the chunking never moves a cell.
     """
-    workers = _workers(jobs, len(grid))
-    size = max(1, min(_CHUNK_CELLS // len(curves), -(-len(grid) // workers)))
-    chunks = [grid[start : start + size] for start in range(0, len(grid), size)]
-    chunk_table = functools.partial(_columns, x_name, kappa, curves)
-    if len(chunks) == 1:
-        return chunk_table(grid)
+    workers = _workers(jobs, sum([len(grid.xs) for grid in grids]))
+    cells = sum([len(grid.xs) * len(grid.curves) for grid in grids])
+    widest = max([len(grid.curves) for grid in grids])
+    limit = min(_CHUNK_CELLS, -(-cells // workers) + widest - 1)
+    if cells <= limit:  # one chunk
+        return _columns(kappa, grids)
+    chunks = _chunks(grids, limit)
+    chunk_grids = [
+        [_Grid(grid.x_name, grid.xs[rows], grid.curves) for grid, rows in zip(grids, chunk)]
+        for chunk in chunks
+    ]
+    chunk_tables = functools.partial(_columns, kappa)
     if workers == 1:
-        return np.concatenate([chunk_table(chunk) for chunk in chunks])
-    # imported here: the pool pulls in multiprocessing, which would add to
-    # every import of the package while most runs use one worker
-    from concurrent.futures import ProcessPoolExecutor
+        tables = [chunk_tables(chunk) for chunk in chunk_grids]
+    else:
+        # imported here: the pool pulls in multiprocessing, which would add
+        # to every import of the package while most runs use one worker
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(chunk_table, chunks)))
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            tables = list(pool.map(chunk_tables, chunk_grids))
+    return [np.concatenate(grid_tables) for grid_tables in zip(*tables)]
 
 
 def _write_dataset(
-    path: Path,
-    x_name: str,
-    grid: np.ndarray,
-    kappa: float,
-    curves: Sequence[_Curve],
-    params: Sequence[tuple[str, str]],
-    jobs: int,
+    path: Path, grid: _Grid, kappa: float, params: Sequence[tuple[str, str]], jobs: int
 ) -> Path:
     """Evaluate every curve at every grid point and write the CSV."""
-    table = _table(x_name, grid, kappa, curves, jobs)
-    return _write_csv(path, [x_name] + [curve.name for curve in curves], grid, table, params)
+    (table,) = _table(kappa, [grid], jobs)
+    columns = [grid.x_name] + [curve.name for curve in grid.curves]
+    return _write_csv(path, columns, grid.xs, table, params)
 
 
 def run_sweep(cfg: SweepConfig, out: Path | None = None, jobs: int = 1) -> Path:
@@ -465,7 +524,7 @@ def run_sweep(cfg: SweepConfig, out: Path | None = None, jobs: int = 1) -> Path:
     ]
     params = _config_param_lines(cfg)
     x_name, _ = _SWEEPS[cfg.sweep]
-    return _write_dataset(out, x_name, cfg.grid(), cfg.kappa, curves, params, jobs)
+    return _write_dataset(out, _Grid(x_name, cfg.grid(), curves), cfg.kappa, params, jobs)
 
 
 _FIG2_DELTAS = (0.01, 0.1, 0.5)
@@ -494,7 +553,8 @@ def run_fig2(kappa: float, out_dir: Path, jobs: int = 1) -> Path:
         ("t_right", "0.0"),
         ("deltas", ",".join(f"{d:g}" for d in _FIG2_DELTAS)),
     ]
-    return _write_dataset(Path(out_dir) / "fig2.csv", "T_L", grid, kappa, curves, params, jobs)
+    path = Path(out_dir) / "fig2.csv"
+    return _write_dataset(path, _Grid("T_L", grid, curves), kappa, params, jobs)
 
 
 _FIG3_COLD = (0.0, 0.1, 0.3)
@@ -531,9 +591,13 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int = 1) -> tuple[Path, Path, Pa
         for _, _, cold in panels
         for c in _FIG3_COLD
     ]
-    # both panels in one pass over the couplings, so the couplings of both
-    # panels are one chain stack and their cells one point step
-    table = _table("delta", deltas, kappa, curves, jobs)
+    inset = [
+        _Curve(f"J_tbar_{t:g}", spec, DissipatorStyle.GLOBAL, t_mean=t) for t in _FIG3_TBARS
+    ]
+    # both panels and the inset in one pass, so the couplings of all three
+    # are one chain stack and their cells one point step
+    grids = [_Grid("delta", deltas, curves), _Grid("delta_T", gradient_grid(), inset)]
+    table, inset_table = _table(kappa, grids, jobs)
 
     paths = []
     width = len(_FIG3_COLD)
@@ -550,17 +614,15 @@ def run_fig3(kappa: float, out_dir: Path, jobs: int = 1) -> tuple[Path, Path, Pa
         path = out_dir / f"fig3{panel}.csv"
         paths.append(_write_csv(path, header, deltas, table[:, columns], params))
 
-    curves = [
-        _Curve(f"J_tbar_{t:g}", spec, DissipatorStyle.GLOBAL, t_mean=t) for t in _FIG3_TBARS
-    ]
     params = [
         ("dataset", "fig3_inset"),
         ("kappa", repr(kappa)),
         ("delta", "0.5"),
         ("tbar_values", ",".join(f"{t:g}" for t in _FIG3_TBARS)),
     ]
+    header = ["delta_T"] + [curve.name for curve in inset]
     path = out_dir / "fig3_inset.csv"
-    paths.append(_write_dataset(path, "delta_T", gradient_grid(), kappa, curves, params, jobs))
+    paths.append(_write_csv(path, header, grids[1].xs, inset_table, params))
     return tuple(paths)
 
 
@@ -585,7 +647,8 @@ def run_xy_comparison(n_spins: int, kappa: float, out_dir: Path, jobs: int = 1) 
         ("t_right", "0.0"),
     ]
     path = Path(out_dir) / "xy_compare.csv"
-    return _write_dataset(path, "T_L", np.logspace(-2, 2, 60), kappa, curves, params, jobs)
+    grid = _Grid("T_L", np.logspace(-2, 2, 60), curves)
+    return _write_dataset(path, grid, kappa, params, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +670,7 @@ def _check_saturation_current() -> tuple[str, str, str, bool]:
     deltas = np.array([0.01, 0.1, 0.5])
     spec = SpinChainSpec(2, 1.0, 0.0, ChainModel.ISING_ZZ)  # the grid sets delta
     curve = _Curve("J", spec, DissipatorStyle.GLOBAL, t_left=1e4, t_right=0.0)
-    j = _columns("delta", 1.0, (curve,), deltas)[:, 0]
+    j = _columns(1.0, [_Grid("delta", deltas, (curve,))])[0][:, 0]
     target = 0.5 * deltas**2
     worst = float(np.max(np.abs(j - target) / target))
     return ("J -> kappa*delta^2/2", f"max rel err {worst:.2e}", "rel 1e-3", worst <= 1e-3)
@@ -645,7 +708,7 @@ def _check_phenomenological_null_current() -> tuple[str, str, str, bool]:
     curves = [
         _Curve("J_ph", spec, DissipatorStyle.LOCAL, t_right=t) for spec in specs for t in temperatures
     ]
-    worst = float(np.max(np.abs(_columns("T_L", 1.0, curves, temperatures))))
+    worst = float(np.max(np.abs(_columns(1.0, [_Grid("T_L", temperatures, curves)])[0])))
     return ("J_ph = 0 on 5x5x3 grid", f"max |J| {worst:.1e}", "abs 1e-10", worst < 1e-10)
 
 
@@ -690,7 +753,7 @@ def _check_high_mean_temperature_symmetry() -> tuple[str, str, str, bool]:
     # the curve of the fig3 inset at mean temperature 5h
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     curve = _Curve("J_tbar_5", spec, DissipatorStyle.GLOBAL, t_mean=5.0)
-    currents = _columns("delta_T", 1.0, (curve,), gradient_grid())[:, 0]
+    currents = _columns(1.0, [_Grid("delta_T", gradient_grid(), (curve,))])[0][:, 0]
     asymmetry = np.max(np.abs(currents + currents[::-1]))
     bound = 0.02 * np.max(np.abs(currents))
     return (
@@ -750,7 +813,7 @@ def _check_xy_saturation_vs_local_decay() -> tuple[str, str, str, bool]:
     spec = SpinChainSpec(4, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
     grid = np.logspace(-2, 2, 25)
     curve = _Curve("J_local", spec, DissipatorStyle.LOCAL, t_right=0.0)
-    local = _columns("T_L", 1.0, (curve,), grid)[:, 0]
+    local = _columns(1.0, [_Grid("T_L", grid, (curve,))])[0][:, 0]
     peak = int(np.argmax(local))
     interior_peak = 0 < peak < len(grid) - 1
     local_decayed = local[-1] < 0.5 * local[peak]
@@ -806,7 +869,7 @@ def _check_generator_sanity() -> tuple[str, str, str, bool]:
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     temperatures = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
     curves = [_Curve("J", spec, DissipatorStyle.GLOBAL, t_right=t) for t in temperatures]
-    currents = _columns("T_L", 1.0, curves, temperatures)
+    (currents,) = _columns(1.0, [_Grid("T_L", temperatures, curves)])
     hotter_left = temperatures[:, None] > temperatures[None, :]  # row T_L, column T_R
     worst_sign = min(0.0, float(np.min(currents[hotter_left])))
 

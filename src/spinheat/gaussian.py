@@ -190,7 +190,6 @@ give every emission rate a floor of kappa h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -198,6 +197,7 @@ from .lindblad import (
     _NEGLIGIBLE_ENTRY,
     DissipatorStyle,
     Slots,
+    Stack,
     _degeneracy_tolerance,
     _groups,
     _local_frequencies,
@@ -317,18 +317,21 @@ def _collective_modes(
 
 # an overflow leaves an infinite frequency, which the point step refuses
 @np.errstate(over="ignore", invalid="ignore")
-def gaussian_chain(
-    head: SpinChainSpec, couplings: Sequence[float], style: DissipatorStyle
-) -> GaussianChain:
-    """The chain step of the XY chains that are `head` at each of
-    `couplings`, member c at `couplings[c]`, with a bath of `style` on each
-    end, the left bath on site 0 and the right bath on site n - 1: H and
-    each bath's coordinate and frequency on each mode, built in array
-    operations over the whole stack (one batched `eigh` in the global
-    style, none in the local one).  The head's own coupling is not read.
+def gaussian_chain(head: SpinChainSpec, stack: Stack) -> GaussianChain:
+    """The chain step of the XY chains that are `head` at each coupling of
+    the one style in `stack`, member c at its c-th coupling, with a bath of
+    that style on each end, the left bath on site 0 and the right bath on
+    site n - 1: H and each bath's coordinate and frequency on each mode,
+    built in array operations over the whole stack (one batched `eigh` in
+    the global style, none in the local one).  The point step has one
+    closed form per style, so a stack of two styles raises ValueError.  The
+    head's own coupling is not read.
     """
     if head.model is not ChainModel.XY_TRANSVERSE:
         raise ValueError("the Gaussian route needs the quadratic XY chain")
+    if len(stack) != 1:
+        raise ValueError("a Gaussian chain stack holds the couplings of one style")
+    ((style, couplings),) = stack
     delta = _coupling_stack(couplings)
     n = head.n_spins
     diagonal = np.full((len(delta), n), head.field_h)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +57,12 @@ _NEGLIGIBLE_ENTRY = 1e-12
 class DissipatorStyle(enum.Enum):
     GLOBAL = "global"
     LOCAL = "local"
+
+
+# The members of a stack of chains that differ from a first chain in the
+# coupling and the dissipator style alone: each style's couplings, in the
+# order the members are numbered, style by style.
+Stack = Sequence[tuple[DissipatorStyle, Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -254,8 +260,10 @@ class Slots:
     right bath's side by side.
 
     Each bath takes a run of slots: a transition each on the rate route,
-    padding past each member's, and a mode each on the Gaussian route,
-    whose modes of one frequency form one transition.  `frequency[c, s]`
+    padding past each member's (the left bath takes two slots of every
+    member, and a local member, which drives one transition there, holds
+    padding in its second), and a mode each on the Gaussian route, whose
+    modes of one frequency form one transition.  `frequency[c, s]`
     is member c's frequency in slot s, NaN where `live[c, s]` is False,
     and `bath[s]` is 0 on the left bath's slots, 1 on the right bath's.
     A bath may drive no transition (the right global bath of the Ising

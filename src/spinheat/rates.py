@@ -14,7 +14,10 @@ rates on the cycle (each cycle rate is one rate of the rate law, or
 zero), and the energy each bath's edges carry per forward cycle; the
 point step, `steady_state_pauli`, takes P points at one kappa and their
 rates from one call of the rate law, and its cycle rates from one
-gather.
+gather.  The point step reads no style, so one chain stack holds members
+of both styles on one slot layout, two slots of the left bath and one of
+the right: a local member's second left slot is padding, which never
+reaches the rate law.
 
 The point step lays its arrays out by rate, not by point: the cycle rates
 are an (8, P) array, one contiguous row per rate, the populations (4, P),
@@ -54,13 +57,13 @@ names its first refused point, with the refusal that point meets alone
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .lindblad import (
     DissipatorStyle,
     Slots,
+    Stack,
     _degeneracy_tolerance,
     _local_frequencies,
     _slot_rates,
@@ -122,9 +125,10 @@ _TREES = _ARC_TREES[:, 3::4].copy()
 @dataclass(frozen=True)
 class PauliChain:
     """The temperature-independent half of the rate route (the chain step),
-    for a stack of C chains that differ in the coupling alone.
+    for a stack of C chains that differ in the coupling and the style alone.
 
     `slots` holds the left and the right bath's transitions side by side,
+    two slots of the left bath and one of the right per member,
     and a point's rates on them form its flat (emission, absorption)
     table, entry 2 * slot + s for emission (s = 0) and absorption (s = 1),
     followed by a zero; the point step stacks the tables of its points as
@@ -142,13 +146,12 @@ class PauliChain:
 # an overflow leaves an infinite frequency or carried energy, which the
 # point step refuses
 @np.errstate(over="ignore", invalid="ignore")
-def pauli_chain(
-    head: SpinChainSpec, couplings: Sequence[float], style: DissipatorStyle
-) -> PauliChain:
-    """The chain step of the Ising pairs that are `head` at each of
-    `couplings`, member c at `couplings[c]`, in closed form over the stack,
-    with a bath of `style` on each spin: the left bath on spin 0, the right
-    bath on spin 1.  The head's own coupling is not read.
+def pauli_chain(head: SpinChainSpec, stack: Stack) -> PauliChain:
+    """The chain step of the Ising pairs that are `head` at each style's
+    couplings in `stack`, members numbered style by style, in closed form
+    over the stack, with a bath of the member's style on each spin: the
+    left bath on spin 0, the right bath on spin 1.  The head's own coupling
+    is not read.
 
     Edge m climbs -(h + delta), delta, h - delta and delta, so the left
     spin's edges carry -2 delta per forward cycle and the right spin's
@@ -156,25 +159,33 @@ def pauli_chain(
     downhill; a step no larger than the grouping tolerance of the largest
     |E|, (h + delta) / 2, drives nothing.  A local bath emits where sigma^-
     lowers its spin, at its frequency of `lindblad._local_frequencies`.
-    The left global bath takes a slot per edge; the right spin has no
-    field, so its two edges share one, as a local bath's do.
+    Every member takes two slots of the left bath and one of the right: a
+    global member's left edges one each, a local member's left edges the
+    first, its second being padding; the right spin has no field, so its
+    two edges share the right bath's slot in either style.
     """
     if head.model is not ChainModel.ISING_ZZ:
         raise ValueError("the rate route needs the Ising zz pair, whose H is diagonal")
-    delta = _coupling_stack(couplings)
     h = head.field_h
-    steps = np.stack([-(h + delta), delta, h - delta, delta], axis=1)
-    # each edge's slot, the left bath's first: edges 0 and 2 flip the left
-    # spin, 1 and 3 the right one
-    if style is DissipatorStyle.GLOBAL:
-        tol = _degeneracy_tolerance(0.5 * h + 0.5 * delta)[:, None]
-        gaps = np.where(np.abs(steps) > tol, np.abs(steps), np.nan)
-        slots = _slots(gaps[:, [0, 2]], gaps[:, [1]])
-        slot, emits = [0, 2, 1, 2], steps < 0
-    else:
-        slots = _slots(*(np.full((len(delta), 1), nu) for nu in _local_frequencies(head)))
-        slot, emits = [0, 1, 0, 1], _LOWERS
-    slot = np.broadcast_to(slot, steps.shape)
+    runs = []
+    for style, couplings in stack:
+        delta = _coupling_stack(couplings)
+        steps = np.stack([-(h + delta), delta, h - delta, delta], axis=1)
+        # each edge's slot, the left bath's two first: edges 0 and 2 flip
+        # the left spin, 1 and 3 the right one
+        if style is DissipatorStyle.GLOBAL:
+            tol = _degeneracy_tolerance(0.5 * h + 0.5 * delta)[:, None]
+            gaps = np.where(np.abs(steps) > tol, np.abs(steps), np.nan)
+            frequency, slot, emits = gaps[:, [0, 2, 1]], [0, 2, 1, 2], steps < 0
+        else:
+            left, right = _local_frequencies(head)
+            frequency = np.tile([left, np.nan, right], (len(delta), 1))
+            slot, emits = [0, 2, 0, 2], _LOWERS
+        runs.append((delta, frequency, *np.broadcast_arrays(slot, emits, steps)[:2]))
+    if not runs:
+        raise ValueError("a chain stack needs at least one coupling")
+    delta, frequency, slot, emits = map(np.concatenate, zip(*runs))
+    slots = _slots(frequency[:, :2], frequency[:, 2:])
     driven = np.take_along_axis(slots.live, slot, axis=1)
     forward = 2 * slot + ~emits  # the reverse rate takes the other entry of the slot
     zero = 2 * slots.frequency.shape[1]

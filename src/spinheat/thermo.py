@@ -11,16 +11,18 @@ its input rate, so a positive value means heat flows from the left bath
 through the system into the right bath.
 
 A current is evaluated in two steps: a chain step that depends only on
-the chain and the dissipator style, and a point step that takes only
+the chains and their dissipator styles, and a point step that takes only
 what varies, kappa and a temperature per point and bath, into the rates
 of `lindblad.thermal_rates`, in one elementwise call per point step.
-The chain step takes a first chain, the couplings of a stack of C chains
-that differ from it in the coupling alone, and the style, and the point
-step one kappa and a stack of P points on its members, each point with
-the index of its member: `_net_currents` solves every cell of a dataset
-group, all its couplings and (t_left, t_right) pairs, in one chain step
-and one point step, and `steady_net_current` is its 1-stack of one
-chain.  `_ROUTES` picks their route by the model:
+The chain step takes a first chain and a `lindblad.Stack`, each style's
+couplings of a stack of C chains that differ from it in the coupling and
+the style alone, and the point step one kappa and a stack of P points on
+its members, each point with the index of its member: `_net_currents`
+solves every cell of a dataset group, all its styles, couplings and
+(t_left, t_right) pairs on every grid of a command, in one chain step and
+one point step, and `steady_net_current` is its 1-stack of one chain.
+`_ROUTES` picks their route by the model, and `_stack_key` which curves
+share a stack:
 
 - The XY chain is quadratic in Jordan-Wigner fermions and both styles'
   jump operators are linear in annihilation operators of one fermion
@@ -38,12 +40,16 @@ chain.  `_ROUTES` picks their route by the model:
   four levels, solved by its tree sums and cycle flux: `rates.pauli_chain`
   is the chain step, which writes each edge's transition in closed form
   and builds no many-body operator, `rates.steady_state_pauli` the point
-  step.  Neither route calls the dense oracle's `lindblad.bath_transitions`.
+  step.  The point step reads no style, so one stack lays members of
+  both styles on one slot layout.  The Gaussian route's point step has
+  one closed form per style, so each of its stacks holds one style.
+  Neither route calls the dense oracle's `lindblad.bath_transitions`.
 
 The chain step is kept in a least-recently-used cache keyed by the
-stack's first chain, its couplings as a tuple of Python floats, and the
-DissipatorStyle, and bounded at `_CHAIN_CACHE_SIZE` chain stacks: a
-lookup hashes one chain and a tuple of floats, and builds no chain.  Only
+stack's first chain and each DissipatorStyle of the stack with its
+couplings as a tuple of Python floats, and bounded at `_CHAIN_CACHE_SIZE`
+chain stacks: a lookup hashes one chain and, per style, the style and a
+tuple of floats, and builds no chain.  Only
 read-only arrays that no rate enters are cached, never a rate matrix or a
 steady state, so a cached chain gives bit-identical currents.
 """
@@ -57,34 +63,36 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import GaussianChain, gaussian_chain, steady_state_gaussian
-from .lindblad import DissipatorStyle
+from .lindblad import DissipatorStyle, Stack
 from .rates import PauliChain, pauli_chain, steady_state_pauli
 from .spinops import ChainModel, SpinChainSpec
 
 # Chain stacks whose chain step stays cached, each keyed by its first
-# chain, its couplings as Python floats, and the style.  The dataset runner
+# chain and each style's couplings as Python floats.  The dataset runner
 # asks for each group's stack once per grid chunk and solves the whole
 # group in one stacked point step, so a dataset hardly reuses an entry;
 # from a cold cache (`_chain.cache_info()`, hits/misses) `run_fig2` reads
-# 0/2 (a stack of its three global couplings, and the local chain),
-# `run_fig3` 0/2 (the 100 couplings of both panels, and the inset's
-# chain), a run of fig2 and fig3 after one another 0/4, and
-# `run_xy_comparison` at 5 spins 0/2.  The acceptance checks, which loop
-# over temperatures on one chain at a time, read 211/10, one miss per
-# chain they use.  A caller that reruns a dataset hits once per group: a
-# second fig2 + fig3 pass reads 4/0.  At 5 spins, global style, a hit saves
+# 0/1 (a stack of its three global couplings and its local one),
+# `run_fig3` 0/1 (the 100 couplings of both panels and the inset's one), a
+# run of fig2 and fig3 after one another 0/2, and `run_xy_comparison` at 5
+# spins 0/2 (a stack per style).  The acceptance checks, which loop over
+# temperatures on one chain at a time, read 104/8, one miss per chain
+# they use.  A caller that reruns a dataset hits once per group: a second
+# fig2 + fig3 pass reads 2/0.  At 5 spins, global style, a hit saves
 # the chain step, 0.25 to 0.54 ms, of a two-point `run_sweep` that takes
 # 0.44 to 0.88 ms warm, its points solved in closed form (medians of 1000,
 # three runs in each of three processes, one BLAS thread, a 2-vCPU Xeon VM
 # shared with other load; the low ends are its quiet runs).  The rate
-# route's entries hold each bath's slots, a (C, 8) cycle index, member
-# first like every chain-step array, and the carried energies, 11 kB for
-# fig3's 100 couplings.  The Gaussian route's hold, per member, H's
-# diagonal and coupling, n integers (the pairs), and for each bath and
-# mode a coordinate, a frequency and a flag, 50 n + 8 bytes, and 16 n
-# bytes of bath labels per entry: 0.26 kB for the 5-spin chain, 0.31 kB
-# for the 6-spin chain and 40 kB for an 800-spin chain in either style, so
-# a coupling grid's entry grows by that much per grid point.
+# route's entries hold each bath's slots, two of the left bath and one of
+# the right per member in either style, a (C, 8) cycle index, member
+# first like every chain-step array, and the carried energies: 11 kB for
+# fig3's 101 couplings, 0.45 kB for fig2's 4 members.  The Gaussian
+# route's hold, per member, H's diagonal and coupling, n integers (the
+# pairs), and for each bath and mode a coordinate, a frequency and a flag,
+# 50 n + 8 bytes, and 16 n bytes of bath labels per entry: 0.26 kB for the
+# 5-spin chain, 0.31 kB for the 6-spin chain and 40 kB for an 800-spin
+# chain in either style, so a coupling grid's entry grows by that much per
+# grid point.
 _CHAIN_CACHE_SIZE = 8
 
 # each model's transport route: (chain step, point step)
@@ -92,6 +100,15 @@ _ROUTES = {
     ChainModel.XY_TRANSVERSE: (gaussian_chain, steady_state_gaussian),
     ChainModel.ISING_ZZ: (pauli_chain, steady_state_pauli),
 }
+
+
+def _stack_key(spec: SpinChainSpec, style: DissipatorStyle) -> tuple:
+    """Which curves share a chain stack, as a key: chains of one model,
+    length and field, which differ in the coupling alone, in either style
+    on the rate route, whose point step reads no style, and in one style on
+    the Gaussian route, whose point step has one closed form per style."""
+    shared = None if spec.model is ChainModel.ISING_ZZ else style
+    return spec.model, spec.n_spins, spec.field_h, shared
 
 
 @dataclass(frozen=True)
@@ -109,33 +126,31 @@ class RectificationReport:
 
 
 @functools.lru_cache(maxsize=_CHAIN_CACHE_SIZE)
-def _chain(
-    head: SpinChainSpec, couplings: tuple[float, ...], style: DissipatorStyle
-) -> GaussianChain | PauliChain:
-    """The chain step of the stack of chains that are `head` at each of
-    `couplings`, member c at `couplings[c]`, on the route of `_ROUTES`."""
+def _chain(head: SpinChainSpec, stack: Stack) -> GaussianChain | PauliChain:
+    """The chain step of the stack of chains that are `head` at each
+    style's couplings in `stack`, on the route of `_ROUTES`."""
     chain_step, _ = _ROUTES[head.model]
-    return chain_step(head, couplings, style)
+    return chain_step(head, stack)
 
 
 def _net_currents(
     head: SpinChainSpec,
-    couplings: tuple[float, ...],
+    stack: Stack,
     member: Sequence[int],
     kappa: float,
     temperatures: Sequence[tuple[float, float]],
-    style: DissipatorStyle,
 ) -> np.ndarray:
     """Steady-state net currents at P points, from one chain step over
-    `head` at each of `couplings` and one point step over all of them:
-    point p is on `head` at the coupling `couplings[member[p]]`, at the
+    `head` at each style's couplings in `stack` and one point step over
+    all of them: point p is on member `member[p]` of the stack, members
+    numbered style by style in the order of `stack`, at the
     (t_left, t_right) pair `temperatures[p]`.
 
     A SteadyStateError of the point step carries the index of the point
     that failed.
     """
     _, point_step = _ROUTES[head.model]
-    chain = _chain(head, couplings, style)
+    chain = _chain(head, stack)
     return point_step(chain, member, kappa, temperatures).bath_currents[:, 0]  # the left bath
 
 
@@ -152,8 +167,8 @@ def steady_net_current(
     point step on a 1-stack of points at these temperatures and kappa, on
     the route of `_ROUTES`.
     """
-    couplings = (spec.coupling_delta,)
-    return float(_net_currents(spec, couplings, [0], kappa, [(t_left, t_right)], style)[0])
+    stack = ((style, (spec.coupling_delta,)),)
+    return float(_net_currents(spec, stack, [0], kappa, [(t_left, t_right)])[0])
 
 
 def rectification(
@@ -167,10 +182,8 @@ def rectification(
     if not t_hot >= t_cold >= 0:
         raise ValueError("requires t_hot >= t_cold >= 0")
     both_orders = [(t_hot, t_cold), (t_cold, t_hot)]
-    couplings = (spec.coupling_delta,)
-    j_forward, j_reverse = map(
-        float, _net_currents(spec, couplings, [0, 0], kappa, both_orders, style)
-    )
+    stack = ((style, (spec.coupling_delta,)),)
+    j_forward, j_reverse = map(float, _net_currents(spec, stack, [0, 0], kappa, both_orders))
     # Below this floor both currents count as zero and the contrast is 0
     # rather than a ratio of numerical noise.
     floor = 1e-12 * kappa * spec.field_h**2

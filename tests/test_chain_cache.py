@@ -98,23 +98,25 @@ def _assert_read_only(arrays):
 @pytest.mark.parametrize("style", DissipatorStyle)
 def test_cached_arrays_are_read_only(style):
     # the rate route's chain step, which the cache serves to the Ising pair:
-    # each bath's frequencies, one slot per transition (the left bath drives
-    # two globally, h + delta and h - delta, every other bath one), each
-    # cycle rate's entry in a point's flat rate table, and the energy each
-    # bath's edges carry
+    # each bath's frequencies, two slots of the left bath and one of the
+    # right in either style, one live slot per transition (the left bath
+    # drives two globally, h + delta and h - delta, every other bath one; a
+    # local member's second left slot is padding), each cycle rate's entry
+    # in a point's flat rate table, and the energy each bath's edges carry
     spec = SpinChainSpec(2, 1.0, 0.7, ChainModel.ISING_ZZ)
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
-    chain = thermo._chain(spec, (spec.coupling_delta,), style)
+    chain = thermo._chain(spec, ((style, (spec.coupling_delta,)),))
     transitions = {DissipatorStyle.GLOBAL: [2, 1], DissipatorStyle.LOCAL: [1, 1]}[style]
     slots = chain.slots
     assert chain.index.shape == (1, 8)
     # every entry is a live slot's (emission, absorption) pair or the zero past them
-    assert ((0 <= chain.index) & (chain.index <= 2 * sum(transitions))).all()
-    assert [freqs.shape for freqs in bath_frequencies(slots)] == [(1, t) for t in transitions]
+    slot = chain.index // 2
+    assert ((0 <= chain.index) & (chain.index <= 6)).all()
+    assert np.append(slots.live[0], True)[slot].all()
+    assert [freqs.shape for freqs in bath_frequencies(slots)] == [(1, 2), (1, 1)]
     assert [live_counts(freqs).tolist() for freqs in bath_frequencies(slots)] == [
         [t] for t in transitions
     ]
-    assert slots.live.all()
     _assert_read_only([chain.carried, chain.index, slots.frequency, slots.live, slots.bath])
 
 
@@ -122,7 +124,7 @@ def test_cached_arrays_are_read_only(style):
 def test_cached_gaussian_arrays_are_read_only(style):
     spec = SpinChainSpec(3, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
     steady_net_current(spec, 1.0, 2.0, 0.0, style)
-    chain = thermo._chain(spec, (spec.coupling_delta,), style)
+    chain = thermo._chain(spec, ((style, (spec.coupling_delta,)),))
     slots = chain.slots
     arrays = [
         chain.diagonal,
@@ -149,7 +151,7 @@ def test_long_gaussian_chain_step_holds_no_dense_matrix(style):
     # 800 spins: H as its diagonal and coupling, not a dense n x n matrix
     # of 5.12 MB, and O(n) bytes for everything else
     spec = SpinChainSpec(800, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
-    chain = thermo._chain(spec, (spec.coupling_delta,), style)
+    chain = thermo._chain(spec, ((style, (spec.coupling_delta,)),))
     slots = chain.slots
     arrays = [chain.diagonal, chain.coupling, chain.lowering, chain.partner]
     arrays += [slots.frequency, slots.live, slots.bath]
@@ -194,14 +196,14 @@ def test_bound_holds_the_chains_fig2_interleaves():
 
 
 def _counted_steps(monkeypatch, model):
-    """The couplings of every chain stack and the point counts of every
-    point step the route of `model` takes from now on."""
+    """The stack of every chain step, each style's couplings, and the point
+    counts of every point step the route of `model` takes from now on."""
     chain_step, point_step = thermo._ROUTES[model]
     stacks, points = [], []
 
-    def counted_chain_step(head, couplings, style):
-        stacks.append(couplings)
-        return chain_step(head, couplings, style)
+    def counted_chain_step(head, stack):
+        stacks.append(stack)
+        return chain_step(head, stack)
 
     def counted_point_step(chain, member, kappa, temperatures):
         points.append(len(member))
@@ -213,33 +215,38 @@ def _counted_steps(monkeypatch, model):
 
 
 def test_fig3_builds_each_coupling_once(tmp_path, monkeypatch):
-    # both panels share the 100 couplings of one pass: one chain step over
-    # all of them and one point step over their 600 cells, then one chain
-    # step and one point step for the inset's chain
+    # both panels and the inset share one pass: one chain step over the
+    # panels' 100 couplings and the inset's one, and one point step over
+    # the panels' 600 cells and the inset's 152 cells with both baths at or
+    # above zero
     stacks, points = _counted_steps(monkeypatch, ChainModel.ISING_ZZ)
     run_fig3(1.0, tmp_path, jobs=1)
     thermo._chain.cache_clear()
-    assert [len(couplings) for couplings in stacks] == [100, 1]
-    assert len(set(stacks[0])) == 100
-    assert len(points) == 2 and points[0] == 600
+    assert [[style for style, _ in stack] for stack in stacks] == [[DissipatorStyle.GLOBAL]]
+    ((_, couplings),) = stacks[0]
+    assert len(couplings) == len(set(couplings)) == 101
+    assert points == [752]
 
 
-def test_fig2_takes_one_chain_step_per_style(tmp_path, monkeypatch):
-    # three couplings in the global style are one chain stack, the weakest
-    # coupling in the local style the other
+def test_fig2_takes_one_chain_step_for_both_styles(tmp_path, monkeypatch):
+    # the rate route lays both styles on one slot layout: the three
+    # couplings in the global style and the weakest in the local style are
+    # one chain stack of 4 members, and all 804 cells one point step
     stacks, points = _counted_steps(monkeypatch, ChainModel.ISING_ZZ)
     run_fig2(1.0, tmp_path, jobs=1)
     thermo._chain.cache_clear()
-    assert sorted(len(couplings) for couplings in stacks) == [1, 3]
-    assert sorted(points) == [201, 3 * 201]
+    assert stacks == [
+        ((DissipatorStyle.GLOBAL, (0.01, 0.1, 0.5)), (DissipatorStyle.LOCAL, (0.01,)))
+    ]
+    assert points == [4 * 201]
 
 
 def test_warm_figures_pass_takes_one_step_per_group_and_builds_no_member_chain(
     tmp_path, monkeypatch
 ):
-    # a warm fig2 + fig3 pass: fig2's two groups and fig3's two, each one
-    # call of `_net_currents` and one cache hit keyed by coupling values;
-    # the only chains built are the three fig2 and the one fig3 writes down
+    # a warm fig2 + fig3 pass: one group each, each one call of
+    # `_net_currents` and one cache hit keyed by coupling values; the only
+    # chains built are the three fig2 and the one fig3 writes down
     thermo._chain.cache_clear()
     run_fig2(1.0, tmp_path, jobs=1)
     run_fig3(1.0, tmp_path, jobs=1)
@@ -261,7 +268,7 @@ def test_warm_figures_pass_takes_one_step_per_group_and_builds_no_member_chain(
     run_fig2(1.0, tmp_path, jobs=1)
     run_fig3(1.0, tmp_path, jobs=1)
     monkeypatch.undo()
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert thermo._chain.cache_info().misses == misses
     assert len(built) == 4
 
@@ -304,7 +311,7 @@ def _point_step(route):
     after a check that it takes an admissible point."""
     spec = ROUTE_SPECS[route]
     _, point_step = thermo._ROUTES[spec.model]
-    chain = thermo._chain(spec, (spec.coupling_delta,), DissipatorStyle.LOCAL)
+    chain = thermo._chain(spec, ((DissipatorStyle.LOCAL, (spec.coupling_delta,)),))
     point_step(chain, [0], 1.0, [[2.0, 0.0]])
     return lambda kappa, temperatures: point_step(
         chain, np.zeros(len(temperatures), dtype=int), kappa, temperatures
@@ -349,7 +356,7 @@ def test_point_step_refuses_members_off_the_chain_stack(route):
     # point, and only indices of the stack's chains
     spec = ROUTE_SPECS[route]
     _, point_step = thermo._ROUTES[spec.model]
-    chain = thermo._chain(spec, (spec.coupling_delta,), DissipatorStyle.LOCAL)
+    chain = thermo._chain(spec, ((DissipatorStyle.LOCAL, (spec.coupling_delta,)),))
     for member, message in [([0, 0], "shape"), ([1], "member indices"), ([-1], "member indices")]:
         with pytest.raises(ValueError, match=message):
             point_step(chain, member, 1.0, [[2.0, 0.0]])

@@ -46,6 +46,16 @@ def in_process_executor(sizes):
     return InProcessExecutor
 
 
+def usable_processors(monkeypatch, count):
+    """Make `count` processors this process may use, on a host of as many."""
+
+    def affinity(pid):
+        return set(range(count))
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: count)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", affinity, raising=False)
+
+
 def read_table(path):
     columns = None
     rows = []
@@ -554,10 +564,11 @@ class TestParallelExecution:
     def test_one_job_asks_no_processor_count(self, tmp_path, monkeypatch):
         # a dataset at one job runs in this process and needs no processor
         # count, nor does one item at any number of jobs
-        def cpu_count():
+        def cpu_count(*args):
             raise AssertionError("the processor count was asked for")
 
         monkeypatch.setattr(experiments.os, "cpu_count", cpu_count)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", cpu_count, raising=False)
         text = (
             "model = xy\nspins = 3\ndelta = 0.5\nstyle = both\nsweep = temperature\n"
             "start = 0.1\nstop = 2.0\npoints = 6\nt_right = 0.0\n"
@@ -569,14 +580,16 @@ class TestParallelExecution:
         # no oversized pool is ever started
         sizes = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_executor(sizes))
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        usable_processors(monkeypatch, 3)
         spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
         curves = [experiments._Curve("J", spec, DissipatorStyle.GLOBAL, t_right=0.0)]
         grid = np.linspace(0.5, 2.5, 5)
-        serial = experiments._columns("T_L", 1.0, curves, grid)
+        (serial,) = experiments._columns(1.0, [experiments._Grid("T_L", grid, curves)])
 
         def table(points, jobs):
-            return experiments._table("T_L", grid[:points], 1.0, curves, jobs).tobytes()
+            grids = [experiments._Grid("T_L", grid[:points], curves)]
+            (table,) = experiments._table(1.0, grids, jobs)
+            return table.tobytes()
 
         assert table(5, 100000) == serial.tobytes()
         assert table(2, 100000) == serial[:2].tobytes()
@@ -584,17 +597,36 @@ class TestParallelExecution:
         assert table(5, 0) == serial.tobytes()
         assert sizes == [3, 2]
 
+    def test_pool_is_no_larger_than_the_usable_processors(self, tmp_path, monkeypatch):
+        # a host of 3 processors on which this process may use one: two
+        # jobs take one worker, in this process
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError(f"a pool of {max_workers} workers was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert experiments._workers(2, 100) == 1
+        assert run_fig2(1.0, tmp_path / "one", jobs=2).read_bytes() == (
+            run_fig2(1.0, tmp_path / "serial", jobs=1).read_bytes()
+        )
+        # a platform that reports no affinity falls back to the host's count
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        assert experiments._workers(5, 100) == 3
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_chunks_bound_the_cells_of_a_point_step(self, jobs, tmp_path, monkeypatch):
         # fig2, fig3 and a 3-spin XY sweep in both styles, in chunks of at
         # most 7 cells: every CSV keeps the bytes of the whole grid, and no
-        # `_columns` call takes more cells
+        # `_columns` call takes more cells of all its grids together; fig3's
+        # panels and inset are one call per chunk
         cells = []
         columns = experiments._columns
 
-        def counted(x_name, kappa, curves, xs):
-            cells.append(len(xs) * len(curves))
-            return columns(x_name, kappa, curves, xs)
+        def counted(kappa, grids):
+            cells.append(sum(len(grid.xs) * len(grid.curves) for grid in grids))
+            return columns(kappa, grids)
 
         def datasets(out):
             cfg = parse_config_text(
@@ -607,10 +639,10 @@ class TestParallelExecution:
 
         monkeypatch.setattr(experiments, "_columns", counted)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_executor([]))
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        usable_processors(monkeypatch, 2)
         whole = datasets(tmp_path / "whole")
-        # one chunk per dataset and worker
-        assert len(cells) == 4 * jobs and max(cells) <= 804
+        # one chunk per command and worker
+        assert len(cells) == 3 * jobs and max(cells) <= 804
         whole_cells, cells[:] = sum(cells), []
         monkeypatch.setattr(experiments, "_CHUNK_CELLS", 7)
         assert datasets(tmp_path / "chunked") == whole
@@ -628,7 +660,7 @@ class TestParallelExecution:
                 raise AssertionError(f"a pool of {max_workers} workers was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+        usable_processors(monkeypatch, 8)
         (tmp_path / "sweep.cfg").write_text(BASE_CONFIG)
         monkeypatch.chdir(tmp_path)
         assert cli.main(command + ["--out", str(tmp_path / "out")]) == 0

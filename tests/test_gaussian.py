@@ -167,7 +167,7 @@ def _assert_matches_oracle(case):
     """The route's state of one case, checked against the oracle."""
     n, ratio, style, t_left, t_right = case
     spec = _spec(n, ratio)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    chain = gaussian_chain(spec, ((style, (spec.coupling_delta,)),))
     state = steady_state_gaussian(chain, [0], KAPPA, [[t_left, t_right]])
     exact = _oracle_currents(case)
     assert state.bath_currents.shape == (1, len(exact)) == (1, 2)
@@ -260,7 +260,7 @@ def test_strong_coupling_global_current_is_the_mode_sum(ratio):
     spec = SpinChainSpec(3, 1.0, ratio, ChainModel.XY_TRANSVERSE)
     exact = _mode_sum_currents((3, ratio, GLOBAL, 2.0, 0.0), h=1.0, kappa=1.0)
     assert exact[0] == pytest.approx(math.exp(-0.5) / 4.0, rel=1e-7)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (spec.coupling_delta,)),))
     currents = steady_state_gaussian(chain, [0], 1.0, [[2.0, 0.0]]).bath_currents[0]
     for got, want in zip(currents, exact):
         assert abs(got - want) <= 1e-7 * abs(want)
@@ -296,7 +296,7 @@ def test_one_mode_groups_keep_the_clausius_sign_over_the_coupling_range(
     spec = SpinChainSpec(n, h, delta, ChainModel.XY_TRANSVERSE)
     if not _one_mode_groups(spec):
         return
-    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (spec.coupling_delta,)),))
     stack = steady_state_gaussian(chain, [0] * len(points), kappa, points)
     for (t_left, t_right), (j_left, j_right) in zip(points, stack.bath_currents):
         assert j_left * (t_left - t_right) >= 0
@@ -321,7 +321,7 @@ def test_current_per_kappa_holds_down_to_the_bottom_of_the_double_range(style):
     else:
         exact = math.exp(-0.5) / 2.0
         exponents = [-7, -8, -9, -10, *range(-20, -301, -10)]
-    chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    chain = gaussian_chain(spec, ((style, (spec.coupling_delta,)),))
     for exponent in exponents:
         kappa = 10.0**exponent
         currents = steady_state_gaussian(chain, [0], kappa, [[2.0, 0.0]]).bath_currents[0]
@@ -371,7 +371,7 @@ def test_local_chain_over_the_double_range_is_exact_or_refused(h, delta, kappa, 
     lengths = []
     for n in range(2, 9):
         spec = SpinChainSpec(n, h, delta, ChainModel.XY_TRANSVERSE)
-        chain = gaussian_chain(spec, (delta, weak), LOCAL)
+        chain = gaussian_chain(spec, ((LOCAL, (delta, weak)),))
 
         def step(stack, member):
             return steady_state_gaussian(chain, [member] * len(stack), kappa, stack).bath_currents
@@ -442,7 +442,7 @@ def test_global_chain_over_the_double_range_is_exact_or_refused(member, h, kappa
     if (n, delta) in COLLISIONS or delta == 0.0:
         delta *= h
     spec = SpinChainSpec(n, h, delta, ChainModel.XY_TRANSVERSE)
-    chain = gaussian_chain(spec, (delta,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (delta,)),))
 
     def step(stack):
         return steady_state_gaussian(chain, [0] * len(stack), kappa, stack).bath_currents
@@ -460,7 +460,7 @@ def test_weak_kappa_members_keep_their_current_per_kappa(n, ratio, kappa):
     # J / kappa of each F3 member is its value at kappa = 1 (0.47847,
     # 0.59082, 0.32954, 0.36269 and 0) down to kappa = 1e-300
     spec = SpinChainSpec(n, 1.0, ratio, ChainModel.XY_TRANSVERSE)
-    chain = gaussian_chain(spec, (ratio,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (ratio,)),))
     want = steady_state_gaussian(chain, [0], 1.0, [[2.0, 0.0]]).bath_currents[0]
     for weak in (1e-8, kappa, 1e-300):
         currents = steady_state_gaussian(chain, [0], weak, [[2.0, 0.0]]).bath_currents[0]
@@ -475,7 +475,7 @@ def test_near_collision_balances_its_baths():
     # solve kept the splitting and read J / kappa = (0.47847035, -0.47847045)
     # at kappa = 1e-8, missing the energy balance by 1e-7
     spec = SpinChainSpec(3, 1.0, ROOT2 + 1e-11, ChainModel.XY_TRANSVERSE)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (spec.coupling_delta,)),))
     currents = steady_state_gaussian(chain, [0], 1e-8, [[2.0, 0.0]]).bath_currents[0]
     assert currents[1] == -currents[0]
     assert currents[0] / 1e-8 == pytest.approx(0.4784704, abs=1e-7)
@@ -537,7 +537,7 @@ def test_collective_modes_match_the_kronecker_references(n, ratio):
     # lowering vectors; the currents against the Majorana covariance.  Least
     # squares loses about eps h / kappa
     spec = _spec(n, ratio)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (spec.coupling_delta,)),))
     lowering = np.array([jump[2] for jump in _jumps(chain)])
     points = zip((1e-6, 1e-3, 1.0, 10.0), itertools.cycle([(2.0, 0.0), (0.5, 1.5)]))
     for kappa, (t_left, t_right) in points:
@@ -558,7 +558,7 @@ def test_two_hundred_spin_global_currents_are_the_mode_sum():
     # a chain far past the dense oracle, kept out of CASES
     case = (200, 1.0, GLOBAL, 2.5, 0.0)
     spec = SpinChainSpec(200, 1.0, 1.0, ChainModel.XY_TRANSVERSE)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (spec.coupling_delta,)),))
     state = steady_state_gaussian(chain, [0], 1.0, [[2.5, 0.0]])
     for got, want in zip(state.bath_currents[0], _mode_sum_currents(case, h=1.0, kappa=1.0)):
         assert abs(got - want) <= 1e-12
@@ -619,7 +619,7 @@ def _majorana_currents(n, ratio, style, t_left, t_right, kappa=KAPPA):
 def test_majorana_covariance_gives_the_route_currents(n):
     for ratio, style, t_left, t_right in sorted({case[1:] for case in CASES}, key=str):
         spec = _spec(n, ratio)
-        chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+        chain = gaussian_chain(spec, ((style, (spec.coupling_delta,)),))
         state = steady_state_gaussian(chain, [0], KAPPA, [[t_left, t_right]])
         # least squares cuts a weak local chain's middle modes (`WEAK_LOCAL`)
         length = 2 if _weak_local((n, ratio, style)) else n
@@ -669,7 +669,7 @@ def _eigenbasis_frequencies(spec, site):
 )
 def test_modes_are_grouped_like_the_eigenbasis_jumps(n, ratio):
     spec = _spec(n, ratio)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (spec.coupling_delta,)),))
     for site, frequencies in zip((0, n - 1), _jump_frequencies(chain)):
         np.testing.assert_allclose(frequencies, _eigenbasis_frequencies(spec, site), rtol=1e-12)
 
@@ -681,7 +681,7 @@ def test_grouping_scales_by_the_largest_many_body_energy():
     # chain) keeps them apart, as the eigenbasis jumps do; one scaled by
     # max|eps| (about 3e-9 h) would merge them
     spec = _spec(3, ROOT2 + 2.5e-9 / ROOT2)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (spec.coupling_delta,)),))
     frequencies = _jump_frequencies(chain)
     assert [bath.shape for bath in frequencies] == [(3,), (3,)]
     for site, bath in zip((0, 2), frequencies):
@@ -691,7 +691,7 @@ def test_grouping_scales_by_the_largest_many_body_energy():
 def test_zero_modes_carry_no_jump_operator():
     # delta = h on five spins: eps = h (1 + 2 cos(k pi / 6)) vanishes at k = 4
     spec = _spec(5, 1.0)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (spec.coupling_delta,)),))
     frequencies = _jump_frequencies(chain)
     assert [bath.shape for bath in frequencies] == [(4,), (4,)]
     assert min(frequencies[0]) > 0.5
@@ -700,21 +700,21 @@ def test_zero_modes_carry_no_jump_operator():
 def test_ising_pair_is_refused():
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     with pytest.raises(ValueError, match="quadratic"):
-        gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+        gaussian_chain(spec, ((GLOBAL, (spec.coupling_delta,)),))
 
 
 def test_the_transport_route_is_chosen_by_the_model():
     xy = SpinChainSpec(3, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
     ising = SpinChainSpec(2, 1.0, 0.5, ChainModel.ISING_ZZ)
     for style in DissipatorStyle:
-        assert isinstance(thermo._chain(xy, (xy.coupling_delta,), style), GaussianChain)
-        assert isinstance(thermo._chain(ising, (ising.coupling_delta,), style), PauliChain)
+        assert isinstance(thermo._chain(xy, ((style, (xy.coupling_delta,)),)), GaussianChain)
+        assert isinstance(thermo._chain(ising, ((style, (ising.coupling_delta,)),)), PauliChain)
 
 
 def _with_rates(monkeypatch, rates, style, n, ratio):
     monkeypatch.setattr(lindblad, "thermal_rates", lambda kappa, temperature, frequency: rates)
     spec = _spec(n, ratio)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    chain = gaussian_chain(spec, ((style, (spec.coupling_delta,)),))
     return steady_state_gaussian(chain, [0], 1.0, [[1.0, 0.0]])
 
 
@@ -759,7 +759,7 @@ def test_residual_guard_holds_where_the_norms_overflow(n, ratio, style, temperat
     # residual is finite and within KERNEL_RTOL of the largest |X_ij| <=
     # ||X||, and the currents keep their bits
     spec = SpinChainSpec(n, 1.0, ratio, ChainModel.XY_TRANSVERSE)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    chain = gaussian_chain(spec, ((style, (spec.coupling_delta,)),))
     state = steady_state_gaussian(chain, [0], 1.0, [temperatures])
     assert np.isfinite(state.residual[0])
     x, _ = _lyapunov_equation(chain, temperatures, kappa=1.0)
@@ -772,7 +772,7 @@ def test_global_point_step_holds_little_beside_its_covariance():
     # mode elementwise, so its peak stays within 1.5 times the (P, n, n)
     # complex K it returns, 10.9 MB (11.8 MB measured)
     spec = SpinChainSpec(200, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), GLOBAL)
+    chain = gaussian_chain(spec, ((GLOBAL, (spec.coupling_delta,)),))
     member = np.zeros(17, dtype=int)
     temperatures = np.column_stack([np.linspace(0.1, 3.0, 17), np.zeros(17)])
     steady_state_gaussian(chain, member, 1.0, temperatures)
@@ -803,7 +803,7 @@ def _fermi(energies, temperature):
 )
 def test_equal_temperatures_give_the_thermal_state(n, h, ratio, style, kappa, temperature):
     spec = SpinChainSpec(n, h, ratio * h, ChainModel.XY_TRANSVERSE)
-    chain = gaussian_chain(spec, (spec.coupling_delta,), style)
+    chain = gaussian_chain(spec, ((style, (spec.coupling_delta,)),))
     state = steady_state_gaussian(chain, [0], kappa, [[temperature, temperature]])
     for current in state.bath_currents[0]:
         assert abs(current) <= 1e-12 * kappa * h**2

@@ -55,7 +55,7 @@ def _step(spec, style, kappa=1.0, chain=None):
     `chain`, by default the cached chain."""
     _, point_step = thermo._ROUTES[spec.model]
     if chain is None:
-        chain = thermo._chain(spec, (spec.coupling_delta,), style)
+        chain = thermo._chain(spec, ((style, (spec.coupling_delta,)),))
 
     def step(points):
         return point_step(chain, [0] * len(points), kappa, points)
@@ -109,7 +109,7 @@ def test_fig2_local_column_projects_each_member_as_its_own_stack():
     state = _assert_members_are_their_own_calls(spec, DissipatorStyle.LOCAL, points)
     assert (state["kernel_dim"] == 2).all()
     assert not state["bath_currents"].any()
-    chain = thermo._chain(spec, (spec.coupling_delta,), DissipatorStyle.LOCAL)
+    chain = thermo._chain(spec, ((DissipatorStyle.LOCAL, (spec.coupling_delta,)),))
     member = np.zeros(len(grid), dtype=np.intp)
     cycle = rates._cycle_rates(chain, member, 1.0, np.array(points))
     vectors, kernel_dim = oracle._kernel_vector(_rate_matrices(cycle)[1], np.full(4, 0.25))
@@ -171,7 +171,7 @@ def test_failing_point_on_a_chain_stack_is_named_by_its_index(monkeypatch, spec)
     # of both chains
     _failing_at(monkeypatch, 0.75)
     chain_step, point_step = thermo._ROUTES[spec.model]
-    chain = chain_step(spec, (spec.coupling_delta, 0.3), DissipatorStyle.GLOBAL)
+    chain = chain_step(spec, ((DissipatorStyle.GLOBAL, (spec.coupling_delta, 0.3)),))
     temperatures = [[0.5, 0.2], [1.0, 0.2], [2.0, 0.2], [0.75, 0.2]]
     with pytest.raises(SteadyStateError) as excinfo:
         point_step(chain, [1, 0, 1, 1], 1.0, temperatures)
@@ -186,9 +186,9 @@ def test_first_refused_point_is_named_on_the_rate_route():
     for p, message in enumerate(messages, start=1):
         with pytest.raises(SteadyStateError, match=message):
             thermo.steady_net_current(ISING, 1.0, *grid[p], DissipatorStyle.GLOBAL)
-    couplings = (ISING.coupling_delta,)
+    stack = ((DissipatorStyle.GLOBAL, (ISING.coupling_delta,)),)
     with pytest.raises(SteadyStateError, match=messages[0]) as excinfo:
-        thermo._net_currents(ISING, couplings, [0, 0, 0], 1.0, grid, DissipatorStyle.GLOBAL)
+        thermo._net_currents(ISING, stack, [0, 0, 0], 1.0, grid)
     assert excinfo.value.member == 1
 
 
@@ -203,9 +203,9 @@ def test_first_refused_point_is_named_on_the_gaussian_route(monkeypatch):
     for p, message in enumerate(messages, start=1):
         with pytest.raises(SteadyStateError, match=message):
             thermo.steady_net_current(spec, 1.0, *grid[p], DissipatorStyle.GLOBAL)
-    couplings = (spec.coupling_delta, 0.3)
+    stack = ((DissipatorStyle.GLOBAL, (spec.coupling_delta, 0.3)),)
     with pytest.raises(SteadyStateError, match=messages[0]) as excinfo:
-        thermo._net_currents(spec, couplings, [0, 1, 0], 1.0, grid, DissipatorStyle.GLOBAL)
+        thermo._net_currents(spec, stack, [0, 1, 0], 1.0, grid)
     assert excinfo.value.member == 1
 
 
@@ -245,13 +245,13 @@ def test_mixed_stack_points_are_their_own_one_stacks(monkeypatch, spec, coupling
 
     for name in ("eig", "inv", "lstsq", "solve"):
         monkeypatch.setattr(np.linalg, name, never)
-    chain = gaussian.gaussian_chain(spec, couplings, style)
+    chain = gaussian.gaussian_chain(spec, ((style, couplings),))
     member = [2, 0, 3, 1, 2, 1, 0, 3, 0]
     temperatures = [[2.0, 0.0], [1.0, 0.5], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0], [0.5, 3.0],
                     [1.5, 1.5], [4.0, 0.2], list(EXCEPTIONAL_POINT)]
     stacked = _fields(gaussian.steady_state_gaussian(chain, member, 0.7, temperatures))
     for p, (m, temps) in enumerate(zip(member, temperatures)):
-        alone = gaussian.gaussian_chain(spec, couplings[m : m + 1], style)
+        alone = gaussian.gaussian_chain(spec, ((style, couplings[m : m + 1]),))
         own = _fields(gaussian.steady_state_gaussian(alone, [0], 0.7, [temps]))
         for name, value in stacked.items():
             assert value[p].tobytes() == own[name][0].tobytes(), (name, p)
@@ -279,6 +279,38 @@ def test_failure_in_the_middle_of_a_stack_names_its_curve_and_x(
     assert err.startswith("solver error: J_global at T_L = 0.75: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_refused_inset_cell_names_the_inset_grid(tmp_path, monkeypatch):
+    # fig3's panels and inset are one point step; a bath at 5.5 sits only
+    # in the inset, at mean temperature 5, and the left one there, at
+    # delta_T = 1, is refused: the refusal names the inset's curve, x name
+    # and x
+    _failing_at(monkeypatch, 5.5)
+    with pytest.raises(SteadyStateError, match="steady state not positive") as excinfo:
+        experiments.run_fig3(1.0, tmp_path)
+    assert str(excinfo.value).startswith("J_tbar_5 at delta_T = 1: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_refused_local_fig2_cell_names_the_local_curve(tmp_path, monkeypatch):
+    # fig2's global and local curves are one point step on the T_L grid; a
+    # rate law that fails at the local bath's frequency h = 1 alone, which
+    # no global transition of fig2's couplings has, refuses a local cell
+    grid = np.concatenate([[0.0], np.logspace(-2, 2, 200)])
+    t_left = grid[150]
+    original = lindblad.thermal_rates
+
+    def rate_law(kappa, temperature, frequency):
+        emission, absorption = original(kappa, temperature, frequency)
+        failing = (np.asarray(frequency) == 1.0) & (np.asarray(temperature) == t_left)
+        return np.where(failing, 1.0, emission), np.where(failing, -0.5, absorption)
+
+    monkeypatch.setattr(lindblad, "thermal_rates", rate_law)
+    with pytest.raises(SteadyStateError) as excinfo:
+        experiments.run_fig2(1.0, tmp_path)
+    assert str(excinfo.value).startswith(f"J_ph_delta_0.01 at T_L = {t_left:.15g}: ")
+    assert not list(tmp_path.iterdir())
 
 
 # points whose rates or flows overflow, global style, T_R = 0: the currents
@@ -309,7 +341,7 @@ def test_point_that_overflows_is_refused(spec, t_left, message):
 @pytest.mark.parametrize("spec, t_left, message", OVERFLOWS.values(), ids=OVERFLOWS.keys())
 def test_point_that_overflows_is_named_by_its_index_in_a_stack(spec, t_left, message):
     chain_step, point_step = thermo._ROUTES[spec.model]
-    chain = chain_step(spec, (0.5, spec.coupling_delta), DissipatorStyle.GLOBAL)
+    chain = chain_step(spec, ((DissipatorStyle.GLOBAL, (0.5, spec.coupling_delta)),))
     temperatures = [[1.0, 0.0], [1.0, 0.0], [t_left, 0.0], [2.0, 0.0]]
     with pytest.raises(SteadyStateError, match=message) as excinfo:
         point_step(chain, [0, 0, 1, 0], 1.0, temperatures)
@@ -414,8 +446,8 @@ def _member_arrays(chain, c):
 def test_chain_stack_members_are_their_own_chains(stack, data):
     head, couplings, style = stack
     chain_step, point_step = thermo._ROUTES[head.model]
-    chain = chain_step(head, couplings, style)
-    alone = [chain_step(head, (coupling,), style) for coupling in couplings]
+    chain = chain_step(head, ((style, couplings),))
+    alone = [chain_step(head, ((style, (coupling,)),)) for coupling in couplings]
     for c, single in enumerate(alone):
         assert [live_counts(f)[c] for f in bath_frequencies(chain.slots)] == [
             live_counts(f)[0] for f in bath_frequencies(single.slots)
@@ -457,6 +489,67 @@ def test_chain_stack_members_are_their_own_chains(stack, data):
             assert value[p].tobytes() == own[name][0].tobytes(), (name, p)
 
 
+@st.composite
+def mixed_pauli_stacks(draw):
+    """An Ising pair and a stack of both styles' couplings, in either
+    order, delta = 0 and the edges of the transitions included."""
+    h = draw(st.floats(0.5, 2.0))
+    ratio = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 2.5))
+    stack = tuple(
+        (style, tuple(r * h for r in draw(st.lists(ratio, min_size=1, max_size=4, unique=True))))
+        for style in draw(st.permutations(list(DissipatorStyle)))
+    )
+    return SpinChainSpec(2, h, stack[0][1][0], ChainModel.ISING_ZZ), stack
+
+
+# temperatures up to 1e300 and kappas down to 1e-300, where points are
+# refused for rates that span more than the double range or overflow
+wide_temperatures = st.one_of(temperatures, st.sampled_from([1e10, 1e154, 1e300]))
+wide_kappas = st.one_of(kappas, st.sampled_from([1e-300, 1e-150, 1e-10, 10.0]))
+
+
+def _outcome(chain, member, kappa, temperatures):
+    """A point step's fields, or the SteadyStateError it raises."""
+    try:
+        return _fields(rates.steady_state_pauli(chain, member, kappa, temperatures))
+    except SteadyStateError as err:
+        return err
+
+
+@PROPERTY
+@given(mixed_pauli_stacks(), st.data())
+def test_mixed_style_pauli_points_are_their_own_one_stacks(stack, data):
+    # every point of a stack of both styles has the fields of its own
+    # 1-stack of one style, and the stack the refusal of its first point
+    # refused, by member and message; cut cycles (the local style at
+    # T_R = 0), and stacks of no point, included
+    head, stack = stack
+    members = [(style, coupling) for style, couplings in stack for coupling in couplings]
+    chain = rates.pauli_chain(head, stack)
+    point = st.tuples(st.integers(0, len(members) - 1), wide_temperatures, wide_temperatures)
+    drawn = data.draw(st.lists(point, max_size=8))
+    if drawn and data.draw(st.booleans()):
+        drawn.append((data.draw(st.integers(0, len(members) - 1)), *DEGENERATE_POINT))
+    kappa = data.draw(wide_kappas)
+    member = [m for m, *_ in drawn]
+    temps = np.array([t for _, *t in drawn], dtype=float).reshape(-1, 2)
+    stacked = _outcome(chain, member, kappa, temps)
+    own = [
+        _outcome(rates.pauli_chain(head, ((members[m][0], members[m][1:]),)), [0], kappa, [t])
+        for m, t in zip(member, temps)
+    ]
+    refused = [p for p, outcome in enumerate(own) if isinstance(outcome, SteadyStateError)]
+    if refused:
+        assert isinstance(stacked, SteadyStateError)
+        assert (stacked.member, str(stacked)) == (refused[0], str(own[refused[0]]))
+        return
+    assert not isinstance(stacked, SteadyStateError), stacked
+    for name, value in stacked.items():
+        assert value.shape[0] == len(drawn)
+        for p, alone in enumerate(own):
+            assert value[p].tobytes() == alone[name][0].tobytes(), (name, p)
+
+
 def _dense_drives(spec, baths):
     """What drives each of the 8 cycle rates of one Ising pair in the dense
     oracle's jumps, `lindblad.bath_transitions` on its
@@ -485,7 +578,7 @@ def test_cycle_index_is_the_dense_jump_pattern(stack):
     # delta = 0 on one member: its right global bath drives no transition
     couplings += (0.0,)
     baths = lindblad.standard_baths(head, 1.0, 0.0, 0.0, style)
-    chain = rates.pauli_chain(head, couplings, style)
+    chain = rates.pauli_chain(head, ((style, couplings),))
     slots = chain.slots
     for c, coupling in enumerate(couplings):
         slot, s = np.divmod(chain.index[c], 2)
@@ -611,7 +704,8 @@ def xy_coupling_stacks(draw):
 def test_stacked_gaussian_chain_is_the_member_by_member_build(stack):
     with np.errstate(over="ignore", invalid="ignore"):
         reference = _member_by_member(*stack)
-    chain = gaussian.gaussian_chain(*stack)
+    head, couplings, style = stack
+    chain = gaussian.gaussian_chain(head, ((style, couplings),))
     arrays = {
         "diagonal": chain.diagonal,
         "coupling": chain.coupling,
@@ -634,11 +728,11 @@ from spinheat import gaussian
 from spinheat.lindblad import DissipatorStyle
 from spinheat.spinops import ChainModel, SpinChainSpec
 head = SpinChainSpec(200, 1.0, 0.7, ChainModel.XY_TRANSVERSE)
-stack = gaussian.gaussian_chain(head, (0.7, 1.0), DissipatorStyle.GLOBAL)
+stack = gaussian.gaussian_chain(head, ((DissipatorStyle.GLOBAL, (0.7, 1.0)),))
 assert stack.slots.live.sum(axis=1).tolist() == [400, 398]
 assert (stack.partner == range(200)).all()
 state = gaussian.steady_state_gaussian(stack, [0, 1], 1.0, [[2.5, 0.0], [2.5, 0.0]])
-alone = gaussian.gaussian_chain(head, (1.0,), DissipatorStyle.GLOBAL)
+alone = gaussian.gaussian_chain(head, ((DissipatorStyle.GLOBAL, (1.0,)),))
 single = gaussian.steady_state_gaussian(alone, [0], 1.0, [[2.5, 0.0]])
 print([name for name, value in vars(single).items()
        if getattr(state, name)[1].tobytes() != value[0].tobytes()])
@@ -672,7 +766,7 @@ def test_one_eigh_builds_a_stack_of_xy_chains(monkeypatch):
     spec = SpinChainSpec(4, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
     for style, expected in ((DissipatorStyle.GLOBAL, [(4, 4, 4)]), (DissipatorStyle.LOCAL, [])):
         calls.clear()
-        gaussian.gaussian_chain(spec, (0.0, 0.5, 1.3, 2.0), style)
+        gaussian.gaussian_chain(spec, ((style, (0.0, 0.5, 1.3, 2.0)),))
         assert calls == expected, style
 
 
@@ -692,7 +786,23 @@ def test_chain_step_refuses_a_bad_stack_of_couplings(route, style, couplings, me
     spec = ROUTE_SPECS[route]
     chain_step, _ = thermo._ROUTES[spec.model]
     with pytest.raises(ValueError, match=message):
-        chain_step(spec, couplings, style)
+        chain_step(spec, ((style, couplings),))
+
+
+@pytest.mark.parametrize("route", ROUTE_SPECS)
+def test_chain_step_refuses_a_stack_of_no_style(route):
+    spec = ROUTE_SPECS[route]
+    chain_step, _ = thermo._ROUTES[spec.model]
+    with pytest.raises(ValueError):
+        chain_step(spec, ())
+
+
+def test_gaussian_chain_step_refuses_two_styles():
+    # the Gaussian point step has one closed form per style
+    spec = ROUTE_SPECS["gaussian"]
+    stack = ((DissipatorStyle.GLOBAL, (0.5,)), (DissipatorStyle.LOCAL, (0.5,)))
+    with pytest.raises(ValueError, match="one style"):
+        gaussian.gaussian_chain(spec, stack)
 
 
 @pytest.mark.parametrize("route", ROUTE_SPECS)
@@ -700,7 +810,7 @@ def test_chain_step_refuses_a_bad_stack_of_couplings(route, style, couplings, me
 def test_empty_stack_gives_empty_fields(route, style):
     spec = ROUTE_SPECS[route]
     chain_step, point_step = thermo._ROUTES[spec.model]
-    chain = chain_step(spec, (spec.coupling_delta,), style)
+    chain = chain_step(spec, ((style, (spec.coupling_delta,)),))
     state = _fields(point_step(chain, [], 1.0, np.empty((0, 2))))
     for name, value in state.items():
         assert value.shape[0] == 0, name
@@ -713,16 +823,19 @@ def test_empty_stack_gives_empty_fields(route, style):
 
 @st.composite
 def datasets(draw):
-    """A grid kind, its x values and curves on one chain length and field:
-    couplings and styles drawn per curve, so several curves often share a
-    group, and delta_T grids that take a bath below zero for some cells."""
+    """A command of one or two grids of different kinds, their x values and
+    curves, all on one chain length and field: couplings and styles drawn
+    per curve, so curves of both styles and of both grids often share a
+    chain stack, and delta_T grids that take a bath below zero for some
+    cells."""
     model, n_spins = draw(
         st.sampled_from(
             [(ChainModel.ISING_ZZ, 2), (ChainModel.XY_TRANSVERSE, 2), (ChainModel.XY_TRANSVERSE, 3)]
         )
     )
     h = draw(st.floats(0.5, 2.0))
-    x_name = draw(st.sampled_from(["T_L", "delta", "delta_T"]))
+    kinds = st.sampled_from(["T_L", "delta", "delta_T"])
+    kinds = draw(st.lists(kinds, min_size=1, max_size=2, unique=True))
     # delta_T values and means on a lattice as well, so that a bath sits
     # exactly at zero, the edge of the empty cells
     lattice = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
@@ -732,38 +845,43 @@ def datasets(draw):
         "delta": st.floats(0.0, 2.0),
         "delta_T": st.one_of(lattice, st.floats(-4.0, 4.0)),
     }
-    # repeated x values included: a delta grid keys each distinct coupling once
-    xs = np.array(draw(st.lists(x[x_name], min_size=1, max_size=6)))
-    curves = []
-    for k in range(draw(st.integers(1, 4))):
-        coupling = draw(st.one_of(st.sampled_from(EDGES), st.floats(0.01, 2.5))) * h
-        fixed = {
-            "T_L": {"t_right": draw(temperatures)},
-            "delta": {"t_left": draw(temperatures), "t_right": draw(temperatures)},
-            "delta_T": {"t_mean": draw(st.one_of(means, st.floats(0.05, 3.0)))},
-        }[x_name]
-        spec = SpinChainSpec(n_spins, h, coupling, model)
-        style = draw(st.sampled_from(DissipatorStyle))
-        curves.append(experiments._Curve(f"J_{k}", spec, style, **fixed))
-    return x_name, xs, curves
+    grids = []
+    for x_name in kinds:
+        # repeated x values included: a delta grid keys each distinct coupling once
+        xs = np.array(draw(st.lists(x[x_name], min_size=1, max_size=6)))
+        curves = []
+        for k in range(draw(st.integers(1, 4))):
+            coupling = draw(st.one_of(st.sampled_from(EDGES), st.floats(0.01, 2.5))) * h
+            fixed = {
+                "T_L": {"t_right": draw(temperatures)},
+                "delta": {"t_left": draw(temperatures), "t_right": draw(temperatures)},
+                "delta_T": {"t_mean": draw(st.one_of(means, st.floats(0.05, 3.0)))},
+            }[x_name]
+            spec = SpinChainSpec(n_spins, h, coupling, model)
+            style = draw(st.sampled_from(DissipatorStyle))
+            curves.append(experiments._Curve(f"J_{x_name}_{k}", spec, style, **fixed))
+        grids.append(experiments._Grid(x_name, xs, curves))
+    return grids
 
 
 @PROPERTY
 @given(datasets(), kappas)
-def test_dataset_cells_are_their_own_one_stacks(dataset, kappa):
-    x_name, xs, curves = dataset
-    table = experiments._columns(x_name, kappa, curves, xs)
-    assert table.shape == (len(xs), len(curves))
-    empty = np.isnan(table)
-    for (r, x), (c, curve) in itertools.product(enumerate(xs), enumerate(curves)):
-        spec = replace(curve.spec, coupling_delta=x) if x_name == "delta" else curve.spec
-        if x_name == "T_L":
-            t_left, t_right = x, curve.t_right
-        elif x_name == "delta":
-            t_left, t_right = curve.t_left, curve.t_right
-        else:
-            t_left, t_right = curve.t_mean + 0.5 * x, curve.t_mean - 0.5 * x
-        assert empty[r, c] == (t_left < 0 or t_right < 0)
-        if not empty[r, c]:
-            alone = thermo.steady_net_current(spec, kappa, t_left, t_right, curve.style)
-            assert table[r, c].hex() == alone.hex(), (r, c)
+def test_dataset_cells_are_their_own_one_stacks(grids, kappa):
+    tables = experiments._columns(kappa, grids)
+    assert len(tables) == len(grids)
+    for grid, table in zip(grids, tables):
+        x_name, xs, curves = grid.x_name, grid.xs, grid.curves
+        assert table.shape == (len(xs), len(curves))
+        empty = np.isnan(table)
+        for (r, x), (c, curve) in itertools.product(enumerate(xs), enumerate(curves)):
+            spec = replace(curve.spec, coupling_delta=x) if x_name == "delta" else curve.spec
+            if x_name == "T_L":
+                t_left, t_right = x, curve.t_right
+            elif x_name == "delta":
+                t_left, t_right = curve.t_left, curve.t_right
+            else:
+                t_left, t_right = curve.t_mean + 0.5 * x, curve.t_mean - 0.5 * x
+            assert empty[r, c] == (t_left < 0 or t_right < 0)
+            if not empty[r, c]:
+                alone = thermo.steady_net_current(spec, kappa, t_left, t_right, curve.style)
+                assert table[r, c].hex() == alone.hex(), (x_name, r, c)

@@ -398,7 +398,7 @@ class TestTreeSum:
 def test_cycle_rates_are_contiguous_rows_of_points():
     # one row per cycle rate, the points of a stack of several members
     # contiguous along it
-    chain = rates.pauli_chain(ISING, (0.01, 0.5, 1.5), DissipatorStyle.GLOBAL)
+    chain = rates.pauli_chain(ISING, ((DissipatorStyle.GLOBAL, (0.01, 0.5, 1.5)),))
     member = np.array([2, 0, 1, 1, 0])
     temperatures = np.linspace(0.0, 2.0, 10).reshape(5, 2)
     cycle = rates._cycle_rates(chain, member, 1.0, temperatures)
@@ -468,7 +468,7 @@ def test_figure_cells_keep_their_bits(
             kappa * temperature,
         ),
     )
-    chain = rates.pauli_chain(ISING, couplings, style)
+    chain = rates.pauli_chain(ISING, ((style, couplings),))
     state = rates.steady_state_pauli(chain, member, 1.0, temperatures)
     assert state.bath_currents.tobytes() == np.array(currents).tobytes()
     assert state.kernel_dim.tolist() == kernel_dim
@@ -478,7 +478,7 @@ def test_figure_cells_keep_their_bits(
 
 def _route_state(spec, kappa, t_left, t_right, style):
     """The rate route's 1-stack at one point of the canonical pair."""
-    chain = rates.pauli_chain(spec, (spec.coupling_delta,), style)
+    chain = rates.pauli_chain(spec, ((style, (spec.coupling_delta,)),))
     return rates.steady_state_pauli(chain, [0], kappa, [[t_left, t_right]])
 
 
@@ -488,7 +488,7 @@ def _exact_currents(spec, kappa, t_left, t_right, style):
     levels (uu, ud, du, dd) as exact rationals of h and delta, and each
     bath's sum_ij W[i, j] (E_i - E_j) p_j over the level pairs that differ
     in its spin (the left spin is the high bit of the level index)."""
-    chain = rates.pauli_chain(spec, (spec.coupling_delta,), style)
+    chain = rates.pauli_chain(spec, ((style, (spec.coupling_delta,)),))
     cycle = rates._cycle_rates(chain, np.array([0]), kappa, np.array([[t_left, t_right]]))
     matrix = _rate_matrices(cycle)[0][0]
     w = [[Fraction(float(x)) for x in row] for row in matrix]
@@ -521,10 +521,12 @@ def _exact_currents(spec, kappa, t_left, t_right, style):
 def test_chain_step_is_exact(h, ratio, style):
     # each slot's frequency and each bath's carried energy, exactly: the
     # left global bath drives h + delta and |h - delta|, the right one
-    # delta, and a gap within the grouping tolerance of zero drives nothing
+    # delta, and a gap within the grouping tolerance of zero drives nothing;
+    # the left local bath drives h in the first of its two slots, the
+    # second being padding, and the right one 0
     spec = SpinChainSpec(2, h, ratio * h, ChainModel.ISING_ZZ)
     delta = spec.coupling_delta
-    chain = rates.pauli_chain(spec, (spec.coupling_delta,), style)
+    chain = rates.pauli_chain(spec, ((style, (spec.coupling_delta,)),))
     left, right = (chain.slots.frequency[0, chain.slots.bath == k] for k in range(2))
     if style is DissipatorStyle.GLOBAL:
         tol = DEGENERACY_TOL * (0.5 * h + 0.5 * delta)
@@ -532,7 +534,7 @@ def test_chain_step_is_exact(h, ratio, style):
         expected = [f if f > tol else np.nan for f in expected]
         np.testing.assert_array_equal(np.concatenate([left, right]), expected)
     else:
-        assert (left.tolist(), right.tolist()) == ([h], [0.0])
+        np.testing.assert_array_equal(np.concatenate([left, right]), [h, np.nan, 0.0])
     assert chain.carried[0].tolist() == [-2.0 * delta, 2.0 * delta]
 
 

@@ -58,7 +58,7 @@ def assert_entropy_production_is_nonnegative(spec, style, kappa, points):
     `points` holds (t_left, t_right) with both temperatures positive."""
     _, point_step = thermo._ROUTES[spec.model]
     temperatures = np.array(points)
-    chain = thermo._chain(spec, (spec.coupling_delta,), style)
+    chain = thermo._chain(spec, ((style, (spec.coupling_delta,)),))
     state = point_step(chain, [0] * len(points), kappa, temperatures)
     for temps, flows in zip(temperatures, state.bath_currents):
         production = -sum(flows / temps)
@@ -160,7 +160,7 @@ class TestHeatCurrents:
         # in the steady state the baths' inputs cancel on both transport routes
         spec = data.draw(transport_specs(chains))
         _, point_step = thermo._ROUTES[spec.model]
-        chain = thermo._chain(spec, (spec.coupling_delta,), style)
+        chain = thermo._chain(spec, ((style, (spec.coupling_delta,)),))
         currents = point_step(chain, [0], kappa, [[t_left, t_right]]).bath_currents[0]
         assert len(currents) == 2
         assert abs(sum(currents)) <= 1e-10 * kappa * spec.field_h**2
@@ -187,7 +187,7 @@ class TestHeatCurrents:
         # every point of a stack is either refused under its index, as it is
         # alone, or keeps the Clausius sign and balances its baths to 4 eps
         spec = SpinChainSpec(2, h, 10.0**log_delta, ChainModel.ISING_ZZ)
-        chain = thermo._chain(spec, (spec.coupling_delta,), style)
+        chain = thermo._chain(spec, ((style, (spec.coupling_delta,)),))
 
         def step(stack):
             return rates.steady_state_pauli(chain, [0] * len(stack), kappa, stack)

@@ -77,7 +77,7 @@ def _only_member(state):
 def _route_state(spec, kappa, t_left, t_right, style):
     """The state of the transport route `steady_net_current` takes for `spec`."""
     chain_step, point_step = thermo._ROUTES[spec.model]
-    chain = chain_step(spec, (spec.coupling_delta,), style)
+    chain = chain_step(spec, ((style, (spec.coupling_delta,)),))
     return _only_member(point_step(chain, [0], kappa, [[t_left, t_right]]))
 
 
@@ -173,4 +173,4 @@ def test_transport_path_builds_no_many_body_operator(tmp_path, monkeypatch):
 def test_rate_route_refuses_the_xy_chain():
     spec = SpinChainSpec(2, 1.0, 0.5, ChainModel.XY_TRANSVERSE)
     with pytest.raises(ValueError, match="Ising"):
-        pauli_chain(spec, (spec.coupling_delta,), DissipatorStyle.GLOBAL)
+        pauli_chain(spec, ((DissipatorStyle.GLOBAL, (spec.coupling_delta,)),))
